@@ -4,8 +4,9 @@ Times the kernelized scoring paths of :mod:`repro.core.kernels` under both
 backends on a generated UIS-style company-names relation:
 
 * ``top_k(k=10)`` -- the max-score pruned path; the numpy backend replaces
-  the dict-of-partials accumulation with one unbuffered ``np.add.at`` per
-  opened posting list.
+  the dict-of-partials accumulation with one buffered scatter-add per
+  opened posting list and the per-candidate rescore callbacks with one
+  batch over the posting arrays.
 * ``run_many (rank)`` -- the batch full-scoring workload through the engine;
   the numpy backend accumulates each query's whole candidate set in one
   scatter-add.

@@ -8,8 +8,10 @@ GIL, so ``executor="thread"`` buys nothing.  This module provides the
 C-speed replacement: per-token postings are materialized once at fit time as
 contiguous ``int64`` tid / ``float64`` contribution arrays
 (:func:`build_arrays`, stored by
-:class:`~repro.core.index.WeightedPostingIndex`), and accumulation happens
-with ``np.add.at`` -- numpy's *unbuffered, in-element-order* scatter-add.
+:class:`~repro.core.index.WeightedPostingIndex`), and both query shapes run
+on them -- the full scan (:func:`accumulate`, for ``rank``/``select``/
+``score``) and the max-score ``top_k`` (:func:`run_topk`, from the first
+opened posting list to the exact scores of the returned tuples).
 
 Bit-identity guarantee
 ----------------------
@@ -17,13 +19,21 @@ Bit-identity guarantee
 The scalar path accumulates ``scores.get(tid, 0.0) + qw * contribution``
 visiting tokens in a canonical order (sorted query tokens, or query
 first-occurrence order for HMM) and each posting list in increasing tid
-order.  The vectorized path concatenates the per-token ``qw * contribution``
-arrays in exactly that order and applies them with ``np.add.at``, which is
-documented to perform the additions element by element (unbuffered).  Each
-per-tid addition chain is therefore the same float64 operations in the same
-order as the scalar path, so results are **bit-identical** -- the exactness
-guarantee the whole test suite pins.  (``qw * c`` is skipped when
+order.  Every vectorized path applies, per tuple, the same float64
+additions in the same order, so results are **bit-identical** -- the
+exactness guarantee the whole test suite pins.  (``qw * c`` is skipped when
 ``qw == 1.0``; IEEE-754 guarantees ``1.0 * c == c`` bitwise.)
+
+* The scan concatenates the per-token ``qw * contribution`` arrays in the
+  canonical order and applies them with one ``np.add.at``, numpy's
+  *unbuffered* scatter-add, documented to perform the additions element by
+  element: a tuple hit by several tokens gets its chain in token order.
+* The ``top_k`` path works one term at a time, and within one term's
+  postings every tid occurs once.  A buffered ``acc[tids] + values`` then
+  gives each touched slot exactly one addition -- buffered and unbuffered
+  scatter-adds only differ when indices repeat -- so neither the
+  accumulation of opened lists nor the batch exact rescore of the finish
+  (one gather-add per term, canonical term order) needs ``np.add.at``.
 
 Backend dispatch
 ----------------
@@ -53,7 +63,7 @@ __all__ = [
     "ops_snapshot",
     "build_arrays",
     "accumulate",
-    "make_topk_accumulator",
+    "run_topk",
     "DenseScores",
     "dense_pair",
     "dense_from_lists",
@@ -497,13 +507,15 @@ def select_items(
 class _PythonTopKAccumulator:
     """The pre-kernel max-score accumulation state, verbatim.
 
-    A dict of partial sums plus the running best; `iter_by_partial` is the
-    lazily-popped max-heap of the original implementation, so only the
-    candidates actually rescored pay for ordering.
+    A dict of partial sums plus the running best; ``ranked`` is the
+    lazily-popped max-heap of the original implementation and exact scores
+    come from the predicate's ``rescore`` callback one tuple at a time, so
+    only the candidates actually rescored pay for ordering or scoring.
     """
 
-    def __init__(self, allowed: Optional[Set[int]]):
+    def __init__(self, allowed: Optional[Set[int]], rescore):
         self._allowed = allowed
+        self._rescore = rescore
         self._partials: Dict[int, float] = {}
         self.best_partial = float("-inf")
 
@@ -534,28 +546,69 @@ class _PythonTopKAccumulator:
     def kth_largest(self, k: int) -> float:
         return heapq.nlargest(k, self._partials.values())[-1]
 
-    def iter_by_partial(self) -> Iterator[Tuple[float, int]]:
+    def _by_partial(self) -> Iterator[Tuple[float, int]]:
         by_partial = [(-partial, tid) for tid, partial in self._partials.items()]
         heapq.heapify(by_partial)
         while by_partial:
             negated_partial, tid = heapq.heappop(by_partial)
             yield -negated_partial, tid
 
+    def ranked(self, k: int, remaining_pos: float, remaining_neg: float):
+        """``(pairs, exact_of)``: lazily ordered ``(partial, tid)`` pairs and
+        the per-tuple exact score lookup (the ``rescore`` callback)."""
+        rescore = self._rescore
+        return self._by_partial(), lambda tid: rescore([tid])[tid]
+
+
+#: Relative safety margin of the numpy finish's candidate cut.  Wider than
+#: the finish loop's own stop margin (``topk._CUTOFF_MARGIN``, 1e-9 over a
+#: smaller magnitude), so every candidate the loop can still ask for is in
+#: the first batch; the rest is served lazily, so a too-narrow cut could
+#: only cost a second batch, never a result.
+_PREFIX_MARGIN = 1e-8
+
+
+def _term_arrays(term) -> Tuple["np.ndarray", "np.ndarray"]:
+    pair = term.arrays
+    return pair if pair is not None else _arrays_from_postings(term.postings)
+
+
+def _kth_largest(values: "np.ndarray", k: int) -> float:
+    return float(np.partition(values, values.size - k)[values.size - k])
+
 
 class _NumpyTopKAccumulator:
-    """Dense-array max-score accumulation: one ``np.add.at`` per opened term.
+    """Dense-array max-score accumulation, array-native through the finish.
 
     Bit-identity with the scalar accumulator holds term by term: within a
-    term the tids are unique (one posting per tuple), so the scatter-add
-    updates each touched slot with the same single float64 addition the
-    scalar loop performs, and ``best_partial`` -- the max over the term's
-    post-update values -- sees exactly the values the scalar running max
-    saw at the same point.
+    term the tids are unique (one posting per tuple), so a buffered
+    gather-add-scatter updates each touched slot with the same single
+    float64 addition the scalar loop performs -- no two elements of one
+    update alias, which is the only case where buffered and unbuffered
+    (``np.add.at``) scatter-adds differ -- and ``best_partial``, the max
+    over the term's post-update values, sees exactly the values the scalar
+    running max saw at the same point.
+
+    ``terms`` are the live terms in the caller's canonical accumulation
+    order; :meth:`ranked` computes exact scores from their posting arrays
+    in that order instead of calling back into the predicate.
     """
 
-    def __init__(self, size: int, allowed: Optional[Set[int]]):
+    def __init__(self, terms: Sequence, allowed: Optional[Set[int]]):
+        # Posting lists are in increasing tid order, so the last entry of
+        # each bounds the dense array size.
+        size = 0
+        for term in terms:
+            pair = term.arrays
+            last_tid = int(pair[0][-1]) if pair is not None else term.postings[-1][0]
+            if last_tid >= size:
+                size = last_tid + 1
+        self._terms = terms
         self._acc = np.zeros(size, dtype=np.float64)
         self._touched = np.zeros(size, dtype=bool)
+        #: Candidate tids in first-touch order, one array per opened term
+        #: that touched new ones (concatenated on demand).
+        self._fresh: List["np.ndarray"] = [np.empty(0, dtype=np.int64)]
         if allowed is None:
             self._allowed_mask = None
         else:
@@ -569,10 +622,7 @@ class _NumpyTopKAccumulator:
         self.best_partial = float("-inf")
 
     def add_term(self, term) -> None:
-        pair = term.arrays
-        if pair is None:
-            pair = _arrays_from_postings(term.postings)
-        tids, contributions = pair
+        tids, contributions = _term_arrays(term)
         if self._allowed_mask is not None:
             keep = self._allowed_mask[tids]
             tids = tids[keep]
@@ -583,52 +633,107 @@ class _NumpyTopKAccumulator:
         values = (
             contributions if query_weight == 1.0 else query_weight * contributions
         )
-        np.add.at(self._acc, tids, values)
-        newly = tids[~self._touched[tids]]
-        if newly.size:
-            self.count += int(newly.size)
-            self._touched[newly] = True
-        term_best = float(self._acc[tids].max())
+        updated = self._acc[tids] + values
+        self._acc[tids] = updated
+        fresh = tids[~self._touched[tids]]
+        if fresh.size:
+            self.count += int(fresh.size)
+            self._touched[fresh] = True
+            self._fresh.append(fresh)
+        term_best = float(updated.max())
         if term_best > self.best_partial:
             self.best_partial = term_best
 
+    def _candidates(self) -> "np.ndarray":
+        if len(self._fresh) > 1:
+            self._fresh = [np.concatenate(self._fresh)]
+        return self._fresh[0]
+
     def kth_largest(self, k: int) -> float:
-        values = self._acc[self._touched]
-        return float(np.partition(values, values.size - k)[values.size - k])
+        return _kth_largest(self._acc[self._candidates()], k)
 
-    def iter_by_partial(self) -> Iterator[Tuple[float, int]]:
-        candidates = np.flatnonzero(self._touched)
+    def _exact_scores(self, tids: "np.ndarray") -> "np.ndarray":
+        """Exact scores of ``tids``, one batch over the terms' postings.
+
+        Per candidate this is the chain the predicate's scalar ``rescore``
+        runs: start at ``0.0`` and add ``qw * contribution`` for each term
+        whose postings hold the tuple, in the canonical term order.  Zero
+        contributions are absent from the postings exactly where the scalar
+        loops skip them, ``qw == 1.0`` uses the contribution as-is on both
+        sides, and tids are unique within a term, so the buffered add
+        applies one float64 addition per (candidate, term).
+        """
+        slot = np.full(self._acc.size, -1, dtype=np.intp)
+        slot[tids] = np.arange(tids.size)
+        exact = np.zeros(tids.size, dtype=np.float64)
+        for term in self._terms:
+            term_tids, contributions = _term_arrays(term)
+            slots = slot[term_tids]
+            hit = slots >= 0
+            values = contributions[hit]
+            query_weight = term.query_weight
+            exact[slots[hit]] += (
+                values if query_weight == 1.0 else query_weight * values
+            )
+        return exact
+
+    def ranked(self, k: int, remaining_pos: float, remaining_neg: float):
+        """``(pairs, exact_of)``: ``(partial, tid)`` pairs in ``(partial
+        desc, tid asc)`` order and the exact score lookup for yielded tids.
+
+        With ``P``/``N`` the remaining positive/negative bounds, at least
+        ``k`` candidates finish at ``>= kth_partial + N`` and a candidate
+        finishes at ``<= partial + P``; only candidates with ``partial + P
+        >= kth_partial + N`` (less a margin) can reach the top-k, so only
+        they -- and the next partial level down, on which the consumer's
+        stop test fires -- are ordered and scored up front.  The others
+        follow as a second batch, computed only if the consumer gets there.
+        """
+        candidates = self._candidates()
         partials = self._acc[candidates]
-        # (partial desc, tid asc) -- the scalar heap's pop order.  Negation
-        # is exact, and -0.0 ties with 0.0 fall through to the tid key in
-        # both implementations.
-        order = np.lexsort((candidates, -partials))
-        candidate_list = candidates.tolist()
-        partial_list = partials.tolist()
-        for position in order.tolist():
-            yield partial_list[position], candidate_list[position]
+        batches = [slice(None)]
+        if candidates.size > k:
+            kth = _kth_largest(partials, k)
+            bound = (kth + remaining_neg - remaining_pos) - _PREFIX_MARGIN * (
+                abs(kth) + remaining_pos - remaining_neg
+            )
+            below = partials[partials < bound]
+            if below.size:
+                near = partials >= below.max()
+                batches = [near, ~near]
+        exact: Dict[int, float] = {}
+
+        def pairs() -> Iterator[Tuple[float, int]]:
+            for batch in batches:
+                tids = candidates[batch]
+                values = partials[batch]
+                # (partial desc, tid asc) -- the scalar heap's pop order.
+                # Negation is exact, and -0.0 ties with 0.0 fall through to
+                # the tid key in both implementations.
+                order = np.lexsort((tids, -values))
+                tids = tids[order]
+                tid_list = tids.tolist()
+                exact.update(zip(tid_list, self._exact_scores(tids).tolist()))
+                yield from zip(values[order].tolist(), tid_list)
+
+        return pairs(), exact.__getitem__
 
 
-def make_topk_accumulator(live_terms: Sequence, allowed: Optional[Set[int]]):
-    """Backend-appropriate accumulator for :func:`repro.core.topk.maxscore_top_k`.
+def run_topk(terms: Sequence, allowed: Optional[Set[int]], rescore, execute):
+    """Run ``execute(accumulator)`` on the active backend's accumulator.
 
-    ``live_terms`` must have non-empty postings (the caller filters); their
-    lists are in increasing tid order, so the last entry bounds the dense
-    array size the numpy accumulator needs.
+    ``terms`` are the live terms of :func:`repro.core.topk.maxscore_top_k`
+    (non-empty postings, canonical accumulation order) and ``execute`` its
+    whole scan-and-finish.  Same fallback ladder as :func:`accumulate`: any
+    failure of the numpy execution (corrupt ``Term.arrays``, allocation
+    pressure) re-runs the query on the scalar accumulator, which is the
+    bit-identical pre-kernel path.
     """
     backend = active_backend()
     _count_op(backend)
     if backend == "numpy":
         try:
-            size = 0
-            for term in live_terms:
-                pair = term.arrays
-                last_tid = int(pair[0][-1]) if pair is not None else term.postings[-1][0]
-                if last_tid >= size:
-                    size = last_tid + 1
-            return _NumpyTopKAccumulator(size, allowed)
+            return execute(_NumpyTopKAccumulator(terms, allowed))
         except Exception:
-            # Same fallback ladder as accumulate(): the scalar accumulator
-            # is the bit-identical pre-kernel path.
             _count_op("python_fallback")
-    return _PythonTopKAccumulator(allowed)
+    return execute(_PythonTopKAccumulator(allowed, rescore))

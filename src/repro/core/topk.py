@@ -32,14 +32,27 @@ accumulated partial sum (0 for untouched tuples):
   untouched tuple can reach) falls strictly below that, with a relative
   float-safety margin.  Untouched tuples then sit strictly below the final
   k-th score and cannot enter the result even on a tie.
-* Candidates are then rescored in decreasing partial-sum order while an
+* Candidates are then walked in decreasing partial-sum order while an
   exact top-k heap fills; once a candidate's upper bound ``partial + P``
   falls strictly below the heap's exact k-th score, no later candidate can
-  enter the result and the rescoring stops -- typically after the top-k plus
+  enter the result and the walk stops -- typically after the top-k plus
   a handful of ties, not the whole accumulator.
-* Rescoring goes through the caller-supplied ``rescore`` callback, which
-  replicates the unpruned accumulation order bit for bit, so the returned
-  scores are float-identical to the naive path's.
+* Exact scores replicate the unpruned accumulation order bit for bit, so
+  the returned scores are float-identical to the naive path's.  The scalar
+  backend gets them from the caller-supplied ``rescore`` callback, one
+  tuple at a time; the numpy backend never calls it and instead scores, in
+  one batch over the terms' posting arrays, the candidates whose interval
+  ``[partial + N, partial + P]`` can still reach the top-k (see
+  :mod:`repro.core.kernels`).  ``terms`` must therefore arrive in the
+  predicate's canonical accumulation order -- the order ``rescore`` sums in.
+
+One loop serves both backends: the accumulator hands
+:func:`maxscore_top_k` its candidates ranked by ``(partial desc, tid asc)``
+plus an exact-score lookup, so every :class:`PruningStats` field -- including
+``candidates_rescored``, the number of candidates the loop consumed -- is the
+same on both.  The whole execution sits inside the kernel fallback ladder
+(:func:`repro.core.kernels.run_topk`): a numpy failure at any point re-runs
+the query on the scalar accumulator.
 """
 
 from __future__ import annotations
@@ -159,23 +172,28 @@ def maxscore_top_k(
         Number of results (``(tid, score)`` pairs, ordered by decreasing
         score with ties broken by tuple id).
     terms:
-        One :class:`Term` per query token.  Zero-weight and empty-postings
-        terms are ignored.
+        One :class:`Term` per query token, in the predicate's canonical
+        accumulation order.  Zero-weight and empty-postings terms are
+        ignored.
     rescore:
         Callback computing the *exact* final score of the given tuple ids in
-        the predicate's canonical accumulation order; its values are what the
-        result carries, so they match the unpruned path bit for bit.
+        the predicate's canonical accumulation order -- per tuple, the sum
+        of ``query_weight * contribution`` over ``terms`` in order; its
+        values are what the scalar backend's result carries, and what the
+        numpy backend's batch rescore reproduces bit for bit.
     allowed:
         Optional candidate restriction (blocker / self-join scoping); tuples
         outside it are never accumulated.
     """
-    stats = PruningStats()
     live = [t for t in terms if t.query_weight != 0.0 and t.postings]
-    stats.tokens_total = len(live)
-    stats.postings_total = sum(len(t.postings) for t in live)
+    tokens_total = len(live)
+    postings_total = sum(len(t.postings) for t in live)
     if k <= 0:
-        stats.postings_skipped = stats.postings_total
-        return [], stats
+        return [], PruningStats(
+            tokens_total=tokens_total,
+            postings_total=postings_total,
+            postings_skipped=postings_total,
+        )
 
     # Decreasing positive upper bound: the terms that can lift an unseen
     # tuple the most go first, so the remaining-bound suffix collapses as
@@ -184,7 +202,11 @@ def maxscore_top_k(
     # an unseen tuple's reachable score and sort last -- exactly the lists
     # early termination exists to skip.  Token tie-break keeps runs
     # deterministic.
-    order = sorted(live, key=lambda t: (-max(0.0, t.upper_bound), t.token))
+    bounded = sorted(
+        ((max(0.0, t.upper_bound), min(0.0, t.lower_bound), t) for t in live),
+        key=lambda entry: (-entry[0], entry[2].token),
+    )
+    order = [term for _, _, term in bounded]
 
     # suffix_pos[i]: the most a tuple absent from every opened list could
     # still gain from terms i.. ; suffix_neg[i]: the most an accumulated
@@ -193,76 +215,85 @@ def maxscore_top_k(
     suffix_pos = [0.0] * (count + 1)
     suffix_neg = [0.0] * (count + 1)
     for i in range(count - 1, -1, -1):
-        suffix_pos[i] = suffix_pos[i + 1] + max(0.0, order[i].upper_bound)
-        suffix_neg[i] = suffix_neg[i + 1] + min(0.0, order[i].lower_bound)
+        suffix_pos[i] = suffix_pos[i + 1] + bounded[i][0]
+        suffix_neg[i] = suffix_neg[i + 1] + bounded[i][1]
 
-    # The accumulator is backend-dispatched (repro.core.kernels): the python
-    # variant is the original dict-of-partials loop, the numpy variant does
-    # one unbuffered scatter-add per opened term.  Both maintain the same
-    # observable state -- candidate count, running best partial (possibly a
-    # stale overestimate under negative contributions, which only makes the
-    # necessity gate below conservative), exact k-th partial selection, and
-    # (partial desc, tid asc) iteration -- bit-identically.
-    accumulated = kernels.make_topk_accumulator(order, allowed)
-    cut = count
-    for i, term in enumerate(order):
-        if accumulated.count >= k and suffix_pos[i] < _CONTINUE_FRACTION * (
-            # Cheap necessity gate: the k-th partial is at most the best one,
-            # so until the remaining bound undercuts even that (scaled by
-            # the continue fraction below), the O(n log k) k-th selection
-            # cannot trigger a cut and is skipped.
-            accumulated.best_partial + suffix_neg[i]
-        ):
-            # At least k candidates end with >= kth + suffix_neg[i]; a tuple
-            # in no opened list ends with <= suffix_pos[i].
-            kth = accumulated.kth_largest(k)
-            floor = kth + suffix_neg[i]
-            margin = _CUTOFF_MARGIN * (
-                abs(kth) + suffix_pos[i] - suffix_neg[i]
-            )
-            # suffix_pos >= 0, so a passing test implies floor > 0 here.
-            # Stopping at the first point where suffix_pos < floor would
-            # already be exact; the extra _CONTINUE_FRACTION factor trades a
-            # few more opened lists for a collapsed rescore set (see above).
-            if (
-                suffix_pos[i] < floor - margin
-                and suffix_pos[i] <= _CONTINUE_FRACTION * floor
+    def execute(accumulated) -> Tuple[List[Tuple[int, float]], PruningStats]:
+        # The accumulator is backend-specific (repro.core.kernels): the
+        # python variant is the original dict-of-partials loop, the numpy
+        # variant one buffered scatter-add per opened term.  Both maintain
+        # the same observable state -- candidate count, running best partial
+        # (possibly a stale overestimate under negative contributions, which
+        # only makes the necessity gate below conservative), exact k-th
+        # partial selection, (partial desc, tid asc) ranking and exact
+        # scores -- bit-identically.
+        stats = PruningStats(tokens_total=tokens_total, postings_total=postings_total)
+        cut = count
+        for i, term in enumerate(order):
+            if accumulated.count >= k and suffix_pos[i] < _CONTINUE_FRACTION * (
+                # Cheap necessity gate: the k-th partial is at most the best
+                # one, so until the remaining bound undercuts even that
+                # (scaled by the continue fraction below), the k-th
+                # selection cannot trigger a cut and is skipped.
+                accumulated.best_partial + suffix_neg[i]
             ):
-                cut = i
-                stats.pruned = True
-                break
-        stats.tokens_opened += 1
-        stats.postings_opened += len(term.postings)
-        accumulated.add_term(term)
-    for term in order[cut:]:
-        stats.postings_skipped += len(term.postings)
-    stats.candidates_scored = accumulated.count
+                # At least k candidates end with >= kth + suffix_neg[i]; a
+                # tuple in no opened list ends with <= suffix_pos[i].
+                kth = accumulated.kth_largest(k)
+                floor = kth + suffix_neg[i]
+                margin = _CUTOFF_MARGIN * (
+                    abs(kth) + suffix_pos[i] - suffix_neg[i]
+                )
+                # suffix_pos >= 0, so a passing test implies floor > 0 here.
+                # Stopping at the first point where suffix_pos < floor would
+                # already be exact; the extra _CONTINUE_FRACTION factor
+                # trades a few more opened lists for a collapsed rescore set
+                # (see above).
+                if (
+                    suffix_pos[i] < floor - margin
+                    and suffix_pos[i] <= _CONTINUE_FRACTION * floor
+                ):
+                    cut = i
+                    stats.pruned = True
+                    break
+            stats.tokens_opened += 1
+            stats.postings_opened += len(term.postings)
+            accumulated.add_term(term)
+        for term in order[cut:]:
+            stats.postings_skipped += len(term.postings)
+        stats.candidates_scored = accumulated.count
 
-    # Exact-rescore candidates in decreasing partial-sum order, keeping the
-    # running exact top-k in a min-heap.  A candidate's final score is at
-    # most partial + P; once that upper bound falls strictly below the
-    # heap's exact k-th score, no remaining candidate (they have smaller
-    # partials) can enter the result -- stop rescoring.  The accumulator
-    # orders candidates lazily (heap) or via one lexsort, so the ordering
-    # cost stays proportional to what is actually consumed.
-    remaining_pos = suffix_pos[cut]
-    heap: List[Tuple[float, int]] = []  # (score, -tid) min-heap of the top k
-    for partial, tid in accumulated.iter_by_partial():
-        if len(heap) == k:
-            kth_exact = heap[0][0]
-            margin = _CUTOFF_MARGIN * (
-                abs(kth_exact) + abs(partial) + remaining_pos
-            )
-            if partial + remaining_pos < kth_exact - margin:
-                break
-        stats.candidates_rescored += 1
-        exact = rescore([tid])[tid]
-        entry = (exact, -tid)
-        if len(heap) < k:
-            heapq.heappush(heap, entry)
-        elif entry > heap[0]:
-            heapq.heapreplace(heap, entry)
+        # Walk the candidates in decreasing partial-sum order, keeping the
+        # running exact top-k in a min-heap.  A candidate's final score is
+        # at most partial + P; once that upper bound falls strictly below
+        # the heap's exact k-th score, no remaining candidate (they have
+        # smaller partials) can enter the result -- stop.  The accumulator
+        # orders and scores lazily (heap pops and one callback per tuple)
+        # or in one bounded batch, so the cost stays proportional to what
+        # is actually consumed; `candidates_rescored` counts what this loop
+        # consumed either way.
+        remaining_pos = suffix_pos[cut]
+        ranked, exact_of = accumulated.ranked(k, remaining_pos, suffix_neg[cut])
+        heap: List[Tuple[float, int]] = []  # (score, -tid) min-heap of the top k
+        for partial, tid in ranked:
+            if len(heap) == k:
+                kth_exact = heap[0][0]
+                margin = _CUTOFF_MARGIN * (
+                    abs(kth_exact) + abs(partial) + remaining_pos
+                )
+                if partial + remaining_pos < kth_exact - margin:
+                    break
+            stats.candidates_rescored += 1
+            entry = (exact_of(tid), -tid)
+            if len(heap) < k:
+                heapq.heappush(heap, entry)
+            elif entry > heap[0]:
+                heapq.heapreplace(heap, entry)
 
-    top = [(-negated_tid, score) for score, negated_tid in heap]
-    top.sort(key=lambda item: (-item[1], item[0]))
-    return top, stats
+        top = [(-negated_tid, score) for score, negated_tid in heap]
+        top.sort(key=lambda item: (-item[1], item[0]))
+        return top, stats
+
+    # Kernel ladder: a failure anywhere in the numpy execution re-runs the
+    # whole query on the scalar accumulator (fresh stats, same results).
+    return kernels.run_topk(live, allowed, rescore, execute)

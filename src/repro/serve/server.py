@@ -125,7 +125,15 @@ class ServeServer:
             task.add_done_callback(self._connections.discard)
         try:
             while True:
-                parsed = await self._read_request(reader)
+                try:
+                    parsed = await self._read_request(reader)
+                except ProtocolError as exc:
+                    # The body length is unknown, so the stream cannot be
+                    # resynchronized: answer and close.
+                    await self._write_response(
+                        writer, exc.status, exc.envelope(), keep_alive=False
+                    )
+                    break
                 if parsed is None:
                     break
                 method, path, headers, body = parsed
@@ -174,7 +182,12 @@ class ServeServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip().lower()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        # isdigit() and not int(): "-5", "+5", "abc" and "1_0" are all
+        # refused, and readexactly() never sees a negative size.
+        if not (declared.isascii() and declared.isdigit()):
+            raise ProtocolError(f"invalid Content-Length {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise ConnectionError("request body too large")
         body = await reader.readexactly(length) if length else b""

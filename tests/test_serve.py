@@ -15,6 +15,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -571,6 +572,30 @@ class TestHTTPServer:
             assert response.status == 400
             assert envelope["error"] == "bad_request"
             connection.close()
+
+    @pytest.mark.parametrize("declared", [b"abc", b"-5"])
+    def test_rejects_invalid_content_length(self, declared):
+        """A malformed Content-Length gets a 400 envelope, then a close."""
+        with _ServerThread(make_service()) as server:
+            with socket.create_connection((server.host, server.port), timeout=10) as sock:
+                sock.sendall(
+                    b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                    + declared
+                    + b"\r\n\r\n{}"
+                )
+                reply = b""
+                while chunk := sock.recv(65536):  # until the server closes
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert b"connection: close" in head.lower()
+            envelope = json.loads(body)
+            assert envelope["error"] == "bad_request"
+            assert "Content-Length" in envelope["message"]
+            # The server survives and keeps answering.
+            client = ServeClient(server.host, server.port)
+            assert client.health()["kind"] == "health"
+            client.close()
 
     def test_served_queries_bit_identical_over_http(self):
         engine = SimilarityEngine()
