@@ -3,10 +3,9 @@
 Times the kernelized scoring paths of :mod:`repro.core.kernels` under both
 backends on a generated UIS-style company-names relation:
 
-* ``top_k(k=10)`` -- the max-score pruned path; the numpy backend replaces
-  the dict-of-partials accumulation with one buffered scatter-add per
-  opened posting list and the per-candidate rescore callbacks with one
-  batch over the posting arrays.
+* ``top_k(k=10)`` -- each backend's own algorithm: max-score pruning on the
+  scalar backend (for the monotone-sum predicates), the dense scan plus a
+  partition selection on numpy.
 * ``run_many (rank)`` -- the batch full-scoring workload through the engine;
   the numpy backend accumulates each query's whole candidate set in one
   scatter-add.
@@ -50,8 +49,9 @@ from repro.datagen import make_dataset  # noqa: E402
 from repro.engine import SimilarityEngine  # noqa: E402
 from repro.obs import bench_envelope, perf_clock  # noqa: E402
 
-#: Every kernelized predicate family: max-score top_k (first three) plus the
-#: heap-path language models (full accumulation per query).
+#: Every kernelized predicate family: the monotone-sum predicates (first
+#: three; max-score top_k on the scalar backend) plus the language models
+#: (full accumulation per query on either backend).
 PREDICATES = ["bm25", "cosine", "weighted_match", "lm", "hmm"]
 TOP_K = 10
 THREAD_SHARDS = 4

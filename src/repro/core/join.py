@@ -156,7 +156,7 @@ class ApproximateJoiner:
         ``top_k`` optionally restricts each probe tuple to its best ``k``
         matches (after thresholding), which is the common record-linkage
         configuration ("best match per record").  Probes then go through the
-        predicate's heap-based (max-score pruned where supported)
+        predicate's
         :meth:`~repro.core.predicates.base.Predicate.top_k` instead of a full
         thresholded selection: the k best of the thresholded matches equal
         the thresholded k best overall, so results are identical while each
@@ -166,8 +166,8 @@ class ApproximateJoiner:
             raise ValueError("top_k must be non-negative")
         limit = self.threshold if threshold is None else threshold
         # Only monotone-sum predicates route through top_k: their ranking cost
-        # per probe is the pruned accumulation, while e.g. EditDistance is
-        # faster through its own filtered select().
+        # per probe is one postings accumulation and a top-k selection, while
+        # e.g. EditDistance is faster through its own filtered select().
         use_fast_top_k = top_k is not None and getattr(
             self.predicate, "supports_maxscore", False
         )

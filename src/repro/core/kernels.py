@@ -8,10 +8,13 @@ GIL, so ``executor="thread"`` buys nothing.  This module provides the
 C-speed replacement: per-token postings are materialized once at fit time as
 contiguous ``int64`` tid / ``float64`` contribution arrays
 (:func:`build_arrays`, stored by
-:class:`~repro.core.index.WeightedPostingIndex`), and both query shapes run
-on them -- the full scan (:func:`accumulate`, for ``rank``/``select``/
-``score``) and the max-score ``top_k`` (:func:`run_topk`, from the first
-opened posting list to the exact scores of the returned tuples).
+:class:`~repro.core.index.WeightedPostingIndex`), the full scan
+(:func:`accumulate`) runs on them, and the selection kernels
+(:func:`top_items` / :func:`sorted_items` / :func:`select_items`) order its
+result.  That is the whole module -- scan and selection.  ``rank``,
+``select``, ``score`` *and* ``top_k`` are answered by the two together on
+the numpy backend; max-score pruning (:mod:`repro.core.topk`) is a scalar
+algorithm and runs only where this module dispatches to the scalar loops.
 
 Bit-identity guarantee
 ----------------------
@@ -19,21 +22,14 @@ Bit-identity guarantee
 The scalar path accumulates ``scores.get(tid, 0.0) + qw * contribution``
 visiting tokens in a canonical order (sorted query tokens, or query
 first-occurrence order for HMM) and each posting list in increasing tid
-order.  Every vectorized path applies, per tuple, the same float64
-additions in the same order, so results are **bit-identical** -- the
-exactness guarantee the whole test suite pins.  (``qw * c`` is skipped when
-``qw == 1.0``; IEEE-754 guarantees ``1.0 * c == c`` bitwise.)
-
-* The scan concatenates the per-token ``qw * contribution`` arrays in the
-  canonical order and applies them with one ``np.add.at``, numpy's
-  *unbuffered* scatter-add, documented to perform the additions element by
-  element: a tuple hit by several tokens gets its chain in token order.
-* The ``top_k`` path works one term at a time, and within one term's
-  postings every tid occurs once.  A buffered ``acc[tids] + values`` then
-  gives each touched slot exactly one addition -- buffered and unbuffered
-  scatter-adds only differ when indices repeat -- so neither the
-  accumulation of opened lists nor the batch exact rescore of the finish
-  (one gather-add per term, canonical term order) needs ``np.add.at``.
+order.  The vectorized scan applies, per tuple, the same float64 additions
+in the same order, so results are **bit-identical** -- the exactness
+guarantee the whole test suite pins.  (``qw * c`` is skipped when
+``qw == 1.0``; IEEE-754 guarantees ``1.0 * c == c`` bitwise.)  It
+concatenates the per-token ``qw * contribution`` arrays in the canonical
+order and applies them with one ``np.add.at``, numpy's *unbuffered*
+scatter-add, documented to perform the additions element by element: a
+tuple hit by several tokens gets its chain in token order.
 
 Backend dispatch
 ----------------
@@ -53,17 +49,17 @@ import heapq
 import os
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "np",
     "numpy_available",
     "active_backend",
     "use_backend",
+    "count_op",
     "ops_snapshot",
     "build_arrays",
     "accumulate",
-    "run_topk",
     "DenseScores",
     "dense_pair",
     "dense_from_lists",
@@ -133,7 +129,8 @@ def use_backend(name: str):
         _forced = previous
 
 
-def _count_op(backend: str) -> None:
+def count_op(backend: str) -> None:
+    """Record one scoring-kernel invocation on ``backend``."""
     with _ops_lock:
         _ops[backend] += 1
 
@@ -206,7 +203,7 @@ def accumulate(
     keeps them on purpose).
     """
     backend = active_backend()
-    _count_op(backend)
+    count_op(backend)
     if backend == "numpy":
         try:
             return _accumulate_numpy(index, items, size)
@@ -214,7 +211,7 @@ def accumulate(
             # Fallback ladder: the scalar loops compute the same float64
             # chains, so healing a numpy failure (corrupt arrays, allocation
             # pressure) here is bit-identical and invisible to the caller.
-            _count_op("python_fallback")
+            count_op("python_fallback")
     return _accumulate_python(index, items)
 
 
@@ -499,241 +496,3 @@ def select_items(
     tids, values = pair
     keep = values >= threshold
     return _ordered_pairs(tids[keep], values[keep])
-
-
-# -- top-k accumulators (max-score path in core/topk.py) ----------------------
-
-
-class _PythonTopKAccumulator:
-    """The pre-kernel max-score accumulation state, verbatim.
-
-    A dict of partial sums plus the running best; ``ranked`` is the
-    lazily-popped max-heap of the original implementation and exact scores
-    come from the predicate's ``rescore`` callback one tuple at a time, so
-    only the candidates actually rescored pay for ordering or scoring.
-    """
-
-    def __init__(self, allowed: Optional[Set[int]], rescore):
-        self._allowed = allowed
-        self._rescore = rescore
-        self._partials: Dict[int, float] = {}
-        self.best_partial = float("-inf")
-
-    @property
-    def count(self) -> int:
-        return len(self._partials)
-
-    def add_term(self, term) -> None:
-        partials = self._partials
-        best = self.best_partial
-        query_weight = term.query_weight
-        allowed = self._allowed
-        if allowed is None:
-            for tid, contribution in term.postings:
-                value = partials.get(tid, 0.0) + query_weight * contribution
-                partials[tid] = value
-                if value > best:
-                    best = value
-        else:
-            for tid, contribution in term.postings:
-                if tid in allowed:
-                    value = partials.get(tid, 0.0) + query_weight * contribution
-                    partials[tid] = value
-                    if value > best:
-                        best = value
-        self.best_partial = best
-
-    def kth_largest(self, k: int) -> float:
-        return heapq.nlargest(k, self._partials.values())[-1]
-
-    def _by_partial(self) -> Iterator[Tuple[float, int]]:
-        by_partial = [(-partial, tid) for tid, partial in self._partials.items()]
-        heapq.heapify(by_partial)
-        while by_partial:
-            negated_partial, tid = heapq.heappop(by_partial)
-            yield -negated_partial, tid
-
-    def ranked(self, k: int, remaining_pos: float, remaining_neg: float):
-        """``(pairs, exact_of)``: lazily ordered ``(partial, tid)`` pairs and
-        the per-tuple exact score lookup (the ``rescore`` callback)."""
-        rescore = self._rescore
-        return self._by_partial(), lambda tid: rescore([tid])[tid]
-
-
-#: Relative safety margin of the numpy finish's candidate cut.  Wider than
-#: the finish loop's own stop margin (``topk._CUTOFF_MARGIN``, 1e-9 over a
-#: smaller magnitude), so every candidate the loop can still ask for is in
-#: the first batch; the rest is served lazily, so a too-narrow cut could
-#: only cost a second batch, never a result.
-_PREFIX_MARGIN = 1e-8
-
-
-def _term_arrays(term) -> Tuple["np.ndarray", "np.ndarray"]:
-    pair = term.arrays
-    return pair if pair is not None else _arrays_from_postings(term.postings)
-
-
-def _kth_largest(values: "np.ndarray", k: int) -> float:
-    return float(np.partition(values, values.size - k)[values.size - k])
-
-
-class _NumpyTopKAccumulator:
-    """Dense-array max-score accumulation, array-native through the finish.
-
-    Bit-identity with the scalar accumulator holds term by term: within a
-    term the tids are unique (one posting per tuple), so a buffered
-    gather-add-scatter updates each touched slot with the same single
-    float64 addition the scalar loop performs -- no two elements of one
-    update alias, which is the only case where buffered and unbuffered
-    (``np.add.at``) scatter-adds differ -- and ``best_partial``, the max
-    over the term's post-update values, sees exactly the values the scalar
-    running max saw at the same point.
-
-    ``terms`` are the live terms in the caller's canonical accumulation
-    order; :meth:`ranked` computes exact scores from their posting arrays
-    in that order instead of calling back into the predicate.
-    """
-
-    def __init__(self, terms: Sequence, allowed: Optional[Set[int]]):
-        # Posting lists are in increasing tid order, so the last entry of
-        # each bounds the dense array size.
-        size = 0
-        for term in terms:
-            pair = term.arrays
-            last_tid = int(pair[0][-1]) if pair is not None else term.postings[-1][0]
-            if last_tid >= size:
-                size = last_tid + 1
-        self._terms = terms
-        self._acc = np.zeros(size, dtype=np.float64)
-        self._touched = np.zeros(size, dtype=bool)
-        #: Candidate tids in first-touch order, one array per opened term
-        #: that touched new ones (concatenated on demand).
-        self._fresh: List["np.ndarray"] = [np.empty(0, dtype=np.int64)]
-        if allowed is None:
-            self._allowed_mask = None
-        else:
-            mask = np.zeros(size, dtype=bool)
-            if allowed:
-                indices = np.fromiter(allowed, dtype=np.int64, count=len(allowed))
-                indices = indices[(indices >= 0) & (indices < size)]
-                mask[indices] = True
-            self._allowed_mask = mask
-        self.count = 0
-        self.best_partial = float("-inf")
-
-    def add_term(self, term) -> None:
-        tids, contributions = _term_arrays(term)
-        if self._allowed_mask is not None:
-            keep = self._allowed_mask[tids]
-            tids = tids[keep]
-            contributions = contributions[keep]
-            if not tids.size:
-                return
-        query_weight = term.query_weight
-        values = (
-            contributions if query_weight == 1.0 else query_weight * contributions
-        )
-        updated = self._acc[tids] + values
-        self._acc[tids] = updated
-        fresh = tids[~self._touched[tids]]
-        if fresh.size:
-            self.count += int(fresh.size)
-            self._touched[fresh] = True
-            self._fresh.append(fresh)
-        term_best = float(updated.max())
-        if term_best > self.best_partial:
-            self.best_partial = term_best
-
-    def _candidates(self) -> "np.ndarray":
-        if len(self._fresh) > 1:
-            self._fresh = [np.concatenate(self._fresh)]
-        return self._fresh[0]
-
-    def kth_largest(self, k: int) -> float:
-        return _kth_largest(self._acc[self._candidates()], k)
-
-    def _exact_scores(self, tids: "np.ndarray") -> "np.ndarray":
-        """Exact scores of ``tids``, one batch over the terms' postings.
-
-        Per candidate this is the chain the predicate's scalar ``rescore``
-        runs: start at ``0.0`` and add ``qw * contribution`` for each term
-        whose postings hold the tuple, in the canonical term order.  Zero
-        contributions are absent from the postings exactly where the scalar
-        loops skip them, ``qw == 1.0`` uses the contribution as-is on both
-        sides, and tids are unique within a term, so the buffered add
-        applies one float64 addition per (candidate, term).
-        """
-        slot = np.full(self._acc.size, -1, dtype=np.intp)
-        slot[tids] = np.arange(tids.size)
-        exact = np.zeros(tids.size, dtype=np.float64)
-        for term in self._terms:
-            term_tids, contributions = _term_arrays(term)
-            slots = slot[term_tids]
-            hit = slots >= 0
-            values = contributions[hit]
-            query_weight = term.query_weight
-            exact[slots[hit]] += (
-                values if query_weight == 1.0 else query_weight * values
-            )
-        return exact
-
-    def ranked(self, k: int, remaining_pos: float, remaining_neg: float):
-        """``(pairs, exact_of)``: ``(partial, tid)`` pairs in ``(partial
-        desc, tid asc)`` order and the exact score lookup for yielded tids.
-
-        With ``P``/``N`` the remaining positive/negative bounds, at least
-        ``k`` candidates finish at ``>= kth_partial + N`` and a candidate
-        finishes at ``<= partial + P``; only candidates with ``partial + P
-        >= kth_partial + N`` (less a margin) can reach the top-k, so only
-        they -- and the next partial level down, on which the consumer's
-        stop test fires -- are ordered and scored up front.  The others
-        follow as a second batch, computed only if the consumer gets there.
-        """
-        candidates = self._candidates()
-        partials = self._acc[candidates]
-        batches = [slice(None)]
-        if candidates.size > k:
-            kth = _kth_largest(partials, k)
-            bound = (kth + remaining_neg - remaining_pos) - _PREFIX_MARGIN * (
-                abs(kth) + remaining_pos - remaining_neg
-            )
-            below = partials[partials < bound]
-            if below.size:
-                near = partials >= below.max()
-                batches = [near, ~near]
-        exact: Dict[int, float] = {}
-
-        def pairs() -> Iterator[Tuple[float, int]]:
-            for batch in batches:
-                tids = candidates[batch]
-                values = partials[batch]
-                # (partial desc, tid asc) -- the scalar heap's pop order.
-                # Negation is exact, and -0.0 ties with 0.0 fall through to
-                # the tid key in both implementations.
-                order = np.lexsort((tids, -values))
-                tids = tids[order]
-                tid_list = tids.tolist()
-                exact.update(zip(tid_list, self._exact_scores(tids).tolist()))
-                yield from zip(values[order].tolist(), tid_list)
-
-        return pairs(), exact.__getitem__
-
-
-def run_topk(terms: Sequence, allowed: Optional[Set[int]], rescore, execute):
-    """Run ``execute(accumulator)`` on the active backend's accumulator.
-
-    ``terms`` are the live terms of :func:`repro.core.topk.maxscore_top_k`
-    (non-empty postings, canonical accumulation order) and ``execute`` its
-    whole scan-and-finish.  Same fallback ladder as :func:`accumulate`: any
-    failure of the numpy execution (corrupt ``Term.arrays``, allocation
-    pressure) re-runs the query on the scalar accumulator, which is the
-    bit-identical pre-kernel path.
-    """
-    backend = active_backend()
-    _count_op(backend)
-    if backend == "numpy":
-        try:
-            return execute(_NumpyTopKAccumulator(terms, allowed))
-        except Exception:
-            _count_op("python_fallback")
-    return execute(_PythonTopKAccumulator(allowed, rescore))

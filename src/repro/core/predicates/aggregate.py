@@ -11,8 +11,8 @@ Both predicates score ``sim(Q, D) = Σ_{t ∈ Q∩D} wq(t, Q) * wd(t, D)``:
 Query execution is postings-driven: the document-side weights are folded
 into a :class:`~repro.core.index.WeightedPostingIndex` at fit time, so
 accumulation is one flat loop over precomputed floats, and -- the score being
-a monotone sum -- ``top_k`` runs with max-score early termination
-(:mod:`repro.core.topk`).  All accumulation iterates query tokens in sorted
+a monotone sum -- ``top_k`` can run with max-score early termination
+(:mod:`repro.core.topk`; scalar kernel backend only).  All accumulation iterates query tokens in sorted
 order so summation is deterministic and the pruned/unpruned paths agree bit
 for bit.
 """
@@ -132,7 +132,6 @@ class _AggregateBase(Predicate):
                 postings=weighted.postings(token),
                 max_contribution=weighted.max_contribution(token),
                 min_contribution=weighted.min_contribution(token),
-                arrays=weighted.arrays(token),
             )
             for token in sorted(query_weights)
             if query_weights[token] != 0.0 and token in weighted

@@ -105,8 +105,12 @@ class Predicate(ABC):
     similarity_kind: str = "score"
     #: Predicates whose score is a monotone sum of per-token contributions
     #: (WeightedMatch, Cosine, BM25) set this to ``True`` and implement
-    #: :meth:`_maxscore_plan`, enabling max-score pruned :meth:`top_k`.
+    #: :meth:`_maxscore_plan`, enabling max-score pruned :meth:`top_k` on the
+    #: scalar kernel backend (see :meth:`top_k_algorithm`).
     supports_maxscore: bool = False
+    #: Predicates that score through :mod:`repro.core.kernels` (and so follow
+    #: the numpy -> scalar backend selection) set this to ``True``.
+    uses_kernels: bool = False
 
     def __init__(self) -> None:
         self._strings: List[str] = []
@@ -129,9 +133,8 @@ class Predicate(ABC):
         #: :meth:`select` call (after blocking); joins aggregate this into
         #: their candidate-pair statistics.
         self.last_num_candidates: Optional[int] = None
-        #: Work counters of the most recent :meth:`top_k` call when the
-        #: max-score fast path ran (``None`` otherwise); surfaced by
-        #: ``engine.explain()``.
+        #: Work counters of the most recent :meth:`top_k` call when max-score
+        #: pruning ran (``None`` otherwise); surfaced by ``engine.explain()``.
         self.pruning_stats: Optional[PruningStats] = None
 
     # -- preprocessing --------------------------------------------------------
@@ -314,6 +317,10 @@ class Predicate(ABC):
         kernel backend) -- both orderings are exact.
         """
         self._require_fitted()
+        if limit is not None and limit <= 0:
+            # Nothing can be returned, so nothing is scored.
+            self.last_num_candidates = 0
+            return []
         scores = self._candidate_scores(query)
         if limit is not None:
             top = kernels.top_items(scores, limit)
@@ -321,22 +328,48 @@ class Predicate(ABC):
             top = kernels.sorted_items(scores)
         return [ScoredTuple(tid, score) for tid, score in top]
 
+    @classmethod
+    def top_k_algorithm(cls) -> str:
+        """Which algorithm answers :meth:`top_k` right now.
+
+        The one place that maps the active kernel backend to an algorithm;
+        ``plan()`` / ``explain()`` only word the answer.
+
+        * ``"max-score"`` -- max-score pruning (:mod:`repro.core.topk`).  A
+          scalar loop that loses to the numpy scan at every measured
+          relation size, so it runs exactly when the kernel dispatch is on
+          the scalar backend.
+        * ``"dense-scan"`` -- ``rank(limit=k)`` through the numpy kernels:
+          dense accumulation plus a partition selection.
+        * ``"heap"`` -- ``rank(limit=k)`` through the scalar accumulation
+          plus a bounded heap.
+        """
+        backend = kernels.active_backend()
+        if cls.supports_maxscore and backend == "python":
+            return "max-score"
+        if cls.uses_kernels and backend == "numpy":
+            return "dense-scan"
+        return "heap"
+
     def top_k(self, query: str, k: int) -> List[ScoredTuple]:
         """The ``k`` most similar tuples -- exactly ``rank(query, limit=k)``.
 
-        Monotone-sum predicates (:attr:`supports_maxscore`) answer through
-        max-score early termination: posting lists are opened in decreasing
-        upper-bound order and the scan stops once the unopened lists cannot
-        lift a new candidate into the top-k; survivors are rescored in the
-        canonical token order, so results are identical to the unpruned path
-        bit for bit.  Work counters land in :attr:`pruning_stats` (``None``
-        when the fast path did not run).
+        On the numpy kernel backend that is literally what runs: the dense
+        scan plus a partition selection.  On the scalar backend
+        (:meth:`top_k_algorithm`), monotone-sum predicates answer through
+        max-score early termination instead: posting lists are opened in
+        decreasing upper-bound order and the scan stops once the unopened
+        lists cannot lift a new candidate into the top-k; survivors are
+        rescored in the canonical token order, so results are identical to
+        the unpruned path bit for bit.  Work counters land in
+        :attr:`pruning_stats` (``None`` when pruning did not run).
         """
         self._require_fitted()
         if k < 0:
             raise ValueError("k must be non-negative")
         self.pruning_stats = None
-        plan = self._maxscore_plan(query)
+        pruned = self.top_k_algorithm() == "max-score"
+        plan = self._maxscore_plan(query) if pruned else None
         if plan is None:
             return self.rank(query, limit=k)
         terms, allowed, rescore = plan
@@ -348,8 +381,8 @@ class Predicate(ABC):
     def _maxscore_plan(self, query: str):
         """``(terms, allowed, rescore)`` for max-score pruning, or ``None``.
 
-        ``None`` (the default) routes :meth:`top_k` through the heap-based
-        :meth:`rank` path.  Monotone-sum predicates return the query's
+        ``None`` (the default) routes :meth:`top_k` through :meth:`rank`.
+        Monotone-sum predicates return the query's
         :class:`repro.core.topk.Term` list, the candidate restriction to
         honor (``None`` = unrestricted) and the exact-rescore callback.
         """

@@ -267,7 +267,6 @@ class WeightedMatch(_WeightedOverlapBase):
                 postings=weighted.postings(token),
                 max_contribution=weighted.max_contribution(token),
                 min_contribution=weighted.min_contribution(token),
-                arrays=weighted.arrays(token),
             )
             for token in sorted_tokens
             if token in weighted

@@ -37,22 +37,23 @@ accumulated partial sum (0 for untouched tuples):
   falls strictly below the heap's exact k-th score, no later candidate can
   enter the result and the walk stops -- typically after the top-k plus
   a handful of ties, not the whole accumulator.
-* Exact scores replicate the unpruned accumulation order bit for bit, so
-  the returned scores are float-identical to the naive path's.  The scalar
-  backend gets them from the caller-supplied ``rescore`` callback, one
-  tuple at a time; the numpy backend never calls it and instead scores, in
-  one batch over the terms' posting arrays, the candidates whose interval
-  ``[partial + N, partial + P]`` can still reach the top-k (see
-  :mod:`repro.core.kernels`).  ``terms`` must therefore arrive in the
-  predicate's canonical accumulation order -- the order ``rescore`` sums in.
+* Exact scores come from the caller-supplied ``rescore`` callback, which
+  replicates the unpruned accumulation order bit for bit, so the returned
+  scores are float-identical to the naive path's.
 
-One loop serves both backends: the accumulator hands
-:func:`maxscore_top_k` its candidates ranked by ``(partial desc, tid asc)``
-plus an exact-score lookup, so every :class:`PruningStats` field -- including
-``candidates_rescored``, the number of candidates the loop consumed -- is the
-same on both.  The whole execution sits inside the kernel fallback ladder
-(:func:`repro.core.kernels.run_topk`): a numpy failure at any point re-runs
-the query on the scalar accumulator.
+Where it runs
+-------------
+
+This is a scalar algorithm: a dict of partial sums, a lazily popped heap and
+one ``rescore`` call per consumed candidate.  What it saves is posting-loop
+iterations, and only the interpreter-bound scalar scan pays per iteration:
+against the numpy scan, skipping 55-80 % of the postings saves less C time
+than the per-term Python bookkeeping costs, at every relation size measured
+(10k / 50k / 200k rows, k = 10 and 100; the table is in ROADMAP.md).
+:meth:`repro.core.predicates.base.Predicate.top_k` therefore calls
+:func:`maxscore_top_k` only while :func:`repro.core.kernels.active_backend`
+is the scalar one and answers with ``rank(limit=k)`` -- dense scan plus
+partition -- otherwise.  The function itself never touches numpy.
 """
 
 from __future__ import annotations
@@ -136,10 +137,6 @@ class Term:
     postings: Sequence[Tuple[int, float]] = field(repr=False)
     max_contribution: float
     min_contribution: float
-    #: Optional ``(int64 tids, float64 contributions)`` array backing from
-    #: :meth:`repro.core.index.WeightedPostingIndex.arrays`; the numpy kernel
-    #: accumulator uses it directly, and builds it on the fly when absent.
-    arrays: Optional[Tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def upper_bound(self) -> float:
@@ -172,28 +169,26 @@ def maxscore_top_k(
         Number of results (``(tid, score)`` pairs, ordered by decreasing
         score with ties broken by tuple id).
     terms:
-        One :class:`Term` per query token, in the predicate's canonical
-        accumulation order.  Zero-weight and empty-postings terms are
-        ignored.
+        One :class:`Term` per query token.  Zero-weight and empty-postings
+        terms are ignored.
     rescore:
         Callback computing the *exact* final score of the given tuple ids in
-        the predicate's canonical accumulation order -- per tuple, the sum
-        of ``query_weight * contribution`` over ``terms`` in order; its
-        values are what the scalar backend's result carries, and what the
-        numpy backend's batch rescore reproduces bit for bit.
+        the predicate's canonical accumulation order; its values are what the
+        result carries, so they match the unpruned path bit for bit.
     allowed:
         Optional candidate restriction (blocker / self-join scoping); tuples
         outside it are never accumulated.
     """
+    # Scalar scoring work: counted with the kernel ops so the engine's
+    # kernel_ops.<backend> attribution covers pruned top_k calls too.
+    kernels.count_op("python")
+    stats = PruningStats()
     live = [t for t in terms if t.query_weight != 0.0 and t.postings]
-    tokens_total = len(live)
-    postings_total = sum(len(t.postings) for t in live)
+    stats.tokens_total = len(live)
+    stats.postings_total = sum(len(t.postings) for t in live)
     if k <= 0:
-        return [], PruningStats(
-            tokens_total=tokens_total,
-            postings_total=postings_total,
-            postings_skipped=postings_total,
-        )
+        stats.postings_skipped = stats.postings_total
+        return [], stats
 
     # Decreasing positive upper bound: the terms that can lift an unseen
     # tuple the most go first, so the remaining-bound suffix collapses as
@@ -218,82 +213,87 @@ def maxscore_top_k(
         suffix_pos[i] = suffix_pos[i + 1] + bounded[i][0]
         suffix_neg[i] = suffix_neg[i + 1] + bounded[i][1]
 
-    def execute(accumulated) -> Tuple[List[Tuple[int, float]], PruningStats]:
-        # The accumulator is backend-specific (repro.core.kernels): the
-        # python variant is the original dict-of-partials loop, the numpy
-        # variant one buffered scatter-add per opened term.  Both maintain
-        # the same observable state -- candidate count, running best partial
-        # (possibly a stale overestimate under negative contributions, which
-        # only makes the necessity gate below conservative), exact k-th
-        # partial selection, (partial desc, tid asc) ranking and exact
-        # scores -- bit-identically.
-        stats = PruningStats(tokens_total=tokens_total, postings_total=postings_total)
-        cut = count
-        for i, term in enumerate(order):
-            if accumulated.count >= k and suffix_pos[i] < _CONTINUE_FRACTION * (
-                # Cheap necessity gate: the k-th partial is at most the best
-                # one, so until the remaining bound undercuts even that
-                # (scaled by the continue fraction below), the k-th
-                # selection cannot trigger a cut and is skipped.
-                accumulated.best_partial + suffix_neg[i]
+    accumulated: Dict[int, float] = {}
+    # Running upper bound on the best partial sum, maintained inside the
+    # accumulation loops.  Negative contributions can make it stale (an
+    # overestimate), which only makes the necessity gate below conservative.
+    best_partial = float("-inf")
+    cut = count
+    for i, term in enumerate(order):
+        if len(accumulated) >= k and suffix_pos[i] < _CONTINUE_FRACTION * (
+            # Cheap necessity gate: the k-th partial is at most the best one,
+            # so until the remaining bound undercuts even that (scaled by
+            # the continue fraction below), the O(n log k) k-th selection
+            # cannot trigger a cut and is skipped.
+            best_partial + suffix_neg[i]
+        ):
+            # At least k candidates end with >= kth + suffix_neg[i]; a tuple
+            # in no opened list ends with <= suffix_pos[i].
+            kth = heapq.nlargest(k, accumulated.values())[-1]
+            floor = kth + suffix_neg[i]
+            margin = _CUTOFF_MARGIN * (
+                abs(kth) + suffix_pos[i] - suffix_neg[i]
+            )
+            # suffix_pos >= 0, so a passing test implies floor > 0 here.
+            # Stopping at the first point where suffix_pos < floor would
+            # already be exact; the extra _CONTINUE_FRACTION factor trades a
+            # few more opened lists for a collapsed rescore set (see above).
+            if (
+                suffix_pos[i] < floor - margin
+                and suffix_pos[i] <= _CONTINUE_FRACTION * floor
             ):
-                # At least k candidates end with >= kth + suffix_neg[i]; a
-                # tuple in no opened list ends with <= suffix_pos[i].
-                kth = accumulated.kth_largest(k)
-                floor = kth + suffix_neg[i]
-                margin = _CUTOFF_MARGIN * (
-                    abs(kth) + suffix_pos[i] - suffix_neg[i]
-                )
-                # suffix_pos >= 0, so a passing test implies floor > 0 here.
-                # Stopping at the first point where suffix_pos < floor would
-                # already be exact; the extra _CONTINUE_FRACTION factor
-                # trades a few more opened lists for a collapsed rescore set
-                # (see above).
-                if (
-                    suffix_pos[i] < floor - margin
-                    and suffix_pos[i] <= _CONTINUE_FRACTION * floor
-                ):
-                    cut = i
-                    stats.pruned = True
-                    break
-            stats.tokens_opened += 1
-            stats.postings_opened += len(term.postings)
-            accumulated.add_term(term)
-        for term in order[cut:]:
-            stats.postings_skipped += len(term.postings)
-        stats.candidates_scored = accumulated.count
+                cut = i
+                stats.pruned = True
+                break
+        stats.tokens_opened += 1
+        query_weight = term.query_weight
+        postings = term.postings
+        stats.postings_opened += len(postings)
+        if allowed is None:
+            for tid, contribution in postings:
+                value = accumulated.get(tid, 0.0) + query_weight * contribution
+                accumulated[tid] = value
+                if value > best_partial:
+                    best_partial = value
+        else:
+            for tid, contribution in postings:
+                if tid in allowed:
+                    value = accumulated.get(tid, 0.0) + query_weight * contribution
+                    accumulated[tid] = value
+                    if value > best_partial:
+                        best_partial = value
+    for term in order[cut:]:
+        stats.postings_skipped += len(term.postings)
+    stats.candidates_scored = len(accumulated)
 
-        # Walk the candidates in decreasing partial-sum order, keeping the
-        # running exact top-k in a min-heap.  A candidate's final score is
-        # at most partial + P; once that upper bound falls strictly below
-        # the heap's exact k-th score, no remaining candidate (they have
-        # smaller partials) can enter the result -- stop.  The accumulator
-        # orders and scores lazily (heap pops and one callback per tuple)
-        # or in one bounded batch, so the cost stays proportional to what
-        # is actually consumed; `candidates_rescored` counts what this loop
-        # consumed either way.
-        remaining_pos = suffix_pos[cut]
-        ranked, exact_of = accumulated.ranked(k, remaining_pos, suffix_neg[cut])
-        heap: List[Tuple[float, int]] = []  # (score, -tid) min-heap of the top k
-        for partial, tid in ranked:
-            if len(heap) == k:
-                kth_exact = heap[0][0]
-                margin = _CUTOFF_MARGIN * (
-                    abs(kth_exact) + abs(partial) + remaining_pos
-                )
-                if partial + remaining_pos < kth_exact - margin:
-                    break
-            stats.candidates_rescored += 1
-            entry = (exact_of(tid), -tid)
-            if len(heap) < k:
-                heapq.heappush(heap, entry)
-            elif entry > heap[0]:
-                heapq.heapreplace(heap, entry)
+    # Exact-rescore candidates in decreasing partial-sum order, keeping the
+    # running exact top-k in a min-heap.  A candidate's final score is at
+    # most partial + P; once that upper bound falls strictly below the
+    # heap's exact k-th score, no remaining candidate (they have smaller
+    # partials) can enter the result -- stop rescoring.  A lazily-popped
+    # max-heap orders the candidates: only the handful actually rescored pay
+    # for ordering, not the whole accumulator.
+    remaining_pos = suffix_pos[cut]
+    by_partial = [(-partial, tid) for tid, partial in accumulated.items()]
+    heapq.heapify(by_partial)
+    heap: List[Tuple[float, int]] = []  # (score, -tid) min-heap of the top k
+    while by_partial:
+        negated_partial, tid = heapq.heappop(by_partial)
+        partial = -negated_partial
+        if len(heap) == k:
+            kth_exact = heap[0][0]
+            margin = _CUTOFF_MARGIN * (
+                abs(kth_exact) + abs(partial) + remaining_pos
+            )
+            if partial + remaining_pos < kth_exact - margin:
+                break
+        stats.candidates_rescored += 1
+        entry = (rescore([tid])[tid], -tid)
+        if len(heap) < k:
+            heapq.heappush(heap, entry)
+        elif entry > heap[0]:
+            heapq.heapreplace(heap, entry)
 
-        top = [(-negated_tid, score) for score, negated_tid in heap]
-        top.sort(key=lambda item: (-item[1], item[0]))
-        return top, stats
-
-    # Kernel ladder: a failure anywhere in the numpy execution re-runs the
-    # whole query on the scalar accumulator (fresh stats, same results).
-    return kernels.run_topk(live, allowed, rescore, execute)
+    top = [(-negated_tid, score) for score, negated_tid in heap]
+    top.sort(key=lambda item: (-item[1], item[0]))
+    return top, stats

@@ -898,10 +898,13 @@ class Query:
         """The ``k`` most similar tuples.
 
         On the direct realization this routes through the predicate's
-        ``top_k`` fast path -- heap accumulation, and max-score pruned early
-        termination for the monotone-sum predicates (WeightedMatch, Cosine,
-        BM25) -- with results identical to a full ranking.  The pruning
-        counters of the last call are surfaced by :meth:`explain`.
+        ``top_k``, which picks the algorithm from the active kernel backend:
+        dense scan + partition selection under numpy; under the scalar
+        backend a heap selection, with max-score pruned early termination
+        for the monotone-sum predicates (WeightedMatch, Cosine, BM25).
+        Results are identical to a full ranking either way.  :meth:`explain`
+        names the path that ran and surfaces the pruning counters when
+        pruning did.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
@@ -1072,23 +1075,26 @@ class Query:
 
     # -- explain ----------------------------------------------------------------
 
+    def _direct_target(self) -> object:
+        """The direct predicate class (or the caller-passed instance)."""
+        if isinstance(self._predicate, str):
+            return registry.spec_for(self._predicate).direct
+        return self._predicate
+
     def _supports_maxscore(self) -> bool:
-        """Whether this query's plan can run the max-score pruned top-k.
+        """Whether this query's plan leaves the max-score bounds usable.
 
         Mirrors the predicates' own fallback logic: predicates that apply
         blockers *after* scoring (the aggregate family) need the full
-        candidate set and drop to the heap path when the plan carries a
+        candidate set and drop to the ``rank`` path when the plan carries a
         blocker; pre-scoring-blocked predicates (WeightedMatch) keep
         pruning.  Sharded execution answers *any* blocked top_k by merging
         the blocked per-shard rankings, so a blocked sharded plan never
-        runs the max-score path.
+        uses the bounds.
         """
-        if isinstance(self._predicate, str):
-            if self._resolved_realization() != "direct":
-                return False
-            target: object = registry.spec_for(self._predicate).direct
-        else:
-            target = self._predicate
+        if isinstance(self._predicate, str) and self._resolved_realization() != "direct":
+            return False
+        target = self._direct_target()
         if not getattr(target, "supports_maxscore", False):
             return False
         blocked = self._blocker_spec is not None or (
@@ -1101,13 +1107,27 @@ class Query:
             return False
         return bool(getattr(target, "_prunes_before_scoring", False))
 
+    def _top_k_algorithm(self) -> str:
+        """The direct predicate's own answer to "which algorithm runs
+        ``top_k`` now" (:meth:`Predicate.top_k_algorithm`, the one place
+        that decides); predicates that do not say take the heap."""
+        algorithm = getattr(self._direct_target(), "top_k_algorithm", None)
+        return algorithm() if algorithm is not None else "heap"
+
+    def _runs_maxscore(self) -> bool:
+        """Whether ``top_k`` on this plan runs max-score pruning: the plan
+        leaves the bounds usable and the predicate says it prunes."""
+        return self._supports_maxscore() and self._top_k_algorithm() == "max-score"
+
     def _uses_kernels(self) -> bool:
         """Whether the direct predicate scores through repro.core.kernels."""
-        if isinstance(self._predicate, str):
-            target: object = registry.spec_for(self._predicate).direct
-        else:
-            target = self._predicate
-        return bool(getattr(target, "uses_kernels", False))
+        return bool(getattr(self._direct_target(), "uses_kernels", False))
+
+    def _unpruned_top_k_path(self) -> str:
+        """Wording for the ``rank(limit=k)`` path an unpruned ``top_k`` takes."""
+        if self._top_k_algorithm() == "dense-scan":
+            return "dense scan + partition (numpy kernel)"
+        return "heap accumulation"
 
     def _declarative_fastpath(self) -> bool:
         """Whether this query's declarative predicate runs the fast paths."""
@@ -1206,14 +1226,15 @@ class Query:
                     "state (pass a predicate name to shard)"
                 )
             if op == "top_k":
-                if self._supports_maxscore():
+                if self._runs_maxscore():
                     notes.append(
                         "top_k fast path: weighted postings with max-score "
                         "pruning (exact early termination)"
                     )
                 else:
                     notes.append(
-                        "top_k fast path: heap accumulation (no full candidate sort)"
+                        f"top_k fast path: {self._unpruned_top_k_path()} "
+                        "(no full candidate sort)"
                     )
             elif op == "select":
                 notes.append(
@@ -1373,17 +1394,17 @@ class Query:
             elif pruning is not None:
                 report.execution = "top_k via max-score pruned accumulation"
             else:
-                report.execution = "top_k via heap accumulation"
+                report.execution = f"top_k via {self._unpruned_top_k_path()}"
                 if self._resolved_realization() == "direct":
-                    target = (
-                        registry.spec_for(self._predicate).direct
-                        if isinstance(self._predicate, str)
-                        else self._predicate
-                    )
+                    target = self._direct_target()
                     if not getattr(target, "supports_maxscore", False):
                         report.fallback_reason = (
                             "predicate score is not a monotone sum of "
                             "per-token contributions"
+                        )
+                    elif self._top_k_algorithm() != "max-score":
+                        report.fallback_reason = (
+                            "max-score pruning runs on the scalar backend only"
                         )
                     elif state.blocker is not None and isinstance(
                         state.predicate, ShardedPredicate
@@ -1401,8 +1422,7 @@ class Query:
                         )
                     else:
                         report.fallback_reason = (
-                            "max-score plan unavailable at execution time "
-                            "(an active candidate restriction disables it)"
+                            "the predicate built no max-score plan for this query"
                         )
         report.shards = getattr(state.predicate, "shard_stats", None)
         report.resilience = getattr(state.predicate, "resilience_stats", None)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.predicates.base import Match, Predicate
-from repro.core.topk import PruningStats, maxscore_top_k
+from repro.core.topk import PruningStats
 from repro.obs.clock import perf_clock
 from repro.obs.trace import Observability, Span
 from repro.resilience import (
@@ -341,6 +341,10 @@ class ShardedPredicate:
     @property
     def supports_maxscore(self) -> bool:
         return bool(getattr(self._prototype, "supports_maxscore", False))
+
+    def top_k_algorithm(self) -> str:
+        """The algorithm each shard's ``top_k`` runs (the shards decide)."""
+        return self._prototype.top_k_algorithm()
 
     @property
     def _prunes_before_scoring(self) -> bool:
@@ -793,8 +797,11 @@ class ShardedPredicate:
         For monotone-sum predicates, per-shard upper bounds (sum of positive
         per-term maxima, the same bounds max-score pruning uses inside a
         shard) short-circuit shards that provably cannot reach the global
-        ``k``-th score.  Aggregated per-shard :class:`PruningStats` land in
-        :attr:`pruning_stats`; shard-level counters in :attr:`shard_stats`.
+        ``k``-th score; how a shard that does run answers is its own
+        :meth:`~repro.core.predicates.base.Predicate.top_k`'s choice.  When
+        the shards pruned, their aggregated :class:`PruningStats` (plus the
+        posting volume of skipped shards) land in :attr:`pruning_stats`,
+        ``None`` otherwise; shard-level counters in :attr:`shard_stats`.
         """
         self._require_fitted()
         if k < 0:
@@ -812,8 +819,8 @@ class ShardedPredicate:
 
         plans = [shard._maxscore_plan(query) for shard in self._shards]
         if any(plan is None for plan in plans):
-            # Not a monotone-sum predicate: run every shard's heap-based
-            # top_k and merge.
+            # Not a monotone-sum predicate, so no per-shard bounds: run
+            # every shard's top_k and merge.
             results = self._run_all(
                 "top_k", [{"query": query, "k": k}] * len(self._shards)
             )
@@ -830,10 +837,16 @@ class ShardedPredicate:
         order = sorted(range(len(self._shards)), key=lambda i: (-bounds[i], i))
         pruning = PruningStats()
         collected: Dict[int, List[Tuple[int, float]]] = {}
+        candidates = 0
+        # Shards report counters only when their top_k ran max-score pruning.
+        shards_pruned = 0
 
         def absorb(shard_id: int, result: dict) -> None:
+            nonlocal candidates, shards_pruned
             collected[shard_id] = result["rows"]
+            candidates += result["candidates"] or 0
             if result["pruning"] is not None:
+                shards_pruned += 1
                 _accumulate_pruning(pruning, result["pruning"])
 
         def kth_score() -> Optional[float]:
@@ -853,23 +866,14 @@ class ShardedPredicate:
         payload = {"query": query, "k": k}
 
         def run_inline(shard_id: int) -> dict:
-            # In-process execution reuses the plan already built for the
-            # bounds above; shard.top_k would rebuild the identical plan.
-            # Worker processes/threads rebuild theirs instead (plans hold
-            # references into the shard's posting lists -- recomputing is
-            # cheaper than shipping them).  Still a shard-task boundary:
-            # the ambient deadline is checked exactly as the executors do.
+            # The serial schedule runs shards one at a time in-process, as
+            # the same task the pooled executors dispatch -- the shard's own
+            # top_k picks the algorithm.  Still a shard-task boundary: the
+            # ambient deadline is checked exactly as the executors do.
             check_deadline()
-            tracing = self.obs.tracer.enabled
-            started = perf_clock() if tracing else 0.0
-            terms, allowed, rescore = plans[shard_id]
-            top, stats = maxscore_top_k(k, terms, rescore, allowed=allowed)
-            result = {"rows": top, "candidates": stats.candidates_scored,
-                      "pruning": stats}
-            if tracing:
-                result["span"] = _shard_span_record(
-                    shard_id, "top_k", started, perf_clock(), result
-                )
+            result = execute_shard_op(
+                self._shards[shard_id], "top_k", self._trace_payload(shard_id, payload)
+            )
             return self._finish([result])[0]
 
         skipped: List[int] = []
@@ -936,8 +940,8 @@ class ShardedPredicate:
             [collected[shard_id] for shard_id in sorted(collected)],
             sorted(collected),
         )
-        self.pruning_stats = pruning
-        self.last_num_candidates = pruning.candidates_scored
+        self.pruning_stats = pruning if shards_pruned else None
+        self.last_num_candidates = candidates
         self._record_shards(len(collected), len(skipped))
         return merged[:k]
 

@@ -66,3 +66,17 @@ def sqlite_backend():
     backend = SQLiteBackend()
     yield backend
     backend.close()
+
+
+@pytest.fixture()
+def scalar_kernel():
+    """Force the scalar kernel backend, where ``top_k`` runs max-score pruning.
+
+    Tests that pin pruning counters or the "max-score" plan/explain wording
+    take this fixture so they run on every CI leg, not only where numpy is
+    absent.
+    """
+    from repro.core import kernels
+
+    with kernels.use_backend("python"):
+        yield

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends.sqlite import SQLiteBackend
+from repro.core import kernels
 from repro.core.predicates.registry import make_predicate
 from repro.engine import SimilarityEngine
 
@@ -178,7 +179,11 @@ class TestGesApxFilterDeterminism:
         )
 
 
+@pytest.mark.usefixtures("scalar_kernel")
 class TestExplainExecutionAccuracy:
+    """Pinned on the scalar backend, where max-score pruning runs and the
+    unpruned path is the heap; the numpy wording is pinned below."""
+
     def test_no_stale_pruning_stats_without_k(self):
         engine = SimilarityEngine()
         query = engine.from_strings(CORPUS * 10).predicate("bm25")
@@ -250,6 +255,28 @@ class TestExplainExecutionAccuracy:
             == "top_k via max-score pruned accumulation"
         )
 
+    def test_restricted_cosine_prunes_and_catch_all_claims_nothing(self, monkeypatch):
+        # The old catch-all blamed "an active candidate restriction", but a
+        # restricted cosine top_k prunes fine ...
+        predicate = make_predicate("cosine").fit(CORPUS * 10)
+        with predicate.restrict_candidates(set(range(40))):
+            predicate.top_k("Morgan Stanley Inc", 3)
+        assert predicate.pruning_stats is not None
+        # ... so when a plan is missing for a reason explain() cannot see,
+        # the report says only that.
+        monkeypatch.setattr(predicate, "_maxscore_plan", lambda query: None)
+        report = (
+            SimilarityEngine()
+            .from_strings(CORPUS * 10)
+            .predicate(predicate)
+            .explain("Morgan Stanley Inc", k=3)
+        )
+        assert report.pruning is None
+        assert report.execution == "top_k via heap accumulation"
+        assert report.fallback_reason == (
+            "the predicate built no max-score plan for this query"
+        )
+
     def test_declarative_topk_reports_sql_execution(self):
         engine = SimilarityEngine(realization="declarative")
         report = engine.from_strings(CORPUS[:5]).predicate("bm25").explain(
@@ -257,3 +284,41 @@ class TestExplainExecutionAccuracy:
         )
         assert report.execution == "top_k via SQL (see sql path / emitted SQL)"
         assert report.pruning is None
+
+
+@pytest.mark.skipif(not kernels.numpy_available(), reason="numpy unavailable")
+class TestExplainNamesTheNumpyPath:
+    """explain()/plan() used to call every unpruned top_k "heap
+    accumulation", even when the numpy kernel ran a scan + argpartition."""
+
+    def test_monotone_predicate_reports_dense_scan_and_why(self):
+        query = SimilarityEngine().from_strings(CORPUS * 10).predicate("bm25")
+        with kernels.use_backend("numpy"):
+            notes = " | ".join(query.plan("top_k").notes)
+            report = query.explain("Morgan Stanley Inc", k=3)
+        assert "dense scan + partition (numpy kernel)" in notes
+        assert "max-score" not in notes and "heap" not in notes
+        assert report.execution == "top_k via dense scan + partition (numpy kernel)"
+        assert report.fallback_reason == (
+            "max-score pruning runs on the scalar backend only"
+        )
+        assert report.pruning is None
+        assert report.num_candidates == len(query.rank("Morgan Stanley Inc"))
+
+    def test_unkernelized_predicate_still_reports_the_heap(self):
+        query = SimilarityEngine().from_strings(CORPUS).predicate("jaccard")
+        with kernels.use_backend("numpy"):
+            report = query.explain("IBM", k=2)
+        assert report.execution == "top_k via heap accumulation"
+        assert "monotone sum" in report.fallback_reason
+
+    def test_sharded_plan_keeps_the_shard_bound_note(self):
+        # Shard-level skipping uses the max-score *bounds*, not the pruned
+        # loop, so it is announced on either backend.
+        query = (
+            SimilarityEngine().from_strings(CORPUS * 3).predicate("bm25").shards(2)
+        )
+        with kernels.use_backend("numpy"):
+            notes = " | ".join(query.plan("top_k").notes)
+        assert "sharded top_k: shards whose max-score upper bound" in notes
+        assert "dense scan + partition (numpy kernel)" in notes

@@ -13,13 +13,11 @@ accounting said what actually happened.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 
 import pytest
 
 from repro.core import make_predicate
 from repro.core import kernels
-from repro.core.topk import maxscore_top_k
 from repro.engine import SimilarityEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Observability
@@ -296,31 +294,6 @@ class TestKernelFallback:
             got = dict(predicate._scores(QUERIES[0]))
         assert got == want
         assert kernels.ops_snapshot()["python_fallback"] > before
-
-    @pytest.mark.parametrize("name", ["bm25", "weighted_match"])
-    def test_corrupt_term_arrays_heal_whole_topk(self, name):
-        """The ladder covers ``add_term`` and the finish, not only accumulator
-        construction: whichever term's array pair is truncated -- an opened
-        one (fails in the scatter-add) or a pruned one (fails in the batch
-        rescore) -- the query re-runs on the scalar accumulator."""
-        predicate = make_predicate(name).fit(ROWS * 20)
-        terms, allowed, rescore = predicate._maxscore_plan(QUERIES[0])
-        with kernels.use_backend("python"):
-            want = maxscore_top_k(5, terms, rescore, allowed=allowed)
-        assert want[1].pruned  # so some corrupted terms are never opened
-        corrupted = 0
-        for position, term in enumerate(terms):
-            tids, contributions = term.arrays
-            if tids.size < 3:
-                continue  # a 1-element tail would broadcast, not fail
-            broken = list(terms)
-            broken[position] = replace(term, arrays=(tids, contributions[:-1]))
-            before = kernels.ops_snapshot()["python_fallback"]
-            with kernels.use_backend("numpy"):
-                assert maxscore_top_k(5, broken, rescore, allowed=allowed) == want
-            assert kernels.ops_snapshot()["python_fallback"] == before + 1
-            corrupted += 1
-        assert corrupted
 
     def test_engine_publishes_kernel_fallback_counter(self, monkeypatch):
         def boom(*args, **kwargs):

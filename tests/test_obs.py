@@ -195,7 +195,9 @@ class TestTraceExplainConsistency:
     """Span counters must equal the stats objects, layer by layer."""
 
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
-    def test_sharded_top_k_span_counters_match_explain(self, engine, num_shards):
+    def test_sharded_top_k_span_counters_match_explain(
+        self, engine, num_shards, scalar_kernel
+    ):
         query = (
             engine.from_strings(COMPANIES)
             .predicate("cosine")
@@ -229,7 +231,9 @@ class TestTraceExplainConsistency:
             assert execute.attributes["num_candidates"] == report.num_candidates
 
     @pytest.mark.parametrize("num_shards", [2, 7])
-    def test_parallel_executor_spans_travel_back(self, engine, num_shards):
+    def test_parallel_executor_spans_travel_back(
+        self, engine, num_shards, scalar_kernel
+    ):
         query = (
             engine.from_strings(COMPANIES)
             .predicate("bm25")
@@ -242,7 +246,7 @@ class TestTraceExplainConsistency:
         )
         assert traced.span.find_all("shard[")  # worker spans re-attached
 
-    def test_direct_top_k_postings_scan_matches_explain(self, engine):
+    def test_direct_top_k_postings_scan_matches_explain(self, engine, scalar_kernel):
         query = engine.from_strings(COMPANIES).predicate("cosine")
         traced = query.trace("Morgn Stanley", op="top_k", k=3)
         report = query.explain("Morgn Stanley", op="top_k", k=3)
@@ -274,7 +278,7 @@ class TestTraceExplainConsistency:
         assert execute is not None
         assert execute.attributes["sql_rows"] == report.sql_stats.rows_scored
 
-    def test_engine_metrics_accumulate(self, engine):
+    def test_engine_metrics_accumulate(self, engine, scalar_kernel):
         query = engine.from_strings(COMPANIES).predicate("cosine")
         query.top_k("Morgn Stanley", 3)
         query.top_k("Goldman Sachs", 3)

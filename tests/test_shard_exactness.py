@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import make_blocker
+from repro.core import kernels
 from repro.core.predicates.registry import make_predicate
 from repro.engine import SimilarityEngine
 from repro.shard import (
@@ -106,6 +107,20 @@ class TestShardedExactness:
         sharded = _sharded(name, corpus, num_shards)
         assert _pairs(sharded.top_k(query, k)) == _pairs(base.top_k(query, k))
         assert _pairs(sharded.rank(query)) == _pairs(base.rank(query))
+
+    @pytest.mark.parametrize("name", ["jaccard", "lm", "bm25"])
+    @pytest.mark.parametrize("num_shards", [1, 2, 7])
+    def test_zero_k_scores_nothing_on_either_side(self, name, num_shards):
+        # Unsharded plan-less predicates used to score the whole candidate
+        # set before returning [] (and report the full count); sharded
+        # execution ran nothing and reported 0.
+        base = make_predicate(name).fit(CORPUS)
+        sharded = _sharded(name, CORPUS, num_shards)
+        for side in (base, sharded):
+            assert side.top_k("Morgan Stanley", 0) == []
+            assert side.last_num_candidates == 0
+            assert side.rank("Morgan Stanley", limit=0) == []
+            assert side.last_num_candidates == 0
 
     @pytest.mark.parametrize("name", WEIGHTED)
     @given(
@@ -334,7 +349,7 @@ class TestExecutors:
         with pytest.raises(ValueError):
             make_executor("cluster")
 
-    def test_topk_aggregates_pruning_and_shard_stats(self):
+    def test_topk_aggregates_pruning_and_shard_stats(self, scalar_kernel):
         corpus = CORPUS * 25
         sharded = _sharded("bm25", corpus, 4)
         base = make_predicate("bm25").fit(corpus)
@@ -364,6 +379,12 @@ class TestExecutors:
         query = "Morgan Stanley Incorporated"
         assert _pairs(sharded.top_k(query, 5)) == _pairs(base.top_k(query, 5))
         assert sharded.shard_stats.shards_skipped > 0
+        # Shard skipping works off the bounds alone; posting-level counters
+        # exist exactly when the shards' own top_k pruned.
+        assert (sharded.pruning_stats is not None) == (
+            base.top_k_algorithm() == "max-score"
+        )
+        assert 0 < sharded.last_num_candidates <= base.last_num_candidates
 
 
 class TestEngineSharding:
@@ -394,7 +415,7 @@ class TestEngineSharding:
         )
         assert any("sharding ignored" in note for note in query.plan("rank").notes)
 
-    def test_explain_reports_shard_stats(self):
+    def test_explain_reports_shard_stats(self, scalar_kernel):
         engine = SimilarityEngine()
         report = (
             engine.from_strings(CORPUS * 5)
@@ -446,6 +467,32 @@ class TestEngineSharding:
         assert any("sharding ignored" in note for note in query.plan("rank").notes)
         results = query.top_k("Morgan Stanley", 3)
         assert len(results) == 3
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_sharded_instance_plans_and_explains(self, backend):
+        # A caller-built ShardedPredicate is a legal predicate instance:
+        # plan()/explain() must ask it the same algorithm question they ask
+        # an unsharded predicate, and name the path its shards ran.
+        if backend == "numpy" and not kernels.numpy_available():
+            pytest.skip("numpy not installed")
+        instance = ShardedPredicate(lambda: make_predicate("bm25"), num_shards=2)
+        query = SimilarityEngine().from_strings(CORPUS * 3).predicate(instance)
+        with kernels.use_backend(backend):
+            notes = " | ".join(query.plan("top_k").notes)
+            report = query.explain("Morgan Stanley Inc", k=3)
+        assert report.num_results == 3
+        assert report.shards is not None and report.shards.num_shards == 2
+        if backend == "python":
+            assert "max-score pruning" in notes
+            assert report.pruning is not None
+            assert report.execution == "top_k via max-score pruned accumulation"
+        else:
+            assert "dense scan + partition (numpy kernel)" in notes
+            assert report.pruning is None
+            assert report.execution == "top_k via dense scan + partition (numpy kernel)"
+            assert report.fallback_reason == (
+                "max-score pruning runs on the scalar backend only"
+            )
 
     def test_clear_cache_closes_shard_executors(self):
         engine = SimilarityEngine()

@@ -3,15 +3,17 @@
 Three families of guarantees:
 
 * **Exactness** -- property-based equivalence: for the monotone-sum
-  predicates (WeightedMatch, Cosine, BM25), ``top_k`` with max-score pruning
-  returns *exactly* the same ``(tid, score)`` lists as the unpruned
-  ``rank(limit=k)``, across random corpora, k values, and with/without
-  blockers and candidate restrictions.
+  predicates (WeightedMatch, Cosine, BM25), ``top_k`` returns *exactly* the
+  same ``(tid, score)`` lists as ``rank(limit=k)``, across random corpora,
+  k values, with/without blockers and candidate restrictions, on every
+  kernel backend -- the scalar one, where ``top_k`` runs max-score pruning,
+  and numpy, where it is the dense scan.
 * **Satellite fixes** -- ``select`` filters before sorting but returns the
   same results; ``score(query, tid)`` single-tuple paths agree with the
   whole-corpus ``_scores`` for every direct predicate.
 * **Surfacing** -- ``pruning_stats`` exposes the work counters and
-  ``engine.explain`` / ``plan`` report the chosen fast path.
+  ``engine.explain`` / ``plan`` report the chosen fast path (pinned under
+  the ``scalar_kernel`` fixture, the backend where pruning runs).
 """
 
 import warnings
@@ -21,11 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import make_blocker
+from repro.core import kernels
 from repro.core.predicates.registry import make_predicate
 from repro.core.topk import PruningStats, Term, maxscore_top_k
 from repro.engine import SimilarityEngine
 
 MONOTONE = ["weighted_match", "cosine", "bm25"]
+
+BACKENDS = ["python"] + (["numpy"] if kernels.numpy_available() else [])
 
 ALL_DIRECT = [
     "intersect",
@@ -69,27 +74,32 @@ def _pairs(scored):
     return [(st_.tid, st_.score) for st_ in scored]
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestMaxScoreEquivalence:
-    """Property: pruned top_k == unpruned rank(limit=k), bit for bit."""
+    """Property: top_k == unpruned rank(limit=k), bit for bit, whichever
+    algorithm the backend makes ``top_k`` pick."""
 
     @pytest.mark.parametrize("name", MONOTONE)
     @given(corpus=_corpora, query=_strings, k=st.integers(0, 30))
     @settings(max_examples=40, deadline=None)
-    def test_topk_equals_rank(self, name, corpus, query, k):
+    def test_topk_equals_rank(self, backend, name, corpus, query, k):
         predicate = make_predicate(name).fit(corpus)
-        assert _pairs(predicate.top_k(query, k)) == _pairs(
-            predicate.rank(query, limit=k)
-        )
+        with kernels.use_backend(backend):
+            assert _pairs(predicate.top_k(query, k)) == _pairs(
+                predicate.rank(query, limit=k)
+            )
 
     @pytest.mark.parametrize("name", MONOTONE)
     @given(corpus=_corpora, query=_strings, k=st.integers(1, 10), data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_topk_equals_rank_under_restriction(self, name, corpus, query, k, data):
+    def test_topk_equals_rank_under_restriction(
+        self, backend, name, corpus, query, k, data
+    ):
         predicate = make_predicate(name).fit(corpus)
         allowed = data.draw(
             st.sets(st.integers(0, len(corpus) - 1), max_size=len(corpus))
         )
-        with predicate.restrict_candidates(allowed):
+        with kernels.use_backend(backend), predicate.restrict_candidates(allowed):
             assert _pairs(predicate.top_k(query, k)) == _pairs(
                 predicate.rank(query, limit=k)
             )
@@ -97,23 +107,25 @@ class TestMaxScoreEquivalence:
     @pytest.mark.parametrize("name", MONOTONE)
     @given(corpus=_corpora, query=_strings, k=st.integers(1, 10))
     @settings(max_examples=25, deadline=None)
-    def test_topk_equals_rank_under_blocker(self, name, corpus, query, k):
+    def test_topk_equals_rank_under_blocker(self, backend, name, corpus, query, k):
         predicate = make_predicate(name).fit(corpus)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             predicate.set_blocker(make_blocker("lsh", lsh_bands=4, lsh_rows=2))
-        assert _pairs(predicate.top_k(query, k)) == _pairs(
-            predicate.rank(query, limit=k)
-        )
+        with kernels.use_backend(backend):
+            assert _pairs(predicate.top_k(query, k)) == _pairs(
+                predicate.rank(query, limit=k)
+            )
 
     @pytest.mark.parametrize("name", MONOTONE)
-    def test_topk_exact_on_company_corpus(self, name):
+    def test_topk_exact_on_company_corpus(self, backend, name):
         predicate = make_predicate(name).fit(CORPUS * 20)
-        for query in ("Morgn Stanley", "IBM Corp", "Goldman", "zzz"):
-            for k in (1, 3, 10, 100, 1000):
-                assert _pairs(predicate.top_k(query, k)) == _pairs(
-                    predicate.rank(query, limit=k)
-                )
+        with kernels.use_backend(backend):
+            for query in ("Morgn Stanley", "IBM Corp", "Goldman", "zzz"):
+                for k in (1, 3, 10, 100, 1000):
+                    assert _pairs(predicate.top_k(query, k)) == _pairs(
+                        predicate.rank(query, limit=k)
+                    )
 
 
 class TestSelectFilterFirst:
@@ -171,6 +183,7 @@ class TestSingleTupleScore:
             )
 
 
+@pytest.mark.usefixtures("scalar_kernel")
 class TestPruningStats:
     def test_stats_populated_for_monotone_predicates(self):
         predicate = make_predicate("bm25").fit(CORPUS * 50)
@@ -205,6 +218,127 @@ class TestPruningStats:
         assert stats.postings_skipped == 2
 
 
+def _reference_rescore(terms):
+    """Scalar exact-rescore callback over synthetic terms, canonical order."""
+    lookups = [(term.query_weight, dict(term.postings)) for term in terms]
+
+    def rescore(tids):
+        scores = {}
+        for tid in tids:
+            total = 0.0
+            for query_weight, contributions in lookups:
+                contribution = contributions.get(tid, 0.0)
+                if contribution:
+                    total += query_weight * contribution
+            scores[tid] = total
+        return scores
+
+    return rescore
+
+
+#: Coarse values so exact score ties (also straddling the k-th place) are
+#: common; no zeros, which the posting indexes never store.
+_contributions = st.sampled_from([-2.0, -0.5, 0.25, 0.5, 1.0, 1.5, 3.0])
+_query_weights = st.sampled_from([1.0, 1.0, 0.5, 2.0, -1.0])
+
+
+@st.composite
+def _synthetic_terms(draw):
+    num_tuples = draw(st.integers(1, 40))
+    terms = []
+    for position in range(draw(st.integers(1, 8))):
+        tids = sorted(
+            draw(st.sets(st.integers(0, num_tuples - 1), min_size=1, max_size=num_tuples))
+        )
+        postings = [(tid, draw(_contributions)) for tid in tids]
+        values = [contribution for _, contribution in postings]
+        terms.append(
+            Term(
+                token=f"t{position:02d}",
+                query_weight=draw(_query_weights),
+                postings=postings,
+                max_contribution=max(values),
+                min_contribution=min(values),
+            )
+        )
+    return num_tuples, terms
+
+
+class TestMaxScoreLoopEdgeCases:
+    """What the pruned loop could get wrong, at the ``maxscore_top_k``
+    boundary: pinned against the unpruned ranking of a reference rescore."""
+
+    @given(
+        data=_synthetic_terms(),
+        k=st.integers(1, 45),
+        restrict=st.booleans(),
+        draw=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_synthetic_terms(self, data, k, restrict, draw):
+        """Negative contributions and weights, ties at the k-th place,
+        ``k = 1`` and ``k >=`` the candidate count, with and without an
+        ``allowed`` set."""
+        num_tuples, terms = data
+        allowed = (
+            draw.draw(st.sets(st.integers(0, num_tuples - 1))) if restrict else None
+        )
+        rescore = _reference_rescore(terms)
+        top, stats = maxscore_top_k(k, terms, rescore, allowed=allowed)
+        touched = {tid for term in terms for tid, _ in term.postings}
+        if allowed is not None:
+            touched &= allowed
+        unpruned = sorted(
+            rescore(touched).items(), key=lambda item: (-item[1], item[0])
+        )
+        assert top == unpruned[:k]
+        assert stats.postings_opened + stats.postings_skipped == stats.postings_total
+
+
+@pytest.mark.skipif(not kernels.numpy_available(), reason="numpy unavailable")
+class TestNumpyTopKIsTheDenseScan:
+    """On the numpy backend ``top_k`` is ``rank(limit=k)`` and nothing else:
+    a silent return of the max-score path would cost ~4x per query."""
+
+    @pytest.mark.parametrize("name", MONOTONE)
+    def test_never_builds_a_maxscore_plan(self, name, monkeypatch):
+        predicate = make_predicate(name).fit(CORPUS * 20)
+        with kernels.use_backend("python"):
+            predicate.top_k("Morgn Stanley", 5)
+        assert predicate.pruning_stats is not None  # primed, must be cleared
+        calls = []
+        plan = predicate._maxscore_plan
+        monkeypatch.setattr(
+            predicate, "_maxscore_plan", lambda query: calls.append(query) or plan(query)
+        )
+        with kernels.use_backend("numpy"):
+            top = predicate.top_k("Morgn Stanley", 5)
+            assert _pairs(top) == _pairs(predicate.rank("Morgn Stanley", limit=5))
+        assert calls == []
+        assert predicate.pruning_stats is None
+        assert predicate.last_num_candidates == len(predicate.rank("Morgn Stanley"))
+
+
+class TestZeroK:
+    """``k == 0`` returns nothing and therefore scores nothing."""
+
+    @pytest.mark.parametrize("name", ["jaccard", "lm", "bm25", "edit_distance"])
+    def test_rank_and_topk_skip_scoring(self, name, monkeypatch):
+        predicate = make_predicate(name).fit(CORPUS)
+        predicate.rank("Morgan Stanley")
+        assert predicate.last_num_candidates > 0
+
+        def no_scoring(query):
+            raise AssertionError("k == 0 must not score candidates")
+
+        monkeypatch.setattr(predicate, "_scores", no_scoring)
+        assert predicate.rank("Morgan Stanley", limit=0) == []
+        assert predicate.last_num_candidates == 0
+        predicate.last_num_candidates = None
+        assert predicate.top_k("Morgan Stanley", 0) == []
+        assert predicate.last_num_candidates == 0
+
+
 class TestEngineIntegration:
     def test_engine_topk_matches_rank(self):
         engine = SimilarityEngine()
@@ -213,7 +347,7 @@ class TestEngineIntegration:
             (m.tid, m.score) for m in query.top_k("Morgn Stanley", 5)
         ] == [(m.tid, m.score) for m in query.rank("Morgn Stanley", limit=5)]
 
-    def test_plan_reports_maxscore_fast_path(self):
+    def test_plan_reports_maxscore_fast_path(self, scalar_kernel):
         engine = SimilarityEngine()
         plan = engine.from_strings(CORPUS).predicate("bm25").plan(op="top_k")
         assert any("max-score" in note for note in plan.notes)
@@ -223,7 +357,7 @@ class TestEngineIntegration:
         plan = engine.from_strings(CORPUS).predicate("jaccard").plan(op="top_k")
         assert any("heap" in note for note in plan.notes)
 
-    def test_plan_reports_heap_fallback_for_blocked_aggregates(self):
+    def test_plan_reports_heap_fallback_for_blocked_aggregates(self, scalar_kernel):
         # The aggregate family applies blockers post-scoring, so a blocked
         # plan cannot run max-score pruning; the note must say so.
         engine = SimilarityEngine()
@@ -238,7 +372,7 @@ class TestEngineIntegration:
         plan = engine.from_strings(CORPUS).predicate("bm25").plan(op="select")
         assert any("filter before sorting" in note for note in plan.notes)
 
-    def test_explain_surfaces_pruning_stats(self):
+    def test_explain_surfaces_pruning_stats(self, scalar_kernel):
         engine = SimilarityEngine()
         report = (
             engine.from_strings(CORPUS * 50)
