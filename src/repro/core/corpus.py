@@ -1,0 +1,221 @@
+"""The fitted corpus core: one relation tokenized, counted and indexed once.
+
+The paper's preprocessing has two phases (Figure 5.2, section 5.5.1):
+tokenize the base relation into ``BASE_TOKENS`` once, then let each
+predicate compute its own weight tables from it.  :class:`CorpusCore` is
+phase one for the direct realization -- the in-memory counterpart of the
+shared per-(backend, relation, tokenizer) "cores" of
+:mod:`repro.declarative.shared`.  Everything it holds depends only on the
+relation and the tokenizer, never on a predicate:
+
+* the token lists (built eagerly -- every predicate needs them),
+* the per-tuple term-frequency ``Counter`` objects,
+* the :class:`~repro.core.index.InvertedIndex`,
+* the per-tuple token sets,
+* the :class:`~repro.text.weights.CollectionStatistics`.
+
+The last four are built on first use and then kept, so a corpus that only
+ever serves word-level combination predicates never pays for a posting
+index, and one that only serves Jaccard never counts collection frequencies.
+
+A core is **read-only after it is built**: predicates fitted over one core
+(all predicates an engine fits on one ``(corpus, tokenizer)``, or all shards
+of a sharded fit) share its parts by reference, and nothing in ``core/``,
+``blocking/`` or ``shard/`` mutates a token list, ``Counter`` or posting
+list in place.  Because every part is built by the same code from the same
+lists in the same order -- vocabulary and ``Counter`` insertion order
+included -- a predicate fitted over a shared core scores bit-identically to
+one fitted alone.  Building is not synchronized: hand one core to
+concurrent fits only under a lock (the engine holds its own).
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Callable, Dict, List, Optional, Sequence, Set, TypeVar
+
+from repro.core.index import InvertedIndex
+from repro.obs.clock import perf_clock
+from repro.text.tokenize import Tokenizer
+from repro.text.weights import CollectionStatistics
+
+__all__ = ["CorpusCore"]
+
+_Part = TypeVar("_Part")
+
+
+class CorpusCore:
+    """Predicate-independent fitted state of one ``(relation, tokenizer)``.
+
+    Parameters
+    ----------
+    strings:
+        The base relation, in tuple-id order.
+    tokenizer:
+        The tokenizer every predicate fitted over this core must use.
+    token_lists:
+        ``strings`` already tokenized with ``tokenizer`` (one list per
+        tuple).  Trusted, not verified -- only the length is checked -- and
+        copied, so later mutation by the caller cannot reach fitted state.
+    """
+
+    def __init__(
+        self,
+        strings: Sequence[str],
+        tokenizer: Tokenizer,
+        token_lists: Optional[Sequence[Sequence[str]]] = None,
+    ):
+        started = perf_clock()
+        if token_lists is None:
+            lists = [tokenizer.tokenize(text) for text in strings]
+        elif len(token_lists) != len(strings):
+            raise ValueError(
+                f"token_lists covers {len(token_lists)} tuples but the "
+                f"relation has {len(strings)}"
+            )
+        else:
+            lists = [list(tokens) for tokens in token_lists]
+        self._bind(tokenizer, lists, perf_clock() - started)
+
+    def _bind(
+        self,
+        tokenizer: Tokenizer,
+        token_lists: List[List[str]],
+        build_seconds: float = 0.0,
+    ) -> None:
+        self.tokenizer = tokenizer
+        #: One token list per tuple, duplicates preserved.
+        self.token_lists = token_lists
+        #: Seconds spent building the parts built so far (tokenization
+        #: included) -- the shared share of preprocessing time.
+        self.build_seconds = build_seconds
+        self._term_frequencies: Optional[List[Counter]] = None
+        self._index: Optional[InvertedIndex] = None
+        self._token_sets: Optional[List[Set[str]]] = None
+        self._stats: Optional[CollectionStatistics] = None
+
+    def _timed(self, build: Callable[[], _Part]) -> _Part:
+        started = perf_clock()
+        part = build()
+        self.build_seconds += perf_clock() - started
+        return part
+
+    def __len__(self) -> int:
+        return len(self.token_lists)
+
+    def check_covers(self, strings: Sequence[str], tokenizer: Tokenizer) -> None:
+        """Refuse to stand in for tokenizing ``strings`` with ``tokenizer``
+        unless the row count and the tokenizer match -- the O(1) checks that
+        make handing a shared core to a predicate safe."""
+        if len(self) != len(strings):
+            raise ValueError(
+                f"core covers {len(self)} tuples but the relation has "
+                f"{len(strings)}"
+            )
+        if self.tokenizer != tokenizer:
+            raise ValueError(
+                f"core was tokenized with {self.tokenizer!r}, not the "
+                f"predicate's {tokenizer!r}"
+            )
+
+    # -- parts built on first use ---------------------------------------------
+
+    @property
+    def term_frequencies(self) -> List[Counter]:
+        """``tf(t, D)`` per tuple; shared by the index and the statistics."""
+        if self._term_frequencies is None:
+            self._term_frequencies = self._timed(
+                lambda: [Counter(tokens) for tokens in self.token_lists]
+            )
+        return self._term_frequencies
+
+    @property
+    def index(self) -> InvertedIndex:
+        if self._index is None:
+            counts = self.term_frequencies
+            self._index = self._timed(
+                lambda: InvertedIndex(self.token_lists, term_frequencies=counts)
+            )
+        return self._index
+
+    @property
+    def token_sets(self) -> List[Set[str]]:
+        if self._token_sets is None:
+            self._token_sets = self._timed(
+                lambda: [set(tokens) for tokens in self.token_lists]
+            )
+        return self._token_sets
+
+    @property
+    def stats(self) -> CollectionStatistics:
+        if self._stats is None:
+            counts = self.term_frequencies
+            self._stats = self._timed(
+                lambda: CollectionStatistics(
+                    self.token_lists, term_frequencies=counts
+                )
+            )
+        return self._stats
+
+    # -- sharding ---------------------------------------------------------------
+
+    def slice(self, start: int, stop: int) -> "CorpusCore":
+        """The shard-local core over tuples ``start <= tid < stop``.
+
+        Tuple ids are rebased to 0.  Token lists and ``Counter`` objects are
+        shared with this core; ``stats`` is the
+        :class:`~repro.shard.stats.ShardStatisticsView` answering every
+        collection-level question from *this* core's statistics, so a
+        predicate fitted over the slice weighs each tuple exactly as one
+        fitted over the whole relation.  The slice keeps no reference to
+        this core beyond that statistics object, and builds its own index
+        and token sets from its own lists when a fit asks for them.
+        """
+        # Local import: repro.shard imports the predicate base, which imports
+        # this module.
+        from repro.shard.stats import ShardStatisticsView
+
+        part = CorpusCore.__new__(CorpusCore)
+        part._bind(self.tokenizer, self.token_lists[start:stop])
+        part._term_frequencies = self.term_frequencies[start:stop]
+        part._stats = ShardStatisticsView(
+            part.token_lists, self.stats, term_frequencies=part._term_frequencies
+        )
+        return part
+
+    # -- introspection ----------------------------------------------------------
+
+    @property
+    def num_postings(self) -> int:
+        """Number of ``(token, tuple)`` postings (distinct tokens per tuple)."""
+        return sum(len(counts) for counts in self.term_frequencies)
+
+    @property
+    def vocabulary_size(self) -> int:
+        """Number of distinct tokens (read off the index when it exists)."""
+        if self._index is not None:
+            return self._index.vocabulary_size()
+        return len(set().union(*self.term_frequencies))
+
+    def summary(self) -> Dict[str, object]:
+        """Tokenizer, size, and what building the parts has cost so far --
+        the attributes of the engine's ``core.build`` span."""
+        return {
+            "tokenizer": getattr(
+                self.tokenizer, "name", type(self.tokenizer).__name__
+            ),
+            "rows": len(self),
+            "vocabulary": self.vocabulary_size,
+            "postings": self.num_postings,
+            "seconds": self.build_seconds,
+        }
+
+    def describe(self) -> str:
+        """:meth:`summary` as one line (``explain()`` prints it)."""
+        return (
+            "{tokenizer}: {rows} rows, {vocabulary} tokens, {postings} "
+            "postings, built in {seconds:.2f} s".format(**self.summary())
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"CorpusCore({self.describe()})"

@@ -21,17 +21,27 @@ __all__ = ["InvertedIndex", "WeightedPostingIndex"]
 
 
 class InvertedIndex:
-    """Maps tokens to the tuples containing them (postings with tf)."""
+    """Maps tokens to the tuples containing them (postings with tf).
 
-    def __init__(self, token_lists: Sequence[Sequence[str]]):
-        self._postings: Dict[str, List[Tuple[int, int]]] = defaultdict(list)
-        self._term_frequencies: List[Counter] = []
-        for tid, tokens in enumerate(token_lists):
-            counts = Counter(tokens)
-            self._term_frequencies.append(counts)
+    ``term_frequencies`` is the per-tuple ``Counter`` list of ``token_lists``
+    when the caller already holds it (a
+    :class:`~repro.core.corpus.CorpusCore` counts a relation once and shares
+    the list by reference); it is counted here otherwise.
+    """
+
+    def __init__(
+        self,
+        token_lists: Sequence[Sequence[str]],
+        term_frequencies: Optional[List[Counter]] = None,
+    ):
+        if term_frequencies is None:
+            term_frequencies = [Counter(tokens) for tokens in token_lists]
+        self._term_frequencies: List[Counter] = term_frequencies
+        postings: Dict[str, List[Tuple[int, int]]] = defaultdict(list)
+        for tid, counts in enumerate(term_frequencies):
             for token, tf in counts.items():
-                self._postings[token].append((tid, tf))
-        self._postings = dict(self._postings)
+                postings[token].append((tid, tf))
+        self._postings: Dict[str, List[Tuple[int, int]]] = dict(postings)
 
     @property
     def num_tuples(self) -> int:

@@ -23,7 +23,7 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core import kernels
-from repro.core.index import InvertedIndex, WeightedPostingIndex
+from repro.core.index import WeightedPostingIndex
 from repro.core.predicates.base import Predicate
 from repro.core.topk import Term
 from repro.text.tokenize import QgramTokenizer, Tokenizer
@@ -47,17 +47,11 @@ class _AggregateBase(Predicate):
     def __init__(self, tokenizer: Tokenizer | None = None):
         super().__init__()
         self.tokenizer = tokenizer or QgramTokenizer(q=2)
-        self._token_lists: List[List[str]] = []
-        self._index: InvertedIndex | None = None
         self._stats: CollectionStatistics | None = None
         #: per-tuple token -> document-side weight
         self._doc_weights: List[Dict[str, float]] = []
         #: token -> [(tid, document-side weight)] with per-token max/min bounds
         self._weighted_index: WeightedPostingIndex | None = None
-
-    def tokenize_phase(self) -> None:
-        self._token_lists = self._relation_token_lists()
-        self._index = InvertedIndex(self._token_lists)
 
     def _build_weighted_index(self) -> None:
         assert self._index is not None
@@ -152,7 +146,7 @@ class CosineTfIdf(_AggregateBase):
     name = "Cosine"
 
     def weight_phase(self) -> None:
-        self._stats = self._collection_statistics(self._token_lists)
+        self._stats = self._core.stats
         idf = self._stats.idf_table()
         self._idf = idf
         self._doc_weights = [
@@ -183,7 +177,7 @@ class BM25(_AggregateBase):
         self.params = params or BM25Parameters()
 
     def weight_phase(self) -> None:
-        self._stats = self._collection_statistics(self._token_lists)
+        self._stats = self._core.stats
         self._doc_weights = [
             bm25_document_weights(self._stats, tid, self.params)
             for tid in range(len(self._token_lists))

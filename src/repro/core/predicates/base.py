@@ -3,11 +3,13 @@
 Every predicate follows the same life cycle that the paper's declarative
 framework imposes:
 
-1. *Preprocessing* -- :meth:`Predicate.fit` tokenizes the base relation and
-   computes whatever weights/statistics the predicate needs.  The two phases
-   (:meth:`tokenize_phase` and :meth:`weight_phase`) are exposed separately so
-   the timing harness can reproduce Figure 5.2, which reports them
-   individually.
+1. *Preprocessing* -- :meth:`Predicate.fit` binds the tokenized base
+   relation (a :class:`~repro.core.corpus.CorpusCore`: token lists, inverted
+   index, collection statistics -- shared with every other predicate fitted
+   over the same core, or built privately) and derives whatever weights the
+   predicate itself needs from it.  The two phases (:meth:`tokenize_phase`
+   and :meth:`weight_phase`) are exposed separately so the timing harness can
+   reproduce Figure 5.2, which reports them individually.
 2. *Query time* -- :meth:`Predicate.rank` returns every candidate tuple with
    a positive similarity to the query, ordered by decreasing score (this is
    the unpruned ranking the accuracy metrics are computed over);
@@ -23,8 +25,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.core import kernels
+from repro.core.corpus import CorpusCore
+from repro.core.index import InvertedIndex
 from repro.core.topk import PruningStats, maxscore_top_k
-from repro.text.weights import CollectionStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.blocking.base import Blocker
@@ -115,20 +118,18 @@ class Predicate(ABC):
     def __init__(self) -> None:
         self._strings: List[str] = []
         self._fitted = False
-        #: Pre-tokenized relation handed to the current :meth:`fit` call (the
-        #: single-tokenization seam); ``None`` outside of such a fit.
-        self._fit_token_lists: Optional[List[List[str]]] = None
+        #: The corpus core this predicate is fitted over -- the one fit seam.
+        #: Shared by reference when :meth:`fit` was handed one (the engine's
+        #: per-(corpus, tokenizer) core, or a sharded parent's
+        #: ``core.slice(a, b)``, whose statistics answer collection-level
+        #: questions from the whole relation); otherwise built privately by
+        #: :meth:`tokenize_phase`.  Read-only either way.
+        self._core: Optional[CorpusCore] = None
+        #: Bound from the core by the default :meth:`tokenize_phase`.
+        self._token_lists: List[List[str]] = []
+        self._index: Optional[InvertedIndex] = None
         self._blocker: Optional["Blocker"] = None
         self._restriction: Optional[Set[int]] = None
-        #: Optional collection-statistics factory (the sharded-execution
-        #: seam): when set, :meth:`_collection_statistics` builds statistics
-        #: through it instead of computing them from the fitted token lists.
-        #: Sharded execution injects a factory returning a view that keeps
-        #: per-tuple statistics shard-local but answers collection-level
-        #: questions (N, df, cf, avgdl, idf/RS weights) from a global pass,
-        #: so shard-local fits score tuples bit-identically to an unsharded
-        #: fit.  ``None`` (the default) keeps the classic behaviour.
-        self._stats_factory = None
         #: Number of candidates scored by the most recent :meth:`rank` /
         #: :meth:`select` call (after blocking); joins aggregate this into
         #: their candidate-pair statistics.
@@ -142,70 +143,80 @@ class Predicate(ABC):
     def fit(
         self,
         strings: Sequence[str],
+        core: Optional[CorpusCore] = None,
         token_lists: Optional[Sequence[Sequence[str]]] = None,
     ) -> "Predicate":
         """Preprocess the base relation (tokenization + weights).
 
-        ``token_lists`` is the preprocessing seam sharded execution uses to
-        tokenize a relation exactly once: when given, it must be the result
-        of tokenizing ``strings`` with this predicate's own tokenizer, and
-        :meth:`_relation_token_lists` hands it to :meth:`tokenize_phase`
-        instead of re-tokenizing.  Callers own that contract -- the lists are
-        trusted, not verified.
+        ``core`` is the :class:`~repro.core.corpus.CorpusCore` of ``strings``
+        under this predicate's tokenizer, when the caller holds one: the
+        engine keeps one per (corpus, tokenizer) and sharded execution hands
+        each shard a slice of the whole relation's, so a relation is
+        tokenized, counted and indexed once however many predicates are
+        fitted on it.  The predicate reads the core and derives only its own
+        weights.  Without one, a private core is built from ``strings`` --
+        ``predicate.fit(strings)`` needs nothing else.  ``token_lists`` is
+        sugar for a private core over lists the caller already tokenized
+        (trusted to be this tokenizer's output; copied).
+
+        A core or token lists of another length than ``strings``, or a core
+        built with another tokenizer, raise :class:`ValueError`: a mismatched
+        seam is refused, not fitted.
 
         Returns ``self`` so that ``predicate = BM25().fit(strings)`` reads
         naturally.
         """
-        self._strings = list(strings)
-        self._fit_token_lists = (
-            [list(tokens) for tokens in token_lists]
-            if token_lists is not None
-            else None
-        )
-        try:
-            self.tokenize_phase()
-            self.weight_phase()
-        finally:
-            # The seam is per-fit input, not fitted state: drop it so refits
-            # without token_lists re-tokenize instead of replaying stale lists.
-            self._fit_token_lists = None
+        self._bind(strings, core, token_lists)
+        self.tokenize_phase()
+        self.weight_phase()
         self._fitted = True
         if self._blocker is not None:
             self._fit_blocker(self._blocker)
         return self
 
-    def _relation_token_lists(self) -> List[List[str]]:
-        """Token lists of the base relation for :meth:`tokenize_phase`.
+    def _bind(
+        self,
+        strings: Sequence[str],
+        core: Optional[CorpusCore] = None,
+        token_lists: Optional[Sequence[Sequence[str]]] = None,
+    ) -> None:
+        """Bind the relation, and the core to fit it over, ahead of the phases.
 
-        Returns the pre-tokenized lists passed to :meth:`fit` when available
-        (the sharded single-tokenization seam), otherwise tokenizes the
-        fitted strings with the predicate's tokenizer.
+        ``fit`` is this plus the two phases; the timing harness calls the
+        three steps itself to time the phases apart.
         """
-        pretokenized = getattr(self, "_fit_token_lists", None)
-        if pretokenized is not None:
-            return pretokenized
-        return [self.tokenizer.tokenize(text) for text in self._strings]
+        strings = list(strings)
+        if token_lists is not None:
+            if core is not None:
+                raise ValueError("pass either core or token_lists, not both")
+            core = CorpusCore(strings, self.tokenizer, token_lists=token_lists)
+        elif core is not None:
+            core.check_covers(strings, self.tokenizer)
+        self._strings = strings
+        self._core = core
 
-    @abstractmethod
+    def _bound_core(self) -> CorpusCore:
+        """The core of the bound relation, built privately if none was given."""
+        if self._core is None:
+            self._core = CorpusCore(self._strings, self.tokenizer)
+        return self._core
+
     def tokenize_phase(self) -> None:
-        """Phase 1 of preprocessing: tokenize the base relation."""
+        """Phase 1 of preprocessing: the tokenized, indexed base relation.
+
+        Binds the token lists and the inverted index from the corpus core.
+        A predicate that was handed no core builds its private one here, so
+        standalone fits pay tokenization in this phase; over a shared core
+        whose parts already exist the phase is a pair of attribute reads.
+        """
+        core = self._bound_core()
+        self._token_lists = core.token_lists
+        self._index = core.index
 
     @abstractmethod
     def weight_phase(self) -> None:
-        """Phase 2 of preprocessing: compute weights / statistics."""
-
-    def _collection_statistics(
-        self, token_lists: Sequence[Sequence[str]]
-    ) -> CollectionStatistics:
-        """Collection statistics over the fitted token lists.
-
-        Every weighting scheme obtains its statistics through this hook so a
-        stats provider can be injected (see :attr:`_stats_factory`); the
-        default computes them from the token lists alone.
-        """
-        if self._stats_factory is not None:
-            return self._stats_factory(token_lists)
-        return CollectionStatistics(token_lists)
+        """Phase 2 of preprocessing: derive this predicate's own weights
+        (collection statistics come from ``self._core.stats``)."""
 
     # -- blocking -------------------------------------------------------------
 

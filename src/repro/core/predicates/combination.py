@@ -56,7 +56,10 @@ class _CombinationBase(Predicate):
         self._average_idf: float = 0.0
 
     def tokenize_phase(self) -> None:
-        self._word_lists = self._relation_token_lists()
+        # Words are this family's tokens; candidates come from the
+        # word-q-gram index below, so the core's word-level inverted index
+        # is never asked for (and never built).
+        self._word_lists = self._bound_core().token_lists
         self._word_qgrams = {}
         qgram_to_tids: Dict[str, Set[int]] = defaultdict(set)
         for tid, words in enumerate(self._word_lists):
@@ -67,7 +70,7 @@ class _CombinationBase(Predicate):
         self._qgram_to_tids = dict(qgram_to_tids)
 
     def weight_phase(self) -> None:
-        self._stats = self._collection_statistics(self._word_lists)
+        self._stats = self._core.stats
         self._idf = self._stats.idf_table()
         self._average_idf = self._stats.average_idf()
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional
 
-from repro.core.index import InvertedIndex
 from repro.core.predicates.base import Predicate, ScoredTuple
 from repro.text.strings import edit_similarity, levenshtein_within
 from repro.text.tokenize import QgramTokenizer, normalize_string
@@ -41,13 +40,10 @@ class EditDistance(Predicate):
         self.tokenizer = QgramTokenizer(q=q)
         self.q = q
         self._normalized: List[str] = []
-        self._token_lists: List[List[str]] = []
-        self._index: InvertedIndex | None = None
 
     def tokenize_phase(self) -> None:
+        super().tokenize_phase()
         self._normalized = [normalize_string(text) for text in self._strings]
-        self._token_lists = self._relation_token_lists()
-        self._index = InvertedIndex(self._token_lists)
 
     def weight_phase(self) -> None:
         """Edit distance needs no weights."""

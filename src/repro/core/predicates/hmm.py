@@ -21,7 +21,7 @@ from collections import Counter
 from typing import Dict, List, Optional
 
 from repro.core import kernels
-from repro.core.index import InvertedIndex, WeightedPostingIndex
+from repro.core.index import WeightedPostingIndex
 from repro.core.predicates.base import Predicate
 from repro.text.tokenize import QgramTokenizer, Tokenizer
 
@@ -44,20 +44,14 @@ class HMM(Predicate):
         self.tokenizer = tokenizer or QgramTokenizer(q=2)
         self.a0 = a0
         self.a1 = 1.0 - a0
-        self._token_lists: List[List[str]] = []
-        self._index: InvertedIndex | None = None
         #: per-tuple token -> log(1 + a1 P(q|D) / (a0 P(q|GE)))
         self._log_weights: List[Dict[str, float]] = []
         #: token -> [(tid, log weight)]: the same factors folded into posting
         #: lists so query-time accumulation is one kernel call.
         self._weighted_index: WeightedPostingIndex | None = None
 
-    def tokenize_phase(self) -> None:
-        self._token_lists = self._relation_token_lists()
-        self._index = InvertedIndex(self._token_lists)
-
     def weight_phase(self) -> None:
-        stats = self._collection_statistics(self._token_lists)
+        stats = self._core.stats
         collection_size = stats.collection_size or 1
         general_english = {
             token: stats.collection_frequency(token) / collection_size

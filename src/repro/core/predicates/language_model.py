@@ -18,7 +18,7 @@ import math
 from typing import Dict, List, Optional
 
 from repro.core import kernels
-from repro.core.index import InvertedIndex, WeightedPostingIndex
+from repro.core.index import WeightedPostingIndex
 from repro.core.predicates.base import Predicate
 from repro.text.tokenize import QgramTokenizer, Tokenizer
 from repro.text.weights import CollectionStatistics
@@ -44,8 +44,6 @@ class LanguageModeling(Predicate):
     def __init__(self, tokenizer: Tokenizer | None = None):
         super().__init__()
         self.tokenizer = tokenizer or QgramTokenizer(q=2)
-        self._token_lists: List[List[str]] = []
-        self._index: InvertedIndex | None = None
         self._stats: CollectionStatistics | None = None
         #: per-tuple token -> p̂(t | M_D) (only for tokens present in the tuple)
         self._pm: List[Dict[str, float]] = []
@@ -62,18 +60,14 @@ class LanguageModeling(Predicate):
 
     # -- preprocessing --------------------------------------------------------
 
-    def tokenize_phase(self) -> None:
-        self._token_lists = self._relation_token_lists()
-        self._index = InvertedIndex(self._token_lists)
-
     def weight_phase(self) -> None:
-        stats = self._collection_statistics(self._token_lists)
+        stats = self._core.stats
         self._stats = stats
         collection_size = stats.collection_size or 1
 
         # p̂_avg(t): mean maximum-likelihood probability over tuples containing
         # t -- a collection-level statistic, so it comes from the statistics
-        # object (globally computed under sharded execution).
+        # object (the whole relation's, also over a shard-local core).
         pavg = stats.pavg_table()
         self._cfcs = {
             token: stats.collection_frequency(token) / collection_size

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.core import kernels
-from repro.core.index import InvertedIndex, WeightedPostingIndex
+from repro.core.index import WeightedPostingIndex
 from repro.core.predicates.base import Predicate
 from repro.core.topk import Term
 from repro.text.tokenize import QgramTokenizer, Tokenizer
@@ -44,14 +44,11 @@ class _OverlapBase(Predicate):
     def __init__(self, tokenizer: Tokenizer | None = None):
         super().__init__()
         self.tokenizer = tokenizer or QgramTokenizer(q=2)
-        self._token_lists: list[list[str]] = []
         self._token_sets: list[set[str]] = []
-        self._index: InvertedIndex | None = None
 
     def tokenize_phase(self) -> None:
-        self._token_lists = self._relation_token_lists()
-        self._token_sets = [set(tokens) for tokens in self._token_lists]
-        self._index = InvertedIndex(self._token_lists)
+        super().tokenize_phase()
+        self._token_sets = self._core.token_sets
 
     def weight_phase(self) -> None:
         """Unweighted predicates need no second phase."""
@@ -173,7 +170,7 @@ class _WeightedOverlapBase(_OverlapBase):
         self._weighted_index: WeightedPostingIndex | None = None
 
     def weight_phase(self) -> None:
-        self._stats = self._collection_statistics(self._token_lists)
+        self._stats = self._core.stats
         if self.weighting == "rs":
             self._weights = self._stats.rs_table()
         else:

@@ -129,6 +129,10 @@ class ExplainReport:
     #: SQL-side work counters when the declarative realization ran (rows the
     #: statement returned vs. base size, and which fast paths it used).
     sql_stats: Optional[SQLFastPathStats] = None
+    #: The shared corpus core the predicate is fitted over (direct
+    #: realization): tokenizer, rows / vocabulary / postings, build cost and
+    #: how many of the engine's fitted predicates share it.
+    core: Optional[str] = None
     #: Shard-level counters when the query ran over a sharded predicate
     #: (shards executed vs. skipped by their max-score upper bound).
     shards: Optional[ShardStats] = None
@@ -166,6 +170,8 @@ class ExplainReport:
             lines.append(f"candidates:  {self.num_candidates} scored")
         if self.pruning is not None:
             lines.append(f"pruning:     {self.pruning.describe()}")
+        if self.core is not None:
+            lines.append(f"core:        {self.core}")
         if self.shards is not None:
             lines.append(f"shards:      {self.shards.describe()}")
         if self.resilience is not None and self.resilience.events:

@@ -22,7 +22,10 @@ SQLite) and the blocking subsystem::
 returns a new query, and nothing is fitted until a terminal operation runs.
 Fitted predicate state (token tables, weights, blocker indexes) is cached on
 the engine keyed by the full plan, so repeated queries -- and
-:meth:`Query.run_many` batches -- pay preprocessing once.
+:meth:`Query.run_many` batches -- pay preprocessing once; the
+predicate-independent half of it (the tokenized, counted, indexed relation:
+a :class:`~repro.core.corpus.CorpusCore`) is cached per (corpus, tokenizer)
+and shared by every direct predicate fitted on that relation.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 from repro.blocking.base import Blocker, BlockingStats
 from repro.blocking.factory import THRESHOLD_STAGE_NAMES, make_blocker
 from repro.core import kernels
+from repro.core.corpus import CorpusCore
 from repro.core.dedup import Deduplicator, DuplicateCluster
 from repro.core.join import ApproximateJoiner, JoinMatch, SelfJoinStats
 from repro.core.predicates.base import Match, Predicate
@@ -157,6 +161,13 @@ class SimilarityEngine:
         self._backend_instances: Dict[str, object] = {}  # guarded-by: _lock
         self._corpora: Dict[tuple, _Corpus] = {}  # guarded-by: _lock
         self._corpus_counter = 0
+        #: One :class:`~repro.core.corpus.CorpusCore` per ``(corpus key,
+        #: tokenizer)``: the relation tokenized, counted and indexed once,
+        #: shared by reference by every direct predicate (sharded or not)
+        #: the engine fits on it -- the in-memory mirror of the declarative
+        #: shared cores above.  Keyed by the tokenizer *value*; built inside
+        #: the fit that first needs it (:meth:`_fit`), read-only afterwards.
+        self._cores: Dict[tuple, CorpusCore] = {}  # guarded-by: _lock
         #: Reentrant lock guarding the fitted-state/instance/backend caches
         #: and declarative SQL execution.  Concurrent callers (the serving
         #: layer runs engine calls on worker threads) must neither double-fit
@@ -223,6 +234,10 @@ class SimilarityEngine:
         detached first -- once their ids are forgotten they would otherwise
         pass for caller-attached and keep pruning blocker-less queries.
 
+        The shared corpus cores go with the states fitted over them, so an
+        evicted corpus (the serving layer's LRU calls this) frees its token
+        lists, index and statistics too.
+
         Resources the engine itself created are *closed*, not just dropped:
         SQL backends instantiated for named backend specs have their
         connections closed (a long-lived engine must not accumulate open
@@ -245,6 +260,9 @@ class SimilarityEngine:
                 clear_shared_state(backend)
                 backend.close()
             self._backend_instances.clear()
+            for core in self._cores.values():
+                self._publish_core_size(core.summary(), -1)
+            self._cores.clear()
             self._corpora.clear()
 
     @property
@@ -263,6 +281,70 @@ class SimilarityEngine:
                 state = build()
                 self._states[key] = state
             return state
+
+    def _fit(self, predicate, corpus: _Corpus) -> None:  # requires-lock: _lock
+        """Fit ``predicate`` on ``corpus`` -- the one place the engine fits.
+
+        Direct predicates (sharded or not, engine-built or caller-passed,
+        first fit or refit) are fitted over the engine's shared core for
+        ``(corpus, predicate.tokenizer)``, which is built here -- inside the
+        fit that first needs it -- when no earlier fit did.  A tokenizer
+        that cannot be a dict key gets a private core.  Anything else
+        (declarative predicates preprocess in SQL; a caller's own
+        protocol-only object knows no ``core=``; a ``Predicate`` subclass
+        with its own phases may name no tokenizer) is fitted on the strings.
+        """
+        tokenizer = getattr(predicate, "tokenizer", None)
+        if tokenizer is None or not isinstance(
+            predicate, (Predicate, ShardedPredicate)
+        ):
+            predicate.fit(corpus.strings)
+            return
+        key = (corpus.key, tokenizer)
+        try:
+            core = self._cores.get(key)
+        except TypeError:  # unhashable tokenizer: nothing to share it under
+            predicate.fit(corpus.strings)
+            return
+        if core is not None:
+            predicate.fit(corpus.strings, core=core)
+            self.obs.metrics.inc("core_reuses_total")
+            return
+        with self.obs.tracer.span("core.build") as span:
+            core = CorpusCore(corpus.strings, tokenizer)
+        predicate.fit(corpus.strings, core=core)
+        # Registered, sized and costed after the fit: it built the parts of
+        # the core it needed (the span itself covers the tokenization pass),
+        # and a fit that raised leaves nothing behind.
+        self._cores[key] = core
+        self.obs.metrics.inc("core_builds_total")
+        size = core.summary()
+        self._publish_core_size(size, +1)
+        span.set(**size)
+
+    def _publish_core_size(self, size: Dict[str, object], sign: int) -> None:
+        """Move the ``engine.core.*`` gauges by one core's size (``sign`` is
+        +1 when it is built, -1 when it is dropped).  Deltas, not levels:
+        engines sharing a registry -- one per served corpus -- add up."""
+        for part in ("rows", "vocabulary", "postings"):
+            self.obs.metrics.gauge("engine.core." + part).inc(sign * size[part])
+
+    def _core_line(self, predicate) -> Optional[str]:
+        """``explain()``'s description of the core ``predicate`` is fitted
+        over: its size, what building it cost, and how many of this engine's
+        fitted predicates share it."""
+        core = getattr(predicate, "_core", None)
+        if not isinstance(core, CorpusCore):  # declarative cores live in SQL
+            return None
+        with self._lock:
+            sharing = sum(
+                getattr(state.predicate, "_core", None) is core
+                for state in self._states.values()
+            )
+        return (
+            f"{core.describe()}, shared by {sharing} fitted "
+            f"predicate{'' if sharing == 1 else 's'}"
+        )
 
     def _backend_instance(self, spec: Union[str, object]) -> object:
         """Resolve a backend spec to the engine's shared instance.
@@ -403,8 +485,9 @@ class Query:
         """Partition the base relation into ``num_shards`` for this query.
 
         Applies to the direct realization of *named* predicates: the relation
-        is split into contiguous shards, the collection statistics are
-        computed once globally and injected into every shard-local fit, and
+        is split into contiguous shards, each shard is fitted on its slice
+        of the relation's shared corpus core (tokenized and counted once,
+        collection statistics answered from the whole relation), and
         results merge exactly (see :mod:`repro.shard`).  ``executor`` picks
         the execution strategy (``"serial"`` / ``"thread"`` / ``"process"``
         or a :class:`~repro.shard.executors.ShardExecutor` instance);
@@ -638,7 +721,7 @@ class Query:
                 num_tuples=len(self._corpus),
                 refit=True,
             ):
-                predicate.fit(self._corpus.strings)
+                engine._fit(predicate, self._corpus)
             obs.metrics.inc("fits_total")
             obs.metrics.observe("latency.fit", perf_clock() - fit_started)
         if not isinstance(self._predicate, str):
@@ -657,7 +740,7 @@ class Query:
             predicate=predicate, blocker=blocker, recorder=state.recorder
         )
 
-    def _build_state(self) -> _FittedState:
+    def _build_state(self) -> _FittedState:  # requires-lock: _lock
         realization = self._resolved_realization()
         recorder: Optional[RecordingBackend] = None
         if isinstance(self._predicate, str):
@@ -715,7 +798,7 @@ class Query:
         # reusing their state here would silently answer over the wrong corpus.
         base = getattr(predicate, "base_strings", None)
         if not fitted or (base is not None and base != self._corpus.strings):
-            predicate.fit(self._corpus.strings)
+            self._engine._fit(predicate, self._corpus)
         return _FittedState(predicate=predicate, recorder=recorder)
 
     def fitted_predicate(
@@ -1424,6 +1507,7 @@ class Query:
                         report.fallback_reason = (
                             "the predicate built no max-score plan for this query"
                         )
+        report.core = self._engine._core_line(state.predicate)
         report.shards = getattr(state.predicate, "shard_stats", None)
         report.resilience = getattr(state.predicate, "resilience_stats", None)
         if isinstance(state.predicate, DeclarativePredicate):

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.core.predicates.base import Predicate
 from repro.core.predicates.registry import make_predicate
@@ -37,17 +38,24 @@ def prune_rate_threshold(idf_values: Iterable[float], rate: float) -> float:
     return lowest + rate * (highest - lowest)
 
 
+@dataclass(frozen=True)
 class PrunedTokenizer(Tokenizer):
     """A tokenizer wrapper that removes a fixed set of pruned tokens.
 
-    Unknown attribute access is forwarded to the wrapped tokenizer so that
-    predicates depending on tokenizer parameters (e.g. the q-gram length)
-    keep working.
+    A frozen value object like every tokenizer: two wrappers are equal (and
+    hash, and ``repr``, alike) exactly when they wrap equal tokenizers and
+    drop the same tokens -- the engine keys fitted state by the tokenizer,
+    so a wrapper that compared equal to every other one would answer one
+    pruning's queries from another's state.  Unknown attribute access is
+    forwarded to the wrapped tokenizer so that predicates depending on
+    tokenizer parameters (e.g. the q-gram length) keep working.
     """
 
-    def __init__(self, inner: Tokenizer, pruned_tokens: Set[str]):
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "pruned_tokens", frozenset(pruned_tokens))
+    inner: Tokenizer
+    pruned_tokens: FrozenSet[str]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pruned_tokens", frozenset(self.pruned_tokens))
 
     def tokenize(self, text: str) -> List[str]:
         return [

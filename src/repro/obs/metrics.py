@@ -11,13 +11,14 @@ front (or the planned cost model) can read at any time.
 Conventions:
 
 * counters are monotone totals (``queries_total``, ``cache_hits``,
-  ``sql_statements_total``, ``postings_opened``, ``postings_skipped``,
-  ``shard_tasks``, ...);
+  ``core_builds_total``, ``core_reuses_total``, ``sql_statements_total``,
+  ``postings_opened``, ``postings_skipped``, ``shard_tasks``, ...);
 * histograms observe seconds into fixed buckets
   (``latency.fit``, ``latency.execute.direct|declarative|sharded``);
 * gauges are point-in-time levels that go up *and* down
-  (``serve.queue_depth``, ``serve.active_requests``) -- the serving layer's
-  admission controller is the main writer.
+  (``serve.queue_depth``, ``serve.active_requests``, written by the serving
+  layer's admission controller; ``engine.core.rows`` / ``.vocabulary`` /
+  ``.postings``, the size of the corpus cores the engines hold).
 
 :data:`GLOBAL_METRICS` is the default registry every engine publishes into;
 pass ``SimilarityEngine(metrics=MetricsRegistry())`` for an isolated one.

@@ -5,6 +5,7 @@ mirroring the execution layers of the engine::
 
     engine.query
     ├─ fit | cache_hit
+    │  └─ core.build                     (only the fit that built the corpus core)
     └─ execute.direct | execute.declarative | execute.sharded
        ├─ postings.scan                  (direct: max-score counters)
        ├─ shard[i].task / shard[i].skipped   (sharded: per-shard workers)

@@ -7,13 +7,16 @@ frequencies weighs tokens differently from the whole relation.  This package
 implements the standard IR/DBMS answer -- document partitioning with
 *broadcast global statistics*:
 
-1. one global pass computes the predicate-independent collection statistics
-   (``N``, ``df``, ``cf``, ``avgdl``, ``p̂_avg`` -- everything
-   :class:`repro.text.weights.CollectionStatistics` derives);
-2. each shard fits a shard-local predicate with those statistics *injected*
-   (:class:`~repro.shard.stats.ShardStatisticsView`), so every tuple receives
-   bit-identical weights -- and therefore bit-identical scores -- to an
-   unsharded fit;
+1. the global pass is the relation's :class:`~repro.core.corpus.CorpusCore`:
+   the token lists, term counts and predicate-independent collection
+   statistics (``N``, ``df``, ``cf``, ``avgdl``, ``p̂_avg`` -- everything
+   :class:`repro.text.weights.CollectionStatistics` derives), computed once
+   -- by the engine for every predicate on that relation, sharded or not;
+2. each shard fits a shard-local predicate on ``core.slice(a, b)``, whose
+   statistics (:class:`~repro.shard.stats.ShardStatisticsView`) keep
+   answering collection-level questions from the whole relation, so every
+   tuple receives bit-identical weights -- and therefore bit-identical
+   scores -- to an unsharded fit;
 3. queries execute per shard through a pluggable executor
    (:mod:`~repro.shard.executors`: serial / thread pool / process pool) and
    merge exactly in the canonical ``(score desc, tid)`` order, with per-shard

@@ -1,9 +1,10 @@
 """Sharded execution of a direct predicate with an exact global merge.
 
 :class:`ShardedPredicate` partitions the base relation into ``S`` contiguous
-shards, computes the predicate-independent collection statistics in one
-global pass, and fits one shard-local predicate per shard with those
-statistics injected (:mod:`repro.shard.stats`).  Every shard then scores its
+shards and fits one shard-local predicate per shard on a slice of the whole
+relation's :class:`~repro.core.corpus.CorpusCore` -- the global pass -- whose
+statistics keep answering collection-level questions from the whole relation
+(:mod:`repro.shard.stats`).  Every shard then scores its
 tuples *bit-identically* to an unsharded fit, so merging per-shard results in
 the canonical ``(score desc, tid)`` order reproduces the unsharded answer
 exactly -- selections, rankings, top-k and batched workloads alike.
@@ -47,6 +48,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.corpus import CorpusCore
 from repro.core.predicates.base import Match, Predicate
 from repro.core.topk import PruningStats
 from repro.obs.clock import perf_clock
@@ -58,8 +60,6 @@ from repro.resilience import (
     check_deadline,
 )
 from repro.shard.executors import ShardExecutor, make_executor
-from repro.shard.stats import InjectedStatsFactory
-from repro.text.weights import CollectionStatistics
 
 __all__ = ["ShardStats", "ShardedPredicate", "shard_offsets", "execute_shard_op"]
 
@@ -115,15 +115,10 @@ class ShardStats:
 
 
 def _fit_shard_task(
-    shard: Predicate,
-    strings: List[str],
-    token_lists: List[List[str]],
-    stats_factory: "InjectedStatsFactory",
+    shard: Predicate, strings: List[str], core: CorpusCore
 ) -> Predicate:
     """Worker entry for parallel shard fitting: fit and ship the shard back."""
-    shard._stats_factory = stats_factory
-    shard.fit(strings, token_lists=token_lists)
-    return shard
+    return shard.fit(strings, core=core)
 
 
 def execute_shard_op(shard: Predicate, op: str, payload: dict) -> dict:
@@ -308,8 +303,9 @@ class ShardedPredicate:
         #: engine resets it per query and surfaces it in ``explain()``.
         self.resilience_stats: Optional[ResilienceStats] = None
         self._strings: List[str] = []
-        self._token_lists: List[List[str]] = []
-        self._global_stats: Optional[CollectionStatistics] = None
+        #: The whole relation's corpus core (the engine's shared one when it
+        #: drove the fit); shards are fitted over slices of it.
+        self._core: Optional[CorpusCore] = None
         self._offsets: List[int] = [0]
         self._shards: List[Predicate] = []
         self._fitted = False
@@ -383,44 +379,48 @@ class ShardedPredicate:
 
     # -- preprocessing ----------------------------------------------------------
 
-    def fit(self, strings: Sequence[str]) -> "ShardedPredicate":
-        """Global statistics pass, then one injected shard-local fit per shard.
+    def fit(
+        self, strings: Sequence[str], core: Optional[CorpusCore] = None
+    ) -> "ShardedPredicate":
+        """Fit one shard-local predicate per shard on a slice of the core.
 
-        The relation is tokenized exactly once (with the prototype's
-        tokenizer): the global statistics pass consumes the token lists and
-        per-shard slices of the same lists are handed into each shard-local
-        fit through the :meth:`Predicate.fit` ``token_lists`` seam, so shard
-        fits pay no second tokenization.  With ``parallel_fit`` (or the
-        ``"process"`` executor on a multi-core machine) the shard-local fits
-        themselves run inside a transient process pool -- the fitted shards
-        travel back pickled, which preserves dict iteration order and
-        therefore bit-identical scores.
+        ``core`` is the whole relation's
+        :class:`~repro.core.corpus.CorpusCore` under the prototype's
+        tokenizer (the engine passes its shared one; a private one is built
+        otherwise): the global tokenization and the global statistics pass.
+        Each shard is fitted on ``core.slice(a, b)`` -- the same token lists
+        and counters, collection-level statistics answered from the whole
+        relation -- so shard fits pay no second tokenization and no second
+        count.  A core of another length or tokenizer raises
+        :class:`ValueError`, as in :meth:`Predicate.fit`.  With
+        ``parallel_fit`` (or the ``"process"`` executor on a multi-core
+        machine) the shard-local fits themselves run inside a transient
+        process pool -- the fitted shards travel back pickled, which
+        preserves dict iteration order and therefore bit-identical scores.
         """
-        self._strings = list(strings)
-        count = len(self._strings)
+        strings = list(strings)
+        tokenizer = self._prototype.tokenizer
+        if core is None:
+            core = CorpusCore(strings, tokenizer)
+        else:
+            core.check_covers(strings, tokenizer)
+        self._strings = strings
+        self._core = core
+        count = len(strings)
         num_shards = max(1, min(self.requested_shards, count or 1))
         self._offsets = shard_offsets(count, num_shards)
-        tokenizer = self._prototype.tokenizer
-        self._token_lists = [tokenizer.tokenize(text) for text in self._strings]
-        self._global_stats = CollectionStatistics(self._token_lists)
-        stats_factory = InjectedStatsFactory(self._global_stats)
         slices = [
-            (
-                self._strings[self._offsets[i]:self._offsets[i + 1]],
-                self._token_lists[self._offsets[i]:self._offsets[i + 1]],
-            )
-            for i in range(num_shards)
+            (strings[start:stop], core.slice(start, stop))
+            for start, stop in zip(self._offsets, self._offsets[1:])
         ]
         self._shards = None
         if num_shards > 1 and self._parallel_fit_active():
-            self._shards = self._fit_shards_parallel(slices, stats_factory)
+            self._shards = self._fit_shards_parallel(slices)
         if self._shards is None:
-            self._shards = []
-            for shard_strings, shard_tokens in slices:
-                shard = self._factory()
-                shard._stats_factory = stats_factory
-                shard.fit(shard_strings, token_lists=shard_tokens)
-                self._shards.append(shard)
+            self._shards = [
+                self._factory().fit(shard_strings, core=shard_core)
+                for shard_strings, shard_core in slices
+            ]
         self._fitted = True
         self._executor.bind(self._shards, owner=self)
         if self._blocker is not None:
@@ -439,9 +439,7 @@ class ShardedPredicate:
         return self._executor.name == "process" and (os.cpu_count() or 1) > 1
 
     def _fit_shards_parallel(
-        self,
-        slices: Sequence[Tuple[List[str], List[List[str]]]],
-        stats_factory: InjectedStatsFactory,
+        self, slices: Sequence[Tuple[List[str], CorpusCore]]
     ) -> Optional[List[Predicate]]:
         """Fit every shard in a transient process pool; ``None`` on fallback.
 
@@ -454,10 +452,8 @@ class ShardedPredicate:
             unfitted = [self._factory() for _ in slices]
             with ProcessPoolExecutor(max_workers=min(len(slices), os.cpu_count() or 1)) as pool:
                 futures = [
-                    pool.submit(
-                        _fit_shard_task, shard, strings, tokens, stats_factory
-                    )
-                    for shard, (strings, tokens) in zip(unfitted, slices)
+                    pool.submit(_fit_shard_task, shard, strings, core)
+                    for shard, (strings, core) in zip(unfitted, slices)
                 ]
                 return [future.result() for future in futures]
         except (pickle.PicklingError, TypeError, AttributeError):
@@ -511,7 +507,7 @@ class ShardedPredicate:
         pass; the rest tokenize with the blocker's tokenizer."""
         if type(self._prototype)._blocker_corpus is Predicate._blocker_corpus:
             return blocker.tokenizer.tokenize_many(self._strings)
-        return self._token_lists
+        return self._core.token_lists
 
     def _blocker_query_tokens(self, query: str, blocker) -> Set[str]:
         if (

@@ -1,14 +1,15 @@
-"""Global collection statistics injected into shard-local fits.
+"""Shard-local statistics over the whole relation's collection-level numbers.
 
 Exactness of sharded execution rests on one observation: every weighting
 scheme in the paper factors into a *per-tuple* part (term frequencies, tuple
 length) and a *collection-level* part (``N``, ``df``, ``cf``, ``avgdl``,
-``p̂_avg``).  :class:`ShardStatisticsView` computes the per-tuple part from
-the shard's own token lists -- so tuple ids stay shard-local -- while
-answering every collection-level question from a
-:class:`~repro.text.weights.CollectionStatistics` computed once over the
-*whole* relation.  A predicate fitted on a shard through this view therefore
-assigns each tuple exactly the weights an unsharded fit would, bit for bit.
+idf / RS weights, ``p̂_avg``).  :class:`ShardStatisticsView` keeps the
+per-tuple part over the shard's own token lists -- so tuple ids stay
+shard-local -- while answering every collection-level question from the
+:class:`~repro.text.weights.CollectionStatistics` of the *whole* relation.
+It is what :meth:`repro.core.corpus.CorpusCore.slice` hands out as the
+``stats`` of a shard-local core: a predicate fitted over that slice assigns
+each tuple exactly the weights an unsharded fit would, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Dict, List, Sequence
 
 from repro.text.weights import CollectionStatistics
 
-__all__ = ["ShardStatisticsView", "InjectedStatsFactory"]
+__all__ = ["ShardStatisticsView"]
 
 
 class ShardStatisticsView(CollectionStatistics):
@@ -28,24 +29,23 @@ class ShardStatisticsView(CollectionStatistics):
     object (same dict instances), so derived tables (idf, RS weights,
     ``p̂_avg``) iterate the same vocabulary in the same order as the
     unsharded computation -- summations stay float-identical, not just
-    mathematically equal.
+    mathematically equal.  ``token_lists`` and ``term_frequencies`` are the
+    shard's slices of the whole relation's lists and ``Counter`` objects,
+    shared by reference (a core counts a relation once).
     """
 
     def __init__(
         self,
         token_lists: Sequence[Sequence[str]],
         global_stats: CollectionStatistics,
+        term_frequencies: List[Counter],
     ):
         # Deliberately no ``super().__init__()``: the base constructor would
         # aggregate shard-local df/cf/averages only for them to be replaced
-        # by the global answers below.  Only the per-tuple fields are built
-        # here (_token_lists, _term_frequencies, _lengths stay local).
-        self._token_lists: List[List[str]] = [list(tokens) for tokens in token_lists]
-        self._term_frequencies: List[Counter] = [
-            Counter(tokens) for tokens in self._token_lists
-        ]
-        self._lengths: List[int] = [len(tokens) for tokens in self._token_lists]
-        self._pavg_table = None
+        # by the global answers below.  Only the per-tuple fields are local.
+        self._token_lists = token_lists
+        self._term_frequencies = term_frequencies
+        self._lengths: List[int] = [len(tokens) for tokens in token_lists]
         self._global = global_stats
         # Collection-level answers come from the global pass (shared dict
         # instances, so derived tables iterate in the global order).
@@ -60,24 +60,14 @@ class ShardStatisticsView(CollectionStatistics):
         """Number of tuples in this shard (``num_tuples`` is the global N)."""
         return len(self._token_lists)
 
+    # The derived per-token tables are collection-level: computed by -- and
+    # cached on -- the global statistics object, once for all shards.
+
+    def idf_table(self) -> Dict[str, float]:
+        return self._global.idf_table()
+
+    def rs_table(self) -> Dict[str, float]:
+        return self._global.rs_table()
+
     def pavg_table(self) -> Dict[str, float]:
-        """Global ``p̂_avg`` table (shared with -- and cached on -- the
-        global statistics object)."""
         return self._global.pavg_table()
-
-
-class InjectedStatsFactory:
-    """Picklable ``token_lists -> ShardStatisticsView`` factory.
-
-    Assigned to a shard predicate's ``_stats_factory`` before fitting; kept a
-    class (rather than a closure) so shard predicates survive pickling when a
-    process-pool executor has to ship them to spawned workers.
-    """
-
-    def __init__(self, global_stats: CollectionStatistics):
-        self.global_stats = global_stats
-
-    def __call__(
-        self, token_lists: Sequence[Sequence[str]]
-    ) -> ShardStatisticsView:
-        return ShardStatisticsView(token_lists, self.global_stats)

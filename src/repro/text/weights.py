@@ -63,15 +63,29 @@ class CollectionStatistics:
     ----------
     token_lists:
         One token list per tuple of the base relation, in tuple-id order.
+    term_frequencies:
+        The per-tuple ``Counter`` list of ``token_lists`` when the caller
+        already holds it -- a :class:`~repro.core.corpus.CorpusCore` counts
+        a relation once.  Both lists are then shared by reference (the
+        caller guarantees they are never mutated); without it the token
+        lists are copied and counted here.
 
-    The object is immutable after construction; all derived statistics are
-    computed eagerly because every weighting scheme needs most of them.
+    The object is immutable after construction; the raw statistics are
+    computed eagerly because every weighting scheme needs most of them, and
+    the derived per-token tables (idf, RS, ``p̂_avg``) on first use.
     """
 
-    def __init__(self, token_lists: Sequence[Sequence[str]]):
-        self._token_lists: List[List[str]] = [list(tokens) for tokens in token_lists]
+    def __init__(
+        self,
+        token_lists: Sequence[Sequence[str]],
+        term_frequencies: Optional[List[Counter]] = None,
+    ):
+        if term_frequencies is None:
+            token_lists = [list(tokens) for tokens in token_lists]
+            term_frequencies = [Counter(tokens) for tokens in token_lists]
+        self._token_lists: Sequence[Sequence[str]] = token_lists
         self._num_tuples = len(self._token_lists)
-        self._term_frequencies: List[Counter] = [Counter(tokens) for tokens in self._token_lists]
+        self._term_frequencies: List[Counter] = term_frequencies
         self._lengths: List[int] = [len(tokens) for tokens in self._token_lists]
 
         document_frequency: Counter = Counter()
@@ -85,6 +99,8 @@ class CollectionStatistics:
         self._average_length = (
             self._collection_size / self._num_tuples if self._num_tuples else 0.0
         )
+        self._idf_table: Optional[Dict[str, float]] = None
+        self._rs_table: Optional[Dict[str, float]] = None
         self._pavg_table: Optional[Dict[str, float]] = None
 
     # -- raw statistics -----------------------------------------------------
@@ -164,12 +180,24 @@ class CollectionStatistics:
         return math.log(self._num_tuples - df + 0.5) - math.log(df + 0.5)
 
     def idf_table(self) -> Dict[str, float]:
-        """idf weight for every token in the vocabulary."""
-        return {token: self.idf(token) for token in self._document_frequency}
+        """idf weight for every token in the vocabulary.
+
+        Computed on first use and cached, like :meth:`pavg_table`; the dict
+        is shared by every caller, so treat it as read-only.
+        """
+        if self._idf_table is None:
+            self._idf_table = {
+                token: self.idf(token) for token in self._document_frequency
+            }
+        return self._idf_table
 
     def rs_table(self) -> Dict[str, float]:
-        """RS weight for every token in the vocabulary."""
-        return {token: self.rs_weight(token) for token in self._document_frequency}
+        """RS weight for every token in the vocabulary (cached, read-only)."""
+        if self._rs_table is None:
+            self._rs_table = {
+                token: self.rs_weight(token) for token in self._document_frequency
+            }
+        return self._rs_table
 
     def pavg_table(self) -> Dict[str, float]:
         """``p̂_avg(t)``: mean maximum-likelihood probability of ``t`` over the
@@ -177,8 +205,8 @@ class CollectionStatistics:
 
         Computed lazily (only the LM predicate needs it) and cached, so the
         common weighting schemes do not pay the extra pass.  Exposing it here
-        makes it part of the predicate-independent collection statistics that
-        sharded execution computes globally and injects per shard.
+        makes it part of the predicate-independent collection statistics a
+        shard-local view answers from the whole relation.
         """
         if self._pavg_table is None:
             pml_sums: Dict[str, float] = {}
@@ -237,10 +265,12 @@ def bm25_document_weights(
     length = stats.length(tid)
     avgdl = stats.average_length or 1.0
     k_d = params.k1 * ((1.0 - params.b) + params.b * length / avgdl)
+    # One table lookup per posting: the two logs behind an RS weight are
+    # paid once per vocabulary entry, not once per (tuple, token).
+    rs = stats.rs_table()
     weights: Dict[str, float] = {}
     for token, tf in stats.term_frequencies(tid).items():
-        w1 = stats.rs_weight(token)
-        weights[token] = w1 * (params.k1 + 1.0) * tf / (k_d + tf)
+        weights[token] = rs[token] * (params.k1 + 1.0) * tf / (k_d + tf)
     return weights
 
 

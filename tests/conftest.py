@@ -68,6 +68,34 @@ def sqlite_backend():
     backend.close()
 
 
+class CountingTokenizer:
+    """Wraps a tokenizer, counting ``tokenize()`` calls.
+
+    Equal only to itself and hashable by identity, so predicates meant to
+    share a corpus core -- everything one engine fits on a relation, or the
+    shards of one fit -- must be handed the same instance.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def tokenize(self, text):
+        self.calls += 1
+        return self.inner.tokenize(text)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@pytest.fixture()
+def counting_tokenizer() -> CountingTokenizer:
+    """A counting wrapper around the default q-gram tokenizer (``q=2``)."""
+    from repro.text.tokenize import QgramTokenizer
+
+    return CountingTokenizer(QgramTokenizer(q=2))
+
+
 @pytest.fixture()
 def scalar_kernel():
     """Force the scalar kernel backend, where ``top_k`` runs max-score pruning.

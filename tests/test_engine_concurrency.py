@@ -1,16 +1,18 @@
-"""Concurrency regressions for the engine, plus the fit token-list seam.
+"""Concurrency regressions for the engine, plus the fit seam under sharding.
 
 The serving layer runs engine calls on worker threads, so the engine's
-fitted-state / instance / backend caches must behave under concurrent
-access: one fit per plan no matter how many threads race it, and results
-identical to single-threaded execution.  The second half covers the
-``Predicate.fit(token_lists=...)`` seam: sharded fits tokenize the relation
-exactly once, and parallel (process-pool) shard fitting stays bit-identical
-to the serial fit.
+fitted-state / instance / backend / corpus-core caches must behave under
+concurrent access: one fit per plan and one core build per (corpus,
+tokenizer) no matter how many threads race them, and results identical to
+single-threaded execution.  The second half covers the ``Predicate.fit``
+seam (``core=`` / its ``token_lists=`` sugar): sharded fits tokenize the
+relation exactly once, and parallel (process-pool) shard fitting stays
+bit-identical to the serial fit.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -45,11 +47,57 @@ class TestEngineThreadSafety:
         for thread in threads:
             thread.join(timeout=60)
         assert errors == []
-        # The racing threads shared ONE fit (the cache did not double-build).
+        # The racing threads shared ONE fit (the cache did not double-build)
+        # over ONE corpus core.
         assert engine.metrics.value("fits_total") == 1
+        assert engine.metrics.value("core_builds_total") == 1
         assert engine.cache_size == 1
         for result in results[1:]:
             assert result == results[0]
+
+    def test_racing_plans_share_one_core_build(self, company_strings):
+        """More threads than cores, a shortened switch interval, and four
+        plans over one (corpus, tokenizer): a check-then-build race on the
+        core cache would show as a second build (or a second fit of a plan)."""
+        engine = SimilarityEngine(metrics=MetricsRegistry())
+        names = ["bm25", "cosine", "jaccard", "lm"]
+        num_threads = 8
+        barrier = threading.Barrier(num_threads)
+        results: list = [None] * num_threads
+        errors: list = []
+
+        def worker(index: int) -> None:
+            try:
+                barrier.wait(timeout=30)
+                query = engine.from_strings(company_strings).predicate(
+                    names[index % len(names)]
+                )
+                results[index] = query.top_k("Morgn Stanley", 5)
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(repr(exc))
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(num_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert engine.metrics.value("fits_total") == len(names)
+        assert engine.metrics.value("core_builds_total") == 1
+        assert engine.metrics.value("core_reuses_total") == len(names) - 1
+        for index, result in enumerate(results):
+            alone = registry.make(names[index % len(names)]).fit(company_strings)
+            assert [(m.tid, m.score) for m in result] == [
+                (m.tid, m.score) for m in alone.top_k("Morgn Stanley", 5)
+            ]
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_concurrent_declarative_queries_on_shared_backend(
@@ -121,21 +169,6 @@ class TestEngineThreadSafety:
         assert len(keys) == 1
 
 
-class _CountingTokenizer:
-    """Wraps a tokenizer, counting tokenize() calls (shared across shards)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-
-    def tokenize(self, text):
-        self.calls += 1
-        return self.inner.tokenize(text)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
 class TestFitTokenSeam:
     def test_fit_accepts_pretokenized_lists(self, company_strings):
         baseline = registry.make("bm25", realization="direct").fit(company_strings)
@@ -154,29 +187,31 @@ class TestFitTokenSeam:
             predicate.tokenizer.tokenize(text) for text in company_strings
         ]
         predicate.fit(company_strings, token_lists=token_lists)
-        assert predicate._fit_token_lists is None  # cleared after the fit
-        # A refit without the seam re-tokenizes the *new* strings.
+        seam_core = predicate._core
+        assert len(seam_core) == len(company_strings)
+        # A refit without the seam re-tokenizes the *new* strings: the core
+        # handed to one fit is not replayed by the next.
         predicate.fit(company_strings[:4])
+        assert predicate._core is not seam_core and len(predicate._core) == 4
         assert predicate.top_k("AT&T", 2) == registry.make(
             "bm25", realization="direct"
         ).fit(company_strings[:4]).top_k("AT&T", 2)
 
-    def test_sharded_fit_tokenizes_each_string_once(self, company_strings):
-        counter_holder: list = []
-
-        def factory():
-            predicate = registry.make("bm25", realization="direct")
-            counting = _CountingTokenizer(predicate.tokenizer)
-            predicate.tokenizer = counting
-            counter_holder.append(counting)
-            return predicate
-
-        sharded = ShardedPredicate(factory=factory, num_shards=3, parallel_fit=False)
+    def test_sharded_fit_tokenizes_each_string_once(
+        self, company_strings, counting_tokenizer
+    ):
+        counting = counting_tokenizer
+        sharded = ShardedPredicate(
+            factory=lambda: registry.make(
+                "bm25", realization="direct", tokenizer=counting
+            ),
+            num_shards=3,
+            parallel_fit=False,
+        )
         sharded.fit(company_strings)
-        # One global tokenization pass; the shard-local fits reuse its lists
-        # through the token_lists seam instead of re-tokenizing.
-        fit_calls = sum(counting.calls for counting in counter_holder)
-        assert fit_calls == len(company_strings)
+        # One global tokenization pass (the whole relation's core); the
+        # shard-local fits read slices of it instead of re-tokenizing.
+        assert counting.calls == len(company_strings)
         baseline = registry.make("bm25", realization="direct").fit(company_strings)
         assert sharded.top_k("Morgn Stanley", 5) == baseline.top_k("Morgn Stanley", 5)
         sharded.close()

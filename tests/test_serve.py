@@ -423,9 +423,15 @@ class TestService:
             )
         )
         assert first_engine.cache_size == 1
+        gauges = service.obs.metrics
+        assert gauges.gauge_value("engine.core.rows") == len(ROWS)
         second_id, _, _ = service.register_corpus(ROWS[:4])
         assert service.corpus_ids == [second_id]
         assert first_engine.cache_size == 0  # evicted corpus released its state
+        # ... its corpus core included: nothing is held for either corpus now.
+        assert first_engine._cores == {}
+        assert gauges.gauge_value("engine.core.rows") == 0
+        assert gauges.gauge_value("engine.core.postings") == 0
         envelope = asyncio.run(
             service.handle(
                 {"corpus_id": first_id, "text": "AT&T", "op": "top_k", "k": 1}
@@ -618,6 +624,13 @@ class TestHTTPServer:
                         .top_k("Morgn Stanley", 5)
                     )
                     assert served == direct, (predicate, realization)
+            # "How big and how warm is this corpus's state" from GET /metrics:
+            # three direct predicates, one tokenizer, one core.
+            snapshot = client.metrics()
+            assert snapshot["counters"]["core_builds_total"] == 1
+            assert snapshot["counters"]["core_reuses_total"] == 2
+            assert snapshot["gauges"]["engine.core.rows"]["value"] == len(ROWS)
+            assert snapshot["gauges"]["engine.core.postings"]["value"] > 0
             client.close()
 
     def test_eight_concurrent_clients(self):
