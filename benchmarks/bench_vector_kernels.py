@@ -50,9 +50,20 @@ from repro.engine import SimilarityEngine  # noqa: E402
 from repro.obs import bench_envelope, perf_clock  # noqa: E402
 
 #: Every kernelized predicate family: the monotone-sum predicates (first
-#: three; max-score top_k on the scalar backend) plus the language models
-#: (full accumulation per query on either backend).
-PREDICATES = ["bm25", "cosine", "weighted_match", "lm", "hmm"]
+#: three; max-score top_k on the scalar backend), the language models (full
+#: accumulation per query on either backend) and the rest of the overlap
+#: family (the integer count scan and the array finalizers; here for the
+#: bit-identity guard -- their recorded numbers are the perf ledger's).
+PREDICATES = [
+    "bm25",
+    "cosine",
+    "weighted_match",
+    "lm",
+    "hmm",
+    "jaccard",
+    "intersect",
+    "weighted_jaccard",
+]
 TOP_K = 10
 THREAD_SHARDS = 4
 

@@ -10,7 +10,8 @@ relation and the tokenizer, never on a predicate:
 
 * the token lists (built eagerly -- every predicate needs them),
 * the per-tuple term-frequency ``Counter`` objects,
-* the :class:`~repro.core.index.InvertedIndex`,
+* the :class:`~repro.core.index.InvertedIndex` (and, once a count-scan
+  predicate is fitted, its integer arrays),
 * the per-tuple token sets,
 * the :class:`~repro.text.weights.CollectionStatistics`.
 
@@ -137,6 +138,12 @@ class CorpusCore:
                 lambda: InvertedIndex(self.token_lists, term_frequencies=counts)
             )
         return self._index
+
+    def build_index_arrays(self) -> None:
+        """Have the index materialize the count scan's integer arrays
+        (:meth:`InvertedIndex.build_arrays`: once per index, then a no-op),
+        timed like every other part."""
+        self._timed(self.index.build_arrays)
 
     @property
     def token_sets(self) -> List[Set[str]]:

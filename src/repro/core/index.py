@@ -4,12 +4,25 @@ Every token-based predicate restricts score computation to tuples that share
 at least one token with the query (this is exactly what the SQL join between
 ``BASE_TOKENS`` and ``QUERY_TOKENS`` does in the declarative realization).
 The :class:`InvertedIndex` provides that candidate generation step and also
-doubles as the per-tuple term-frequency store.
+doubles as the per-tuple term-frequency store; the
+:class:`WeightedPostingIndex` is its per-predicate counterpart whose postings
+carry precomputed score contributions.
+
+Both keep, when numpy is importable, a contiguous array backing beside their
+posting lists for the scans of :mod:`repro.core.kernels`: the weighted index
+``(int64 tids, float64 contributions)`` per token (built by its constructor,
+one per predicate), the inverted index one ``int64`` tid array per token and
+one ``int64`` distinct-token count per tuple
+(:meth:`InvertedIndex.build_arrays`, built once per index by the first fit
+that asks and shared by every predicate fitted over the same
+:class:`~repro.core.corpus.CorpusCore`).  Like the posting lists they mirror,
+the arrays are read-only after they are built.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core import kernels
@@ -27,7 +40,17 @@ class InvertedIndex:
     when the caller already holds it (a
     :class:`~repro.core.corpus.CorpusCore` counts a relation once and shares
     the list by reference); it is counted here otherwise.
+
+    :meth:`build_arrays` adds the array backing of the count scan
+    (:func:`repro.core.kernels.count_overlap`): without it -- no numpy, or no
+    fit asked -- :meth:`tid_array` and :attr:`set_sizes` answer ``None``.
     """
+
+    #: token -> int64 tid array / int64 distinct-token count per tuple;
+    #: ``None`` until :meth:`build_arrays` ran (class-level, so :meth:`slice`,
+    #: which bypasses ``__init__``, starts without them too).
+    _tid_arrays = None
+    _set_sizes = None
 
     def __init__(
         self,
@@ -42,6 +65,43 @@ class InvertedIndex:
             for token, tf in counts.items():
                 postings[token].append((tid, tf))
         self._postings: Dict[str, List[Tuple[int, int]]] = dict(postings)
+
+    def build_arrays(self) -> None:
+        """Materialize the count scan's integer arrays (idempotent).
+
+        One contiguous ``int64`` tid array per token and the per-tuple number
+        of distinct tokens.  Called from inside a fit -- never lazily by a
+        query, so concurrent first queries find them built -- and a no-op
+        when they exist or numpy is unavailable.  Like
+        :func:`repro.core.kernels.build_arrays`, they are built even while
+        ``use_backend("python")`` is forced: forcing is dispatch-only.
+        """
+        np = kernels.np
+        if np is None or self._tid_arrays is not None:
+            return
+        self._set_sizes = np.fromiter(
+            map(len, self._term_frequencies),
+            dtype=np.int64,
+            count=len(self._term_frequencies),
+        )
+        tid_of = itemgetter(0)
+        self._tid_arrays = {
+            token: np.fromiter(map(tid_of, plist), dtype=np.int64, count=len(plist))
+            for token, plist in self._postings.items()
+        }
+
+    def tid_array(self, token: str):
+        """The tids of ``postings(token)`` as an ``int64`` array, or ``None``
+        (token without postings, or arrays not built)."""
+        if self._tid_arrays is None:
+            return None
+        return self._tid_arrays.get(token)
+
+    @property
+    def set_sizes(self):
+        """``int64`` array of distinct tokens per tuple (``len`` of the
+        tuple's token set), or ``None`` when the arrays are not built."""
+        return self._set_sizes
 
     @property
     def num_tuples(self) -> int:
@@ -98,7 +158,7 @@ class InvertedIndex:
         the contiguous range yields exactly the index that would have been
         built from ``token_lists[start:stop]`` -- the invariant sharded
         execution relies on (a shard-local fit equals a slice of the global
-        fit).
+        fit).  A slice of an index with arrays has arrays.
         """
         sliced = InvertedIndex.__new__(InvertedIndex)
         sliced._term_frequencies = self._term_frequencies[start:stop]
@@ -109,6 +169,8 @@ class InvertedIndex:
             ]
             if local:
                 sliced._postings[token] = local
+        if self._tid_arrays is not None:
+            sliced.build_arrays()
         return sliced
 
 

@@ -1,35 +1,51 @@
 """Vectorized scoring kernels with a pure-Python fallback.
 
-Every monotone-sum predicate (WeightedMatch, WeightedJaccard, Cosine, BM25,
-LM, HMM) spends its query time in the same inner loop: accumulate
-``score[tid] += query_weight * contribution`` over precomputed weighted
-posting lists.  In pure Python that loop is interpreter-bound and holds the
-GIL, so ``executor="thread"`` buys nothing.  This module provides the
-C-speed replacement: per-token postings are materialized once at fit time as
-contiguous ``int64`` tid / ``float64`` contribution arrays
-(:func:`build_arrays`, stored by
-:class:`~repro.core.index.WeightedPostingIndex`), the full scan
-(:func:`accumulate`) runs on them, and the selection kernels
-(:func:`top_items` / :func:`sorted_items` / :func:`select_items`) order its
-result.  That is the whole module -- scan and selection.  ``rank``,
-``select``, ``score`` *and* ``top_k`` are answered by the two together on
-the numpy backend; max-score pruning (:mod:`repro.core.topk`) is a scalar
-algorithm and runs only where this module dispatches to the scalar loops.
+Eight of the 13 predicates spend their query time in one of two inner loops
+over precomputed posting lists, and this module is the C-speed replacement
+for both:
+
+* the **weighted scan** (:func:`accumulate`) of the monotone-sum predicates
+  (WeightedMatch, WeightedJaccard, Cosine, BM25, LM, HMM):
+  ``score[tid] += query_weight * contribution`` over per-token
+  ``int64`` tid / ``float64`` contribution arrays (:func:`build_arrays`,
+  stored by :class:`~repro.core.index.WeightedPostingIndex`);
+* the **count scan** (:func:`count_overlap`) of the unweighted overlap
+  predicates (IntersectSize, Jaccard): ``overlap[tid] += 1`` over the
+  per-token ``int64`` tid arrays of the
+  :class:`~repro.core.index.InvertedIndex` -- one ``np.bincount``.
+
+In pure Python both loops are interpreter-bound and hold the GIL, so
+``executor="thread"`` buys nothing.  The selection kernels
+(:func:`top_items` / :func:`sorted_items` / :func:`select_items`) order a
+scan's result, and :func:`allowed_mask` narrows it to a blocker's or a
+restriction's allowed set.  That is the whole module -- two scans, one
+mask, selection.  ``rank``, ``select``, ``score`` *and* ``top_k`` are
+answered by them on the numpy backend; max-score pruning
+(:mod:`repro.core.topk`) is a scalar algorithm and runs only where this
+module dispatches to the scalar loops.
 
 Bit-identity guarantee
 ----------------------
 
-The scalar path accumulates ``scores.get(tid, 0.0) + qw * contribution``
-visiting tokens in a canonical order (sorted query tokens, or query
-first-occurrence order for HMM) and each posting list in increasing tid
-order.  The vectorized scan applies, per tuple, the same float64 additions
-in the same order, so results are **bit-identical** -- the exactness
-guarantee the whole test suite pins.  (``qw * c`` is skipped when
+The scalar weighted path accumulates ``scores.get(tid, 0.0) + qw *
+contribution`` visiting tokens in a canonical order (sorted query tokens, or
+query first-occurrence order for HMM) and each posting list in increasing
+tid order.  The vectorized scan applies, per tuple, the same float64
+additions in the same order, so results are **bit-identical** -- the
+exactness guarantee the whole test suite pins.  (``qw * c`` is skipped when
 ``qw == 1.0``; IEEE-754 guarantees ``1.0 * c == c`` bitwise.)  It
 concatenates the per-token ``qw * contribution`` arrays in the canonical
 order and applies them with one ``np.add.at``, numpy's *unbuffered*
 scatter-add, documented to perform the additions element by element: a
 tuple hit by several tokens gets its chain in token order.
+
+The count scan is exact by construction rather than by ordering: the
+overlap predicates count *distinct* shared tokens, a tid occurs at most once
+per posting list, so the overlap is an integer count and integer addition is
+order-free.  Every operand a finalizer then divides is an integer far below
+2**53, exactly representable in float64, and CPython's ``int / int`` and
+numpy's ``int64 / int64`` are both the correctly rounded IEEE-754 quotient
+of the same two exact values.
 
 Backend dispatch
 ----------------
@@ -37,8 +53,11 @@ Backend dispatch
 numpy is an optional dependency (the ``fast`` extra).  When it is missing --
 or disabled via ``REPRO_KERNEL=python`` in the environment -- every entry
 point falls back to the scalar loops, which *are* the pre-kernel code paths
-verbatim.  :func:`use_backend` forces a backend for a scope (used by the
-equivalence tests and benchmarks to compare both paths in one process), and
+verbatim.  Both scan entry points share one fallback ladder: any exception
+inside a numpy scan (corrupt arrays, allocation pressure) re-runs the scalar
+loop, which computes the same answer, and counts one ``python_fallback``.
+:func:`use_backend` forces a backend for a scope (used by the equivalence
+tests and benchmarks to compare both paths in one process), and
 :func:`ops_snapshot` exposes per-backend invocation counters so the engine
 can attribute kernel work in its metrics registry.
 """
@@ -49,7 +68,7 @@ import heapq
 import os
 import threading
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "np",
@@ -60,6 +79,8 @@ __all__ = [
     "ops_snapshot",
     "build_arrays",
     "accumulate",
+    "count_overlap",
+    "allowed_mask",
     "DenseScores",
     "dense_pair",
     "dense_from_lists",
@@ -181,7 +202,24 @@ def _arrays_from_postings(
     return tids, contributions
 
 
-# -- batch accumulation (rank / select / score paths) -------------------------
+# -- the two scans (rank / select / score / top_k paths) ----------------------
+
+
+def _ladder(numpy_scan, scalar_scan):
+    """The numpy -> scalar ladder both scan entry points run on.
+
+    The scalar loops compute the same answer bit for bit, so healing a numpy
+    failure (corrupt arrays, allocation pressure) here is invisible to the
+    caller; it is counted as one ``python_fallback``.
+    """
+    backend = active_backend()
+    count_op(backend)
+    if backend == "numpy":
+        try:
+            return numpy_scan()
+        except Exception:
+            count_op("python_fallback")
+    return scalar_scan()
 
 
 def accumulate(
@@ -202,17 +240,10 @@ def accumulate(
     weights) and tids with stored zero contributions (the language model
     keeps them on purpose).
     """
-    backend = active_backend()
-    count_op(backend)
-    if backend == "numpy":
-        try:
-            return _accumulate_numpy(index, items, size)
-        except Exception:
-            # Fallback ladder: the scalar loops compute the same float64
-            # chains, so healing a numpy failure (corrupt arrays, allocation
-            # pressure) here is bit-identical and invisible to the caller.
-            count_op("python_fallback")
-    return _accumulate_python(index, items)
+    return _ladder(
+        lambda: _accumulate_numpy(index, items, size),
+        lambda: _accumulate_python(index, items),
+    )
 
 
 def _accumulate_python(index, items: Sequence[Tuple[str, float]]) -> Dict[int, float]:
@@ -227,11 +258,30 @@ def _accumulate_python(index, items: Sequence[Tuple[str, float]]) -> Dict[int, f
     return scores
 
 
+def count_overlap(index, tokens: Iterable[str], size: int) -> Dict[int, int]:
+    """``{tid: number of distinct tokens shared with the query}``.
+
+    ``index`` is an :class:`~repro.core.index.InvertedIndex`; ``size`` is the
+    relation size, bounding tids.  On the scalar backend this *is*
+    ``index.candidate_overlap(tokens)``, dict and all.  On numpy the
+    candidate tids and their counts come back as the int64 arrays of a
+    :class:`DenseScores` (read them with :func:`dense_pair`): one
+    ``np.bincount`` over the concatenated tid arrays of the query's distinct
+    tokens.  Counts are exact integers, so the two backends agree by
+    construction.
+    """
+    return _ladder(
+        lambda: _count_overlap_numpy(index, tokens, size),
+        lambda: index.candidate_overlap(tokens),
+    )
+
+
 class DenseScores(dict):
     """Score dict backed by ``(tids, values)`` arrays, materialized lazily.
 
-    The numpy accumulate produces its candidate set as an int64 tid array
-    plus the matching float64 scores; building a 10k-entry Python dict out
+    A numpy scan produces its candidate set as an int64 tid array plus the
+    matching float64 scores (int64 counts for the count scan, until a
+    finalizer turns them into scores); building a 10k-entry Python dict out
     of them costs more than the accumulation itself, and the hot paths
     (``rank``/``select``/``top_k`` selection) only ever need the arrays.  So
     the dict starts empty and fills itself from the arrays on the first
@@ -410,6 +460,41 @@ def _accumulate_numpy(
     # scalar dict is first-touch order) -- no consumer depends on dict
     # order, only on content.
     return DenseScores(candidates, accumulator[candidates])
+
+
+def _count_overlap_numpy(index, tokens: Iterable[str], size: int) -> Dict[int, int]:
+    parts: List["np.ndarray"] = []
+    expected = 0
+    for token in set(tokens):
+        tids = index.tid_array(token)
+        if tids is not None:
+            parts.append(tids)
+        expected += index.document_frequency(token)
+    if not expected:
+        return {}
+    all_tids = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    # A short or missing tid array would not fail, it would undercount: the
+    # length check turns that into a failure the ladder heals.
+    if all_tids.size != expected:
+        raise ValueError("tid arrays are out of step with the posting lists")
+    counts = np.bincount(all_tids, minlength=size)
+    if counts.size != size:
+        raise ValueError("a tid array names a tuple beyond the relation")
+    candidates = np.flatnonzero(counts)
+    return DenseScores(candidates, counts[candidates])
+
+
+def allowed_mask(tids, allowed: Collection[int], size: int):
+    """Boolean mask over the scan result ``tids``: which are in ``allowed``.
+
+    Built once per call from the blocker's / restriction's allowed set.
+    Allowed tids outside ``[0, size)`` are ignored -- a negative one must not
+    wrap around to the tail of the relation.
+    """
+    wanted = np.fromiter(allowed, dtype=np.int64, count=len(allowed))
+    member = np.zeros(size, dtype=bool)
+    member[wanted[(wanted >= 0) & (wanted < size)]] = True
+    return member[tids]
 
 
 # -- selection (ordering of scored candidates for rank / select) --------------

@@ -10,15 +10,34 @@ The weighted variants take a weighting scheme; the paper finds that the
 Robertson-Sparck Jones (RS) weights are more accurate than idf (section
 5.3.1), so RS is the default.
 
-The weighted variants fold their weight table into a
-:class:`~repro.core.index.WeightedPostingIndex` at fit time and iterate query
-tokens in sorted order everywhere, so accumulation is deterministic and the
-``top_k`` fast path of :class:`WeightedMatch` (a monotone sum, eligible for
-max-score pruning) reproduces the unpruned scores bit for bit.
+All four score through :mod:`repro.core.kernels`: one scan over the query
+tokens' postings, then a per-candidate finalizer.  The unweighted pair runs
+the integer count scan (:func:`~repro.core.kernels.count_overlap`) over the
+shared :class:`~repro.core.index.InvertedIndex`; the weighted pair folds its
+weight table into a :class:`~repro.core.index.WeightedPostingIndex` at fit
+time and runs the weighted scan (:func:`~repro.core.kernels.accumulate`),
+iterating query tokens in sorted order everywhere, so accumulation is
+deterministic and the ``top_k`` fast path of :class:`WeightedMatch` (a
+monotone sum, eligible for max-score pruning) reproduces the unpruned scores
+bit for bit.
+
+:meth:`_OverlapBase._scores` is the one place the two kernel backends part.
+On numpy the scan's ``(tids, values)`` arrays are narrowed to the blocker's /
+restriction's allowed set by one boolean mask (absent on a plain call),
+finalized as arrays and returned as
+:class:`~repro.core.kernels.DenseScores`, so selection never builds a dict.
+On the scalar backend -- and when the ladder healed a numpy failure -- the
+per-predicate dict loops answer: :meth:`_finalize` over the scan's dict on a
+plain call, :meth:`_allowed_scores` (one set intersection per allowed tuple,
+no scan) on a blocked or restricted one.  The two agree bit for bit: counts
+are exact integers, ``int / int`` is the same correctly rounded quotient in
+CPython and numpy, and the weighted finalizers apply the same float64
+operations in the same order to the chains the scan already reproduces.
 """
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.core import kernels
@@ -40,6 +59,8 @@ class _OverlapBase(Predicate):
     family = "overlap"
     #: Blocking happens inside :meth:`_scores` (before any scoring work).
     _prunes_before_scoring = True
+    #: Every overlap predicate scans through repro.core.kernels.
+    uses_kernels = True
 
     def __init__(self, tokenizer: Tokenizer | None = None):
         super().__init__()
@@ -49,9 +70,6 @@ class _OverlapBase(Predicate):
     def tokenize_phase(self) -> None:
         super().tokenize_phase()
         self._token_sets = self._core.token_sets
-
-    def weight_phase(self) -> None:
-        """Unweighted predicates need no second phase."""
 
     def _query_tokens(self, query: str) -> set[str]:
         return set(self.tokenizer.tokenize(query))
@@ -70,6 +88,9 @@ class _OverlapBase(Predicate):
 
         ``None`` means unrestricted (take the index's full candidate set).
         This runs *before* any scoring, which is where blocking pays off.
+        Restriction tids outside the relation are ignored, as the families
+        that intersect a restriction with their scored candidates ignore
+        them.
         """
         blocker, restriction = self._blocker, self._restriction
         if blocker is None and restriction is None:
@@ -79,27 +100,93 @@ class _OverlapBase(Predicate):
             assert self._index is not None
             allowed = self._index.candidates(query_tokens, blocker=blocker)
         if restriction is not None:
-            allowed = set(restriction) if allowed is None else allowed & restriction
+            if allowed is None:
+                size = len(self._token_sets)
+                allowed = {tid for tid in restriction if 0 <= tid < size}
+            else:
+                allowed = allowed & restriction
         return allowed
 
     def _in_range(self, tid: int) -> bool:
         return 0 <= tid < len(self._token_sets)
 
+    # -- scoring --------------------------------------------------------------
 
-class IntersectSize(_OverlapBase):
+    def _scores(self, query: str) -> Dict[int, float]:
+        query_tokens = self._query_tokens(query)
+        allowed = self._candidate_ids(query_tokens)
+        if allowed is None or kernels.active_backend() == "numpy":
+            scanned = self._scan(query_tokens)
+            pair = kernels.dense_pair(scanned)
+            if pair is not None:
+                tids, values = pair
+                if allowed is not None:
+                    keep = kernels.allowed_mask(tids, allowed, len(self._token_sets))
+                    tids, values = tids[keep], values[keep]
+                return kernels.DenseScores(
+                    tids, self._finalize_arrays(query_tokens, tids, values)
+                )
+            if allowed is None:
+                return self._finalize(query_tokens, scanned)
+        return self._allowed_scores(query_tokens, allowed)
+
+    @abstractmethod
+    def _scan(self, query_tokens: Set[str]) -> Dict[int, float]:
+        """The kernel scan: per candidate, the (count or weight of the)
+        tokens shared with the query."""
+
+    @abstractmethod
+    def _finalize(
+        self, query_tokens: Set[str], scanned: Dict[int, float]
+    ) -> Dict[int, float]:
+        """Scores from a scan's dict (scalar backend, plain call)."""
+
+    @abstractmethod
+    def _finalize_arrays(self, query_tokens: Set[str], tids, values):
+        """:meth:`_finalize` over a numpy scan's arrays: the float64 scores
+        of ``tids``, bit-identical to the dict loop's."""
+
+    @abstractmethod
+    def _allowed_scores(
+        self, query_tokens: Set[str], allowed: Set[int]
+    ) -> Dict[int, float]:
+        """Scores of the allowed tuples sharing a (kept) token with the
+        query, one tuple at a time (scalar backend, blocked or restricted)."""
+
+
+class _CountOverlapBase(_OverlapBase):
+    """Unweighted overlap: the integer count scan over the shared index."""
+
+    def tokenize_phase(self) -> None:
+        super().tokenize_phase()
+        self._core.build_index_arrays()
+
+    def weight_phase(self) -> None:
+        """Unweighted predicates need no second phase."""
+
+    def _scan(self, query_tokens: Set[str]) -> Dict[int, int]:
+        assert self._index is not None
+        return kernels.count_overlap(
+            self._index, query_tokens, len(self._token_sets)
+        )
+
+
+class IntersectSize(_CountOverlapBase):
     """Number of common distinct tokens between the query and the tuple."""
 
     name = "IntersectSize"
 
-    def _scores(self, query: str) -> Dict[int, float]:
-        assert self._index is not None
-        query_tokens = self._query_tokens(query)
-        allowed = self._candidate_ids(query_tokens)
-        if allowed is None:
-            return {
-                tid: float(count)
-                for tid, count in self._index.candidate_overlap(query_tokens).items()
-            }
+    def _finalize(
+        self, query_tokens: Set[str], scanned: Dict[int, int]
+    ) -> Dict[int, float]:
+        return {tid: float(count) for tid, count in scanned.items()}
+
+    def _finalize_arrays(self, query_tokens: Set[str], tids, values):
+        return values.astype(kernels.np.float64)
+
+    def _allowed_scores(
+        self, query_tokens: Set[str], allowed: Set[int]
+    ) -> Dict[int, float]:
         scores: Dict[int, float] = {}
         for tid in allowed:
             common = len(query_tokens & self._token_sets[tid])
@@ -113,7 +200,7 @@ class IntersectSize(_OverlapBase):
         return float(len(self._query_tokens(query) & self._token_sets[tid]))
 
 
-class Jaccard(_OverlapBase):
+class Jaccard(_CountOverlapBase):
     """Jaccard coefficient of the query and tuple token sets."""
 
     name = "Jaccard"
@@ -121,17 +208,27 @@ class Jaccard(_OverlapBase):
     #: this score: an overlap fraction bounded by min/max set size.
     similarity_kind = "jaccard"
 
-    def _scores(self, query: str) -> Dict[int, float]:
-        assert self._index is not None
-        query_tokens = self._query_tokens(query)
+    def _finalize(
+        self, query_tokens: Set[str], scanned: Dict[int, int]
+    ) -> Dict[int, float]:
         query_size = len(query_tokens)
-        allowed = self._candidate_ids(query_tokens)
         scores: Dict[int, float] = {}
-        if allowed is None:
-            for tid, common in self._index.candidate_overlap(query_tokens).items():
-                union = query_size + len(self._token_sets[tid]) - common
-                scores[tid] = common / union if union else 0.0
-            return scores
+        for tid, common in scanned.items():
+            union = query_size + len(self._token_sets[tid]) - common
+            scores[tid] = common / union if union else 0.0
+        return scores
+
+    def _finalize_arrays(self, query_tokens: Set[str], tids, values):
+        assert self._index is not None
+        # A candidate shares a token, so union >= common >= 1: no zero guard.
+        union = len(query_tokens) + self._index.set_sizes[tids] - values
+        return values / union
+
+    def _allowed_scores(
+        self, query_tokens: Set[str], allowed: Set[int]
+    ) -> Dict[int, float]:
+        query_size = len(query_tokens)
+        scores: Dict[int, float] = {}
         for tid in allowed:
             token_set = self._token_sets[tid]
             common = len(query_tokens & token_set)
@@ -155,9 +252,6 @@ class Jaccard(_OverlapBase):
 
 class _WeightedOverlapBase(_OverlapBase):
     """Weighted overlap predicates share the RS/idf weight table."""
-
-    #: Monotone-sum accumulation: scoring routes through repro.core.kernels.
-    uses_kernels = True
 
     def __init__(self, tokenizer: Tokenizer | None = None, weighting: str = "rs"):
         super().__init__(tokenizer)
@@ -183,7 +277,7 @@ class _WeightedOverlapBase(_OverlapBase):
     def _weight(self, token: str) -> float:
         return self._weights.get(token, 0.0)
 
-    def _common_weight(self, query_tokens: Set[str]) -> Dict[int, float]:
+    def _scan(self, query_tokens: Set[str]) -> Dict[int, float]:
         """Weight of the common tokens per candidate, postings-driven.
 
         Tokens are visited in sorted order so per-tuple summation order is
@@ -225,7 +319,8 @@ class _WeightedOverlapBase(_OverlapBase):
         """Weight of the common tokens per allowed candidate.
 
         Candidates sharing only zero-weight tokens are omitted, matching the
-        postings-driven accumulation of the unrestricted path.
+        postings-driven accumulation of :meth:`_scan` (whose posting index
+        drops zero-weight tokens).
         """
         sorted_tokens = sorted(query_tokens)
         common_weight: Dict[int, float] = {}
@@ -235,6 +330,13 @@ class _WeightedOverlapBase(_OverlapBase):
                 common_weight[tid] = total
         return common_weight
 
+    def _allowed_scores(
+        self, query_tokens: Set[str], allowed: Set[int]
+    ) -> Dict[int, float]:
+        return self._finalize(
+            query_tokens, self._restricted_common_weight(query_tokens, allowed)
+        )
+
 
 class WeightedMatch(_WeightedOverlapBase):
     """Sum of weights of the common tokens (RS weights by default)."""
@@ -242,12 +344,13 @@ class WeightedMatch(_WeightedOverlapBase):
     name = "WeightedMatch"
     supports_maxscore = True
 
-    def _scores(self, query: str) -> Dict[int, float]:
-        query_tokens = self._query_tokens(query)
-        allowed = self._candidate_ids(query_tokens)
-        if allowed is not None:
-            return self._restricted_common_weight(query_tokens, allowed)
-        return self._common_weight(query_tokens)
+    def _finalize(
+        self, query_tokens: Set[str], scanned: Dict[int, float]
+    ) -> Dict[int, float]:
+        return scanned
+
+    def _finalize_arrays(self, query_tokens: Set[str], tids, values):
+        return values
 
     def _maxscore_plan(self, query: str):
         assert self._weighted_index is not None
@@ -290,6 +393,8 @@ class WeightedJaccard(_WeightedOverlapBase):
     def __init__(self, tokenizer: Tokenizer | None = None, weighting: str = "rs"):
         super().__init__(tokenizer, weighting)
         self._tuple_weight_sums: list[float] = []
+        #: The same sums as one float64 array (``None`` without numpy).
+        self._tuple_weight_sum_array = None
 
     def weight_phase(self) -> None:
         super().weight_phase()
@@ -297,22 +402,31 @@ class WeightedJaccard(_WeightedOverlapBase):
             sum(self._weight(token) for token in sorted(token_set))
             for token_set in self._token_sets
         ]
+        if kernels.np is not None:
+            self._tuple_weight_sum_array = kernels.np.array(
+                self._tuple_weight_sums, dtype=kernels.np.float64
+            )
 
     def _query_weight_sum(self, query_tokens: Set[str]) -> float:
         return sum(self._weight(token) for token in sorted(query_tokens))
 
-    def _scores(self, query: str) -> Dict[int, float]:
-        query_tokens = self._query_tokens(query)
+    def _finalize(
+        self, query_tokens: Set[str], scanned: Dict[int, float]
+    ) -> Dict[int, float]:
         query_weight_sum = self._query_weight_sum(query_tokens)
-        allowed = self._candidate_ids(query_tokens)
-        if allowed is not None:
-            common_weight = self._restricted_common_weight(query_tokens, allowed)
-        else:
-            common_weight = self._common_weight(query_tokens)
         scores: Dict[int, float] = {}
-        for tid, common in common_weight.items():
+        for tid, common in scanned.items():
             union = query_weight_sum + self._tuple_weight_sums[tid] - common
             scores[tid] = common / union if union > 0 else 0.0
+        return scores
+
+    def _finalize_arrays(self, query_tokens: Set[str], tids, values):
+        np = kernels.np
+        union = (
+            self._query_weight_sum(query_tokens) + self._tuple_weight_sum_array[tids]
+        ) - values
+        scores = np.zeros(values.size, dtype=np.float64)
+        np.divide(values, union, out=scores, where=union > 0)
         return scores
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:

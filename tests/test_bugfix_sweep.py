@@ -15,6 +15,10 @@ Each class pins one fixed bug:
 * ``explain()`` used to report stale ``PruningStats`` from an earlier
   ``top_k`` call when its own execution ran the rank/heap path -- it now
   reports the strategy that actually executed, plus the fallback reason.
+* A restriction tid outside the relation used to be a silent wrong answer on
+  the overlap family (``-1`` scored the *last* tuple and reported it as tid
+  -1) or a bare ``IndexError`` (``n``); such tids are now ignored, as the
+  aggregate family always ignored them.
 """
 
 import sqlite3
@@ -27,6 +31,7 @@ from repro.backends.sqlite import SQLiteBackend
 from repro.core import kernels
 from repro.core.predicates.registry import make_predicate
 from repro.engine import SimilarityEngine
+from repro.shard import ShardedPredicate
 
 CORPUS = [
     "AT&T Corporation",
@@ -306,11 +311,42 @@ class TestExplainNamesTheNumpyPath:
         assert report.num_candidates == len(query.rank("Morgan Stanley Inc"))
 
     def test_unkernelized_predicate_still_reports_the_heap(self):
-        query = SimilarityEngine().from_strings(CORPUS).predicate("jaccard")
+        query = SimilarityEngine().from_strings(CORPUS).predicate("edit_distance")
         with kernels.use_backend("numpy"):
+            notes = " | ".join(query.plan("top_k").notes)
             report = query.explain("IBM", k=2)
+        assert "scoring kernels" not in notes
         assert report.execution == "top_k via heap accumulation"
         assert "monotone sum" in report.fallback_reason
+
+    @pytest.mark.parametrize("name", ["jaccard", "intersect"])
+    def test_count_scan_predicates_name_the_backend_that_ran(self, name):
+        """The unweighted overlap pair scores through the count-scan kernel:
+        a numpy scan is not "heap accumulation", and the scalar backend says
+        it is the scalar backend."""
+        engine = SimilarityEngine()
+        query = engine.from_strings(CORPUS * 10).predicate(name)
+        reason = "predicate score is not a monotone sum of per-token contributions"
+        with kernels.use_backend("numpy"):
+            notes = " | ".join(query.plan("top_k").notes)
+            before = kernels.ops_snapshot()["numpy"]
+            report = query.explain("Morgan Stanley Inc", k=3)
+            assert kernels.ops_snapshot()["numpy"] > before
+        assert "scoring kernels: 'numpy' backend" in notes
+        assert "kernel fallback ladder" in notes
+        assert "dense scan + partition (numpy kernel)" in notes
+        assert "heap" not in notes
+        assert report.execution == "top_k via dense scan + partition (numpy kernel)"
+        assert report.fallback_reason == reason
+        assert engine.obs.metrics.to_dict()["counters"].get("kernel_ops.numpy", 0) > 0
+        with kernels.use_backend("python"):
+            notes = " | ".join(query.plan("top_k").notes)
+            report = query.explain("Morgan Stanley Inc", k=3)
+        assert "scoring kernels: 'python' backend" in notes
+        assert "heap accumulation" in notes and "dense scan" not in notes
+        assert report.execution == "top_k via heap accumulation"
+        assert report.fallback_reason == reason
+        assert report.pruning is None
 
     def test_sharded_plan_keeps_the_shard_bound_note(self):
         # Shard-level skipping uses the max-score *bounds*, not the pruned
@@ -322,3 +358,38 @@ class TestExplainNamesTheNumpyPath:
             notes = " | ".join(query.plan("top_k").notes)
         assert "sharded top_k: shards whose max-score upper bound" in notes
         assert "dense scan + partition (numpy kernel)" in notes
+
+
+class TestRestrictionIgnoresTidsOutsideTheRelation:
+    ROWS = ["alpha beta", "alpha gamma", "delta epsilon", "alpha beta gamma"]
+    OVERLAP = ["intersect", "jaccard", "weighted_match", "weighted_jaccard"]
+
+    @staticmethod
+    def _answers(predicate, allowed):
+        with predicate.restrict_candidates(allowed):
+            return (
+                [(m.tid, m.score) for m in predicate.rank("alpha beta")],
+                [(m.tid, m.score) for m in predicate.top_k("alpha beta", 3)],
+                [(m.tid, m.score) for m in predicate.select("alpha beta", -100.0)],
+                predicate.last_num_candidates,
+                [predicate.score("alpha beta", tid) for tid in range(-1, 5)],
+            )
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("name", OVERLAP + ["bm25"])
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_out_of_range_tids_are_ignored(self, name, backend, num_shards):
+        if backend == "numpy" and not kernels.numpy_available():
+            pytest.skip("numpy unavailable")
+        if num_shards == 1:
+            predicate = make_predicate(name).fit(self.ROWS)
+        else:
+            predicate = ShardedPredicate(
+                lambda: make_predicate(name), num_shards=num_shards
+            ).fit(self.ROWS)
+        with kernels.use_backend(backend):
+            want = self._answers(predicate, {0, 3})
+            assert [tid for tid, _ in want[0]] in ([0, 3], [3, 0])
+            for stray in ({-1}, {4}, {-5, -1, 4, 99}):
+                assert self._answers(predicate, {0, 3} | stray) == want
+            assert self._answers(predicate, {-1, 4})[0] == []

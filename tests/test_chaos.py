@@ -308,3 +308,49 @@ class TestKernelFallback:
             engine.clear_cache()
         assert got  # healed: real results despite the broken kernel
         assert engine.obs.metrics.value("kernel_ops.python_fallback") > 0
+
+
+    @pytest.mark.parametrize("damage", ["truncate", "retype", "drop", "overrun"])
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_damaged_tid_array_heals_the_count_scan(self, damage, num_shards):
+        """The count scan sits on the same ladder as ``accumulate``: a tid
+        array that is short, of the wrong dtype, missing or pointing past the
+        relation makes the call return the scalar answer -- one
+        ``python_fallback`` per healed call, nothing escapes."""
+        np = kernels.np
+        engine = make_engine()
+        try:
+            query = engine.from_strings(ROWS).predicate("jaccard").shards(num_shards)
+            with kernels.use_backend("python"):
+                want = run_workload(query)
+            fitted = query.fitted_predicate()
+            index = (fitted if num_shards == 1 else fitted.shards[0])._index
+            token = max(index._tid_arrays, key=index.document_frequency)
+            tids = index._tid_arrays[token]
+            assert tids.size > 1
+            if damage == "drop":
+                del index._tid_arrays[token]
+            else:
+                index._tid_arrays[token] = {
+                    "truncate": tids[:-1],
+                    "retype": tids.astype(np.float64),
+                    "overrun": tids + len(ROWS),
+                }[damage]
+            probe = next(text for text in ROWS if token in fitted.tokenizer.tokenize(text))
+            before = kernels.ops_snapshot()["python_fallback"]
+            with kernels.use_backend("numpy"):
+                healed = [query.top_k(probe, 5), query.select(probe, 0.1)]
+                got = run_workload(query)
+            with kernels.use_backend("python"):
+                assert healed == [query.top_k(probe, 5), query.select(probe, 0.1)]
+            assert got == want
+            touching = sum(
+                token in fitted.tokenizer.tokenize(text) for text in QUERIES
+            )
+            assert (
+                kernels.ops_snapshot()["python_fallback"] - before
+                == 2 + 2 * touching
+            )
+            assert engine.obs.metrics.value("kernel_ops.python_fallback") == 2 + 2 * touching
+        finally:
+            engine.clear_cache()

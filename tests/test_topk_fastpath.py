@@ -352,7 +352,7 @@ class TestEngineIntegration:
         plan = engine.from_strings(CORPUS).predicate("bm25").plan(op="top_k")
         assert any("max-score" in note for note in plan.notes)
 
-    def test_plan_reports_heap_fast_path_for_non_monotone(self):
+    def test_plan_reports_heap_fast_path_for_non_monotone(self, scalar_kernel):
         engine = SimilarityEngine()
         plan = engine.from_strings(CORPUS).predicate("jaccard").plan(op="top_k")
         assert any("heap" in note for note in plan.notes)
