@@ -186,13 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-window",
         type=float,
         default=0.005,
-        help="seconds the micro-batcher waits to coalesce compatible requests",
+        help="longest a request waits for company behind a busy corpus, in "
+        "seconds (an idle corpus never waits; 0 never coalesces)",
     )
     serve.add_argument(
         "--batch-max",
         type=int,
         default=16,
-        help="batch size that flushes immediately without waiting the window",
+        help="batch size that flushes at once, busy corpus or not",
     )
     serve.add_argument(
         "--max-corpora",

@@ -6,9 +6,12 @@ a long-lived service multiplexing many concurrent clients:
 * :mod:`repro.serve.admission` -- bounded queue + concurrency with
   immediate-reject backpressure (429) and deadline timeouts (504);
 * :mod:`repro.serve.batcher` -- micro-batching of plan-compatible requests
-  into single ``run_many`` executions (bit-identical results);
+  into single ``run_many`` executions (bit-identical results): a request
+  for an idle corpus is dispatched at once, one for a busy corpus waits for
+  company until the engine frees up, capped by ``batch_window``;
 * :mod:`repro.serve.service` -- per-corpus engine lifecycle (content-hash
-  interning, LRU eviction releasing warm state) and the request pipeline;
+  interning, one built ``Query`` per plan, LRU eviction releasing warm
+  state) and the request pipeline (admission -> batch_wait -> batch);
 * :mod:`repro.serve.server` -- a stdlib-only asyncio HTTP/1.1 front with
   graceful drain on SIGTERM / ``POST /shutdown``;
 * :mod:`repro.serve.client` -- the synchronous reference client, with

@@ -109,7 +109,9 @@ class AdmissionController:
         metrics.gauge("serve.queue_depth").set(self._waiting)
         started = perf_clock()
         try:
-            if timeout is None:
+            if timeout is None or not self._semaphore.locked():
+                # A free slot is taken without suspending, so the deadline
+                # cannot expire here: skip wait_for's Task and timer handle.
                 await self._semaphore.acquire()
             else:
                 try:

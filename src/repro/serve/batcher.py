@@ -5,17 +5,29 @@ operation and parameters -- see
 :meth:`~repro.serve.protocol.QueryRequest.batch_key`) do not need one engine
 execution each: :meth:`Query.run_many` answers the whole set against one
 shared fitted state, and on the declarative realization scores the entire
-workload in one SQL statement.  The :class:`MicroBatcher` exploits that
-window: the first request of a key opens a bucket and starts a timer; every
-compatible request arriving within ``window`` seconds joins the bucket; the
-bucket flushes when the timer fires or when it reaches ``max_batch``
-entries, whichever comes first.  Each submitter awaits a future resolved
-with its own slice of the batch result.
+workload in one SQL statement.  A batch exists to share that one execution,
+so waiting for company only buys anything while the engine is *busy*: the
+:class:`MicroBatcher` counts the batches in flight per **lane** (the
+service's lane is the corpus, whose executions its lock serialises anyway)
+and closes a bucket at the earliest of
+
+* its lane being **idle** -- at once on arrival when nothing of the lane is
+  executing, otherwise the moment the lane's last in-flight batch finishes
+  (oldest open bucket first, one bucket per release, so the others keep
+  collecting);
+* the bucket reaching ``max_batch`` entries;
+* ``window`` seconds having passed since the bucket opened -- the cap on how
+  long a request waits for company behind a busy engine, after which it is
+  dispatched anyway and queues on whatever serialises the runner.
+
+An idle server therefore adds no wait, and batch size follows load by
+itself.  Each submitter awaits a future resolved with its own slice of the
+batch result.
 
 Coalescing changes *when* work runs, never *what* it computes: ``run_many``
 executes the same per-query code paths as the single-query terminals, so a
 batched answer is bit-identical to the answer the request would have gotten
-alone (the serving test-suite and the benchmark smoke mode assert this).
+alone (the serving test-suite asserts this).
 
 Futures may be abandoned (the submitter's deadline expired and
 ``asyncio.wait_for`` cancelled the await); the flush checks ``fut.done()``
@@ -26,8 +38,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Awaitable, Callable, Hashable, List, Optional, Sequence, Tuple
+from typing import Awaitable, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.obs.clock import perf_clock
 from repro.obs.trace import Observability
 
 __all__ = ["MicroBatcher"]
@@ -37,17 +50,19 @@ BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
 
 class _Bucket:
-    """Requests of one batch key waiting for their window to close."""
+    """Requests of one batch key collecting until their flush."""
 
-    __slots__ = ("items", "timer")
+    __slots__ = ("lane", "items", "timer")
 
-    def __init__(self) -> None:
-        self.items: List[Tuple[object, asyncio.Future]] = []
-        self.timer: Optional[asyncio.Task] = None
+    def __init__(self, lane: Hashable) -> None:
+        self.lane = lane
+        #: ``(request, waiter, submitted_at)`` in arrival order.
+        self.items: List[Tuple[object, asyncio.Future, float]] = []
+        self.timer: Optional[asyncio.TimerHandle] = None
 
 
 class MicroBatcher:
-    """Coalesces ``submit()`` calls per key into windowed batch executions.
+    """Coalesces ``submit()`` calls per key while their lane is busy.
 
     Parameters
     ----------
@@ -55,9 +70,10 @@ class MicroBatcher:
         ``async (key, requests) -> results`` executing one batch; must
         return exactly one result per request, in request order.
     window:
-        Seconds the first request of a bucket waits for company.
+        Longest a request waits for company behind a busy lane, in seconds;
+        ``0`` never coalesces.  An idle lane never waits at all.
     max_batch:
-        Bucket size that triggers an immediate (early) flush.
+        Bucket size that flushes at once, busy lane or not.
     """
 
     def __init__(
@@ -75,7 +91,10 @@ class MicroBatcher:
         self.window = float(window)
         self.max_batch = int(max_batch)
         self.obs = obs if obs is not None else Observability()
-        self._buckets: dict = {}
+        #: Open buckets by key; insertion order is age, oldest first.
+        self._buckets: Dict[Hashable, _Bucket] = {}
+        #: Batches executing per lane; a lane with no entry is idle.
+        self._in_flight: Dict[Hashable, int] = {}
         self._flushes: set = set()
 
     @property
@@ -83,18 +102,31 @@ class MicroBatcher:
         """Requests currently waiting in open buckets."""
         return sum(len(bucket.items) for bucket in self._buckets.values())
 
-    async def submit(self, key: Hashable, request: object) -> object:
-        """Enqueue one request and await its individual result."""
+    async def submit(
+        self, key: Hashable, request: object, lane: Optional[Hashable] = None
+    ) -> object:
+        """Enqueue one request and await its individual result.
+
+        ``lane`` names what serialises this key's executions (default: the
+        key itself); the request waits for company only while a batch of
+        its lane is executing.
+        """
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = _Bucket()
-            self._buckets[key] = bucket
-            bucket.timer = loop.create_task(self._window_flush(key, bucket))
-        bucket.items.append((request, future))
-        if len(bucket.items) >= self.max_batch:
-            self._close_bucket(key, bucket)
+            bucket = self._buckets[key] = _Bucket(key if lane is None else lane)
+        bucket.items.append((request, future, perf_clock()))
+        if bucket.lane not in self._in_flight:
+            self._close_bucket(key, bucket, "idle")
+        elif len(bucket.items) >= self.max_batch:
+            self._close_bucket(key, bucket, "full")
+        elif not self.window:
+            self._close_bucket(key, bucket, "window")
+        elif bucket.timer is None:
+            bucket.timer = loop.call_later(
+                self.window, self._close_bucket, key, bucket, "window"
+            )
         try:
             return await future
         except asyncio.CancelledError:
@@ -109,48 +141,58 @@ class MicroBatcher:
     async def flush_all(self) -> None:
         """Flush every open bucket now and wait for in-flight flushes (drain).
 
-        Uses ``asyncio.wait`` rather than ``gather``: a *bounded* drain
-        cancels this wait when its budget expires, and that cancellation
-        must not propagate into the flush tasks themselves -- an abandoned
-        drain still lets in-flight batches finish and resolve their waiters.
+        Every flush, whatever closed its bucket, is a task in ``_flushes``,
+        so this waits for all of them.  Uses ``asyncio.wait`` rather than
+        ``gather``: a *bounded* drain cancels this wait when its budget
+        expires, and that cancellation must not propagate into the flush
+        tasks themselves -- an abandoned drain still lets in-flight batches
+        finish and resolve their waiters.
         """
         for key, bucket in list(self._buckets.items()):
-            if self._buckets.get(key) is bucket:
-                self._close_bucket(key, bucket)
+            self._close_bucket(key, bucket, "drain")
         while self._flushes:
             await asyncio.wait(list(self._flushes))
 
     # -- internals ---------------------------------------------------------------
 
-    def _close_bucket(self, key: Hashable, bucket: _Bucket) -> None:
-        """Detach a bucket from the open set and start its flush task."""
-        if self._buckets.get(key) is bucket:
-            del self._buckets[key]
-        if bucket.timer is not None and not bucket.timer.done():
+    def _close_bucket(self, key: Hashable, bucket: _Bucket, cause: str) -> None:
+        """The one way a flush starts: detach the bucket from the open set,
+        mark its lane busy and run it as a tracked task.  ``cause`` is what
+        closed it (``idle`` / ``lane_free`` / ``full`` / ``window`` /
+        ``drain``), counted so ``GET /metrics`` explains the batch sizes."""
+        del self._buckets[key]
+        if bucket.timer is not None:
             bucket.timer.cancel()
+        self._in_flight[bucket.lane] = self._in_flight.get(bucket.lane, 0) + 1
+        self.obs.metrics.inc("serve.flushes_total." + cause)
         task = asyncio.get_running_loop().create_task(self._flush(key, bucket))
         self._flushes.add(task)
         task.add_done_callback(self._flushes.discard)
 
-    async def _window_flush(self, key: Hashable, bucket: _Bucket) -> None:
-        try:
-            await asyncio.sleep(self.window)
-        except asyncio.CancelledError:
+    def _release(self, lane: Hashable) -> None:
+        """One batch of ``lane`` finished; once the lane is idle its oldest
+        waiting bucket goes next (and makes the lane busy again)."""
+        remaining = self._in_flight[lane] - 1
+        if remaining:
+            self._in_flight[lane] = remaining
             return
-        if self._buckets.get(key) is bucket:
-            del self._buckets[key]
-            bucket.timer = None
-            await self._flush(key, bucket)
+        del self._in_flight[lane]
+        for key, bucket in self._buckets.items():
+            if bucket.lane == lane:
+                self._close_bucket(key, bucket, "lane_free")
+                return
 
     async def _flush(self, key: Hashable, bucket: _Bucket) -> None:
         items = bucket.items
-        if not items:
-            return
         metrics = self.obs.metrics
+        started = perf_clock()
+        waited = metrics.histogram("latency.serve.batch_wait")
+        for _, _, submitted in items:
+            waited.observe(started - submitted)
         metrics.inc("serve.batches_total")
         metrics.inc("serve.batched_queries_total", len(items))
         metrics.histogram("serve.batch_size", BATCH_SIZE_BUCKETS).observe(len(items))
-        requests = [request for request, _ in items]
+        requests = [request for request, _, _ in items]
         try:
             results = await self._runner(key, requests)
             if len(results) != len(requests):
@@ -159,11 +201,15 @@ class MicroBatcher:
                     f"for {len(requests)} requests"
                 )
         except Exception as exc:  # resolve every waiter, never swallow
-            for _, future in items:
+            for _, future, _ in items:
                 self._resolve(future, error=exc)
-            return
-        for (_, future), result in zip(items, results):
-            self._resolve(future, result=result)
+        else:
+            for (_, future, _), result in zip(items, results):
+                self._resolve(future, result=result)
+        finally:
+            # Failed, cancelled or abandoned by every waiter: the lane is
+            # freed whatever became of the batch.
+            self._release(bucket.lane)
 
     @staticmethod
     def _resolve(

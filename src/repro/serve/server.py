@@ -50,6 +50,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -128,7 +129,8 @@ class ServeServer:
                 try:
                     parsed = await self._read_request(reader)
                 except ProtocolError as exc:
-                    # The body length is unknown, so the stream cannot be
+                    # Where the next request starts is unknown (bad length,
+                    # over-long line, refused body), so the stream cannot be
                     # resynchronized: answer and close.
                     await self._write_response(
                         writer, exc.status, exc.envelope(), keep_alive=False
@@ -166,8 +168,8 @@ class ServeServer:
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         """Parse one HTTP/1.1 request; ``None`` on a cleanly closed socket."""
         try:
-            request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
+            request_line = await self._read_line(reader)
+        except ConnectionError:
             return None
         if not request_line:
             return None
@@ -177,7 +179,7 @@ class ServeServer:
         method, path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await self._read_line(reader)
             if not line or line in (b"\r\n", b"\n"):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -189,9 +191,27 @@ class ServeServer:
             raise ProtocolError(f"invalid Content-Length {declared!r}")
         length = int(declared)
         if length > MAX_BODY_BYTES:
-            raise ConnectionError("request body too large")
+            raise ProtocolError(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES} "
+                "byte limit",
+                status=413,
+                error="payload_too_large",
+            )
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        """One request or header line; 431 when it exceeds the stream limit
+        (``readline`` reports that as a bare ``ValueError``)."""
+        try:
+            return await reader.readline()
+        except ValueError:
+            raise ProtocolError(
+                "request line or header line too long",
+                status=431,
+                error="header_too_large",
+            ) from None
 
     async def _dispatch(self, method: str, path: str, body: bytes) -> Tuple[int, dict]:
         """Route one request; never raises (errors become envelopes)."""

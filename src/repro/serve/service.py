@@ -8,24 +8,31 @@ request flows::
       parse            (protocol.parse_query_request -> 400 on bad input)
       serve.request    (span; also the latency.serve.request histogram)
       ├─ admission     (bounded queue + concurrency; 429 / 504 failures)
+      ├─ batch_wait    (in a bucket: none while the corpus is idle, else
+      │                 until its engine frees up, capped by the window)
       └─ batch         (micro-batcher coalesces compatible requests...)
          └─ engine.query / run_many   (...into one engine execution)
 
 Each registered corpus owns one :class:`~repro.engine.query.SimilarityEngine`
-whose fitted-state caches make repeated queries cheap; the engines share the
-service's :class:`~repro.obs.trace.Observability` holder by reference, so the
-engine's own span tree (``engine.query -> fit/cache_hit -> execute.*``)
-nests under the service's ``serve.batch`` span and one metrics registry sees
-every layer.  Corpora are interned by content hash and evicted LRU beyond
-``max_corpora`` -- eviction calls the engine's ``clear_cache()``, which
-closes engine-owned SQL backends and shard worker pools (the warm-state
-lifecycle the engine already defines).
+whose fitted-state caches make repeated queries cheap, binds its relation to
+that engine once and keeps one built :class:`~repro.engine.query.Query` per
+plan, so what a request costs does not depend on the relation's size.  The
+engines share the service's :class:`~repro.obs.trace.Observability` holder
+by reference, so the engine's own span tree (``engine.query ->
+fit/cache_hit -> execute.*``) nests under the service's ``serve.batch`` span
+and one metrics registry sees every layer.  Corpora are interned by content
+hash and evicted LRU beyond ``max_corpora`` -- eviction drops the entry's
+built queries and calls the engine's ``clear_cache()``, which closes
+engine-owned SQL backends and shard worker pools (the warm-state lifecycle
+the engine already defines).
 
 Batches execute on worker threads (``asyncio.to_thread``) so the event loop
 keeps accepting requests while the engine computes; a per-corpus lock
 serializes executions on one engine, which keeps per-call stats objects
 coherent and -- together with the engine's internal lock -- makes served
-results bit-identical to direct engine calls under any interleaving.
+results bit-identical to direct engine calls under any interleaving.  That
+lock is also why the corpus is the batcher's *lane*: a request waits for
+company only while a batch of its corpus is executing.
 """
 
 from __future__ import annotations
@@ -82,6 +89,9 @@ class _CorpusEntry:
     corpus_id: str
     strings: List[str]
     engine: SimilarityEngine
+    #: The relation bound to the engine, once; every plan's query derives
+    #: from it, so no request pays ``from_strings`` for the whole relation.
+    relation: Query
     #: Isolates a persistently failing corpus: once tripped, its requests
     #: fail fast with 503 instead of burning worker threads, while healthy
     #: corpora on the same service keep executing.
@@ -89,6 +99,18 @@ class _CorpusEntry:
     #: Serializes batch executions on this corpus's engine so per-call stats
     #: and staged declarative tables never interleave across worker threads.
     lock: threading.Lock = field(default_factory=threading.Lock)
+    #: One built query per plan -- the batch-key fields that shape a
+    #: :class:`Query`: predicate, realization, backend, num_shards, executor
+    #: -- kept once the plan has answered; dropped with the entry's warm
+    #: state on eviction and ``close()``.
+    queries: Dict[Tuple, Query] = field(default_factory=dict)  # guarded-by: lock
+
+    def release(self) -> None:
+        """Drop every built query and the engine's warm state, after any
+        in-flight batch on this corpus."""
+        with self.lock:
+            self.queries.clear()
+            self.engine.clear_cache()
 
 
 class SimilarityService:
@@ -163,6 +185,7 @@ class SimilarityService:
                 corpus_id=corpus_id,
                 strings=list(strings),
                 engine=engine,
+                relation=engine.from_strings(strings),
                 breaker=CircuitBreaker(
                     failure_threshold=self.breaker_threshold,
                     reset_timeout=self.breaker_reset,
@@ -173,8 +196,7 @@ class SimilarityService:
                 _, stale = self._corpora.popitem(last=False)
                 evicted.append(stale)
         for stale in evicted:
-            with stale.lock:  # wait out any in-flight batch on this corpus
-                stale.engine.clear_cache()
+            stale.release()
             self.obs.metrics.inc("serve.corpora_evicted_total")
         return corpus_id, len(strings), True
 
@@ -202,8 +224,7 @@ class SimilarityService:
             entries = list(self._corpora.values())
             self._corpora.clear()
         for entry in entries:
-            with entry.lock:
-                entry.engine.clear_cache()
+            entry.release()
 
     # -- request pipeline --------------------------------------------------------
 
@@ -314,11 +335,17 @@ class SimilarityService:
                             end=perf_clock(),
                         )
                     )
-                matches, batch_span, batch_size = await self.batcher.submit(
-                    request.batch_key(), request
+                submitted = perf_clock()
+                matches, batch_span, batch_size, batch_started = (
+                    await self.batcher.submit(
+                        request.batch_key(), request, lane=request.corpus_id
+                    )
                 )
             if span is not None:
                 span.set(batch_size=batch_size)
+                span.attach(
+                    Span("serve.batch_wait", start=submitted, end=batch_started)
+                )
                 if batch_span is not None:
                     span.attach(Span.from_dict(batch_span))
             return matches, batch_size
@@ -331,13 +358,18 @@ class SimilarityService:
 
     async def _run_batch(
         self, key: Tuple, requests: Sequence[QueryRequest]
-    ) -> List[Tuple[List[Match], Optional[dict], int]]:
-        """Execute one coalesced batch off the event loop."""
+    ) -> List[Tuple[List[Match], Optional[dict], int, float]]:
+        """Execute one coalesced batch off the event loop.
+
+        Every waiter gets its matches, the batch's span record and size, and
+        when the batch started (the end of its ``serve.batch_wait``).
+        """
+        started = perf_clock()
         batches, batch_span = await asyncio.to_thread(
             self._execute_batch, requests
         )
         size = len(requests)
-        return [(matches, batch_span, size) for matches in batches]
+        return [(matches, batch_span, size, started) for matches in batches]
 
     def _execute_batch(
         self, requests: Sequence[QueryRequest]
@@ -345,7 +377,9 @@ class SimilarityService:
         """Worker-thread body: one ``run_many`` for the whole bucket.
 
         All requests share one batch key, so the first request describes the
-        plan for all of them.  ``run_many`` routes each query through the
+        plan for all of them; the plan's built query is kept on the entry
+        once it has answered, so later batches neither rebind the relation
+        nor rebuild the query.  ``run_many`` routes each query through the
         same code paths as the single-query terminals, which is what makes
         the split results bit-identical to individual calls.
 
@@ -358,6 +392,13 @@ class SimilarityService:
         """
         first = requests[0]
         entry = self.corpus(first.corpus_id)
+        plan = (
+            first.predicate,
+            first.realization,
+            first.backend,
+            first.num_shards,
+            first.executor,
+        )
         tracer = self.obs.tracer
         batch_deadline = Deadline.combine(
             tuple(request.deadline for request in requests)
@@ -373,7 +414,9 @@ class SimilarityService:
                     predicate=first.predicate,
                     batch_size=len(requests),
                 ) as span:
-                    query = self._build_query(entry, first)
+                    query = entry.queries.get(plan)
+                    if query is None:
+                        query = self._build_query(entry, first)
                     batches = query.run_many(
                         [request.text for request in requests],
                         op=first.op,
@@ -381,6 +424,7 @@ class SimilarityService:
                         threshold=first.threshold,
                         limit=first.limit,
                     )
+                    entry.queries[plan] = query
         except DeadlineExceeded:
             raise
         except Exception:
@@ -394,7 +438,7 @@ class SimilarityService:
 
     @staticmethod
     def _build_query(entry: _CorpusEntry, request: QueryRequest) -> Query:
-        query = entry.engine.from_strings(entry.strings).predicate(request.predicate)
+        query = entry.relation.predicate(request.predicate)
         if request.realization is not None:
             query = query.realization(request.realization)
         if request.backend is not None:

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import SimilarityEngine
+from repro.engine import Query, SimilarityEngine
 from repro.obs.clock import perf_clock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Observability, Tracer
@@ -44,6 +44,7 @@ from repro.serve import (
     parse_query_request,
 )
 from repro.serve.protocol import match_to_dict
+from repro.serve.server import MAX_BODY_BYTES
 
 
 ROWS = [
@@ -216,21 +217,110 @@ class TestAdmission:
 # ---------------------------------------------------------------------------
 
 
-class TestMicroBatcher:
-    def test_coalesces_within_window(self):
-        calls = []
+class GatedRunner:
+    """A batch runner whose executions block until the test opens their key.
 
+    ``calls`` records ``(key, requests)`` in the order batches *start*, so a
+    test can tell what the batcher dispatched while a lane was still busy.
+    Build it inside the running loop (its events bind to it on Python 3.9).
+    """
+
+    def __init__(self, result=lambda requests: [value * 2 for value in requests]):
+        self.calls: list = []
+        self.gates: dict = {}
+        self._result = result
+
+    def gate(self, key) -> asyncio.Event:
+        return self.gates.setdefault(key, asyncio.Event())
+
+    async def __call__(self, key, requests):
+        self.calls.append((key, list(requests)))
+        await self.gate(key).wait()
+        return self._result(list(requests))
+
+    def open(self, *keys) -> None:
+        for key in keys:
+            self.gate(key).set()
+
+
+async def until(condition, timeout: float = 5.0) -> None:
+    """Yield to the loop until ``condition()`` holds (an event, not a nap)."""
+
+    async def spin():
+        while not condition():
+            await asyncio.sleep(0)
+
+    await asyncio.wait_for(spin(), timeout)
+
+
+def flush_causes(obs: Observability) -> dict:
+    prefix = "serve.flushes_total."
+    return {
+        name[len(prefix):]: value
+        for name, value in obs.metrics.to_dict()["counters"].items()
+        if name.startswith(prefix)
+    }
+
+
+class TestMicroBatcher:
+    def test_idle_lane_flushes_on_arrival(self):
         async def runner(key, requests):
-            calls.append((key, list(requests)))
-            return [value * 2 for value in requests]
+            return list(requests)
+
+        obs = fresh_obs()
 
         async def run():
-            batcher = MicroBatcher(runner, window=0.02, max_batch=16, obs=fresh_obs())
-            return await asyncio.gather(*[batcher.submit("k", i) for i in range(5)])
+            # Nothing is executing, so the 30s window must never be waited.
+            batcher = MicroBatcher(runner, window=30.0, obs=obs)
+            return await asyncio.wait_for(batcher.submit("k", 7), 5)
 
-        assert asyncio.run(run()) == [0, 2, 4, 6, 8]
-        assert len(calls) == 1
-        assert calls[0][1] == [0, 1, 2, 3, 4]
+        assert asyncio.run(run()) == 7
+        assert flush_causes(obs) == {"idle": 1}
+
+    def test_coalesces_within_window(self):
+        """Behind a busy lane, requests of one key share the next batch."""
+        obs = fresh_obs()
+
+        async def run():
+            runner = GatedRunner()
+            batcher = MicroBatcher(runner, window=30.0, max_batch=16, obs=obs)
+            tasks = [asyncio.create_task(batcher.submit("k", 0))]
+            await until(lambda: len(runner.calls) == 1)  # runs alone, at once
+            tasks += [asyncio.create_task(batcher.submit("k", i)) for i in range(1, 5)]
+            await until(lambda: batcher.pending == 4)
+            assert runner.calls == [("k", [0])]  # the rest wait for the lane
+            runner.open("k")
+            return await asyncio.gather(*tasks), runner.calls
+
+        results, calls = asyncio.run(run())
+        assert results == [0, 2, 4, 6, 8]
+        assert calls == [("k", [0]), ("k", [1, 2, 3, 4])]
+        assert flush_causes(obs) == {"idle": 1, "lane_free": 1}
+
+    def test_lane_releases_oldest_bucket_one_per_completion(self):
+        async def run():
+            runner = GatedRunner()
+            batcher = MicroBatcher(runner, window=30.0, obs=fresh_obs())
+            tasks = [asyncio.create_task(batcher.submit("a", 1, lane="L"))]
+            await until(lambda: len(runner.calls) == 1)
+            tasks.append(asyncio.create_task(batcher.submit("b", 2, lane="L")))
+            tasks.append(asyncio.create_task(batcher.submit("c", 3, lane="L")))
+            await until(lambda: batcher.pending == 2)
+            # Another lane is never held up by lane L being busy.
+            tasks.append(asyncio.create_task(batcher.submit("x", 9, lane="M")))
+            await until(lambda: len(runner.calls) == 2)
+            assert runner.calls[1] == ("x", [9])
+            runner.open("a")
+            await until(lambda: len(runner.calls) == 3)
+            assert runner.calls[2] == ("b", [2])  # oldest first ...
+            assert batcher.pending == 1  # ... and only one per completion
+            runner.open("b")
+            await until(lambda: len(runner.calls) == 4)
+            assert runner.calls[3] == ("c", [3])
+            runner.open("c", "x")
+            return await asyncio.gather(*tasks)
+
+        assert asyncio.run(run()) == [2, 4, 6, 18]
 
     def test_distinct_keys_do_not_coalesce(self):
         calls = []
@@ -249,19 +339,57 @@ class TestMicroBatcher:
         assert sorted(calls) == ["a", "b"]
 
     def test_max_batch_flushes_early(self):
-        async def runner(key, requests):
-            return list(requests)
+        obs = fresh_obs()
 
         async def run():
-            # Window long enough that only the early flush can finish fast.
-            batcher = MicroBatcher(runner, window=2.0, max_batch=3, obs=fresh_obs())
-            started = perf_clock()
-            results = await asyncio.gather(*[batcher.submit("k", i) for i in range(3)])
-            return results, perf_clock() - started
+            runner = GatedRunner()
+            batcher = MicroBatcher(runner, window=30.0, max_batch=3, obs=obs)
+            tasks = [asyncio.create_task(batcher.submit("k", 0))]
+            await until(lambda: len(runner.calls) == 1)
+            tasks += [asyncio.create_task(batcher.submit("k", i)) for i in range(1, 4)]
+            # A full bucket goes although its lane is still busy.
+            await until(lambda: len(runner.calls) == 2)
+            assert runner.calls[1] == ("k", [1, 2, 3])
+            runner.open("k")
+            return await asyncio.gather(*tasks)
 
-        results, elapsed = asyncio.run(run())
-        assert results == [0, 1, 2]
-        assert elapsed < 1.0
+        assert asyncio.run(run()) == [0, 2, 4, 6]
+        assert flush_causes(obs) == {"idle": 1, "full": 1}
+
+    def test_window_caps_the_wait_behind_a_busy_lane(self):
+        obs = fresh_obs()
+
+        async def run():
+            runner = GatedRunner()
+            batcher = MicroBatcher(runner, window=0.01, obs=obs)
+            tasks = [asyncio.create_task(batcher.submit("a", 1, lane="L"))]
+            await until(lambda: len(runner.calls) == 1)
+            tasks.append(asyncio.create_task(batcher.submit("b", 2, lane="L")))
+            # "a" never finishes on its own: only the window can dispatch "b".
+            await until(lambda: len(runner.calls) == 2)
+            assert runner.calls[1] == ("b", [2])
+            runner.open("a", "b", "c")
+            results = await asyncio.gather(*tasks)
+            # Two batches were in flight on L; both released, the lane is idle.
+            batcher.window = 30.0
+            results.append(await asyncio.wait_for(batcher.submit("c", 3, lane="L"), 5))
+            return results
+
+        assert asyncio.run(run()) == [2, 4, 6]
+        assert flush_causes(obs) == {"idle": 2, "window": 1}
+
+    def test_zero_window_never_coalesces(self):
+        async def run():
+            runner = GatedRunner()
+            batcher = MicroBatcher(runner, window=0, obs=fresh_obs())
+            tasks = [asyncio.create_task(batcher.submit("k", i)) for i in range(4)]
+            await until(lambda: len(runner.calls) == 4)  # busy lane or not
+            runner.open("k")
+            return await asyncio.gather(*tasks), runner.calls
+
+        results, calls = asyncio.run(run())
+        assert results == [0, 2, 4, 6]
+        assert calls == [("k", [i]) for i in range(4)]
 
     def test_runner_failure_reaches_every_waiter(self):
         async def runner(key, requests):
@@ -277,48 +405,121 @@ class TestMicroBatcher:
         assert len(results) == 3
         assert all(isinstance(result, ValueError) for result in results)
 
-    def test_result_count_mismatch_is_an_error(self):
+    def test_failed_batch_frees_its_lane(self):
+        failing = [True]
+
         async def runner(key, requests):
-            return [1]  # wrong arity for a batch of 2
-
-        async def run():
-            batcher = MicroBatcher(runner, window=0.005, obs=fresh_obs())
-            return await asyncio.gather(
-                batcher.submit("k", 1), batcher.submit("k", 2), return_exceptions=True
-            )
-
-        results = asyncio.run(run())
-        assert all(isinstance(result, RuntimeError) for result in results)
-
-    def test_flush_all_resolves_pending(self):
-        async def runner(key, requests):
+            if failing[0]:
+                raise ValueError("boom")
             return list(requests)
 
         async def run():
             batcher = MicroBatcher(runner, window=30.0, obs=fresh_obs())
-            pending = asyncio.create_task(batcher.submit("k", 7))
-            await asyncio.sleep(0.005)
-            assert batcher.pending == 1
-            await batcher.flush_all()
-            return await asyncio.wait_for(pending, timeout=1.0)
+            with pytest.raises(ValueError):
+                await batcher.submit("k", 1)
+            failing[0] = False
+            return await asyncio.wait_for(batcher.submit("k", 2), 5)
 
-        assert asyncio.run(run()) == 7
+        assert asyncio.run(run()) == 2
 
-    def test_batch_metrics_published(self):
-        async def runner(key, requests):
-            return list(requests)
+    def test_result_count_mismatch_is_an_error(self):
+        async def run():
+            # One result whatever the batch size: wrong arity for a batch of 2.
+            runner = GatedRunner(result=lambda requests: requests[:1])
+            batcher = MicroBatcher(runner, window=30.0, obs=fresh_obs())
+            first = asyncio.create_task(batcher.submit("k", 0))
+            await until(lambda: len(runner.calls) == 1)
+            pair = [asyncio.create_task(batcher.submit("k", i)) for i in (1, 2)]
+            await until(lambda: batcher.pending == 2)
+            runner.open("k")
+            results = await asyncio.gather(first, *pair, return_exceptions=True)
+            # The mismatched batch freed its lane: the next request runs at once.
+            results.append(await asyncio.wait_for(batcher.submit("k", 3), 5))
+            return results
 
+        first, second, third, after = asyncio.run(run())
+        assert first == 0 and after == 3
+        assert isinstance(second, RuntimeError) and isinstance(third, RuntimeError)
+
+    def test_abandoned_batch_frees_its_lane(self):
+        async def run():
+            runner = GatedRunner()
+            batcher = MicroBatcher(runner, window=30.0, obs=fresh_obs())
+            with pytest.raises(asyncio.TimeoutError):
+                # The deadline expires mid-batch; wait_for cancels the waiter.
+                await asyncio.wait_for(batcher.submit("k", 1), 0.01)
+            assert len(runner.calls) == 1
+            runner.open("k")
+            await batcher.flush_all()  # the abandoned batch finishes
+            return await asyncio.wait_for(batcher.submit("k", 2), 5)
+
+        assert asyncio.run(run()) == 4
+
+    def test_flush_all_resolves_pending(self):
         obs = fresh_obs()
 
         async def run():
-            batcher = MicroBatcher(runner, window=0.02, obs=obs)
-            await asyncio.gather(*[batcher.submit("k", i) for i in range(4)])
+            runner = GatedRunner()
+            batcher = MicroBatcher(runner, window=30.0, obs=obs)
+            tasks = [asyncio.create_task(batcher.submit("a", 1, lane="L"))]
+            await until(lambda: len(runner.calls) == 1)
+            tasks.append(asyncio.create_task(batcher.submit("b", 7, lane="L")))
+            await until(lambda: batcher.pending == 1)
+            drain = asyncio.create_task(batcher.flush_all())
+            # A drain does not wait for the lane: the bucket goes now.
+            await until(lambda: len(runner.calls) == 2)
+            assert batcher.pending == 0
+            runner.open("a", "b")
+            await drain
+            assert all(task.done() for task in tasks)
+            return [task.result() for task in tasks]
+
+        assert asyncio.run(run()) == [2, 14]
+        assert flush_causes(obs) == {"idle": 1, "drain": 1}
+
+    def test_flush_all_waits_for_every_started_flush(self):
+        """Regression: a flush the window timer started was not tracked, so
+        ``flush_all`` returned while its batch was still executing."""
+
+        async def run():
+            runner = GatedRunner()
+            batcher = MicroBatcher(runner, window=0.001, obs=fresh_obs())
+            tasks = [asyncio.create_task(batcher.submit("k", 0))]
+            await until(lambda: len(runner.calls) == 1)
+            tasks.append(asyncio.create_task(batcher.submit("k", 1)))
+            await until(lambda: len(runner.calls) == 2)  # started by the timer
+            assert batcher.pending == 0
+            drain = asyncio.create_task(batcher.flush_all())
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert not drain.done()  # both batches are still executing
+            runner.open("k")
+            await asyncio.wait_for(drain, 5)
+            assert all(task.done() for task in tasks)
 
         asyncio.run(run())
-        assert obs.metrics.value("serve.batches_total") == 1
+
+    def test_batch_metrics_published(self):
+        obs = fresh_obs()
+
+        async def run():
+            runner = GatedRunner()
+            batcher = MicroBatcher(runner, window=30.0, obs=obs)
+            tasks = [asyncio.create_task(batcher.submit("k", 0))]
+            await until(lambda: len(runner.calls) == 1)
+            tasks += [asyncio.create_task(batcher.submit("k", i)) for i in range(1, 4)]
+            await until(lambda: batcher.pending == 3)
+            runner.open("k")
+            await asyncio.gather(*tasks)
+
+        asyncio.run(run())
+        assert obs.metrics.value("serve.batches_total") == 2
         assert obs.metrics.value("serve.batched_queries_total") == 4
-        histogram = obs.metrics.histogram("serve.batch_size")
-        assert histogram.count == 1
+        assert obs.metrics.histogram("serve.batch_size").count == 2
+        # One wait observation per request, one flush cause per batch.
+        waits = obs.metrics.histogram("latency.serve.batch_wait")
+        assert waits.count == 4 and waits.total >= 0.0
+        assert flush_causes(obs) == {"idle": 1, "lane_free": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -369,29 +570,113 @@ class TestService:
         assert envelope["kind"] == "error"
 
     def test_concurrent_same_plan_requests_coalesce(self):
-        service = make_service(batch_window=0.01, max_concurrency=8, max_queue=32)
+        service = make_service(batch_window=30.0, max_concurrency=8, max_queue=32)
         corpus_id, _, _ = service.register_corpus(ROWS)
+        entry = service.corpus(corpus_id)
         texts = ["Morgn Stanley", "AT&T", "Beijing", "Goldman", "IBM Corp"]
+        sizes = []
+        run_many = Query.run_many
+
+        def spy(query, queries, **kwargs):
+            sizes.append(len(queries))
+            return run_many(query, queries, **kwargs)
 
         async def run():
             payloads = [
                 {"corpus_id": corpus_id, "text": text, "op": "top_k", "k": 3}
                 for text in texts
             ]
-            return await asyncio.gather(*[service.handle(p) for p in payloads])
+            # The test holds the corpus lock: the first request is dispatched
+            # at once (idle corpus) and blocks in its worker thread, so the
+            # corpus stays busy while the other four arrive.
+            entry.lock.acquire()
+            try:
+                tasks = [asyncio.create_task(service.handle(p)) for p in payloads]
+                await until(lambda: service.batcher.pending == 4)
+            finally:
+                entry.lock.release()
+            return await asyncio.gather(*tasks)
 
-        envelopes = asyncio.run(run())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Query, "run_many", spy)
+            envelopes = asyncio.run(run())
         assert all(envelope["status"] == 200 for envelope in envelopes)
-        # All five shared one bucket: one batch execution of size 5.
-        metrics = service.obs.metrics
-        assert metrics.value("serve.batches_total") == 1
-        assert envelopes[0]["batch_size"] == len(texts)
+        # The first ran alone; the four behind it became one run_many of four.
+        assert sizes == [1, 4]
+        assert [envelope["batch_size"] for envelope in envelopes] == [1, 4, 4, 4, 4]
+        assert service.obs.metrics.value("serve.batches_total") == 2
+        assert flush_causes(service.obs) == {"idle": 1, "lane_free": 1}
         # Batched answers are bit-identical to sequential direct calls.
         query = SimilarityEngine().from_strings(ROWS).predicate("bm25")
         for text, envelope in zip(texts, envelopes):
             assert envelope["matches"] == [
                 match_to_dict(match) for match in query.top_k(text, 3)
             ]
+        service.close()
+
+    def test_one_built_query_per_plan(self):
+        service = make_service()
+        corpus_id, _, _ = service.register_corpus(ROWS)
+        entry = service.corpus(corpus_id)
+        binds = []
+        from_strings = entry.engine.from_strings
+        entry.engine.from_strings = lambda rows: binds.append(1) or from_strings(rows)
+
+        def ask(text, **options):
+            payload = {"corpus_id": corpus_id, "text": text, "op": "top_k", "k": 2}
+            envelope = asyncio.run(service.handle({**payload, **options}))
+            assert envelope["status"] == 200
+            return envelope
+
+        ask("AT&T")
+        (kept,) = entry.queries.values()
+        ask("Beijing Hotel")
+        (again,) = entry.queries.values()
+        assert again is kept  # reused, not rebuilt
+        assert binds == []  # the relation was bound at registration, once
+        # A second plan gets its own query; another k is the same plan.
+        ask("AT&T", predicate="jaccard")
+        ask("AT&T", k=3)
+        assert len(entry.queries) == 2
+        service.close()
+
+    def test_unanswered_plan_is_not_kept(self):
+        service = make_service()
+        corpus_id, _, _ = service.register_corpus(ROWS)
+        envelope = asyncio.run(
+            service.handle(
+                {
+                    "corpus_id": corpus_id,
+                    "text": "AT&T",
+                    "op": "top_k",
+                    "k": 2,
+                    "predicate": "no-such-predicate",
+                }
+            )
+        )
+        assert envelope["status"] == 500
+        assert service.corpus(corpus_id).queries == {}
+        service.close()
+
+    def test_eviction_and_close_drop_built_queries(self):
+        service = make_service(max_corpora=1)
+        first_id, _, _ = service.register_corpus(ROWS)
+        payload = {"corpus_id": first_id, "text": "AT&T", "op": "top_k", "k": 2}
+        expected = asyncio.run(service.handle(payload))["matches"]
+        first = service.corpus(first_id)
+        assert len(first.queries) == 1
+        second_id, _, _ = service.register_corpus(ROWS[:4])
+        assert first.queries == {}  # evicted with the engine's warm state
+        second = service.corpus(second_id)
+        asyncio.run(service.handle({**payload, "corpus_id": second_id}))
+        assert len(second.queries) == 1
+        service.close()
+        assert second.queries == {}
+        assert asyncio.run(service.handle(payload))["status"] == 404
+        # Registering again starts from a fresh entry and answers as before.
+        again_id, _, created = service.register_corpus(ROWS)
+        assert again_id == first_id and created is True
+        assert asyncio.run(service.handle(payload))["matches"] == expected
         service.close()
 
     def test_request_span_tree(self):
@@ -406,9 +691,19 @@ class TestService:
         assert envelope["status"] == 200
         root = obs.tracer.last_root
         assert root is not None and root.name == "serve.request"
-        assert root.find("serve.admission") is not None
+        admission = root.find("serve.admission")
+        assert admission is not None
         batch = root.find("serve.batch")
         assert batch is not None
+        # The time in a bucket is a layer of its own, between the two.
+        wait = root.find("serve.batch_wait")
+        assert wait is not None
+        assert [child.name for child in root.children] == [
+            "serve.admission",
+            "serve.batch_wait",
+            "serve.batch",
+        ]
+        assert admission.end <= wait.start <= wait.end <= batch.start
         assert batch.find("engine.query") is not None
         assert batch.find("execute.direct") is not None
         service.close()
@@ -523,6 +818,9 @@ class _ServerThread:
         self.port: int = 0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: ServeServer | None = None
+        #: Contexts handed to the loop's exception handler (what asyncio
+        #: would otherwise log as "Unhandled exception ..." tracebacks).
+        self.loop_errors: list = []
         self._ready = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
@@ -542,6 +840,9 @@ class _ServerThread:
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
+        self._loop.set_exception_handler(
+            lambda loop, context: self.loop_errors.append(context)
+        )
         self._server = ServeServer(self.service, port=0)
         self.host, self.port = await self._server.start()
         self._ready.set()
@@ -603,12 +904,63 @@ class TestHTTPServer:
             assert client.health()["kind"] == "health"
             client.close()
 
+    @pytest.mark.parametrize(
+        "request_head, status, error",
+        [
+            (
+                b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+                431,
+                "header_too_large",
+            ),
+            (
+                b"POST /query HTTP/1.1\r\nHost: x\r\nX-Pad: "
+                + b"a" * 70_000
+                + b"\r\n\r\n",
+                431,
+                "header_too_large",
+            ),
+            (
+                b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                + str(MAX_BODY_BYTES + 1).encode("ascii")
+                + b"\r\n\r\n",
+                413,
+                "payload_too_large",
+            ),
+        ],
+        ids=["request-line-over-limit", "header-line-over-limit", "body-over-limit"],
+    )
+    def test_rejects_oversize_input(self, request_head, status, error):
+        """Hostile sizes get a structured envelope and a close -- not a
+        traceback in the server's log, not a silently dropped socket."""
+        with _ServerThread(make_service()) as server:
+            with socket.create_connection((server.host, server.port), timeout=10) as sock:
+                sock.sendall(request_head)
+                reply = b""
+                while chunk := sock.recv(65536):  # until the server closes
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 %d " % status)
+            assert b"connection: close" in head.lower()
+            envelope = json.loads(body)
+            assert envelope["schema"] == "repro.serve/1"
+            assert envelope["kind"] == "error"
+            assert envelope["status"] == status
+            assert envelope["error"] == error
+            assert envelope["message"]
+            # The server survives and keeps answering.
+            client = ServeClient(server.host, server.port)
+            assert client.health()["kind"] == "health"
+            client.close()
+        assert server.loop_errors == []
+
     def test_served_queries_bit_identical_over_http(self):
-        engine = SimilarityEngine()
+        engine = SimilarityEngine(metrics=MetricsRegistry())
+        predicates = SimilarityEngine.available_predicates()
+        assert len(predicates) == 13
         with _ServerThread(make_service()) as server:
             client = ServeClient(server.host, server.port)
             corpus_id = client.register_corpus(ROWS)
-            for predicate in ("bm25", "jaccard", "cosine"):
+            for predicate in predicates:
                 for realization in ("direct", "declarative"):
                     served = client.top_k(
                         corpus_id,
@@ -625,48 +977,77 @@ class TestHTTPServer:
                     )
                     assert served == direct, (predicate, realization)
             # "How big and how warm is this corpus's state" from GET /metrics:
-            # three direct predicates, one tokenizer, one core.
+            # the served engine built and shared exactly the cores the direct
+            # one did -- one per tokenizer, far fewer than predicates.
             snapshot = client.metrics()
-            assert snapshot["counters"]["core_builds_total"] == 1
-            assert snapshot["counters"]["core_reuses_total"] == 2
-            assert snapshot["gauges"]["engine.core.rows"]["value"] == len(ROWS)
+            builds = engine.metrics.value("core_builds_total")
+            reuses = engine.metrics.value("core_reuses_total")
+            assert snapshot["counters"]["core_builds_total"] == builds
+            assert snapshot["counters"]["core_reuses_total"] == reuses
+            assert 1 <= builds < builds + reuses <= len(predicates)
+            assert snapshot["gauges"]["engine.core.rows"]["value"] == builds * len(ROWS)
             assert snapshot["gauges"]["engine.core.postings"]["value"] > 0
             client.close()
 
     def test_eight_concurrent_clients(self):
+        """More clients than cores, over three plans of one corpus: the
+        shared per-plan queries and the lane bookkeeping must not cost an
+        answer (a lost update would surface as a wrong or failed reply)."""
         texts = ["Morgn Stanley", "AT&T", "Beijing Hotel", "Goldman", "IBM"]
-        expected = {}
-        query = SimilarityEngine().from_strings(ROWS).predicate("bm25")
-        for text in texts:
-            expected[text] = query.top_k(text, 3)
+        predicates = ["bm25", "jaccard", "cosine"]
+        engine = SimilarityEngine()
+        expected = {
+            (predicate, text): engine.from_strings(ROWS)
+            .predicate(predicate)
+            .top_k(text, 3)
+            for predicate in predicates
+            for text in texts
+        }
         failures: list = []
-        with _ServerThread(
-            make_service(max_concurrency=4, max_queue=64, batch_window=0.002)
-        ) as server:
-            seed_client = ServeClient(server.host, server.port)
-            corpus_id = seed_client.register_corpus(ROWS)
-            seed_client.close()
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _ServerThread(
+                make_service(max_concurrency=4, max_queue=64, batch_window=0.002)
+            ) as server:
+                seed_client = ServeClient(server.host, server.port)
+                corpus_id = seed_client.register_corpus(ROWS)
 
-            def client_worker(worker_id: int) -> None:
-                try:
-                    client = ServeClient(server.host, server.port)
-                    for round_index in range(3):
-                        text = texts[(worker_id + round_index) % len(texts)]
-                        served = client.top_k(corpus_id, text, k=3)
-                        if served != expected[text]:
-                            failures.append((worker_id, text))
-                    client.close()
-                except Exception as exc:  # pragma: no cover - failure reporting
-                    failures.append((worker_id, repr(exc)))
+                def client_worker(worker_id: int) -> None:
+                    try:
+                        client = ServeClient(server.host, server.port)
+                        for round_index in range(6):
+                            text = texts[(worker_id + round_index) % len(texts)]
+                            predicate = predicates[round_index % len(predicates)]
+                            served = client.top_k(
+                                corpus_id, text, k=3, predicate=predicate
+                            )
+                            if served != expected[predicate, text]:
+                                failures.append((worker_id, predicate, text))
+                        client.close()
+                    except Exception as exc:  # pragma: no cover - failure reporting
+                        failures.append((worker_id, repr(exc)))
 
-            threads = [
-                threading.Thread(target=client_worker, args=(i,)) for i in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
+                threads = [
+                    threading.Thread(target=client_worker, args=(i,)) for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                counters = seed_client.metrics()["counters"]
+                seed_client.close()
+        finally:
+            sys.setswitchinterval(switch_interval)
         assert failures == []
+        # Every request was flushed by exactly one cause, none was lost.
+        assert counters["serve.batched_queries_total"] == 8 * 6
+        assert counters["serve.batches_total"] == sum(
+            value
+            for name, value in counters.items()
+            if name.startswith("serve.flushes_total.")
+        )
 
 
 # ---------------------------------------------------------------------------
