@@ -48,6 +48,7 @@ from repro.core.predicates.base import ScoredTuple  # noqa: E402
 from repro.core.predicates.registry import make_predicate  # noqa: E402
 from repro.datagen import make_dataset  # noqa: E402
 from repro.obs import MetricsRegistry, NOOP_TRACER, bench_envelope, perf_clock  # noqa: E402
+from repro.text.weights import bm25_document_weights, tfidf_weights  # noqa: E402
 
 #: Monotone-sum predicates with the max-score pruned top_k fast path.
 PREDICATES = ["bm25", "cosine", "weighted_match"]
@@ -56,7 +57,21 @@ SELECT_THRESHOLD = 3.0  # score-valued predicates; selective on CU data
 JOIN_PROBES = 100
 
 
-def _seed_scores(predicate, query: str):
+def _seed_doc_weights(predicate):
+    """The seed's per-tuple ``token -> document-side weight`` dicts (cosine /
+    bm25), rebuilt from the public weight helpers -- the fitted predicate
+    keeps only weighted postings; ``None`` for weighted_match."""
+    stats = predicate._stats
+    tids = range(len(predicate.base_strings))
+    if predicate.name == "BM25":
+        return [bm25_document_weights(stats, tid, predicate.params) for tid in tids]
+    if predicate.name == "Cosine":
+        idf = stats.idf_table()
+        return [tfidf_weights(stats.term_frequencies(tid), idf) for tid in tids]
+    return None
+
+
+def _seed_scores(predicate, doc_weights, query: str):
     """The seed accumulation: per-posting weight lookups on the raw index.
 
     Before weighted postings landed, every candidate posting paid a
@@ -67,9 +82,8 @@ def _seed_scores(predicate, query: str):
     """
     scores = {}
     index = predicate._index
-    if hasattr(predicate, "_doc_weights"):  # cosine / bm25
+    if doc_weights is not None:  # cosine / bm25
         query_weights = predicate._query_weights(query)
-        doc_weights = predicate._doc_weights
         for token in sorted(query_weights):
             query_weight = query_weights[token]
             if query_weight == 0.0:
@@ -88,9 +102,9 @@ def _seed_scores(predicate, query: str):
     return scores
 
 
-def _naive_top_k(predicate, query: str, k: int):
+def _naive_top_k(predicate, doc_weights, query: str, k: int):
     """The seed top-k path: score every candidate, fully sort, slice."""
-    scores = _seed_scores(predicate, query)
+    scores = _seed_scores(predicate, doc_weights, query)
     ranked = sorted(
         (ScoredTuple(tid, score) for tid, score in scores.items()),
         key=lambda st: (-st.score, st.tid),
@@ -98,9 +112,9 @@ def _naive_top_k(predicate, query: str, k: int):
     return ranked[:k], len(scores)
 
 
-def _naive_select(predicate, query: str, threshold: float):
+def _naive_select(predicate, doc_weights, query: str, threshold: float):
     """The seed selection path: sort the full candidate set, then filter."""
-    scores = _seed_scores(predicate, query)
+    scores = _seed_scores(predicate, doc_weights, query)
     ranked = sorted(
         (ScoredTuple(tid, score) for tid, score in scores.items()),
         key=lambda st: (-st.score, st.tid),
@@ -116,11 +130,12 @@ def _timed(fn, queries):
 
 def bench_predicate(name: str, strings, queries) -> dict:
     predicate = make_predicate(name).fit(strings)
+    doc_weights = _seed_doc_weights(predicate)
     result: dict = {"predicate": name}
 
     # -- top_k ---------------------------------------------------------------
     naive_out, naive_seconds = _timed(
-        lambda q: _naive_top_k(predicate, q, TOP_K), queries
+        lambda q: _naive_top_k(predicate, doc_weights, q, TOP_K), queries
     )
     fast_out, fast_seconds = _timed(lambda q: predicate.top_k(q, TOP_K), queries)
     identical = all(
@@ -160,7 +175,7 @@ def bench_predicate(name: str, strings, queries) -> dict:
 
     # -- select ---------------------------------------------------------------
     naive_sel, naive_sel_seconds = _timed(
-        lambda q: _naive_select(predicate, q, SELECT_THRESHOLD), queries
+        lambda q: _naive_select(predicate, doc_weights, q, SELECT_THRESHOLD), queries
     )
     fast_sel, fast_sel_seconds = _timed(
         lambda q: predicate.select(q, SELECT_THRESHOLD), queries
@@ -184,7 +199,7 @@ def bench_predicate(name: str, strings, queries) -> dict:
     def naive_join():
         matches = []
         for probe_id, text in enumerate(probe):
-            selected, _ = _naive_select(predicate, text, SELECT_THRESHOLD)
+            selected, _ = _naive_select(predicate, doc_weights, text, SELECT_THRESHOLD)
             matches.extend(
                 (probe_id, st.tid, st.score) for st in selected[:TOP_K]
             )

@@ -10,8 +10,11 @@ relation and the tokenizer, never on a predicate:
 
 * the token lists (built eagerly -- every predicate needs them),
 * the per-tuple term-frequency ``Counter`` objects,
-* the :class:`~repro.core.index.InvertedIndex` (and, once a count-scan
-  predicate is fitted, its integer arrays),
+* the :class:`~repro.core.index.InvertedIndex` and, once a kernelised
+  predicate is fitted, its posting arrays -- per token the tids and term
+  frequencies as ``int64`` arrays, the relation's postings held as arrays
+  once: the count scan reads them and every weighted predicate derives its
+  own ``(tids, contributions)`` from them token by token,
 * the per-tuple token sets,
 * the :class:`~repro.text.weights.CollectionStatistics`.
 
@@ -21,13 +24,14 @@ index, and one that only serves Jaccard never counts collection frequencies.
 
 A core is **read-only after it is built**: predicates fitted over one core
 (all predicates an engine fits on one ``(corpus, tokenizer)``, or all shards
-of a sharded fit) share its parts by reference, and nothing in ``core/``,
-``blocking/`` or ``shard/`` mutates a token list, ``Counter`` or posting
-list in place.  Because every part is built by the same code from the same
-lists in the same order -- vocabulary and ``Counter`` insertion order
-included -- a predicate fitted over a shared core scores bit-identically to
-one fitted alone.  Building is not synchronized: hand one core to
-concurrent fits only under a lock (the engine holds its own).
+of a sharded fit) share its parts by reference -- a weighted posting index
+hands the core's tid arrays to the scans as they are -- and nothing in
+``core/``, ``blocking/`` or ``shard/`` mutates a token list, ``Counter``,
+posting list or posting array in place.  Because every part is built by the
+same code from the same lists in the same order -- vocabulary and ``Counter``
+insertion order included -- a predicate fitted over a shared core scores
+bit-identically to one fitted alone.  Building is not synchronized: hand one
+core to concurrent fits only under a lock (the engine holds its own).
 """
 
 from __future__ import annotations
@@ -140,7 +144,7 @@ class CorpusCore:
         return self._index
 
     def build_index_arrays(self) -> None:
-        """Have the index materialize the count scan's integer arrays
+        """Have the index materialize its posting arrays
         (:meth:`InvertedIndex.build_arrays`: once per index, then a no-op),
         timed like every other part."""
         self._timed(self.index.build_arrays)
@@ -205,7 +209,8 @@ class CorpusCore:
         return len(set().union(*self.term_frequencies))
 
     def summary(self) -> Dict[str, object]:
-        """Tokenizer, size, and what building the parts has cost so far --
+        """Tokenizer, size, whether the posting arrays are built (their
+        bytes, else ``None``) and what building the parts has cost so far --
         the attributes of the engine's ``core.build`` span."""
         return {
             "tokenizer": getattr(
@@ -214,14 +219,21 @@ class CorpusCore:
             "rows": len(self),
             "vocabulary": self.vocabulary_size,
             "postings": self.num_postings,
+            "array_bytes": None if self._index is None else self._index.array_bytes,
             "seconds": self.build_seconds,
         }
 
     def describe(self) -> str:
         """:meth:`summary` as one line (``explain()`` prints it)."""
+        summary = self.summary()
+        size = summary["array_bytes"]
+        summary["arrays"] = (
+            "no posting arrays" if size is None
+            else f"posting arrays {size / 1e6:.1f} MB"
+        )
         return (
             "{tokenizer}: {rows} rows, {vocabulary} tokens, {postings} "
-            "postings, built in {seconds:.2f} s".format(**self.summary())
+            "postings, built in {seconds:.2f} s, {arrays}".format(**summary)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -9,19 +9,25 @@ doubles as the per-tuple term-frequency store; the
 carry precomputed score contributions.
 
 Both keep, when numpy is importable, a contiguous array backing beside their
-posting lists for the scans of :mod:`repro.core.kernels`: the weighted index
-``(int64 tids, float64 contributions)`` per token (built by its constructor,
-one per predicate), the inverted index one ``int64`` tid array per token and
-one ``int64`` distinct-token count per tuple
-(:meth:`InvertedIndex.build_arrays`, built once per index by the first fit
-that asks and shared by every predicate fitted over the same
-:class:`~repro.core.corpus.CorpusCore`).  Like the posting lists they mirror,
-the arrays are read-only after they are built.
+posting lists for the scans of :mod:`repro.core.kernels`.  The inverted index
+holds the relation's postings as arrays **once**
+(:meth:`InvertedIndex.build_arrays`, run by the first kernelised fit over a
+:class:`~repro.core.corpus.CorpusCore` and shared by every later one): per
+token an ``int64`` tid array and an ``int64`` term-frequency array, each a
+view into one buffer, plus one ``int64`` distinct-token count per tuple.
+A weighted index is *derived* from them token by token: its
+``(int64 tids, float64 contributions)`` pairs are what a fit computes (one
+element-wise expression per token), and its Python posting lists are copied
+from those arrays inside the same fit -- the independent copy the scalar
+scans read and the numpy scans heal from.  A token that drops no posting
+shares the inverted index's tid array by reference.  Like the posting lists
+they mirror, all arrays are read-only after they are built.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from itertools import chain, compress
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -32,6 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (blocking uses text o
 
 __all__ = ["InvertedIndex", "WeightedPostingIndex"]
 
+_tid_of = itemgetter(0)
+
 
 class InvertedIndex:
     """Maps tokens to the tuples containing them (postings with tf).
@@ -41,16 +49,12 @@ class InvertedIndex:
     :class:`~repro.core.corpus.CorpusCore` counts a relation once and shares
     the list by reference); it is counted here otherwise.
 
-    :meth:`build_arrays` adds the array backing of the count scan
-    (:func:`repro.core.kernels.count_overlap`): without it -- no numpy, or no
-    fit asked -- :meth:`tid_array` and :attr:`set_sizes` answer ``None``.
+    :meth:`build_arrays` adds the array form of the postings -- what the
+    count scan (:func:`repro.core.kernels.count_overlap`) reads and what every
+    :class:`WeightedPostingIndex` is derived from.  Without it -- no numpy, or
+    no kernelised fit asked -- :meth:`arrays` and :attr:`set_sizes` answer
+    ``None``.
     """
-
-    #: token -> int64 tid array / int64 distinct-token count per tuple;
-    #: ``None`` until :meth:`build_arrays` ran (class-level, so :meth:`slice`,
-    #: which bypasses ``__init__``, starts without them too).
-    _tid_arrays = None
-    _set_sizes = None
 
     def __init__(
         self,
@@ -65,37 +69,57 @@ class InvertedIndex:
             for token, tf in counts.items():
                 postings[token].append((tid, tf))
         self._postings: Dict[str, List[Tuple[int, int]]] = dict(postings)
+        #: token -> (int64 tids, int64 tfs) / int64 distinct-token count per
+        #: tuple; ``None`` until :meth:`build_arrays` ran.
+        self._arrays = None
+        self._set_sizes = None
+        #: Bytes the posting arrays hold (``None`` while they are not built).
+        self.array_bytes: Optional[int] = None
 
     def build_arrays(self) -> None:
-        """Materialize the count scan's integer arrays (idempotent).
+        """Materialize the postings as integer arrays (idempotent).
 
-        One contiguous ``int64`` tid array per token and the per-tuple number
-        of distinct tokens.  Called from inside a fit -- never lazily by a
-        query, so concurrent first queries find them built -- and a no-op
-        when they exist or numpy is unavailable.  Like
-        :func:`repro.core.kernels.build_arrays`, they are built even while
-        ``use_backend("python")`` is forced: forcing is dispatch-only.
+        Per token one ``int64`` tid array and one ``int64`` term-frequency
+        array -- contiguous views into one buffer each, filled in a single
+        pass over the posting lists -- and the per-tuple number of distinct
+        tokens.  Called from inside a fit -- never lazily by a query, so
+        concurrent first queries find them built -- and a no-op when they
+        exist or numpy is unavailable.  They are built even while
+        ``use_backend("python")`` is forced: forcing is dispatch-only, so a
+        fit performed under one backend serves queries under the other.
         """
         np = kernels.np
-        if np is None or self._tid_arrays is not None:
+        if np is None or self._arrays is not None:
             return
         self._set_sizes = np.fromiter(
             map(len, self._term_frequencies),
             dtype=np.int64,
             count=len(self._term_frequencies),
         )
-        tid_of = itemgetter(0)
-        self._tid_arrays = {
-            token: np.fromiter(map(tid_of, plist), dtype=np.int64, count=len(plist))
-            for token, plist in self._postings.items()
-        }
+        # Every tuple posts each of its distinct tokens once.
+        total = int(self._set_sizes.sum())
+        pairs = np.fromiter(
+            chain.from_iterable(chain.from_iterable(self._postings.values())),
+            dtype=np.int64,
+            count=2 * total,
+        ).reshape(total, 2)
+        tids = np.ascontiguousarray(pairs[:, 0])
+        tfs = np.ascontiguousarray(pairs[:, 1])
+        arrays = {}
+        start = 0
+        for token, plist in self._postings.items():
+            stop = start + len(plist)
+            arrays[token] = (tids[start:stop], tfs[start:stop])
+            start = stop
+        self._arrays = arrays
+        self.array_bytes = tids.nbytes + tfs.nbytes + self._set_sizes.nbytes
 
-    def tid_array(self, token: str):
-        """The tids of ``postings(token)`` as an ``int64`` array, or ``None``
-        (token without postings, or arrays not built)."""
-        if self._tid_arrays is None:
+    def arrays(self, token: str):
+        """``postings(token)`` as ``(int64 tids, int64 tfs)`` arrays, or
+        ``None`` (token without postings, or arrays not built)."""
+        if self._arrays is None:
             return None
-        return self._tid_arrays.get(token)
+        return self._arrays.get(token)
 
     @property
     def set_sizes(self):
@@ -151,28 +175,6 @@ class InvertedIndex:
     def tokens(self) -> Iterable[str]:
         return self._postings.keys()
 
-    def slice(self, start: int, stop: int) -> "InvertedIndex":
-        """The sub-index over tuples ``start <= tid < stop``, tids rebased to 0.
-
-        Posting lists are stored in increasing tid order, so slicing them by
-        the contiguous range yields exactly the index that would have been
-        built from ``token_lists[start:stop]`` -- the invariant sharded
-        execution relies on (a shard-local fit equals a slice of the global
-        fit).  A slice of an index with arrays has arrays.
-        """
-        sliced = InvertedIndex.__new__(InvertedIndex)
-        sliced._term_frequencies = self._term_frequencies[start:stop]
-        sliced._postings = {}
-        for token, plist in self._postings.items():
-            local = [
-                (tid - start, tf) for tid, tf in plist if start <= tid < stop
-            ]
-            if local:
-                sliced._postings[token] = local
-        if self._tid_arrays is not None:
-            sliced.build_arrays()
-        return sliced
-
 
 _EMPTY_POSTINGS: List[Tuple[int, float]] = []
 
@@ -191,66 +193,75 @@ class WeightedPostingIndex:
     which is exactly what max-score pruning (:mod:`repro.core.topk`) needs to
     bound unopened posting lists.
 
-    When numpy is available (the ``fast`` extra), each posting list is also
-    materialized once as a contiguous ``(int64 tids, float64 contributions)``
-    array pair so the vectorized kernels (:mod:`repro.core.kernels`) can
-    accumulate at C speed; without numpy ``arrays()`` returns ``None`` and
-    every scoring path falls back to the list-of-tuples postings.
+    Parameters
+    ----------
+    index:
+        The relation's :class:`InvertedIndex`.  Its posting order is this
+        index's posting order, and its arrays (built here if no fit has yet)
+        are what ``values`` are computed over.
+    token_values:
+        ``(token, values)`` pairs, at most one per token of ``index``, in
+        whatever token order the deriving predicate needs: ``values`` holds
+        one contribution per posting of ``index.postings(token)``, aligned
+        with it -- a ``float64`` array (the product of an element-wise
+        expression over ``index.arrays(token)``) or a sequence of floats.
+        Consumed once, inside the fit.
+    keep_zeros:
+        Postings contributing exactly ``0.0`` are dropped -- the accumulation
+        loops would skip them -- unless candidate membership must include
+        them (the language models: such a tuple still scores
+        ``exp(sum_complement)``).  A token left without postings is absent.
+
+    When numpy is available (the ``fast`` extra) the contributions live as
+    one contiguous ``(int64 tids, float64 contributions)`` pair per token,
+    which the vectorized kernels (:mod:`repro.core.kernels`) accumulate at C
+    speed, and the ``(tid, contribution)`` lists are copied from those arrays
+    here (``tolist()`` round-trips float64 exactly; the tid objects are the
+    inverted index's own, not a fresh ``int`` per posting per predicate).
+    Without numpy ``arrays()`` returns ``None`` and every scoring path reads
+    the lists.
     """
 
-    def __init__(self, postings: Dict[str, List[Tuple[int, float]]]):
-        self._postings = postings
+    def __init__(
+        self,
+        index: InvertedIndex,
+        token_values: Iterable[Tuple[str, Sequence[float]]],
+        keep_zeros: bool = False,
+    ):
+        np = kernels.np
+        index.build_arrays()  # a no-op after a kernelised tokenize phase
+        self._postings: Dict[str, List[Tuple[int, float]]] = {}
         self._max: Dict[str, float] = {}
         self._min: Dict[str, float] = {}
-        for token, plist in postings.items():
-            contributions = [contribution for _, contribution in plist]
-            self._max[token] = max(contributions)
-            self._min[token] = min(contributions)
-        self._arrays = kernels.build_arrays(postings)
-
-    @classmethod
-    def from_doc_weights(
-        cls,
-        index: InvertedIndex,
-        doc_weights: Sequence[Dict[str, float]],
-    ) -> "WeightedPostingIndex":
-        """Build from per-tuple ``token -> weight`` maps (aggregate family).
-
-        Zero contributions are omitted, matching the accumulation loops that
-        skip ``doc_weight == 0`` candidates.  Predicates whose candidate
-        membership must include zero-contribution postings (the language
-        model keeps them: such tuples still score ``exp(sum_complement)``)
-        build their posting dict themselves and use the constructor.
-        """
-        postings: Dict[str, List[Tuple[int, float]]] = {}
-        for token in index.tokens():
-            plist = []
-            for tid, _ in index.postings(token):
-                contribution = doc_weights[tid].get(token, 0.0)
-                if contribution == 0.0:
-                    continue
-                plist.append((tid, contribution))
-            if plist:
-                postings[token] = plist
-        return cls(postings)
-
-    @classmethod
-    def from_token_weights(
-        cls, index: InvertedIndex, weights: Dict[str, float]
-    ) -> "WeightedPostingIndex":
-        """Build from a global ``token -> weight`` table (overlap family).
-
-        Every posting of a token carries the same contribution (the token's
-        weight); zero-weight tokens are dropped entirely, matching the
-        accumulation loops that skip them.
-        """
-        postings: Dict[str, List[Tuple[int, float]]] = {}
-        for token in index.tokens():
-            weight = weights.get(token, 0.0)
-            if weight == 0.0:
+        self._arrays = None if np is None else {}
+        #: Postings stored / postings left out for contributing exactly 0.0.
+        self.num_postings = 0
+        self.zero_dropped = 0
+        for token, values in token_values:
+            # The index's own tid objects, as a list: zipping two lists is
+            # measurably cheaper than zipping a lazy map with one.
+            tids = list(map(_tid_of, index.postings(token)))
+            if np is not None:
+                tid_array = index.arrays(token)[0]
+                contributions = np.asarray(values, dtype=np.float64)
+                if not keep_zeros:
+                    keep = contributions != 0.0
+                    if not keep.all():
+                        tids = compress(tids, keep.tolist())
+                        tid_array, contributions = tid_array[keep], contributions[keep]
+                values = contributions.tolist()
+                if values:
+                    self._arrays[token] = (tid_array, contributions)
+            elif not keep_zeros:
+                keep = [value != 0.0 for value in values]
+                tids, values = compress(tids, keep), list(compress(values, keep))
+            self.zero_dropped += index.document_frequency(token) - len(values)
+            if not values:
                 continue
-            postings[token] = [(tid, weight) for tid, _ in index.postings(token)]
-        return cls(postings)
+            self.num_postings += len(values)
+            self._postings[token] = list(zip(tids, values))
+            self._max[token] = max(values)
+            self._min[token] = min(values)
 
     def postings(self, token: str) -> List[Tuple[int, float]]:
         """``(tid, contribution)`` pairs for every tuple ``token`` scores on."""
@@ -260,34 +271,11 @@ class WeightedPostingIndex:
         """``(int64 tids, float64 contributions)`` arrays, or ``None``.
 
         ``None`` either because numpy is unavailable or because the token has
-        no postings; callers fall back to :meth:`postings` in both cases.
+        no postings.
         """
         if self._arrays is None:
             return None
         return self._arrays.get(token)
-
-    def slice(self, start: int, stop: int) -> "WeightedPostingIndex":
-        """The sub-index over tuples ``start <= tid < stop``, tids rebased to 0.
-
-        Contributions are carried over unchanged (they were computed against
-        collection-level statistics, which do not change with the slice), and
-        the per-token max/min bounds are recomputed over the surviving
-        postings -- tightening them to the slice is what makes per-shard
-        max-score bounds useful for short-circuiting whole shards.  Going
-        through the constructor also rebuilds the kernel array backing, so a
-        sliced index carries exactly the arrays a shard-local fit would have
-        built (the shard==slice invariant extends to the vectorized path).
-        """
-        postings: Dict[str, List[Tuple[int, float]]] = {}
-        for token, plist in self._postings.items():
-            local = [
-                (tid - start, contribution)
-                for tid, contribution in plist
-                if start <= tid < stop
-            ]
-            if local:
-                postings[token] = local
-        return WeightedPostingIndex(postings)
 
     def max_contribution(self, token: str) -> float:
         return self._max.get(token, 0.0)

@@ -7,8 +7,8 @@ for both:
 * the **weighted scan** (:func:`accumulate`) of the monotone-sum predicates
   (WeightedMatch, WeightedJaccard, Cosine, BM25, LM, HMM):
   ``score[tid] += query_weight * contribution`` over per-token
-  ``int64`` tid / ``float64`` contribution arrays (:func:`build_arrays`,
-  stored by :class:`~repro.core.index.WeightedPostingIndex`);
+  ``int64`` tid / ``float64`` contribution arrays (what a fit derives and
+  :class:`~repro.core.index.WeightedPostingIndex` stores);
 * the **count scan** (:func:`count_overlap`) of the unweighted overlap
   predicates (IntersectSize, Jaccard): ``overlap[tid] += 1`` over the
   per-token ``int64`` tid arrays of the
@@ -77,7 +77,6 @@ __all__ = [
     "use_backend",
     "count_op",
     "ops_snapshot",
-    "build_arrays",
     "accumulate",
     "count_overlap",
     "allowed_mask",
@@ -165,41 +164,6 @@ def ops_snapshot() -> Dict[str, int]:
     """
     with _ops_lock:
         return dict(_ops)
-
-
-# -- fit-time array building --------------------------------------------------
-
-
-def build_arrays(
-    postings: Dict[str, List[Tuple[int, float]]],
-) -> Optional[Dict[str, Tuple["np.ndarray", "np.ndarray"]]]:
-    """Materialize posting lists as ``(int64 tids, float64 contributions)``.
-
-    Returns ``None`` when numpy is unavailable (callers store ``None`` and
-    every kernel entry point falls back to the list-of-tuples postings).
-    Arrays are built even while :func:`use_backend` forces the python
-    backend -- forcing affects compute dispatch only, so a fit performed
-    under one backend serves queries under the other.
-    """
-    if np is None:
-        return None
-    arrays: Dict[str, Tuple["np.ndarray", "np.ndarray"]] = {}
-    for token, plist in postings.items():
-        arrays[token] = _arrays_from_postings(plist)
-    return arrays
-
-
-def _arrays_from_postings(
-    plist: Sequence[Tuple[int, float]],
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    count = len(plist)
-    tids = np.fromiter((tid for tid, _ in plist), dtype=np.int64, count=count)
-    contributions = np.fromiter(
-        (contribution for _, contribution in plist),
-        dtype=np.float64,
-        count=count,
-    )
-    return tids, contributions
 
 
 # -- the two scans (rank / select / score / top_k paths) ----------------------
@@ -430,24 +394,27 @@ def _accumulate_numpy(
 ) -> Dict[int, float]:
     tid_parts: List["np.ndarray"] = []
     value_parts: List["np.ndarray"] = []
+    expected = 0
     for token, query_weight in items:
         pair = index.arrays(token)
-        if pair is None:
-            plist = index.postings(token)
-            if not plist:
-                continue
-            pair = _arrays_from_postings(plist)
-        tids, contributions = pair
-        tid_parts.append(tids)
-        value_parts.append(
-            contributions if query_weight == 1.0 else query_weight * contributions
-        )
-    if not tid_parts:
+        if pair is not None:
+            tids, contributions = pair
+            tid_parts.append(tids)
+            value_parts.append(
+                contributions if query_weight == 1.0 else query_weight * contributions
+            )
+        expected += len(index.postings(token))
+    if not expected:
         return {}
     all_tids = tid_parts[0] if len(tid_parts) == 1 else np.concatenate(tid_parts)
     all_values = (
         value_parts[0] if len(value_parts) == 1 else np.concatenate(value_parts)
     )
+    # Arrays that are short *in step* (or missing) would not fail, they would
+    # leave contributions out: the same length check as the count scan turns
+    # that into a failure the ladder heals on the posting lists.
+    if all_tids.size != expected:
+        raise ValueError("posting arrays are out of step with the posting lists")
     accumulator = np.zeros(size, dtype=np.float64)
     # Unbuffered scatter-add: additions apply in element order, reproducing
     # the scalar per-tid accumulation chains bit for bit.
@@ -466,9 +433,9 @@ def _count_overlap_numpy(index, tokens: Iterable[str], size: int) -> Dict[int, i
     parts: List["np.ndarray"] = []
     expected = 0
     for token in set(tokens):
-        tids = index.tid_array(token)
-        if tids is not None:
-            parts.append(tids)
+        pair = index.arrays(token)
+        if pair is not None:
+            parts.append(pair[0])
         expected += index.document_frequency(token)
     if not expected:
         return {}

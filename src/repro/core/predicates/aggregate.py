@@ -8,19 +8,27 @@ Both predicates score ``sim(Q, D) = Σ_{t ∈ Q∩D} wq(t, Q) * wd(t, D)``:
   the document side and the ``(k3+1)tf/(k3+tf)`` saturation on the query
   side.  Parameter defaults follow section 5.3.2 (k1=1.5, k3=8, b=0.675).
 
-Query execution is postings-driven: the document-side weights are folded
-into a :class:`~repro.core.index.WeightedPostingIndex` at fit time, so
-accumulation is one flat loop over precomputed floats, and -- the score being
-a monotone sum -- ``top_k`` can run with max-score early termination
-(:mod:`repro.core.topk`; scalar kernel backend only).  All accumulation iterates query tokens in sorted
-order so summation is deterministic and the pruned/unpruned paths agree bit
-for bit.
+Each states its document-side weight **once**, as an element-wise function of
+(the token's weight, ``tf``, a per-tuple factor) -- :meth:`BM25._contribution`,
+:meth:`CosineTfIdf._contribution`.  The fit maps it over the corpus core's
+postings token by token -- with numpy one ufunc per IEEE operation over the
+token's ``(tids, tfs)`` arrays, without it the same expression per posting --
+into a :class:`~repro.core.index.WeightedPostingIndex`; ``score()`` and the
+max-score rescore (:meth:`_AggregateBase._rescore_items`) call the same
+function on the tuple's own term frequency.
+Nothing is kept per (tuple, token) besides those postings.
+
+Query execution is postings-driven: accumulation is one flat loop over
+precomputed floats, and -- the score being a monotone sum -- ``top_k`` can
+run with max-score early termination (:mod:`repro.core.topk`; scalar kernel
+backend only).  All accumulation iterates query tokens in sorted order so
+summation is deterministic and the pruned/unpruned paths agree bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import kernels
 from repro.core.index import WeightedPostingIndex
@@ -30,8 +38,8 @@ from repro.text.tokenize import QgramTokenizer, Tokenizer
 from repro.text.weights import (
     BM25Parameters,
     CollectionStatistics,
-    bm25_document_weights,
     bm25_query_weights,
+    tfidf_norm,
     tfidf_weights,
 )
 
@@ -48,22 +56,52 @@ class _AggregateBase(Predicate):
         super().__init__()
         self.tokenizer = tokenizer or QgramTokenizer(q=2)
         self._stats: CollectionStatistics | None = None
-        #: per-tuple token -> document-side weight
-        self._doc_weights: List[Dict[str, float]] = []
-        #: token -> [(tid, document-side weight)] with per-token max/min bounds
-        self._weighted_index: WeightedPostingIndex | None = None
+        #: token -> collection-level weight (RS / idf): the per-token constant
+        #: of :meth:`_contribution`.
+        self._token_weights: Mapping[str, float] = {}
+        #: The per-tuple factor of :meth:`_contribution`, one float per tuple.
+        self._tuple_factors: List[float] = []
 
-    def _build_weighted_index(self) -> None:
-        assert self._index is not None
-        self._weighted_index = WeightedPostingIndex.from_doc_weights(
-            self._index, self._doc_weights
-        )
+    def _contribution(self, weight, tf, factor):
+        """Document-side weight ``wd(t, D)`` from the token's collection-level
+        ``weight``, ``tf(t, D)`` and the tuple's ``factor``.
+
+        Element-wise ``+ - * /`` only, so it maps over a token's ``tf`` and
+        gathered-factor arrays exactly as it does over one posting's scalars
+        (int64 -> float64 is exact and numpy fuses nothing): the fit and the
+        single-tuple paths below share it, bit for bit.
+        """
+        raise NotImplementedError
+
+    def _derive_weighted_index(
+        self, token_weights: Mapping[str, float], tuple_factors: List[float]
+    ) -> None:
+        """Map :meth:`_contribution` over the core's postings, token-major."""
+        self._token_weights, self._tuple_factors = token_weights, tuple_factors
+        index, contribution = self._index, self._contribution
+        assert index is not None
+        np = kernels.np
+        factor_array = None if np is None else np.array(tuple_factors, dtype=np.float64)
+
+        def posting_values() -> Iterator[Tuple[str, Sequence[float]]]:
+            for token in index.tokens():
+                weight = token_weights[token]
+                if factor_array is None:
+                    yield token, [
+                        contribution(weight, tf, tuple_factors[tid])
+                        for tid, tf in index.postings(token)
+                    ]
+                else:
+                    tids, tfs = index.arrays(token)
+                    yield token, contribution(weight, tfs, factor_array[tids])
+
+        self._weighted_index = WeightedPostingIndex(index, posting_values())
 
     def _query_weights(self, query: str) -> Dict[str, float]:
         """Query-side weights ``wq(t, Q)`` (subclass-specific)."""
         raise NotImplementedError
 
-    def _accumulate(self, query_weights: Dict[str, float]) -> Dict[int, float]:
+    def _scores(self, query: str) -> Dict[int, float]:
         """Dot product of query weights against every candidate's doc weights.
 
         One kernel call over the precomputed weighted postings; tokens are
@@ -73,12 +111,9 @@ class _AggregateBase(Predicate):
         assert self._weighted_index is not None
         return kernels.accumulate(
             self._weighted_index,
-            self._sorted_items(query_weights),
+            self._sorted_items(self._query_weights(query)),
             len(self._token_lists),
         )
-
-    def _scores(self, query: str) -> Dict[int, float]:
-        return self._accumulate(self._query_weights(query))
 
     @staticmethod
     def _sorted_items(query_weights: Dict[str, float]) -> List[Tuple[str, float]]:
@@ -91,22 +126,22 @@ class _AggregateBase(Predicate):
     def _rescore_items(
         self, items: List[Tuple[str, float]], tids: Iterable[int]
     ) -> Dict[int, float]:
-        """Exact per-tuple rescoring in the same order :meth:`_accumulate` uses."""
+        """Exact per-tuple rescoring in the same order :meth:`_scores` uses."""
+        contribution, weights = self._contribution, self._token_weights
         scores: Dict[int, float] = {}
         for tid in tids:
-            doc_weights = self._doc_weights[tid]
+            counts = self._index.term_frequencies(tid)
+            factor = self._tuple_factors[tid]
             total = 0.0
             for token, query_weight in items:
-                contribution = doc_weights.get(token, 0.0)
-                if contribution:
-                    total += query_weight * contribution
+                tf = counts.get(token)
+                if tf:
+                    # What the token's posting for this tuple stores.
+                    weight = contribution(weights[token], tf, factor)
+                    if weight:
+                        total += query_weight * weight
             scores[tid] = total
         return scores
-
-    def _rescore(
-        self, query_weights: Dict[str, float], tids: Iterable[int]
-    ) -> Dict[int, float]:
-        return self._rescore_items(self._sorted_items(query_weights), tids)
 
     def _maxscore_plan(
         self, query: str
@@ -135,9 +170,10 @@ class _AggregateBase(Predicate):
         return terms, allowed, lambda tids: self._rescore_items(items, tids)
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
-        if not 0 <= tid < len(self._doc_weights):
+        if not 0 <= tid < len(self._tuple_factors):
             return 0.0
-        return self._rescore(self._query_weights(query), [tid])[tid]
+        items = self._sorted_items(self._query_weights(query))
+        return self._rescore_items(items, [tid])[tid]
 
 
 class CosineTfIdf(_AggregateBase):
@@ -146,21 +182,29 @@ class CosineTfIdf(_AggregateBase):
     name = "Cosine"
 
     def weight_phase(self) -> None:
-        self._stats = self._core.stats
-        idf = self._stats.idf_table()
-        self._idf = idf
-        self._doc_weights = [
-            tfidf_weights(self._stats.term_frequencies(tid), idf)
-            for tid in range(len(self._token_lists))
+        self._stats = stats = self._core.stats
+        idf = stats.idf_table()
+        # The L2 norm is a reduction: one scalar statement per tuple, shared
+        # with tfidf_weights, never a vectorised sum.  A tuple whose raw
+        # weights are all zero has every weight 0.0; dividing by inf says so
+        # without a branch in the element-wise expression.
+        norms = [
+            tfidf_norm([tf * idf[token] for token, tf in counts.items()])
+            or float("inf")
+            for counts in self._core.term_frequencies
         ]
-        self._build_weighted_index()
+        self._derive_weighted_index(idf, norms)
+
+    def _contribution(self, weight, tf, factor):
+        """``tf * idf / ||w'(D)||`` (section 3.2.1)."""
+        return tf * weight / factor
 
     def _query_weights(self, query: str) -> Dict[str, float]:
         # Query tokens absent from the base relation are dropped (idf 0),
         # matching the inner join with BASE_IDF in the declarative realization;
         # they cannot contribute to any candidate's score anyway.
         query_tf = Counter(self.tokenizer.tokenize(query))
-        return tfidf_weights(query_tf, self._idf, default_idf=0.0)
+        return tfidf_weights(query_tf, self._token_weights, default_idf=0.0)
 
 
 class BM25(_AggregateBase):
@@ -177,12 +221,19 @@ class BM25(_AggregateBase):
         self.params = params or BM25Parameters()
 
     def weight_phase(self) -> None:
-        self._stats = self._core.stats
-        self._doc_weights = [
-            bm25_document_weights(self._stats, tid, self.params)
-            for tid in range(len(self._token_lists))
+        self._stats = stats = self._core.stats
+        k1, b = self.params.k1, self.params.b
+        avgdl = stats.average_length or 1.0
+        length_factors = [
+            k1 * ((1.0 - b) + b * length / avgdl) for length in stats.lengths()
         ]
-        self._build_weighted_index()
+        self._derive_weighted_index(stats.rs_table(), length_factors)
+
+    def _contribution(self, weight, tf, factor):
+        """``rs * (k1 + 1) * tf / (k_d + tf)`` (section 3.2.2); ``factor`` is
+        the tuple's length normalizer ``k_d = k1 * ((1 - b) + b * |D| / avgdl)``.
+        """
+        return weight * (self.params.k1 + 1.0) * tf / (factor + tf)
 
     def _query_weights(self, query: str) -> Dict[str, float]:
         query_tf = Counter(self.tokenizer.tokenize(query))

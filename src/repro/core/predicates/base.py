@@ -26,8 +26,9 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.core import kernels
 from repro.core.corpus import CorpusCore
-from repro.core.index import InvertedIndex
+from repro.core.index import InvertedIndex, WeightedPostingIndex
 from repro.core.topk import PruningStats, maxscore_top_k
+from repro.obs.clock import perf_clock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.blocking.base import Blocker
@@ -128,6 +129,12 @@ class Predicate(ABC):
         #: Bound from the core by the default :meth:`tokenize_phase`.
         self._token_lists: List[List[str]] = []
         self._index: Optional[InvertedIndex] = None
+        #: token -> [(tid, contribution)] with per-token bounds: what a
+        #: kernelised weighted predicate's :meth:`weight_phase` derives
+        #: (``None`` for every other predicate).
+        self._weighted_index: Optional[WeightedPostingIndex] = None
+        #: Seconds the last :meth:`fit` spent inside :meth:`weight_phase`.
+        self.weight_seconds = 0.0
         self._blocker: Optional["Blocker"] = None
         self._restriction: Optional[Set[int]] = None
         #: Number of candidates scored by the most recent :meth:`rank` /
@@ -168,7 +175,9 @@ class Predicate(ABC):
         """
         self._bind(strings, core, token_lists)
         self.tokenize_phase()
+        started = perf_clock()
         self.weight_phase()
+        self.weight_seconds = perf_clock() - started
         self._fitted = True
         if self._blocker is not None:
             self._fit_blocker(self._blocker)
@@ -204,14 +213,19 @@ class Predicate(ABC):
     def tokenize_phase(self) -> None:
         """Phase 1 of preprocessing: the tokenized, indexed base relation.
 
-        Binds the token lists and the inverted index from the corpus core.
-        A predicate that was handed no core builds its private one here, so
-        standalone fits pay tokenization in this phase; over a shared core
-        whose parts already exist the phase is a pair of attribute reads.
+        Binds the token lists and the inverted index from the corpus core;
+        a kernelised predicate also has the index hold its postings as
+        arrays (once per core), which the count scan reads and every
+        weighted fit derives its contributions from.  A predicate that was
+        handed no core builds its private one here, so standalone fits pay
+        tokenization in this phase; over a shared core whose parts already
+        exist the phase is a few attribute reads.
         """
         core = self._bound_core()
         self._token_lists = core.token_lists
         self._index = core.index
+        if self.uses_kernels:
+            core.build_index_arrays()
 
     @abstractmethod
     def weight_phase(self) -> None:
@@ -457,6 +471,19 @@ class Predicate(ABC):
     @property
     def is_fitted(self) -> bool:
         return self._fitted
+
+    def weights_summary(self) -> Dict[str, object]:
+        """What the last fit derived into the weighted postings and what it
+        cost (the engine's ``fit`` span and ``explain()`` report it); empty
+        for a predicate that builds no weighted posting index."""
+        weighted = self._weighted_index
+        if weighted is None:
+            return {}
+        return {
+            "weighted_postings": weighted.num_postings,
+            "zero_dropped": weighted.zero_dropped,
+            "weights_s": self.weight_seconds,
+        }
 
     @property
     def base_strings(self) -> List[str]:

@@ -9,16 +9,22 @@ generating the query, which after dropping query-constant factors
 
     sim(Q, D) = Π_{q ∈ Q ∩ D} (1 + a1 * P(q|D) / (a0 * P(q|GE)))
 
-The per-(tuple, token) factor is precomputed during preprocessing, exactly
-like the ``BASE_WEIGHTS`` table of the declarative realization; query
-evaluation is then a single index lookup per query token.
+The log of the per-(tuple, token) factor is precomputed during preprocessing,
+exactly like the ``BASE_WEIGHTS`` table of the declarative realization:
+:meth:`HMM._contribution` states it once, the fit maps it over the corpus
+core's postings token by token into a
+:class:`~repro.core.index.WeightedPostingIndex` (a scalar pass on both kernel
+backends -- ``math.log`` is libm's, numpy's ``log`` is not guaranteed to round
+the same way), and ``score()`` calls the same function on the tuple's own
+term frequency.  Query evaluation is one kernel scan over the query tokens'
+postings.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core import kernels
 from repro.core.index import WeightedPostingIndex
@@ -44,39 +50,39 @@ class HMM(Predicate):
         self.tokenizer = tokenizer or QgramTokenizer(q=2)
         self.a0 = a0
         self.a1 = 1.0 - a0
-        #: per-tuple token -> log(1 + a1 P(q|D) / (a0 P(q|GE)))
-        self._log_weights: List[Dict[str, float]] = []
-        #: token -> [(tid, log weight)]: the same factors folded into posting
-        #: lists so query-time accumulation is one kernel call.
-        self._weighted_index: WeightedPostingIndex | None = None
+        #: token -> P(q|GE) = cf_t / cs
+        self._general_english: Dict[str, float] = {}
+        #: per-tuple ``|D|`` (1 for an empty tuple, which has no posting)
+        self._lengths: List[int] = []
 
     def weight_phase(self) -> None:
         stats = self._core.stats
         collection_size = stats.collection_size or 1
-        general_english = {
+        self._general_english = {
             token: stats.collection_frequency(token) / collection_size
             for token in stats.vocabulary
         }
-        self._log_weights = []
-        for tid in range(len(self._token_lists)):
-            length = stats.length(tid) or 1
-            weights: Dict[str, float] = {}
-            for token, tf in stats.term_frequencies(tid).items():
-                p_string = tf / length
-                p_general = general_english[token]
-                factor = 1.0 + (self.a1 * p_string) / (self.a0 * p_general)
-                weights[token] = math.log(factor)
-            self._log_weights.append(weights)
-        # Every posting has a (strictly positive) log factor: fold them into
-        # weighted posting lists for the vectorized accumulation kernels.
+        self._lengths = [length or 1 for length in stats.lengths()]
+        # Every posting keeps its log factor -- a tuple sharing a token is a
+        # candidate even where 1 + x rounds to 1 -- so zeros are not dropped.
         assert self._index is not None
-        contributions: Dict[str, List] = {}
-        for token in self._index.tokens():
-            contributions[token] = [
-                (tid, self._log_weights[tid][token])
-                for tid, _ in self._index.postings(token)
+        self._weighted_index = WeightedPostingIndex(
+            self._index, self._posting_values(), keep_zeros=True
+        )
+
+    def _posting_values(self) -> Iterator[Tuple[str, List[float]]]:
+        index, lengths, contribution = self._index, self._lengths, self._contribution
+        for token in index.tokens():
+            p_general = self._general_english[token]
+            yield token, [
+                contribution(p_general, tf, lengths[tid])
+                for tid, tf in index.postings(token)
             ]
-        self._weighted_index = WeightedPostingIndex(contributions)
+
+    def _contribution(self, p_general: float, tf: int, length: int) -> float:
+        """``log(1 + a1 P(q|D) / (a0 P(q|GE)))`` of one posting, with
+        ``P(q|D) = tf / |D|``: what the fit stores and ``score()`` recomputes."""
+        return math.log(1.0 + (self.a1 * (tf / length)) / (self.a0 * p_general))
 
     def _scores(self, query: str) -> Dict[int, float]:
         assert self._weighted_index is not None
@@ -100,16 +106,19 @@ class HMM(Predicate):
         return {tid: math.exp(value) for tid, value in log_scores.items()}
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
-        if not 0 <= tid < len(self._log_weights):
+        if not 0 <= tid < len(self._token_lists):
             return 0.0
         # Same token order as _scores (query first-occurrence), so the log
         # sum is float-identical to the whole-corpus path.
-        weights = self._log_weights[tid]
+        counts = self._index.term_frequencies(tid)
         log_score = 0.0
         matched = False
         for token, multiplicity in Counter(self.tokenizer.tokenize(query)).items():
-            if token in weights:
+            tf = counts.get(token)
+            if tf:
                 # repro-analysis: disable=RPL001 reason=query first-occurrence order IS the canonical order; _scores and the vectorized kernels accumulate in the same Counter order, so sorting would break bit-identity with them
-                log_score += multiplicity * weights[token]
+                log_score += multiplicity * self._contribution(
+                    self._general_english[token], tf, self._lengths[tid]
+                )
                 matched = True
         return math.exp(log_score) if matched else 0.0

@@ -10,12 +10,21 @@ dropped and only tokens in ``Q ∩ D`` plus a per-tuple precomputed term
 ``Σ_{t ∈ D} log(1 - p̂(t|M_D))`` are needed at query time.  Scores are
 computed in log space and exponentiated at the end, exactly like the SQL in
 Figure 4.4.
+
+The fit is one token-major pass over the corpus core's postings:
+:meth:`LanguageModeling._posting_terms` states a posting's contribution
+once, each posting takes its two logs once -- ``log(1 - p̂)`` feeds both the
+contribution and the tuple's complement sum -- and nothing is kept per
+(tuple, token) besides the weighted postings; ``score()`` recomputes a
+posting from the same function and the tuple's own term frequency.  The pass
+is scalar on both kernel backends: ``**`` and ``math.log`` are libm's, numpy's
+``power`` / ``log`` are not guaranteed to round the same way.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core import kernels
 from repro.core.index import WeightedPostingIndex
@@ -45,18 +54,16 @@ class LanguageModeling(Predicate):
         super().__init__()
         self.tokenizer = tokenizer or QgramTokenizer(q=2)
         self._stats: CollectionStatistics | None = None
-        #: per-tuple token -> p̂(t | M_D) (only for tokens present in the tuple)
-        self._pm: List[Dict[str, float]] = []
+        #: token -> p̂_avg(t), the collection's (shared, read-only) table
+        self._pavg: Dict[str, float] = {}
+        #: per-tuple ``|D|`` (1 for an empty tuple, which has no posting)
+        self._lengths: List[int] = []
         #: per-tuple Σ_{t ∈ D} log(1 - p̂(t|M_D))
         self._sum_complement: List[float] = []
         #: the same values as a float64 array (None without numpy)
         self._sum_complement_array = None
-        #: token -> cf_t / cs
-        self._cfcs: Dict[str, float] = {}
-        #: token -> [(tid, log(pm) - log(1-pm) - log(cf/cs))]: the whole
-        #: per-posting contribution of equation 4.4 precomputed at fit time,
-        #: so query-time accumulation does no log() calls at all.
-        self._weighted_index: WeightedPostingIndex | None = None
+        #: token -> log(cf_t / cs)
+        self._log_cfcs: Dict[str, float] = {}
 
     # -- preprocessing --------------------------------------------------------
 
@@ -64,64 +71,68 @@ class LanguageModeling(Predicate):
         stats = self._core.stats
         self._stats = stats
         collection_size = stats.collection_size or 1
-
         # p̂_avg(t): mean maximum-likelihood probability over tuples containing
         # t -- a collection-level statistic, so it comes from the statistics
         # object (the whole relation's, also over a shard-local core).
-        pavg = stats.pavg_table()
-        self._cfcs = {
-            token: stats.collection_frequency(token) / collection_size
+        self._pavg = stats.pavg_table()
+        self._log_cfcs = {
+            token: math.log(stats.collection_frequency(token) / collection_size)
             for token in stats.vocabulary
         }
-
-        self._pm = []
-        self._sum_complement = []
-        for tid in range(len(self._token_lists)):
-            length = stats.length(tid) or 1
-            tuple_pm: Dict[str, float] = {}
-            log_complement_sum = 0.0
-            # Sorted token order keeps log_complement_sum bit-identical no
-            # matter how the term-frequency dict was built (RPL001).
-            for token, tf in sorted(stats.term_frequencies(tid).items()):
-                pml = tf / length
-                expected = pavg[token] * length  # f̄_{t,D}
-                risk = (1.0 / (1.0 + expected)) * (expected / (1.0 + expected)) ** tf
-                pm = (pml ** (1.0 - risk)) * (pavg[token] ** risk)
-                pm = min(pm, _MAX_PROBABILITY)
-                tuple_pm[token] = pm
-                log_complement_sum += math.log(1.0 - pm)
-            self._pm.append(tuple_pm)
-            self._sum_complement.append(log_complement_sum)
-
-        # Fold the full per-posting contribution into weighted postings.
-        # Zero contributions are kept: a tuple sharing only such tokens is
-        # still a candidate (it scores exp(sum_complement)).
+        self._lengths = [length or 1 for length in stats.lengths()]
+        self._sum_complement = [0.0] * len(self._lengths)
+        # The whole per-posting contribution of equation 4.4 is precomputed,
+        # so query-time accumulation does no log() calls at all.  Zero
+        # contributions are kept: a tuple sharing only such tokens is still a
+        # candidate (it scores exp(sum_complement)).
         assert self._index is not None
-        contributions: Dict[str, List[tuple]] = {}
-        for token in self._index.tokens():
-            cfcs = self._cfcs.get(token, 0.0)
-            log_cfcs = math.log(cfcs) if cfcs > 0 else 0.0
-            plist = []
-            for tid, _ in self._index.postings(token):
-                pm = self._pm[tid][token]
-                plist.append((tid, math.log(pm) - math.log(1.0 - pm) - log_cfcs))
-            contributions[token] = plist
-        self._weighted_index = WeightedPostingIndex(contributions)
+        self._weighted_index = WeightedPostingIndex(
+            self._index, self._posting_values(), keep_zeros=True
+        )
         # Array mirror for the vectorized finalize gather (built regardless
         # of backend forcing, like the posting arrays).
-        if kernels.np is not None:
-            self._sum_complement_array = kernels.np.array(
-                self._sum_complement, dtype=kernels.np.float64
-            )
+        np = kernels.np
+        self._sum_complement_array = (
+            None if np is None else np.array(self._sum_complement, dtype=np.float64)
+        )
+
+    def _posting_values(self) -> Iterator[Tuple[str, List[float]]]:
+        """Per token, the contribution of each of its postings -- adding each
+        posting's ``log(1 - p̂)`` to its tuple's complement sum on the way.
+
+        Tokens are visited in sorted order, so every tuple's sum adds its
+        tokens in sorted order however the index was built (RPL001).
+        """
+        index, lengths, sum_complement = self._index, self._lengths, self._sum_complement
+        posting_terms = self._posting_terms
+        for token in sorted(index.tokens()):
+            pavg, log_cfcs = self._pavg[token], self._log_cfcs[token]
+            values = []
+            for tid, tf in index.postings(token):
+                value, log_complement = posting_terms(pavg, log_cfcs, tf, lengths[tid])
+                sum_complement[tid] += log_complement
+                values.append(value)
+            yield token, values
+
+    @staticmethod
+    def _posting_terms(
+        pavg: float, log_cfcs: float, tf: int, length: int
+    ) -> Tuple[float, float]:
+        """One posting's ``(contribution, log(1 - p̂(t|M_D)))``: equation 4.4's
+        summand for a shared token, and what the tuple's complement sum takes
+        from the posting -- each log taken once.
+
+        ``p̂(t|M_D)`` is the maximum-likelihood estimate ``tf / |D|`` smoothed
+        towards ``p̂_avg(t)`` by the risk of trusting it (section 3.3.1).
+        """
+        pml = tf / length
+        expected = pavg * length  # f̄_{t,D}
+        risk = (1.0 / (1.0 + expected)) * (expected / (1.0 + expected)) ** tf
+        pm = min((pml ** (1.0 - risk)) * (pavg ** risk), _MAX_PROBABILITY)
+        log_complement = math.log(1.0 - pm)
+        return math.log(pm) - log_complement - log_cfcs, log_complement
 
     # -- query time -----------------------------------------------------------
-
-    def _contribution(self, token: str, tid: int) -> float:
-        """One posting's contribution, recomputed bit-identically to fit time."""
-        cfcs = self._cfcs.get(token, 0.0)
-        log_cfcs = math.log(cfcs) if cfcs > 0 else 0.0
-        pm = self._pm[tid][token]
-        return math.log(pm) - math.log(1.0 - pm) - log_cfcs
 
     @staticmethod
     def _finalize(log_score: float) -> float:
@@ -159,14 +170,18 @@ class LanguageModeling(Predicate):
         }
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
-        if not 0 <= tid < len(self._pm):
+        if not 0 <= tid < len(self._sum_complement):
             return 0.0
-        tuple_pm = self._pm[tid]
+        counts, length = self._index.term_frequencies(tid), self._lengths[tid]
         accumulated = 0.0
         matched = False
         for token in sorted(set(self.tokenizer.tokenize(query))):
-            if token in tuple_pm:
-                accumulated += self._contribution(token, tid)
+            tf = counts.get(token)
+            if tf:
+                # What the token's posting for this tuple stores.
+                accumulated += self._posting_terms(
+                    self._pavg[token], self._log_cfcs[token], tf, length
+                )[0]
                 matched = True
         if not matched:
             return 0.0

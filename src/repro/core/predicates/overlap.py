@@ -15,7 +15,9 @@ tokens' postings, then a per-candidate finalizer.  The unweighted pair runs
 the integer count scan (:func:`~repro.core.kernels.count_overlap`) over the
 shared :class:`~repro.core.index.InvertedIndex`; the weighted pair folds its
 weight table into a :class:`~repro.core.index.WeightedPostingIndex` at fit
-time and runs the weighted scan (:func:`~repro.core.kernels.accumulate`),
+time (every posting of a token carries the token's weight, over the core's
+own tid arrays) and runs the weighted scan
+(:func:`~repro.core.kernels.accumulate`),
 iterating query tokens in sorted order everywhere, so accumulation is
 deterministic and the ``top_k`` fast path of :class:`WeightedMatch` (a
 monotone sum, eligible for max-score pruning) reproduces the unpruned scores
@@ -157,10 +159,6 @@ class _OverlapBase(Predicate):
 class _CountOverlapBase(_OverlapBase):
     """Unweighted overlap: the integer count scan over the shared index."""
 
-    def tokenize_phase(self) -> None:
-        super().tokenize_phase()
-        self._core.build_index_arrays()
-
     def weight_phase(self) -> None:
         """Unweighted predicates need no second phase."""
 
@@ -260,8 +258,6 @@ class _WeightedOverlapBase(_OverlapBase):
         self.weighting = weighting
         self._weights: Dict[str, float] = {}
         self._stats: CollectionStatistics | None = None
-        #: token -> [(tid, weight)] postings with per-token bounds
-        self._weighted_index: WeightedPostingIndex | None = None
 
     def weight_phase(self) -> None:
         self._stats = self._core.stats
@@ -269,9 +265,17 @@ class _WeightedOverlapBase(_OverlapBase):
             self._weights = self._stats.rs_table()
         else:
             self._weights = self._stats.idf_table()
-        assert self._index is not None
-        self._weighted_index = WeightedPostingIndex.from_token_weights(
-            self._index, self._weights
+        index, weights = self._index, self._weights
+        assert index is not None
+        # Every posting of a token contributes the token's weight, so a
+        # zero-weight token is dropped whole, as the accumulation loops
+        # would skip it.
+        self._weighted_index = WeightedPostingIndex(
+            index,
+            (
+                (token, [weights[token]] * index.document_frequency(token))
+                for token in index.tokens()
+            ),
         )
 
     def _weight(self, token: str) -> float:
@@ -402,10 +406,10 @@ class WeightedJaccard(_WeightedOverlapBase):
             sum(self._weight(token) for token in sorted(token_set))
             for token_set in self._token_sets
         ]
-        if kernels.np is not None:
-            self._tuple_weight_sum_array = kernels.np.array(
-                self._tuple_weight_sums, dtype=kernels.np.float64
-            )
+        np = kernels.np
+        self._tuple_weight_sum_array = (
+            None if np is None else np.array(self._tuple_weight_sums, dtype=np.float64)
+        )
 
     def _query_weight_sum(self, query_tokens: Set[str]) -> float:
         return sum(self._weight(token) for token in sorted(query_tokens))

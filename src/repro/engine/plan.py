@@ -133,6 +133,11 @@ class ExplainReport:
     #: realization): tokenizer, rows / vocabulary / postings, build cost and
     #: how many of the engine's fitted predicates share it.
     core: Optional[str] = None
+    #: What the predicate's fit derived from that core into its weighted
+    #: postings -- how many, how many it left out for contributing exactly
+    #: zero, and the seconds its weight phase took (direct realization,
+    #: kernelised weighted predicates).
+    weights: Optional[str] = None
     #: Shard-level counters when the query ran over a sharded predicate
     #: (shards executed vs. skipped by their max-score upper bound).
     shards: Optional[ShardStats] = None
@@ -172,6 +177,8 @@ class ExplainReport:
             lines.append(f"pruning:     {self.pruning.describe()}")
         if self.core is not None:
             lines.append(f"core:        {self.core}")
+        if self.weights is not None:
+            lines.append(f"weights:     {self.weights}")
         if self.shards is not None:
             lines.append(f"shards:      {self.shards.describe()}")
         if self.resilience is not None and self.resilience.events:

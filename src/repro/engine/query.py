@@ -82,6 +82,14 @@ class _FittedState:
     recorder: Optional[RecordingBackend] = None
 
 
+def _weights_summary(predicate: object) -> Dict[str, object]:
+    """What ``predicate``'s fit derived into weighted postings and what that
+    cost (:meth:`Predicate.weights_summary`); empty for predicates that build
+    none -- and for declarative and sharded ones, which keep no such state
+    of their own."""
+    return predicate.weights_summary() if isinstance(predicate, Predicate) else {}
+
+
 class SimilarityEngine:
     """Facade unifying selections, joins and dedup over every realization.
 
@@ -689,8 +697,9 @@ class Query:
             fit_started = perf_clock()
             with obs.tracer.span(
                 "fit", predicate=self.predicate_name, num_tuples=len(self._corpus)
-            ):
+            ) as span:
                 state = engine._state(predicate_key, self._build_state)
+                span.set(**_weights_summary(state.predicate))
             obs.metrics.inc("fits_total")
             obs.metrics.observe("latency.fit", perf_clock() - fit_started)
         predicate = state.predicate
@@ -720,8 +729,9 @@ class Query:
                 predicate=self.predicate_name,
                 num_tuples=len(self._corpus),
                 refit=True,
-            ):
+            ) as span:
                 engine._fit(predicate, self._corpus)
+                span.set(**_weights_summary(predicate))
             obs.metrics.inc("fits_total")
             obs.metrics.observe("latency.fit", perf_clock() - fit_started)
         if not isinstance(self._predicate, str):
@@ -1508,6 +1518,12 @@ class Query:
                             "the predicate built no max-score plan for this query"
                         )
         report.core = self._engine._core_line(state.predicate)
+        weights = _weights_summary(state.predicate)
+        if weights:
+            report.weights = (
+                "{weighted_postings} postings ({zero_dropped} dropped as zero), "
+                "derived in {weights_s:.2f} s".format(**weights)
+            )
         report.shards = getattr(state.predicate, "shard_stats", None)
         report.resilience = getattr(state.predicate, "resilience_stats", None)
         if isinstance(state.predicate, DeclarativePredicate):

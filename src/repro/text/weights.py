@@ -30,6 +30,7 @@ __all__ = [
     "CollectionStatistics",
     "idf_weights",
     "rs_weights",
+    "tfidf_norm",
     "tfidf_weights",
     "bm25_document_weights",
     "bm25_query_weights",
@@ -235,6 +236,18 @@ def rs_weights(stats: CollectionStatistics, tokens: Iterable[str]) -> Dict[str, 
     return {token: stats.rs_weight(token) for token in set(tokens)}
 
 
+def tfidf_norm(raw_weights: Iterable[float]) -> float:
+    """L2 norm of one string's raw ``tf * idf`` weights, summed in the order
+    given.
+
+    The one statement of this reduction: :func:`tfidf_weights` and the cosine
+    predicate's fit both call it, so every path rounds the sum the same way
+    on every interpreter (``sum`` over floats is compensated from Python
+    3.12 on, a hand-written ``+=`` loop is not).
+    """
+    return math.sqrt(sum(value * value for value in raw_weights))
+
+
 def tfidf_weights(
     token_frequency: Mapping[str, int],
     idf: Mapping[str, float],
@@ -249,7 +262,7 @@ def tfidf_weights(
         token: tf * idf.get(token, default_idf)
         for token, tf in token_frequency.items()
     }
-    norm = math.sqrt(sum(value * value for value in raw.values()))
+    norm = tfidf_norm(raw.values())
     if norm == 0.0:
         return {token: 0.0 for token in raw}
     return {token: value / norm for token, value in raw.items()}

@@ -312,29 +312,33 @@ class TestKernelFallback:
 
     @pytest.mark.parametrize("damage", ["truncate", "retype", "drop", "overrun"])
     @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_damaged_tid_array_heals_the_count_scan(self, damage, num_shards):
-        """The count scan sits on the same ladder as ``accumulate``: a tid
-        array that is short, of the wrong dtype, missing or pointing past the
-        relation makes the call return the scalar answer -- one
-        ``python_fallback`` per healed call, nothing escapes."""
+    @pytest.mark.parametrize("predicate", ["jaccard", "bm25", "lm"])
+    def test_damaged_posting_arrays_heal_the_scan(self, predicate, damage, num_shards):
+        """Both scans sit on one ladder: a token whose arrays are short --
+        *in step*, so no shape mismatch gives them away -- of the wrong
+        dtype, missing or pointing past the relation makes the call return
+        the scalar answer: one ``python_fallback`` per healed call, nothing
+        escapes.  ``jaccard`` damages the count scan's ``(tids, tfs)``,
+        ``bm25`` and ``lm`` the weighted scan's ``(tids, contributions)``."""
         np = kernels.np
         engine = make_engine()
         try:
-            query = engine.from_strings(ROWS).predicate("jaccard").shards(num_shards)
+            query = engine.from_strings(ROWS).predicate(predicate).shards(num_shards)
             with kernels.use_backend("python"):
                 want = run_workload(query)
             fitted = query.fitted_predicate()
-            index = (fitted if num_shards == 1 else fitted.shards[0])._index
-            token = max(index._tid_arrays, key=index.document_frequency)
-            tids = index._tid_arrays[token]
+            shard = fitted if num_shards == 1 else fitted.shards[0]
+            index = shard._index if predicate == "jaccard" else shard._weighted_index
+            token = max(index._arrays, key=lambda token: len(index.postings(token)))
+            tids, values = index._arrays[token]
             assert tids.size > 1
             if damage == "drop":
-                del index._tid_arrays[token]
+                del index._arrays[token]
             else:
-                index._tid_arrays[token] = {
-                    "truncate": tids[:-1],
-                    "retype": tids.astype(np.float64),
-                    "overrun": tids + len(ROWS),
+                index._arrays[token] = {
+                    "truncate": (tids[:-1], values[:-1]),
+                    "retype": (tids.astype(np.float64), values),
+                    "overrun": (tids + len(ROWS), values),
                 }[damage]
             probe = next(text for text in ROWS if token in fitted.tokenizer.tokenize(text))
             before = kernels.ops_snapshot()["python_fallback"]

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.corpus import CorpusCore
 from repro.core.index import InvertedIndex
 from repro.core.predicates import BM25, GES, Jaccard
@@ -450,10 +451,20 @@ class TestCoreObservability:
         assert span.attributes["vocabulary"] == core.vocabulary_size
         assert span.attributes["postings"] == core.num_postings
         assert span.attributes["seconds"] > 0.0
-        # A second predicate on the same (corpus, tokenizer) builds nothing.
+        assert span.attributes["array_bytes"] == core.index.array_bytes
+        # What the fit derived from the core, and what that cost.
+        weighted = base.predicate("bm25").fitted_predicate()._weighted_index
+        assert fit.attributes["weighted_postings"] == weighted.num_postings
+        assert fit.attributes["weighted_postings"] + fit.attributes["zero_dropped"] == (
+            core.num_postings
+        )
+        assert 0.0 < fit.attributes["weights_s"] < fit.duration
+        # A second predicate on the same (corpus, tokenizer) builds nothing,
+        # and one without weighted postings reports none.
         reused = base.predicate("jaccard").trace("Beijing Hotel", k=3).span
         assert reused.find("fit") is not None
         assert reused.find("core.build") is None
+        assert "weighted_postings" not in reused.find("fit").attributes
 
     def test_counters_and_gauges_follow_the_cores(self, company_strings):
         metrics = MetricsRegistry()
@@ -488,6 +499,20 @@ class TestCoreObservability:
         )
         assert report.core.endswith("shared by 3 fitted predicates")
         assert f"core:        {report.core}" in report.describe()
+        arrays = (
+            f"posting arrays {core.index.array_bytes / 1e6:.1f} MB"
+            if kernels.numpy_available()
+            else "no posting arrays"
+        )
+        assert f", {arrays}, shared by" in report.core
+        weighted = base.predicate("bm25").fitted_predicate()._weighted_index
+        assert report.weights.startswith(
+            f"{weighted.num_postings} postings "
+            f"({weighted.zero_dropped} dropped as zero), derived in "
+        )
+        assert f"weights:     {report.weights}" in report.describe()
+        assert base.predicate("jaccard").explain("Beijing Hotel", k=3).weights is None
         declarative = base.predicate("bm25").realization("declarative")
         assert declarative.explain("Beijing Hotel", k=3).core is None
+        assert declarative.explain("Beijing Hotel", k=3).weights is None
         engine.clear_cache()

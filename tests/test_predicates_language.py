@@ -39,9 +39,14 @@ class TestLanguageModeling:
 
     def test_risk_interpolates_between_pml_and_pavg(self, company_strings):
         predicate = LanguageModeling().fit(company_strings)
-        for tuple_pm in predicate._pm:
-            for probability in tuple_pm.values():
-                assert 0.0 < probability < 1.0
+        stats = predicate._stats
+        for tid in range(len(company_strings)):
+            for token, tf in stats.term_frequencies(tid).items():
+                _, log_complement = predicate._posting_terms(
+                    predicate._pavg[token], 0.0, tf, stats.length(tid)
+                )
+                # 0 < p̂(t|M_D) < 1
+                assert -math.inf < log_complement < 0.0
 
     def test_sum_complement_is_negative(self, company_strings):
         predicate = LanguageModeling().fit(company_strings)

@@ -247,33 +247,37 @@ class TestShardedBlocking:
 
 
 class TestSliceInvariant:
-    """A shard-local fit equals a slice of the global fit."""
+    """A shard-local fit equals the unsharded fit restricted to the shard's
+    tid range and rebased -- through what callers of the weighted index see:
+    posting lists, posting arrays and the per-token bounds."""
 
-    @pytest.mark.parametrize("name", WEIGHTED)
-    def test_shard_weighted_index_equals_global_slice(self, name):
+    @pytest.mark.parametrize("num_shards", [2, 3, 7])
+    @pytest.mark.parametrize("name", WEIGHTED + ["lm", "hmm"])
+    def test_shard_fit_is_the_global_fit_restricted_and_rebased(self, name, num_shards):
         corpus = CORPUS * 2
         base = make_predicate(name).fit(corpus)
-        sharded = _sharded(name, corpus, 3)
+        sharded = _sharded(name, corpus, num_shards)
         offsets = sharded.offsets
         for shard_id, shard in enumerate(sharded.shards):
-            expected = base._weighted_index.slice(
-                offsets[shard_id], offsets[shard_id + 1]
-            )
-            assert shard._weighted_index._postings == expected._postings
-            assert shard._weighted_index._max == expected._max
-            assert shard._weighted_index._min == expected._min
-
-    def test_inverted_index_slice_matches_refit(self):
-        from repro.core.index import InvertedIndex
-
-        token_lists = [["a", "b"], ["b", "c"], ["c", "a"], ["a", "a", "d"]]
-        full = InvertedIndex(token_lists)
-        sliced = full.slice(1, 3)
-        rebuilt = InvertedIndex(token_lists[1:3])
-        assert sliced._postings == rebuilt._postings
-        assert [dict(c) for c in sliced._term_frequencies] == [
-            dict(c) for c in rebuilt._term_frequencies
-        ]
+            start, stop = offsets[shard_id], offsets[shard_id + 1]
+            local = shard._weighted_index
+            for token in base._index.tokens():
+                expected = [
+                    (tid - start, contribution)
+                    for tid, contribution in base._weighted_index.postings(token)
+                    if start <= tid < stop
+                ]
+                values = [contribution for _, contribution in expected]
+                assert local.postings(token) == expected
+                assert (token in local) == bool(expected)
+                assert local.max_contribution(token) == max(values, default=0.0)
+                assert local.min_contribution(token) == min(values, default=0.0)
+                pair = local.arrays(token)
+                if not expected or not kernels.numpy_available():
+                    assert pair is None
+                else:
+                    assert pair[0].tolist() == [tid for tid, _ in expected]
+                    assert pair[1].tolist() == values
 
 
 class TestExecutors:

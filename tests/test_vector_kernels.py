@@ -262,22 +262,6 @@ class TestShardedBitIdentical:
         python_result, numpy_result = _both_backends(run)
         assert python_result == numpy_result
 
-    def test_sliced_index_arrays_match_shard_fit(self):
-        """shard==slice invariant extends to the array backing."""
-        predicate = make_predicate("bm25").fit(CORPUS)
-        weighted = predicate._weighted_index
-        sliced = weighted.slice(3, 9)
-        for token in list(weighted._postings):
-            pair = sliced.arrays(token)
-            if pair is None:
-                assert sliced.postings(token) == []
-                continue
-            tids, contributions = pair
-            assert tids.tolist() == [tid for tid, _ in sliced.postings(token)]
-            assert contributions.tolist() == [
-                contribution for _, contribution in sliced.postings(token)
-            ]
-
 
 # -- the overlap family on the kernels ------------------------------------------
 #
@@ -576,28 +560,36 @@ class TestOverlapStaysInArrays:
 
 
 class TestIndexArrays:
-    """The count scan's arrays: built once per index, inside a fit, shared."""
+    """The relation's posting arrays: built once per index, inside a fit, shared."""
 
     @needs_numpy
     def test_one_build_per_core_shared_by_reference(self):
         strings = CORPUS * 3
         core = CorpusCore(strings, QgramTokenizer(q=2))
-        assert core.index.tid_array("OR") is None and core.index.set_sizes is None
-        names = ["jaccard", "intersect", "weighted_jaccard", "bm25", "jaccard"]
+        assert core.index.arrays("OR") is None and core.index.set_sizes is None
+        assert core.summary()["array_bytes"] is None
+        names = ["jaccard", "intersect", "weighted_jaccard", "bm25", "lm"]
         with kernels.use_backend("python"):  # forcing is dispatch-only
             first = make_predicate(names[0]).fit(strings, core=core)
-        arrays, sizes = core.index._tid_arrays, core.index.set_sizes
-        assert arrays is not None and sizes.dtype == kernels.np.int64
+        pairs = {token: core.index.arrays(token) for token in core.index.tokens()}
+        sizes = core.index.set_sizes
+        assert sizes.dtype == kernels.np.int64
         predicates = [first] + [
             make_predicate(name).fit(strings, core=core) for name in names[1:]
         ]
-        assert core.index._tid_arrays is arrays and core.index.set_sizes is sizes
+        assert core.index.set_sizes is sizes
         for predicate in predicates:
             assert predicate._index is core.index
-        for token, tids in arrays.items():
-            assert tids.dtype == kernels.np.int64 and tids.flags["C_CONTIGUOUS"]
-            assert tids.tolist() == [tid for tid, _ in core.index.postings(token)]
+        for token, (tids, tfs) in pairs.items():
+            assert core.index.arrays(token)[0] is tids  # built once
+            for array in (tids, tfs):
+                assert array.dtype == kernels.np.int64 and array.flags["C_CONTIGUOUS"]
+            assert list(zip(tids.tolist(), tfs.tolist())) == core.index.postings(token)
+            # lm keeps every posting, so it scans the core's own tid arrays.
+            assert predicates[-1]._weighted_index.arrays(token)[0] is tids
         assert sizes.tolist() == [len(set(tokens)) for tokens in core.token_lists]
+        assert core.summary()["array_bytes"] == 16 * core.num_postings + 8 * len(core)
+        assert "posting arrays" in core.describe()
 
     @needs_numpy
     def test_engine_fits_share_the_arrays(self):
@@ -608,24 +600,28 @@ class TestIndexArrays:
             for name in ["jaccard", "intersect", "bm25", "weighted_match", "cosine"]
         ]
         assert len({id(predicate._index) for predicate in fitted}) == 1
-        assert fitted[0]._index._tid_arrays is not None
-        assert fitted[0]._index._tid_arrays is fitted[1]._index._tid_arrays
+        assert fitted[0]._index.arrays("OR") is not None
+        assert fitted[0]._index.arrays("OR") is fitted[1]._index.arrays("OR")
 
     @needs_numpy
-    def test_sliced_index_answers_like_a_fresh_one(self):
-        token_lists = QgramTokenizer(q=2).tokenize_many(CORPUS * 2)
-        full = InvertedIndex(token_lists)
-        assert full.slice(2, 9).tid_array("OR") is None  # no arrays, none carried
-        full.build_arrays()
-        for start, stop in [(0, len(token_lists)), (3, 17), (5, 6), (4, 4)]:
-            sliced = full.slice(start, stop)
-            fresh = InvertedIndex(token_lists[start:stop])
+    def test_core_slice_index_answers_like_a_fresh_one(self):
+        """A shard's index is built from the slice's own lists: its arrays
+        and its count scan equal those of an index over just those rows."""
+        core = CorpusCore(CORPUS * 2, QgramTokenizer(q=2))
+        core.build_index_arrays()
+        for start, stop in [(0, len(core)), (3, 17), (5, 6), (4, 4)]:
+            sliced = core.slice(start, stop).index
+            assert sliced.arrays("OR") is None  # no arrays, none carried
+            sliced.build_arrays()
+            fresh = InvertedIndex(core.token_lists[start:stop])
             fresh.build_arrays()
             assert sliced.set_sizes.tolist() == fresh.set_sizes.tolist()
-            assert {t: a.tolist() for t, a in sliced._tid_arrays.items()} == {
-                t: a.tolist() for t, a in fresh._tid_arrays.items()
-            }
-            tokens = set(token_lists[7])
+            assert set(sliced.tokens()) == set(fresh.tokens())
+            for token in fresh.tokens():
+                assert [a.tolist() for a in sliced.arrays(token)] == [
+                    a.tolist() for a in fresh.arrays(token)
+                ]
+            tokens = set(core.token_lists[7])
             with kernels.use_backend("numpy"):
                 got = kernels.count_overlap(sliced, tokens, stop - start)
             assert got == fresh.candidate_overlap(tokens)
@@ -634,9 +630,11 @@ class TestIndexArrays:
         """``REPRO_KERNEL=python`` leaves ``kernels.np`` unset: nothing is built."""
         monkeypatch.setattr(kernels, "np", None)
         predicate = make_predicate("jaccard").fit(CORPUS)
-        assert predicate._index._tid_arrays is None
+        assert predicate._index.arrays("OR") is None
         assert predicate._index.set_sizes is None
+        assert predicate._core.summary()["array_bytes"] is None
         assert make_predicate("weighted_jaccard").fit(CORPUS)._tuple_weight_sum_array is None
+        assert make_predicate("bm25").fit(CORPUS)._weighted_index.arrays("OR") is None
         assert _pairs(predicate.rank("IBM Corp"))  # and the scalar path answers
 
 
@@ -675,7 +673,9 @@ class TestKernelDispatch:
     def test_accumulate_keeps_cancelled_candidates(self):
         """Sums cancelling to exactly 0.0 must stay in the candidate set
         (negative RS weights make this reachable), on both backends."""
-        index = WeightedPostingIndex({"a": [(0, 1.5), (1, 2.0)], "b": [(0, -1.5)]})
+        index = WeightedPostingIndex(
+            InvertedIndex([["a", "b"], ["a"]]), [("a", [1.5, 2.0]), ("b", [-1.5])]
+        )
         items = [("a", 1.0), ("b", 1.0)]
         with kernels.use_backend("python"):
             python_scores = kernels.accumulate(index, items, 2)
