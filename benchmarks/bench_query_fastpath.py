@@ -5,28 +5,26 @@ against the seed behaviour, on a generated UIS-style company-names relation
 (the paper's accuracy-benchmark generator at performance scale):
 
 * ``top_k`` -- seed path scores every candidate sharing a q-gram and fully
-  sorts the dict; fast path accumulates over precomputed weighted postings
-  -- with max-score early termination on the scalar kernel backend, as one
-  dense scan + partition on the numpy backend (timed on whichever is
-  active).  Results must be identical, tuple for tuple and bit for bit.
+  sorts the dict; fast path is ``rank(limit=k)`` over precomputed weighted
+  postings -- scalar accumulation + a bounded heap on the scalar kernel
+  backend, one dense scan + partition on the numpy backend (timed on
+  whichever is active).  Results must be identical, tuple for tuple and bit
+  for bit.
 * ``select`` -- seed path sorts the full candidate set and then filters;
   fast path filters first and sorts survivors only.
 * ``join (top_k)`` -- seed path runs a thresholded selection per probe and
-  sorts it; fast path probes through the predicate's pruned ``top_k``.
+  sorts it; fast path probes through the predicate's ``top_k``.
 
-Writes ``BENCH_query_fastpath.json`` (queries/sec, candidates scored,
-postings skipped, speedups) to the repository root -- the first point of the
-repo's benchmark trajectory that future perf PRs are measured against.
+Writes ``BENCH_query_fastpath.json`` (queries/sec, speedups) to the
+repository root -- the first point of the repo's benchmark trajectory that
+future perf PRs are measured against.
 
 Standalone usage (CI runs the smoke variant)::
 
     PYTHONPATH=src python benchmarks/bench_query_fastpath.py          # full
     PYTHONPATH=src python benchmarks/bench_query_fastpath.py --smoke  # tiny
 
-The smoke run exits non-zero if any result diverges, or if -- on the scalar
-backend, which the pruning guard forces -- ``top_k`` leaves no
-``pruning_stats`` or scores more candidates than the naive path: a cheap CI
-guard against silently losing the pruning.
+The smoke run exits non-zero if any result diverges from the seed path.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ for _path in (str(_SRC), str(_HERE)):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from repro.core import kernels  # noqa: E402
 from repro.core.join import ApproximateJoiner  # noqa: E402
 from repro.core.predicates.base import ScoredTuple  # noqa: E402
 from repro.core.predicates.registry import make_predicate  # noqa: E402
@@ -50,7 +47,7 @@ from repro.datagen import make_dataset  # noqa: E402
 from repro.obs import MetricsRegistry, NOOP_TRACER, bench_envelope, perf_clock  # noqa: E402
 from repro.text.weights import bm25_document_weights, tfidf_weights  # noqa: E402
 
-#: Monotone-sum predicates with the max-score pruned top_k fast path.
+#: The monotone-sum predicates the seed paths are rebuilt for.
 PREDICATES = ["bm25", "cosine", "weighted_match"]
 TOP_K = 10
 SELECT_THRESHOLD = 3.0  # score-valued predicates; selective on CU data
@@ -142,22 +139,6 @@ def bench_predicate(name: str, strings, queries) -> dict:
         [(st.tid, st.score) for st in fast] == [(st.tid, st.score) for st in naive]
         for fast, (naive, _) in zip(fast_out, naive_out)
     )
-    naive_candidates = sum(count for _, count in naive_out)
-    fast_candidates = postings_skipped = postings_total = 0
-    # The pruning guard reads max-score counters, and max-score pruning runs
-    # on the scalar backend only (numpy answers top_k with the dense scan),
-    # so the guard forces that backend whatever the timings above ran on.
-    pruning_ran = True
-    with kernels.use_backend("python"):
-        for query in queries:
-            predicate.top_k(query, TOP_K)
-            stats = predicate.pruning_stats
-            if stats is None:
-                pruning_ran = False
-                continue
-            fast_candidates += stats.candidates_scored
-            postings_skipped += stats.postings_skipped
-            postings_total += stats.postings_total
     result["top_k"] = {
         "k": TOP_K,
         "naive_seconds": naive_seconds,
@@ -166,11 +147,6 @@ def bench_predicate(name: str, strings, queries) -> dict:
         "fast_qps": len(queries) / fast_seconds if fast_seconds else None,
         "speedup": naive_seconds / fast_seconds if fast_seconds else None,
         "identical_results": identical,
-        "pruning_ran": pruning_ran,
-        "naive_candidates_scored": naive_candidates,
-        "fast_candidates_scored": fast_candidates,
-        "postings_skipped": postings_skipped,
-        "postings_total": postings_total,
     }
 
     # -- select ---------------------------------------------------------------
@@ -306,17 +282,6 @@ def check(report: dict, require_speedup: float = 0.0) -> list:
             failures.append(f"{name}: select fast path diverged from the naive path")
         if not entry["join_top_k"]["identical_results"]:
             failures.append(f"{name}: join top_k fast path diverged")
-        if not top_k["pruning_ran"]:
-            failures.append(
-                f"{name}: top_k left no pruning_stats on the scalar backend "
-                "-- pruning lost"
-            )
-        if top_k["fast_candidates_scored"] > top_k["naive_candidates_scored"]:
-            failures.append(
-                f"{name}: fast path scored more candidates than naive "
-                f"({top_k['fast_candidates_scored']} > "
-                f"{top_k['naive_candidates_scored']}) -- pruning lost"
-            )
         if require_speedup and top_k["speedup"] < require_speedup:
             failures.append(
                 f"{name}: top_k speedup {top_k['speedup']:.2f}x "
@@ -388,10 +353,7 @@ def main(argv=None) -> int:
         print(
             f"{entry['predicate']:>15}  top_k(k={top_k['k']}): "
             f"{top_k['speedup']:.2f}x ({top_k['naive_qps']:.0f} -> "
-            f"{top_k['fast_qps']:.0f} q/s), candidates "
-            f"{top_k['naive_candidates_scored']} -> "
-            f"{top_k['fast_candidates_scored']}, postings skipped "
-            f"{top_k['postings_skipped']}/{top_k['postings_total']}  |  "
+            f"{top_k['fast_qps']:.0f} q/s)  |  "
             f"select: {entry['select']['speedup']:.2f}x  |  "
             f"join top_k: {entry['join_top_k']['speedup']:.2f}x"
         )
@@ -403,7 +365,7 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("all fast paths exact; pruning intact")
+    print("all fast paths exact")
     return 0
 
 
@@ -420,9 +382,6 @@ def test_query_fastpath(benchmark):
         [
             entry["predicate"],
             f"{entry['top_k']['speedup']:.2f}x",
-            f"{entry['top_k']['naive_candidates_scored']:,}",
-            f"{entry['top_k']['fast_candidates_scored']:,}",
-            f"{entry['top_k']['postings_skipped']:,}",
             f"{entry['select']['speedup']:.2f}x",
             f"{entry['join_top_k']['speedup']:.2f}x",
         ]
@@ -436,17 +395,14 @@ def test_query_fastpath(benchmark):
             [
                 "predicate",
                 "top_k speedup",
-                "naive cand.",
-                "fast cand.",
-                "postings skipped",
                 "select speedup",
                 "join speedup",
             ],
             rows,
         ),
         notes=(
-            "Fast paths must be exact: identical (tid, score) lists, fewer "
-            "candidates scored.  The standalone script writes the "
+            "Fast paths must be exact: identical (tid, score) lists.  "
+            "The standalone script writes the "
             "BENCH_query_fastpath.json trajectory point at full scale."
         ),
     )

@@ -3,9 +3,9 @@
 Times the kernelized scoring paths of :mod:`repro.core.kernels` under both
 backends on a generated UIS-style company-names relation:
 
-* ``top_k(k=10)`` -- each backend's own algorithm: max-score pruning on the
-  scalar backend (for the monotone-sum predicates), the dense scan plus a
-  partition selection on numpy.
+* ``top_k(k=10)`` -- ``rank(limit=10)`` on each backend: the scalar
+  accumulation plus a bounded heap, the dense scan plus a partition
+  selection on numpy.
 * ``run_many (rank)`` -- the batch full-scoring workload through the engine;
   the numpy backend accumulates each query's whole candidate set in one
   scatter-add.
@@ -50,10 +50,9 @@ from repro.engine import SimilarityEngine  # noqa: E402
 from repro.obs import bench_envelope, perf_clock  # noqa: E402
 
 #: Every kernelized predicate family: the monotone-sum predicates (first
-#: three; max-score top_k on the scalar backend), the language models (full
-#: accumulation per query on either backend) and the rest of the overlap
-#: family (the integer count scan and the array finalizers; here for the
-#: bit-identity guard -- their recorded numbers are the perf ledger's).
+#: three), the language models and the rest of the overlap family (the
+#: integer count scan and the array finalizers; here for the bit-identity
+#: guard -- their recorded numbers are the perf ledger's).
 PREDICATES = [
     "bm25",
     "cosine",

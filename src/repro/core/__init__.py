@@ -15,11 +15,9 @@ from repro.core.predicates import (
 from repro.core.selection import ApproximateSelector, SelectionResult
 from repro.core.join import ApproximateJoiner, JoinMatch, SelfJoinStats
 from repro.core.dedup import Deduplicator, DuplicateCluster, ClusteringQuality
-from repro.core.topk import PruningStats
 
 __all__ = [
     "ApproximateSelector",
-    "PruningStats",
     "Match",
     "SelectionResult",
     "ApproximateJoiner",

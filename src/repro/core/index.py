@@ -189,10 +189,6 @@ class WeightedPostingIndex:
     index stores it *in the posting itself* at fit time, so query-time
     accumulation is one flat loop over precomputed floats.
 
-    Each token also records its maximum and minimum stored contribution,
-    which is exactly what max-score pruning (:mod:`repro.core.topk`) needs to
-    bound unopened posting lists.
-
     Parameters
     ----------
     index:
@@ -231,8 +227,6 @@ class WeightedPostingIndex:
         np = kernels.np
         index.build_arrays()  # a no-op after a kernelised tokenize phase
         self._postings: Dict[str, List[Tuple[int, float]]] = {}
-        self._max: Dict[str, float] = {}
-        self._min: Dict[str, float] = {}
         self._arrays = None if np is None else {}
         #: Postings stored / postings left out for contributing exactly 0.0.
         self.num_postings = 0
@@ -260,8 +254,6 @@ class WeightedPostingIndex:
                 continue
             self.num_postings += len(values)
             self._postings[token] = list(zip(tids, values))
-            self._max[token] = max(values)
-            self._min[token] = min(values)
 
     def postings(self, token: str) -> List[Tuple[int, float]]:
         """``(tid, contribution)`` pairs for every tuple ``token`` scores on."""
@@ -276,12 +268,6 @@ class WeightedPostingIndex:
         if self._arrays is None:
             return None
         return self._arrays.get(token)
-
-    def max_contribution(self, token: str) -> float:
-        return self._max.get(token, 0.0)
-
-    def min_contribution(self, token: str) -> float:
-        return self._min.get(token, 0.0)
 
     def __contains__(self, token: str) -> bool:
         return token in self._postings

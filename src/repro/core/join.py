@@ -165,11 +165,11 @@ class ApproximateJoiner:
         if top_k is not None and top_k < 0:
             raise ValueError("top_k must be non-negative")
         limit = self.threshold if threshold is None else threshold
-        # Only monotone-sum predicates route through top_k: their ranking cost
-        # per probe is one postings accumulation and a top-k selection, while
-        # e.g. EditDistance is faster through its own filtered select().
+        # Only kernelised predicates route through top_k: their ranking cost
+        # per probe is one postings scan and a top-k selection, while e.g.
+        # EditDistance is faster through its own filtered select().
         use_fast_top_k = top_k is not None and getattr(
-            self.predicate, "supports_maxscore", False
+            self.predicate, "uses_kernels", False
         )
         if use_fast_top_k:
             # select() would refuse sub-blocker thresholds; so do we (once --

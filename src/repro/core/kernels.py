@@ -19,10 +19,8 @@ In pure Python both loops are interpreter-bound and hold the GIL, so
 (:func:`top_items` / :func:`sorted_items` / :func:`select_items`) order a
 scan's result, and :func:`allowed_mask` narrows it to a blocker's or a
 restriction's allowed set.  That is the whole module -- two scans, one
-mask, selection.  ``rank``, ``select``, ``score`` *and* ``top_k`` are
-answered by them on the numpy backend; max-score pruning
-(:mod:`repro.core.topk`) is a scalar algorithm and runs only where this
-module dispatches to the scalar loops.
+mask, selection.  ``rank``, ``select``, ``score`` *and* ``top_k`` (which is
+``rank(limit=k)``) are answered by them on both backends.
 
 Bit-identity guarantee
 ----------------------

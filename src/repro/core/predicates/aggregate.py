@@ -13,16 +13,14 @@ Each states its document-side weight **once**, as an element-wise function of
 :meth:`CosineTfIdf._contribution`.  The fit maps it over the corpus core's
 postings token by token -- with numpy one ufunc per IEEE operation over the
 token's ``(tids, tfs)`` arrays, without it the same expression per posting --
-into a :class:`~repro.core.index.WeightedPostingIndex`; ``score()`` and the
-max-score rescore (:meth:`_AggregateBase._rescore_items`) call the same
-function on the tuple's own term frequency.
+into a :class:`~repro.core.index.WeightedPostingIndex`; ``score()``
+(:meth:`_AggregateBase._rescore_items`) calls the same function on the
+tuple's own term frequency.
 Nothing is kept per (tuple, token) besides those postings.
 
 Query execution is postings-driven: accumulation is one flat loop over
-precomputed floats, and -- the score being a monotone sum -- ``top_k`` can
-run with max-score early termination (:mod:`repro.core.topk`; scalar kernel
-backend only).  All accumulation iterates query tokens in sorted order so
-summation is deterministic and the pruned/unpruned paths agree bit for bit.
+precomputed floats.  All accumulation iterates query tokens in sorted order
+so summation is deterministic and every path agrees bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 from repro.core import kernels
 from repro.core.index import WeightedPostingIndex
 from repro.core.predicates.base import Predicate
-from repro.core.topk import Term
 from repro.text.tokenize import QgramTokenizer, Tokenizer
 from repro.text.weights import (
     BM25Parameters,
@@ -48,7 +45,6 @@ __all__ = ["CosineTfIdf", "BM25"]
 
 class _AggregateBase(Predicate):
     family = "aggregate-weighted"
-    supports_maxscore = True
     #: Monotone-sum accumulation: scoring routes through repro.core.kernels.
     uses_kernels = True
 
@@ -142,32 +138,6 @@ class _AggregateBase(Predicate):
                         total += query_weight * weight
             scores[tid] = total
         return scores
-
-    def _maxscore_plan(
-        self, query: str
-    ) -> Optional[Tuple[List[Term], Optional[set], object]]:
-        if self._blocker is not None:
-            # The aggregate family applies blockers *post*-scoring (the
-            # blocker prunes the scored candidate set), which needs the full
-            # candidate set -- incompatible with skipping posting lists.
-            return None
-        assert self._weighted_index is not None
-        weighted = self._weighted_index
-        query_weights = self._query_weights(query)
-        terms = [
-            Term(
-                token=token,
-                query_weight=query_weights[token],
-                postings=weighted.postings(token),
-                max_contribution=weighted.max_contribution(token),
-                min_contribution=weighted.min_contribution(token),
-            )
-            for token in sorted(query_weights)
-            if query_weights[token] != 0.0 and token in weighted
-        ]
-        allowed = None if self._restriction is None else set(self._restriction)
-        items = self._sorted_items(query_weights)
-        return terms, allowed, lambda tids: self._rescore_items(items, tids)
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
         if not 0 <= tid < len(self._tuple_factors):

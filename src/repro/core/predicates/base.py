@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set
 from repro.core import kernels
 from repro.core.corpus import CorpusCore
 from repro.core.index import InvertedIndex, WeightedPostingIndex
-from repro.core.topk import PruningStats, maxscore_top_k
 from repro.obs.clock import perf_clock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -107,14 +106,12 @@ class Predicate(ABC):
     #: bounded by the Jaccard overlap fraction (length/prefix filters stay
     #: exact), ``"score"`` otherwise (those filters become heuristics).
     similarity_kind: str = "score"
-    #: Predicates whose score is a monotone sum of per-token contributions
-    #: (WeightedMatch, Cosine, BM25) set this to ``True`` and implement
-    #: :meth:`_maxscore_plan`, enabling max-score pruned :meth:`top_k` on the
-    #: scalar kernel backend (see :meth:`top_k_algorithm`).
-    supports_maxscore: bool = False
     #: Predicates that score through :mod:`repro.core.kernels` (and so follow
     #: the numpy -> scalar backend selection) set this to ``True``.
     uses_kernels: bool = False
+    #: Vestige, never set: ``benchmarks/ledger/layers.py`` reads it after each
+    #: ``top_k`` call; retires with that row in the next ``[benchmark]`` PR.
+    pruning_stats = None
 
     def __init__(self) -> None:
         self._strings: List[str] = []
@@ -129,9 +126,9 @@ class Predicate(ABC):
         #: Bound from the core by the default :meth:`tokenize_phase`.
         self._token_lists: List[List[str]] = []
         self._index: Optional[InvertedIndex] = None
-        #: token -> [(tid, contribution)] with per-token bounds: what a
-        #: kernelised weighted predicate's :meth:`weight_phase` derives
-        #: (``None`` for every other predicate).
+        #: token -> [(tid, contribution)]: what a kernelised weighted
+        #: predicate's :meth:`weight_phase` derives (``None`` for every other
+        #: predicate).
         self._weighted_index: Optional[WeightedPostingIndex] = None
         #: Seconds the last :meth:`fit` spent inside :meth:`weight_phase`.
         self.weight_seconds = 0.0
@@ -141,9 +138,6 @@ class Predicate(ABC):
         #: :meth:`select` call (after blocking); joins aggregate this into
         #: their candidate-pair statistics.
         self.last_num_candidates: Optional[int] = None
-        #: Work counters of the most recent :meth:`top_k` call when max-score
-        #: pruning ran (``None`` otherwise); surfaced by ``engine.explain()``.
-        self.pruning_stats: Optional[PruningStats] = None
 
     # -- preprocessing --------------------------------------------------------
 
@@ -360,58 +354,20 @@ class Predicate(ABC):
         The one place that maps the active kernel backend to an algorithm;
         ``plan()`` / ``explain()`` only word the answer.
 
-        * ``"max-score"`` -- max-score pruning (:mod:`repro.core.topk`).  A
-          scalar loop that loses to the numpy scan at every measured
-          relation size, so it runs exactly when the kernel dispatch is on
-          the scalar backend.
         * ``"dense-scan"`` -- ``rank(limit=k)`` through the numpy kernels:
           dense accumulation plus a partition selection.
         * ``"heap"`` -- ``rank(limit=k)`` through the scalar accumulation
           plus a bounded heap.
         """
-        backend = kernels.active_backend()
-        if cls.supports_maxscore and backend == "python":
-            return "max-score"
-        if cls.uses_kernels and backend == "numpy":
+        if cls.uses_kernels and kernels.active_backend() == "numpy":
             return "dense-scan"
         return "heap"
 
     def top_k(self, query: str, k: int) -> List[ScoredTuple]:
-        """The ``k`` most similar tuples -- exactly ``rank(query, limit=k)``.
-
-        On the numpy kernel backend that is literally what runs: the dense
-        scan plus a partition selection.  On the scalar backend
-        (:meth:`top_k_algorithm`), monotone-sum predicates answer through
-        max-score early termination instead: posting lists are opened in
-        decreasing upper-bound order and the scan stops once the unopened
-        lists cannot lift a new candidate into the top-k; survivors are
-        rescored in the canonical token order, so results are identical to
-        the unpruned path bit for bit.  Work counters land in
-        :attr:`pruning_stats` (``None`` when pruning did not run).
-        """
-        self._require_fitted()
+        """The ``k`` most similar tuples: ``rank(query, limit=k)``."""
         if k < 0:
             raise ValueError("k must be non-negative")
-        self.pruning_stats = None
-        pruned = self.top_k_algorithm() == "max-score"
-        plan = self._maxscore_plan(query) if pruned else None
-        if plan is None:
-            return self.rank(query, limit=k)
-        terms, allowed, rescore = plan
-        top, stats = maxscore_top_k(k, terms, rescore, allowed=allowed)
-        self.pruning_stats = stats
-        self.last_num_candidates = stats.candidates_scored
-        return [ScoredTuple(tid, score) for tid, score in top]
-
-    def _maxscore_plan(self, query: str):
-        """``(terms, allowed, rescore)`` for max-score pruning, or ``None``.
-
-        ``None`` (the default) routes :meth:`top_k` through :meth:`rank`.
-        Monotone-sum predicates return the query's
-        :class:`repro.core.topk.Term` list, the candidate restriction to
-        honor (``None`` = unrestricted) and the exact-rescore callback.
-        """
-        return None
+        return self.rank(query, limit=k)
 
     def select(self, query: str, threshold: float) -> List[ScoredTuple]:
         """The approximate selection: tuples with ``sim(query, t) >= threshold``.

@@ -19,9 +19,7 @@ time (every posting of a token carries the token's weight, over the core's
 own tid arrays) and runs the weighted scan
 (:func:`~repro.core.kernels.accumulate`),
 iterating query tokens in sorted order everywhere, so accumulation is
-deterministic and the ``top_k`` fast path of :class:`WeightedMatch` (a
-monotone sum, eligible for max-score pruning) reproduces the unpruned scores
-bit for bit.
+deterministic.
 
 :meth:`_OverlapBase._scores` is the one place the two kernel backends part.
 On numpy the scan's ``(tids, values)`` arrays are narrowed to the blocker's /
@@ -40,12 +38,11 @@ operations in the same order to the chains the scan already reproduces.
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Tuple
 
 from repro.core import kernels
 from repro.core.index import WeightedPostingIndex
 from repro.core.predicates.base import Predicate
-from repro.core.topk import Term
 from repro.text.tokenize import QgramTokenizer, Tokenizer
 from repro.text.weights import CollectionStatistics
 
@@ -346,7 +343,6 @@ class WeightedMatch(_WeightedOverlapBase):
     """Sum of weights of the common tokens (RS weights by default)."""
 
     name = "WeightedMatch"
-    supports_maxscore = True
 
     def _finalize(
         self, query_tokens: Set[str], scanned: Dict[int, float]
@@ -355,33 +351,6 @@ class WeightedMatch(_WeightedOverlapBase):
 
     def _finalize_arrays(self, query_tokens: Set[str], tids, values):
         return values
-
-    def _maxscore_plan(self, query: str):
-        assert self._weighted_index is not None
-        weighted = self._weighted_index
-        query_tokens = self._query_tokens(query)
-        # Blocking happens before scoring in this family, so the pruned path
-        # honors it directly through the allowed set.
-        allowed = self._candidate_ids(query_tokens)
-        sorted_tokens = sorted(query_tokens)
-        terms = [
-            Term(
-                token=token,
-                query_weight=1.0,
-                postings=weighted.postings(token),
-                max_contribution=weighted.max_contribution(token),
-                min_contribution=weighted.min_contribution(token),
-            )
-            for token in sorted_tokens
-            if token in weighted
-        ]
-
-        def rescore(tids: Iterable[int]) -> Dict[int, float]:
-            return {
-                tid: self._tuple_common_weight(sorted_tokens, tid)[0] for tid in tids
-            }
-
-        return terms, allowed, rescore
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
         if not self._in_range(tid):

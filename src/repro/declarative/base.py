@@ -33,11 +33,9 @@ __all__ = ["DeclarativePredicate", "SQLFastPathStats"]
 class SQLFastPathStats:
     """Work counters of the most recent declarative query execution.
 
-    The declarative analogue of the direct realization's
-    :class:`repro.core.topk.PruningStats`: how many candidate rows the SQL
-    returned versus the base-relation size, and which fast paths the
-    statement used (``"batch"``, ``"order-by-limit"``, ``"length-filter"``,
-    ``"prefix-filter"``).
+    How many candidate rows the SQL returned versus the base-relation size,
+    and which fast paths the statement used (``"batch"``,
+    ``"order-by-limit"``, ``"length-filter"``, ``"prefix-filter"``).
     """
 
     rows_scored: int = 0

@@ -19,7 +19,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from repro.backends.base import SQLBackend
 from repro.blocking.base import BlockingStats
 from repro.core.predicates.base import Match
-from repro.core.topk import PruningStats
 from repro.declarative.base import SQLFastPathStats
 from repro.obs.trace import Observability, Span
 from repro.resilience import (
@@ -123,9 +122,6 @@ class ExplainReport:
     sql: Tuple[str, ...] = ()
     #: Blocker candidate-reduction counters for the sample query.
     blocker_stats: Optional[BlockingStats] = None
-    #: Max-score pruning counters when the top-k fast path ran (direct
-    #: realization, monotone-sum predicates); ``None`` otherwise.
-    pruning: Optional[PruningStats] = None
     #: SQL-side work counters when the declarative realization ran (rows the
     #: statement returned vs. base size, and which fast paths it used).
     sql_stats: Optional[SQLFastPathStats] = None
@@ -138,8 +134,7 @@ class ExplainReport:
     #: zero, and the seconds its weight phase took (direct realization,
     #: kernelised weighted predicates).
     weights: Optional[str] = None
-    #: Shard-level counters when the query ran over a sharded predicate
-    #: (shards executed vs. skipped by their max-score upper bound).
+    #: Shard-level counters when the query ran over a sharded predicate.
     shards: Optional[ShardStats] = None
     #: What the self-healing machinery did while the sample query ran --
     #: retries, pool rebuilds, serial fallbacks (sharded execution only;
@@ -148,8 +143,8 @@ class ExplainReport:
     #: The strategy the sample query *actually* executed with -- as opposed
     #: to the plan's prediction.  ``plan()`` cannot know everything (e.g. a
     #: restriction attached at execution time), so the report states what
-    #: really ran and, when that differs from the plan's announced fast
-    #: path, why (:attr:`fallback_reason`).
+    #: really ran and, when that differs from the path the plan announced,
+    #: why (:attr:`fallback_reason`).
     execution: Optional[str] = None
     fallback_reason: Optional[str] = None
     #: Candidates actually scored (after blocking) for the sample query.
@@ -173,8 +168,6 @@ class ExplainReport:
             lines.append(f"query time:  {self.seconds * 1000.0:.2f} ms")
         if self.num_candidates is not None:
             lines.append(f"candidates:  {self.num_candidates} scored")
-        if self.pruning is not None:
-            lines.append(f"pruning:     {self.pruning.describe()}")
         if self.core is not None:
             lines.append(f"core:        {self.core}")
         if self.weights is not None:

@@ -55,7 +55,7 @@ from repro.engine.plan import (
 )
 from repro.obs.clock import perf_clock
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Observability, Span, Tracer
+from repro.obs.trace import Observability, Tracer
 from repro.resilience import FaultInjector, RetryPolicy, faults_from_env
 from repro.shard.predicate import ShardedPredicate, shard_offsets
 
@@ -856,18 +856,15 @@ class Query:
         self,
         state: _FittedState,
         runner,
-        publish_pruning: bool = False,
         annotate_candidates: bool = True,
     ):
         """Run one operation inside its ``execute.<kind>`` span.
 
         Returns ``(results, span)``.  After the runner finishes, the
         predicate's per-call stats objects are published into the metrics
-        registry and mirrored onto the span: pruning counters become a
-        ``postings.scan`` child (direct realization; sharded executions
-        carry them on their per-shard spans instead), SQL/shard counters
-        become span attributes, and the blocker's candidate-reduction delta
-        for exactly this operation feeds the ``blocker_*`` counters.
+        registry and mirrored onto the span: SQL/shard counters become span
+        attributes, and the blocker's candidate-reduction delta for exactly
+        this operation feeds the ``blocker_*`` counters.
         """
         obs = self._engine.obs
         predicate = state.predicate
@@ -897,9 +894,7 @@ class Query:
                     results = runner()
             else:
                 results = runner()
-            self._annotate_execution(
-                span, state, kind, publish_pruning, annotate_candidates
-            )
+            self._annotate_execution(span, state, kind, annotate_candidates)
         obs.metrics.observe("latency.execute." + kind, perf_clock() - started)
         # Attribute the scoring-kernel invocations of this execution (process
         # workers keep their counts worker-side; serial/thread land here).
@@ -920,7 +915,6 @@ class Query:
         span,
         state: _FittedState,
         kind: str,
-        publish_pruning: bool,
         annotate_candidates: bool,
     ) -> None:
         obs = self._engine.obs
@@ -930,26 +924,6 @@ class Query:
             candidates = getattr(predicate, "last_num_candidates", None)
             if candidates is not None:
                 span.set(num_candidates=candidates)
-        if publish_pruning:
-            pruning = getattr(predicate, "pruning_stats", None)
-            if pruning is not None:
-                pruning.publish(obs.metrics)
-                if traced and kind == "direct":
-                    span.attach(
-                        Span(
-                            "postings.scan",
-                            attributes={
-                                "tokens_total": pruning.tokens_total,
-                                "tokens_opened": pruning.tokens_opened,
-                                "postings_total": pruning.postings_total,
-                                "postings_opened": pruning.postings_opened,
-                                "postings_skipped": pruning.postings_skipped,
-                                "candidates_scored": pruning.candidates_scored,
-                                "candidates_rescored": pruning.candidates_rescored,
-                                "pruned": pruning.pruned,
-                            },
-                        )
-                    )
         if kind == "declarative":
             sql_stats = getattr(predicate, "last_sql_stats", None)
             if sql_stats is not None:
@@ -964,10 +938,7 @@ class Query:
             if shard_stats is not None:
                 shard_stats.publish(obs.metrics)
                 if traced:
-                    span.set(
-                        shards_run=shard_stats.shards_run,
-                        shards_skipped=shard_stats.shards_skipped,
-                    )
+                    span.set(shards_run=shard_stats.shards_run)
             resilience = getattr(predicate, "resilience_stats", None)
             if resilience is not None and resilience.events:
                 resilience.publish(obs.metrics)
@@ -990,14 +961,11 @@ class Query:
     def top_k(self, query: str, k: int) -> List[Match]:
         """The ``k`` most similar tuples.
 
-        On the direct realization this routes through the predicate's
-        ``top_k``, which picks the algorithm from the active kernel backend:
-        dense scan + partition selection under numpy; under the scalar
-        backend a heap selection, with max-score pruned early termination
-        for the monotone-sum predicates (WeightedMatch, Cosine, BM25).
-        Results are identical to a full ranking either way.  :meth:`explain`
-        names the path that ran and surfaces the pruning counters when
-        pruning did.
+        On the direct realization this is the predicate's ``top_k``, i.e.
+        ``rank(query, limit=k)``: dense scan + partition selection under the
+        numpy kernel backend, scalar accumulation + a bounded heap otherwise.
+        Results are identical to a full ranking cut to ``k`` either way;
+        :meth:`explain` names the path that ran.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
@@ -1009,9 +977,7 @@ class Query:
                     state, lambda: state.predicate.rank(query, limit=k)
                 )
             else:
-                results, _ = self._execute(
-                    state, lambda: fast(query, k), publish_pruning=True
-                )
+                results, _ = self._execute(state, lambda: fast(query, k))
         return self._to_matches(results)
 
     def select(self, query: str, threshold: float) -> List[Match]:
@@ -1070,9 +1036,6 @@ class Query:
                     state,
                     lambda: predicate.run_many(
                         queries, op=op, k=k, threshold=threshold, limit=limit
-                    ),
-                    publish_pruning=(
-                        op == "top_k" and isinstance(predicate, ShardedPredicate)
                     ),
                     annotate_candidates=False,
                 )
@@ -1174,51 +1137,16 @@ class Query:
             return registry.spec_for(self._predicate).direct
         return self._predicate
 
-    def _supports_maxscore(self) -> bool:
-        """Whether this query's plan leaves the max-score bounds usable.
-
-        Mirrors the predicates' own fallback logic: predicates that apply
-        blockers *after* scoring (the aggregate family) need the full
-        candidate set and drop to the ``rank`` path when the plan carries a
-        blocker; pre-scoring-blocked predicates (WeightedMatch) keep
-        pruning.  Sharded execution answers *any* blocked top_k by merging
-        the blocked per-shard rankings, so a blocked sharded plan never
-        uses the bounds.
-        """
-        if isinstance(self._predicate, str) and self._resolved_realization() != "direct":
-            return False
-        target = self._direct_target()
-        if not getattr(target, "supports_maxscore", False):
-            return False
-        blocked = self._blocker_spec is not None or (
-            not isinstance(self._predicate, str)
-            and getattr(self._predicate, "blocker", None) is not None
-        )
-        if not blocked:
-            return True
-        if self._sharding_active():
-            return False
-        return bool(getattr(target, "_prunes_before_scoring", False))
-
-    def _top_k_algorithm(self) -> str:
-        """The direct predicate's own answer to "which algorithm runs
-        ``top_k`` now" (:meth:`Predicate.top_k_algorithm`, the one place
-        that decides); predicates that do not say take the heap."""
-        algorithm = getattr(self._direct_target(), "top_k_algorithm", None)
-        return algorithm() if algorithm is not None else "heap"
-
-    def _runs_maxscore(self) -> bool:
-        """Whether ``top_k`` on this plan runs max-score pruning: the plan
-        leaves the bounds usable and the predicate says it prunes."""
-        return self._supports_maxscore() and self._top_k_algorithm() == "max-score"
-
     def _uses_kernels(self) -> bool:
         """Whether the direct predicate scores through repro.core.kernels."""
         return bool(getattr(self._direct_target(), "uses_kernels", False))
 
-    def _unpruned_top_k_path(self) -> str:
-        """Wording for the ``rank(limit=k)`` path an unpruned ``top_k`` takes."""
-        if self._top_k_algorithm() == "dense-scan":
+    def _top_k_path(self) -> str:
+        """Wording for the ``rank(limit=k)`` path a direct ``top_k`` takes:
+        the predicate's own answer (:meth:`Predicate.top_k_algorithm`, the
+        one place that decides); predicates that do not say take the heap."""
+        algorithm = getattr(self._direct_target(), "top_k_algorithm", None)
+        if algorithm is not None and algorithm() == "dense-scan":
             return "dense scan + partition (numpy kernel)"
         return "heap accumulation"
 
@@ -1305,11 +1233,6 @@ class Query:
                         "last-resort tasks run serially in-process "
                         "(bit-identical; counted as resilience.*)"
                     )
-                if op == "top_k" and self._supports_maxscore():
-                    notes.append(
-                        "sharded top_k: shards whose max-score upper bound "
-                        "cannot reach the global kth score are skipped"
-                    )
             elif (
                 self._resolved_shards()[0] > 1
                 and not isinstance(self._predicate, str)
@@ -1319,16 +1242,7 @@ class Query:
                     "state (pass a predicate name to shard)"
                 )
             if op == "top_k":
-                if self._runs_maxscore():
-                    notes.append(
-                        "top_k fast path: weighted postings with max-score "
-                        "pruning (exact early termination)"
-                    )
-                else:
-                    notes.append(
-                        f"top_k fast path: {self._unpruned_top_k_path()} "
-                        "(no full candidate sort)"
-                    )
+                notes.append(f"top_k: {self._top_k_path()}")
             elif op == "select":
                 notes.append(
                     "select fast path: threshold filter before sorting survivors"
@@ -1451,9 +1365,7 @@ class Query:
                         runner = lambda: state.predicate.rank(query, limit=k)  # noqa: E731
                 else:
                     runner = lambda: state.predicate.rank(query)  # noqa: E731
-                results, execute_span = self._execute(
-                    state, runner, publish_pruning=ran_top_k
-                )
+                results, execute_span = self._execute(state, runner)
         report.trace = root
         report.seconds = execute_span.duration
         report.sql = sql_statements(root)
@@ -1461,15 +1373,6 @@ class Query:
         report.results = tuple(self._to_matches(results))
         report.num_candidates = getattr(state.predicate, "last_num_candidates", None)
         if op == "top_k":
-            # Report only what *this* execution did.  Reading pruning_stats
-            # unconditionally used to surface stale counters from an earlier
-            # top_k call whenever the sample execution itself took the
-            # rank/heap path (e.g. no k given, or a blocked aggregate
-            # predicate) -- overclaiming a fast path that never ran.
-            pruning = (
-                getattr(state.predicate, "pruning_stats", None) if ran_top_k else None
-            )
-            report.pruning = pruning
             if not ran_top_k:
                 report.execution = "top_k executed as a full ranking"
                 if k is None:
@@ -1484,39 +1387,8 @@ class Query:
                     )
             elif isinstance(state.predicate, DeclarativePredicate):
                 report.execution = "top_k via SQL (see sql path / emitted SQL)"
-            elif pruning is not None:
-                report.execution = "top_k via max-score pruned accumulation"
             else:
-                report.execution = f"top_k via {self._unpruned_top_k_path()}"
-                if self._resolved_realization() == "direct":
-                    target = self._direct_target()
-                    if not getattr(target, "supports_maxscore", False):
-                        report.fallback_reason = (
-                            "predicate score is not a monotone sum of "
-                            "per-token contributions"
-                        )
-                    elif self._top_k_algorithm() != "max-score":
-                        report.fallback_reason = (
-                            "max-score pruning runs on the scalar backend only"
-                        )
-                    elif state.blocker is not None and isinstance(
-                        state.predicate, ShardedPredicate
-                    ):
-                        report.fallback_reason = (
-                            "sharded execution answers blocked top_k by "
-                            "merging the blocked per-shard rankings"
-                        )
-                    elif state.blocker is not None and not getattr(
-                        target, "_prunes_before_scoring", False
-                    ):
-                        report.fallback_reason = (
-                            "blocker applies after scoring for this predicate "
-                            "family, which needs the full candidate set"
-                        )
-                    else:
-                        report.fallback_reason = (
-                            "the predicate built no max-score plan for this query"
-                        )
+                report.execution = f"top_k via {self._top_k_path()}"
         report.core = self._engine._core_line(state.predicate)
         weights = _weights_summary(state.predicate)
         if weights:

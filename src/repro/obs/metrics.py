@@ -1,7 +1,7 @@
 """Process-wide named counters and fixed-bucket histograms.
 
-The engine's per-call stats dataclasses (:class:`~repro.core.topk.
-PruningStats`, :class:`~repro.declarative.base.SQLFastPathStats`,
+The engine's per-call stats dataclasses
+(:class:`~repro.declarative.base.SQLFastPathStats`,
 :class:`~repro.engine.plan.RunManyStats`, :class:`~repro.blocking.base.
 BlockingStats`, :class:`~repro.shard.predicate.ShardStats`) describe *one*
 operation and are overwritten by the next; the :class:`MetricsRegistry`
@@ -12,7 +12,7 @@ Conventions:
 
 * counters are monotone totals (``queries_total``, ``cache_hits``,
   ``core_builds_total``, ``core_reuses_total``, ``sql_statements_total``,
-  ``postings_opened``, ``postings_skipped``, ``shard_tasks``, ...);
+  ``shards_run``, ``shard_tasks``, ...);
 * histograms observe seconds into fixed buckets
   (``latency.fit``, ``latency.execute.direct|declarative|sharded``);
 * gauges are point-in-time levels that go up *and* down

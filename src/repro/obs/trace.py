@@ -7,12 +7,11 @@ mirroring the execution layers of the engine::
     ├─ fit | cache_hit
     │  └─ core.build                     (only the fit that built the corpus core)
     └─ execute.direct | execute.declarative | execute.sharded
-       ├─ postings.scan                  (direct: max-score counters)
-       ├─ shard[i].task / shard[i].skipped   (sharded: per-shard workers)
+       ├─ shard[i].task                  (sharded: per-shard workers)
        └─ sql.statement                  (declarative: emitted SQL)
 
-Spans carry free-form attributes (predicate name, ``k``, candidate and
-pruning counters, rendered SQL) and monotonic-clock durations.  The clock is
+Spans carry free-form attributes (predicate name, ``k``, candidate
+counters, rendered SQL) and monotonic-clock durations.  The clock is
 injectable, so tests assert exact durations instead of sleeping.
 
 Two properties make the tracer safe to leave permanently wired in:

@@ -19,9 +19,8 @@ implements the standard IR/DBMS answer -- document partitioning with
    scores -- to an unsharded fit;
 3. queries execute per shard through a pluggable executor
    (:mod:`~repro.shard.executors`: serial / thread pool / process pool) and
-   merge exactly in the canonical ``(score desc, tid)`` order, with per-shard
-   max-score bounds short-circuiting shards that cannot reach the global
-   ``k``-th score.
+   merge exactly in the canonical ``(score desc, tid)`` order -- one round
+   per operation, ``top_k`` included.
 
 :class:`~repro.shard.predicate.ShardedPredicate` exposes the same protocol
 as a direct :class:`~repro.core.predicates.base.Predicate`, so the engine,

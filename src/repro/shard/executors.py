@@ -103,9 +103,6 @@ class ShardExecutor(ABC):
     """Strategy interface: run ``(shard_id, op, payload)`` tasks."""
 
     name: str = "executor"
-    #: Whether tasks of one batch may run concurrently (drives how the
-    #: sharded top-k schedules its bound-ordered short-circuit).
-    parallel: bool = False
 
     def __init__(self) -> None:
         self._shards: List[object] = []
@@ -277,7 +274,6 @@ class SerialShardExecutor(ShardExecutor):
     """Run every task inline, in order (with per-task retry)."""
 
     name = "serial"
-    parallel = False
 
     def run(self, tasks: Sequence[ShardTask]) -> List[object]:
         stats = ResilienceStats(executor=self.name)
@@ -316,7 +312,6 @@ class ThreadShardExecutor(ShardExecutor):
     """Run tasks on a persistent thread pool (shards shared, not copied)."""
 
     name = "thread"
-    parallel = True
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         super().__init__()
@@ -368,7 +363,6 @@ class ProcessShardExecutor(ShardExecutor):
     """Run tasks on a persistent process pool (true multi-core scoring)."""
 
     name = "process"
-    parallel = True
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         super().__init__()

@@ -10,13 +10,9 @@ the canonical ``(score desc, tid)`` order reproduces the unsharded answer
 exactly -- selections, rankings, top-k and batched workloads alike.
 
 Query execution runs through a pluggable :class:`~repro.shard.executors.
-ShardExecutor` (serial / thread pool / process pool).  ``top_k`` additionally
-uses per-shard max-score bounds (the same bounds
-:mod:`repro.core.topk` uses within a shard) to short-circuit shards whose
-upper bound cannot reach the global ``k``-th score: the highest-bound shard
-runs first to establish the floor, then provably hopeless shards are skipped
-outright and the rest run -- concurrently on parallel executors, one at a
-time with a progressively rising floor on the serial executor.
+ShardExecutor` (serial / thread pool / process pool).  Every operation --
+``top_k`` included -- is one round: all shards are dispatched at once and
+their rows merged.
 
 Blockers apply *pre-partition*: they are fitted on the full relation and
 their candidate decisions are taken against global tuple ids, then narrowed
@@ -34,8 +30,7 @@ the worker times its own execution (workers in other processes use their own
 clock, so durations are meaningful but absolute timestamps are not
 comparable to the parent's).  The resulting ``shard[i].task`` span records
 travel back as plain dicts and are re-attached under the currently open
-``execute.sharded`` span; shards skipped by the top-k bound contribute
-``shard[i].skipped`` spans carrying the posting volume they avoided.
+``execute.sharded`` span.
 """
 
 from __future__ import annotations
@@ -50,7 +45,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.corpus import CorpusCore
 from repro.core.predicates.base import Match, Predicate
-from repro.core.topk import PruningStats
 from repro.obs.clock import perf_clock
 from repro.obs.trace import Observability, Span
 from repro.resilience import (
@@ -62,12 +56,6 @@ from repro.resilience import (
 from repro.shard.executors import ShardExecutor, make_executor
 
 __all__ = ["ShardStats", "ShardedPredicate", "shard_offsets", "execute_shard_op"]
-
-#: Relative float-safety margin of the shard short-circuit test, mirroring
-#: :data:`repro.core.topk._CUTOFF_MARGIN`: a shard is skipped only when its
-#: upper bound sits below the global k-th score by more than the accumulated
-#: float error of either side could span.
-_BOUND_MARGIN = 1e-9
 
 
 def shard_offsets(num_tuples: int, num_shards: int) -> List[int]:
@@ -93,25 +81,19 @@ class ShardStats:
     executor: str
     shard_sizes: Tuple[int, ...]
     shards_run: int = 0
-    #: Shards proven unable to reach the global k-th score by their
-    #: max-score upper bound and never executed (top-k fast path only).
+    #: Vestige, never set: ``benchmarks/ledger/layers.py`` reads it after each
+    #: sharded call; retires with that row in the next ``[benchmark]`` PR.
     shards_skipped: int = 0
 
     def describe(self) -> str:
-        skipped = (
-            f", {self.shards_skipped} skipped by max-score bound"
-            if self.shards_skipped
-            else ""
-        )
         return (
             f"{self.shards_run}/{self.num_shards} shards run "
-            f"via {self.executor!r} executor{skipped}"
+            f"via {self.executor!r} executor"
         )
 
     def publish(self, metrics) -> None:
         """Accumulate into a :class:`~repro.obs.metrics.MetricsRegistry`."""
         metrics.inc("shards_run", self.shards_run)
-        metrics.inc("shards_skipped", self.shards_skipped)
 
 
 def _fit_shard_task(
@@ -159,17 +141,6 @@ def _shard_span_record(
     if rows_per_query is not None:
         attributes["num_queries"] = len(rows_per_query)
         attributes["rows"] = sum(len(per_query) for per_query in rows_per_query)
-    pruning = result.get("pruning")
-    if pruning is not None:
-        attributes.update(
-            tokens_total=pruning.tokens_total,
-            tokens_opened=pruning.tokens_opened,
-            postings_total=pruning.postings_total,
-            postings_opened=pruning.postings_opened,
-            postings_skipped=pruning.postings_skipped,
-            candidates_scored=pruning.candidates_scored,
-            candidates_rescored=pruning.candidates_rescored,
-        )
     return {
         "name": f"shard[{shard_id}].task",
         "start": started,
@@ -207,12 +178,10 @@ def _dispatch_shard_op(shard: Predicate, op: str, payload: dict) -> dict:
         return {
             "rows": [(m.tid, m.score) for m in rows],
             "candidates": shard.last_num_candidates,
-            "pruning": shard.pruning_stats,
         }
     if op == "run_many":
         rows_per_query: List[List[Tuple[int, float]]] = []
         candidates_per_query: List[Optional[int]] = []
-        pruning: Optional[PruningStats] = None
         batch_op = payload["op"]
         for query in payload["queries"]:
             # Per-query boundary: a timed-out batch stops between queries
@@ -220,10 +189,6 @@ def _dispatch_shard_op(shard: Predicate, op: str, payload: dict) -> dict:
             check_deadline()
             if batch_op == "top_k":
                 rows = shard.top_k(query, payload["k"])
-                if shard.pruning_stats is not None:
-                    if pruning is None:
-                        pruning = PruningStats()
-                    _accumulate_pruning(pruning, shard.pruning_stats)
             elif batch_op == "select":
                 rows = shard.select(query, payload["threshold"])
             else:
@@ -233,20 +198,8 @@ def _dispatch_shard_op(shard: Predicate, op: str, payload: dict) -> dict:
         return {
             "rows_per_query": rows_per_query,
             "candidates_per_query": candidates_per_query,
-            "pruning": pruning,
         }
     raise ValueError(f"unknown shard operation {op!r}")
-
-
-def _accumulate_pruning(total: PruningStats, part: PruningStats) -> None:
-    total.tokens_total += part.tokens_total
-    total.tokens_opened += part.tokens_opened
-    total.postings_total += part.postings_total
-    total.postings_opened += part.postings_opened
-    total.postings_skipped += part.postings_skipped
-    total.candidates_scored += part.candidates_scored
-    total.candidates_rescored += part.candidates_rescored
-    total.pruned = total.pruned or part.pruned
 
 
 class ShardedPredicate:
@@ -312,11 +265,10 @@ class ShardedPredicate:
         self._blocker = None
         self._restriction: Optional[Set[int]] = None
         #: Mirrors the direct-predicate protocol: candidates scored by the
-        #: most recent single query (summed across shards), aggregated
-        #: max-score counters, shard-level counters, and per-query candidate
-        #: counts of the most recent :meth:`run_many` batch.
+        #: most recent single query (summed across shards), shard-level
+        #: counters, and per-query candidate counts of the most recent
+        #: :meth:`run_many` batch.
         self.last_num_candidates: Optional[int] = None
-        self.pruning_stats: Optional[PruningStats] = None
         self.shard_stats: Optional[ShardStats] = None
         self.last_batch_candidates: Optional[List[Optional[int]]] = None
 
@@ -335,8 +287,8 @@ class ShardedPredicate:
         return self._prototype.similarity_kind
 
     @property
-    def supports_maxscore(self) -> bool:
-        return bool(getattr(self._prototype, "supports_maxscore", False))
+    def uses_kernels(self) -> bool:
+        return bool(getattr(self._prototype, "uses_kernels", False))
 
     def top_k_algorithm(self) -> str:
         """The algorithm each shard's ``top_k`` runs (the shards decide)."""
@@ -593,12 +545,7 @@ class ShardedPredicate:
         self.resilience_stats = None
 
     def _merge_resilience(self) -> None:
-        """Fold the executor's last-run record into the accumulated one.
-
-        Sits right after ``executor.run()`` (not in :meth:`_finish`) because
-        the top-k inline path finishes results that never went through the
-        executor -- merging there would re-count a stale record.
-        """
+        """Fold the executor's last-run record into the accumulated one."""
         record = self._executor.last_resilience
         if record is None:
             return
@@ -615,16 +562,7 @@ class ShardedPredicate:
         self._merge_resilience()
         return self._finish(results)
 
-    def _run_on(self, shard_ids: Sequence[int], op: str, payload: dict) -> List[dict]:
-        tasks = [
-            (shard_id, op, self._trace_payload(shard_id, payload))
-            for shard_id in shard_ids
-        ]
-        results = self._executor.run(tasks)
-        self._merge_resilience()
-        return self._finish(results)
-
-    def _record_shards(self, shards_run: int, shards_skipped: int = 0) -> None:
+    def _record_shards(self, shards_run: int) -> None:
         self.shard_stats = ShardStats(
             num_shards=len(self._shards),
             executor=self._executor.name,
@@ -633,7 +571,6 @@ class ShardedPredicate:
                 for i in range(len(self._shards))
             ),
             shards_run=shards_run,
-            shards_skipped=shards_skipped,
         )
 
     def _global_candidates(self, probe_tokens: Set[str]) -> Set[int]:
@@ -684,7 +621,6 @@ class ShardedPredicate:
     def rank(self, query: str, limit: Optional[int] = None) -> List[Match]:
         """Merged ranking, bit-identical to the unsharded predicate's."""
         self._require_fitted()
-        self.pruning_stats = None
         merged = self._filtered_rank(query, limit)
         return merged if limit is None else merged[:limit]
 
@@ -733,7 +669,6 @@ class ShardedPredicate:
         """Merged approximate selection (thresholded per shard where possible)."""
         self._require_fitted()
         self._check_blocker_threshold(threshold)
-        self.pruning_stats = None
         blocker, restriction = self._blocker, self._restriction
         shard_ids = list(range(len(self._shards)))
         if blocker is not None and not self._prunes_before_scoring:
@@ -788,23 +723,12 @@ class ShardedPredicate:
         return self._shards[shard_id].score(query, local_tid)
 
     def top_k(self, query: str, k: int) -> List[Match]:
-        """The global top ``k``: exact heap merge of per-shard top-k results.
-
-        For monotone-sum predicates, per-shard upper bounds (sum of positive
-        per-term maxima, the same bounds max-score pruning uses inside a
-        shard) short-circuit shards that provably cannot reach the global
-        ``k``-th score; how a shard that does run answers is its own
-        :meth:`~repro.core.predicates.base.Predicate.top_k`'s choice.  When
-        the shards pruned, their aggregated :class:`PruningStats` (plus the
-        posting volume of skipped shards) land in :attr:`pruning_stats`,
-        ``None`` otherwise; shard-level counters in :attr:`shard_stats`.
-        """
+        """The global top ``k``: exact merge of the per-shard top-k results."""
         self._require_fitted()
         if k < 0:
             raise ValueError("k must be non-negative")
-        self.pruning_stats = None
         if k == 0:
-            self._record_shards(0, 0)
+            self._record_shards(0)
             self.last_num_candidates = 0
             return []
         if self._blocker is not None or self._restriction is not None:
@@ -812,133 +736,12 @@ class ShardedPredicate:
             # the unsharded aggregate family takes): the merge layer applies
             # the global blocking decision before the cut.
             return self._filtered_rank(query, limit=k)[:k]
-
-        plans = [shard._maxscore_plan(query) for shard in self._shards]
-        if any(plan is None for plan in plans):
-            # Not a monotone-sum predicate, so no per-shard bounds: run
-            # every shard's top_k and merge.
-            results = self._run_all(
-                "top_k", [{"query": query, "k": k}] * len(self._shards)
-            )
-            merged = self._merge_rows(
-                [r["rows"] for r in results], list(range(len(self._shards)))
-            )
-            self.last_num_candidates = sum(r["candidates"] or 0 for r in results)
-            self._record_shards(len(self._shards))
-            return merged[:k]
-
-        bounds = [
-            sum(max(0.0, term.upper_bound) for term in plan[0]) for plan in plans
-        ]
-        order = sorted(range(len(self._shards)), key=lambda i: (-bounds[i], i))
-        pruning = PruningStats()
-        collected: Dict[int, List[Tuple[int, float]]] = {}
-        candidates = 0
-        # Shards report counters only when their top_k ran max-score pruning.
-        shards_pruned = 0
-
-        def absorb(shard_id: int, result: dict) -> None:
-            nonlocal candidates, shards_pruned
-            collected[shard_id] = result["rows"]
-            candidates += result["candidates"] or 0
-            if result["pruning"] is not None:
-                shards_pruned += 1
-                _accumulate_pruning(pruning, result["pruning"])
-
-        def kth_score() -> Optional[float]:
-            scores = sorted(
-                (score for rows in collected.values() for _, score in rows),
-                reverse=True,
-            )
-            return scores[k - 1] if len(scores) >= k else None
-
-        def skippable(shard_id: int, kth: Optional[float]) -> bool:
-            if kth is None:
-                return False
-            bound = bounds[shard_id]
-            margin = _BOUND_MARGIN * (abs(kth) + bound)
-            return bound < kth - margin
-
-        payload = {"query": query, "k": k}
-
-        def run_inline(shard_id: int) -> dict:
-            # The serial schedule runs shards one at a time in-process, as
-            # the same task the pooled executors dispatch -- the shard's own
-            # top_k picks the algorithm.  Still a shard-task boundary: the
-            # ambient deadline is checked exactly as the executors do.
-            check_deadline()
-            result = execute_shard_op(
-                self._shards[shard_id], "top_k", self._trace_payload(shard_id, payload)
-            )
-            return self._finish([result])[0]
-
-        skipped: List[int] = []
-        if self._executor.parallel:
-            # Establish the floor with the highest-bound shard, skip shards
-            # the floor already rules out, then run the rest concurrently.
-            first = order[0]
-            absorb(first, self._run_on([first], "top_k", payload)[0])
-            kth = kth_score()
-            survivors = [
-                shard_id for shard_id in order[1:] if not skippable(shard_id, kth)
-            ]
-            skipped = [
-                shard_id for shard_id in order[1:] if skippable(shard_id, kth)
-            ]
-            for shard_id, result in zip(
-                survivors, self._run_on(survivors, "top_k", payload)
-            ):
-                absorb(shard_id, result)
-        else:
-            # Serial executor: re-evaluate the floor after every shard, so a
-            # rising k-th score keeps skipping later (lower-bound) shards.
-            for shard_id in order:
-                if skippable(shard_id, kth_score()):
-                    skipped.append(shard_id)
-                    continue
-                absorb(shard_id, run_inline(shard_id))
-
-        # Skipped shards never opened a posting list: account their whole
-        # posting volume as skipped, exactly like unopened terms within a
-        # shard.  `live` mirrors maxscore_top_k's term filter.  Each skipped
-        # shard also contributes a zero-duration span carrying the posting
-        # volume it avoided, so span-level counters aggregate to the same
-        # totals as :attr:`pruning_stats`.
-        tracing = self.obs.tracer.enabled
-        parent = self.obs.tracer.current if tracing else None
-        for shard_id in skipped:
-            live = [
-                term
-                for term in plans[shard_id][0]
-                if term.query_weight != 0.0 and term.postings
-            ]
-            pruning.tokens_total += len(live)
-            postings = sum(len(term.postings) for term in live)
-            pruning.postings_total += postings
-            pruning.postings_skipped += postings
-            pruning.pruned = True
-            if parent is not None:
-                parent.attach(
-                    Span(
-                        f"shard[{shard_id}].skipped",
-                        attributes={
-                            "shard_id": shard_id,
-                            "op": "top_k",
-                            "skipped": True,
-                            "tokens_total": len(live),
-                            "postings_total": postings,
-                            "postings_skipped": postings,
-                        },
-                    )
-                )
-
+        results = self._run_all("top_k", [{"query": query, "k": k}] * len(self._shards))
         merged = self._merge_rows(
-            [collected[shard_id] for shard_id in sorted(collected)],
-            sorted(collected),
+            [r["rows"] for r in results], list(range(len(self._shards)))
         )
-        self.pruning_stats = pruning if shards_pruned else None
-        self.last_num_candidates = candidates
-        self._record_shards(len(collected), len(skipped))
+        self.last_num_candidates = sum(r["candidates"] or 0 for r in results)
+        self._record_shards(len(self._shards))
         return merged[:k]
 
     def run_many(
@@ -1002,7 +805,6 @@ class ShardedPredicate:
             "limit": k if op == "top_k" else limit,
         }
         shard_results = self._run_all("run_many", [payload] * len(self._shards))
-        pruning: Optional[PruningStats] = None
         merged_batches: List[List[Match]] = []
         counts = []
         cut = k if op == "top_k" else limit
@@ -1023,12 +825,6 @@ class ShardedPredicate:
                 if any(count is not None for count in query_counts)
                 else None
             )
-        for result in shard_results:
-            if result["pruning"] is not None:
-                if pruning is None:
-                    pruning = PruningStats()
-                _accumulate_pruning(pruning, result["pruning"])
-        self.pruning_stats = pruning
         self.last_batch_candidates = counts
         self.last_num_candidates = None
         self._record_shards(len(self._shards))

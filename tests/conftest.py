@@ -98,11 +98,10 @@ def counting_tokenizer() -> CountingTokenizer:
 
 @pytest.fixture()
 def scalar_kernel():
-    """Force the scalar kernel backend, where ``top_k`` runs max-score pruning.
+    """Force the scalar kernel backend, where ``top_k`` is the heap selection.
 
-    Tests that pin pruning counters or the "max-score" plan/explain wording
-    take this fixture so they run on every CI leg, not only where numpy is
-    absent.
+    Tests that pin the scalar backend's plan/explain wording take this
+    fixture so they run on every CI leg, not only where numpy is absent.
     """
     from repro.core import kernels
 

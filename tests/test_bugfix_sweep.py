@@ -12,9 +12,9 @@ Each class pins one fixed bug:
 * ``GESJaccard``/``GESApx`` filter scores used to depend on query word
   *order* (float summation), flipping candidates at thresholds on the
   min-hash score lattice; summation is now canonical (sorted).
-* ``explain()`` used to report stale ``PruningStats`` from an earlier
-  ``top_k`` call when its own execution ran the rank/heap path -- it now
-  reports the strategy that actually executed, plus the fallback reason.
+* ``explain()`` used to describe a path other than the one its sample
+  execution ran -- it now reports the strategy that actually executed, and
+  a fallback reason only when ``top_k`` itself did not run.
 * A restriction tid outside the relation used to be a silent wrong answer on
   the overlap family (``-1`` scored the *last* tuple and reported it as tid
   -1) or a bare ``IndexError`` (``n``); such tids are now ignored, as the
@@ -186,101 +186,48 @@ class TestGesApxFilterDeterminism:
 
 @pytest.mark.usefixtures("scalar_kernel")
 class TestExplainExecutionAccuracy:
-    """Pinned on the scalar backend, where max-score pruning runs and the
-    unpruned path is the heap; the numpy wording is pinned below."""
+    """Pinned on the scalar backend, where ``top_k`` is the heap selection;
+    the numpy wording is pinned below."""
 
-    def test_no_stale_pruning_stats_without_k(self):
+    def test_explain_without_k_reports_the_full_ranking(self):
         engine = SimilarityEngine()
         query = engine.from_strings(CORPUS * 10).predicate("bm25")
-        # Prime the cached predicate with real pruning counters ...
         query.top_k("Morgan Stanley Inc", 3)
-        assert query.fitted_predicate().pruning_stats is not None
-        # ... then explain without k: the sample execution runs a full
-        # ranking, so the report must not surface the stale counters.
+        # explain without k: the sample execution runs a full ranking, and
+        # the report says so instead of naming the top_k path.
         report = query.explain("IBM Corp", op="top_k")
-        assert report.pruning is None
         assert report.execution == "top_k executed as a full ranking"
         assert "pass k=" in report.fallback_reason
 
-    def test_reports_maxscore_when_it_ran(self):
-        engine = SimilarityEngine()
-        report = (
-            engine.from_strings(CORPUS * 10)
-            .predicate("bm25")
-            .explain("Morgan Stanley Inc", k=3)
-        )
-        assert report.execution == "top_k via max-score pruned accumulation"
+    @pytest.mark.parametrize("name", ["bm25", "jaccard", "edit_distance"])
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_direct_topk_reports_the_heap_and_no_fallback(self, name, blocked):
+        query = SimilarityEngine().from_strings(CORPUS).predicate(name)
+        if blocked:
+            query = query.blocker("lsh")
+        report = query.explain("Morgan Stanley", k=3)
+        assert report.execution == "top_k via heap accumulation"
         assert report.fallback_reason is None
-        assert report.pruning is not None
-
-    def test_reports_heap_fallback_reason_for_blocked_aggregates(self):
-        engine = SimilarityEngine()
-        report = (
-            engine.from_strings(CORPUS)
-            .predicate("bm25")
-            .blocker("lsh")
-            .explain("Morgan Stanley", k=3)
-        )
-        assert report.execution == "top_k via heap accumulation"
-        assert "after scoring" in report.fallback_reason
-        assert report.pruning is None
         assert "executed:" in report.describe()
-        assert "fallback:" in report.describe()
+        assert "fallback:" not in report.describe()
+        assert "pruning:" not in report.describe()
 
-    def test_reports_non_monotone_fallback_reason(self):
+    def test_sharded_topk_plan_and_report_agree(self):
         engine = SimilarityEngine()
-        report = (
-            engine.from_strings(CORPUS).predicate("jaccard").explain("IBM", k=2)
-        )
-        assert report.execution == "top_k via heap accumulation"
-        assert "monotone sum" in report.fallback_reason
-
-    def test_sharded_blocked_topk_plan_and_reason_agree(self):
-        # A blocked sharded top_k merges the blocked per-shard rankings; the
-        # plan must not announce max-score pruning and the report must name
-        # the real reason (not a nonexistent restriction).
-        engine = SimilarityEngine()
-        query = (
+        blocked = (
             engine.from_strings(CORPUS * 3)
             .predicate("weighted_match")
             .shards(2)
             .blocker("lsh")
         )
-        notes = " | ".join(query.plan("top_k").notes)
-        assert "max-score" not in notes
-        assert "heap" in notes
-        report = query.explain("Morgan Stanley", k=3)
-        assert report.execution == "top_k via heap accumulation"
-        assert "merging the blocked per-shard rankings" in report.fallback_reason
-        # Unblocked, the same sharded plan runs (and reports) max-score.
-        unblocked = query.blocker(None)
-        assert any("max-score" in note for note in unblocked.plan("top_k").notes)
-        assert (
-            unblocked.explain("Morgan Stanley", k=3).execution
-            == "top_k via max-score pruned accumulation"
-        )
-
-    def test_restricted_cosine_prunes_and_catch_all_claims_nothing(self, monkeypatch):
-        # The old catch-all blamed "an active candidate restriction", but a
-        # restricted cosine top_k prunes fine ...
-        predicate = make_predicate("cosine").fit(CORPUS * 10)
-        with predicate.restrict_candidates(set(range(40))):
-            predicate.top_k("Morgan Stanley Inc", 3)
-        assert predicate.pruning_stats is not None
-        # ... so when a plan is missing for a reason explain() cannot see,
-        # the report says only that.
-        monkeypatch.setattr(predicate, "_maxscore_plan", lambda query: None)
-        report = (
-            SimilarityEngine()
-            .from_strings(CORPUS * 10)
-            .predicate(predicate)
-            .explain("Morgan Stanley Inc", k=3)
-        )
-        assert report.pruning is None
-        assert report.execution == "top_k via heap accumulation"
-        assert report.fallback_reason == (
-            "the predicate built no max-score plan for this query"
-        )
+        for query in (blocked, blocked.blocker(None)):
+            notes = query.plan("top_k").notes
+            assert "top_k: heap accumulation" in notes
+            assert not any("skipped" in note for note in notes)
+            report = query.explain("Morgan Stanley", k=3)
+            assert report.execution == "top_k via heap accumulation"
+            assert report.fallback_reason is None
+            assert report.shards.describe() == "2/2 shards run via 'serial' executor"
 
     def test_declarative_topk_reports_sql_execution(self):
         engine = SimilarityEngine(realization="declarative")
@@ -288,26 +235,23 @@ class TestExplainExecutionAccuracy:
             "Morgan Stanley", k=2
         )
         assert report.execution == "top_k via SQL (see sql path / emitted SQL)"
-        assert report.pruning is None
+        assert report.fallback_reason is None
 
 
 @pytest.mark.skipif(not kernels.numpy_available(), reason="numpy unavailable")
 class TestExplainNamesTheNumpyPath:
-    """explain()/plan() used to call every unpruned top_k "heap
-    accumulation", even when the numpy kernel ran a scan + argpartition."""
+    """explain()/plan() used to call every top_k "heap accumulation", even
+    when the numpy kernel ran a scan + argpartition."""
 
-    def test_monotone_predicate_reports_dense_scan_and_why(self):
+    def test_monotone_predicate_reports_dense_scan(self):
         query = SimilarityEngine().from_strings(CORPUS * 10).predicate("bm25")
         with kernels.use_backend("numpy"):
             notes = " | ".join(query.plan("top_k").notes)
             report = query.explain("Morgan Stanley Inc", k=3)
-        assert "dense scan + partition (numpy kernel)" in notes
-        assert "max-score" not in notes and "heap" not in notes
+        assert "top_k: dense scan + partition (numpy kernel)" in notes
+        assert "heap" not in notes
         assert report.execution == "top_k via dense scan + partition (numpy kernel)"
-        assert report.fallback_reason == (
-            "max-score pruning runs on the scalar backend only"
-        )
-        assert report.pruning is None
+        assert report.fallback_reason is None
         assert report.num_candidates == len(query.rank("Morgan Stanley Inc"))
 
     def test_unkernelized_predicate_still_reports_the_heap(self):
@@ -317,7 +261,7 @@ class TestExplainNamesTheNumpyPath:
             report = query.explain("IBM", k=2)
         assert "scoring kernels" not in notes
         assert report.execution == "top_k via heap accumulation"
-        assert "monotone sum" in report.fallback_reason
+        assert report.fallback_reason is None
 
     @pytest.mark.parametrize("name", ["jaccard", "intersect"])
     def test_count_scan_predicates_name_the_backend_that_ran(self, name):
@@ -326,7 +270,6 @@ class TestExplainNamesTheNumpyPath:
         it is the scalar backend."""
         engine = SimilarityEngine()
         query = engine.from_strings(CORPUS * 10).predicate(name)
-        reason = "predicate score is not a monotone sum of per-token contributions"
         with kernels.use_backend("numpy"):
             notes = " | ".join(query.plan("top_k").notes)
             before = kernels.ops_snapshot()["numpy"]
@@ -337,7 +280,7 @@ class TestExplainNamesTheNumpyPath:
         assert "dense scan + partition (numpy kernel)" in notes
         assert "heap" not in notes
         assert report.execution == "top_k via dense scan + partition (numpy kernel)"
-        assert report.fallback_reason == reason
+        assert report.fallback_reason is None
         assert engine.obs.metrics.to_dict()["counters"].get("kernel_ops.numpy", 0) > 0
         with kernels.use_backend("python"):
             notes = " | ".join(query.plan("top_k").notes)
@@ -345,19 +288,16 @@ class TestExplainNamesTheNumpyPath:
         assert "scoring kernels: 'python' backend" in notes
         assert "heap accumulation" in notes and "dense scan" not in notes
         assert report.execution == "top_k via heap accumulation"
-        assert report.fallback_reason == reason
-        assert report.pruning is None
+        assert report.fallback_reason is None
 
-    def test_sharded_plan_keeps_the_shard_bound_note(self):
-        # Shard-level skipping uses the max-score *bounds*, not the pruned
-        # loop, so it is announced on either backend.
+    def test_sharded_plan_names_the_shards_path(self):
         query = (
             SimilarityEngine().from_strings(CORPUS * 3).predicate("bm25").shards(2)
         )
         with kernels.use_backend("numpy"):
-            notes = " | ".join(query.plan("top_k").notes)
-        assert "sharded top_k: shards whose max-score upper bound" in notes
-        assert "dense scan + partition (numpy kernel)" in notes
+            notes = query.plan("top_k").notes
+        assert "top_k: dense scan + partition (numpy kernel)" in notes
+        assert not any("bound" in note for note in notes)
 
 
 class TestRestrictionIgnoresTidsOutsideTheRelation:

@@ -249,7 +249,7 @@ class TestShardedBlocking:
 class TestSliceInvariant:
     """A shard-local fit equals the unsharded fit restricted to the shard's
     tid range and rebased -- through what callers of the weighted index see:
-    posting lists, posting arrays and the per-token bounds."""
+    posting lists and posting arrays."""
 
     @pytest.mark.parametrize("num_shards", [2, 3, 7])
     @pytest.mark.parametrize("name", WEIGHTED + ["lm", "hmm"])
@@ -270,8 +270,6 @@ class TestSliceInvariant:
                 values = [contribution for _, contribution in expected]
                 assert local.postings(token) == expected
                 assert (token in local) == bool(expected)
-                assert local.max_contribution(token) == max(values, default=0.0)
-                assert local.min_contribution(token) == min(values, default=0.0)
                 pair = local.arrays(token)
                 if not expected or not kernels.numpy_available():
                     assert pair is None
@@ -353,25 +351,21 @@ class TestExecutors:
         with pytest.raises(ValueError):
             make_executor("cluster")
 
-    def test_topk_aggregates_pruning_and_shard_stats(self, scalar_kernel):
+    def test_topk_records_shard_stats(self):
         corpus = CORPUS * 25
         sharded = _sharded("bm25", corpus, 4)
         base = make_predicate("bm25").fit(corpus)
         query = "Morgan Stanley Inc"
         assert _pairs(sharded.top_k(query, 3)) == _pairs(base.top_k(query, 3))
-        stats = sharded.pruning_stats
-        assert stats is not None
-        assert stats.postings_opened + stats.postings_skipped == stats.postings_total
         shard_stats = sharded.shard_stats
         assert shard_stats.num_shards == 4
-        assert shard_stats.shards_run + shard_stats.shards_skipped == 4
-        assert "shards run" in shard_stats.describe()
+        assert shard_stats.shards_run == 4
+        assert shard_stats.describe() == "4/4 shards run via 'serial' executor"
 
-    def test_skewed_corpus_skips_shards(self):
-        # The first shard holds every Morgan-like tuple (rare tokens, high RS
-        # weight); the other shards share no q-gram with the query, so their
-        # max-score bound is 0 and they must be skipped once the first shard
-        # establishes a positive k-th score.
+    def test_skewed_corpus_is_exact(self):
+        # The first shard holds every Morgan-like tuple; the other shards
+        # share no q-gram with the query and answer with no rows.  Every
+        # shard still runs: top_k is one dispatch round and a merge.
         corpus = ["Morgan Stanley Incorporated"] * 10 + [
             "zzz qqq xxx",
             "vvv www yyy",
@@ -382,13 +376,32 @@ class TestExecutors:
         base = make_predicate("weighted_match").fit(corpus)
         query = "Morgan Stanley Incorporated"
         assert _pairs(sharded.top_k(query, 5)) == _pairs(base.top_k(query, 5))
-        assert sharded.shard_stats.shards_skipped > 0
-        # Shard skipping works off the bounds alone; posting-level counters
-        # exist exactly when the shards' own top_k pruned.
-        assert (sharded.pruning_stats is not None) == (
-            base.top_k_algorithm() == "max-score"
-        )
-        assert 0 < sharded.last_num_candidates <= base.last_num_candidates
+        assert sharded.shard_stats.shards_run == sharded.num_shards == 4
+        assert sharded.last_num_candidates == base.last_num_candidates
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("name", ALL_DIRECT)
+    def test_top_k_is_rank_with_a_limit_on_every_path(self, name, executor, backend):
+        """One top-k path: sharded ``top_k``, the batched ``run_many`` and the
+        unsharded ``rank(limit=k)`` are the same answer, on both kernel
+        backends and every executor (pool workers fork inside the forced
+        backend, so they dispatch like their parent)."""
+        if backend == "numpy" and not kernels.numpy_available():
+            pytest.skip("numpy backend unavailable")
+        with kernels.use_backend(backend):
+            base = make_predicate(name).fit(CORPUS)
+            sharded = _sharded(name, CORPUS, 3, executor=executor)
+            try:
+                for query in ("Morgn Stanley Inc", "IBM Corp", "zzz"):
+                    for k in (0, 1, 10, len(CORPUS) + 5):
+                        expected = _pairs(base.rank(query, limit=k))
+                        assert _pairs(sharded.top_k(query, k)) == expected
+                        batch = sharded.run_many([query], "top_k", k=k)
+                        assert _pairs(batch[0]) == expected
+                        assert _pairs(base.top_k(query, k)) == expected
+            finally:
+                sharded.close()
 
 
 class TestEngineSharding:
@@ -419,7 +432,7 @@ class TestEngineSharding:
         )
         assert any("sharding ignored" in note for note in query.plan("rank").notes)
 
-    def test_explain_reports_shard_stats(self, scalar_kernel):
+    def test_explain_reports_shard_stats(self):
         engine = SimilarityEngine()
         report = (
             engine.from_strings(CORPUS * 5)
@@ -429,7 +442,6 @@ class TestEngineSharding:
         )
         assert report.shards is not None
         assert report.shards.num_shards == 3
-        assert report.pruning is not None
         assert "shards:" in report.describe()
 
     def test_sharded_run_many_matches_unsharded(self):
@@ -486,17 +498,14 @@ class TestEngineSharding:
             report = query.explain("Morgan Stanley Inc", k=3)
         assert report.num_results == 3
         assert report.shards is not None and report.shards.num_shards == 2
-        if backend == "python":
-            assert "max-score pruning" in notes
-            assert report.pruning is not None
-            assert report.execution == "top_k via max-score pruned accumulation"
-        else:
-            assert "dense scan + partition (numpy kernel)" in notes
-            assert report.pruning is None
-            assert report.execution == "top_k via dense scan + partition (numpy kernel)"
-            assert report.fallback_reason == (
-                "max-score pruning runs on the scalar backend only"
-            )
+        path = (
+            "heap accumulation"
+            if backend == "python"
+            else "dense scan + partition (numpy kernel)"
+        )
+        assert f"top_k: {path}" in notes
+        assert report.execution == f"top_k via {path}"
+        assert report.fallback_reason is None
 
     def test_clear_cache_closes_shard_executors(self):
         engine = SimilarityEngine()

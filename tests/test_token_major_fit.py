@@ -164,10 +164,6 @@ def _assert_fit_equals_reference(predicate, name, token_lists):
         plist = expected.get(token, [])
         values = [value for _, value in plist]
         assert weighted.postings(token) == plist
-        assert weighted.max_contribution(token) == max(values, default=0.0)
-        assert weighted.min_contribution(token) == min(values, default=0.0)
-        assert type(weighted.max_contribution(token)) is float
-        assert type(weighted.min_contribution(token)) is float
         assert all(type(value) is float for _, value in weighted.postings(token))
         pair = weighted.arrays(token)
         if not plist or not kernels.numpy_available():
@@ -206,7 +202,7 @@ def test_the_corpora_reach_the_edges():
     match = make_predicate("weighted_match", tokenizer=word).fit(every)._weighted_index
     assert "CAT" not in match and match.zero_dropped == 2  # RS weight 0: df = N/2
     bm25 = make_predicate("bm25", tokenizer=word).fit(every)._weighted_index
-    assert "CAT" not in bm25 and bm25.min_contribution("THE") < 0.0
+    assert "CAT" not in bm25 and min(v for _, v in bm25.postings("THE")) < 0.0
     lm = make_predicate("lm", tokenizer=word).fit(CORPORA["degenerate"])
     assert lm._sum_complement[0] == 0.0  # the empty string has no posting
     assert lm._sum_complement[4] == math.log(1.0 - (1.0 - 1e-12))  # clamped
@@ -240,7 +236,6 @@ def _snapshot(predicate, corpus):
             None if pair is None else [array.tolist() for array in pair]
             for pair in map(weighted.arrays, tokens)
         ],
-        [(weighted.max_contribution(t), weighted.min_contribution(t)) for t in tokens],
         getattr(predicate, "_sum_complement", None),
         [[tuple(match) for match in predicate.rank(query)] for query in QUERIES],
         [[tuple(match) for match in predicate.top_k(query, 2)] for query in QUERIES],

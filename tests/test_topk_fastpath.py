@@ -4,16 +4,14 @@ Three families of guarantees:
 
 * **Exactness** -- property-based equivalence: for the monotone-sum
   predicates (WeightedMatch, Cosine, BM25), ``top_k`` returns *exactly* the
-  same ``(tid, score)`` lists as ``rank(limit=k)``, across random corpora,
-  k values, with/without blockers and candidate restrictions, on every
-  kernel backend -- the scalar one, where ``top_k`` runs max-score pruning,
-  and numpy, where it is the dense scan.
+  same ``(tid, score)`` lists as ``rank(limit=k)`` and as the full ranking
+  cut to ``k``, across random corpora, k values, with/without blockers and
+  candidate restrictions, on every kernel backend -- the scalar one (heap
+  selection) and numpy (dense scan + partition).
 * **Satellite fixes** -- ``select`` filters before sorting but returns the
   same results; ``score(query, tid)`` single-tuple paths agree with the
   whole-corpus ``_scores`` for every direct predicate.
-* **Surfacing** -- ``pruning_stats`` exposes the work counters and
-  ``engine.explain`` / ``plan`` report the chosen fast path (pinned under
-  the ``scalar_kernel`` fixture, the backend where pruning runs).
+* **Surfacing** -- ``engine.explain`` / ``plan`` name the path that runs.
 """
 
 import warnings
@@ -25,7 +23,6 @@ from hypothesis import strategies as st
 from repro.blocking import make_blocker
 from repro.core import kernels
 from repro.core.predicates.registry import make_predicate
-from repro.core.topk import PruningStats, Term, maxscore_top_k
 from repro.engine import SimilarityEngine
 
 MONOTONE = ["weighted_match", "cosine", "bm25"]
@@ -74,10 +71,16 @@ def _pairs(scored):
     return [(st_.tid, st_.score) for st_ in scored]
 
 
+def _assert_topk_is_the_ranking_cut(predicate, query, k):
+    top = _pairs(predicate.top_k(query, k))
+    assert top == _pairs(predicate.rank(query, limit=k))
+    assert top == _pairs(predicate.rank(query))[:k]
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-class TestMaxScoreEquivalence:
-    """Property: top_k == unpruned rank(limit=k), bit for bit, whichever
-    algorithm the backend makes ``top_k`` pick."""
+class TestTopKEqualsRank:
+    """Property: top_k == rank(limit=k) == the full ranking cut to k, bit
+    for bit, whichever selection the backend runs."""
 
     @pytest.mark.parametrize("name", MONOTONE)
     @given(corpus=_corpora, query=_strings, k=st.integers(0, 30))
@@ -85,9 +88,7 @@ class TestMaxScoreEquivalence:
     def test_topk_equals_rank(self, backend, name, corpus, query, k):
         predicate = make_predicate(name).fit(corpus)
         with kernels.use_backend(backend):
-            assert _pairs(predicate.top_k(query, k)) == _pairs(
-                predicate.rank(query, limit=k)
-            )
+            _assert_topk_is_the_ranking_cut(predicate, query, k)
 
     @pytest.mark.parametrize("name", MONOTONE)
     @given(corpus=_corpora, query=_strings, k=st.integers(1, 10), data=st.data())
@@ -100,9 +101,7 @@ class TestMaxScoreEquivalence:
             st.sets(st.integers(0, len(corpus) - 1), max_size=len(corpus))
         )
         with kernels.use_backend(backend), predicate.restrict_candidates(allowed):
-            assert _pairs(predicate.top_k(query, k)) == _pairs(
-                predicate.rank(query, limit=k)
-            )
+            _assert_topk_is_the_ranking_cut(predicate, query, k)
 
     @pytest.mark.parametrize("name", MONOTONE)
     @given(corpus=_corpora, query=_strings, k=st.integers(1, 10))
@@ -113,9 +112,7 @@ class TestMaxScoreEquivalence:
             warnings.simplefilter("ignore", UserWarning)
             predicate.set_blocker(make_blocker("lsh", lsh_bands=4, lsh_rows=2))
         with kernels.use_backend(backend):
-            assert _pairs(predicate.top_k(query, k)) == _pairs(
-                predicate.rank(query, limit=k)
-            )
+            _assert_topk_is_the_ranking_cut(predicate, query, k)
 
     @pytest.mark.parametrize("name", MONOTONE)
     def test_topk_exact_on_company_corpus(self, backend, name):
@@ -123,9 +120,7 @@ class TestMaxScoreEquivalence:
         with kernels.use_backend(backend):
             for query in ("Morgn Stanley", "IBM Corp", "Goldman", "zzz"):
                 for k in (1, 3, 10, 100, 1000):
-                    assert _pairs(predicate.top_k(query, k)) == _pairs(
-                        predicate.rank(query, limit=k)
-                    )
+                    _assert_topk_is_the_ranking_cut(predicate, query, k)
 
 
 class TestSelectFilterFirst:
@@ -183,142 +178,6 @@ class TestSingleTupleScore:
             )
 
 
-@pytest.mark.usefixtures("scalar_kernel")
-class TestPruningStats:
-    def test_stats_populated_for_monotone_predicates(self):
-        predicate = make_predicate("bm25").fit(CORPUS * 50)
-        predicate.top_k("Morgan Stanley Inc", 5)
-        stats = predicate.pruning_stats
-        assert isinstance(stats, PruningStats)
-        assert stats.postings_opened + stats.postings_skipped == stats.postings_total
-        assert stats.candidates_rescored <= stats.candidates_scored
-        assert predicate.last_num_candidates == stats.candidates_scored
-        assert "posting lists opened" in stats.describe()
-
-    def test_stats_show_skipped_postings_on_skewed_corpus(self):
-        predicate = make_predicate("bm25").fit(CORPUS * 100)
-        predicate.top_k("Morgan Stanley Inc", 3)
-        assert predicate.pruning_stats.pruned
-        assert predicate.pruning_stats.postings_skipped > 0
-
-    def test_stats_reset_on_fallback(self):
-        predicate = make_predicate("lm").fit(CORPUS)
-        predicate.top_k("Morgan", 3)
-        assert predicate.pruning_stats is None
-
-    def test_maxscore_topk_empty_terms(self):
-        result, stats = maxscore_top_k(5, [], lambda tids: {})
-        assert result == []
-        assert stats.candidates_scored == 0
-
-    def test_maxscore_topk_k_zero_skips_everything(self):
-        term = Term("ab", 1.0, [(0, 1.0), (1, 2.0)], 2.0, 1.0)
-        result, stats = maxscore_top_k(0, [term], lambda tids: {})
-        assert result == []
-        assert stats.postings_skipped == 2
-
-
-def _reference_rescore(terms):
-    """Scalar exact-rescore callback over synthetic terms, canonical order."""
-    lookups = [(term.query_weight, dict(term.postings)) for term in terms]
-
-    def rescore(tids):
-        scores = {}
-        for tid in tids:
-            total = 0.0
-            for query_weight, contributions in lookups:
-                contribution = contributions.get(tid, 0.0)
-                if contribution:
-                    total += query_weight * contribution
-            scores[tid] = total
-        return scores
-
-    return rescore
-
-
-#: Coarse values so exact score ties (also straddling the k-th place) are
-#: common; no zeros, which the posting indexes never store.
-_contributions = st.sampled_from([-2.0, -0.5, 0.25, 0.5, 1.0, 1.5, 3.0])
-_query_weights = st.sampled_from([1.0, 1.0, 0.5, 2.0, -1.0])
-
-
-@st.composite
-def _synthetic_terms(draw):
-    num_tuples = draw(st.integers(1, 40))
-    terms = []
-    for position in range(draw(st.integers(1, 8))):
-        tids = sorted(
-            draw(st.sets(st.integers(0, num_tuples - 1), min_size=1, max_size=num_tuples))
-        )
-        postings = [(tid, draw(_contributions)) for tid in tids]
-        values = [contribution for _, contribution in postings]
-        terms.append(
-            Term(
-                token=f"t{position:02d}",
-                query_weight=draw(_query_weights),
-                postings=postings,
-                max_contribution=max(values),
-                min_contribution=min(values),
-            )
-        )
-    return num_tuples, terms
-
-
-class TestMaxScoreLoopEdgeCases:
-    """What the pruned loop could get wrong, at the ``maxscore_top_k``
-    boundary: pinned against the unpruned ranking of a reference rescore."""
-
-    @given(
-        data=_synthetic_terms(),
-        k=st.integers(1, 45),
-        restrict=st.booleans(),
-        draw=st.data(),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_synthetic_terms(self, data, k, restrict, draw):
-        """Negative contributions and weights, ties at the k-th place,
-        ``k = 1`` and ``k >=`` the candidate count, with and without an
-        ``allowed`` set."""
-        num_tuples, terms = data
-        allowed = (
-            draw.draw(st.sets(st.integers(0, num_tuples - 1))) if restrict else None
-        )
-        rescore = _reference_rescore(terms)
-        top, stats = maxscore_top_k(k, terms, rescore, allowed=allowed)
-        touched = {tid for term in terms for tid, _ in term.postings}
-        if allowed is not None:
-            touched &= allowed
-        unpruned = sorted(
-            rescore(touched).items(), key=lambda item: (-item[1], item[0])
-        )
-        assert top == unpruned[:k]
-        assert stats.postings_opened + stats.postings_skipped == stats.postings_total
-
-
-@pytest.mark.skipif(not kernels.numpy_available(), reason="numpy unavailable")
-class TestNumpyTopKIsTheDenseScan:
-    """On the numpy backend ``top_k`` is ``rank(limit=k)`` and nothing else:
-    a silent return of the max-score path would cost ~4x per query."""
-
-    @pytest.mark.parametrize("name", MONOTONE)
-    def test_never_builds_a_maxscore_plan(self, name, monkeypatch):
-        predicate = make_predicate(name).fit(CORPUS * 20)
-        with kernels.use_backend("python"):
-            predicate.top_k("Morgn Stanley", 5)
-        assert predicate.pruning_stats is not None  # primed, must be cleared
-        calls = []
-        plan = predicate._maxscore_plan
-        monkeypatch.setattr(
-            predicate, "_maxscore_plan", lambda query: calls.append(query) or plan(query)
-        )
-        with kernels.use_backend("numpy"):
-            top = predicate.top_k("Morgn Stanley", 5)
-            assert _pairs(top) == _pairs(predicate.rank("Morgn Stanley", limit=5))
-        assert calls == []
-        assert predicate.pruning_stats is None
-        assert predicate.last_num_candidates == len(predicate.rank("Morgn Stanley"))
-
-
 class TestZeroK:
     """``k == 0`` returns nothing and therefore scores nothing."""
 
@@ -347,52 +206,29 @@ class TestEngineIntegration:
             (m.tid, m.score) for m in query.top_k("Morgn Stanley", 5)
         ] == [(m.tid, m.score) for m in query.rank("Morgn Stanley", limit=5)]
 
-    def test_plan_reports_maxscore_fast_path(self, scalar_kernel):
+    def test_scalar_backend_plans_and_runs_the_heap(self, scalar_kernel):
         engine = SimilarityEngine()
-        plan = engine.from_strings(CORPUS).predicate("bm25").plan(op="top_k")
-        assert any("max-score" in note for note in plan.notes)
+        query = engine.from_strings(CORPUS).predicate("bm25")
+        assert "top_k: heap accumulation" in query.plan(op="top_k").notes
+        report = query.explain("Morgan Stanley Inc", k=5)
+        assert report.execution == "top_k via heap accumulation"
+        assert report.fallback_reason is None
+        assert "pruning:" not in report.describe()
 
-    def test_plan_reports_heap_fast_path_for_non_monotone(self, scalar_kernel):
+    def test_plan_names_one_path_blocked_or_not(self, scalar_kernel):
         engine = SimilarityEngine()
-        plan = engine.from_strings(CORPUS).predicate("jaccard").plan(op="top_k")
-        assert any("heap" in note for note in plan.notes)
-
-    def test_plan_reports_heap_fallback_for_blocked_aggregates(self, scalar_kernel):
-        # The aggregate family applies blockers post-scoring, so a blocked
-        # plan cannot run max-score pruning; the note must say so.
-        engine = SimilarityEngine()
-        blocked = engine.from_strings(CORPUS).predicate("bm25").blocker("lsh")
-        assert any("heap" in note for note in blocked.plan(op="top_k").notes)
-        # WeightedMatch blocks before scoring and keeps the pruned path.
-        pruned = engine.from_strings(CORPUS).predicate("weighted_match").blocker("lsh")
-        assert any("max-score" in note for note in pruned.plan(op="top_k").notes)
+        for name in ("jaccard", "bm25", "weighted_match"):
+            plain = engine.from_strings(CORPUS).predicate(name)
+            for query in (plain, plain.blocker("lsh")):
+                top_k_notes = [
+                    note for note in query.plan(op="top_k").notes if "top_k" in note
+                ]
+                assert top_k_notes == ["top_k: heap accumulation"]
 
     def test_plan_reports_select_fast_path(self):
         engine = SimilarityEngine()
         plan = engine.from_strings(CORPUS).predicate("bm25").plan(op="select")
         assert any("filter before sorting" in note for note in plan.notes)
-
-    def test_explain_surfaces_pruning_stats(self, scalar_kernel):
-        engine = SimilarityEngine()
-        report = (
-            engine.from_strings(CORPUS * 50)
-            .predicate("bm25")
-            .explain("Morgan Stanley Inc", k=5)
-        )
-        assert report.plan.operation == "top_k"
-        assert report.pruning is not None
-        assert report.pruning.candidates_scored == report.num_candidates
-        assert "pruning:" in report.describe()
-
-    def test_explain_no_pruning_for_declarative(self):
-        engine = SimilarityEngine()
-        report = (
-            engine.from_strings(CORPUS[:6])
-            .predicate("bm25")
-            .realization("declarative")
-            .explain("Morgan Stanley", k=3)
-        )
-        assert report.pruning is None
 
     def test_run_many_topk_matches_individual(self):
         engine = SimilarityEngine()
@@ -415,27 +251,52 @@ class TestEngineIntegration:
         assert [m.tid for m in direct] == [m.tid for m in declarative]
 
 
+#: Every kernelised predicate with a threshold that filters some, not all,
+#: of its candidates on ``CORPUS``.
+JOIN_THRESHOLDS = {
+    "intersect": 4.0,
+    "jaccard": 0.3,
+    "weighted_match": 2.0,
+    "weighted_jaccard": 0.3,
+    "cosine": 0.3,
+    "bm25": 2.0,
+    "lm": 100.0,
+    "hmm": 1e6,
+}
+
+
 class TestJoinTopKProbing:
-    def test_join_topk_matches_select_then_trim(self):
+    @pytest.mark.parametrize("blocked", [False, True])
+    @pytest.mark.parametrize("name", sorted(JOIN_THRESHOLDS))
+    def test_join_topk_matches_select_then_trim(self, name, blocked):
         from repro.core.join import ApproximateJoiner
 
-        base = CORPUS * 5
-        probe = ["Morgan Staney", "IBM Corp", "Goldman Sach"]
-        joiner = ApproximateJoiner(base, predicate="bm25", threshold=2.0)
-        fast = joiner.join(probe, top_k=4)
+        threshold = JOIN_THRESHOLDS[name]
+        probe = ["Morgan Staney", "IBM Corp", "Goldman Sach", "zzz"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            joiner = ApproximateJoiner(
+                CORPUS * 2,
+                predicate=name,
+                blocker=make_blocker("lsh", lsh_bands=4, lsh_rows=2) if blocked else None,
+            )
+        assert joiner.predicate.uses_kernels
+        fast = joiner.join(probe, top_k=3, threshold=threshold)
         expected = []
         for probe_id, text in enumerate(probe):
-            matches = joiner.matches_for(probe_id, text)
+            matches = joiner.matches_for(probe_id, text, threshold)
             matches.sort(key=lambda m: (-m.score, m.right_id))
-            expected.extend(matches[:4])
+            expected.extend(matches[:3])
+        assert expected and len(expected) < 3 * len(probe)
         assert [(m.left_id, m.right_id, m.score) for m in fast] == [
             (m.left_id, m.right_id, m.score) for m in expected
         ]
 
-    def test_join_topk_non_monotone_predicate_unchanged(self):
+    def test_join_topk_unkernelized_predicate_unchanged(self):
         from repro.core.join import ApproximateJoiner
 
-        joiner = ApproximateJoiner(CORPUS, predicate="jaccard", threshold=0.2)
+        joiner = ApproximateJoiner(CORPUS, predicate="edit_distance", threshold=0.2)
+        assert not joiner.predicate.uses_kernels
         fast = joiner.join(["Morgan Stanley Inc"], top_k=2)
         assert len(fast) == 2
         assert fast[0].score >= fast[1].score

@@ -10,11 +10,11 @@ executors.
 The tests force each backend in turn via :func:`kernels.use_backend` and
 compare with ``==`` -- no tolerances anywhere.
 
-Mirrors the structure of ``tests/test_topk_fastpath.py`` (which pins the
-pruned-vs-unpruned equivalence; this file pins the backend equivalence).
-For ``top_k`` the two backends run different *algorithms* -- max-score
-pruning on the scalar one, the dense scan + partition on numpy -- so the
-backend equivalence is also the algorithm equivalence.
+Mirrors the structure of ``tests/test_topk_fastpath.py`` (which pins
+``top_k`` against the ranking cut to ``k``; this file pins the backend
+equivalence).  ``top_k`` is ``rank(limit=k)`` on both backends, but the two
+select differently -- a bounded heap over the scalar scan's dict, a
+partition over the numpy scan's arrays -- so it stays a two-backend check.
 """
 
 import warnings
@@ -49,7 +49,7 @@ KERNELIZED = [
 #: reference (the count scan's two, and the weighted finalizer kept in arrays).
 COUNTED = ["intersect", "jaccard", "weighted_jaccard"]
 
-#: The subset with a max-score top_k plan (pruned on the scalar backend).
+#: The plain monotone sums (no finalizer): the top_k property-test subset.
 MONOTONE = ["weighted_match", "cosine", "bm25"]
 
 CORPUS = [
@@ -137,7 +137,7 @@ class TestScoresBitIdentical:
 
 @needs_numpy
 class TestTopKBitIdentical:
-    """Scalar max-score ``top_k`` and the numpy dense scan agree."""
+    """The scalar heap ``top_k`` and the numpy dense scan agree."""
 
     @pytest.mark.parametrize("name", MONOTONE)
     @given(corpus=_corpora, query=_strings, k=st.integers(0, 30))
@@ -188,7 +188,7 @@ def _assert_topk_agrees(predicate, query, k):
 
 @needs_numpy
 class TestTopKAgreesUnderTiesAndRestrictions:
-    """Scalar max-score, numpy dense scan and ``rank(limit=k)`` agree where
+    """Scalar heap, numpy dense scan and ``rank(limit=k)`` agree where
     ordering is most fragile."""
 
     @given(corpus=_corpora, query=_strings, data=st.data())
