@@ -14,9 +14,14 @@ relation and the tokenizer, never on a predicate:
   predicate is fitted, its posting arrays -- per token the tids and term
   frequencies as ``int64`` arrays, the relation's postings held as arrays
   once: the count scan reads them and every weighted predicate derives its
-  own ``(tids, contributions)`` from them token by token,
+  own ``(tids, contributions)`` from them token by token (the Python
+  ``(tid, contribution)`` lists are not part of a numpy fit: a weighted index
+  derives them from this index's posting lists on its first scalar read),
 * the per-tuple token sets,
-* the :class:`~repro.text.weights.CollectionStatistics`.
+* the :class:`~repro.text.weights.CollectionStatistics` -- its ``df`` / ``cf``
+  read off the index token-major when a fit has already built one, counted
+  over the ``Counter`` objects otherwise (same integers, same vocabulary
+  order).
 
 The last four are built on first use and then kept, so a corpus that only
 ever serves word-level combination predicates never pays for a posting
@@ -27,10 +32,11 @@ A core is **read-only after it is built**: predicates fitted over one core
 of a sharded fit) share its parts by reference -- a weighted posting index
 hands the core's tid arrays to the scans as they are -- and nothing in
 ``core/``, ``blocking/`` or ``shard/`` mutates a token list, ``Counter``,
-posting list or posting array in place.  Because every part is built by the
-same code from the same lists in the same order -- vocabulary and ``Counter``
-insertion order included -- a predicate fitted over a shared core scores
-bit-identically to one fitted alone.  Building is not synchronized: hand one
+posting list or posting array in place (so the sizes ``summary()`` reports
+are computed once and kept).  Because every part is built by the same code
+from the same lists in the same order -- vocabulary and ``Counter`` insertion
+order included -- a predicate fitted over a shared core scores bit-identically
+to one fitted alone.  Building is not synchronized: hand one
 core to concurrent fits only under a lock (the engine holds its own).
 """
 
@@ -98,6 +104,8 @@ class CorpusCore:
         self._index: Optional[InvertedIndex] = None
         self._token_sets: Optional[List[Set[str]]] = None
         self._stats: Optional[CollectionStatistics] = None
+        self._num_postings: Optional[int] = None
+        self._vocabulary_size: Optional[int] = None
 
     def _timed(self, build: Callable[[], _Part]) -> _Part:
         started = perf_clock()
@@ -161,9 +169,11 @@ class CorpusCore:
     def stats(self) -> CollectionStatistics:
         if self._stats is None:
             counts = self.term_frequencies
+            # An index some fit already built answers df / cf token-major; a
+            # core without one (word-level predicates) is not made to build it.
             self._stats = self._timed(
                 lambda: CollectionStatistics(
-                    self.token_lists, term_frequencies=counts
+                    self.token_lists, term_frequencies=counts, index=self._index
                 )
             )
         return self._stats
@@ -198,15 +208,26 @@ class CorpusCore:
 
     @property
     def num_postings(self) -> int:
-        """Number of ``(token, tuple)`` postings (distinct tokens per tuple)."""
-        return sum(len(counts) for counts in self.term_frequencies)
+        """Number of ``(token, tuple)`` postings (distinct tokens per tuple):
+        one array sum when the posting arrays exist, else one walk over the
+        ``Counter`` objects -- kept, the core being read-only."""
+        if self._num_postings is None:
+            sizes = None if self._index is None else self._index.set_sizes
+            if sizes is not None:
+                self._num_postings = int(sizes.sum())
+            else:
+                self._num_postings = sum(map(len, self.term_frequencies))
+        return self._num_postings
 
     @property
     def vocabulary_size(self) -> int:
-        """Number of distinct tokens (read off the index when it exists)."""
+        """Number of distinct tokens: read off the index when it exists, else
+        counted once and kept."""
         if self._index is not None:
             return self._index.vocabulary_size()
-        return len(set().union(*self.term_frequencies))
+        if self._vocabulary_size is None:
+            self._vocabulary_size = len(set().union(*self.term_frequencies))
+        return self._vocabulary_size
 
     def summary(self) -> Dict[str, object]:
         """Tokenizer, size, whether the posting arrays are built (their

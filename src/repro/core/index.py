@@ -16,22 +16,38 @@ holds the relation's postings as arrays **once**
 token an ``int64`` tid array and an ``int64`` term-frequency array, each a
 view into one buffer, plus one ``int64`` distinct-token count per tuple.
 A weighted index is *derived* from them token by token: its
-``(int64 tids, float64 contributions)`` pairs are what a fit computes (one
-element-wise expression per token), and its Python posting lists are copied
-from those arrays inside the same fit -- the independent copy the scalar
-scans read and the numpy scans heal from.  A token that drops no posting
-shares the inverted index's tid array by reference.  Like the posting lists
-they mirror, all arrays are read-only after they are built.
+``(int64 tids, float64 contributions)`` pairs, plus one stored posting count
+per token, are all a numpy fit computes (one element-wise expression per
+token).  Its Python ``(tid, contribution)`` lists -- what the scalar scans
+read and the numpy scans heal on -- are a *scalar view*: the one thing built
+outside a fit, once, under a lock, by the first scalar read, from the
+predicate's own scalar derivation over the inverted index's posting lists
+(never from the arrays).  Without numpy the lists are what the fit computes
+and there is nothing to derive later.  A token that drops no posting shares
+the inverted index's tid array by reference.  Like the posting lists they
+mirror, all arrays are read-only after they are built.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import Counter, defaultdict
 from itertools import chain, compress
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core import kernels
+from repro.obs.clock import perf_clock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (blocking uses text only)
     from repro.blocking.base import Blocker
@@ -178,9 +194,11 @@ class InvertedIndex:
 
 _EMPTY_POSTINGS: List[Tuple[int, float]] = []
 
+_TokenValues = Iterable[Tuple[str, Sequence[float]]]
+
 
 class WeightedPostingIndex:
-    """Per-token posting lists carrying precomputed score contributions.
+    """Per-token postings carrying precomputed score contributions.
 
     Weighted predicates score ``sim(Q, D) = Σ wq(t, Q) * c(t, D)`` where the
     document-side factor ``c(t, D)`` (normalized tf-idf product, BM25 term
@@ -194,7 +212,7 @@ class WeightedPostingIndex:
     index:
         The relation's :class:`InvertedIndex`.  Its posting order is this
         index's posting order, and its arrays (built here if no fit has yet)
-        are what ``values`` are computed over.
+        are what ``token_values`` are computed over.
     token_values:
         ``(token, values)`` pairs, at most one per token of ``index``, in
         whatever token order the deriving predicate needs: ``values`` holds
@@ -202,62 +220,144 @@ class WeightedPostingIndex:
         with it -- a ``float64`` array (the product of an element-wise
         expression over ``index.arrays(token)``) or a sequence of floats.
         Consumed once, inside the fit.
+    scalar_values:
+        The predicate's own scalar derivation as a bound method: called with
+        no argument it yields the same ``(token, values)`` pairs with
+        ``values`` a sequence of Python floats, and has no side effect.  It
+        is what :meth:`postings` is derived from after a numpy fit (see
+        below) and is never called without numpy, where ``token_values``
+        already are those pairs.
     keep_zeros:
         Postings contributing exactly ``0.0`` are dropped -- the accumulation
         loops would skip them -- unless candidate membership must include
         them (the language models: such a tuple still scores
         ``exp(sum_complement)``).  A token left without postings is absent.
 
-    When numpy is available (the ``fast`` extra) the contributions live as
-    one contiguous ``(int64 tids, float64 contributions)`` pair per token,
-    which the vectorized kernels (:mod:`repro.core.kernels`) accumulate at C
-    speed, and the ``(tid, contribution)`` lists are copied from those arrays
-    here (``tolist()`` round-trips float64 exactly; the tid objects are the
-    inverted index's own, not a fresh ``int`` per posting per predicate).
-    Without numpy ``arrays()`` returns ``None`` and every scoring path reads
-    the lists.
+    A fit builds only what its scans read.  With numpy (the ``fast`` extra)
+    that is one ``(int64 tids, float64 contributions)`` pair per token, which
+    the vectorized kernels (:mod:`repro.core.kernels`) accumulate at C speed,
+    plus one ``int`` posting count per token (:meth:`posting_count`: what
+    ``in`` / ``len`` and the numpy scan's in-step check read).  The
+    ``(tid, contribution)`` lists the scalar loops read are then a **scalar
+    view**: derived once, under a lock, by the first :meth:`postings` call --
+    a forced ``use_backend("python")`` scope or the numpy -> scalar ladder
+    healing a failed scan -- by re-running ``scalar_values`` over the
+    inverted index's posting lists, never by copying the arrays, so a heal
+    does not read what it is healing from.  Without numpy :meth:`arrays`
+    returns ``None`` and the lists are what the fit itself computes.
     """
 
     def __init__(
         self,
         index: InvertedIndex,
-        token_values: Iterable[Tuple[str, Sequence[float]]],
+        token_values: _TokenValues,
+        scalar_values: Callable[[], _TokenValues],
         keep_zeros: bool = False,
     ):
         np = kernels.np
         index.build_arrays()  # a no-op after a kernelised tokenize phase
-        self._postings: Dict[str, List[Tuple[int, float]]] = {}
+        self._index = index
+        self._scalar_values = scalar_values
+        self._keep_zeros = keep_zeros
         self._arrays = None if np is None else {}
+        #: token -> number of postings stored (tokens left without are absent).
+        self._counts: Dict[str, int] = {}
+        #: Seconds deriving the scalar view took and what asked for it
+        #: (``"forced backend"`` / ``"heal"``); ``None`` while it is unbuilt
+        #: and after a fit without numpy, whose lists are the fit's product.
+        self.view_seconds: Optional[float] = None
+        self.view_cause: Optional[str] = None
         #: Postings stored / postings left out for contributing exactly 0.0.
         self.num_postings = 0
         self.zero_dropped = 0
+        postings: Optional[Dict[str, List[Tuple[int, float]]]] = (
+            {} if np is None else None
+        )
         for token, values in token_values:
-            # The index's own tid objects, as a list: zipping two lists is
-            # measurably cheaper than zipping a lazy map with one.
-            tids = list(map(_tid_of, index.postings(token)))
-            if np is not None:
+            if postings is not None:
+                plist = self._posting_list(token, values)
+                count = len(plist)
+                if count:
+                    postings[token] = plist
+            else:
                 tid_array = index.arrays(token)[0]
                 contributions = np.asarray(values, dtype=np.float64)
                 if not keep_zeros:
                     keep = contributions != 0.0
                     if not keep.all():
-                        tids = compress(tids, keep.tolist())
                         tid_array, contributions = tid_array[keep], contributions[keep]
-                values = contributions.tolist()
-                if values:
+                count = int(contributions.size)
+                if count:
                     self._arrays[token] = (tid_array, contributions)
-            elif not keep_zeros:
-                keep = [value != 0.0 for value in values]
-                tids, values = compress(tids, keep), list(compress(values, keep))
-            self.zero_dropped += index.document_frequency(token) - len(values)
-            if not values:
-                continue
-            self.num_postings += len(values)
-            self._postings[token] = list(zip(tids, values))
+            self.zero_dropped += index.document_frequency(token) - count
+            if count:
+                self._counts[token] = count
+                self.num_postings += count
+        self._view_lock = threading.Lock()
+        #: token -> [(tid, contribution)]; ``None`` while the scalar view is
+        #: unbuilt.  Assigned whole, never filled in place.
+        self._view = postings  # guarded-by: _view_lock
+
+    def _posting_list(
+        self, token: str, values: Sequence[float]
+    ) -> List[Tuple[int, float]]:
+        """``token``'s ``(tid, contribution)`` list from its scalar values,
+        zipping the inverted index's own tid objects."""
+        tids = map(_tid_of, self._index.postings(token))
+        if not self._keep_zeros:
+            keep = [value != 0.0 for value in values]
+            if not all(keep):
+                tids, values = compress(tids, keep), compress(values, keep)
+        return list(zip(tids, values))
+
+    def _build_scalar_view(self) -> Dict[str, List[Tuple[int, float]]]:
+        """Derive the posting lists from the predicate's scalar derivation:
+        once, under the lock, assigned whole."""
+        with self._view_lock:
+            if self._view is None:
+                # Who is asking: a forced scalar scope, or -- the numpy
+                # backend being active -- the ladder healing a failed scan.
+                cause = "forced backend" if kernels.active_backend() == "python" else "heal"
+                started = perf_clock()
+                view = {}
+                for token, values in self._scalar_values():
+                    plist = self._posting_list(token, values)
+                    if plist:
+                        view[token] = plist
+                self.view_seconds, self.view_cause = perf_clock() - started, cause
+                self._view = view
+                kernels.count_op("scalar_view_build")
+            return self._view
+
+    @property
+    def scalar_view_built(self) -> bool:
+        """Whether the ``(tid, contribution)`` lists exist (always, without
+        numpy; after the first :meth:`postings` call otherwise)."""
+        return self._view is not None  # repro-analysis: disable=RPL004 reason=GIL-atomic read of an attribute that is assigned whole, once
+
+    def describe_scalar_view(self) -> str:
+        """``not built`` / ``built in X ms (N postings, cause: ...)``."""
+        if not self.scalar_view_built:
+            return "not built"
+        if self.view_seconds is None:
+            return "the fit's own postings (no numpy)"
+        return (
+            f"built in {self.view_seconds * 1e3:.1f} ms "
+            f"({self.num_postings} postings, cause: {self.view_cause})"
+        )
 
     def postings(self, token: str) -> List[Tuple[int, float]]:
-        """``(tid, contribution)`` pairs for every tuple ``token`` scores on."""
-        return self._postings.get(token, _EMPTY_POSTINGS)
+        """``(tid, contribution)`` pairs for every tuple ``token`` scores on
+        (the scalar view: the first call after a numpy fit derives it)."""
+        view = self._view  # repro-analysis: disable=RPL004 reason=GIL-atomic read of an attribute that is assigned whole, once; None falls through to the locked build
+        if view is None:
+            view = self._build_scalar_view()
+        return view.get(token, _EMPTY_POSTINGS)
+
+    def posting_count(self, token: str) -> int:
+        """``len(postings(token))`` from the count the fit stored -- without
+        touching the scalar view."""
+        return self._counts.get(token, 0)
 
     def arrays(self, token: str):
         """``(int64 tids, float64 contributions)`` arrays, or ``None``.
@@ -270,7 +370,18 @@ class WeightedPostingIndex:
         return self._arrays.get(token)
 
     def __contains__(self, token: str) -> bool:
-        return token in self._postings
+        return token in self._counts
 
     def __len__(self) -> int:
-        return len(self._postings)
+        return len(self._counts)
+
+    def __getstate__(self):
+        # A lock does not pickle (fitted shards travel to and from worker
+        # processes); the copy gets its own.
+        state = self.__dict__.copy()
+        del state["_view_lock"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._view_lock = threading.Lock()

@@ -54,6 +54,11 @@ point falls back to the scalar loops, which *are* the pre-kernel code paths
 verbatim.  Both scan entry points share one fallback ladder: any exception
 inside a numpy scan (corrupt arrays, allocation pressure) re-runs the scalar
 loop, which computes the same answer, and counts one ``python_fallback``.
+The weighted scalar loop reads ``index.postings(token)`` -- after a numpy fit
+a scalar view the index derives on that first read, from the predicate's own
+formula rather than from the arrays that just failed; the numpy scan checks
+its scanned length against ``index.posting_count(token)``, the counts the fit
+stored, so it never touches that view.
 :func:`use_backend` forces a backend for a scope (used by the equivalence
 tests and benchmarks to compare both paths in one process), and
 :func:`ops_snapshot` exposes per-backend invocation counters so the engine
@@ -110,8 +115,15 @@ _forced: Optional[str] = None
 
 _ops_lock = threading.Lock()
 #: ``python_fallback`` counts numpy kernel *failures* healed by re-running
-#: the scalar path (the engine publishes it as ``kernel_ops.python_fallback``).
-_ops: Dict[str, int] = {"numpy": 0, "python": 0, "python_fallback": 0}  # guarded-by: _ops_lock
+#: the scalar path (the engine publishes it as ``kernel_ops.python_fallback``);
+#: ``scalar_view_build`` counts weighted posting indexes deriving their scalar
+#: view (published as ``core.scalar_view.builds_total``).
+_ops: Dict[str, int] = {  # guarded-by: _ops_lock
+    "numpy": 0,
+    "python": 0,
+    "python_fallback": 0,
+    "scalar_view_build": 0,
+}
 
 
 def numpy_available() -> bool:
@@ -193,8 +205,8 @@ def accumulate(
 
     ``items`` must already be in the predicate's canonical token order and
     free of zero query weights; ``index`` is a
-    :class:`~repro.core.index.WeightedPostingIndex` (duck-typed: ``postings``
-    and ``arrays`` accessors).  ``size`` is the relation size, bounding tids.
+    :class:`~repro.core.index.WeightedPostingIndex` (duck-typed:
+    ``postings``, ``arrays`` and ``posting_count`` accessors).  ``size`` is the relation size, bounding tids.
 
     Candidate membership matches the scalar loops exactly: every tid touched
     by an opened posting appears in the result, *including* tids whose
@@ -401,7 +413,9 @@ def _accumulate_numpy(
             value_parts.append(
                 contributions if query_weight == 1.0 else query_weight * contributions
             )
-        expected += len(index.postings(token))
+        # The count the fit stored: reading the posting lists here would
+        # derive the scalar view on the first numpy query.
+        expected += index.posting_count(token)
     if not expected:
         return {}
     all_tids = tid_parts[0] if len(tid_parts) == 1 else np.concatenate(tid_parts)
@@ -412,7 +426,7 @@ def _accumulate_numpy(
     # leave contributions out: the same length check as the count scan turns
     # that into a failure the ladder heals on the posting lists.
     if all_tids.size != expected:
-        raise ValueError("posting arrays are out of step with the posting lists")
+        raise ValueError("posting arrays are out of step with the posting counts")
     accumulator = np.zeros(size, dtype=np.float64)
     # Unbuffered scatter-add: additions apply in element order, reproducing
     # the scalar per-tid accumulation chains bit for bit.

@@ -12,8 +12,9 @@ Each states its document-side weight **once**, as an element-wise function of
 (the token's weight, ``tf``, a per-tuple factor) -- :meth:`BM25._contribution`,
 :meth:`CosineTfIdf._contribution`.  The fit maps it over the corpus core's
 postings token by token -- with numpy one ufunc per IEEE operation over the
-token's ``(tids, tfs)`` arrays, without it the same expression per posting --
-into a :class:`~repro.core.index.WeightedPostingIndex`; ``score()``
+token's ``(tids, tfs)`` arrays, without it (and for the index's scalar view,
+derived on the first scalar read) the same expression per posting -- into a
+:class:`~repro.core.index.WeightedPostingIndex`; ``score()``
 (:meth:`_AggregateBase._rescore_items`) calls the same function on the
 tuple's own term frequency.
 Nothing is kept per (tuple, token) besides those postings.
@@ -74,24 +75,34 @@ class _AggregateBase(Predicate):
     ) -> None:
         """Map :meth:`_contribution` over the core's postings, token-major."""
         self._token_weights, self._tuple_factors = token_weights, tuple_factors
-        index, contribution = self._index, self._contribution
-        assert index is not None
-        np = kernels.np
-        factor_array = None if np is None else np.array(tuple_factors, dtype=np.float64)
+        assert self._index is not None
+        self._weighted_index = WeightedPostingIndex(
+            self._index,
+            self._posting_values(vectorized=kernels.np is not None),
+            self._posting_values,
+        )
 
-        def posting_values() -> Iterator[Tuple[str, Sequence[float]]]:
+    def _posting_values(
+        self, vectorized: bool = False
+    ) -> Iterator[Tuple[str, Sequence[float]]]:
+        """Per token, :meth:`_contribution` of each of its postings: one
+        array expression over the token's ``(tids, tfs)`` when ``vectorized``
+        (a numpy fit), else one Python float per posting (a fit without
+        numpy, and the weighted index's scalar view)."""
+        index, contribution = self._index, self._contribution
+        token_weights, tuple_factors = self._token_weights, self._tuple_factors
+        if vectorized:
+            factor_array = kernels.np.array(tuple_factors, dtype=kernels.np.float64)
+            for token in index.tokens():
+                tids, tfs = index.arrays(token)
+                yield token, contribution(token_weights[token], tfs, factor_array[tids])
+        else:
             for token in index.tokens():
                 weight = token_weights[token]
-                if factor_array is None:
-                    yield token, [
-                        contribution(weight, tf, tuple_factors[tid])
-                        for tid, tf in index.postings(token)
-                    ]
-                else:
-                    tids, tfs = index.arrays(token)
-                    yield token, contribution(weight, tfs, factor_array[tids])
-
-        self._weighted_index = WeightedPostingIndex(index, posting_values())
+                yield token, [
+                    contribution(weight, tf, tuple_factors[tid])
+                    for tid, tf in index.postings(token)
+                ]
 
     def _query_weights(self, query: str) -> Dict[str, float]:
         """Query-side weights ``wq(t, Q)`` (subclass-specific)."""

@@ -126,9 +126,10 @@ class Predicate(ABC):
         #: Bound from the core by the default :meth:`tokenize_phase`.
         self._token_lists: List[List[str]] = []
         self._index: Optional[InvertedIndex] = None
-        #: token -> [(tid, contribution)]: what a kernelised weighted
-        #: predicate's :meth:`weight_phase` derives (``None`` for every other
-        #: predicate).
+        #: The weighted postings a kernelised weighted predicate's
+        #: :meth:`weight_phase` derives -- per token ``(tids, contributions)``
+        #: arrays with numpy, ``(tid, contribution)`` lists without (``None``
+        #: for every other predicate).
         self._weighted_index: Optional[WeightedPostingIndex] = None
         #: Seconds the last :meth:`fit` spent inside :meth:`weight_phase`.
         self.weight_seconds = 0.0
@@ -429,9 +430,10 @@ class Predicate(ABC):
         return self._fitted
 
     def weights_summary(self) -> Dict[str, object]:
-        """What the last fit derived into the weighted postings and what it
-        cost (the engine's ``fit`` span and ``explain()`` report it); empty
-        for a predicate that builds no weighted posting index."""
+        """What the last fit derived into the weighted postings, what it
+        cost, and whether the scalar view of them has been derived since
+        (the engine's ``fit`` span and ``explain()`` report it); empty for a
+        predicate that builds no weighted posting index."""
         weighted = self._weighted_index
         if weighted is None:
             return {}
@@ -439,6 +441,7 @@ class Predicate(ABC):
             "weighted_postings": weighted.num_postings,
             "zero_dropped": weighted.zero_dropped,
             "weights_s": self.weight_seconds,
+            "scalar_view": weighted.describe_scalar_view(),
         }
 
     @property

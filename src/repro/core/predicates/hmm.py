@@ -15,8 +15,9 @@ exactly like the ``BASE_WEIGHTS`` table of the declarative realization:
 core's postings token by token into a
 :class:`~repro.core.index.WeightedPostingIndex` (a scalar pass on both kernel
 backends -- ``math.log`` is libm's, numpy's ``log`` is not guaranteed to round
-the same way), and ``score()`` calls the same function on the tuple's own
-term frequency.  Query evaluation is one kernel scan over the query tokens'
+the same way; the index's scalar view re-runs it on the first scalar read
+after a numpy fit), and ``score()`` calls the same function on the tuple's
+own term frequency.  Query evaluation is one kernel scan over the query tokens'
 postings.
 """
 
@@ -67,7 +68,7 @@ class HMM(Predicate):
         # candidate even where 1 + x rounds to 1 -- so zeros are not dropped.
         assert self._index is not None
         self._weighted_index = WeightedPostingIndex(
-            self._index, self._posting_values(), keep_zeros=True
+            self._index, self._posting_values(), self._posting_values, keep_zeros=True
         )
 
     def _posting_values(self) -> Iterator[Tuple[str, List[float]]]:

@@ -13,12 +13,17 @@ Figure 4.4.
 
 The fit is one token-major pass over the corpus core's postings:
 :meth:`LanguageModeling._posting_terms` states a posting's contribution
-once, each posting takes its two logs once -- ``log(1 - p̂)`` feeds both the
-contribution and the tuple's complement sum -- and nothing is kept per
-(tuple, token) besides the weighted postings; ``score()`` recomputes a
-posting from the same function and the tuple's own term frequency.  The pass
-is scalar on both kernel backends: ``**`` and ``math.log`` are libm's, numpy's
-``power`` / ``log`` are not guaranteed to round the same way.
+once, and is *called* once per distinct ``(tf, |D|)`` of a token -- the two
+logs and the two ``**`` are taken for that pair and shared by every posting
+of the token that has it; ``log(1 - p̂)`` feeds both the contribution and the
+tuple's complement sum -- and nothing is kept per (tuple, token) besides the
+weighted postings; ``score()`` recomputes a posting from the same function
+and the tuple's own term frequency.  The pass is scalar on both kernel
+backends: ``**`` and ``math.log`` are libm's, numpy's ``power`` / ``log`` are
+not guaranteed to round the same way.  It is also what the weighted index's
+scalar view re-runs on the first scalar read after a numpy fit, so it must
+stay free of side effects on the fitted state: the complement sums are added
+into the list the caller passes, and only the fit passes one.
 """
 
 from __future__ import annotations
@@ -87,7 +92,10 @@ class LanguageModeling(Predicate):
         # candidate (it scores exp(sum_complement)).
         assert self._index is not None
         self._weighted_index = WeightedPostingIndex(
-            self._index, self._posting_values(), keep_zeros=True
+            self._index,
+            self._posting_values(self._sum_complement),
+            self._posting_values,
+            keep_zeros=True,
         )
         # Array mirror for the vectorized finalize gather (built regardless
         # of backend forcing, like the posting arrays).
@@ -96,22 +104,39 @@ class LanguageModeling(Predicate):
             None if np is None else np.array(self._sum_complement, dtype=np.float64)
         )
 
-    def _posting_values(self) -> Iterator[Tuple[str, List[float]]]:
-        """Per token, the contribution of each of its postings -- adding each
-        posting's ``log(1 - p̂)`` to its tuple's complement sum on the way.
+    def _posting_values(
+        self, sum_complement: Optional[List[float]] = None
+    ) -> Iterator[Tuple[str, List[float]]]:
+        """Per token, the contribution of each of its postings.
 
-        Tokens are visited in sorted order, so every tuple's sum adds its
-        tokens in sorted order however the index was built (RPL001).
+        The fit passes ``sum_complement`` and each posting's ``log(1 - p̂)``
+        is added to its tuple's entry on the way; the weighted index's scalar
+        view re-runs the pass without it and the sums go to a scratch list,
+        so a re-run leaves the fitted state alone.  Tokens are visited in
+        sorted order, so every tuple's sum adds its tokens in sorted order
+        however the index was built (RPL001).
+
+        Within one token a posting's terms depend on ``(tf, |D|)`` only, so
+        :meth:`_posting_terms` is called once per distinct pair -- about a
+        tenth of the postings on short strings -- and every other posting
+        reads that call's result: the same function of the same arguments,
+        ``==`` to calling it per posting.
         """
-        index, lengths, sum_complement = self._index, self._lengths, self._sum_complement
+        index, lengths = self._index, self._lengths
         posting_terms = self._posting_terms
+        if sum_complement is None:
+            sum_complement = [0.0] * len(lengths)
         for token in sorted(index.tokens()):
             pavg, log_cfcs = self._pavg[token], self._log_cfcs[token]
+            terms: Dict[Tuple[int, int], Tuple[float, float]] = {}
             values = []
             for tid, tf in index.postings(token):
-                value, log_complement = posting_terms(pavg, log_cfcs, tf, lengths[tid])
-                sum_complement[tid] += log_complement
-                values.append(value)
+                length = lengths[tid]
+                pair = terms.get((tf, length))
+                if pair is None:
+                    pair = terms[tf, length] = posting_terms(pavg, log_cfcs, tf, length)
+                values.append(pair[0])
+                sum_complement[tid] += pair[1]
             yield token, values
 
     @staticmethod

@@ -38,7 +38,7 @@ operations in the same order to the chains the scan already reproduces.
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.core import kernels
 from repro.core.index import WeightedPostingIndex
@@ -262,18 +262,18 @@ class _WeightedOverlapBase(_OverlapBase):
             self._weights = self._stats.rs_table()
         else:
             self._weights = self._stats.idf_table()
-        index, weights = self._index, self._weights
-        assert index is not None
-        # Every posting of a token contributes the token's weight, so a
-        # zero-weight token is dropped whole, as the accumulation loops
-        # would skip it.
+        assert self._index is not None
         self._weighted_index = WeightedPostingIndex(
-            index,
-            (
-                (token, [weights[token]] * index.document_frequency(token))
-                for token in index.tokens()
-            ),
+            self._index, self._posting_values(), self._posting_values
         )
+
+    def _posting_values(self) -> Iterator[Tuple[str, Sequence[float]]]:
+        """Every posting of a token contributes the token's weight, so a
+        zero-weight token is dropped whole, as the accumulation loops would
+        skip it."""
+        index, weights = self._index, self._weights
+        for token in index.tokens():
+            yield token, [weights[token]] * index.document_frequency(token)
 
     def _weight(self, token: str) -> float:
         return self._weights.get(token, 0.0)

@@ -82,6 +82,11 @@ class _FittedState:
     recorder: Optional[RecordingBackend] = None
 
 
+#: Entries of :func:`repro.core.kernels.ops_snapshot` that are not published
+#: as ``kernel_ops.<name>``.
+_KERNEL_COUNTERS = {"scalar_view_build": "core.scalar_view.builds_total"}
+
+
 def _weights_summary(predicate: object) -> Dict[str, object]:
     """What ``predicate``'s fit derived into weighted postings and what that
     cost (:meth:`Predicate.weights_summary`); empty for predicates that build
@@ -901,7 +906,10 @@ class Query:
         for backend_name, total in kernels.ops_snapshot().items():
             delta = total - kernel_before.get(backend_name, 0)
             if delta:
-                obs.metrics.inc("kernel_ops." + backend_name, delta)
+                obs.metrics.inc(
+                    _KERNEL_COUNTERS.get(backend_name, "kernel_ops." + backend_name),
+                    delta,
+                )
         if before is not None:
             BlockingStats(
                 probes=blocker_stats.probes - before[0],
@@ -1394,7 +1402,9 @@ class Query:
         if weights:
             report.weights = (
                 "{weighted_postings} postings ({zero_dropped} dropped as zero), "
-                "derived in {weights_s:.2f} s".format(**weights)
+                "derived in {weights_s:.2f} s, scalar view: {scalar_view}".format(
+                    **weights
+                )
             )
         report.shards = getattr(state.predicate, "shard_stats", None)
         report.resilience = getattr(state.predicate, "resilience_stats", None)

@@ -84,12 +84,21 @@ class ShardStats:
     #: Vestige, never set: ``benchmarks/ledger/layers.py`` reads it after each
     #: sharded call; retires with that row in the next ``[benchmark]`` PR.
     shards_skipped: int = 0
+    #: Why the fit that built these shards ran in the parent although a
+    #: parallel fit was asked for (``None``: it did not fall back).
+    parallel_fit_fallback: Optional[str] = None
 
     def describe(self) -> str:
-        return (
+        text = (
             f"{self.shards_run}/{self.num_shards} shards run "
             f"via {self.executor!r} executor"
         )
+        if self.parallel_fit_fallback is not None:
+            text += (
+                "; parallel fit fell back to a serial fit in the parent "
+                f"({self.parallel_fit_fallback})"
+            )
+        return text
 
     def publish(self, metrics) -> None:
         """Accumulate into a :class:`~repro.obs.metrics.MetricsRegistry`."""
@@ -261,6 +270,9 @@ class ShardedPredicate:
         self._core: Optional[CorpusCore] = None
         self._offsets: List[int] = [0]
         self._shards: List[Predicate] = []
+        #: Why the last fit's parallel shard fit fell back to the parent
+        #: (``None``: it did not, or none was asked for).
+        self.parallel_fit_fallback: Optional[str] = None
         self._fitted = False
         self._blocker = None
         self._restriction: Optional[Set[int]] = None
@@ -366,6 +378,7 @@ class ShardedPredicate:
             for start, stop in zip(self._offsets, self._offsets[1:])
         ]
         self._shards = None
+        self.parallel_fit_fallback = None
         if num_shards > 1 and self._parallel_fit_active():
             self._shards = self._fit_shards_parallel(slices)
         if self._shards is None:
@@ -398,7 +411,10 @@ class ShardedPredicate:
         Unfitted predicate instances are shipped out (factories are often
         closures and do not pickle), fitted ones come back.  Unpicklable
         predicates fall back to the serial in-parent fit -- parallel fitting
-        is an optimization, never a requirement.
+        is an optimization, never a requirement -- but never silently: the
+        reason is kept on :attr:`parallel_fit_fallback` (``explain()`` prints
+        it on the ``shards:`` line) and counted as
+        ``shard.parallel_fit_fallbacks_total``.
         """
         try:
             unfitted = [self._factory() for _ in slices]
@@ -408,7 +424,9 @@ class ShardedPredicate:
                     for shard, (strings, core) in zip(unfitted, slices)
                 ]
                 return [future.result() for future in futures]
-        except (pickle.PicklingError, TypeError, AttributeError):
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            self.parallel_fit_fallback = f"{type(exc).__name__}: {exc}"
+            self.obs.metrics.inc("shard.parallel_fit_fallbacks_total")
             return None
 
     def close(self) -> None:
@@ -571,6 +589,7 @@ class ShardedPredicate:
                 for i in range(len(self._shards))
             ),
             shards_run=shards_run,
+            parallel_fit_fallback=self.parallel_fit_fallback,
         )
 
     def _global_candidates(self, probe_tokens: Set[str]) -> Set[int]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 __all__ = [
@@ -36,6 +37,9 @@ __all__ = [
     "bm25_query_weights",
     "BM25Parameters",
 ]
+
+
+_tf_of = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,15 @@ class CollectionStatistics:
         a relation once.  Both lists are then shared by reference (the
         caller guarantees they are never mutated); without it the token
         lists are copied and counted here.
+    index:
+        The :class:`~repro.core.index.InvertedIndex` of the same relation
+        when the caller has already built one (duck-typed: ``tokens()``,
+        ``document_frequency(token)`` and ``postings(token)``).  ``df`` and
+        ``cf`` are then read off it token by token -- the length and the sum
+        of ``tf`` of a posting list, exact integers -- instead of counted
+        over every tuple's ``Counter``; the
+        vocabulary order is the same either way (first seen, tuples in tid
+        order).
 
     The object is immutable after construction; the raw statistics are
     computed eagerly because every weighting scheme needs most of them, and
@@ -80,6 +93,7 @@ class CollectionStatistics:
         self,
         token_lists: Sequence[Sequence[str]],
         term_frequencies: Optional[List[Counter]] = None,
+        index=None,
     ):
         if term_frequencies is None:
             token_lists = [list(tokens) for tokens in token_lists]
@@ -89,13 +103,24 @@ class CollectionStatistics:
         self._term_frequencies: List[Counter] = term_frequencies
         self._lengths: List[int] = [len(tokens) for tokens in self._token_lists]
 
-        document_frequency: Counter = Counter()
-        collection_frequency: Counter = Counter()
-        for tf in self._term_frequencies:
-            document_frequency.update(tf.keys())
-            collection_frequency.update(tf)
-        self._document_frequency: Dict[str, int] = dict(document_frequency)
-        self._collection_frequency: Dict[str, int] = dict(collection_frequency)
+        self._document_frequency: Dict[str, int]
+        self._collection_frequency: Dict[str, int]
+        if index is None:
+            document_frequency: Counter = Counter()
+            collection_frequency: Counter = Counter()
+            for tf in self._term_frequencies:
+                document_frequency.update(tf.keys())
+                collection_frequency.update(tf)
+            self._document_frequency = dict(document_frequency)
+            self._collection_frequency = dict(collection_frequency)
+        else:
+            self._document_frequency = {
+                token: index.document_frequency(token) for token in index.tokens()
+            }
+            self._collection_frequency = {
+                token: sum(map(_tf_of, index.postings(token)))
+                for token in index.tokens()
+            }
         self._collection_size = sum(self._lengths)
         self._average_length = (
             self._collection_size / self._num_tuples if self._num_tuples else 0.0

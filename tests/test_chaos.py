@@ -310,26 +310,38 @@ class TestKernelFallback:
         assert engine.obs.metrics.value("kernel_ops.python_fallback") > 0
 
 
+    @pytest.mark.parametrize("cold", [False, True])
     @pytest.mark.parametrize("damage", ["truncate", "retype", "drop", "overrun"])
     @pytest.mark.parametrize("num_shards", [1, 2])
     @pytest.mark.parametrize("predicate", ["jaccard", "bm25", "lm"])
-    def test_damaged_posting_arrays_heal_the_scan(self, predicate, damage, num_shards):
+    def test_damaged_posting_arrays_heal_the_scan(
+        self, predicate, damage, num_shards, cold
+    ):
         """Both scans sit on one ladder: a token whose arrays are short --
         *in step*, so no shape mismatch gives them away -- of the wrong
         dtype, missing or pointing past the relation makes the call return
         the scalar answer: one ``python_fallback`` per healed call, nothing
         escapes.  ``jaccard`` damages the count scan's ``(tids, tfs)``,
-        ``bm25`` and ``lm`` the weighted scan's ``(tids, contributions)``."""
+        ``bm25`` and ``lm`` the weighted scan's ``(tids, contributions)``.
+
+        ``cold`` damages the arrays before anything has read the weighted
+        index's scalar view, so the heal itself derives it -- from the
+        predicate's formula, not from the arrays it is healing from: the
+        answers are those of a fresh scalar fit on another engine."""
         np = kernels.np
-        engine = make_engine()
+        engine, reference = make_engine(), make_engine()
         try:
             query = engine.from_strings(ROWS).predicate(predicate).shards(num_shards)
+            fresh = reference.from_strings(ROWS).predicate(predicate).shards(num_shards)
             with kernels.use_backend("python"):
-                want = run_workload(query)
+                want = run_workload(fresh if cold else query)
             fitted = query.fitted_predicate()
             shard = fitted if num_shards == 1 else fitted.shards[0]
-            index = shard._index if predicate == "jaccard" else shard._weighted_index
-            token = max(index._arrays, key=lambda token: len(index.postings(token)))
+            weighted = shard._weighted_index
+            index = shard._index if predicate == "jaccard" else weighted
+            if weighted is not None:
+                assert weighted.scalar_view_built is not cold
+            token = max(index._arrays, key=lambda token: index._arrays[token][0].size)
             tids, values = index._arrays[token]
             assert tids.size > 1
             if damage == "drop":
@@ -345,8 +357,22 @@ class TestKernelFallback:
             with kernels.use_backend("numpy"):
                 healed = [query.top_k(probe, 5), query.select(probe, 0.1)]
                 got = run_workload(query)
+            if cold and weighted is not None:
+                # The heal derived the view -- once, whatever number of calls
+                # it then healed -- and only on the shard that needed it.
+                assert weighted.scalar_view_built and weighted.view_cause == "heal"
+                assert engine.obs.metrics.value("core.scalar_view.builds_total") == 1
+                reference_shard = fresh.fitted_predicate()
+                if num_shards > 1:
+                    reference_shard = reference_shard.shards[0]
+                assert [
+                    (tid, value.hex()) for tid, value in weighted.postings(token)
+                ] == [
+                    (tid, value.hex())
+                    for tid, value in reference_shard._weighted_index.postings(token)
+                ]
             with kernels.use_backend("python"):
-                assert healed == [query.top_k(probe, 5), query.select(probe, 0.1)]
+                assert healed == [fresh.top_k(probe, 5), fresh.select(probe, 0.1)]
             assert got == want
             touching = sum(
                 token in fitted.tokenizer.tokenize(text) for text in QUERIES
@@ -358,3 +384,4 @@ class TestKernelFallback:
             assert engine.obs.metrics.value("kernel_ops.python_fallback") == 2 + 2 * touching
         finally:
             engine.clear_cache()
+            reference.clear_cache()

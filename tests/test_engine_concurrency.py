@@ -17,9 +17,12 @@ import threading
 
 import pytest
 
+from repro.core import kernels
+from repro.core.predicates.base import Predicate
 from repro.engine import SimilarityEngine
 from repro.engine import registry
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Observability
 from repro.shard.predicate import ShardedPredicate
 
 
@@ -216,22 +219,44 @@ class TestFitTokenSeam:
         assert sharded.top_k("Morgn Stanley", 5) == baseline.top_k("Morgn Stanley", 5)
         sharded.close()
 
-    @pytest.mark.parametrize("predicate_name", ["bm25", "jaccard"])
+    @pytest.mark.parametrize(
+        "predicate_name", ["bm25", "lm", "weighted_match", "jaccard"]
+    )
     def test_parallel_process_fit_is_bit_identical(
-        self, predicate_name, company_strings
+        self, predicate_name, company_strings, monkeypatch
     ):
+        """The fitted shards really come back from the workers: a fitted
+        predicate that stopped pickling would be refitted in the parent and
+        answer the same, so the fallback's own signals are checked."""
+        parent_fits = []
+        fit = Predicate.fit
+
+        def counting_fit(self, *args, **kwargs):
+            # Forked workers inherit the patch but append to their own copy.
+            parent_fits.append(type(self).__name__)
+            return fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(Predicate, "fit", counting_fit)
+        obs = Observability(metrics=MetricsRegistry())
         sharded = ShardedPredicate(
             factory=lambda: registry.make(predicate_name, realization="direct"),
             num_shards=3,
             parallel_fit=True,  # force the process-pool fit even on one core
+            obs=obs,
         )
         sharded.fit(company_strings)
+        assert parent_fits == []
+        assert sharded.parallel_fit_fallback is None
+        assert obs.metrics.value("shard.parallel_fit_fallbacks_total") == 0
         baseline = registry.make(predicate_name, realization="direct").fit(
             company_strings
         )
         for text in ("Morgn Stanley", "AT&T Incorporated", "Beijing Hotel"):
             assert sharded.top_k(text, 5) == baseline.top_k(text, 5)
             assert sharded.rank(text) == baseline.rank(text)
+            with kernels.use_backend("python"):
+                assert sharded.rank(text) == baseline.rank(text)
+        assert "fell back" not in sharded.shard_stats.describe()
         sharded.close()
 
     def test_parallel_fit_falls_back_on_unpicklable_predicates(
@@ -242,8 +267,23 @@ class TestFitTokenSeam:
             predicate._unpicklable = lambda: None  # lambdas do not pickle
             return predicate
 
-        sharded = ShardedPredicate(factory=factory, num_shards=2, parallel_fit=True)
+        obs = Observability(metrics=MetricsRegistry())
+        sharded = ShardedPredicate(
+            factory=factory, num_shards=2, parallel_fit=True, obs=obs
+        )
         sharded.fit(company_strings)  # falls back to the serial in-parent fit
         baseline = registry.make("bm25", realization="direct").fit(company_strings)
         assert sharded.top_k("Morgn Stanley", 5) == baseline.top_k("Morgn Stanley", 5)
+        # ... and says so: a reason, a counter, the ``shards:`` line.
+        assert "lambda" in sharded.parallel_fit_fallback
+        assert obs.metrics.value("shard.parallel_fit_fallbacks_total") == 1
+        assert (
+            "parallel fit fell back to a serial fit in the parent ("
+            + sharded.parallel_fit_fallback
+            in sharded.shard_stats.describe()
+        )
+        # A refit that does ship clears the reason.
+        sharded._factory = lambda: registry.make("bm25", realization="direct")
+        sharded.fit(company_strings)
+        assert sharded.parallel_fit_fallback is None
         sharded.close()

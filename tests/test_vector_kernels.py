@@ -673,8 +673,9 @@ class TestKernelDispatch:
     def test_accumulate_keeps_cancelled_candidates(self):
         """Sums cancelling to exactly 0.0 must stay in the candidate set
         (negative RS weights make this reachable), on both backends."""
+        values = [("a", [1.5, 2.0]), ("b", [-1.5])]
         index = WeightedPostingIndex(
-            InvertedIndex([["a", "b"], ["a"]]), [("a", [1.5, 2.0]), ("b", [-1.5])]
+            InvertedIndex([["a", "b"], ["a"]]), values, lambda: values
         )
         items = [("a", 1.0), ("b", 1.0)]
         with kernels.use_backend("python"):
