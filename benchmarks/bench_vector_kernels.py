@@ -19,8 +19,7 @@ A third section demonstrates the unlocked thread parallelism: numpy releases
 the GIL inside the accumulation kernels, so the shard layer's
 ``executor="thread"`` finally scales.  On single-core containers (like the
 recorded bench environment) the measurement is hardware-bound and
-self-skips, mirroring ``bench_sharded.py``; the skip is noted in the
-envelope.
+self-skips; the skip is noted in the envelope.
 
 Standalone usage (CI runs the smoke variant)::
 

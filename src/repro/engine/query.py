@@ -89,10 +89,11 @@ _KERNEL_COUNTERS = {"scalar_view_build": "core.scalar_view.builds_total"}
 
 def _weights_summary(predicate: object) -> Dict[str, object]:
     """What ``predicate``'s fit derived into weighted postings and what that
-    cost (:meth:`Predicate.weights_summary`); empty for predicates that build
-    none -- and for declarative and sharded ones, which keep no such state
-    of their own."""
-    return predicate.weights_summary() if isinstance(predicate, Predicate) else {}
+    cost (:meth:`Predicate.weights_summary`; a sharded predicate sums its
+    shards'); empty for predicates that build none -- declarative ones keep
+    that state in SQL."""
+    summary = getattr(predicate, "weights_summary", None)
+    return summary() if summary is not None else {}
 
 
 class SimilarityEngine:
@@ -116,7 +117,6 @@ class SimilarityEngine:
         backend: str = "memory",
         num_shards: int = 1,
         executor: str = "serial",
-        max_workers: Optional[int] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         faults: Optional[FaultInjector] = None,
@@ -146,7 +146,6 @@ class SimilarityEngine:
         #: :meth:`Query.shards`.
         self.num_shards = int(num_shards)
         self.executor = executor
-        self.max_workers = max_workers
         #: The resilience pair threaded through everything the engine builds:
         #: sharded executors retry/rebuild under ``retry_policy`` and consult
         #: ``faults`` at their dispatch points, recording backends check the
@@ -402,7 +401,6 @@ class Query:
         self._blocker_kwargs: Dict[str, object] = {}
         self._num_shards: Optional[int] = None
         self._executor: Optional[object] = None
-        self._max_workers: Optional[int] = None
         #: Statistics of the most recent :meth:`self_join` / :meth:`dedup` run.
         self.last_self_join_stats: Optional[SelfJoinStats] = None
         #: Per-query candidate counts of the most recent :meth:`run_many`.
@@ -425,7 +423,6 @@ class Query:
         other._blocker_kwargs = dict(self._blocker_kwargs)
         other._num_shards = self._num_shards
         other._executor = self._executor
-        other._max_workers = self._max_workers
         return other
 
     def predicate(
@@ -489,12 +486,7 @@ class Query:
         other._blocker_kwargs = dict(blocker_kwargs)
         return other
 
-    def shards(
-        self,
-        num_shards: int,
-        executor: Optional[object] = None,
-        max_workers: Optional[int] = None,
-    ) -> "Query":
+    def shards(self, num_shards: int, executor: Optional[object] = None) -> "Query":
         """Partition the base relation into ``num_shards`` for this query.
 
         Applies to the direct realization of *named* predicates: the relation
@@ -504,15 +496,16 @@ class Query:
         results merge exactly (see :mod:`repro.shard`).  ``executor`` picks
         the execution strategy (``"serial"`` / ``"thread"`` / ``"process"``
         or a :class:`~repro.shard.executors.ShardExecutor` instance);
-        ``None`` keeps the engine default.  ``num_shards=1`` restores
-        unsharded execution.
+        ``None`` keeps the engine default.  Named pooled executors size
+        themselves (one thread per shard; ``min(shards, cpu_count)``
+        processes); pass an instance for another size.  ``num_shards=1``
+        restores unsharded execution.
         """
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         other = self._clone()
         other._num_shards = int(num_shards)
         other._executor = executor
-        other._max_workers = max_workers
         return other
 
     # -- plan resolution --------------------------------------------------------
@@ -548,17 +541,12 @@ class Query:
         return getattr(self._backend, "name", type(self._backend).__name__)
 
     def _resolved_shards(self) -> tuple:
-        """``(num_shards, executor_spec, max_workers)`` for this query."""
+        """``(num_shards, executor_spec)`` for this query."""
         num_shards = (
             self._num_shards if self._num_shards is not None else self._engine.num_shards
         )
         executor = self._executor if self._executor is not None else self._engine.executor
-        max_workers = (
-            self._max_workers
-            if self._max_workers is not None
-            else self._engine.max_workers
-        )
-        return num_shards, executor, max_workers
+        return num_shards, executor
 
     def _sharding_active(self) -> bool:
         """Whether this query executes through a sharded predicate.
@@ -623,13 +611,12 @@ class Query:
             )
         shard_key: object = None
         if self._sharding_active():
-            num_shards, executor, max_workers = self._resolved_shards()
+            num_shards, executor = self._resolved_shards()
             shard_key = (
                 num_shards,
                 self._executor_name(executor)
                 if isinstance(executor, str)
                 else ("instance", id(executor)),
-                max_workers,
             )
         return (self._corpus.key, realization, predicate_key, backend_key, shard_key)
 
@@ -778,14 +765,13 @@ class Query:
                 )
             elif self._sharding_active():
                 name, kwargs = self._predicate, dict(self._predicate_kwargs)
-                num_shards, executor, max_workers = self._resolved_shards()
+                num_shards, executor = self._resolved_shards()
                 predicate = ShardedPredicate(
                     factory=lambda: registry.make(
                         name, realization="direct", **kwargs
                     ),
                     num_shards=num_shards,
                     executor=executor,
-                    max_workers=max_workers,
                     obs=self._engine.obs,
                     faults=self._engine.faults,
                     retry_policy=self._engine.retry_policy,
@@ -1223,7 +1209,7 @@ class Query:
             if self._backend is not None:
                 notes.append("backend setting ignored by the direct realization")
             if self._sharding_active():
-                num_shards, executor, _ = self._resolved_shards()
+                num_shards, executor = self._resolved_shards()
                 actual = max(1, min(num_shards, len(self._corpus) or 1))
                 offsets = shard_offsets(len(self._corpus), actual)
                 layout = [

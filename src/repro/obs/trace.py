@@ -5,7 +5,8 @@ mirroring the execution layers of the engine::
 
     engine.query
     ├─ fit | cache_hit
-    │  └─ core.build                     (only the fit that built the corpus core)
+    │  ├─ core.build                     (only the fit that built the corpus core)
+    │  └─ shard[i].fit                   (sharded: one per shard, in the parent)
     └─ execute.direct | execute.declarative | execute.sharded
        ├─ shard[i].task                  (sharded: per-shard workers)
        └─ sql.statement                  (declarative: emitted SQL)

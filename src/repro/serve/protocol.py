@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.predicates.base import Match
+from repro.engine import registry
+from repro.shard.executors import EXECUTORS
 
 __all__ = [
     "SERVE_SCHEMA",
@@ -105,6 +107,25 @@ def _require(payload: Dict, field: str) -> object:
     return value
 
 
+def _plan_name(payload: Dict, field: str, names, fold: bool = False) -> Optional[str]:
+    """An optional plan field: absent, or one of the engine's ``names``
+    (``fold``: compared the way the engine does, stripped and lower-cased).
+
+    A typo here is the client's error: left to the engine it would answer
+    500 and count against the corpus breaker.
+    """
+    value = payload.get(field)
+    if value is None:
+        return None
+    if not isinstance(value, str):
+        raise ProtocolError(f"{field} must be a string")
+    if (value.strip().lower() if fold else value) not in names:
+        raise ProtocolError(
+            f"unknown {field} {value!r}; expected one of {sorted(names)}"
+        )
+    return value
+
+
 def parse_query_request(
     payload: object, default_timeout: Optional[float] = None
 ) -> QueryRequest:
@@ -161,6 +182,13 @@ def parse_query_request(
         timeout = float(timeout)
         if timeout <= 0:
             raise ProtocolError("timeout must be positive")
+    predicate = payload.get("predicate", "bm25")
+    if not isinstance(predicate, str):
+        raise ProtocolError("predicate must be a string")
+    try:
+        registry.canonical_name(predicate)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
     return QueryRequest(
         corpus_id=corpus_id,
         text=text,
@@ -168,11 +196,11 @@ def parse_query_request(
         k=k,
         threshold=threshold,
         limit=limit,
-        predicate=payload.get("predicate", "bm25"),
-        realization=payload.get("realization"),
-        backend=payload.get("backend"),
+        predicate=predicate,
+        realization=_plan_name(payload, "realization", registry.REALIZATIONS),
+        backend=_plan_name(payload, "backend", registry.BACKENDS, fold=True),
         num_shards=num_shards,
-        executor=payload.get("executor"),
+        executor=_plan_name(payload, "executor", EXECUTORS, fold=True),
         timeout=timeout,
     )
 

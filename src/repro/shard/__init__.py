@@ -12,7 +12,8 @@ implements the standard IR/DBMS answer -- document partitioning with
    statistics (``N``, ``df``, ``cf``, ``avgdl``, ``p̂_avg`` -- everything
    :class:`repro.text.weights.CollectionStatistics` derives), computed once
    -- by the engine for every predicate on that relation, sharded or not;
-2. each shard fits a shard-local predicate on ``core.slice(a, b)``, whose
+2. each shard is fitted -- in the calling process, whatever the executor --
+   as a shard-local predicate on ``core.slice(a, b)``, whose
    statistics (:class:`~repro.shard.stats.ShardStatisticsView`) keep
    answering collection-level questions from the whole relation, so every
    tuple receives bit-identical weights -- and therefore bit-identical
@@ -29,6 +30,7 @@ joins and deduplication use it as a drop-in replacement
 """
 
 from repro.shard.executors import (
+    EXECUTORS,
     ProcessShardExecutor,
     SerialShardExecutor,
     ShardExecutor,
@@ -43,6 +45,7 @@ __all__ = [
     "SerialShardExecutor",
     "ThreadShardExecutor",
     "ProcessShardExecutor",
+    "EXECUTORS",
     "make_executor",
     "ShardedPredicate",
     "ShardStats",

@@ -73,6 +73,7 @@ __all__ = [
     "SerialShardExecutor",
     "ThreadShardExecutor",
     "ProcessShardExecutor",
+    "EXECUTORS",
     "make_executor",
 ]
 
@@ -449,32 +450,28 @@ class ProcessShardExecutor(ShardExecutor):
             self.close()
 
 
-_EXECUTORS = {
+#: Named executors (``Query.shards(executor=...)``, ``POST /query``).
+EXECUTORS = {
     "serial": SerialShardExecutor,
     "thread": ThreadShardExecutor,
     "process": ProcessShardExecutor,
 }
 
 
-def make_executor(
-    executor: Union[str, ShardExecutor, None],
-    max_workers: Optional[int] = None,
-) -> ShardExecutor:
+def make_executor(executor: Union[str, ShardExecutor, None]) -> ShardExecutor:
     """Resolve an executor spec (name or instance) to an executor.
 
-    Names: ``"serial"``, ``"thread"``, ``"process"``.  Instances are used
-    as-is (the caller owns their lifecycle).
+    Names: ``"serial"``, ``"thread"``, ``"process"`` -- pooled ones size
+    themselves from the shards they are bound to.  Instances are used as-is
+    (the caller owns their lifecycle, and their pool size).
     """
     if executor is None:
         return SerialShardExecutor()
     if isinstance(executor, ShardExecutor):
         return executor
     key = str(executor).strip().lower()
-    if key not in _EXECUTORS:
+    if key not in EXECUTORS:
         raise ValueError(
-            f"unknown shard executor {executor!r}; available: {sorted(_EXECUTORS)}"
+            f"unknown shard executor {executor!r}; available: {sorted(EXECUTORS)}"
         )
-    cls = _EXECUTORS[key]
-    if cls is SerialShardExecutor:
-        return cls()
-    return cls(max_workers=max_workers)
+    return EXECUTORS[key]()

@@ -11,8 +11,10 @@ exactly -- selections, rankings, top-k and batched workloads alike.
 
 Query execution runs through a pluggable :class:`~repro.shard.executors.
 ShardExecutor` (serial / thread pool / process pool).  Every operation --
-``top_k`` included -- is one round: all shards are dispatched at once and
-their rows merged.
+``top_k`` included -- is one round (:meth:`ShardedPredicate._round`): all
+shards are dispatched at once and their rows merged.  Fitting has one path
+too, whatever the executor: every shard is fitted in the calling process
+(process workers inherit the fitted shards by ``fork``).
 
 Blockers apply *pre-partition*: they are fitted on the full relation and
 their candidate decisions are taken against global tuple ids, then narrowed
@@ -35,13 +37,10 @@ travel back as plain dicts and are re-attached under the currently open
 
 from __future__ import annotations
 
-import os
-import pickle
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.corpus import CorpusCore
 from repro.core.predicates.base import Match, Predicate
@@ -84,32 +83,16 @@ class ShardStats:
     #: Vestige, never set: ``benchmarks/ledger/layers.py`` reads it after each
     #: sharded call; retires with that row in the next ``[benchmark]`` PR.
     shards_skipped: int = 0
-    #: Why the fit that built these shards ran in the parent although a
-    #: parallel fit was asked for (``None``: it did not fall back).
-    parallel_fit_fallback: Optional[str] = None
 
     def describe(self) -> str:
-        text = (
+        return (
             f"{self.shards_run}/{self.num_shards} shards run "
             f"via {self.executor!r} executor"
         )
-        if self.parallel_fit_fallback is not None:
-            text += (
-                "; parallel fit fell back to a serial fit in the parent "
-                f"({self.parallel_fit_fallback})"
-            )
-        return text
 
     def publish(self, metrics) -> None:
         """Accumulate into a :class:`~repro.obs.metrics.MetricsRegistry`."""
         metrics.inc("shards_run", self.shards_run)
-
-
-def _fit_shard_task(
-    shard: Predicate, strings: List[str], core: CorpusCore
-) -> Predicate:
-    """Worker entry for parallel shard fitting: fit and ship the shard back."""
-    return shard.fit(strings, core=core)
 
 
 def execute_shard_op(shard: Predicate, op: str, payload: dict) -> dict:
@@ -122,7 +105,7 @@ def execute_shard_op(shard: Predicate, op: str, payload: dict) -> dict:
     of the shard would otherwise be invisible to the parent).
 
     Payloads stamped with ``trace``/``shard_id`` (by a tracing parent, see
-    :meth:`ShardedPredicate._trace_payload`) additionally time the execution
+    :meth:`ShardedPredicate._round`) additionally time the execution
     with the worker's own clock and attach a serializable ``shard[i].task``
     span record under ``result["span"]``.
     """
@@ -159,56 +142,40 @@ def _shard_span_record(
     }
 
 
-def _dispatch_shard_op(shard: Predicate, op: str, payload: dict) -> dict:
+def _run_op(predicate, op: str, query: str, params: dict) -> List[Match]:
+    """One query of one operation: the ``(op, params)`` vocabulary of the
+    task payloads (and of ``run_many``) as a call on a predicate."""
     if op == "rank":
-        allowed = payload.get("allowed")
-        if allowed is not None:
-            with shard.restrict_candidates(allowed):
-                rows = shard.rank(payload["query"], limit=payload.get("limit"))
-        else:
-            rows = shard.rank(payload["query"], limit=payload.get("limit"))
-        return {
-            "rows": [(m.tid, m.score) for m in rows],
-            "candidates": shard.last_num_candidates,
-        }
+        return predicate.rank(query, limit=params.get("limit"))
     if op == "select":
-        allowed = payload.get("allowed")
-        if allowed is not None:
-            with shard.restrict_candidates(allowed):
-                rows = shard.select(payload["query"], payload["threshold"])
-        else:
-            rows = shard.select(payload["query"], payload["threshold"])
-        return {
-            "rows": [(m.tid, m.score) for m in rows],
-            "candidates": shard.last_num_candidates,
-        }
+        return predicate.select(query, params["threshold"])
     if op == "top_k":
-        rows = shard.top_k(payload["query"], payload["k"])
-        return {
-            "rows": [(m.tid, m.score) for m in rows],
-            "candidates": shard.last_num_candidates,
-        }
+        return predicate.top_k(query, params["k"])
+    raise ValueError(f"unknown shard operation {op!r}")
+
+
+def _dispatch_shard_op(shard: Predicate, op: str, payload: dict) -> dict:
     if op == "run_many":
         rows_per_query: List[List[Tuple[int, float]]] = []
         candidates_per_query: List[Optional[int]] = []
-        batch_op = payload["op"]
         for query in payload["queries"]:
             # Per-query boundary: a timed-out batch stops between queries
             # instead of computing the whole remainder into the void.
             check_deadline()
-            if batch_op == "top_k":
-                rows = shard.top_k(query, payload["k"])
-            elif batch_op == "select":
-                rows = shard.select(query, payload["threshold"])
-            else:
-                rows = shard.rank(query, limit=payload.get("limit"))
+            rows = _run_op(shard, payload["op"], query, payload)
             rows_per_query.append([(m.tid, m.score) for m in rows])
             candidates_per_query.append(shard.last_num_candidates)
         return {
             "rows_per_query": rows_per_query,
             "candidates_per_query": candidates_per_query,
         }
-    raise ValueError(f"unknown shard operation {op!r}")
+    allowed = payload.get("allowed")
+    with nullcontext() if allowed is None else shard.restrict_candidates(allowed):
+        rows = _run_op(shard, op, payload["query"], payload)
+    return {
+        "rows": [(m.tid, m.score) for m in rows],
+        "candidates": shard.last_num_candidates,
+    }
 
 
 class ShardedPredicate:
@@ -225,9 +192,9 @@ class ShardedPredicate:
     executor:
         ``"serial"`` / ``"thread"`` / ``"process"`` or a
         :class:`~repro.shard.executors.ShardExecutor` instance.
-    max_workers:
-        Worker cap for pooled executors (defaults to shard count, bounded by
-        the CPU count for processes).
+        Name specs build an executor that sizes its own pool (one
+        thread per shard; ``min(shards, cpu_count)`` processes); pass an
+        instance for another size.
     obs:
         The :class:`~repro.obs.trace.Observability` holder to publish into
         (the engine passes its own, so sharded spans land under the engine's
@@ -239,9 +206,7 @@ class ShardedPredicate:
         factory: Callable[[], Predicate],
         num_shards: int = 2,
         executor: object = "serial",
-        max_workers: Optional[int] = None,
         obs: Optional[Observability] = None,
-        parallel_fit: Optional[bool] = None,
         faults: Optional[FaultInjector] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ):
@@ -249,16 +214,13 @@ class ShardedPredicate:
             raise ValueError("num_shards must be >= 1")
         self.obs = obs if obs is not None else Observability()
         self._factory = factory
-        #: ``True``/``False`` forces parallel fitting on/off; ``None`` decides
-        #: by executor and core count (see :meth:`_parallel_fit_active`).
-        self.parallel_fit = parallel_fit
         self.requested_shards = int(num_shards)
         self._prototype = factory()
         #: Executor instances passed in stay caller-owned: :meth:`close`
         #: leaves them running (mirroring the engine's treatment of
         #: caller-passed SQL backends); name specs create an owned executor.
         self._owns_executor = not isinstance(executor, ShardExecutor)
-        self._executor: ShardExecutor = make_executor(executor, max_workers)
+        self._executor: ShardExecutor = make_executor(executor)
         self._executor.configure_resilience(faults=faults, retry_policy=retry_policy)
         #: Accumulated resilience record of executor runs since the last
         #: :meth:`reset_resilience` (``None`` while nothing has run).  The
@@ -270,9 +232,9 @@ class ShardedPredicate:
         self._core: Optional[CorpusCore] = None
         self._offsets: List[int] = [0]
         self._shards: List[Predicate] = []
-        #: Why the last fit's parallel shard fit fell back to the parent
-        #: (``None``: it did not, or none was asked for).
-        self.parallel_fit_fallback: Optional[str] = None
+        #: Layout half of :attr:`shard_stats` (shard count, executor, sizes),
+        #: fixed by the fit; each round stamps a copy with what it ran.
+        self._layout: Optional[ShardStats] = None
         self._fitted = False
         self._blocker = None
         self._restriction: Optional[Set[int]] = None
@@ -356,11 +318,11 @@ class ShardedPredicate:
         and counters, collection-level statistics answered from the whole
         relation -- so shard fits pay no second tokenization and no second
         count.  A core of another length or tokenizer raises
-        :class:`ValueError`, as in :meth:`Predicate.fit`.  With
-        ``parallel_fit`` (or the ``"process"`` executor on a multi-core
-        machine) the shard-local fits themselves run inside a transient
-        process pool -- the fitted shards travel back pickled, which
-        preserves dict iteration order and therefore bit-identical scores.
+        :class:`ValueError`, as in :meth:`Predicate.fit`.  The shard-local
+        fits run here, in the calling process, whatever the executor: process
+        workers inherit the fitted shards by ``fork``, and shipping them back
+        pickled from a pool costs more time and memory than fitting them.
+        Under a live tracer each fit is a ``shard[i].fit`` span.
         """
         strings = list(strings)
         tokenizer = self._prototype.tokenizer
@@ -373,61 +335,40 @@ class ShardedPredicate:
         count = len(strings)
         num_shards = max(1, min(self.requested_shards, count or 1))
         self._offsets = shard_offsets(count, num_shards)
-        slices = [
-            (strings[start:stop], core.slice(start, stop))
-            for start, stop in zip(self._offsets, self._offsets[1:])
-        ]
-        self._shards = None
-        self.parallel_fit_fallback = None
-        if num_shards > 1 and self._parallel_fit_active():
-            self._shards = self._fit_shards_parallel(slices)
-        if self._shards is None:
-            self._shards = [
-                self._factory().fit(shard_strings, core=shard_core)
-                for shard_strings, shard_core in slices
-            ]
+        bounds = list(zip(self._offsets, self._offsets[1:]))
+        tracer = self.obs.tracer
+        shards = []
+        for shard_id, (start, stop) in enumerate(bounds):
+            with tracer.span(f"shard[{shard_id}].fit", rows=stop - start):
+                shards.append(
+                    self._factory().fit(strings[start:stop], core=core.slice(start, stop))
+                )
+        self._shards = shards
+        self._layout = ShardStats(
+            num_shards=num_shards,
+            executor=self._executor.name,
+            shard_sizes=tuple(stop - start for start, stop in bounds),
+        )
         self._fitted = True
         self._executor.bind(self._shards, owner=self)
         if self._blocker is not None:
             self._fit_blocker(self._blocker)
         return self
 
-    def _parallel_fit_active(self) -> bool:
-        """Whether shard-local fits should run in worker processes.
-
-        ``parallel_fit=True`` forces it, ``False`` disables it, and ``None``
-        (the default) enables it exactly when it can pay off: a ``"process"``
-        executor on a machine with more than one core.
-        """
-        if self.parallel_fit is not None:
-            return self.parallel_fit
-        return self._executor.name == "process" and (os.cpu_count() or 1) > 1
-
-    def _fit_shards_parallel(
-        self, slices: Sequence[Tuple[List[str], CorpusCore]]
-    ) -> Optional[List[Predicate]]:
-        """Fit every shard in a transient process pool; ``None`` on fallback.
-
-        Unfitted predicate instances are shipped out (factories are often
-        closures and do not pickle), fitted ones come back.  Unpicklable
-        predicates fall back to the serial in-parent fit -- parallel fitting
-        is an optimization, never a requirement -- but never silently: the
-        reason is kept on :attr:`parallel_fit_fallback` (``explain()`` prints
-        it on the ``shards:`` line) and counted as
-        ``shard.parallel_fit_fallbacks_total``.
-        """
-        try:
-            unfitted = [self._factory() for _ in slices]
-            with ProcessPoolExecutor(max_workers=min(len(slices), os.cpu_count() or 1)) as pool:
-                futures = [
-                    pool.submit(_fit_shard_task, shard, strings, core)
-                    for shard, (strings, core) in zip(unfitted, slices)
-                ]
-                return [future.result() for future in futures]
-        except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            self.parallel_fit_fallback = f"{type(exc).__name__}: {exc}"
-            self.obs.metrics.inc("shard.parallel_fit_fallbacks_total")
-            return None
+    def weights_summary(self) -> Dict[str, object]:
+        """The shards' :meth:`Predicate.weights_summary`, summed (the engine's
+        ``fit`` span and ``explain()`` report it); empty when the shards
+        build no weighted posting index."""
+        summaries = [shard.weights_summary() for shard in self._shards]
+        if not summaries or not all(summaries):
+            return {}
+        built = sum(shard._weighted_index.scalar_view_built for shard in self._shards)
+        return {
+            "weighted_postings": sum(part["weighted_postings"] for part in summaries),
+            "zero_dropped": sum(part["zero_dropped"] for part in summaries),
+            "weights_s": sum(part["weights_s"] for part in summaries),
+            "scalar_view": f"built in {built}/{len(summaries)} shards",
+        }
 
     def close(self) -> None:
         """Shut down the executor's worker pool (shards stay usable: pooled
@@ -525,27 +466,17 @@ class ShardedPredicate:
         return {tid - low for tid in allowed if low <= tid < high}
 
     def _merge_rows(
-        self, per_shard: Sequence[Sequence[Tuple[int, float]]], shard_ids: Sequence[int]
+        self, per_shard: Iterable[Sequence[Tuple[int, float]]]
     ) -> List[Match]:
         merged = [
-            Match(tid + self._offsets[shard_id], score)
-            for shard_id, rows in zip(shard_ids, per_shard)
+            Match(tid + offset, score)
+            for offset, rows in zip(self._offsets, per_shard)
             for tid, score in rows
         ]
         merged.sort(key=lambda m: (-m.score, m.tid))
         return merged
 
-    def _trace_payload(self, shard_id: int, payload: dict) -> dict:
-        """Stamp a payload for tracing (copy-on-write: payload dicts are
-        shared across shards, so the stamp must not leak between tasks)."""
-        if not self.obs.tracer.enabled:
-            return payload
-        payload = dict(payload)
-        payload["shard_id"] = shard_id
-        payload["trace"] = True
-        return payload
-
-    def _finish(self, results: List[dict]) -> List[dict]:
+    def _finish(self, results: List[dict]) -> None:
         """Count the completed tasks and re-attach their shipped spans."""
         self.obs.metrics.inc("shard_tasks", len(results))
         tracer = self.obs.tracer
@@ -556,7 +487,6 @@ class ShardedPredicate:
                     record = result.get("span") if isinstance(result, dict) else None
                     if record is not None:
                         parent.attach(Span.from_dict(record))
-        return results
 
     def reset_resilience(self) -> None:
         """Start a fresh resilience record (the engine calls this per query)."""
@@ -571,26 +501,61 @@ class ShardedPredicate:
             self.resilience_stats = ResilienceStats()
         self.resilience_stats.merge(record)
 
-    def _run_all(self, op: str, payloads: Sequence[dict]) -> List[dict]:
-        tasks = [
-            (shard_id, op, self._trace_payload(shard_id, payload))
-            for shard_id, payload in enumerate(payloads)
-        ]
+    def _round(
+        self, op: str, payload: dict, allowed: Optional[Iterable[int]] = None
+    ) -> List[Tuple[List[Match], Optional[int]]]:
+        """The one dispatch round every operation is.
+
+        Every shard runs ``(op, payload)`` -- under its own slice of the
+        *global* ``allowed`` ids when given -- through the executor; the rows
+        merge in the canonical order, the shards' candidate counts sum, and
+        :attr:`shard_stats` records the round.  One ``(merged rows,
+        candidates)`` pair comes back per query: one for the single-query
+        operations, ``len(payload["queries"])`` for ``"run_many"``.
+        """
+        tracing = self.obs.tracer.enabled
+        tasks = []
+        for shard_id in range(len(self._shards)):
+            task = payload
+            if allowed is not None or tracing:
+                # Copy-on-write: the payload dict is shared by every task.
+                task = dict(payload)
+                if allowed is not None:
+                    task["allowed"] = self._local_allowed(allowed, shard_id)
+                if tracing:
+                    # The worker times itself and ships a ``shard[i].task``
+                    # span record back (see :func:`execute_shard_op`).
+                    task["shard_id"] = shard_id
+                    task["trace"] = True
+            tasks.append((shard_id, op, task))
         results = self._executor.run(tasks)
         self._merge_resilience()
-        return self._finish(results)
+        self._finish(results)
+        self.shard_stats = replace(self._layout, shards_run=len(self._shards))
+        if op == "run_many":
+            rows = zip(*(result["rows_per_query"] for result in results))
+            counts = zip(*(result["candidates_per_query"] for result in results))
+        else:
+            rows = [[result["rows"] for result in results]]
+            counts = [[result["candidates"] for result in results]]
+        return [
+            (
+                self._merge_rows(per_shard),
+                None
+                if all(count is None for count in per_query)
+                else sum(count or 0 for count in per_query),
+            )
+            for per_shard, per_query in zip(rows, counts)
+        ]
 
-    def _record_shards(self, shards_run: int) -> None:
-        self.shard_stats = ShardStats(
-            num_shards=len(self._shards),
-            executor=self._executor.name,
-            shard_sizes=tuple(
-                self._offsets[i + 1] - self._offsets[i]
-                for i in range(len(self._shards))
-            ),
-            shards_run=shards_run,
-            parallel_fit_fallback=self.parallel_fit_fallback,
-        )
+    def _answer(
+        self, op: str, payload: dict, allowed: Optional[Iterable[int]] = None
+    ) -> List[Match]:
+        """:meth:`_round` for one query: its merged rows, with its candidate
+        count left in :attr:`last_num_candidates`."""
+        [(merged, candidates)] = self._round(op, payload, allowed)
+        self.last_num_candidates = candidates or 0
+        return merged
 
     def _global_candidates(self, probe_tokens: Set[str]) -> Set[int]:
         """Union of the shard indexes' candidates for the probe tokens
@@ -623,18 +588,6 @@ class ShardedPredicate:
             allowed = allowed & self._restriction
         return allowed
 
-    def _restricted_payloads(
-        self, base: dict, allowed: Optional[Set[int]]
-    ) -> List[dict]:
-        payloads = []
-        for shard_id in range(len(self._shards)):
-            payload = dict(base)
-            payload["allowed"] = (
-                None if allowed is None else self._local_allowed(allowed, shard_id)
-            )
-            payloads.append(payload)
-        return payloads
-
     # -- query time -------------------------------------------------------------
 
     def rank(self, query: str, limit: Optional[int] = None) -> List[Match]:
@@ -645,69 +598,45 @@ class ShardedPredicate:
 
     def _filtered_rank(self, query: str, limit: Optional[int]) -> List[Match]:
         """Merged, blocker/restriction-honoring ranking (before any limit cut)."""
-        blocker, restriction = self._blocker, self._restriction
-        shard_ids = list(range(len(self._shards)))
+        blocker = self._blocker
         if blocker is not None and self._prunes_before_scoring:
             # Pre-scoring families: one global blocking decision, narrowed
             # into per-shard restrictions -- each shard only scores tuples
             # the (globally fitted) blocker admits.
-            allowed = self._blocked_allowed(query)
-            results = self._run_all(
-                "rank",
-                self._restricted_payloads({"query": query, "limit": limit}, allowed),
+            return self._answer(
+                "rank", {"query": query, "limit": limit}, self._blocked_allowed(query)
             )
-            merged = self._merge_rows([r["rows"] for r in results], shard_ids)
-            self.last_num_candidates = sum(r["candidates"] or 0 for r in results)
-            self._record_shards(len(self._shards))
-            return merged
         # Post-scoring families (or no blocker): shards score their full
         # candidate sets (under any active restriction); the blocker then
         # prunes the merged rows, exactly like the unsharded post-scoring
         # path.  A limit can only be pushed into the shards when no blocker
         # filters rows afterwards.
-        allowed = None if restriction is None else set(restriction)
-        results = self._run_all(
+        merged = self._answer(
             "rank",
-            self._restricted_payloads(
-                {"query": query, "limit": None if blocker is not None else limit},
-                allowed,
-            ),
+            {"query": query, "limit": None if blocker is not None else limit},
+            self._restriction,
         )
-        merged = self._merge_rows([r["rows"] for r in results], shard_ids)
         if blocker is not None:
             query_tokens = self._blocker_query_tokens(query, blocker)
             pruned = blocker.prune(query_tokens, {m.tid for m in merged})
             merged = [m for m in merged if m.tid in pruned]
             self.last_num_candidates = len(merged)
-        else:
-            self.last_num_candidates = sum(r["candidates"] or 0 for r in results)
-        self._record_shards(len(self._shards))
         return merged
 
     def select(self, query: str, threshold: float) -> List[Match]:
         """Merged approximate selection (thresholded per shard where possible)."""
         self._require_fitted()
         self._check_blocker_threshold(threshold)
-        blocker, restriction = self._blocker, self._restriction
-        shard_ids = list(range(len(self._shards)))
+        blocker = self._blocker
         if blocker is not None and not self._prunes_before_scoring:
             # Post-scoring families: prune the merged *unthresholded* scores
             # first (as the unsharded path does), then threshold.
             merged = self._filtered_rank(query, limit=None)
             return [m for m in merged if m.score >= threshold]
-        allowed: Optional[Set[int]] = None
-        if blocker is not None:
-            allowed = self._blocked_allowed(query)
-        elif restriction is not None:
-            allowed = set(restriction)
-        results = self._run_all(
-            "select",
-            self._restricted_payloads({"query": query, "threshold": threshold}, allowed),
+        allowed = (
+            self._blocked_allowed(query) if blocker is not None else self._restriction
         )
-        merged = self._merge_rows([r["rows"] for r in results], shard_ids)
-        self.last_num_candidates = sum(r["candidates"] or 0 for r in results)
-        self._record_shards(len(self._shards))
-        return merged
+        return self._answer("select", {"query": query, "threshold": threshold}, allowed)
 
     def score(self, query: str, tid: int) -> float:
         """Similarity of one tuple, routed to its owning shard.
@@ -747,7 +676,7 @@ class ShardedPredicate:
         if k < 0:
             raise ValueError("k must be non-negative")
         if k == 0:
-            self._record_shards(0)
+            self.shard_stats = replace(self._layout, shards_run=0)
             self.last_num_candidates = 0
             return []
         if self._blocker is not None or self._restriction is not None:
@@ -755,13 +684,7 @@ class ShardedPredicate:
             # the unsharded aggregate family takes): the merge layer applies
             # the global blocking decision before the cut.
             return self._filtered_rank(query, limit=k)[:k]
-        results = self._run_all("top_k", [{"query": query, "k": k}] * len(self._shards))
-        merged = self._merge_rows(
-            [r["rows"] for r in results], list(range(len(self._shards)))
-        )
-        self.last_num_candidates = sum(r["candidates"] or 0 for r in results)
-        self._record_shards(len(self._shards))
-        return merged[:k]
+        return self._answer("top_k", {"query": query, "k": k})[:k]
 
     def run_many(
         self,
@@ -794,60 +717,26 @@ class ShardedPredicate:
                 f"unknown batch op {op!r}; expected 'rank', 'top_k' or 'select'"
             )
         self._require_fitted()
-        if not queries:
-            self.last_batch_candidates = []
-            self.last_num_candidates = None
-            return []
+        params = {"op": op, "k": k, "threshold": threshold, "limit": limit}
+        answers: List[Tuple[List[Match], Optional[int]]] = []
         if self._blocker is not None or self._restriction is not None:
             # Blocked batches take the per-query merge paths (the global
             # blocking decision is per query); candidate counts are still
             # recorded per query.
-            results: List[List[Match]] = []
-            counts: List[Optional[int]] = []
             for query in queries:
-                if op == "top_k":
-                    results.append(self.top_k(query, k))
-                elif op == "select":
-                    results.append(self.select(query, threshold))
-                else:
-                    results.append(self.rank(query, limit=limit))
-                counts.append(self.last_num_candidates)
-            self.last_batch_candidates = counts
-            self.last_num_candidates = None
-            return results
-
-        payload = {
-            "queries": queries,
-            "op": op,
-            "k": k,
-            "threshold": threshold,
-            "limit": k if op == "top_k" else limit,
-        }
-        shard_results = self._run_all("run_many", [payload] * len(self._shards))
-        merged_batches: List[List[Match]] = []
-        counts = []
-        cut = k if op == "top_k" else limit
-        for query_index in range(len(queries)):
-            per_shard = [
-                result["rows_per_query"][query_index] for result in shard_results
+                merged = _run_op(self, op, query, params)
+                answers.append((merged, self.last_num_candidates))
+        elif queries:
+            cut = {"top_k": k, "rank": limit, "select": None}[op]
+            answers = [
+                (merged if cut is None else merged[:cut], candidates)
+                for merged, candidates in self._round(
+                    "run_many", {"queries": queries, **params}
+                )
             ]
-            merged = self._merge_rows(per_shard, list(range(len(self._shards))))
-            if cut is not None and op != "select":
-                merged = merged[:cut]
-            merged_batches.append(merged)
-            query_counts = [
-                result["candidates_per_query"][query_index]
-                for result in shard_results
-            ]
-            counts.append(
-                sum(count or 0 for count in query_counts)
-                if any(count is not None for count in query_counts)
-                else None
-            )
-        self.last_batch_candidates = counts
+        self.last_batch_candidates = [candidates for _, candidates in answers]
         self.last_num_candidates = None
-        self._record_shards(len(self._shards))
-        return merged_batches
+        return [merged for merged, _ in answers]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "fitted" if self._fitted else "unfitted"

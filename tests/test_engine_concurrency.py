@@ -6,12 +6,14 @@ concurrent access: one fit per plan and one core build per (corpus,
 tokenizer) no matter how many threads race them, and results identical to
 single-threaded execution.  The second half covers the ``Predicate.fit``
 seam (``core=`` / its ``token_lists=`` sugar): sharded fits tokenize the
-relation exactly once, and parallel (process-pool) shard fitting stays
-bit-identical to the serial fit.
+relation exactly once, every shard is fitted in the calling process whatever
+the executor, and fitted predicates survive a pickle round trip (what a
+non-``fork`` process executor ships with each task).
 """
 
 from __future__ import annotations
 
+import pickle
 import sys
 import threading
 
@@ -22,7 +24,6 @@ from repro.core.predicates.base import Predicate
 from repro.engine import SimilarityEngine
 from repro.engine import registry
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Observability
 from repro.shard.predicate import ShardedPredicate
 
 
@@ -209,7 +210,6 @@ class TestFitTokenSeam:
                 "bm25", realization="direct", tokenizer=counting
             ),
             num_shards=3,
-            parallel_fit=False,
         )
         sharded.fit(company_strings)
         # One global tokenization pass (the whole relation's core); the
@@ -219,71 +219,82 @@ class TestFitTokenSeam:
         assert sharded.top_k("Morgn Stanley", 5) == baseline.top_k("Morgn Stanley", 5)
         sharded.close()
 
-    @pytest.mark.parametrize(
-        "predicate_name", ["bm25", "lm", "weighted_match", "jaccard"]
-    )
-    def test_parallel_process_fit_is_bit_identical(
-        self, predicate_name, company_strings, monkeypatch
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("predicate_name", registry.available_predicates("direct"))
+    def test_every_shard_is_fitted_in_the_calling_process(
+        self, predicate_name, executor, company_strings, monkeypatch
     ):
-        """The fitted shards really come back from the workers: a fitted
-        predicate that stopped pickling would be refitted in the parent and
-        answer the same, so the fallback's own signals are checked."""
-        parent_fits = []
+        """One fit path: ``Predicate.fit`` runs here exactly ``S`` times,
+        whatever the executor (forked workers would append to their own
+        copy of the list, not this one)."""
+        fits = []
         fit = Predicate.fit
 
         def counting_fit(self, *args, **kwargs):
-            # Forked workers inherit the patch but append to their own copy.
-            parent_fits.append(type(self).__name__)
+            fits.append(type(self).__name__)
             return fit(self, *args, **kwargs)
 
         monkeypatch.setattr(Predicate, "fit", counting_fit)
-        obs = Observability(metrics=MetricsRegistry())
         sharded = ShardedPredicate(
             factory=lambda: registry.make(predicate_name, realization="direct"),
             num_shards=3,
-            parallel_fit=True,  # force the process-pool fit even on one core
-            obs=obs,
+            executor=executor,
         )
-        sharded.fit(company_strings)
-        assert parent_fits == []
-        assert sharded.parallel_fit_fallback is None
-        assert obs.metrics.value("shard.parallel_fit_fallbacks_total") == 0
-        baseline = registry.make(predicate_name, realization="direct").fit(
-            company_strings
-        )
-        for text in ("Morgn Stanley", "AT&T Incorporated", "Beijing Hotel"):
-            assert sharded.top_k(text, 5) == baseline.top_k(text, 5)
-            assert sharded.rank(text) == baseline.rank(text)
-            with kernels.use_backend("python"):
-                assert sharded.rank(text) == baseline.rank(text)
-        assert "fell back" not in sharded.shard_stats.describe()
-        sharded.close()
+        try:
+            sharded.fit(company_strings)
+            assert len(fits) == sharded.num_shards == 3
+            baseline = registry.make(predicate_name, realization="direct").fit(
+                company_strings
+            )
+            assert sharded.top_k("Morgn Stanley", 5) == baseline.top_k(
+                "Morgn Stanley", 5
+            )
+        finally:
+            sharded.close()
 
-    def test_parallel_fit_falls_back_on_unpicklable_predicates(
-        self, company_strings
-    ):
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_unpicklable_factory_fits_and_answers(self, executor, company_strings):
+        marker = object()
+
         def factory():
             predicate = registry.make("bm25", realization="direct")
-            predicate._unpicklable = lambda: None  # lambdas do not pickle
+            predicate._unpicklable = lambda: marker  # closes over a local
             return predicate
 
-        obs = Observability(metrics=MetricsRegistry())
-        sharded = ShardedPredicate(
-            factory=factory, num_shards=2, parallel_fit=True, obs=obs
-        )
-        sharded.fit(company_strings)  # falls back to the serial in-parent fit
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            pickle.dumps(factory())
+        sharded = ShardedPredicate(factory=factory, num_shards=2, executor=executor)
         baseline = registry.make("bm25", realization="direct").fit(company_strings)
-        assert sharded.top_k("Morgn Stanley", 5) == baseline.top_k("Morgn Stanley", 5)
-        # ... and says so: a reason, a counter, the ``shards:`` line.
-        assert "lambda" in sharded.parallel_fit_fallback
-        assert obs.metrics.value("shard.parallel_fit_fallbacks_total") == 1
-        assert (
-            "parallel fit fell back to a serial fit in the parent ("
-            + sharded.parallel_fit_fallback
-            in sharded.shard_stats.describe()
+        try:
+            sharded.fit(company_strings)
+            for text in ("Morgn Stanley", "AT&T Incorporated", "Beijing Hotel"):
+                assert sharded.top_k(text, 5) == baseline.top_k(text, 5)
+                assert sharded.rank(text) == baseline.rank(text)
+                assert sharded.select(text, 0.5) == baseline.select(text, 0.5)
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("view_built", [False, True])
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize(
+        "predicate_name", ["bm25", "lm", "weighted_match", "jaccard"]
+    )
+    def test_fitted_predicates_survive_a_pickle_round_trip(
+        self, predicate_name, backend, view_built, company_strings
+    ):
+        """Without ``fork`` the process executor pickles the fitted shard
+        with every task: the copy must answer ``==`` on both kernel backends,
+        whether or not the scalar view was built before it travelled."""
+        if backend == "numpy" and not kernels.numpy_available():
+            pytest.skip("numpy backend unavailable")
+        fitted = registry.make(predicate_name, realization="direct").fit(
+            company_strings
         )
-        # A refit that does ship clears the reason.
-        sharded._factory = lambda: registry.make("bm25", realization="direct")
-        sharded.fit(company_strings)
-        assert sharded.parallel_fit_fallback is None
-        sharded.close()
+        if view_built:
+            with kernels.use_backend("python"):
+                fitted.rank("Morgn Stanley")
+        shipped = pickle.loads(pickle.dumps(fitted))
+        with kernels.use_backend(backend):
+            for text in ("Morgn Stanley", "AT&T Incorporated", "Beijing Hotel"):
+                assert shipped.top_k(text, 5) == fitted.top_k(text, 5)
+                assert shipped.rank(text) == fitted.rank(text)

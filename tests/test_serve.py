@@ -102,12 +102,36 @@ class TestProtocol:
             {"corpus_id": "a", "text": "x", "op": "rank", "num_shards": 0},
             {"corpus_id": "a", "text": "x", "op": "rank", "timeout": -1},
             {"corpus_id": "a", "text": "x", "op": "rank", "bogus": 1},
+            {"corpus_id": "a", "text": "x", "op": "rank", "predicate": "nope"},
+            {"corpus_id": "a", "text": "x", "op": "rank", "predicate": 5},
+            {"corpus_id": "a", "text": "x", "op": "rank", "realization": "weird"},
+            {"corpus_id": "a", "text": "x", "op": "rank", "backend": "postgres"},
+            {"corpus_id": "a", "text": "x", "op": "rank", "executor": "bogus"},
+            {"corpus_id": "a", "text": "x", "op": "rank", "executor": {"x": 1}},
         ],
     )
     def test_rejects_bad_payloads(self, payload):
         with pytest.raises(ProtocolError) as excinfo:
             parse_query_request(payload)
         assert excinfo.value.status == 400
+
+    def test_accepts_the_plan_names_the_engine_accepts(self):
+        request = parse_query_request(
+            {
+                "corpus_id": "a",
+                "text": "x",
+                "op": "rank",
+                "predicate": "Okapi",  # an alias, case-folded by the registry
+                "realization": "declarative",
+                "backend": " SQLite ",
+                "executor": "Thread",
+            }
+        )
+        assert (request.predicate, request.backend, request.executor) == (
+            "Okapi",
+            " SQLite ",
+            "Thread",
+        )
 
     def test_batch_key_separates_plans(self):
         base = {"corpus_id": "a", "text": "x", "op": "top_k", "k": 3}
@@ -569,6 +593,34 @@ class TestService:
         assert envelope["status"] == 400
         assert envelope["kind"] == "error"
 
+    @pytest.mark.parametrize(
+        "typo",
+        [
+            {"predicate": "nope"},
+            {"predicate": 5},
+            {"realization": "weird"},
+            {"backend": "postgres"},
+            {"executor": "bogus", "num_shards": 2},
+            {"executor": {"x": 1}, "num_shards": 2},
+        ],
+    )
+    def test_plan_typos_are_400_and_leave_the_breaker_closed(self, typo, caplog):
+        """A client's typo in a plan field used to reach the engine: 500, a
+        traceback in the log, and -- five in a row -- an open corpus breaker
+        answering every valid request 503."""
+        service = make_service()
+        corpus_id, _, _ = service.register_corpus(ROWS)
+        good = {"corpus_id": corpus_id, "text": "Morgn Stanley", "op": "top_k", "k": 2}
+        with caplog.at_level("ERROR"):
+            for _ in range(10):
+                envelope = asyncio.run(service.handle({**good, **typo}))
+                assert (envelope["status"], envelope["error"]) == (400, "bad_request")
+        assert caplog.records == []
+        assert asyncio.run(service.handle(good))["status"] == 200
+        assert service.obs.metrics.gauge_value(f"serve.breaker_state.{corpus_id}") == 0
+        assert service.corpus(corpus_id).breaker.state == "closed"
+        service.close()
+
     def test_concurrent_same_plan_requests_coalesce(self):
         service = make_service(batch_window=30.0, max_concurrency=8, max_queue=32)
         corpus_id, _, _ = service.register_corpus(ROWS)
@@ -640,18 +692,17 @@ class TestService:
         assert len(entry.queries) == 2
         service.close()
 
-    def test_unanswered_plan_is_not_kept(self):
+    def test_unanswered_plan_is_not_kept(self, monkeypatch):
         service = make_service()
         corpus_id, _, _ = service.register_corpus(ROWS)
+
+        def broken(query, queries, **kwargs):
+            raise RuntimeError("engine failure")
+
+        monkeypatch.setattr(Query, "run_many", broken)
         envelope = asyncio.run(
             service.handle(
-                {
-                    "corpus_id": corpus_id,
-                    "text": "AT&T",
-                    "op": "top_k",
-                    "k": 2,
-                    "predicate": "no-such-predicate",
-                }
+                {"corpus_id": corpus_id, "text": "AT&T", "op": "top_k", "k": 2}
             )
         )
         assert envelope["status"] == 500

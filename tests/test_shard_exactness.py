@@ -246,6 +246,94 @@ class TestShardedBlocking:
                 assert _pairs(sharded.top_k(query, 3)) == _pairs(base.top_k(query, 3))
 
 
+class TestRoundBookkeeping:
+    """Every operation is one dispatch round; these are the round's edges:
+    what a call leaves in ``shard_stats``, ``last_num_candidates`` and
+    ``last_batch_candidates`` when it runs no shard, an empty batch, or a
+    blocked / restricted query."""
+
+    QUERIES = ["Morgan Stanley Inc", "IBM Corp", "zzz"]
+
+    def _state(self, sharded):
+        stats = sharded.shard_stats
+        return (
+            None if stats is None else stats.shards_run,
+            sharded.last_num_candidates,
+            sharded.last_batch_candidates,
+        )
+
+    def test_zero_k_and_empty_batch_run_no_shard(self):
+        sharded = _sharded("bm25", CORPUS, 3)
+        assert self._state(sharded) == (None, None, None)
+        assert sharded.run_many([], "top_k", k=3) == []
+        assert self._state(sharded) == (None, None, [])
+        assert sharded.top_k("Morgan Stanley", 0) == []
+        assert self._state(sharded) == (0, 0, [])
+        assert sharded.shard_stats.describe() == "0/3 shards run via 'serial' executor"
+        assert sharded.run_many(["Morgan Stanley", "IBM"], "top_k", k=0) == [[], []]
+        assert self._state(sharded) == (3, None, [0, 0])
+
+    @pytest.mark.parametrize("name", ["bm25", "jaccard", "edit_distance"])
+    def test_plain_and_restricted_calls_count_like_the_unsharded_predicate(self, name):
+        base = make_predicate(name).fit(CORPUS)
+        sharded = _sharded(name, CORPUS, 3)
+        for allowed in (None, {1, 6, 7, 11}, set()):
+            with base.restrict_candidates(allowed), sharded.restrict_candidates(allowed):
+                for query in self.QUERIES:
+                    for run in (
+                        lambda p: p.rank(query),
+                        lambda p: p.rank(query, limit=2),
+                        lambda p: p.top_k(query, 2),
+                        lambda p: p.select(query, 0.3),
+                    ):
+                        assert _pairs(run(sharded)) == _pairs(run(base))
+                        assert self._state(sharded)[:2] == (3, base.last_num_candidates)
+                for op, params in (
+                    ("rank", {"limit": 2}),
+                    ("top_k", {"k": 2}),
+                    ("select", {"threshold": 0.3, "limit": 1}),
+                ):
+                    batches = sharded.run_many(self.QUERIES, op, **params)
+                    expected, counts = [], []
+                    for query in self.QUERIES:
+                        if op == "select":
+                            expected.append(_pairs(base.select(query, 0.3)))
+                        else:
+                            expected.append(_pairs(base.rank(query, limit=2)))
+                        counts.append(base.last_num_candidates)
+                    assert [_pairs(batch) for batch in batches] == expected
+                    assert self._state(sharded) == (3, None, counts)
+
+    @pytest.mark.parametrize(
+        "name, spec", [("jaccard", "length+prefix"), ("bm25", "lsh")]
+    )
+    def test_blocked_calls_count_like_the_unsharded_predicate(self, name, spec):
+        def blocked(predicate):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                predicate.set_blocker(
+                    make_blocker(spec, threshold=0.3, lsh_bands=4, lsh_rows=2)
+                )
+            return predicate
+
+        base = blocked(make_predicate(name).fit(CORPUS))
+        sharded = blocked(_sharded(name, CORPUS, 3))
+        for query in self.QUERIES:
+            for run in (
+                lambda p: p.rank(query),
+                lambda p: p.top_k(query, 2),
+                lambda p: p.select(query, 0.3),
+            ):
+                assert _pairs(run(sharded)) == _pairs(run(base))
+                assert self._state(sharded)[:2] == (3, base.last_num_candidates)
+        batches = sharded.run_many(self.QUERIES, "select", threshold=0.3)
+        counts = []
+        for query, batch in zip(self.QUERIES, batches):
+            assert _pairs(batch) == _pairs(base.select(query, 0.3))
+            counts.append(base.last_num_candidates)
+        assert self._state(sharded) == (3, None, counts)
+
+
 class TestSliceInvariant:
     """A shard-local fit equals the unsharded fit restricted to the shard's
     tid range and rebased -- through what callers of the weighted index see:
@@ -443,6 +531,42 @@ class TestEngineSharding:
         assert report.shards is not None
         assert report.shards.num_shards == 3
         assert "shards:" in report.describe()
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_sharded_fit_reports_its_shards(self, executor):
+        """The shard fits run where the tracer lives: one ``shard[i].fit``
+        child per shard under the engine's ``fit`` span, and a ``weights:``
+        line that sums the shards'."""
+        engine = SimilarityEngine()
+        corpus = CORPUS * 5
+        query = engine.from_strings(corpus).predicate("bm25").shards(3, executor=executor)
+        try:
+            fit = query.trace("Morgan Stanley Inc", k=4).span.find("fit")
+            spans = [child for child in fit.children if child.name.endswith(".fit")]
+            assert [span.name for span in spans] == [f"shard[{i}].fit" for i in range(3)]
+            assert [span.attributes["rows"] for span in spans] == [20, 20, 20]
+            assert 0.0 < sum(span.duration for span in spans) <= fit.duration
+            sharded = query.fitted_predicate()
+            weighted = [shard._weighted_index for shard in sharded.shards]
+            unsharded = make_predicate("bm25").fit(corpus)._weighted_index
+            assert fit.attributes["weighted_postings"] == unsharded.num_postings == sum(
+                index.num_postings for index in weighted
+            )
+            assert fit.attributes["zero_dropped"] == unsharded.zero_dropped
+            assert 0.0 < fit.attributes["weights_s"] < fit.duration
+            built = 3 if kernels.active_backend() == "python" else 0
+            assert fit.attributes["scalar_view"] == f"built in {built}/3 shards"
+            report = query.explain("Morgan Stanley Inc", k=4)
+            assert report.weights.startswith(
+                f"{unsharded.num_postings} postings "
+                f"({unsharded.zero_dropped} dropped as zero), derived in "
+            )
+            assert report.weights.endswith(f"scalar view: built in {built}/3 shards")
+            assert f"weights:     {report.weights}" in report.describe()
+            jaccard = query.predicate("jaccard")
+            assert jaccard.explain("Morgan Stanley Inc", k=4).weights is None
+        finally:
+            engine.clear_cache()
 
     def test_sharded_run_many_matches_unsharded(self):
         engine = SimilarityEngine()
