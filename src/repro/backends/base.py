@@ -105,5 +105,15 @@ class SQLBackend(ABC):
         return int(self.query(f"SELECT COUNT(*) FROM {name}")[0][0])
 
     def _register_default_udfs(self) -> None:
-        self.register_function("JAROWINKLER", 2, lambda a, b: jaro_winkler(str(a), str(b)))
-        self.register_function("EDITSIM", 2, lambda a, b: edit_similarity(str(a), str(b)))
+        # NULL in, NULL out -- as the memory engine treats every function.
+        self.register_function("JAROWINKLER", 2, _null_safe(jaro_winkler))
+        self.register_function("EDITSIM", 2, _null_safe(edit_similarity))
+
+
+def _null_safe(similarity: Callable[[str, str], float]) -> Callable:
+    def udf(a: object, b: object) -> Optional[float]:
+        if a is None or b is None:
+            return None
+        return similarity(str(a), str(b))
+
+    return udf

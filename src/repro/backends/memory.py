@@ -5,9 +5,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.backends.base import SQLBackend
-from repro.dbengine import Database
+from repro.dbengine import CatalogError, Database
 from repro.dbengine.executor import ResultSet
-from repro.dbengine.table import Column
 
 __all__ = ["MemoryBackend"]
 
@@ -33,11 +32,9 @@ class MemoryBackend(SQLBackend):
     def create_table(
         self, name: str, columns: Sequence[str], if_not_exists: bool = False
     ) -> None:
-        parsed = []
-        for column in columns:
-            parts = column.split(None, 1)
-            parsed.append(Column(parts[0], parts[1] if len(parts) > 1 else "TEXT"))
-        self.database.create_table(name, parsed, if_not_exists=if_not_exists)
+        # Columns come as "name TYPE"; the engine is dynamically typed.
+        names = [column.split(None, 1)[0] for column in columns]
+        self.database.create_table(name, names, if_not_exists=if_not_exists)
 
     def insert_rows(self, name: str, rows: Iterable[Sequence[object]]) -> int:
         return self.database.insert_rows(name, rows)
@@ -46,7 +43,11 @@ class MemoryBackend(SQLBackend):
         self.database.drop_table(name, if_exists=if_exists)
 
     def has_table(self, name: str) -> bool:
-        return self.database.has_table(name)
+        try:
+            self.database.table(name)
+        except CatalogError:
+            return False
+        return True
 
     def register_function(self, name: str, num_args: int, func: Callable) -> None:
         self.database.register_function(name, func)

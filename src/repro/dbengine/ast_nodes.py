@@ -1,13 +1,13 @@
-"""Abstract syntax tree nodes for the SQL subset.
+"""Abstract syntax tree of the SQL :mod:`repro.declarative` emits.
 
 Two families of nodes:
 
 * *expressions* (:class:`Expression` subclasses) -- column references,
-  literals, arithmetic / comparison / boolean operators, function calls
-  (scalar and aggregate), ``CASE`` expressions, ``IN`` lists and subqueries.
-* *statements* (:class:`Statement` subclasses) -- ``SELECT`` (with joins,
-  grouping, set operations, ordering), ``INSERT``, ``CREATE TABLE``,
-  ``DROP TABLE`` and ``DELETE``.
+  literals, arithmetic / comparison / ``AND`` operators, function calls
+  (scalar and aggregate), ``CASE ... ELSE ... END``, ``BETWEEN``,
+  ``IS [NOT] NULL`` and ``[NOT] IN (SELECT ...)``.
+* *statements* -- ``SELECT`` (comma joins, subqueries in ``FROM``, grouping,
+  ``UNION``, ordering, ``LIMIT``) and ``INSERT INTO t (cols) SELECT ...``.
 
 The nodes are plain dataclasses; evaluation lives in
 :mod:`repro.dbengine.executor`.
@@ -16,38 +16,31 @@ The nodes are plain dataclasses; evaluation lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple, Union
 
 __all__ = [
     "Expression",
     "Literal",
     "ColumnRef",
-    "Star",
-    "UnaryOp",
     "BinaryOp",
     "FunctionCall",
     "CaseExpression",
-    "InList",
     "InSubquery",
-    "ScalarSubquery",
     "Between",
     "IsNull",
     "SelectItem",
     "TableRef",
     "SubqueryRef",
-    "Join",
     "OrderItem",
     "SelectCore",
     "Select",
-    "Statement",
     "Insert",
-    "CreateTable",
-    "DropTable",
-    "Delete",
+    "Statement",
     "AGGREGATE_FUNCTIONS",
 ]
 
-AGGREGATE_FUNCTIONS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
+#: ``COUNT`` takes only ``*``; the others one argument.
+AGGREGATE_FUNCTIONS = {"COUNT", "SUM", "AVG", "MAX"}
 
 
 class Expression:
@@ -64,27 +57,10 @@ class ColumnRef(Expression):
     name: str
     table: Optional[str] = None
 
-    @property
-    def qualified(self) -> str:
-        return f"{self.table}.{self.name}" if self.table else self.name
-
-
-@dataclass(frozen=True)
-class Star(Expression):
-    """``*`` or ``table.*`` in a select list or ``COUNT(*)``."""
-
-    table: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class UnaryOp(Expression):
-    op: str  # '-', '+', 'NOT'
-    operand: Expression
-
 
 @dataclass(frozen=True)
 class BinaryOp(Expression):
-    op: str  # arithmetic, comparison, AND, OR, LIKE
+    op: str  # + - * /, = < > <= >=, AND
     left: Expression
     right: Expression
 
@@ -92,27 +68,19 @@ class BinaryOp(Expression):
 @dataclass(frozen=True)
 class FunctionCall(Expression):
     name: str
-    args: Tuple[Expression, ...]
-    distinct: bool = False
+    args: Tuple[Expression, ...]  # () for COUNT(*)
 
     @property
     def is_aggregate(self) -> bool:
-        return self.name.upper() in AGGREGATE_FUNCTIONS
+        return self.name in AGGREGATE_FUNCTIONS
 
 
 @dataclass(frozen=True)
 class CaseExpression(Expression):
-    """``CASE WHEN cond THEN value ... [ELSE value] END`` (searched form)."""
+    """``CASE WHEN cond THEN value ... ELSE value END`` (searched form)."""
 
     whens: Tuple[Tuple[Expression, Expression], ...]
-    default: Optional[Expression] = None
-
-
-@dataclass(frozen=True)
-class InList(Expression):
-    operand: Expression
-    items: Tuple[Expression, ...]
-    negated: bool = False
+    default: Expression
 
 
 @dataclass(frozen=True)
@@ -123,16 +91,10 @@ class InSubquery(Expression):
 
 
 @dataclass(frozen=True)
-class ScalarSubquery(Expression):
-    subquery: "Select"
-
-
-@dataclass(frozen=True)
 class Between(Expression):
     operand: Expression
     low: Expression
     high: Expression
-    negated: bool = False
 
 
 @dataclass(frozen=True)
@@ -144,45 +106,19 @@ class IsNull(Expression):
 # -- FROM clause -------------------------------------------------------------
 
 
-class TableSource:
-    """Base class for items appearing in a FROM clause."""
-
-
 @dataclass(frozen=True)
-class TableRef(TableSource):
+class TableRef:
     name: str
     alias: Optional[str] = None
 
-    @property
-    def effective_name(self) -> str:
-        return self.alias or self.name
-
 
 @dataclass(frozen=True)
-class SubqueryRef(TableSource):
+class SubqueryRef:
     subquery: "Select"
     alias: str
 
-    @property
-    def effective_name(self) -> str:
-        return self.alias
-
-
-@dataclass(frozen=True)
-class Join(TableSource):
-    """An explicit ``[INNER|LEFT] JOIN ... ON ...`` between two sources."""
-
-    left: TableSource
-    right: TableSource
-    condition: Optional[Expression]
-    kind: str = "INNER"  # INNER or LEFT
-
 
 # -- statements ---------------------------------------------------------------
-
-
-class Statement:
-    """Base class for all statements."""
 
 
 @dataclass(frozen=True)
@@ -193,7 +129,7 @@ class SelectItem:
 
 @dataclass(frozen=True)
 class OrderItem:
-    expression: Expression
+    expression: ColumnRef
     descending: bool = False
 
 
@@ -202,7 +138,7 @@ class SelectCore:
     """One SELECT ... FROM ... WHERE ... GROUP BY ... HAVING ... block."""
 
     items: Tuple[SelectItem, ...]
-    sources: Tuple[TableSource, ...]
+    sources: Tuple[Union[TableRef, SubqueryRef], ...]
     where: Optional[Expression] = None
     group_by: Tuple[Expression, ...] = ()
     having: Optional[Expression] = None
@@ -210,41 +146,21 @@ class SelectCore:
 
 
 @dataclass(frozen=True)
-class Select(Statement):
-    """A full select: one or more cores combined with UNION [ALL]."""
+class Select:
+    """A full select: one or more cores combined with ``UNION`` (distinct)."""
 
     cores: Tuple[SelectCore, ...]
-    union_alls: Tuple[bool, ...] = ()  # len == len(cores) - 1
     order_by: Tuple[OrderItem, ...] = ()
     limit: Optional[int] = None
 
-    @property
-    def core(self) -> SelectCore:
-        return self.cores[0]
-
 
 @dataclass(frozen=True)
-class Insert(Statement):
+class Insert:
+    """``INSERT INTO table (columns) SELECT ...``."""
+
     table: str
     columns: Tuple[str, ...]
-    values: Tuple[Tuple[Expression, ...], ...] = ()
-    select: Optional[Select] = None
+    select: Select
 
 
-@dataclass(frozen=True)
-class CreateTable(Statement):
-    table: str
-    columns: Tuple[Tuple[str, str], ...]  # (name, type)
-    if_not_exists: bool = False
-
-
-@dataclass(frozen=True)
-class DropTable(Statement):
-    table: str
-    if_exists: bool = False
-
-
-@dataclass(frozen=True)
-class Delete(Statement):
-    table: str
-    where: Optional[Expression] = None
+Statement = Union[Select, Insert]

@@ -4,19 +4,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence
 
-from repro.dbengine.ast_nodes import (
-    CreateTable,
-    Delete,
-    DropTable,
-    Insert,
-    Select,
-    Statement,
-)
+from repro.dbengine.ast_nodes import Insert, Select
 from repro.dbengine.errors import CatalogError, ExecutionError
-from repro.dbengine.executor import Relation, ResultSet, SelectExecutor
+from repro.dbengine.executor import ResultSet, SelectExecutor
 from repro.dbengine.functions import FunctionRegistry
-from repro.dbengine.parser import parse_statement, parse_statements
-from repro.dbengine.table import Column, Table
+from repro.dbengine.parser import parse_statement
+from repro.dbengine.table import Table
 
 __all__ = ["Database"]
 
@@ -24,18 +17,13 @@ __all__ = ["Database"]
 class Database:
     """An in-memory database: a set of named tables plus scalar functions.
 
-    The public surface mirrors the tiny subset of DB-API-ish behaviour needed
-    by the declarative framework:
-
-    * :meth:`execute` -- parse and run one SQL statement; SELECTs return a
-      :class:`~repro.dbengine.executor.ResultSet`, other statements return the
-      affected row count.
-    * :meth:`execute_script` -- run a semicolon-separated script.
-    * :meth:`create_table`, :meth:`insert_rows` -- fast-path catalog
-      manipulation that skips SQL parsing for bulk preprocessing loads.
-    * :meth:`register_function` -- register a UDF usable from SQL (e.g. the
-      ``JAROWINKLER`` and ``EDITSIM`` functions used by the paper's
-      edit-based and combination predicates).
+    Tables are created, dropped and bulk-loaded through methods, never SQL
+    text; :meth:`execute` runs the statements :mod:`repro.declarative`
+    emits -- a ``SELECT`` returns a :class:`~repro.dbengine.executor.
+    ResultSet`, ``INSERT ... SELECT`` the number of rows inserted.
+    :meth:`register_function` adds a UDF usable from SQL (e.g. the
+    ``JAROWINKLER`` and ``EDITSIM`` functions of the edit-based and
+    combination predicates).
     """
 
     def __init__(self) -> None:
@@ -51,24 +39,15 @@ class Database:
         except KeyError as exc:
             raise CatalogError(f"unknown table: {name}") from exc
 
-    def has_table(self, name: str) -> bool:
-        return name.lower() in self._tables
-
-    def table_names(self) -> List[str]:
-        return sorted(table.name for table in self._tables.values())
-
     def create_table(
-        self,
-        name: str,
-        columns: Sequence[str | Column],
-        if_not_exists: bool = False,
+        self, name: str, column_names: Sequence[str], if_not_exists: bool = False
     ) -> Table:
         key = name.lower()
         if key in self._tables:
             if if_not_exists:
                 return self._tables[key]
             raise CatalogError(f"table already exists: {name}")
-        table = Table(name, columns)
+        table = Table(name, column_names)
         self._tables[key] = table
         return table
 
@@ -81,11 +60,11 @@ class Database:
         del self._tables[key]
 
     def insert_rows(self, name: str, rows: Iterable[Sequence[object]]) -> int:
-        """Bulk-insert rows without SQL parsing (preprocessing fast path)."""
+        """Bulk-insert rows without SQL parsing."""
         return self.table(name).insert_many(rows)
 
-    def register_function(self, name: str, func, null_safe: bool = True) -> None:
-        self.functions.register(name, func, null_safe=null_safe)
+    def register_function(self, name: str, func) -> None:
+        self.functions.register(name, func)
 
     # -- execution ------------------------------------------------------------
 
@@ -95,13 +74,10 @@ class Database:
         ``params`` binds positional ``?`` placeholders at the token level
         (typed literals, not SQL text), mirroring DB-API parameter binding.
         """
-        return self.execute_statement(
-            parse_statement(sql, tuple(params) if params else None)
-        )
-
-    def execute_script(self, sql: str) -> List[ResultSet | int]:
-        """Execute a semicolon-separated script; returns one result per statement."""
-        return [self.execute_statement(stmt) for stmt in parse_statements(sql)]
+        statement = parse_statement(sql, tuple(params) if params else None)
+        if isinstance(statement, Select):
+            return self._executor.execute(statement)
+        return self._insert(statement)
 
     def query(self, sql: str, params: Sequence[object] | None = None) -> ResultSet:
         """Execute a statement that must be a SELECT."""
@@ -110,75 +86,19 @@ class Database:
             raise ExecutionError("query() requires a SELECT statement")
         return result
 
-    def execute_statement(self, statement: Statement) -> ResultSet | int:
-        if isinstance(statement, Select):
-            return self._executor.execute(statement)
-        if isinstance(statement, CreateTable):
-            columns = [Column(name, type_name) for name, type_name in statement.columns]
-            self.create_table(statement.table, columns, if_not_exists=statement.if_not_exists)
-            return 0
-        if isinstance(statement, DropTable):
-            self.drop_table(statement.table, if_exists=statement.if_exists)
-            return 0
-        if isinstance(statement, Insert):
-            return self._insert(statement)
-        if isinstance(statement, Delete):
-            return self._delete(statement)
-        raise ExecutionError(f"unsupported statement {statement!r}")
-
-    # -- statement handlers ---------------------------------------------------
-
     def _insert(self, statement: Insert) -> int:
         table = self.table(statement.table)
-        if statement.columns:
-            positions = [table.column_index(name) for name in statement.columns]
-        else:
-            positions = list(range(len(table.columns)))
-
-        def place(values: Sequence[object]) -> List[object]:
+        positions = [table.column_index(name) for name in statement.columns]
+        width = len(table.column_names)
+        rows: List[list] = []
+        for values in self._executor.execute(statement.select).rows:
             if len(values) != len(positions):
                 raise ExecutionError(
                     f"INSERT into {table.name!r} expects {len(positions)} values, "
                     f"got {len(values)}"
                 )
-            row: List[object] = [None] * len(table.columns)
+            row: List[object] = [None] * width
             for position, value in zip(positions, values):
                 row[position] = value
-            return row
-
-        count = 0
-        if statement.select is not None:
-            result = self._executor.execute(statement.select)
-            for row in result.rows:
-                table.insert(place(row))
-                count += 1
-            return count
-        empty_relation = Relation(columns=[], rows=[()])
-        for value_row in statement.values:
-            values = [
-                self._executor._evaluate(expression, empty_relation, ())
-                for expression in value_row
-            ]
-            table.insert(place(values))
-            count += 1
-        return count
-
-    def _delete(self, statement: Delete) -> int:
-        table = self.table(statement.table)
-        if statement.where is None:
-            count = len(table.rows)
-            table.clear()
-            return count
-        relation = Relation(
-            columns=[(statement.table, name) for name in table.column_names],
-            rows=list(table.rows),
-        )
-        keep: List[tuple] = []
-        removed = 0
-        for row in relation.rows:
-            if self._executor._evaluate(statement.where, relation, row):
-                removed += 1
-            else:
-                keep.append(row)
-        table.rows = keep
-        return removed
+            rows.append(row)
+        return table.insert_many(rows)

@@ -1,42 +1,40 @@
-"""AST-walking executor for the SQL subset.
+"""AST-walking executor for the SQL :mod:`repro.declarative` emits.
 
 The executor works on :class:`Relation` objects: a list of tuples plus a
-mapping from (possibly qualified) column keys to tuple positions.  Joins are
-performed with hash equi-joins whenever an equality predicate between two
-sources is available (extracted from the ``WHERE`` conjuncts or the explicit
-``ON`` condition); remaining predicates are applied as residual filters.
-Grouped aggregation supports ``COUNT`` (including ``COUNT(*)`` and
-``COUNT(DISTINCT ...)``), ``SUM``, ``AVG``, ``MIN`` and ``MAX``.
+mapping from (possibly qualified) column keys to tuple positions.  The
+comma-separated ``FROM`` sources are joined left to right, with a hash
+equi-join whenever a ``WHERE`` conjunct equates a column of the relation
+built so far with a column of the next source (a cross product otherwise);
+the remaining conjuncts are applied as a residual filter.  Grouped
+aggregation supports ``COUNT(*)``, ``SUM``, ``AVG`` and ``MAX``.
+
+NULL follows SQL's three-valued logic where the emitted SQL can meet it:
+comparisons, arithmetic and ``BETWEEN`` with a NULL operand are NULL, a NULL
+join key matches nothing, and ``[NOT] IN (SELECT ...)`` over a non-empty
+subquery is NULL for a NULL operand or for a miss against a subquery that
+returned a NULL.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.dbengine.ast_nodes import (
-    AGGREGATE_FUNCTIONS,
     Between,
     BinaryOp,
     CaseExpression,
     ColumnRef,
     Expression,
     FunctionCall,
-    InList,
     InSubquery,
     IsNull,
-    Join,
     Literal,
     OrderItem,
-    ScalarSubquery,
     Select,
     SelectCore,
-    SelectItem,
-    Star,
     SubqueryRef,
     TableRef,
-    TableSource,
-    UnaryOp,
 )
 from repro.dbengine.errors import ExecutionError
 from repro.dbengine.functions import FunctionRegistry
@@ -47,26 +45,30 @@ _AMBIGUOUS = object()
 
 _COMPARISONS: Dict[str, Callable[[object, object], bool]] = {
     "=": operator.eq,
-    "<>": operator.ne,
     "<": operator.lt,
     "<=": operator.le,
     ">": operator.gt,
     ">=": operator.ge,
 }
 
+_ARITHMETIC: Dict[str, Callable[[object, object], object]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+}
+
 
 class Relation:
     """An intermediate relation: tuples plus a key -> position index."""
 
-    def __init__(self, columns: Sequence[Tuple[Optional[str], str]], rows: List[tuple]):
+    def __init__(self, columns: Sequence[Tuple[str, str]], rows: List[tuple]):
         """``columns`` is a sequence of ``(source_alias, column_name)`` pairs."""
-        self.columns: List[Tuple[Optional[str], str]] = list(columns)
+        self.columns: List[Tuple[str, str]] = list(columns)
         self.rows = rows
         self.key_index: Dict[str, object] = {}
         for position, (alias, name) in enumerate(self.columns):
             bare = name.lower()
-            if alias is not None:
-                self.key_index[f"{alias.lower()}.{bare}"] = position
+            self.key_index[f"{alias.lower()}.{bare}"] = position
             if bare in self.key_index and self.key_index[bare] != position:
                 self.key_index[bare] = _AMBIGUOUS
             elif bare not in self.key_index:
@@ -87,30 +89,11 @@ class Relation:
         return position is not None and position is not _AMBIGUOUS
 
 
-class ResultSet:
+class ResultSet(NamedTuple):
     """The output of a SELECT: column names and rows."""
 
-    def __init__(self, columns: List[str], rows: List[tuple]):
-        self.columns = columns
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def to_dicts(self) -> List[Dict[str, object]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
-    def scalar(self) -> object:
-        """First column of the first row (or ``None`` if empty)."""
-        if not self.rows:
-            return None
-        return self.rows[0][0]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ResultSet(columns={self.columns}, rows={len(self.rows)})"
+    columns: List[str]
+    rows: List[tuple]
 
 
 class SelectExecutor:
@@ -124,15 +107,14 @@ class SelectExecutor:
     # -- public ---------------------------------------------------------------
 
     def execute(self, select: Select) -> ResultSet:
-        results = [self._execute_core(core) for core in select.cores]
-        combined = results[0]
-        for index, result in enumerate(results[1:]):
+        combined = self._execute_core(select.cores[0])
+        for core in select.cores[1:]:
+            result = self._execute_core(core)
             if len(result.columns) != len(combined.columns):
                 raise ExecutionError("UNION arms must have the same number of columns")
-            all_rows = combined.rows + result.rows
-            if not select.union_alls[index]:
-                all_rows = _distinct_rows(all_rows)
-            combined = ResultSet(combined.columns, all_rows)
+            combined = ResultSet(
+                combined.columns, _distinct_rows(combined.rows + result.rows)
+            )
         if select.order_by:
             combined = self._order(combined, select.order_by)
         if select.limit is not None:
@@ -142,9 +124,14 @@ class SelectExecutor:
     # -- core execution -------------------------------------------------------
 
     def _execute_core(self, core: SelectCore) -> ResultSet:
-        relation, residual = self._build_from(core)
-        if residual is not None:
-            relation = self._filter(relation, residual)
+        conjuncts = _split_conjuncts(core.where)
+        relation: Optional[Relation] = None
+        for source in core.sources:
+            right = self._materialize_source(source)
+            relation = right if relation is None else self._join(relation, right, conjuncts)
+        assert relation is not None
+        if conjuncts:
+            relation = self._filter(relation, _combine_conjuncts(conjuncts))
 
         has_aggregates = any(
             _contains_aggregate(item.expression) for item in core.items
@@ -160,122 +147,42 @@ class SelectExecutor:
 
     # -- FROM clause ----------------------------------------------------------
 
-    def _build_from(self, core: SelectCore) -> Tuple[Relation, Optional[Expression]]:
-        conjuncts = _split_conjuncts(core.where)
-        if not core.sources:
-            relation = Relation(columns=[], rows=[()])
-            residual = _combine_conjuncts(conjuncts)
-            return relation, residual
-
-        relation: Optional[Relation] = None
-        for source in core.sources:
-            relation = self._attach_source(relation, source, conjuncts)
-        assert relation is not None
-        residual = _combine_conjuncts(conjuncts)
-        return relation, residual
-
-    def _attach_source(
-        self,
-        current: Optional[Relation],
-        source: TableSource,
-        conjuncts: List[Expression],
-    ) -> Relation:
-        if isinstance(source, Join):
-            left = self._attach_source(current, source.left, conjuncts)
-            join_conjuncts = _split_conjuncts(source.condition)
-            right = self._materialize_source(source.right)
-            joined = self._join(left, right, join_conjuncts + conjuncts,
-                                consume_from=join_conjuncts, extra=conjuncts,
-                                kind=source.kind)
-            # ON conditions that were not usable as hash-join keys (non-equi
-            # predicates) must still be applied at the join itself.
-            if join_conjuncts:
-                joined = self._filter(joined, _combine_conjuncts(join_conjuncts))
-            return joined
-        right = self._materialize_source(source)
-        if current is None:
-            return right
-        return self._join(current, right, conjuncts, consume_from=conjuncts,
-                          extra=[], kind="INNER")
-
-    def _materialize_source(self, source: TableSource) -> Relation:
+    def _materialize_source(self, source: Union[TableRef, SubqueryRef]) -> Relation:
         if isinstance(source, TableRef):
             table = self._catalog.table(source.name)
-            alias = source.effective_name
+            alias = source.alias or source.name
             columns = [(alias, name) for name in table.column_names]
             return Relation(columns=columns, rows=list(table.rows))
-        if isinstance(source, SubqueryRef):
-            result = self.execute(source.subquery)
-            columns = [(source.alias, name) for name in result.columns]
-            return Relation(columns=columns, rows=result.rows)
-        if isinstance(source, Join):
-            conjuncts = _split_conjuncts(source.condition)
-            left = self._materialize_source(source.left)
-            right = self._materialize_source(source.right)
-            joined = self._join(left, right, conjuncts, consume_from=conjuncts,
-                                extra=[], kind=source.kind)
-            if conjuncts:
-                joined = self._filter(joined, _combine_conjuncts(conjuncts))
-            return joined
-        raise ExecutionError(f"unsupported table source {source!r}")
+        result = self.execute(source.subquery)
+        columns = [(source.alias, name) for name in result.columns]
+        return Relation(columns=columns, rows=result.rows)
 
     def _join(
-        self,
-        left: Relation,
-        right: Relation,
-        candidate_conjuncts: List[Expression],
-        consume_from: List[Expression],
-        extra: List[Expression],
-        kind: str,
+        self, left: Relation, right: Relation, conjuncts: List[Expression]
     ) -> Relation:
-        """Join ``left`` and ``right`` using any applicable equality conjunct.
+        """Join ``left`` and ``right`` on every applicable equality conjunct.
 
-        Equality conjuncts of the form ``left_col = right_col`` found in
-        ``candidate_conjuncts`` drive a hash join and are removed from the
-        lists they came from (``consume_from`` / ``extra``); everything else
-        stays for residual filtering.  LEFT joins fall back to a nested loop
-        with the full ON condition.
+        Conjuncts of the form ``left_col = right_col`` drive a hash join and
+        are removed from ``conjuncts``; everything else stays for residual
+        filtering.  A key containing NULL matches nothing (``NULL = x`` is
+        unknown), so such rows are never joined.
         """
-        equi_pairs: List[Tuple[int, int]] = []
-        used: List[Expression] = []
-        for conjunct in list(candidate_conjuncts):
+        left_keys: List[int] = []
+        right_keys: List[int] = []
+        for conjunct in list(conjuncts):
             pair = _equi_join_columns(conjunct, left, right)
             if pair is not None:
-                equi_pairs.append(pair)
-                used.append(conjunct)
-        for conjunct in used:
-            if conjunct in consume_from:
-                consume_from.remove(conjunct)
-            elif conjunct in extra:
-                extra.remove(conjunct)
+                left_keys.append(pair[0])
+                right_keys.append(pair[1])
+                conjuncts.remove(conjunct)
 
-        merged_columns = left.columns + right.columns
         rows: List[tuple] = []
-        if kind == "LEFT":
-            remaining = list(consume_from)
-            condition = _combine_conjuncts(used + remaining)
-            consume_from.clear()
-            null_pad = (None,) * len(right.columns)
-            for left_row in left.rows:
-                matched = False
-                for right_row in right.rows:
-                    combined = left_row + right_row
-                    if condition is None or _is_true(
-                        self._evaluate(condition, Relation(merged_columns, []), combined)
-                    ):
-                        rows.append(combined)
-                        matched = True
-                if not matched:
-                    rows.append(left_row + null_pad)
-            return Relation(columns=merged_columns, rows=rows)
-
-        if equi_pairs:
-            left_keys = [pair[0] for pair in equi_pairs]
-            right_keys = [pair[1] for pair in equi_pairs]
+        if left_keys:
             index: Dict[tuple, List[tuple]] = {}
             for right_row in right.rows:
                 key = tuple(right_row[position] for position in right_keys)
-                index.setdefault(key, []).append(right_row)
+                if None not in key:
+                    index.setdefault(key, []).append(right_row)
             for left_row in left.rows:
                 key = tuple(left_row[position] for position in left_keys)
                 for right_row in index.get(key, ()):
@@ -284,48 +191,31 @@ class SelectExecutor:
             for left_row in left.rows:
                 for right_row in right.rows:
                     rows.append(left_row + right_row)
-        return Relation(columns=merged_columns, rows=rows)
+        return Relation(columns=left.columns + right.columns, rows=rows)
 
     def _filter(self, relation: Relation, condition: Expression) -> Relation:
         rows = [
-            row
-            for row in relation.rows
-            if _is_true(self._evaluate(condition, relation, row))
+            row for row in relation.rows if self._evaluate(condition, relation, row)
         ]
         return Relation(columns=relation.columns, rows=rows)
 
     # -- projection -----------------------------------------------------------
 
-    def _expand_items(
-        self, core: SelectCore, relation: Relation
-    ) -> List[Tuple[Expression, str]]:
-        expanded: List[Tuple[Expression, str]] = []
-        for item in core.items:
-            expression = item.expression
-            if isinstance(expression, Star):
-                for position, (alias, name) in enumerate(relation.columns):
-                    if expression.table is not None and (
-                        alias is None or alias.lower() != expression.table.lower()
-                    ):
-                        continue
-                    expanded.append((_PositionRef(position), name))
-                continue
-            name = item.alias or _derive_name(expression, len(expanded))
-            expanded.append((expression, name))
-        return expanded
+    def _output_names(self, core: SelectCore) -> List[str]:
+        return [
+            item.alias or _derive_name(item.expression, position)
+            for position, item in enumerate(core.items)
+        ]
 
     def _projection(self, core: SelectCore, relation: Relation) -> ResultSet:
-        items = self._expand_items(core, relation)
-        columns = [name for _, name in items]
+        expressions = [item.expression for item in core.items]
         rows = [
-            tuple(self._evaluate(expression, relation, row) for expression, _ in items)
+            tuple(self._evaluate(expression, relation, row) for expression in expressions)
             for row in relation.rows
         ]
-        return ResultSet(columns=columns, rows=rows)
+        return ResultSet(columns=self._output_names(core), rows=rows)
 
     def _grouped_projection(self, core: SelectCore, relation: Relation) -> ResultSet:
-        items = self._expand_items(core, relation)
-        columns = [name for _, name in items]
         groups: Dict[tuple, List[tuple]] = {}
         if core.group_by:
             for row in relation.rows:
@@ -335,75 +225,51 @@ class SelectExecutor:
                 )
                 groups.setdefault(key, []).append(row)
         else:
-            groups[()] = list(relation.rows)
-            if not relation.rows:
-                # Aggregates over an empty input still produce one row
-                # (e.g. COUNT(*) == 0), matching SQL semantics.
-                groups[()] = []
+            # Aggregates over an empty input still produce one row
+            # (e.g. COUNT(*) == 0), matching SQL semantics.
+            groups[()] = relation.rows
 
         rows: List[tuple] = []
         for group_rows in groups.values():
-            if core.group_by and not group_rows:
+            if core.having is not None and not self._evaluate_grouped(
+                core.having, relation, group_rows
+            ):
                 continue
-            if core.having is not None:
-                having_value = self._evaluate_grouped(core.having, relation, group_rows)
-                if not _is_true(having_value):
-                    continue
             rows.append(
                 tuple(
-                    self._evaluate_grouped(expression, relation, group_rows)
-                    for expression, _ in items
+                    self._evaluate_grouped(item.expression, relation, group_rows)
+                    for item in core.items
                 )
             )
-        return ResultSet(columns=columns, rows=rows)
+        return ResultSet(columns=self._output_names(core), rows=rows)
 
     # -- ordering -------------------------------------------------------------
 
     def _order(self, result: ResultSet, order_by: Sequence[OrderItem]) -> ResultSet:
+        # ORDER BY names output columns; a qualified reference (ORDER BY
+        # X.tid) resolves against the output column of the same bare name.
         output_index = {name.lower(): position for position, name in enumerate(result.columns)}
+        keys: List[Tuple[int, bool]] = []
+        for item in order_by:
+            position = output_index.get(item.expression.name.lower())
+            if position is None:
+                raise ExecutionError(
+                    f"ORDER BY {item.expression.name!r} is not an output column"
+                )
+            keys.append((position, item.descending))
 
         def key_for(row: tuple) -> tuple:
-            keys = []
-            for item in order_by:
-                value = self._evaluate_output(item.expression, output_index, row)
-                keys.append(_SortKey(value, item.descending))
-            return tuple(keys)
+            return tuple(_SortKey(row[position], descending) for position, descending in keys)
 
-        ordered = sorted(result.rows, key=key_for)
-        return ResultSet(result.columns, ordered)
-
-    def _evaluate_output(
-        self, expression: Expression, output_index: Dict[str, int], row: tuple
-    ) -> object:
-        if isinstance(expression, ColumnRef):
-            # Qualified references (e.g. ORDER BY S.tid) resolve against the
-            # output column of the same bare name, matching common SQL usage.
-            position = output_index.get(expression.name.lower())
-            if position is None and expression.table is not None:
-                position = output_index.get(f"{expression.table.lower()}.{expression.name.lower()}")
-            if position is not None:
-                return row[position]
-        if isinstance(expression, Literal) and isinstance(expression.value, int):
-            # ORDER BY <ordinal>
-            ordinal = expression.value
-            if 1 <= ordinal <= len(row):
-                return row[ordinal - 1]
-        raise ExecutionError(
-            "ORDER BY expressions must reference output columns or ordinals"
-        )
+        return ResultSet(result.columns, sorted(result.rows, key=key_for))
 
     # -- expression evaluation ------------------------------------------------
 
     def _evaluate(self, expression: Expression, relation: Relation, row: tuple) -> object:
-        if isinstance(expression, Literal):
-            return expression.value
-        if isinstance(expression, _PositionRef):
-            return row[expression.position]
         if isinstance(expression, ColumnRef):
             return row[relation.resolve(expression.name, expression.table)]
-        if isinstance(expression, UnaryOp):
-            value = self._evaluate(expression.operand, relation, row)
-            return _apply_unary(expression.op, value)
+        if isinstance(expression, Literal):
+            return expression.value
         if isinstance(expression, BinaryOp):
             return self._binary(expression, relation, row)
         if isinstance(expression, FunctionCall):
@@ -415,83 +281,48 @@ class SelectExecutor:
             return self._functions.get(expression.name)(*args)
         if isinstance(expression, CaseExpression):
             for condition, value in expression.whens:
-                if _is_true(self._evaluate(condition, relation, row)):
+                if self._evaluate(condition, relation, row):
                     return self._evaluate(value, relation, row)
-            if expression.default is not None:
-                return self._evaluate(expression.default, relation, row)
-            return None
+            return self._evaluate(expression.default, relation, row)
         if isinstance(expression, Between):
             value = self._evaluate(expression.operand, relation, row)
             low = self._evaluate(expression.low, relation, row)
             high = self._evaluate(expression.high, relation, row)
             if value is None or low is None or high is None:
                 return None
-            inside = low <= value <= high
-            return (not inside) if expression.negated else inside
+            return low <= value <= high
         if isinstance(expression, IsNull):
             value = self._evaluate(expression.operand, relation, row)
             return (value is not None) if expression.negated else (value is None)
-        if isinstance(expression, InList):
-            value = self._evaluate(expression.operand, relation, row)
-            members = [self._evaluate(item, relation, row) for item in expression.items]
-            found = value in members
-            return (not found) if expression.negated else found
         if isinstance(expression, InSubquery):
-            value = self._evaluate(expression.operand, relation, row)
             members = self._subquery_values(expression.subquery)
-            found = value in members
-            return (not found) if expression.negated else found
-        if isinstance(expression, ScalarSubquery):
-            return self.execute(expression.subquery).scalar()
-        if isinstance(expression, Star):
-            raise ExecutionError("'*' is only valid in a select list or COUNT(*)")
+            if not members:  # x IN (empty) is false, NULL x included
+                return expression.negated
+            value = self._evaluate(expression.operand, relation, row)
+            if value is not None and value in members:
+                return not expression.negated
+            if value is None or None in members:
+                return None
+            return expression.negated
         raise ExecutionError(f"unsupported expression {expression!r}")
 
     def _binary(self, expression: BinaryOp, relation: Relation, row: tuple) -> object:
         op = expression.op
-        if op == "AND":
-            left = self._evaluate(expression.left, relation, row)
-            if not _is_true(left):
-                return False
-            return _is_true(self._evaluate(expression.right, relation, row))
-        if op == "OR":
-            left = self._evaluate(expression.left, relation, row)
-            if _is_true(left):
-                return True
-            return _is_true(self._evaluate(expression.right, relation, row))
         left = self._evaluate(expression.left, relation, row)
+        if op == "AND":
+            return bool(left) and bool(self._evaluate(expression.right, relation, row))
         right = self._evaluate(expression.right, relation, row)
-        if op in _COMPARISONS:
-            if left is None or right is None:
-                return None
-            return _COMPARISONS[op](left, right)
-        if op == "LIKE":
-            if left is None or right is None:
-                return None
-            return _like(str(left), str(right))
-        if op == "||":
-            if left is None or right is None:
-                return None
-            return f"{left}{right}"
         if left is None or right is None:
             return None
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
+        if op in _COMPARISONS:
+            return _COMPARISONS[op](left, right)
         if op == "/":
-            if right == 0:
-                return None
-            return left / right
-        if op == "%":
-            return left % right
-        raise ExecutionError(f"unsupported operator {op!r}")
+            return None if right == 0 else left / right
+        return _ARITHMETIC[op](left, right)
 
     def _subquery_values(self, select: Select) -> set:
         result = self.execute(select)
-        if result.columns and len(result.columns) != 1:
+        if len(result.columns) != 1:
             raise ExecutionError("IN subquery must return a single column")
         return {row[0] for row in result.rows}
 
@@ -500,89 +331,46 @@ class SelectExecutor:
     def _evaluate_grouped(
         self, expression: Expression, relation: Relation, group_rows: List[tuple]
     ) -> object:
-        if isinstance(expression, FunctionCall) and expression.is_aggregate:
-            return self._aggregate(expression, relation, group_rows)
-        if isinstance(expression, (Literal, _PositionRef, ColumnRef)):
-            if isinstance(expression, Literal):
-                return expression.value
-            if not group_rows:
-                return None
-            return self._evaluate(expression, relation, group_rows[0])
-        if isinstance(expression, UnaryOp):
-            return _apply_unary(
-                expression.op,
-                self._evaluate_grouped(expression.operand, relation, group_rows),
-            )
+        if isinstance(expression, FunctionCall):
+            if expression.is_aggregate:
+                return self._aggregate(expression, relation, group_rows)
+            args = [
+                self._evaluate_grouped(arg, relation, group_rows)
+                for arg in expression.args
+            ]
+            return self._functions.get(expression.name)(*args)
         if isinstance(expression, BinaryOp):
             rewritten = BinaryOp(
                 op=expression.op,
                 left=Literal(self._evaluate_grouped(expression.left, relation, group_rows)),
                 right=Literal(self._evaluate_grouped(expression.right, relation, group_rows)),
             )
-            return self._binary(rewritten, relation, group_rows[0] if group_rows else ())
-        if isinstance(expression, FunctionCall):
-            args = [
-                self._evaluate_grouped(arg, relation, group_rows)
-                for arg in expression.args
-            ]
-            return self._functions.get(expression.name)(*args)
-        if isinstance(expression, CaseExpression):
-            for condition, value in expression.whens:
-                if _is_true(self._evaluate_grouped(condition, relation, group_rows)):
-                    return self._evaluate_grouped(value, relation, group_rows)
-            if expression.default is not None:
-                return self._evaluate_grouped(expression.default, relation, group_rows)
-            return None
-        if not group_rows:
-            return None
-        return self._evaluate(expression, relation, group_rows[0])
+            return self._binary(rewritten, relation, ())
+        # Anything else is constant over a group: evaluate it on the group's
+        # first row (on a row of NULLs for the one group of an empty input).
+        row = group_rows[0] if group_rows else (None,) * len(relation.columns)
+        return self._evaluate(expression, relation, row)
 
     def _aggregate(
         self, call: FunctionCall, relation: Relation, group_rows: List[tuple]
     ) -> object:
-        name = call.name.upper()
-        if name == "COUNT":
-            if not call.args or isinstance(call.args[0], Star):
-                return len(group_rows)
-            values = [
-                self._evaluate(call.args[0], relation, row)
-                for row in group_rows
-            ]
-            values = [value for value in values if value is not None]
-            if call.distinct:
-                return len(set(values))
-            return len(values)
-        if not call.args:
-            raise ExecutionError(f"{name} requires an argument")
+        if call.name == "COUNT":
+            return len(group_rows)
         values = [
-            self._evaluate(call.args[0], relation, row) for row in group_rows
+            value
+            for value in (self._evaluate(call.args[0], relation, row) for row in group_rows)
+            if value is not None
         ]
-        values = [value for value in values if value is not None]
-        if call.distinct:
-            values = list(dict.fromkeys(values))
         if not values:
             return None
-        if name == "SUM":
+        if call.name == "SUM":
             return sum(values)
-        if name == "AVG":
+        if call.name == "AVG":
             return sum(values) / len(values)
-        if name == "MIN":
-            return min(values)
-        if name == "MAX":
-            return max(values)
-        raise ExecutionError(f"unsupported aggregate {name}")
+        return max(values)
 
 
 # -- helpers ------------------------------------------------------------------
-
-
-class _PositionRef(Expression):
-    """Internal expression that reads a fixed tuple position (Star expansion)."""
-
-    __slots__ = ("position",)
-
-    def __init__(self, position: int):
-        self.position = position
 
 
 class _SortKey:
@@ -620,31 +408,11 @@ def _derive_name(expression: Expression, position: int) -> str:
 
 def _contains_aggregate(expression: Expression) -> bool:
     if isinstance(expression, FunctionCall):
-        if expression.is_aggregate:
-            return True
-        return any(_contains_aggregate(arg) for arg in expression.args)
+        return expression.is_aggregate or any(
+            _contains_aggregate(arg) for arg in expression.args
+        )
     if isinstance(expression, BinaryOp):
         return _contains_aggregate(expression.left) or _contains_aggregate(expression.right)
-    if isinstance(expression, UnaryOp):
-        return _contains_aggregate(expression.operand)
-    if isinstance(expression, CaseExpression):
-        if any(
-            _contains_aggregate(condition) or _contains_aggregate(value)
-            for condition, value in expression.whens
-        ):
-            return True
-        return expression.default is not None and _contains_aggregate(expression.default)
-    if isinstance(expression, Between):
-        return any(
-            _contains_aggregate(part)
-            for part in (expression.operand, expression.low, expression.high)
-        )
-    if isinstance(expression, (InList,)):
-        return _contains_aggregate(expression.operand) or any(
-            _contains_aggregate(item) for item in expression.items
-        )
-    if isinstance(expression, (InSubquery, IsNull)):
-        return _contains_aggregate(expression.operand)
     return False
 
 
@@ -656,9 +424,7 @@ def _split_conjuncts(expression: Optional[Expression]) -> List[Expression]:
     return [expression]
 
 
-def _combine_conjuncts(conjuncts: List[Expression]) -> Optional[Expression]:
-    if not conjuncts:
-        return None
+def _combine_conjuncts(conjuncts: List[Expression]) -> Expression:
     combined = conjuncts[0]
     for conjunct in conjuncts[1:]:
         combined = BinaryOp(op="AND", left=combined, right=conjunct)
@@ -681,48 +447,5 @@ def _equi_join_columns(
     return None
 
 
-def _apply_unary(op: str, value: object) -> object:
-    if op == "NOT":
-        if value is None:
-            return None
-        return not _is_true(value)
-    if value is None:
-        return None
-    if op == "-":
-        return -value
-    return value
-
-
-def _is_true(value: object) -> bool:
-    if value is None:
-        return False
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return value != 0
-    return bool(value)
-
-
 def _distinct_rows(rows: List[tuple]) -> List[tuple]:
-    seen = set()
-    output: List[tuple] = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            output.append(row)
-    return output
-
-
-def _like(value: str, pattern: str) -> bool:
-    """SQL LIKE with % and _ wildcards (case-insensitive, MySQL-style)."""
-    import re
-
-    regex_parts: List[str] = []
-    for ch in pattern:
-        if ch == "%":
-            regex_parts.append(".*")
-        elif ch == "_":
-            regex_parts.append(".")
-        else:
-            regex_parts.append(re.escape(ch))
-    return re.fullmatch("".join(regex_parts), value, flags=re.IGNORECASE) is not None
+    return list(dict.fromkeys(rows))

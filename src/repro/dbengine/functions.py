@@ -1,17 +1,17 @@
 """Scalar function registry for the in-memory engine.
 
-The declarative predicate realizations use a modest set of scalar functions
-(``LOG``, ``EXP``, ``POWER``, ``SQRT``, string helpers) plus user-defined
-functions such as ``JAROWINKLER`` and ``EDITSIM``.  The registry maps
-upper-case function names to Python callables; ``NULL`` (Python ``None``)
-arguments propagate to a ``NULL`` result for every built-in, matching SQL
-semantics.
+The built-ins are the scalar functions :mod:`repro.declarative` emits --
+``LENGTH``, ``ABS``, ``LOG`` (natural), ``EXP``, ``SQRT`` and ``POWER`` --
+plus the user-defined functions the backends register (``JAROWINKLER``,
+``EDITSIM``, the GES scorers).  The registry maps upper-case names to Python
+callables; a ``NULL`` (Python ``None``) argument yields a ``NULL`` result for
+every built-in, matching SQL semantics.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.dbengine.errors import CatalogError
 
@@ -31,102 +31,38 @@ def _null_safe(func: ScalarFunction) -> ScalarFunction:
     return wrapper
 
 
-def _substring(text: str, start: int, length: Optional[int] = None) -> str:
-    """SQL SUBSTRING: 1-based start, optional length."""
-    start = int(start)
-    if start > 0:
-        begin = start - 1
-    elif start == 0:
-        begin = 0
-    else:
-        begin = max(len(text) + start, 0)
-    if length is None:
-        return text[begin:]
-    length = int(length)
-    if length <= 0:
-        return ""
-    return text[begin : begin + length]
-
-
-def _locate(needle: str, haystack: str, start: int = 1) -> int:
-    """SQL LOCATE: 1-based position of ``needle`` in ``haystack`` or 0."""
-    start = max(int(start), 1)
-    index = haystack.find(needle, start - 1)
-    return index + 1
-
-
-def _round(value: float, digits: int = 0) -> float:
-    return round(float(value), int(digits))
-
-
-def _log(value: float, base: Optional[float] = None) -> float:
+def _log(value: float) -> float:
     value = float(value)
     if value <= 0:
         raise ValueError("LOG argument must be positive")
-    if base is None:
-        return math.log(value)
-    return math.log(value, float(base))
+    return math.log(value)
 
 
 def default_functions() -> Dict[str, ScalarFunction]:
-    """The built-in scalar functions shared by both SQL backends."""
+    """The built-in scalar functions (each wrapped NULL-safe)."""
     functions: Dict[str, ScalarFunction] = {
-        "LOG": _log,
-        "LN": lambda value: math.log(float(value)),
-        "EXP": lambda value: math.exp(float(value)),
-        "POWER": lambda base, exponent: math.pow(float(base), float(exponent)),
-        "POW": lambda base, exponent: math.pow(float(base), float(exponent)),
-        "SQRT": lambda value: math.sqrt(float(value)),
-        "ABS": lambda value: abs(value),
-        "ROUND": _round,
-        "FLOOR": lambda value: math.floor(float(value)),
-        "CEIL": lambda value: math.ceil(float(value)),
-        "MOD": lambda a, b: a % b,
         "LENGTH": lambda text: len(str(text)),
-        "UPPER": lambda text: str(text).upper(),
-        "LOWER": lambda text: str(text).lower(),
-        "TRIM": lambda text: str(text).strip(),
-        "CONCAT": lambda *parts: "".join(str(part) for part in parts),
-        "REPLACE": lambda text, old, new: str(text).replace(str(old), str(new)),
-        "REVERSE": lambda text: str(text)[::-1],
-        "SUBSTRING": _substring,
-        "SUBSTR": _substring,
-        "LOCATE": _locate,
-        "COALESCE": None,  # handled specially below (must not be null-safe)
-        "GREATEST": lambda *values: max(values),
-        "LEAST": lambda *values: min(values),
-        "IFNULL": None,  # handled specially below
+        "ABS": lambda value: abs(value),
+        "LOG": _log,
+        "EXP": lambda value: math.exp(float(value)),
+        "SQRT": lambda value: math.sqrt(float(value)),
+        "POWER": lambda base, exponent: math.pow(float(base), float(exponent)),
     }
-    wrapped = {
-        name: _null_safe(func) for name, func in functions.items() if func is not None
-    }
-    wrapped["COALESCE"] = lambda *values: next(
-        (value for value in values if value is not None), None
-    )
-    wrapped["IFNULL"] = lambda value, fallback: fallback if value is None else value
-    return wrapped
+    return {name: _null_safe(func) for name, func in functions.items()}
 
 
 class FunctionRegistry:
     """Case-insensitive registry of scalar functions (built-ins + UDFs)."""
 
     def __init__(self) -> None:
-        self._functions: Dict[str, ScalarFunction] = dict(default_functions())
+        self._functions: Dict[str, ScalarFunction] = default_functions()
 
-    def register(self, name: str, func: ScalarFunction, null_safe: bool = True) -> None:
-        """Register a user-defined function under ``name`` (case-insensitive)."""
-        key = name.upper()
-        self._functions[key] = _null_safe(func) if null_safe else func
+    def register(self, name: str, func: ScalarFunction) -> None:
+        """Register a NULL-safe user-defined function under ``name``."""
+        self._functions[name.upper()] = _null_safe(func)
 
     def get(self, name: str) -> ScalarFunction:
-        key = name.upper()
         try:
-            return self._functions[key]
+            return self._functions[name.upper()]
         except KeyError as exc:
             raise CatalogError(f"unknown function: {name}") from exc
-
-    def __contains__(self, name: str) -> bool:
-        return name.upper() in self._functions
-
-    def names(self) -> list[str]:
-        return sorted(self._functions)

@@ -1,4 +1,13 @@
-"""SQL tokenizer for the engine's SQL subset."""
+"""SQL tokenizer for the statements :mod:`repro.declarative` emits.
+
+The token set is what that SQL uses: keywords, identifiers, numbers
+(integer, decimal, optional exponent -- weights interpolated into the
+statement text), the comparison operators, ``( ) , . * + - /`` and the
+positional ``?`` placeholder.  String values never appear in the statement
+text -- they reach the engine through :func:`repro.dbengine.parser.
+bind_params` -- so quotes, ``--`` comments, ``||`` and ``%`` are not tokens:
+any character outside the set is a :class:`~repro.dbengine.errors.ParseError`.
+"""
 
 from __future__ import annotations
 
@@ -11,10 +20,8 @@ __all__ = ["Token", "tokenize"]
 
 KEYWORDS = {
     "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT",
-    "AS", "AND", "OR", "NOT", "IN", "IS", "NULL", "LIKE", "BETWEEN",
-    "INSERT", "INTO", "VALUES", "CREATE", "TABLE", "DROP", "DELETE",
-    "IF", "EXISTS", "DISTINCT", "UNION", "ALL", "JOIN", "INNER", "LEFT",
-    "OUTER", "ON", "CASE", "WHEN", "THEN", "ELSE", "END", "ASC", "DESC",
+    "AS", "AND", "NOT", "IN", "IS", "NULL", "BETWEEN", "INSERT", "INTO",
+    "DISTINCT", "UNION", "CASE", "WHEN", "THEN", "ELSE", "END", "DESC",
     "TRUE", "FALSE",
 }
 
@@ -27,14 +34,12 @@ _PUNCTUATION = {
     "+": "PLUS",
     "-": "MINUS",
     "/": "SLASH",
-    "%": "PERCENT",
-    ";": "SEMICOLON",
 }
 
 
 @dataclass(frozen=True)
 class Token:
-    kind: str       # KEYWORD, IDENT, NUMBER, STRING, OP, or punctuation kind
+    kind: str       # KEYWORD, IDENT, NUMBER, STRING, OP, PARAM, EOF or punctuation
     value: str
     position: int
 
@@ -52,39 +57,8 @@ def tokenize(sql: str) -> List[Token]:
         if ch.isspace():
             i += 1
             continue
-        # line comments
-        if ch == "-" and i + 1 < length and sql[i + 1] == "-":
-            newline = sql.find("\n", i)
-            i = length if newline == -1 else newline + 1
-            continue
-        # string literal (single quotes, '' escapes a quote)
-        if ch == "'":
-            j = i + 1
-            parts: List[str] = []
-            while True:
-                if j >= length:
-                    raise ParseError("unterminated string literal", i)
-                if sql[j] == "'":
-                    if j + 1 < length and sql[j + 1] == "'":
-                        parts.append("'")
-                        j += 2
-                        continue
-                    break
-                parts.append(sql[j])
-                j += 1
-            tokens.append(Token("STRING", "".join(parts), i))
-            i = j + 1
-            continue
-        # quoted identifiers (double quotes or backticks)
-        if ch in ('"', "`"):
-            closing = sql.find(ch, i + 1)
-            if closing == -1:
-                raise ParseError("unterminated quoted identifier", i)
-            tokens.append(Token("IDENT", sql[i + 1 : closing], i))
-            i = closing + 1
-            continue
-        # numbers (integer or float, optional exponent)
-        if ch.isdigit() or (ch == "." and i + 1 < length and sql[i + 1].isdigit()):
+        # numbers (integer or decimal, optional exponent)
+        if ch.isdigit():
             j = i
             seen_dot = False
             seen_exp = False
@@ -95,7 +69,7 @@ def tokenize(sql: str) -> List[Token]:
                 elif cj == "." and not seen_dot and not seen_exp:
                     seen_dot = True
                     j += 1
-                elif cj in "eE" and not seen_exp and j > i:
+                elif cj in "eE" and not seen_exp:
                     # exponent must be followed by digits or sign+digits
                     k = j + 1
                     if k < length and sql[k] in "+-":
@@ -123,9 +97,9 @@ def tokenize(sql: str) -> List[Token]:
                 tokens.append(Token("IDENT", word, i))
             i = j
             continue
-        # multi-character operators
+        # comparison operators
         two = sql[i : i + 2]
-        if two in ("<=", ">=", "<>", "!=", "||"):
+        if two in ("<=", ">="):
             tokens.append(Token("OP", two, i))
             i += 2
             continue

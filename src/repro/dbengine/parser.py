@@ -1,57 +1,59 @@
-"""Recursive-descent parser for the engine's SQL subset.
+"""Recursive-descent parser for the SQL :mod:`repro.declarative` emits.
 
-The grammar covers exactly what the declarative predicate realizations emit
-(mirroring Appendix A/B of the paper): ``CREATE TABLE``, ``DROP TABLE``,
-``DELETE``, ``INSERT ... VALUES`` / ``INSERT ... SELECT`` and ``SELECT`` with
-comma joins, explicit ``[INNER|LEFT] JOIN ... ON``, subqueries in ``FROM``,
-``WHERE``, ``GROUP BY``, ``HAVING``, ``UNION [ALL]``, ``ORDER BY`` and
-``LIMIT``, plus a conventional expression grammar with scalar and aggregate
-functions, ``CASE``, ``IN`` (lists and subqueries), ``BETWEEN``, ``LIKE`` and
-``IS [NOT] NULL``.
+The grammar is exactly what the 13 declarative predicates send the engine
+(measured by tracing their statements), and anything outside it is a
+:class:`~repro.dbengine.errors.ParseError`::
+
+    statement  := select | INSERT INTO name '(' name {',' name} ')' select
+    select     := core {UNION core} [ORDER BY column [DESC] {',' ...}]
+                  [LIMIT number]
+    core       := SELECT [DISTINCT] expr [AS name] {',' ...}
+                  FROM source {',' source} [WHERE expr]
+                  [GROUP BY expr {',' expr}] [HAVING expr]
+    source     := name [alias] | '(' select ')' alias
+    expr       := comparison {AND comparison}
+    comparison := sum [op sum | [NOT] IN '(' select ')'
+                       | BETWEEN sum AND sum | IS [NOT] NULL]
+    sum        := product {('+' | '-') product}
+    product    := unary {('*' | '/') unary}
+    unary      := '-' number | primary
+    primary    := number | NULL | TRUE | FALSE | '(' expr ')' | column
+                  | CASE WHEN expr THEN expr {WHEN ...} ELSE expr END
+                  | COUNT '(' '*' ')' | name '(' expr {',' expr} ')'
+
+``op`` is one of ``= < > <= >=``.  String values reach a statement only
+through ``?`` placeholders, bound by :func:`bind_params` as typed tokens.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.dbengine.ast_nodes import (
     Between,
     BinaryOp,
     CaseExpression,
     ColumnRef,
-    CreateTable,
-    Delete,
-    DropTable,
     Expression,
     FunctionCall,
-    InList,
     InSubquery,
     Insert,
     IsNull,
-    Join,
     Literal,
     OrderItem,
-    ScalarSubquery,
     Select,
     SelectCore,
     SelectItem,
-    Star,
     Statement,
     SubqueryRef,
     TableRef,
-    TableSource,
-    UnaryOp,
 )
 from repro.dbengine.errors import ParseError
 from repro.dbengine.lexer import Token, tokenize
 
-__all__ = [
-    "parse_statement",
-    "parse_statements",
-    "parse_expression",
-    "bind_params",
-    "Parser",
-]
+__all__ = ["parse_statement", "bind_params", "Parser"]
+
+_COMPARISONS = ("=", "<", ">", "<=", ">=")
 
 
 def bind_params(tokens: List[Token], params: Optional[Tuple]) -> List[Token]:
@@ -93,29 +95,22 @@ def bind_params(tokens: List[Token], params: Optional[Tuple]) -> List[Token]:
     return bound
 
 
+def _number(text: str) -> object:
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)
+
+
 def parse_statement(sql: str, params: Optional[Tuple] = None) -> Statement:
-    """Parse a single SQL statement (a trailing semicolon is allowed)."""
+    """Parse one SQL statement, binding ``params`` to its ``?`` placeholders."""
     parser = Parser(bind_params(tokenize(sql), params))
-    statement = parser.parse_single_statement()
+    statement = parser.statement()
+    parser._expect_kind("EOF")
     return statement
 
 
-def parse_statements(sql: str) -> List[Statement]:
-    """Parse a semicolon-separated script into a list of statements."""
-    parser = Parser(tokenize(sql))
-    return parser.parse_script()
-
-
-def parse_expression(sql: str) -> Expression:
-    """Parse a standalone expression (useful in tests)."""
-    parser = Parser(tokenize(sql))
-    expression = parser._expression()
-    parser._expect_kind("EOF")
-    return expression
-
-
 class Parser:
-    """Token-stream parser; one instance per statement/script."""
+    """Token-stream parser; one instance per statement."""
 
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
@@ -123,9 +118,8 @@ class Parser:
 
     # -- token helpers --------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -148,11 +142,8 @@ class Parser:
             raise ParseError(f"expected {keyword}, found {token.value!r}", token.position)
         return self._advance()
 
-    def _check_kind(self, kind: str) -> bool:
-        return self._peek().kind == kind
-
     def _accept_kind(self, kind: str) -> bool:
-        if self._check_kind(kind):
+        if self._peek().kind == kind:
             self._advance()
             return True
         return False
@@ -164,184 +155,58 @@ class Parser:
         return self._advance()
 
     def _expect_identifier(self) -> str:
-        token = self._peek()
-        if token.kind == "IDENT":
-            return self._advance().value
-        # Allow non-reserved keywords as identifiers where unambiguous.
-        if token.kind == "KEYWORD" and token.value in {"ALL", "LEFT"}:
-            return self._advance().value
-        raise ParseError(f"expected identifier, found {token.value!r}", token.position)
-
-    # -- entry points ---------------------------------------------------------
-
-    def parse_single_statement(self) -> Statement:
-        statement = self._statement()
-        self._accept_kind("SEMICOLON")
-        self._expect_kind("EOF")
-        return statement
-
-    def parse_script(self) -> List[Statement]:
-        statements: List[Statement] = []
-        while not self._check_kind("EOF"):
-            statements.append(self._statement())
-            while self._accept_kind("SEMICOLON"):
-                pass
-        return statements
+        return self._expect_kind("IDENT").value
 
     # -- statements -----------------------------------------------------------
 
-    def _statement(self) -> Statement:
-        token = self._peek()
-        if token.matches_keyword("SELECT"):
-            return self._select()
-        if token.matches_keyword("INSERT"):
-            return self._insert()
-        if token.matches_keyword("CREATE"):
-            return self._create_table()
-        if token.matches_keyword("DROP"):
-            return self._drop_table()
-        if token.matches_keyword("DELETE"):
-            return self._delete()
-        raise ParseError(f"unsupported statement start {token.value!r}", token.position)
-
-    def _create_table(self) -> CreateTable:
-        self._expect_keyword("CREATE")
-        self._expect_keyword("TABLE")
-        if_not_exists = False
-        if self._accept_keyword("IF"):
-            self._expect_keyword("NOT")
-            self._expect_keyword("EXISTS")
-            if_not_exists = True
-        table = self._expect_identifier()
-        self._expect_kind("LPAREN")
-        columns: List[Tuple[str, str]] = []
-        while True:
-            name = self._expect_identifier()
-            type_parts: List[str] = []
-            while self._check_kind("IDENT") or self._check_kind("NUMBER"):
-                type_parts.append(self._advance().value)
-            if self._accept_kind("LPAREN"):
-                # consume VARCHAR(255)-style size specifiers
-                while not self._accept_kind("RPAREN"):
-                    self._advance()
-            columns.append((name, " ".join(type_parts) or "TEXT"))
-            if not self._accept_kind("COMMA"):
-                break
-        self._expect_kind("RPAREN")
-        return CreateTable(table=table, columns=tuple(columns), if_not_exists=if_not_exists)
-
-    def _drop_table(self) -> DropTable:
-        self._expect_keyword("DROP")
-        self._expect_keyword("TABLE")
-        if_exists = False
-        if self._accept_keyword("IF"):
-            self._expect_keyword("EXISTS")
-            if_exists = True
-        table = self._expect_identifier()
-        return DropTable(table=table, if_exists=if_exists)
-
-    def _delete(self) -> Delete:
-        self._expect_keyword("DELETE")
-        self._expect_keyword("FROM")
-        table = self._expect_identifier()
-        where = None
-        if self._accept_keyword("WHERE"):
-            where = self._expression()
-        return Delete(table=table, where=where)
-
-    def _insert(self) -> Insert:
-        self._expect_keyword("INSERT")
-        self._expect_keyword("INTO")
-        table = self._expect_identifier()
-        columns: List[str] = []
-        if self._accept_kind("LPAREN"):
-            while True:
+    def statement(self) -> Statement:
+        if self._accept_keyword("INSERT"):
+            self._expect_keyword("INTO")
+            table = self._expect_identifier()
+            self._expect_kind("LPAREN")
+            columns = [self._expect_identifier()]
+            while self._accept_kind("COMMA"):
                 columns.append(self._expect_identifier())
-                if not self._accept_kind("COMMA"):
-                    break
             self._expect_kind("RPAREN")
-        if self._accept_keyword("VALUES"):
-            rows: List[Tuple[Expression, ...]] = []
-            while True:
-                self._expect_kind("LPAREN")
-                values: List[Expression] = []
-                while True:
-                    values.append(self._expression())
-                    if not self._accept_kind("COMMA"):
-                        break
-                self._expect_kind("RPAREN")
-                rows.append(tuple(values))
-                if not self._accept_kind("COMMA"):
-                    break
-            return Insert(table=table, columns=tuple(columns), values=tuple(rows))
-        select = self._select()
-        return Insert(table=table, columns=tuple(columns), select=select)
+            return Insert(table=table, columns=tuple(columns), select=self._select())
+        return self._select()
 
     def _select(self) -> Select:
         cores = [self._select_core()]
-        union_alls: List[bool] = []
-        while self._check_keyword("UNION"):
-            self._advance()
-            union_alls.append(self._accept_keyword("ALL"))
+        while self._accept_keyword("UNION"):
             cores.append(self._select_core())
         order_by: List[OrderItem] = []
         if self._accept_keyword("ORDER"):
             self._expect_keyword("BY")
             while True:
-                expression = self._expression()
-                descending = False
-                if self._accept_keyword("DESC"):
-                    descending = True
-                else:
-                    self._accept_keyword("ASC")
-                order_by.append(OrderItem(expression=expression, descending=descending))
+                column = self._column_ref(self._expect_identifier())
+                descending = self._accept_keyword("DESC")
+                order_by.append(OrderItem(expression=column, descending=descending))
                 if not self._accept_kind("COMMA"):
                     break
         limit: Optional[int] = None
         if self._accept_keyword("LIMIT"):
-            token = self._expect_kind("NUMBER")
-            limit = int(token.value)
-        return Select(
-            cores=tuple(cores),
-            union_alls=tuple(union_alls),
-            order_by=tuple(order_by),
-            limit=limit,
-        )
+            limit = int(self._expect_kind("NUMBER").value)
+        return Select(cores=tuple(cores), order_by=tuple(order_by), limit=limit)
 
     def _select_core(self) -> SelectCore:
         self._expect_keyword("SELECT")
         distinct = self._accept_keyword("DISTINCT")
-        if distinct is False:
-            self._accept_keyword("ALL")
-        items: List[SelectItem] = []
-        while True:
+        items = [self._select_item()]
+        while self._accept_kind("COMMA"):
             items.append(self._select_item())
-            if not self._accept_kind("COMMA"):
-                break
-        sources: List[TableSource] = []
-        if self._accept_keyword("FROM"):
+        self._expect_keyword("FROM")
+        sources = [self._table_source()]
+        while self._accept_kind("COMMA"):
             sources.append(self._table_source())
-            while True:
-                if self._accept_kind("COMMA"):
-                    sources.append(self._table_source())
-                    continue
-                joined = self._maybe_join(sources)
-                if joined:
-                    continue
-                break
-        where = None
-        if self._accept_keyword("WHERE"):
-            where = self._expression()
+        where = self._expression() if self._accept_keyword("WHERE") else None
         group_by: List[Expression] = []
         if self._accept_keyword("GROUP"):
             self._expect_keyword("BY")
-            while True:
+            group_by.append(self._expression())
+            while self._accept_kind("COMMA"):
                 group_by.append(self._expression())
-                if not self._accept_kind("COMMA"):
-                    break
-        having = None
-        if self._accept_keyword("HAVING"):
-            having = self._expression()
+        having = self._expression() if self._accept_keyword("HAVING") else None
         return SelectCore(
             items=tuple(items),
             sources=tuple(sources),
@@ -351,137 +216,48 @@ class Parser:
             distinct=distinct,
         )
 
-    def _maybe_join(self, sources: List[TableSource]) -> bool:
-        """If the next tokens start an explicit JOIN, fold it onto the last source."""
-        kind = None
-        if self._check_keyword("JOIN"):
-            kind = "INNER"
-            self._advance()
-        elif self._check_keyword("INNER") and self._peek(1).matches_keyword("JOIN"):
-            kind = "INNER"
-            self._advance()
-            self._advance()
-        elif self._check_keyword("LEFT"):
-            lookahead = 1
-            if self._peek(1).matches_keyword("OUTER"):
-                lookahead = 2
-            if self._peek(lookahead).matches_keyword("JOIN"):
-                kind = "LEFT"
-                for _ in range(lookahead + 1):
-                    self._advance()
-        if kind is None:
-            return False
-        right = self._table_source()
-        condition = None
-        if self._accept_keyword("ON"):
-            condition = self._expression()
-        left = sources.pop()
-        sources.append(Join(left=left, right=right, condition=condition, kind=kind))
-        return True
-
-    def _table_source(self) -> TableSource:
+    def _table_source(self) -> Union[TableRef, SubqueryRef]:
         if self._accept_kind("LPAREN"):
             select = self._select()
             self._expect_kind("RPAREN")
-            alias = self._table_alias(required=True)
-            return SubqueryRef(subquery=select, alias=alias)
+            token = self._peek()
+            if token.kind != "IDENT":
+                raise ParseError("subquery in FROM requires an alias", token.position)
+            return SubqueryRef(subquery=select, alias=self._advance().value)
         name = self._expect_identifier()
-        alias = self._table_alias(required=False)
+        alias = self._advance().value if self._peek().kind == "IDENT" else None
         return TableRef(name=name, alias=alias)
 
-    def _table_alias(self, required: bool) -> Optional[str]:
-        if self._accept_keyword("AS"):
-            return self._expect_identifier()
-        if self._check_kind("IDENT"):
-            return self._advance().value
-        if required:
-            token = self._peek()
-            raise ParseError("subquery in FROM requires an alias", token.position)
-        return None
-
     def _select_item(self) -> SelectItem:
-        if self._check_kind("STAR"):
-            self._advance()
-            return SelectItem(expression=Star())
-        # table.* form
-        if (
-            self._check_kind("IDENT")
-            and self._peek(1).kind == "DOT"
-            and self._peek(2).kind == "STAR"
-        ):
-            table = self._advance().value
-            self._advance()
-            self._advance()
-            return SelectItem(expression=Star(table=table))
         expression = self._expression()
-        alias: Optional[str] = None
-        if self._accept_keyword("AS"):
-            alias = self._expect_identifier()
-        elif self._check_kind("IDENT"):
-            alias = self._advance().value
+        alias = self._expect_identifier() if self._accept_keyword("AS") else None
         return SelectItem(expression=expression, alias=alias)
 
     # -- expressions ----------------------------------------------------------
 
     def _expression(self) -> Expression:
-        return self._or_expression()
-
-    def _or_expression(self) -> Expression:
-        left = self._and_expression()
-        while self._accept_keyword("OR"):
-            right = self._and_expression()
-            left = BinaryOp(op="OR", left=left, right=right)
-        return left
-
-    def _and_expression(self) -> Expression:
-        left = self._not_expression()
+        left = self._comparison()
         while self._accept_keyword("AND"):
-            right = self._not_expression()
-            left = BinaryOp(op="AND", left=left, right=right)
+            left = BinaryOp(op="AND", left=left, right=self._comparison())
         return left
-
-    def _not_expression(self) -> Expression:
-        if self._accept_keyword("NOT"):
-            return UnaryOp(op="NOT", operand=self._not_expression())
-        return self._comparison()
 
     def _comparison(self) -> Expression:
         left = self._additive()
         token = self._peek()
-        if token.kind == "OP" and token.value in ("=", "<", ">", "<=", ">=", "<>", "!="):
+        if token.kind == "OP" and token.value in _COMPARISONS:
             op = self._advance().value
-            if op == "!=":
-                op = "<>"
-            right = self._additive()
-            return BinaryOp(op=op, left=left, right=right)
-        negated = False
-        if self._check_keyword("NOT") and self._peek(1).matches_keyword("IN", "LIKE", "BETWEEN"):
-            self._advance()
-            negated = True
-        if self._accept_keyword("IN"):
+            return BinaryOp(op=op, left=left, right=self._additive())
+        negated = self._accept_keyword("NOT")
+        if negated or self._check_keyword("IN"):
+            self._expect_keyword("IN")
             self._expect_kind("LPAREN")
-            if self._check_keyword("SELECT"):
-                subquery = self._select()
-                self._expect_kind("RPAREN")
-                return InSubquery(operand=left, subquery=subquery, negated=negated)
-            items: List[Expression] = []
-            while True:
-                items.append(self._expression())
-                if not self._accept_kind("COMMA"):
-                    break
+            subquery = self._select()
             self._expect_kind("RPAREN")
-            return InList(operand=left, items=tuple(items), negated=negated)
-        if self._accept_keyword("LIKE"):
-            right = self._additive()
-            expression: Expression = BinaryOp(op="LIKE", left=left, right=right)
-            if negated:
-                expression = UnaryOp(op="NOT", operand=expression)
-            return expression
+            return InSubquery(operand=left, subquery=subquery, negated=negated)
         if self._accept_keyword("BETWEEN"):
             low = self._additive()
             self._expect_keyword("AND")
-            high = self._additive()
-            return Between(operand=left, low=low, high=high, negated=negated)
+            return Between(operand=left, low=low, high=self._additive())
         if self._accept_keyword("IS"):
             is_negated = self._accept_keyword("NOT")
             self._expect_keyword("NULL")
@@ -490,119 +266,70 @@ class Parser:
 
     def _additive(self) -> Expression:
         left = self._multiplicative()
-        while True:
-            token = self._peek()
-            if token.kind == "PLUS":
-                self._advance()
-                left = BinaryOp(op="+", left=left, right=self._multiplicative())
-            elif token.kind == "MINUS":
-                self._advance()
-                left = BinaryOp(op="-", left=left, right=self._multiplicative())
-            elif token.kind == "OP" and token.value == "||":
-                self._advance()
-                left = BinaryOp(op="||", left=left, right=self._multiplicative())
-            else:
-                return left
+        while self._peek().kind in ("PLUS", "MINUS"):
+            op = self._advance().value
+            left = BinaryOp(op=op, left=left, right=self._multiplicative())
+        return left
 
     def _multiplicative(self) -> Expression:
         left = self._unary()
-        while True:
-            token = self._peek()
-            if token.kind == "STAR":
-                self._advance()
-                left = BinaryOp(op="*", left=left, right=self._unary())
-            elif token.kind == "SLASH":
-                self._advance()
-                left = BinaryOp(op="/", left=left, right=self._unary())
-            elif token.kind == "PERCENT":
-                self._advance()
-                left = BinaryOp(op="%", left=left, right=self._unary())
-            else:
-                return left
+        while self._peek().kind in ("STAR", "SLASH"):
+            op = self._advance().value
+            left = BinaryOp(op=op, left=left, right=self._unary())
+        return left
 
     def _unary(self) -> Expression:
-        token = self._peek()
-        if token.kind == "MINUS":
-            self._advance()
-            return UnaryOp(op="-", operand=self._unary())
-        if token.kind == "PLUS":
-            self._advance()
-            return self._unary()
+        # A leading minus is how bind_params spells a negative number.
+        if self._accept_kind("MINUS"):
+            return Literal(-_number(self._expect_kind("NUMBER").value))
         return self._primary()
 
     def _primary(self) -> Expression:
-        token = self._peek()
+        token = self._advance()
         if token.kind == "NUMBER":
-            self._advance()
-            text = token.value
-            if "." in text or "e" in text or "E" in text:
-                return Literal(float(text))
-            return Literal(int(text))
+            return Literal(_number(token.value))
         if token.kind == "STRING":
-            self._advance()
             return Literal(token.value)
-        if token.matches_keyword("NULL"):
-            self._advance()
-            return Literal(None)
-        if token.matches_keyword("TRUE"):
-            self._advance()
-            return Literal(True)
-        if token.matches_keyword("FALSE"):
-            self._advance()
-            return Literal(False)
+        if token.matches_keyword("NULL", "TRUE", "FALSE"):
+            return Literal({"NULL": None, "TRUE": True, "FALSE": False}[token.value])
         if token.matches_keyword("CASE"):
             return self._case_expression()
         if token.kind == "LPAREN":
-            self._advance()
-            if self._check_keyword("SELECT"):
-                subquery = self._select()
-                self._expect_kind("RPAREN")
-                return ScalarSubquery(subquery=subquery)
             expression = self._expression()
             self._expect_kind("RPAREN")
             return expression
-        if token.kind == "IDENT" or token.kind == "KEYWORD":
-            return self._identifier_expression()
+        if token.kind == "IDENT":
+            if self._peek().kind == "LPAREN":
+                return self._function_call(token.value.upper())
+            return self._column_ref(token.value)
         raise ParseError(f"unexpected token {token.value!r}", token.position)
 
+    def _column_ref(self, name: str) -> ColumnRef:
+        if self._accept_kind("DOT"):
+            return ColumnRef(name=self._expect_identifier(), table=name)
+        return ColumnRef(name=name)
+
+    def _function_call(self, name: str) -> FunctionCall:
+        self._expect_kind("LPAREN")
+        if name == "COUNT":
+            self._expect_kind("STAR")
+            self._expect_kind("RPAREN")
+            return FunctionCall(name=name, args=())
+        args = [self._expression()]
+        while self._accept_kind("COMMA"):
+            args.append(self._expression())
+        self._expect_kind("RPAREN")
+        return FunctionCall(name=name, args=tuple(args))
+
     def _case_expression(self) -> Expression:
-        self._expect_keyword("CASE")
         whens: List[Tuple[Expression, Expression]] = []
-        default: Optional[Expression] = None
         while self._accept_keyword("WHEN"):
             condition = self._expression()
             self._expect_keyword("THEN")
-            value = self._expression()
-            whens.append((condition, value))
-        if self._accept_keyword("ELSE"):
-            default = self._expression()
-        self._expect_keyword("END")
+            whens.append((condition, self._expression()))
         if not whens:
             raise ParseError("CASE requires at least one WHEN clause", self._peek().position)
+        self._expect_keyword("ELSE")
+        default = self._expression()
+        self._expect_keyword("END")
         return CaseExpression(whens=tuple(whens), default=default)
-
-    def _identifier_expression(self) -> Expression:
-        token = self._peek()
-        if token.kind == "KEYWORD" and token.value not in {"ALL", "LEFT", "END"}:
-            raise ParseError(f"unexpected keyword {token.value!r}", token.position)
-        name = self._advance().value
-        # function call
-        if self._check_kind("LPAREN"):
-            self._advance()
-            distinct = self._accept_keyword("DISTINCT")
-            args: List[Expression] = []
-            if self._check_kind("STAR"):
-                self._advance()
-                args.append(Star())
-            elif not self._check_kind("RPAREN"):
-                while True:
-                    args.append(self._expression())
-                    if not self._accept_kind("COMMA"):
-                        break
-            self._expect_kind("RPAREN")
-            return FunctionCall(name=name.upper(), args=tuple(args), distinct=distinct)
-        # qualified column reference
-        if self._accept_kind("DOT"):
-            column = self._expect_identifier()
-            return ColumnRef(name=column, table=name)
-        return ColumnRef(name=name)

@@ -1,55 +1,34 @@
 """In-memory tables with named columns.
 
-A :class:`Table` stores rows as plain tuples plus a list of column names.
-Column types are advisory (the engine is dynamically typed like SQLite) but
-are retained so ``CREATE TABLE`` round-trips and tests can introspect them.
+A :class:`Table` stores rows as plain tuples plus a list of column names;
+values are dynamically typed, as in SQLite, so column types are not kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.dbengine.errors import ExecutionError
 
-__all__ = ["Column", "Table"]
+__all__ = ["Table"]
 
 Row = Tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class Column:
-    """A column definition: a name and an advisory type name."""
-
-    name: str
-    type_name: str = "TEXT"
 
 
 class Table:
     """A named, ordered collection of rows with a fixed column list."""
 
-    def __init__(self, name: str, columns: Sequence[Column | str]):
-        if not columns:
+    def __init__(self, name: str, column_names: Sequence[str]):
+        if not column_names:
             raise ExecutionError(f"table {name!r} must have at least one column")
-        normalized: List[Column] = []
-        for column in columns:
-            if isinstance(column, Column):
-                normalized.append(column)
-            else:
-                normalized.append(Column(name=str(column)))
-        names = [column.name.lower() for column in normalized]
-        if len(set(names)) != len(names):
+        self._index: Dict[str, int] = {
+            column.lower(): i for i, column in enumerate(column_names)
+        }
+        if len(self._index) != len(column_names):
             raise ExecutionError(f"table {name!r} has duplicate column names")
         self.name = name
-        self.columns: List[Column] = normalized
-        self._index: Dict[str, int] = {column.name.lower(): i for i, column in enumerate(normalized)}
+        self.column_names: List[str] = list(column_names)
         self.rows: List[Row] = []
-
-    # -- schema ---------------------------------------------------------------
-
-    @property
-    def column_names(self) -> List[str]:
-        return [column.name for column in self.columns]
 
     def column_index(self, name: str) -> int:
         try:
@@ -59,41 +38,15 @@ class Table:
                 f"table {self.name!r} has no column {name!r}"
             ) from exc
 
-    def has_column(self, name: str) -> bool:
-        return name.lower() in self._index
-
-    # -- data -----------------------------------------------------------------
-
-    def insert(self, values: Sequence[object]) -> None:
-        """Append one row; the value count must match the column count."""
-        if len(values) != len(self.columns):
-            raise ExecutionError(
-                f"table {self.name!r} expects {len(self.columns)} values, "
-                f"got {len(values)}"
-            )
-        self.rows.append(tuple(values))
-
     def insert_many(self, rows: Iterable[Sequence[object]]) -> int:
-        """Append many rows; returns the number inserted."""
+        """Append rows (each must match the column count); returns the count."""
+        width = len(self.column_names)
         count = 0
         for row in rows:
-            self.insert(row)
+            if len(row) != width:
+                raise ExecutionError(
+                    f"table {self.name!r} expects {width} values, got {len(row)}"
+                )
+            self.rows.append(tuple(row))
             count += 1
         return count
-
-    def clear(self) -> None:
-        self.rows.clear()
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
-
-    def to_dicts(self) -> List[Dict[str, object]]:
-        """Rows as dictionaries keyed by column name (test/debug helper)."""
-        names = self.column_names
-        return [dict(zip(names, row)) for row in self.rows]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Table({self.name!r}, columns={self.column_names}, rows={len(self.rows)})"

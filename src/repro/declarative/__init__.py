@@ -11,7 +11,7 @@ The declarative classes share the interface of the direct predicates
 integration tests verify that both realizations produce the same rankings.
 """
 
-from repro.declarative.base import DeclarativePredicate, SQLFastPathStats
+from repro.declarative.base import DeclarativePredicate, SQLStats
 from repro.declarative.shared import SharedTables, clear_shared_state
 from repro.declarative.overlap import (
     DeclarativeIntersectSize,
@@ -37,7 +37,7 @@ from repro.declarative.registry import (
 
 __all__ = [
     "DeclarativePredicate",
-    "SQLFastPathStats",
+    "SQLStats",
     "SharedTables",
     "clear_shared_state",
     "DeclarativeIntersectSize",

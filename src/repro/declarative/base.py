@@ -26,21 +26,21 @@ from repro.text.tokenize import QgramTokenizer, Tokenizer
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.blocking.base import Blocker
 
-__all__ = ["DeclarativePredicate", "SQLFastPathStats"]
+__all__ = ["DeclarativePredicate", "SQLStats"]
 
 
 @dataclass
-class SQLFastPathStats:
+class SQLStats:
     """Work counters of the most recent declarative query execution.
 
     How many candidate rows the SQL returned versus the base-relation size,
-    and which fast paths the statement used (``"batch"``,
+    and which plan steps the statement used (``"batch"``,
     ``"order-by-limit"``, ``"length-filter"``, ``"prefix-filter"``).
     """
 
     rows_scored: int = 0
     base_size: int = 0
-    fastpath: Tuple[str, ...] = ()
+    plan: Tuple[str, ...] = ()
 
     @property
     def reduction_ratio(self) -> float:
@@ -48,7 +48,7 @@ class SQLFastPathStats:
         return self.base_size / self.rows_scored if self.rows_scored else float("inf")
 
     def describe(self) -> str:
-        via = f" via {'+'.join(self.fastpath)}" if self.fastpath else ""
+        via = f" via {'+'.join(self.plan)}" if self.plan else ""
         return (
             f"{self.rows_scored}/{self.base_size} candidate rows returned by SQL{via}"
         )
@@ -56,8 +56,8 @@ class SQLFastPathStats:
     def publish(self, metrics) -> None:
         """Accumulate into a :class:`~repro.obs.metrics.MetricsRegistry`."""
         metrics.inc("sql_rows_scored", self.rows_scored)
-        for path in self.fastpath:
-            metrics.inc(f"sql_fastpath.{path}")
+        for step in self.plan:
+            metrics.inc(f"sql_plan.{step}")
 
 
 class DeclarativePredicate(ABC):
@@ -87,9 +87,10 @@ class DeclarativePredicate(ABC):
     :meth:`batch_scores_sql` (one statement per batch, grouped by ``qid``)
     behind :meth:`run_many` / :meth:`query_scores_batch`.
 
-    ``fastpath=False`` restores the pre-fast-path behaviour (per-query
-    statements, no shared-table indexes, no in-SQL pruning or pushdown) --
-    used by the benchmarks as the baseline.
+    Shared-table indexes, batched statements, the ORDER BY/LIMIT pushdown
+    and in-SQL pruning apply wherever the family has them; ``rank(q)``
+    without a limit and the per-query :meth:`query_scores` are the unpushed
+    calls the pushdown is checked against.
 
     The class satisfies the same
     :class:`repro.engine.protocol.SimilarityPredicateProtocol` as the direct
@@ -114,15 +115,9 @@ class DeclarativePredicate(ABC):
         self,
         backend: Optional[SQLBackend] = None,
         tokenizer: Optional[Tokenizer] = None,
-        sql_tokenization: bool = False,
-        fastpath: bool = True,
     ):
         self.backend = backend if backend is not None else MemoryBackend()
         self.tokenizer = tokenizer or QgramTokenizer(q=2)
-        self.sql_tokenization = sql_tokenization
-        #: Enables the declarative fast paths (shared-table indexes, batched
-        #: SQL, ORDER BY/LIMIT pushdown, in-SQL candidate pruning).
-        self.fastpath = bool(fastpath)
         self._strings: List[str] = []
         self._preprocessed = False
         self._blocker: Optional["Blocker"] = None
@@ -137,7 +132,7 @@ class DeclarativePredicate(ABC):
         #: batch (``None`` before any batch ran).
         self.last_batch_candidates: Optional[List[int]] = None
         #: SQL-side work counters of the most recent query execution.
-        self.last_sql_stats: Optional[SQLFastPathStats] = None
+        self.last_sql_stats: Optional[SQLStats] = None
         #: Last query's raw ``(tid, score)`` rows, so :meth:`score` loops over
         #: one query (e.g. join verification) pay the SQL once.
         self._score_cache: Optional[Tuple[str, Dict[int, float]]] = None
@@ -171,14 +166,8 @@ class DeclarativePredicate(ABC):
         reused by every later predicate fitted on the same (backend, relation,
         tokenizer) -- fitting a second predicate pays no tokenization.
         """
-        if self.sql_tokenization and not isinstance(self.tokenizer, QgramTokenizer):
-            raise ValueError("sql_tokenization is only supported for q-gram tokenizers")
         self._core = shared_tables.acquire_core(
-            self.backend,
-            self._strings,
-            self.tokenizer,
-            sql_tokenization=self.sql_tokenization,
-            indexes=self.fastpath,
+            self.backend, self._strings, self.tokenizer
         )
         self._core_features = {shared_tables.CORE: None}
 
@@ -357,25 +346,24 @@ class DeclarativePredicate(ABC):
     def query_scores_batch(self, queries: Sequence[str]) -> List[List[tuple]]:
         """Score a batch of queries; returns per-query ``(tid, score)`` rows.
 
-        With a per-family batched statement available (and the fast path on),
-        the whole batch runs as **one** SQL execution grouped by ``qid``.
+        With a per-family batched statement available, the whole batch runs
+        as **one** SQL execution grouped by ``qid``.
         """
         queries = list(queries)
         self._last_batch_sql = False
         if not queries:
             return []
-        if self.fastpath:
-            self.prepare_batch(queries)
-            pair = self.batch_scores_sql()
-            if pair is not None:
-                sql, params = pair
-                rows = self.backend.query(sql, params or None)
-                buckets: List[List[tuple]] = [[] for _ in queries]
-                for qid, tid, score in rows:
-                    buckets[int(qid)].append((tid, score))
-                self._last_batch_sql = True
-                return buckets
-        return [self.query_scores(query) for query in queries]
+        self.prepare_batch(queries)
+        pair = self.batch_scores_sql()
+        if pair is None:
+            return [self.query_scores(query) for query in queries]
+        sql, params = pair
+        rows = self.backend.query(sql, params or None)
+        buckets: List[List[tuple]] = [[] for _ in queries]
+        for qid, tid, score in rows:
+            buckets[int(qid)].append((tid, score))
+        self._last_batch_sql = True
+        return buckets
 
     def _batch_topk_rows(
         self, queries: Sequence[str], k: int
@@ -389,8 +377,7 @@ class DeclarativePredicate(ABC):
         (SQLite; the in-memory engine falls back to the plain batch path).
         """
         if (
-            not self.fastpath
-            or not self.single_statement
+            not self.single_statement
             or self._blocker is not None
             or self._restriction is not None
             or not getattr(self.backend, "supports_window_functions", False)
@@ -429,12 +416,7 @@ class DeclarativePredicate(ABC):
         by ``(-score, tid)`` over the same SQL-computed scores.
         """
         self._require_preprocessed()
-        if (
-            limit is not None
-            and self.fastpath
-            and self._blocker is None
-            and self._restriction is None
-        ):
+        if limit is not None and self._blocker is None and self._restriction is None:
             pushed = self._rank_pushdown(query, limit)
             if pushed is not None:
                 return pushed
@@ -444,7 +426,7 @@ class DeclarativePredicate(ABC):
             if score is not None
         ]
         rows = self._apply_candidate_filter(query, rows)
-        self.last_sql_stats = SQLFastPathStats(
+        self.last_sql_stats = SQLStats(
             rows_scored=len(rows), base_size=len(self._strings)
         )
         rows.sort(key=lambda st: (-st.score, st.tid))
@@ -472,10 +454,10 @@ class DeclarativePredicate(ABC):
         # The SQL consumed the full candidate set internally; only the
         # returned rows are observable, which is what the stats report.
         self.last_num_candidates = len(rows)
-        self.last_sql_stats = SQLFastPathStats(
+        self.last_sql_stats = SQLStats(
             rows_scored=len(rows),
             base_size=len(self._strings),
-            fastpath=("order-by-limit",),
+            plan=("order-by-limit",),
         )
         return [Match(int(tid), float(score)) for tid, score in rows]
 
@@ -559,10 +541,10 @@ class DeclarativePredicate(ABC):
             markers.append("batch")
         if in_sql_cut:
             markers.append("order-by-limit")
-        self.last_sql_stats = SQLFastPathStats(
+        self.last_sql_stats = SQLStats(
             rows_scored=total_rows,
             base_size=len(self._strings) * max(len(queries), 1),
-            fastpath=tuple(markers),
+            plan=tuple(markers),
         )
         return results
 

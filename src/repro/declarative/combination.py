@@ -446,8 +446,6 @@ class DeclarativeGESJaccard(_DeclarativeCombinationBase):
         self._last_batch_sql = False
         if not queries:
             return []
-        if not self.fastpath:
-            return [self.query_scores(query) for query in queries]
         assert self._verifier is not None
         self.prepare_batch(queries)
         candidates = self.backend.query(self._batch_filter_sql())

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 from repro.blocking.prefix import PrefixFilter
 from repro.core.predicates.base import Match
-from repro.declarative.base import DeclarativePredicate, SQLFastPathStats
+from repro.declarative.base import DeclarativePredicate, SQLStats
 
 __all__ = [
     "DeclarativeIntersectSize",
@@ -162,10 +162,9 @@ class DeclarativeJaccard(_DeclarativeOverlapBase):
         Exact for Jaccard (the same argument as the blocking filters): a
         candidate outside the token-count bounds, or sharing no rarest-prefix
         token with the query, cannot reach the threshold.  Falls back to the
-        generic scored-then-filtered path when the fast path is off or the
-        threshold does not prune.
+        generic scored-then-filtered path when the threshold does not prune.
         """
-        if not self.fastpath or not 0.0 < threshold <= 1.0:
+        if not 0.0 < threshold <= 1.0:
             return super().select(query, threshold)
         self._check_blocker_threshold(threshold)
         self._require_preprocessed()
@@ -193,10 +192,10 @@ class DeclarativeJaccard(_DeclarativeOverlapBase):
             if score is not None
         ]
         rows = self._apply_candidate_filter(query, rows)
-        self.last_sql_stats = SQLFastPathStats(
+        self.last_sql_stats = SQLStats(
             rows_scored=len(rows),
             base_size=len(self._strings),
-            fastpath=("length-filter", "prefix-filter"),
+            plan=("length-filter", "prefix-filter"),
         )
         results = [match for match in rows if match.score >= threshold]
         results.sort(key=lambda st: (-st.score, st.tid))

@@ -92,7 +92,6 @@ class SharedTables:
     prefix: str
     key: tuple
     num_tuples: int
-    indexed: bool = False
     dead: bool = False
     #: feature name -> signature it was last built with (None = parameterless).
     sigs: Dict[str, object] = field(default_factory=dict)
@@ -118,9 +117,7 @@ class SharedTables:
         return full
 
     def index(self, backend: SQLBackend, base: str, *columns: str) -> None:
-        """Create an index over a core table (no-op when indexing is off)."""
-        if not self.indexed:
-            return
+        """Create an index over a core table (a no-op on the memory engine)."""
         table = self.name(base)
         backend.create_index(f"IDX_{table}_{'_'.join(columns)}", table, columns)
 
@@ -163,15 +160,6 @@ class SharedTables:
         suffix = variants[key]
         return f"{feature}{suffix}", suffix
 
-    def enable_indexes(self, backend: SQLBackend) -> None:
-        """Index the already-materialized core tables (idempotent)."""
-        if self.indexed:
-            return
-        self.indexed = True
-        for base, columns in _CORE_INDEXES:
-            if backend.has_table(self.name(base)):
-                self.index(backend, base, *columns)
-
 
 # -- core + standard feature builders -----------------------------------------
 
@@ -192,17 +180,10 @@ def _build_core(
     core: SharedTables,
     strings: Sequence[str],
     tokenizer: Tokenizer,
-    sql_tokenization: bool,
 ) -> None:
     prefix = core.prefix
     token_tables.load_base_table(backend, strings, prefix=prefix)
-    if sql_tokenization:
-        token_tables.load_base_tokens_sql(
-            backend, strings, getattr(tokenizer, "q", 2), prefix=prefix
-        )
-        core.tables.append(core.name("INTEGERS"))
-    else:
-        token_tables.load_base_tokens_python(backend, strings, tokenizer, prefix=prefix)
+    token_tables.load_base_tokens(backend, strings, tokenizer, prefix=prefix)
     core.tables.extend([core.name("BASE_TABLE"), core.name("BASE_TOKENS")])
     t = core.name
     core.table(backend, "BASE_TOKENS_DIST", ["tid INTEGER", "token TEXT"])
@@ -229,6 +210,8 @@ def _build_core(
         f"INSERT INTO {t('BASE_TIDLEN')} (tid, len) "
         f"SELECT D.tid, COUNT(*) FROM {t('BASE_TOKENS_DIST')} D GROUP BY D.tid"
     )
+    for base, columns in _CORE_INDEXES:
+        core.index(backend, base, *columns)
 
 
 def _build_dl(backend: SQLBackend, core: SharedTables) -> None:
@@ -390,8 +373,6 @@ def acquire_core(
     backend: SQLBackend,
     strings: Sequence[str],
     tokenizer: Tokenizer,
-    sql_tokenization: bool = False,
-    indexes: bool = True,
 ) -> SharedTables:
     """The shared core for (backend, relation, tokenizer), built if absent.
 
@@ -411,11 +392,9 @@ def acquire_core(
             key=key,
             num_tuples=len(strings),
         )
-        _build_core(backend, core, strings, tokenizer, sql_tokenization)
+        _build_core(backend, core, strings, tokenizer)
         core.sigs[CORE] = None
         registry[key] = core
-    if indexes:
-        core.enable_indexes(backend)
     return core
 
 

@@ -1,16 +1,9 @@
 """Token-table preparation for the declarative framework (paper Appendix A).
 
-Tokenization of the base relation can be performed either
-
-* *in SQL* (``sql_tokenization=True``) with the INTEGERS-table join of
-  Appendix A.1 -- faithful to the paper but quadratic in string length on the
-  nested-loop engine, so intended for small relations and fidelity tests; or
-* *in Python* (the default) with the same padding rules, bulk-loading the
-  resulting ``BASE_TOKENS`` rows -- the behaviour is identical, only the
-  mechanism differs.
-
-Either way the resulting tables are exactly the ones the paper's query-time
-SQL expects: ``BASE_TABLE(tid, string)``, ``BASE_TOKENS(tid, token)`` and, at
+The base relation is tokenized in Python with the predicate's tokenizer (the
+padding rules of Appendix A.1) and the resulting ``BASE_TOKENS`` rows are
+bulk-loaded -- the tables are exactly the ones the paper's query-time SQL
+expects: ``BASE_TABLE(tid, string)``, ``BASE_TOKENS(tid, token)`` and, at
 query time, ``QUERY_TOKENS(token)``.  Every loader accepts a table-name
 ``prefix`` so several shared cores (one per relation/tokenizer pair) can
 coexist on one backend -- see :mod:`repro.declarative.shared`.
@@ -25,27 +18,14 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.backends.base import SQLBackend
-from repro.text.tokenize import Tokenizer, normalize_string
+from repro.text.tokenize import Tokenizer
 
 __all__ = [
-    "sql_escape",
     "load_base_table",
-    "load_base_tokens_python",
-    "load_base_tokens_sql",
+    "load_base_tokens",
     "load_query_tokens",
     "load_query_batch",
-    "qgram_tokenization_sql",
 ]
-
-
-def sql_escape(value: str) -> str:
-    """Escape a string literal for inclusion in SQL (single-quote doubling).
-
-    Statement parameters (``backend.query(sql, params)``) are the preferred
-    way to pass strings -- they never touch the SQL text -- but this helper
-    remains for callers assembling literal scripts (e.g. reports).
-    """
-    return value.replace("'", "''")
 
 
 def load_base_table(backend: SQLBackend, strings: Sequence[str], prefix: str = "") -> None:
@@ -56,55 +36,16 @@ def load_base_table(backend: SQLBackend, strings: Sequence[str], prefix: str = "
     )
 
 
-def load_base_tokens_python(
+def load_base_tokens(
     backend: SQLBackend, strings: Sequence[str], tokenizer: Tokenizer, prefix: str = ""
 ) -> None:
-    """Populate ``BASE_TOKENS`` by tokenizing in Python (the fast path)."""
+    """(Re)create and populate ``BASE_TOKENS(tid, token)`` with ``tokenizer``."""
     backend.recreate_table(f"{prefix}BASE_TOKENS", ["tid INTEGER", "token TEXT"])
     rows: List[tuple] = []
     for tid, text in enumerate(strings):
         for token in tokenizer.tokenize(text):
             rows.append((tid, token))
     backend.insert_rows(f"{prefix}BASE_TOKENS", rows)
-
-
-def qgram_tokenization_sql(q: int, source_table: str, target_table: str,
-                           include_tid: bool = True, integers_table: str = "INTEGERS") -> str:
-    """The Appendix A.1 q-gram generation statement for the given tables.
-
-    The statement upper-cases the string, replaces every space by ``q - 1``
-    padding characters, pads both ends and emits every window of length ``q``
-    by joining against the INTEGERS table.
-    """
-    pad = "$" * (q - 1)
-    padded = f"'{pad}' || UPPER(REPLACE(string, ' ', '{pad}')) || '{pad}'"
-    tid_select = "tid, " if include_tid else ""
-    tid_insert = "(tid, token)" if include_tid else "(token)"
-    return (
-        f"INSERT INTO {target_table} {tid_insert} "
-        f"SELECT {tid_select}SUBSTR({padded}, {integers_table}.i, {q}) "
-        f"FROM {integers_table} INNER JOIN {source_table} "
-        f"ON {integers_table}.i <= LENGTH(REPLACE(string, ' ', '{pad}')) + {q - 1}"
-    )
-
-
-def load_base_tokens_sql(
-    backend: SQLBackend, strings: Sequence[str], q: int, prefix: str = ""
-) -> None:
-    """Populate ``BASE_TOKENS`` with the SQL q-gram generation of Appendix A.1."""
-    max_padded_length = max(
-        (len(normalize_string(text).replace(" ", "$" * (q - 1))) + (q - 1) for text in strings),
-        default=q,
-    )
-    integers = f"{prefix}INTEGERS"
-    backend.recreate_table(integers, ["i INTEGER"])
-    backend.insert_rows(integers, [(i,) for i in range(1, max_padded_length + 1)])
-    backend.recreate_table(f"{prefix}BASE_TOKENS", ["tid INTEGER", "token TEXT"])
-    backend.execute(
-        qgram_tokenization_sql(
-            q, f"{prefix}BASE_TABLE", f"{prefix}BASE_TOKENS", integers_table=integers
-        )
-    )
 
 
 def load_query_tokens(backend: SQLBackend, query: str, tokenizer: Tokenizer) -> None:

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from repro.backends.base import SQLBackend
 from repro.blocking.base import BlockingStats
 from repro.core.predicates.base import Match
-from repro.declarative.base import SQLFastPathStats
+from repro.declarative.base import SQLStats
 from repro.obs.trace import Observability, Span
 from repro.resilience import (
     NOOP_INJECTOR,
@@ -123,8 +123,8 @@ class ExplainReport:
     #: Blocker candidate-reduction counters for the sample query.
     blocker_stats: Optional[BlockingStats] = None
     #: SQL-side work counters when the declarative realization ran (rows the
-    #: statement returned vs. base size, and which fast paths it used).
-    sql_stats: Optional[SQLFastPathStats] = None
+    #: statement returned vs. base size, and which plan steps it used).
+    sql_stats: Optional[SQLStats] = None
     #: The shared corpus core the predicate is fitted over (direct
     #: realization): tokenizer, rows / vocabulary / postings, build cost and
     #: how many of the engine's fitted predicates share it.

@@ -1144,12 +1144,6 @@ class Query:
             return "dense scan + partition (numpy kernel)"
         return "heap accumulation"
 
-    def _declarative_fastpath(self) -> bool:
-        """Whether this query's declarative predicate runs the fast paths."""
-        if not isinstance(self._predicate, str):
-            return bool(getattr(self._predicate, "fastpath", False))
-        return bool(self._predicate_kwargs.get("fastpath", True))
-
     def _declarative_kind(self) -> Optional[str]:
         """``similarity_kind`` of the declarative realization, if any."""
         if not isinstance(self._predicate, str):
@@ -1172,21 +1166,20 @@ class Query:
                     "sharding ignored: it applies to the direct realization "
                     "(the declarative realization executes unsharded SQL)"
                 )
-            if self._declarative_fastpath():
+            notes.append(
+                "declarative fast path: shared token/weight tables "
+                "(reused across predicates), batched multi-query SQL"
+            )
+            if op == "top_k":
                 notes.append(
-                    "declarative fast path: shared token/weight tables "
-                    "(reused across predicates), batched multi-query SQL"
+                    "top_k fast path: ORDER BY score DESC, tid LIMIT k "
+                    "pushed into the scoring SQL"
                 )
-                if op == "top_k":
-                    notes.append(
-                        "top_k fast path: ORDER BY score DESC, tid LIMIT k "
-                        "pushed into the scoring SQL"
-                    )
-                elif op == "select" and self._declarative_kind() == "jaccard":
-                    notes.append(
-                        "select fast path: length/prefix bounds pushed into "
-                        "the scoring SQL (exact for jaccard)"
-                    )
+            elif op == "select" and self._declarative_kind() == "jaccard":
+                notes.append(
+                    "select fast path: length/prefix bounds pushed into "
+                    "the scoring SQL (exact for jaccard)"
+                )
         else:
             notes.append("direct realization executes in-process (no SQL)")
             if self._uses_kernels():

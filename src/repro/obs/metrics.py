@@ -1,7 +1,7 @@
 """Process-wide named counters and fixed-bucket histograms.
 
 The engine's per-call stats dataclasses
-(:class:`~repro.declarative.base.SQLFastPathStats`,
+(:class:`~repro.declarative.base.SQLStats`,
 :class:`~repro.engine.plan.RunManyStats`, :class:`~repro.blocking.base.
 BlockingStats`, :class:`~repro.shard.predicate.ShardStats`) describe *one*
 operation and are overwritten by the next; the :class:`MetricsRegistry`

@@ -12,10 +12,6 @@ def kinds(sql: str) -> list[str]:
     return [token.kind for token in tokenize(sql)]
 
 
-def values(sql: str) -> list[str]:
-    return [token.value for token in tokenize(sql)[:-1]]
-
-
 class TestTokenize:
     def test_simple_select(self):
         tokens = tokenize("SELECT a FROM t")
@@ -27,52 +23,26 @@ class TestTokenize:
     def test_identifiers_preserve_case(self):
         assert tokenize("MyTable")[0].value == "MyTable"
 
-    def test_string_literal(self):
-        tokens = tokenize("SELECT 'hello world'")
-        assert tokens[1].kind == "STRING"
-        assert tokens[1].value == "hello world"
-
-    def test_string_literal_with_escaped_quote(self):
-        tokens = tokenize("SELECT 'it''s'")
-        assert tokens[1].value == "it's"
-
-    def test_unterminated_string(self):
-        with pytest.raises(ParseError):
-            tokenize("SELECT 'oops")
-
     def test_integer_and_float_numbers(self):
         tokens = tokenize("SELECT 1, 2.5, 0.001, 1e3, 2.5E-2")
         numbers = [t.value for t in tokens if t.kind == "NUMBER"]
         assert numbers == ["1", "2.5", "0.001", "1e3", "2.5E-2"]
 
     def test_operators(self):
-        tokens = tokenize("a <= b >= c <> d != e || f")
+        tokens = tokenize("a <= b >= c < d > e = f")
         ops = [t.value for t in tokens if t.kind == "OP"]
-        assert ops == ["<=", ">=", "<>", "!=", "||"]
+        assert ops == ["<=", ">=", "<", ">", "="]
 
     def test_punctuation(self):
-        assert kinds("( ) , . * + - / % ;")[:-1] == [
+        assert kinds("( ) , . * + - / ?")[:-1] == [
             "LPAREN", "RPAREN", "COMMA", "DOT", "STAR", "PLUS", "MINUS",
-            "SLASH", "PERCENT", "SEMICOLON",
+            "SLASH", "PARAM",
         ]
 
-    def test_line_comment_skipped(self):
-        tokens = tokenize("SELECT 1 -- this is a comment\n, 2")
-        numbers = [t.value for t in tokens if t.kind == "NUMBER"]
-        assert numbers == ["1", "2"]
-
-    def test_quoted_identifier(self):
-        tokens = tokenize('SELECT "weird name" FROM `other`')
-        idents = [t.value for t in tokens if t.kind == "IDENT"]
-        assert idents == ["weird name", "other"]
-
-    def test_unterminated_quoted_identifier(self):
+    @pytest.mark.parametrize("sql", ["SELECT @var", "SELECT 'a'", 'SELECT "a"', "a || b", "a % b", "a;"])
+    def test_unexpected_character(self, sql):
         with pytest.raises(ParseError):
-            tokenize('SELECT "oops')
-
-    def test_unexpected_character(self):
-        with pytest.raises(ParseError):
-            tokenize("SELECT @var")
+            tokenize(sql)
 
     def test_position_tracking(self):
         tokens = tokenize("SELECT abc")

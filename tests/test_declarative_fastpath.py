@@ -1,10 +1,11 @@
-"""Declarative fast-path tests: pushdown, in-SQL pruning, shared cores.
+"""Declarative pushdown tests: ORDER BY/LIMIT, in-SQL pruning, shared cores.
 
-Three guarantees of the declarative fast path are exercised here:
+Three guarantees of the declarative realization are exercised here:
 
-* **Exactness** -- the ORDER BY/LIMIT top-k pushdown and the in-SQL
-  length/prefix candidate pruning must return exactly what the unpruned,
-  unpushed path (``fastpath=False``) returns, property-tested over random
+* **Exactness** -- the ORDER BY/LIMIT top-k pushdown, the in-SQL
+  length/prefix candidate pruning and the batched statements must return
+  exactly what the unpushed calls on the same predicate return (``rank(q)``
+  without a limit, one query at a time), property-tested over random
   corpora, queries and thresholds on both backends.
 * **Shared-core reuse** -- fitting a second declarative predicate on an
   already-prepared backend must reuse the shared token tables instead of
@@ -36,15 +37,9 @@ corpora = st.lists(strings, min_size=2, max_size=12)
 BACKENDS = [MemoryBackend, SQLiteBackend]
 
 
-def _pair(name, backend_cls, corpus, **kwargs):
-    """A (fast, baseline) predicate pair fitted on separate backends."""
-    fast = make_declarative_predicate(name, backend=backend_cls(), **kwargs)
-    fast.preprocess(corpus)
-    slow = make_declarative_predicate(
-        name, backend=backend_cls(), fastpath=False, **kwargs
-    )
-    slow.preprocess(corpus)
-    return fast, slow
+def _fitted(name, backend_cls, corpus, **kwargs):
+    predicate = make_declarative_predicate(name, backend=backend_cls(), **kwargs)
+    return predicate.preprocess(corpus)
 
 
 class TestPushdownExactness:
@@ -53,12 +48,13 @@ class TestPushdownExactness:
     def test_order_by_limit_pushdown_equals_full_rank(self, corpus, query, k):
         for backend_cls in BACKENDS:
             for name in ("jaccard", "bm25", "weighted_match"):
-                fast, slow = _pair(name, backend_cls, corpus)
-                assert fast.rank(query, limit=k) == slow.rank(query, limit=k), (
+                predicate = _fitted(name, backend_cls, corpus)
+                full = predicate.rank(query)
+                assert predicate.rank(query, limit=k) == full[:k], (
                     name,
                     backend_cls.__name__,
                 )
-                assert fast.top_k(query, k) == slow.rank(query, limit=k)
+                assert predicate.top_k(query, k) == full[:k]
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -66,11 +62,12 @@ class TestPushdownExactness:
         query=strings,
         threshold=st.floats(min_value=0.05, max_value=1.0),
     )
-    def test_pruned_select_equals_unpruned(self, corpus, query, threshold):
+    def test_pruned_select_equals_filtered_rank(self, corpus, query, threshold):
         """Length/prefix bounds pushed into the Jaccard SQL stay exact."""
         for backend_cls in BACKENDS:
-            fast, slow = _pair("jaccard", backend_cls, corpus)
-            assert fast.select(query, threshold) == slow.select(query, threshold), (
+            predicate = _fitted("jaccard", backend_cls, corpus)
+            expected = [m for m in predicate.rank(query) if m.score >= threshold]
+            assert predicate.select(query, threshold) == expected, (
                 backend_cls.__name__,
                 threshold,
             )
@@ -79,23 +76,23 @@ class TestPushdownExactness:
         from repro.datagen import make_dataset
 
         corpus = make_dataset("CU1", size=120, num_clean=30, seed=9).strings
-        fast, slow = _pair("jaccard", SQLiteBackend, corpus)
-        fast_results = fast.select(corpus[3], 0.7)
-        fast_candidates = fast.last_num_candidates
-        slow_results = slow.select(corpus[3], 0.7)
-        assert fast_results == slow_results
-        assert fast_candidates < slow.last_num_candidates
-        assert fast.last_sql_stats.fastpath == ("length-filter", "prefix-filter")
+        predicate = _fitted("jaccard", SQLiteBackend, corpus)
+        pruned = predicate.select(corpus[3], 0.7)
+        pruned_candidates = predicate.last_num_candidates
+        assert predicate.last_sql_stats.plan == ("length-filter", "prefix-filter")
+        ranked = predicate.rank(corpus[3])
+        assert pruned == [m for m in ranked if m.score >= 0.7]
+        assert pruned_candidates < predicate.last_num_candidates
 
     @settings(max_examples=15, deadline=None)
     @given(corpus=corpora, queries=st.lists(strings, min_size=1, max_size=4))
     def test_batched_scores_equal_sequential(self, corpus, queries):
         for backend_cls in BACKENDS:
             for name in ("intersect", "cosine", "lm", "edit_distance"):
-                fast, slow = _pair(name, backend_cls, corpus)
-                batched = fast.run_many(queries, op="rank")
+                predicate = _fitted(name, backend_cls, corpus)
+                batched = predicate.run_many(queries, op="rank")
                 for query, batch in zip(queries, batched):
-                    expected = slow.rank(query)
+                    expected = predicate.rank(query)
                     assert [m.tid for m in batch] == [m.tid for m in expected]
                     for got, want in zip(batch, expected):
                         assert got.score == pytest.approx(

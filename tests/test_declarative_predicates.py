@@ -193,27 +193,3 @@ class TestSqliteBackendEndToEnd:
         finally:
             sqlite_backend.close()
 
-
-class TestSqlTokenization:
-    def test_sql_qgram_generation_matches_python(self, company_strings):
-        """Appendix A.1 SQL tokenization equals the Python tokenizer."""
-        declarative = make_declarative_predicate(
-            "intersect", backend=MemoryBackend(), sql_tokenization=True
-        )
-        declarative.preprocess(company_strings[:6])
-        sql_tokens = sorted(declarative.backend.query("SELECT tid, token FROM BASE_TOKENS"))
-
-        python = make_declarative_predicate("intersect", backend=MemoryBackend())
-        python.preprocess(company_strings[:6])
-        python_tokens = sorted(python.backend.query("SELECT tid, token FROM BASE_TOKENS"))
-        assert sql_tokens == python_tokens
-
-    def test_sql_tokenization_requires_qgram_tokenizer(self, company_strings):
-        from repro.text.tokenize import WordTokenizer
-
-        declarative = make_declarative_predicate(
-            "intersect", backend=MemoryBackend(), sql_tokenization=True
-        )
-        declarative.tokenizer = WordTokenizer()
-        with pytest.raises(ValueError):
-            declarative.preprocess(company_strings[:3])

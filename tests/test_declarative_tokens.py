@@ -7,27 +7,11 @@ import pytest
 from repro.backends import MemoryBackend, SQLiteBackend
 from repro.declarative.tokens import (
     load_base_table,
-    load_base_tokens_python,
-    load_base_tokens_sql,
+    load_base_tokens,
+    load_query_batch,
     load_query_tokens,
-    qgram_tokenization_sql,
-    sql_escape,
 )
 from repro.text.tokenize import QgramTokenizer, WordTokenizer, qgrams
-
-
-class TestSqlEscape:
-    def test_plain_string_unchanged(self):
-        assert sql_escape("Morgan Stanley") == "Morgan Stanley"
-
-    def test_single_quote_doubled(self):
-        assert sql_escape("O'Reilly & Sons") == "O''Reilly & Sons"
-
-    def test_escaped_literal_round_trips_through_sql(self):
-        backend = MemoryBackend()
-        literal = sql_escape("It's a 'test'")
-        rows = backend.query(f"SELECT '{literal}'")
-        assert rows == [("It's a 'test'",)]
 
 
 class TestBaseTables:
@@ -49,7 +33,7 @@ class TestBaseTables:
         backend = MemoryBackend()
         strings = ["db lab", "data cleaning"]
         load_base_table(backend, strings)
-        load_base_tokens_python(backend, strings, QgramTokenizer(q=2))
+        load_base_tokens(backend, strings, QgramTokenizer(q=2))
         rows = backend.query("SELECT tid, token FROM BASE_TOKENS")
         expected = [
             (tid, token)
@@ -62,7 +46,7 @@ class TestBaseTables:
         backend = MemoryBackend()
         strings = ["Morgan Stanley"]
         load_base_table(backend, strings)
-        load_base_tokens_python(backend, strings, WordTokenizer())
+        load_base_tokens(backend, strings, WordTokenizer())
         rows = backend.query("SELECT token FROM BASE_TOKENS")
         assert sorted(row[0] for row in rows) == ["MORGAN", "STANLEY"]
 
@@ -72,28 +56,30 @@ class TestBaseTables:
         assert backend.row_count("QUERY_TOKENS") == len(qgrams("db lab", 2))
 
 
-class TestSqlTokenization:
+class TestBothBackends:
+    """The bulk-loaded token tables read back the same on either backend."""
+
     @pytest.mark.parametrize("q", [2, 3])
-    def test_sql_generation_matches_python(self, q):
-        strings = ["db lab", "Data cleaning", "a"]
+    def test_base_tokens_are_the_padded_qgrams(self, q):
+        strings = ["db lab", "Data cleaning", "a", ""]
+        expected = sorted(
+            (tid, token) for tid, text in enumerate(strings) for token in qgrams(text, q)
+        )
         for backend in (MemoryBackend(), SQLiteBackend()):
             load_base_table(backend, strings)
-            load_base_tokens_sql(backend, strings, q)
-            sql_rows = sorted(backend.query("SELECT tid, token FROM BASE_TOKENS"))
-            expected = sorted(
-                (tid, token)
-                for tid, text in enumerate(strings)
-                for token in qgrams(text, q)
-            )
-            assert sql_rows == expected
+            load_base_tokens(backend, strings, QgramTokenizer(q=q))
+            assert sorted(backend.query("SELECT tid, token FROM BASE_TOKENS")) == expected
 
-    def test_statement_text_mentions_integers_join(self):
-        statement = qgram_tokenization_sql(2, "BASE_TABLE", "BASE_TOKENS")
-        assert "INTEGERS" in statement
-        assert "SUBSTR" in statement
-        assert "BASE_TOKENS" in statement
+    def test_query_batch_keeps_qids_and_multiplicity(self):
+        queries = ["aaa", "db lab"]
+        expected = sorted(
+            (qid, token) for qid, text in enumerate(queries) for token in qgrams(text, 2)
+        )
+        for backend in (MemoryBackend(), SQLiteBackend()):
+            load_query_batch(backend, queries, QgramTokenizer(q=2))
+            assert sorted(backend.query("SELECT qid, token FROM QUERY_TOKENS")) == expected
+            assert sorted(backend.query("SELECT qid, string FROM QUERY_BATCH")) == [
+                (0, "aaa"),
+                (1, "db lab"),
+            ]
 
-    def test_statement_without_tid(self):
-        statement = qgram_tokenization_sql(2, "QUERY_TABLE", "QUERY_TOKENS", include_tid=False)
-        assert "(token)" in statement
-        assert "tid," not in statement
