@@ -19,8 +19,10 @@ In pure Python both loops are interpreter-bound and hold the GIL, so
 (:func:`top_items` / :func:`sorted_items` / :func:`select_items`) order a
 scan's result, and :func:`allowed_mask` narrows it to a blocker's or a
 restriction's allowed set.  That is the whole module -- two scans, one
-mask, selection.  ``rank``, ``select``, ``score`` *and* ``top_k`` (which is
-``rank(limit=k)``) are answered by them on both backends.
+mask, selection, and the language models' deferred ``exp`` finalizer
+(:func:`exp_scores`, :func:`finalize_exp`).  ``rank``, ``select``,
+``score`` *and* ``top_k`` (which is ``rank(limit=k)``) are answered by them
+on both backends.
 
 Bit-identity guarantee
 ----------------------
@@ -68,6 +70,7 @@ can attribute kernel work in its metrics registry.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -85,7 +88,8 @@ __all__ = [
     "allowed_mask",
     "DenseScores",
     "dense_pair",
-    "dense_from_lists",
+    "exp_scores",
+    "finalize_exp",
     "top_items",
     "sorted_items",
     "select_items",
@@ -117,12 +121,17 @@ _ops_lock = threading.Lock()
 #: ``python_fallback`` counts numpy kernel *failures* healed by re-running
 #: the scalar path (the engine publishes it as ``kernel_ops.python_fallback``);
 #: ``scalar_view_build`` counts weighted posting indexes deriving their scalar
-#: view (published as ``core.scalar_view.builds_total``).
+#: view (published as ``core.scalar_view.builds_total``);
+#: ``finalize_deferred`` / ``finalize_fallback`` count log-domain selections
+#: that finalized only their superset, and those whose guard gave up and
+#: finalized every candidate (see :func:`exp_scores`).
 _ops: Dict[str, int] = {  # guarded-by: _ops_lock
     "numpy": 0,
     "python": 0,
     "python_fallback": 0,
     "scalar_view_build": 0,
+    "finalize_deferred": 0,
+    "finalize_fallback": 0,
 }
 
 
@@ -160,7 +169,7 @@ def use_backend(name: str):
 
 
 def count_op(backend: str) -> None:
-    """Record one scoring-kernel invocation on ``backend``."""
+    """Record one scoring-kernel event (an invocation on ``backend``)."""
     with _ops_lock:
         _ops[backend] += 1
 
@@ -263,7 +272,11 @@ class DenseScores(dict):
     ``items``, ``==`` ...) behaves exactly like the plain dict the scalar
     path returns, with identical keys and bit-identical float values.
 
-    ``tids`` is tid-ascending; ``values[i]`` is the score of ``tids[i]``.
+    ``tids`` is tid-ascending; ``vals[i]`` is the score of ``tids[i]``.
+    Built by :func:`exp_scores`, the instance holds the *log* scores instead
+    (``logs``) and ``vals`` is ``exp`` of them, taken with
+    :func:`finalize_exp` per candidate on the first read -- which
+    :func:`top_items` / :func:`select_items` avoid (see :func:`exp_scores`).
     Mutation is supported (materializes first) and marks the arrays stale so
     the selection kernels fall back to the dict.  Caveat: C-level fast paths
     that read dict storage directly without calling the overridden methods
@@ -271,14 +284,22 @@ class DenseScores(dict):
     dict -- call ``.materialize()`` first if you need those.
     """
 
-    __slots__ = ("tids", "vals", "_filled", "_stale")
+    __slots__ = ("tids", "logs", "_vals", "_filled", "_stale")
 
-    def __init__(self, tids, values):
+    def __init__(self, tids, values=None, logs=None):
         super().__init__()
         self.tids = tids
-        self.vals = values
+        self.logs = logs
+        self._vals = values
         self._filled = False
         self._stale = False
+
+    @property
+    def vals(self):
+        """The float64 scores of ``tids`` (finalized here, once, if deferred)."""
+        if self._vals is None:
+            self._vals = np.array(_exp_list(self.logs.tolist()), dtype=np.float64)
+        return self._vals
 
     def materialize(self) -> "DenseScores":
         """Fill the underlying dict from the arrays (idempotent)."""
@@ -390,13 +411,115 @@ def dense_pair(scores) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
     return scores._arrays()
 
 
-def dense_from_lists(tids, values: List[float]) -> "DenseScores":
-    """Re-wrap transformed scores over the same candidate tid array.
+def finalize_exp(log_score: float) -> float:
+    """``math.exp(log_score)``, with overflow read as ``inf``: the language
+    models' finalizer (``np.exp`` is not guaranteed ULP-identical to libm,
+    so every path takes this one).  Underflow to ``0.0`` is harmless for
+    ranking because ``exp`` is monotone."""
+    try:
+        return math.exp(log_score)
+    except OverflowError:
+        return math.inf
 
-    ``values`` is a list of Python floats aligned with ``tids``;
-    ``np.array`` round-trips them exactly (float64 either way).
+
+def _exp_list(log_scores: List[float]) -> List[float]:
+    """:func:`finalize_exp` of each value (the common no-overflow case as one
+    comprehension)."""
+    exp = math.exp
+    try:
+        return [exp(value) for value in log_scores]
+    except OverflowError:
+        return [finalize_exp(value) for value in log_scores]
+
+
+def exp_scores(tids, log_values) -> "DenseScores":
+    """Scores ``finalize_exp(log_values[i])`` of ``tids``, finalized lazily.
+
+    A numpy scan of a language model ends with the exact float64 log score
+    of each candidate; exponentiating all of them costs one scalar
+    ``math.exp`` per candidate, where a top-``k`` answer needs ``k``.  So the
+    returned :class:`DenseScores` keeps the logs and finalizes them only when
+    read as a dict or as a whole (:func:`sorted_items`), while
+    :func:`top_items` and :func:`select_items` select in the log domain and
+    finalize a superset of the winners:
+
+    1. the superset is every candidate whose log is ``>=`` the ``k``-th
+       largest log (or ``log(threshold)``) less a margin ``δ(x) = 1e-9 *
+       max(1, |x|)`` -- far wider than a ULP, so it holds every candidate
+       whose finalized score could tie the boundary;
+    2. ``math.exp`` runs on the superset only, and the exact
+       ``(score desc, tid asc)`` selection runs on it;
+    3. a guard -- ``exp(m + δ(m))`` strictly below the ``k``-th finalized
+       score (or the threshold), ``m`` the largest log outside the superset
+       -- proves no outsider could have entered the answer; when it fails
+       (scores underflowed to ``0.0`` or overflowed to ``inf``, a threshold
+       ``<= 0``, a NaN) every candidate is finalized and selected as before.
+
+    Either way the answer is the full finalization's, bit for bit; the two
+    outcomes are counted as ``finalize_deferred`` / ``finalize_fallback``.
     """
-    return DenseScores(tids, np.array(values, dtype=np.float64))
+    return DenseScores(tids, logs=log_values)
+
+
+def _margin(log_value: float) -> float:
+    return 1e-9 * max(1.0, abs(log_value))
+
+
+def _log_pair(scores) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
+    """``(tids, logs)`` of an unmutated, not yet finalized :func:`exp_scores`
+    result on the numpy backend, else ``None``."""
+    if (
+        active_backend() != "numpy"
+        or not isinstance(scores, DenseScores)
+        or scores.logs is None
+        or scores._vals is not None
+        or scores._stale
+    ):
+        return None
+    return scores.tids, scores.logs
+
+
+def _outside_below(logs, inside, bound: float) -> bool:
+    """The guard: every log outside the superset finalizes strictly below
+    ``bound`` -- checked on the largest one, raised by its margin so a
+    ULP-level wobble of libm's ``exp`` cannot break the proof."""
+    outside = logs[~inside]
+    if not outside.size:
+        return True
+    largest = float(outside.max())  # NaN propagates and fails the guard
+    return finalize_exp(largest + _margin(largest)) < bound
+
+
+def _top_deferred(tids, logs, limit: int) -> Optional[List[Tuple[int, float]]]:
+    """:func:`top_items` of an :func:`exp_scores` result, finalizing the
+    superset of the winners only (``limit < len(tids)``); ``None`` when the
+    guard gives up."""
+    kth_log = float(np.partition(logs, logs.size - limit)[logs.size - limit])
+    if math.isfinite(kth_log):
+        inside = logs >= kth_log - _margin(kth_log)
+        values = np.array(_exp_list(logs[inside].tolist()), dtype=np.float64)
+        top = _top_pairs(tids[inside], values, limit)
+        if len(top) == limit and _outside_below(logs, inside, top[-1][1]):
+            count_op("finalize_deferred")
+            return top
+    count_op("finalize_fallback")
+    return None
+
+
+def _select_deferred(tids, logs, threshold: float) -> Optional[List[Tuple[int, float]]]:
+    """:func:`select_items` of an :func:`exp_scores` result, finalizing the
+    candidates that can reach ``threshold`` only; ``None`` when the guard
+    gives up."""
+    cut = math.log(threshold) if threshold > 0 else math.nan
+    if math.isfinite(cut):
+        inside = logs >= cut - _margin(cut)
+        if _outside_below(logs, inside, threshold):
+            count_op("finalize_deferred")
+            values = np.array(_exp_list(logs[inside].tolist()), dtype=np.float64)
+            keep = values >= threshold
+            return _ordered_pairs(tids[inside][keep], values[keep])
+    count_op("finalize_fallback")
+    return None
 
 
 def _accumulate_numpy(
@@ -492,10 +615,9 @@ _SELECTION_MIN = 64
 def _selection_arrays(scores: Dict[int, float]):
     """``(tids, values)`` arrays for a score dict, or ``None`` to fall back.
 
-    Reuses the arrays a :class:`DenseScores` carries when they still match
-    the dict (defensive length check); other dicts -- post-processed scores
-    from WeightedJaccard/LM/HMM, blocker-filtered dicts -- are converted via
-    ``np.fromiter``.
+    Reuses the arrays a :class:`DenseScores` carries while it is unmutated;
+    other dicts -- the scalar paths' results, blocker-filtered dicts -- are
+    converted via ``np.fromiter``.
     """
     if active_backend() != "numpy" or len(scores) < _SELECTION_MIN:
         return None
@@ -521,14 +643,25 @@ def top_items(scores: Dict[int, float], limit: int) -> List[Tuple[int, float]]:
     bit for bit: the vectorized path partitions on the exact values, keeps
     everything strictly above the kth value, fills the remaining slots with
     the smallest tids among the boundary ties, and orders the winners with
-    one lexsort.
+    one lexsort.  An :func:`exp_scores` result is selected in the log domain
+    first and finalizes only the winners' superset.
     """
     if limit <= 0 or not scores:
         return []
+    logs = _log_pair(scores)
+    if logs is not None and limit < logs[0].size:
+        top = _top_deferred(*logs, limit)
+        if top is not None:
+            return top
+    # Reading the arrays or the dict finalizes every candidate.
     pair = _selection_arrays(scores)
     if pair is None:
         return heapq.nlargest(limit, scores.items(), key=lambda item: (item[1], -item[0]))
-    tids, values = pair
+    return _top_pairs(*pair, limit)
+
+
+def _top_pairs(tids, values, limit: int) -> List[Tuple[int, float]]:
+    """The vectorized half of :func:`top_items` (``limit >= 1``)."""
     if limit >= values.size:
         return _ordered_pairs(tids, values)
     keep = np.argpartition(-values, limit - 1)[:limit]
@@ -551,7 +684,16 @@ def sorted_items(scores: Dict[int, float]) -> List[Tuple[int, float]]:
 def select_items(
     scores: Dict[int, float], threshold: float
 ) -> List[Tuple[int, float]]:
-    """``(tid, score)`` items with ``score >= threshold``, score desc / tid asc."""
+    """``(tid, score)`` items with ``score >= threshold``, score desc / tid asc.
+
+    An :func:`exp_scores` result finalizes only the candidates whose log
+    can reach ``log(threshold)``.
+    """
+    logs = _log_pair(scores)
+    if logs is not None:
+        survivors = _select_deferred(*logs, threshold)
+        if survivors is not None:
+            return survivors
     pair = _selection_arrays(scores)
     if pair is None:
         survivors = [item for item in scores.items() if item[1] >= threshold]

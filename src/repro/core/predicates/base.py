@@ -109,6 +109,9 @@ class Predicate(ABC):
     #: Predicates that score through :mod:`repro.core.kernels` (and so follow
     #: the numpy -> scalar backend selection) set this to ``True``.
     uses_kernels: bool = False
+    #: Kernelised predicates whose numpy scan returns log scores with a
+    #: deferred finalizer (:func:`repro.core.kernels.exp_scores`) set this.
+    finalizes_selected: bool = False
     #: Vestige, never set: ``benchmarks/ledger/layers.py`` reads it after each
     #: ``top_k`` call; retires with that row in the next ``[benchmark]`` PR.
     pruning_stats = None
@@ -356,12 +359,15 @@ class Predicate(ABC):
         ``plan()`` / ``explain()`` only word the answer.
 
         * ``"dense-scan"`` -- ``rank(limit=k)`` through the numpy kernels:
-          dense accumulation plus a partition selection.
+          dense accumulation plus a partition selection;
+          ``"dense-scan, finalize k"`` for a predicate whose scan ends in log
+          scores (:attr:`finalizes_selected`), selected before ``exp`` runs
+          on the winners only.
         * ``"heap"`` -- ``rank(limit=k)`` through the scalar accumulation
           plus a bounded heap.
         """
         if cls.uses_kernels and kernels.active_backend() == "numpy":
-            return "dense-scan"
+            return "dense-scan, finalize k" if cls.finalizes_selected else "dense-scan"
         return "heap"
 
     def top_k(self, query: str, k: int) -> List[ScoredTuple]:

@@ -18,7 +18,8 @@ backends -- ``math.log`` is libm's, numpy's ``log`` is not guaranteed to round
 the same way; the index's scalar view re-runs it on the first scalar read
 after a numpy fit), and ``score()`` calls the same function on the tuple's
 own term frequency.  Query evaluation is one kernel scan over the query tokens'
-postings.
+postings, then :func:`repro.core.kernels.finalize_exp` of the log score -- on
+the numpy backend only for the candidates a selection keeps.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ class HMM(Predicate):
     name = "HMM"
     family = "language-modeling"
     #: Monotone-sum log-space accumulation routes through repro.core.kernels
-    #: (final exponentiation stays math.exp, like the LM predicate).
+    #: (final exponentiation is kernels.finalize_exp, like the LM predicate:
+    #: overflow reads as inf, and numpy defers it to the selected few).
     uses_kernels = True
+    finalizes_selected = True
 
     def __init__(self, tokenizer: Tokenizer | None = None, a0: float = 0.2):
         super().__init__()
@@ -97,14 +100,8 @@ class HMM(Predicate):
         )
         pair = kernels.dense_pair(log_scores)
         if pair is not None:
-            tids, values = pair
-            # Scalar math.exp over the exact accumulated log scores (np.exp
-            # is not guaranteed ULP-identical to libm).
-            exp = math.exp
-            return kernels.dense_from_lists(
-                tids, [exp(value) for value in values.tolist()]
-            )
-        return {tid: math.exp(value) for tid, value in log_scores.items()}
+            return kernels.exp_scores(*pair)
+        return {tid: kernels.finalize_exp(value) for tid, value in log_scores.items()}
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
         if not 0 <= tid < len(self._token_lists):
@@ -122,4 +119,4 @@ class HMM(Predicate):
                     self._general_english[token], tf, self._lengths[tid]
                 )
                 matched = True
-        return math.exp(log_score) if matched else 0.0
+        return kernels.finalize_exp(log_score) if matched else 0.0

@@ -9,7 +9,8 @@ realization (equation 4.4): terms that are constant for a given query are
 dropped and only tokens in ``Q ∩ D`` plus a per-tuple precomputed term
 ``Σ_{t ∈ D} log(1 - p̂(t|M_D))`` are needed at query time.  Scores are
 computed in log space and exponentiated at the end, exactly like the SQL in
-Figure 4.4.
+Figure 4.4; on the numpy backend only the candidates a selection keeps are
+exponentiated (:func:`repro.core.kernels.exp_scores`).
 
 The fit is one token-major pass over the corpus core's postings:
 :meth:`LanguageModeling._posting_terms` states a posting's contribution
@@ -51,9 +52,10 @@ class LanguageModeling(Predicate):
     name = "LM"
     family = "language-modeling"
     #: Monotone-sum log-space accumulation routes through repro.core.kernels
-    #: (the final exponentiation stays math.exp -- np.exp is not guaranteed
-    #: ULP-identical to libm).
+    #: (the final exponentiation is kernels.finalize_exp -- np.exp is not
+    #: guaranteed ULP-identical to libm -- deferred to the selected few).
     uses_kernels = True
+    finalizes_selected = True
 
     def __init__(self, tokenizer: Tokenizer | None = None):
         super().__init__()
@@ -159,15 +161,6 @@ class LanguageModeling(Predicate):
 
     # -- query time -----------------------------------------------------------
 
-    @staticmethod
-    def _finalize(log_score: float) -> float:
-        # Exponentiation can underflow for long tuples; underflow to 0.0 is
-        # harmless for ranking because exp is monotone.
-        try:
-            return math.exp(log_score)
-        except OverflowError:  # pragma: no cover - defensive
-            return float("inf")
-
     def _scores(self, query: str) -> Dict[int, float]:
         assert self._weighted_index is not None
         query_tokens = set(self.tokenizer.tokenize(query))
@@ -180,17 +173,13 @@ class LanguageModeling(Predicate):
         if pair is not None and self._sum_complement_array is not None:
             tids, accumulated = pair
             # One float64 add per candidate -- the identical IEEE operation
-            # the scalar comprehension performs -- then scalar math.exp
-            # (np.exp is not guaranteed ULP-identical to libm).
-            log_scores = (accumulated + self._sum_complement_array[tids]).tolist()
-            exp = math.exp
-            try:
-                finalized = [exp(log_score) for log_score in log_scores]
-            except OverflowError:  # pragma: no cover - defensive
-                finalized = [self._finalize(log_score) for log_score in log_scores]
-            return kernels.dense_from_lists(tids, finalized)
+            # the scalar comprehension performs; exp is deferred to the
+            # candidates selection keeps.
+            return kernels.exp_scores(
+                tids, accumulated + self._sum_complement_array[tids]
+            )
         return {
-            tid: self._finalize(accumulated + self._sum_complement[tid])
+            tid: kernels.finalize_exp(accumulated + self._sum_complement[tid])
             for tid, accumulated in accumulators.items()
         }
 
@@ -210,4 +199,4 @@ class LanguageModeling(Predicate):
                 matched = True
         if not matched:
             return 0.0
-        return self._finalize(accumulated + self._sum_complement[tid])
+        return kernels.finalize_exp(accumulated + self._sum_complement[tid])

@@ -1140,8 +1140,11 @@ class Query:
         the predicate's own answer (:meth:`Predicate.top_k_algorithm`, the
         one place that decides); predicates that do not say take the heap."""
         algorithm = getattr(self._direct_target(), "top_k_algorithm", None)
-        if algorithm is not None and algorithm() == "dense-scan":
+        name = algorithm() if algorithm is not None else "heap"
+        if name == "dense-scan":
             return "dense scan + partition (numpy kernel)"
+        if name == "dense-scan, finalize k":
+            return "dense scan + partition (numpy kernel), finalize k"
         return "heap accumulation"
 
     def _declarative_kind(self) -> Optional[str]:

@@ -13,7 +13,6 @@ of their q-grams regardless of word order.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -30,12 +29,14 @@ __all__ = [
     "token_counts",
 ]
 
-_WHITESPACE_RE = re.compile(r"\s+")
-
 
 def normalize_string(text: str, uppercase: bool = True) -> str:
-    """Collapse whitespace runs and optionally upper-case the string."""
-    collapsed = _WHITESPACE_RE.sub(" ", text.strip())
+    """Collapse whitespace runs and optionally upper-case the string.
+
+    Whitespace is what ``str.split()`` splits on -- the characters for which
+    ``str.isspace()`` holds, the same set the regex ``\\s`` matches.
+    """
+    collapsed = " ".join(text.split())
     return collapsed.upper() if uppercase else collapsed
 
 
@@ -53,8 +54,9 @@ def pad_string(text: str, q: int, pad_char: str = "$") -> str:
     if len(pad_char) != 1:
         raise ValueError("pad_char must be a single character")
     pad = pad_char * (q - 1)
-    body = _WHITESPACE_RE.sub(pad, normalize_string(text))
-    return f"{pad}{body}{pad}"
+    # Upper-casing neither creates nor removes a whitespace character, so
+    # splitting after it is splitting the normalized string.
+    return f"{pad}{pad.join(text.upper().split())}{pad}"
 
 
 def qgrams(text: str, q: int = 2, pad_char: str = "$") -> list[str]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -42,6 +44,46 @@ class TestNormalizeAndPad:
     def test_pad_rejects_multichar_pad(self):
         with pytest.raises(ValueError):
             pad_string("x", 2, pad_char="$$")
+
+
+#: Every whitespace character the regex form and ``str.split()`` must agree
+#: on, weighted into the text so runs of mixed whitespace are common.
+_WHITESPACE = list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u3000")
+unicode_text = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from(_WHITESPACE)), max_size=40
+)
+
+_WHITESPACE_RE = re.compile(r"\s+")
+
+
+def _regex_pad(text: str, q: int, pad_char: str = "$") -> str:
+    """The padding scheme written with two ``\\s+`` substitutions."""
+    pad = pad_char * (q - 1)
+    normalized = _WHITESPACE_RE.sub(" ", text.strip()).upper()
+    return f"{pad}{_WHITESPACE_RE.sub(pad, normalized)}{pad}"
+
+
+class TestSplitEqualsRegexForm:
+    """``normalize_string`` / ``pad_string`` split on ``str.split()``
+    whitespace; the tokens must be the regex form's on any Unicode text."""
+
+    @given(text=unicode_text, uppercase=st.booleans())
+    def test_normalize(self, text, uppercase):
+        collapsed = _WHITESPACE_RE.sub(" ", text.strip())
+        assert normalize_string(text, uppercase) == (
+            collapsed.upper() if uppercase else collapsed
+        )
+
+    @given(text=unicode_text, q=st.sampled_from([1, 2, 3]))
+    def test_pad_and_qgrams(self, text, q):
+        padded = _regex_pad(text, q)
+        assert pad_string(text, q) == padded
+        expected = (
+            [padded[i : i + q] for i in range(len(padded) - q + 1)]
+            if len(padded) >= q
+            else ([padded] if padded else [])
+        )
+        assert qgrams(text, q) == expected
 
 
 class TestQgrams:
