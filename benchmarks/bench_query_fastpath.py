@@ -41,7 +41,7 @@ for _path in (str(_SRC), str(_HERE)):
         sys.path.insert(0, _path)
 
 from repro.core.join import ApproximateJoiner  # noqa: E402
-from repro.core.predicates.base import ScoredTuple  # noqa: E402
+from repro.core.predicates.base import Match  # noqa: E402
 from repro.core.predicates.registry import make_predicate  # noqa: E402
 from repro.datagen import make_dataset  # noqa: E402
 from repro.obs import MetricsRegistry, NOOP_TRACER, bench_envelope, perf_clock  # noqa: E402
@@ -103,7 +103,7 @@ def _naive_top_k(predicate, doc_weights, query: str, k: int):
     """The seed top-k path: score every candidate, fully sort, slice."""
     scores = _seed_scores(predicate, doc_weights, query)
     ranked = sorted(
-        (ScoredTuple(tid, score) for tid, score in scores.items()),
+        (Match(tid, score) for tid, score in scores.items()),
         key=lambda st: (-st.score, st.tid),
     )
     return ranked[:k], len(scores)
@@ -113,7 +113,7 @@ def _naive_select(predicate, doc_weights, query: str, threshold: float):
     """The seed selection path: sort the full candidate set, then filter."""
     scores = _seed_scores(predicate, doc_weights, query)
     ranked = sorted(
-        (ScoredTuple(tid, score) for tid, score in scores.items()),
+        (Match(tid, score) for tid, score in scores.items()),
         key=lambda st: (-st.score, st.tid),
     )
     return [st for st in ranked if st.score >= threshold], len(scores)

@@ -20,7 +20,7 @@ two backends agree with the direct in-memory implementation.
 
 from __future__ import annotations
 
-from repro import ApproximateSelector
+from repro import SimilarityEngine
 from repro.backends import MemoryBackend, SQLiteBackend
 from repro.declarative import make_declarative_predicate
 
@@ -66,7 +66,7 @@ def main() -> None:
     sqlite_backend.close()
 
     print("--- cross-check against the direct implementation ---")
-    direct = ApproximateSelector(COMPANIES, predicate="bm25")
+    direct = SimilarityEngine().from_strings(COMPANIES).predicate("bm25")
     declarative = make_declarative_predicate("bm25").preprocess(COMPANIES)
     direct_top = [r.tid for r in direct.top_k(QUERY, k=3)]
     declarative_top = [s.tid for s in declarative.rank(QUERY, limit=3)]

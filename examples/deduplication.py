@@ -18,7 +18,7 @@ approximate selections retrieve every version of a record.  This example
 
 from __future__ import annotations
 
-from repro import ApproximateSelector
+from repro import SimilarityEngine
 from repro.datagen import make_dataset
 from repro.eval import ExperimentRunner
 
@@ -43,13 +43,13 @@ def main() -> None:
     print(f"  dirty duplicate: {sample.text!r}\n")
 
     print("=== Retrieving the duplicates of one record (BM25, top cluster size) ===")
-    selector = ApproximateSelector(dataset.strings, predicate="bm25")
+    query = SimilarityEngine().from_strings(dataset.strings).predicate("bm25")
     relevant = set(dataset.relevant_for(sample.tid))
     hits = 0
-    for result in selector.top_k(sample.text, k=len(relevant)):
+    for result in query.top_k(sample.text, k=len(relevant)):
         marker = "+" if result.tid in relevant else " "
         hits += result.tid in relevant
-        print(f"  [{marker}] score={result.score:8.3f}  {result.text}")
+        print(f"  [{marker}] score={result.score:8.3f}  {result.string}")
     print(f"  -> {hits}/{len(relevant)} true duplicates in the top-{len(relevant)}\n")
 
     print("=== Accuracy over a query workload (mean average precision) ===")

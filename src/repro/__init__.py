@@ -63,20 +63,17 @@ Package map:
   clock, pure executor tasks, lock discipline on shared caches, structured
   error envelopes (rules RPL001-RPL005; see ``docs/invariants.md``).
 
-Migrating from ``ApproximateSelector``: the class remains as a deprecated
-thin shim; ``ApproximateSelector(strings, predicate="bm25").top_k(q, 5)`` is
-now spelled ``SimilarityEngine().from_strings(strings).predicate("bm25")
-.top_k(q, 5)``.  Results everywhere are :class:`~repro.engine.Match`
-objects; ``SelectionResult`` and ``ScoredTuple`` are backward-compatible
-aliases of :class:`~repro.engine.Match` (the old ``.text`` attribute is kept
-as a property).
+Migrating from 1.x: ``ApproximateSelector`` and the ``SelectionResult`` /
+``ScoredTuple`` aliases were removed in 2.0.
+``ApproximateSelector(strings, predicate="bm25").top_k(q, 5)`` is spelled
+``SimilarityEngine().from_strings(strings).predicate("bm25").top_k(q, 5)``,
+and results everywhere are :class:`~repro.engine.Match` objects (read
+``.string`` where ``.text`` was read).
 """
 
 from repro.core import (
-    ApproximateSelector,
     Match,
     Predicate,
-    SelectionResult,
     available_predicates,
     make_predicate,
 )
@@ -104,7 +101,7 @@ from repro.resilience import (
 )
 from repro.shard import ShardedPredicate, ShardStats
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "SimilarityEngine",
@@ -113,8 +110,6 @@ __all__ = [
     "QueryPlan",
     "ExplainReport",
     "SimilarityPredicateProtocol",
-    "ApproximateSelector",
-    "SelectionResult",
     "Predicate",
     "make_predicate",
     "available_predicates",

@@ -26,7 +26,8 @@ Every blocker answers three questions:
    blocks and to skip singleton blocks entirely).
 
 :class:`BlockingStats` counts candidates before and after pruning so
-pipelines and benchmarks can report the achieved reduction.
+pipelines and benchmarks can report the achieved reduction; the engine
+publishes the ``after - before`` delta of each operation.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set
 
+from repro.obs.metrics import CounterRecord, counter_field
 from repro.text.tokenize import QgramTokenizer, Tokenizer
 
 __all__ = ["BlockingStats", "Blocker"]
 
 
 @dataclass
-class BlockingStats:
+class BlockingStats(CounterRecord):
     """Candidate-reduction counters accumulated across queries.
 
     ``candidates_in`` counts candidates handed to :meth:`Blocker.prune`;
@@ -49,9 +51,14 @@ class BlockingStats:
     (query, tuple) pair that would otherwise be scored.
     """
 
-    probes: int = 0
-    candidates_in: int = 0
-    candidates_out: int = 0
+    describe_format = (
+        "{0.candidates_in} -> {0.candidates_out} candidates ({0.pruned} pruned, "
+        "reduction {0.reduction_ratio:.1f}x)"
+    )
+
+    probes: int = counter_field("blocker_probes")
+    candidates_in: int = counter_field("blocker_candidates_in")
+    candidates_out: int = counter_field("blocker_candidates_out")
 
     def record(self, before: int, after: int) -> None:
         self.probes += 1
@@ -74,12 +81,6 @@ class BlockingStats:
         self.probes = 0
         self.candidates_in = 0
         self.candidates_out = 0
-
-    def publish(self, metrics) -> None:
-        """Accumulate into a :class:`~repro.obs.metrics.MetricsRegistry`."""
-        metrics.inc("blocker_probes", self.probes)
-        metrics.inc("blocker_candidates_in", self.candidates_in)
-        metrics.inc("blocker_candidates_out", self.candidates_out)
 
 
 class Blocker(ABC):

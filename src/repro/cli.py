@@ -347,11 +347,7 @@ def _cmd_dedup(args: argparse.Namespace) -> int:
     print(f"\n{len(clusters)} clusters, {singletons} singletons")
     stats = query.last_self_join_stats
     if args.blocker != "none" and stats is not None:
-        print(
-            f"blocking[{args.blocker}]: {stats.pairs_examined} candidate pairs "
-            f"examined over {stats.probes} probes "
-            f"({stats.probes_skipped} probes skipped with no block partners)"
-        )
+        print(f"blocking[{args.blocker}]: {stats.describe()}")
     return 0
 
 

@@ -2,8 +2,8 @@
 
 The preferred public entry point is :class:`repro.engine.SimilarityEngine`;
 this package provides the direct (in-memory Python) predicate realizations
-(:mod:`repro.core.predicates`), the approximate join and deduplication
-operators and the deprecated :class:`ApproximateSelector` shim.
+(:mod:`repro.core.predicates`) and the approximate join and deduplication
+operators.
 """
 
 from repro.core.predicates import (
@@ -12,14 +12,11 @@ from repro.core.predicates import (
     available_predicates,
     make_predicate,
 )
-from repro.core.selection import ApproximateSelector, SelectionResult
 from repro.core.join import ApproximateJoiner, JoinMatch, SelfJoinStats
 from repro.core.dedup import Deduplicator, DuplicateCluster, ClusteringQuality
 
 __all__ = [
-    "ApproximateSelector",
     "Match",
-    "SelectionResult",
     "ApproximateJoiner",
     "JoinMatch",
     "SelfJoinStats",

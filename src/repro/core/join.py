@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, 
 
 from repro.core.predicates.base import Predicate
 from repro.core.predicates.registry import make_predicate
+from repro.obs.metrics import CounterRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.blocking.base import Blocker
@@ -44,7 +45,7 @@ class JoinMatch:
 
 
 @dataclass
-class SelfJoinStats:
+class SelfJoinStats(CounterRecord):
     """Work counters of one :meth:`ApproximateJoiner.self_join` run.
 
     ``pairs_examined`` counts (probe, candidate) pairs actually scored --
@@ -56,7 +57,13 @@ class SelfJoinStats:
     proper.  ``probes_skipped`` counts tuples never probed at all because
     their block left no admissible partner (singleton blocks, or blocks
     whose other members were already probed from the smaller-id side).
+    None of them is published as a metric.
     """
+
+    describe_format = (
+        "{0.pairs_examined} candidate pairs examined over {0.probes} probes "
+        "({0.probes_skipped} probes skipped with no block partners)"
+    )
 
     probes: int = 0
     probes_skipped: int = 0

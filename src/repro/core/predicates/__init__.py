@@ -16,7 +16,7 @@ Use :func:`make_predicate` to construct a predicate by name with the paper's
 default parameters, or instantiate the classes directly.
 """
 
-from repro.core.predicates.base import Match, Predicate, ScoredTuple
+from repro.core.predicates.base import Match, Predicate
 from repro.core.predicates.overlap import (
     IntersectSize,
     Jaccard,
@@ -37,7 +37,6 @@ from repro.core.predicates.registry import (
 __all__ = [
     "Predicate",
     "Match",
-    "ScoredTuple",
     "IntersectSize",
     "Jaccard",
     "WeightedMatch",

@@ -32,7 +32,7 @@ from repro.obs.clock import perf_clock
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.blocking.base import Blocker
 
-__all__ = ["Match", "ScoredTuple", "Predicate"]
+__all__ = ["Match", "Predicate"]
 
 
 @dataclass(frozen=True)
@@ -43,17 +43,9 @@ class Match:
     position of the matched tuple in the base relation, ``score`` its
     similarity to the query and ``string`` the matched text itself.
     Predicates score tuples without materializing their text, so results
-    produced below the engine/selector layer carry ``string=None``; the
-    engine fills it in before handing results to callers.
-
-    Backward compatibility with the two result types this class replaced:
-
-    * ``ScoredTuple(tid, score)`` -- ``ScoredTuple`` is an alias of this
-      class (the field order keeps ``string`` last and optional), and
-      ``tid, score = match`` unpacking still works;
-    * ``SelectionResult(tid, text, score)`` -- ``SelectionResult`` (in
-      :mod:`repro.core.selection`) is also an alias; the old ``.text``
-      attribute is kept as a read-only property of :attr:`string`.
+    produced below the engine layer carry ``string=None``; the engine fills
+    it in before handing results to callers.  ``tid, score = match``
+    unpacks the pair.
     """
 
     tid: int
@@ -61,33 +53,22 @@ class Match:
     string: Optional[str] = None
 
     def __post_init__(self):
-        # The retired SelectionResult took (tid, text, score) positionally;
-        # Match keeps ScoredTuple's (tid, score[, string]) order instead.
-        # Fail loudly on the old pattern rather than silently swapping fields.
+        # Fail loudly on Match(tid, text, score) rather than carry the text
+        # as a score.
         if isinstance(self.score, str):
             raise TypeError(
-                "Match fields are (tid, score, string); construct with "
-                "keywords when porting SelectionResult(tid, text, score) calls"
+                "Match fields are (tid, score, string); pass the matched "
+                "text third or by keyword"
             )
 
-    @property
-    def text(self) -> Optional[str]:
-        """Alias of :attr:`string` (the old ``SelectionResult`` field name)."""
-        return self.string
-
     def __iter__(self):
-        """Allow ``tid, score = match`` unpacking (the ``ScoredTuple`` contract)."""
+        """Allow ``tid, score = match`` unpacking."""
         yield self.tid
         yield self.score
 
     def with_string(self, string: str) -> "Match":
         """A copy of this match carrying the matched text."""
         return Match(self.tid, self.score, string)
-
-
-#: Backward-compatible alias: the realization-internal scored pair is now the
-#: same class as the public result type.
-ScoredTuple = Match
 
 
 class Predicate(ABC):
@@ -328,7 +309,7 @@ class Predicate(ABC):
         self.last_num_candidates = len(scores)
         return scores
 
-    def rank(self, query: str, limit: Optional[int] = None) -> List[ScoredTuple]:
+    def rank(self, query: str, limit: Optional[int] = None) -> List[Match]:
         """Tuples ranked by decreasing similarity to ``query``.
 
         Only candidate tuples (those with a non-trivial score) are returned;
@@ -349,7 +330,7 @@ class Predicate(ABC):
             top = kernels.top_items(scores, limit)
         else:
             top = kernels.sorted_items(scores)
-        return [ScoredTuple(tid, score) for tid, score in top]
+        return [Match(tid, score) for tid, score in top]
 
     @classmethod
     def top_k_algorithm(cls) -> str:
@@ -370,13 +351,13 @@ class Predicate(ABC):
             return "dense-scan, finalize k" if cls.finalizes_selected else "dense-scan"
         return "heap"
 
-    def top_k(self, query: str, k: int) -> List[ScoredTuple]:
+    def top_k(self, query: str, k: int) -> List[Match]:
         """The ``k`` most similar tuples: ``rank(query, limit=k)``."""
         if k < 0:
             raise ValueError("k must be non-negative")
         return self.rank(query, limit=k)
 
-    def select(self, query: str, threshold: float) -> List[ScoredTuple]:
+    def select(self, query: str, threshold: float) -> List[Match]:
         """The approximate selection: tuples with ``sim(query, t) >= threshold``.
 
         Candidates are filtered *before* sorting, so the sort pays for the
@@ -387,7 +368,7 @@ class Predicate(ABC):
         self._check_blocker_threshold(threshold)
         scores = self._candidate_scores(query)
         return [
-            ScoredTuple(tid, score)
+            Match(tid, score)
             for tid, score in kernels.select_items(scores, threshold)
         ]
 

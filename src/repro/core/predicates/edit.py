@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional
 
-from repro.core.predicates.base import Predicate, ScoredTuple
+from repro.core.predicates.base import Match, Predicate
 from repro.text.strings import edit_similarity, levenshtein_within
 from repro.text.tokenize import QgramTokenizer, normalize_string
 
@@ -82,7 +82,7 @@ class EditDistance(Predicate):
             return 0.0
         return edit_similarity(normalize_string(query), self._normalized[tid])
 
-    def select(self, query: str, threshold: float) -> List[ScoredTuple]:
+    def select(self, query: str, threshold: float) -> List[Match]:
         """Thresholded selection with q-gram count and length filtering.
 
         For ``sim_edit >= threshold`` the edit distance can be at most
@@ -122,12 +122,12 @@ class EditDistance(Predicate):
             shared = {tid: common for tid, common in shared.items() if tid in allowed}
         self.last_num_candidates = len(shared)
 
-        results: List[ScoredTuple] = []
+        results: List[Match] = []
         for tid, common in shared.items():
             candidate = self._normalized[tid]
             longest = max(len(normalized_query), len(candidate))
             if longest == 0:
-                results.append(ScoredTuple(tid, 1.0))
+                results.append(Match(tid, 1.0))
                 continue
             max_distance = int((1.0 - threshold) * longest)
             if abs(len(normalized_query) - len(candidate)) > max_distance:
@@ -140,6 +140,6 @@ class EditDistance(Predicate):
                 continue
             similarity = 1.0 - distance / longest
             if similarity >= threshold:
-                results.append(ScoredTuple(tid, similarity))
+                results.append(Match(tid, similarity))
         results.sort(key=lambda st: (-st.score, st.tid))
         return results

@@ -21,6 +21,7 @@ from repro.backends.memory import MemoryBackend
 from repro.core.predicates.base import Match
 from repro.declarative import shared as shared_tables
 from repro.declarative import tokens as token_tables
+from repro.obs.metrics import CounterRecord, counter_field
 from repro.text.tokenize import QgramTokenizer, Tokenizer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -30,34 +31,18 @@ __all__ = ["DeclarativePredicate", "SQLStats"]
 
 
 @dataclass
-class SQLStats:
+class SQLStats(CounterRecord):
     """Work counters of the most recent declarative query execution.
 
     How many candidate rows the SQL returned versus the base-relation size,
     and which plan steps the statement used (``"batch"``,
-    ``"order-by-limit"``, ``"length-filter"``, ``"prefix-filter"``).
+    ``"order-by-limit"``, ``"length-filter"``, ``"prefix-filter"``; each
+    publishes one ``sql_plan.<step>`` event).
     """
 
-    rows_scored: int = 0
-    base_size: int = 0
-    plan: Tuple[str, ...] = ()
-
-    @property
-    def reduction_ratio(self) -> float:
-        """Base tuples per returned candidate row (>= 1 when pruning bites)."""
-        return self.base_size / self.rows_scored if self.rows_scored else float("inf")
-
-    def describe(self) -> str:
-        via = f" via {'+'.join(self.plan)}" if self.plan else ""
-        return (
-            f"{self.rows_scored}/{self.base_size} candidate rows returned by SQL{via}"
-        )
-
-    def publish(self, metrics) -> None:
-        """Accumulate into a :class:`~repro.obs.metrics.MetricsRegistry`."""
-        metrics.inc("sql_rows_scored", self.rows_scored)
-        for step in self.plan:
-            metrics.inc(f"sql_plan.{step}")
+    rows_scored: int = counter_field("sql_rows_scored", span="sql_rows")
+    base_size: int = counter_field(None, span="base_size")
+    plan: Tuple[str, ...] = counter_field("sql_plan.{}", default=())
 
 
 class DeclarativePredicate(ABC):

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.predicates.base import ScoredTuple
-from repro.declarative.base import DeclarativePredicate
+from repro.core.predicates.base import Match
+from repro.declarative.base import DeclarativePredicate, SQLStats
 from repro.text.tokenize import normalize_string
 
 __all__ = ["DeclarativeEditDistance"]
@@ -83,7 +83,7 @@ class DeclarativeEditDistance(DeclarativePredicate):
             (),
         )
 
-    def select(self, query: str, threshold: float) -> List[ScoredTuple]:
+    def select(self, query: str, threshold: float) -> List[Match]:
         """Thresholded selection with the q-gram count filter pushed into SQL."""
         self._require_preprocessed()
         if not 0.0 <= threshold <= 1.0:
@@ -99,7 +99,7 @@ class DeclarativeEditDistance(DeclarativePredicate):
         # candidate-generation statement below.
         rows = self._select_rows(normalized, threshold, q, query_length, num_query_tokens)
         scored = [
-            ScoredTuple(int(tid), float(score))
+            Match(int(tid), float(score))
             for tid, score in rows
             if score is not None
         ]
@@ -107,6 +107,9 @@ class DeclarativeEditDistance(DeclarativePredicate):
         # threshold cut, so last_num_candidates counts candidates scored (as
         # in every other predicate), not final results.
         scored = self._apply_candidate_filter(query, scored)
+        self.last_sql_stats = SQLStats(
+            rows_scored=len(scored), base_size=len(self._strings)
+        )
         results = [st for st in scored if st.score >= threshold]
         results.sort(key=lambda st: (-st.score, st.tid))
         return results

@@ -20,6 +20,7 @@ from repro.backends.base import SQLBackend
 from repro.blocking.base import BlockingStats
 from repro.core.predicates.base import Match
 from repro.declarative.base import SQLStats
+from repro.obs.metrics import CounterRecord, counter_field
 from repro.obs.trace import Observability, Span
 from repro.resilience import (
     NOOP_INJECTOR,
@@ -40,34 +41,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RunManyStats:
+class RunManyStats(CounterRecord):
     """Per-query work counters of one :meth:`Query.run_many` batch.
 
     A batch has no single meaningful ``last_num_candidates`` -- the engine
     records the candidate count of *every* query of the batch instead
-    (``None`` entries mean the executed path could not observe a count).
+    (``None`` entries mean the executed path could not observe a count);
+    ``total_candidates`` is their sum, kept as a field so it publishes.
     """
 
-    num_queries: int
-    candidates_per_query: Tuple[Optional[int], ...]
-
-    @property
-    def total_candidates(self) -> int:
-        return sum(count or 0 for count in self.candidates_per_query)
-
-    def describe(self) -> str:
-        observed = [c for c in self.candidates_per_query if c is not None]
-        if not observed:
-            return f"{self.num_queries} queries (candidate counts unobserved)"
-        return (
-            f"{self.num_queries} queries, {self.total_candidates} candidates "
-            f"scored (min {min(observed)} / max {max(observed)} per query)"
-        )
-
-    def publish(self, metrics) -> None:
-        """Accumulate into a :class:`~repro.obs.metrics.MetricsRegistry`."""
-        metrics.inc("batch_queries_total", self.num_queries)
-        metrics.inc("batch_candidates_total", self.total_candidates)
+    num_queries: int = counter_field("batch_queries_total")
+    total_candidates: int = counter_field("batch_candidates_total")
+    candidates_per_query: Tuple[Optional[int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -181,12 +166,7 @@ class ExplainReport:
         if self.num_results is not None:
             lines.append(f"results:     {self.num_results}")
         if self.blocker_stats is not None:
-            stats = self.blocker_stats
-            lines.append(
-                f"blocking:    {stats.candidates_in} -> {stats.candidates_out} "
-                f"candidates ({stats.pruned} pruned, "
-                f"reduction {stats.reduction_ratio:.1f}x)"
-            )
+            lines.append(f"blocking:    {self.blocker_stats.describe()}")
         if self.sql:
             lines.append("emitted SQL:")
             for statement in self.sql:

@@ -31,11 +31,12 @@ and shared by every direct predicate fitted on that relation.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from copy import copy
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
-from repro.blocking.base import Blocker, BlockingStats
+from repro.blocking.base import Blocker
 from repro.blocking.factory import THRESHOLD_STAGE_NAMES, make_blocker
 from repro.core import kernels
 from repro.core.corpus import CorpusCore
@@ -85,6 +86,14 @@ class _FittedState:
 #: Entries of :func:`repro.core.kernels.ops_snapshot` that are not published
 #: as ``kernel_ops.<name>``.
 _KERNEL_COUNTERS = {"scalar_view_build": "core.scalar_view.builds_total"}
+
+#: The attributes where each kind of predicate leaves the counter records
+#: (:class:`~repro.obs.metrics.CounterRecord`) of the call it just ran.
+_CALL_RECORDS = {
+    "direct": (),
+    "declarative": ("last_sql_stats",),
+    "sharded": ("shard_stats", "resilience_stats"),
+}
 
 
 def _weights_summary(predicate: object) -> Dict[str, object]:
@@ -851,41 +860,49 @@ class Query:
     ):
         """Run one operation inside its ``execute.<kind>`` span.
 
-        Returns ``(results, span)``.  After the runner finishes, the
-        predicate's per-call stats objects are published into the metrics
-        registry and mirrored onto the span: SQL/shard counters become span
-        attributes, and the blocker's candidate-reduction delta for exactly
-        this operation feeds the ``blocker_*`` counters.
+        Returns ``(results, span, records)``: the counter records of exactly
+        this operation, by name -- the predicate's :data:`_CALL_RECORDS`
+        attributes (cleared before the run, so a path that records nothing
+        publishes nothing rather than a previous call's record) and, under
+        a blocker, its ``after - before`` delta as ``"blocker"``.  Each is
+        published into the metrics registry and, while tracing, its
+        non-zero fields are set on the span.
         """
         obs = self._engine.obs
         predicate = state.predicate
         kind = self._execution_kind(predicate)
-        blocker_stats = state.blocker.stats if state.blocker is not None else None
-        before = (
-            (
-                blocker_stats.probes,
-                blocker_stats.candidates_in,
-                blocker_stats.candidates_out,
-            )
-            if blocker_stats is not None
-            else None
-        )
+        names = _CALL_RECORDS[kind]
+        blocker = state.blocker
         kernel_before = kernels.ops_snapshot()
-        if kind == "sharded":
-            # Per-query resilience record: the executor merges every run of
-            # this operation into a fresh accumulator, read back below.
-            predicate.reset_resilience()
         started = perf_clock()
-        with obs.tracer.span("execute." + kind) as span:
-            if kind == "declarative":
-                # Declarative predicates stage query rows in fixed-name
-                # tables on the (engine-shared) SQL backend; concurrent
-                # executions must not interleave statements.
-                with self._engine._lock:
-                    results = runner()
-            else:
-                results = runner()
-            self._annotate_execution(span, state, kind, annotate_candidates)
+        # Declarative predicates stage query rows in fixed-name tables on
+        # the (engine-shared) SQL backend; concurrent executions must not
+        # interleave statements -- nor each other's records, which a sharded
+        # predicate guards on its own.
+        if kind == "declarative":
+            guard = self._engine._lock
+        elif kind == "sharded":
+            guard = predicate.records_lock
+        else:
+            guard = nullcontext()
+        with obs.tracer.span("execute." + kind) as span, guard:
+            for name in names:
+                setattr(predicate, name, None)
+            before = copy(blocker.stats) if blocker is not None else None
+            results = runner()
+            records = {name: getattr(predicate, name) for name in names}
+            if before is not None:
+                records["blocker"] = blocker.stats - before
+            traced = obs.tracer.enabled
+            if annotate_candidates and traced:
+                candidates = getattr(predicate, "last_num_candidates", None)
+                if candidates is not None:
+                    span.set(num_candidates=candidates)
+            for record in records.values():
+                if record is not None:
+                    record.publish(obs.metrics)
+                    if traced:
+                        span.set(**record.span_attributes())
         obs.metrics.observe("latency.execute." + kind, perf_clock() - started)
         # Attribute the scoring-kernel invocations of this execution (process
         # workers keep their counts worker-side; serial/thread land here).
@@ -896,60 +913,15 @@ class Query:
                     _KERNEL_COUNTERS.get(backend_name, "kernel_ops." + backend_name),
                     delta,
                 )
-        if before is not None:
-            BlockingStats(
-                probes=blocker_stats.probes - before[0],
-                candidates_in=blocker_stats.candidates_in - before[1],
-                candidates_out=blocker_stats.candidates_out - before[2],
-            ).publish(obs.metrics)
-        return results, span
-
-    def _annotate_execution(
-        self,
-        span,
-        state: _FittedState,
-        kind: str,
-        annotate_candidates: bool,
-    ) -> None:
-        obs = self._engine.obs
-        predicate = state.predicate
-        traced = obs.tracer.enabled
-        if annotate_candidates and traced:
-            candidates = getattr(predicate, "last_num_candidates", None)
-            if candidates is not None:
-                span.set(num_candidates=candidates)
-        if kind == "declarative":
-            sql_stats = getattr(predicate, "last_sql_stats", None)
-            if sql_stats is not None:
-                sql_stats.publish(obs.metrics)
-                if traced:
-                    span.set(
-                        sql_rows=sql_stats.rows_scored,
-                        base_size=sql_stats.base_size,
-                    )
-        elif kind == "sharded":
-            shard_stats = getattr(predicate, "shard_stats", None)
-            if shard_stats is not None:
-                shard_stats.publish(obs.metrics)
-                if traced:
-                    span.set(shards_run=shard_stats.shards_run)
-            resilience = getattr(predicate, "resilience_stats", None)
-            if resilience is not None and resilience.events:
-                resilience.publish(obs.metrics)
-                if traced:
-                    span.set(
-                        resilience_retries=resilience.task_retries,
-                        resilience_pool_rebuilds=resilience.pool_rebuilds,
-                        resilience_serial_fallbacks=resilience.serial_fallbacks,
-                    )
+        return results, span, records
 
     def rank(self, query: str, limit: Optional[int] = None) -> List[Match]:
         """All candidate tuples ordered by decreasing similarity to ``query``."""
         with self._query_span("rank"):
             state = self._state(None)
-            results, _ = self._execute(
+            results = self._execute(
                 state, lambda: state.predicate.rank(query, limit=limit)
-            )
+            )[0]
         return self._to_matches(results)
 
     def top_k(self, query: str, k: int) -> List[Match]:
@@ -967,20 +939,20 @@ class Query:
             state = self._state(None)
             fast = getattr(state.predicate, "top_k", None)
             if fast is None:  # declarative realization: SQL ranks, Python trims
-                results, _ = self._execute(
+                results = self._execute(
                     state, lambda: state.predicate.rank(query, limit=k)
-                )
+                )[0]
             else:
-                results, _ = self._execute(state, lambda: fast(query, k))
+                results = self._execute(state, lambda: fast(query, k))[0]
         return self._to_matches(results)
 
     def select(self, query: str, threshold: float) -> List[Match]:
         """The approximate selection ``{t | sim(query, t) >= threshold}``."""
         with self._query_span("select", threshold=threshold):
             state = self._state(threshold)
-            results, _ = self._execute(
+            results = self._execute(
                 state, lambda: state.predicate.select(query, threshold)
-            )
+            )[0]
         return self._to_matches(results)
 
     def score(self, query: str, tid: int) -> float:
@@ -1026,46 +998,45 @@ class Query:
                 # workload in one SQL statement, sharded predicates send each
                 # shard the whole workload as one task.  Both record per-qid
                 # candidate counts and reset last_num_candidates themselves.
-                batches, _ = self._execute(
+                batches = self._execute(
                     state,
                     lambda: predicate.run_many(
                         queries, op=op, k=k, threshold=threshold, limit=limit
                     ),
                     annotate_candidates=False,
-                )
+                )[0]
                 counts = predicate.last_batch_candidates or []
-                self.last_run_many_stats = RunManyStats(
-                    num_queries=len(queries), candidates_per_query=tuple(counts)
-                )
-                self.last_run_many_stats.publish(obs.metrics)
-                return [self._to_matches(batch) for batch in batches]
-            if op == "rank":
-                runner = lambda text: predicate.rank(text, limit=limit)  # noqa: E731
-            elif op == "top_k":
-                fast = getattr(predicate, "top_k", None)
-                if fast is None:
-                    runner = lambda text: predicate.rank(text, limit=k)  # noqa: E731
-                else:
-                    runner = lambda text: fast(text, k)  # noqa: E731
+                results = [self._to_matches(batch) for batch in batches]
             else:
-                runner = lambda text: predicate.select(text, threshold)  # noqa: E731
-            results: List[List[Match]] = []
-            counts = []
+                if op == "rank":
+                    runner = lambda text: predicate.rank(text, limit=limit)  # noqa: E731
+                elif op == "top_k":
+                    fast = getattr(predicate, "top_k", None)
+                    if fast is None:
+                        runner = lambda text: predicate.rank(text, limit=k)  # noqa: E731
+                    else:
+                        runner = lambda text: fast(text, k)  # noqa: E731
+                else:
+                    runner = lambda text: predicate.select(text, threshold)  # noqa: E731
+                results = []
+                counts = []
 
-            def run_batch() -> None:
-                for text in queries:
-                    results.append(self._to_matches(runner(text)))
-                    counts.append(getattr(predicate, "last_num_candidates", None))
+                def run_batch() -> None:
+                    for text in queries:
+                        results.append(self._to_matches(runner(text)))
+                        counts.append(getattr(predicate, "last_num_candidates", None))
 
-            self._execute(state, run_batch, annotate_candidates=False)
+                self._execute(state, run_batch, annotate_candidates=False)
+                # A batch leaves no meaningful single-query count behind (it
+                # would be the last query's, mistakable for the batch's).
+                if hasattr(predicate, "last_num_candidates"):
+                    predicate.last_num_candidates = None
             self.last_run_many_stats = RunManyStats(
-                num_queries=len(queries), candidates_per_query=tuple(counts)
+                num_queries=len(queries),
+                total_candidates=sum(count or 0 for count in counts),
+                candidates_per_query=tuple(counts),
             )
             self.last_run_many_stats.publish(obs.metrics)
-            # A batch leaves no meaningful single-query count behind (it would
-            # be the last query's, mistakable for the batch's).
-            if hasattr(predicate, "last_num_candidates"):
-                predicate.last_num_candidates = None
             return results
 
     # -- join / dedup -----------------------------------------------------------
@@ -1085,11 +1056,11 @@ class Query:
         with self._query_span("join", threshold=threshold):
             state = self._state(threshold)
             joiner = self._joiner(state, threshold)
-            matches, _ = self._execute(
+            matches = self._execute(
                 state,
                 lambda: joiner.join(probe, threshold=threshold, top_k=top_k),
                 annotate_candidates=False,
-            )
+            )[0]
         return matches
 
     def self_join(
@@ -1102,11 +1073,11 @@ class Query:
         with self._query_span("self_join", threshold=threshold):
             state = self._state(threshold)
             joiner = self._joiner(state, threshold)
-            matches, _ = self._execute(
+            matches = self._execute(
                 state,
                 lambda: joiner.self_join(threshold, include_identity=include_identity),
                 annotate_candidates=False,
-            )
+            )[0]
         self.last_self_join_stats = joiner.last_self_join_stats
         return matches
 
@@ -1117,9 +1088,9 @@ class Query:
             deduplicator = Deduplicator(
                 self._corpus.strings, predicate=state.predicate, threshold=threshold
             )
-            clusters, _ = self._execute(
+            clusters = self._execute(
                 state, deduplicator.clusters, annotate_candidates=False
-            )
+            )[0]
         self.last_self_join_stats = deduplicator.joiner.last_self_join_stats
         return clusters
 
@@ -1336,14 +1307,6 @@ class Query:
                 explain=True,
             ) as root:
                 state = self._state(threshold)
-                before: Optional[BlockingStats] = None
-                if state.blocker is not None:
-                    stats = state.blocker.stats
-                    before = BlockingStats(
-                        probes=stats.probes,
-                        candidates_in=stats.candidates_in,
-                        candidates_out=stats.candidates_out,
-                    )
                 if op == "select":
                     runner = lambda: state.predicate.select(query, threshold)  # noqa: E731
                 elif op == "top_k":
@@ -1355,7 +1318,7 @@ class Query:
                         runner = lambda: state.predicate.rank(query, limit=k)  # noqa: E731
                 else:
                     runner = lambda: state.predicate.rank(query)  # noqa: E731
-                results, execute_span = self._execute(state, runner)
+                results, execute_span, records = self._execute(state, runner)
         report.trace = root
         report.seconds = execute_span.duration
         report.sql = sql_statements(root)
@@ -1388,17 +1351,10 @@ class Query:
                     **weights
                 )
             )
-        report.shards = getattr(state.predicate, "shard_stats", None)
-        report.resilience = getattr(state.predicate, "resilience_stats", None)
-        if isinstance(state.predicate, DeclarativePredicate):
-            report.sql_stats = state.predicate.last_sql_stats
-        if state.blocker is not None and before is not None:
-            after = state.blocker.stats
-            report.blocker_stats = BlockingStats(
-                probes=after.probes - before.probes,
-                candidates_in=after.candidates_in - before.candidates_in,
-                candidates_out=after.candidates_out - before.candidates_out,
-            )
+        report.shards = records.get("shard_stats")
+        report.resilience = records.get("resilience_stats")
+        report.sql_stats = records.get("last_sql_stats")
+        report.blocker_stats = records.get("blocker")
         return report
 
     # -- introspection ----------------------------------------------------------

@@ -8,7 +8,9 @@ This package is the instrumentation seam of the engine.  The pieces:
   an injectable clock, the zero-cost :data:`NOOP_TRACER`, and the
   :class:`Observability` holder the engine threads through its layers;
 * :mod:`repro.obs.metrics` -- :class:`MetricsRegistry` counters and
-  fixed-bucket histograms, with the process-wide :data:`GLOBAL_METRICS`;
+  fixed-bucket histograms, with the process-wide :data:`GLOBAL_METRICS`,
+  and :class:`CounterRecord`, the one protocol of the per-call work records
+  that publish into it;
 * :mod:`repro.obs.export` -- the versioned JSON schemas for traces, metrics
   snapshots and benchmark reports.
 
@@ -35,9 +37,11 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     GLOBAL_METRICS,
     Counter,
+    CounterRecord,
     Gauge,
     Histogram,
     MetricsRegistry,
+    counter_field,
 )
 from repro.obs.trace import NOOP_TRACER, NullTracer, Observability, Span, Tracer
 
@@ -54,6 +58,8 @@ __all__ = [
     "MetricsRegistry",
     "GLOBAL_METRICS",
     "DEFAULT_LATENCY_BUCKETS",
+    "CounterRecord",
+    "counter_field",
     "SCHEMA",
     "trace_to_json",
     "metrics_to_json",

@@ -1,12 +1,17 @@
 """Process-wide named counters and fixed-bucket histograms.
 
-The engine's per-call stats dataclasses
-(:class:`~repro.declarative.base.SQLStats`,
-:class:`~repro.engine.plan.RunManyStats`, :class:`~repro.blocking.base.
-BlockingStats`, :class:`~repro.shard.predicate.ShardStats`) describe *one*
-operation and are overwritten by the next; the :class:`MetricsRegistry`
-accumulates them into long-lived counters and latency histograms a serving
-front (or the planned cost model) can read at any time.
+The per-call work records (:class:`~repro.blocking.base.BlockingStats`,
+:class:`~repro.declarative.base.SQLStats`,
+:class:`~repro.shard.predicate.ShardStats`,
+:class:`~repro.engine.plan.RunManyStats`,
+:class:`~repro.resilience.stats.ResilienceStats`,
+:class:`~repro.core.join.SelfJoinStats`) describe *one* operation and are
+overwritten by the next.  They share one protocol, :class:`CounterRecord`:
+each field is a counter that names its metric, and publishing, printing,
+merging (``a + b``) and deltas (``after - before``) are implemented once,
+here.  The :class:`MetricsRegistry` accumulates what they publish into
+long-lived counters and latency histograms a serving front (or the planned
+cost model) can read at any time.
 
 Conventions:
 
@@ -26,9 +31,12 @@ pass ``SimilarityEngine(metrics=MetricsRegistry())`` for an isolated one.
 
 from __future__ import annotations
 
+import operator
 import threading
 from bisect import bisect_right
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import field, fields
+from functools import lru_cache
+from typing import ClassVar, Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -37,6 +45,8 @@ __all__ = [
     "MetricsRegistry",
     "GLOBAL_METRICS",
     "DEFAULT_LATENCY_BUCKETS",
+    "CounterRecord",
+    "counter_field",
 ]
 
 #: Upper bounds (seconds) of the default latency buckets: 100 µs .. 10 s,
@@ -242,3 +252,112 @@ class MetricsRegistry:
 #: The process-wide default registry (every engine without an explicit
 #: ``metrics=`` publishes here).
 GLOBAL_METRICS = MetricsRegistry()
+
+
+def counter_field(
+    metric: Optional[str], default: object = 0, span: Optional[str] = None
+):
+    """A field of a :class:`CounterRecord` that publishes as ``metric``.
+
+    A tuple-valued field publishes one event per element, under
+    ``metric.format(element)``; a ``None`` metric (or a field declared with
+    a plain default) is described but not published.  ``span`` names the
+    attribute the engine sets the field under on its ``execute`` span.
+    """
+    return field(default=default, metadata={"metric": metric, "span": span})
+
+
+_Pairs = Tuple[Tuple[str, str], ...]
+
+
+@lru_cache(maxsize=None)
+def _layout(cls: type) -> Tuple[Tuple[str, ...], _Pairs, _Pairs]:
+    """A record class's field names, ``(field, metric)`` pairs and
+    ``(field, span attribute)`` pairs, read off its dataclass fields once
+    per class."""
+    specs = fields(cls)
+    names = tuple(spec.name for spec in specs)
+    published, spanned = (
+        tuple((spec.name, spec.metadata[key]) for spec in specs if spec.metadata.get(key))
+        for key in ("metric", "span")
+    )
+    return names, published, spanned
+
+
+def _text(value: object) -> str:
+    return "+".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+class CounterRecord:
+    """The protocol of every per-call work record.
+
+    A record is a dataclass whose fields are its counters, each naming the
+    registry metric it publishes as (:func:`counter_field`) or none.  From
+    that one declaration every record gets:
+
+    * :meth:`publish` -- increments each metric by its field's value; zeros
+      are skipped, so a clean run adds no counter churn;
+    * :meth:`describe` -- ``name=value`` for the non-zero fields, or the
+      class's :attr:`describe_format` filled in with the record;
+    * :meth:`span_attributes` -- the fields the engine mirrors onto its
+      ``execute`` span;
+    * ``a + b`` (merge) and ``after - before`` (delta): numeric fields add
+      and subtract; any other field is a label (an executor name, the SQL
+      plan steps), which ``+`` takes from ``b`` unless empty and ``-`` takes
+      from ``after``.
+    """
+
+    #: ``str.format`` template over the record (``{0.field}``), for records
+    #: whose line in ``explain()`` / the CLI is fixed text; ``None`` =
+    #: ``name=value``.
+    describe_format: ClassVar[Optional[str]] = None
+
+    def publish(self, metrics: MetricsRegistry) -> None:
+        """Accumulate the non-zero fields into ``metrics``."""
+        for name, metric in _layout(type(self))[1]:
+            value = getattr(self, name)
+            if not value:
+                continue
+            if isinstance(value, tuple):
+                for item in value:
+                    metrics.inc(metric.format(item))
+            else:
+                metrics.inc(metric, value)
+
+    def span_attributes(self) -> Dict[str, object]:
+        """``{span attribute: value}`` of the span-named fields; empty when
+        every published field is zero (the record publishes nothing)."""
+        _, published, spanned = _layout(type(self))
+        if not any(getattr(self, name) for name, _ in published):
+            return {}
+        return {attribute: getattr(self, name) for name, attribute in spanned}
+
+    def describe(self) -> str:
+        """One human line for ``explain()`` and the CLI."""
+        if self.describe_format is not None:
+            return self.describe_format.format(self)
+        pairs = [
+            (name, value)
+            for name in _layout(type(self))[0]
+            if (value := getattr(self, name))
+        ]
+        return ", ".join(f"{name}={_text(value)}" for name, value in pairs) or "-"
+
+    def __add__(self, other):
+        return self._combine(other, operator.add, lambda mine, theirs: theirs or mine)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub, lambda mine, _theirs: mine)
+
+    def _combine(self, other, arithmetic, label):
+        if type(other) is not type(self):
+            return NotImplemented
+        values = {}
+        for name in _layout(type(self))[0]:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            values[name] = (
+                arithmetic(mine, theirs)
+                if isinstance(mine, (int, float))
+                else label(mine, theirs)
+            )
+        return type(self)(**values)

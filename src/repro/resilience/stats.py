@@ -1,9 +1,9 @@
 """Resilience accounting: what the self-healing machinery actually did.
 
-One :class:`ResilienceStats` record per executor run, merged across the
-runs of a query by the sharded predicate and surfaced two ways -- in
-``explain()`` (so a human sees "the pool broke and was rebuilt" next to the
-plan) and as ``resilience.*`` counters in the metrics registry (so a
+One :class:`ResilienceStats` record per executor run, summed across the
+runs of a query by the sharded predicate (``a + b``) and surfaced two ways
+-- in ``explain()`` (so a human sees "the pool broke and was rebuilt" next
+to the plan) and as ``resilience.*`` counters in the metrics registry (so a
 dashboard sees the rate).  A run with no incidents publishes nothing: the
 happy path stays free of counter churn, and ``events`` is falsy, which is
 what `explain()` keys on to omit the section entirely.
@@ -12,13 +12,14 @@ what `explain()` keys on to omit the section entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+
+from repro.obs.metrics import CounterRecord, counter_field
 
 __all__ = ["ResilienceStats"]
 
 
 @dataclass
-class ResilienceStats:
+class ResilienceStats(CounterRecord):
     """Counts of resilience events during shard execution.
 
     ``tasks`` is the number of shard tasks dispatched (including re-runs);
@@ -30,11 +31,17 @@ class ResilienceStats:
 
     executor: str = ""
     tasks: int = 0
-    task_retries: int = 0
-    task_failures: int = 0
-    pool_rebuilds: int = 0
-    serial_fallbacks: int = 0
-    faults_injected: int = 0
+    task_retries: int = counter_field(
+        "resilience.task_retries", span="resilience_retries"
+    )
+    task_failures: int = counter_field("resilience.task_failures")
+    pool_rebuilds: int = counter_field(
+        "resilience.pool_rebuilds", span="resilience_pool_rebuilds"
+    )
+    serial_fallbacks: int = counter_field(
+        "resilience.serial_fallbacks", span="resilience_serial_fallbacks"
+    )
+    faults_injected: int = counter_field("resilience.faults_injected")
 
     @property
     def events(self) -> int:
@@ -46,40 +53,3 @@ class ResilienceStats:
             + self.serial_fallbacks
             + self.faults_injected
         )
-
-    def merge(self, other: "ResilienceStats") -> None:
-        """Fold another run's record into this one (executor name wins last)."""
-        if other.executor:
-            self.executor = other.executor
-        self.tasks += other.tasks
-        self.task_retries += other.task_retries
-        self.task_failures += other.task_failures
-        self.pool_rebuilds += other.pool_rebuilds
-        self.serial_fallbacks += other.serial_fallbacks
-        self.faults_injected += other.faults_injected
-
-    def publish(self, metrics) -> None:
-        """Increment ``resilience.*`` counters, skipping zeros."""
-        for name, value in (
-            ("resilience.task_retries", self.task_retries),
-            ("resilience.task_failures", self.task_failures),
-            ("resilience.pool_rebuilds", self.pool_rebuilds),
-            ("resilience.serial_fallbacks", self.serial_fallbacks),
-            ("resilience.faults_injected", self.faults_injected),
-        ):
-            if value:
-                metrics.inc(name, value)
-
-    def describe(self) -> str:
-        """One human line for ``explain()`` output."""
-        parts: List[str] = [f"executor={self.executor or '?'}", f"tasks={self.tasks}"]
-        for label, value in (
-            ("retries", self.task_retries),
-            ("failures", self.task_failures),
-            ("pool_rebuilds", self.pool_rebuilds),
-            ("serial_fallbacks", self.serial_fallbacks),
-            ("faults_injected", self.faults_injected),
-        ):
-            if value:
-                parts.append(f"{label}={value}")
-        return ", ".join(parts)

@@ -37,6 +37,7 @@ travel back as plain dicts and are re-attached under the currently open
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
@@ -45,6 +46,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from repro.core.corpus import CorpusCore
 from repro.core.predicates.base import Match, Predicate
 from repro.obs.clock import perf_clock
+from repro.obs.metrics import CounterRecord, counter_field
 from repro.obs.trace import Observability, Span
 from repro.resilience import (
     FaultInjector,
@@ -73,26 +75,18 @@ def shard_offsets(num_tuples: int, num_shards: int) -> List[int]:
 
 
 @dataclass
-class ShardStats:
+class ShardStats(CounterRecord):
     """Shard-level work counters of the most recent sharded operation."""
 
-    num_shards: int
-    executor: str
-    shard_sizes: Tuple[int, ...]
-    shards_run: int = 0
+    describe_format = "{0.shards_run}/{0.num_shards} shards run via {0.executor!r} executor"
+
+    num_shards: int = 0
+    executor: str = ""
+    shard_sizes: Tuple[int, ...] = ()
+    shards_run: int = counter_field("shards_run", span="shards_run")
     #: Vestige, never set: ``benchmarks/ledger/layers.py`` reads it after each
     #: sharded call; retires with that row in the next ``[benchmark]`` PR.
     shards_skipped: int = 0
-
-    def describe(self) -> str:
-        return (
-            f"{self.shards_run}/{self.num_shards} shards run "
-            f"via {self.executor!r} executor"
-        )
-
-    def publish(self, metrics) -> None:
-        """Accumulate into a :class:`~repro.obs.metrics.MetricsRegistry`."""
-        metrics.inc("shards_run", self.shards_run)
 
 
 def execute_shard_op(shard: Predicate, op: str, payload: dict) -> dict:
@@ -222,10 +216,15 @@ class ShardedPredicate:
         self._owns_executor = not isinstance(executor, ShardExecutor)
         self._executor: ShardExecutor = make_executor(executor)
         self._executor.configure_resilience(faults=faults, retry_policy=retry_policy)
-        #: Accumulated resilience record of executor runs since the last
-        #: :meth:`reset_resilience` (``None`` while nothing has run).  The
-        #: engine resets it per query and surfaces it in ``explain()``.
+        #: Resilience record of the executor runs since it was last cleared
+        #: (``None`` while nothing has run), summed with ``+``.  The engine
+        #: clears it before each operation and publishes what that
+        #: operation's rounds left, surfacing it in ``explain()``.
         self.resilience_stats: Optional[ResilienceStats] = None
+        #: Held by the engine from clearing :attr:`shard_stats` /
+        #: :attr:`resilience_stats` to reading them back, so concurrent
+        #: operations on one sharded predicate each read their own records.
+        self.records_lock = threading.Lock()
         self._strings: List[str] = []
         #: The whole relation's corpus core (the engine's shared one when it
         #: drove the fit); shards are fitted over slices of it.
@@ -488,19 +487,6 @@ class ShardedPredicate:
                     if record is not None:
                         parent.attach(Span.from_dict(record))
 
-    def reset_resilience(self) -> None:
-        """Start a fresh resilience record (the engine calls this per query)."""
-        self.resilience_stats = None
-
-    def _merge_resilience(self) -> None:
-        """Fold the executor's last-run record into the accumulated one."""
-        record = self._executor.last_resilience
-        if record is None:
-            return
-        if self.resilience_stats is None:
-            self.resilience_stats = ResilienceStats()
-        self.resilience_stats.merge(record)
-
     def _round(
         self, op: str, payload: dict, allowed: Optional[Iterable[int]] = None
     ) -> List[Tuple[List[Match], Optional[int]]]:
@@ -529,7 +515,8 @@ class ShardedPredicate:
                     task["trace"] = True
             tasks.append((shard_id, op, task))
         results = self._executor.run(tasks)
-        self._merge_resilience()
+        record, merged = self._executor.last_resilience, self.resilience_stats
+        self.resilience_stats = record if merged is None else merged + record
         self._finish(results)
         self.shard_stats = replace(self._layout, shards_run=len(self._shards))
         if op == "run_many":

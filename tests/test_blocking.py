@@ -57,6 +57,15 @@ class TestBlockingStats:
         stats.record(5, 0)
         assert stats.reduction_ratio == math.inf
 
+    def test_delta_of_one_prune(self):
+        stats = BlockingStats()
+        stats.record(10, 2)
+        before = BlockingStats() + stats
+        stats.record(5, 0)
+        assert stats - before == BlockingStats(
+            probes=1, candidates_in=5, candidates_out=0
+        )
+
     def test_reset(self):
         stats = BlockingStats()
         stats.record(3, 1)

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ApproximateSelector
 from repro.core.predicates import available_predicates, make_predicate
+from repro.engine import SimilarityEngine
 
 ALL_PREDICATES = available_predicates()
 
@@ -75,33 +75,37 @@ class TestDegenerateRelations:
         assert ranked and ranked[0].tid == 0
 
 
-class TestSelectorEdgeCases:
-    def test_selector_over_single_string(self):
-        selector = ApproximateSelector(["only one"], predicate="bm25")
-        assert selector.top_k("only one", k=5)[0].tid == 0
+def _query(strings, predicate):
+    return SimilarityEngine().from_strings(strings).predicate(predicate)
+
+
+class TestQueryEdgeCases:
+    def test_query_over_single_string(self):
+        query = _query(["only one"], "bm25")
+        assert query.top_k("only one", k=5)[0].tid == 0
 
     def test_top_k_zero(self, company_strings):
-        selector = ApproximateSelector(company_strings, predicate="jaccard")
-        assert selector.top_k("Morgan", k=0) == []
+        query = _query(company_strings, "jaccard")
+        assert query.top_k("Morgan", k=0) == []
 
     def test_threshold_above_all_scores(self, company_strings):
-        selector = ApproximateSelector(company_strings, predicate="jaccard")
-        assert selector.select("Morgan Stanley", threshold=1.1) == []
+        query = _query(company_strings, "jaccard")
+        assert query.select("Morgan Stanley", threshold=1.1) == []
 
     def test_very_long_query(self, company_strings):
-        selector = ApproximateSelector(company_strings, predicate="cosine")
+        query = _query(company_strings, "cosine")
         long_query = " ".join(company_strings) * 3
-        results = selector.rank(long_query)
+        results = query.rank(long_query)
         assert len(results) == len(company_strings)
 
     @given(st.text(max_size=60))
     @settings(max_examples=30, deadline=None)
-    def test_arbitrary_query_text_property(self, query):
-        selector = ApproximateSelector(
+    def test_arbitrary_query_text_property(self, text):
+        query = _query(
             ["Morgan Stanley Group Inc.", "Goldman Sachs", "AT&T Inc."],
-            predicate="jaccard",
+            "jaccard",
         )
-        results = selector.rank(query)
+        results = query.rank(text)
         for result in results:
             assert 0.0 <= result.score <= 1.0
             assert 0 <= result.tid < 3

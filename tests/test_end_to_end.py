@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ApproximateSelector
 from repro.datagen import make_dataset
+from repro.engine import SimilarityEngine
 from repro.eval import ExperimentRunner, IdfPruner
 
 
@@ -74,25 +74,25 @@ class TestSelectorWorkflow:
     def test_deduplication_workflow(self, dirty_dataset):
         """The quickstart workflow: index a dirty relation, look up a record,
         and retrieve its duplicates."""
-        selector = ApproximateSelector(dirty_dataset.strings, predicate="bm25")
+        query = SimilarityEngine().from_strings(dirty_dataset.strings).predicate("bm25")
         query_tid = 5
         query_text = dirty_dataset.strings[query_tid]
         relevant = set(dirty_dataset.relevant_for(query_tid))
-        top = selector.top_k(query_text, k=len(relevant))
+        top = query.top_k(query_text, k=len(relevant))
         found = {result.tid for result in top}
         # At least half the duplicates are found in the top-|cluster| results.
         assert len(found & relevant) >= max(1, len(relevant) // 2)
 
     def test_threshold_selection_over_generated_data(self, dirty_dataset):
-        selector = ApproximateSelector(dirty_dataset.strings, predicate="jaccard")
-        results = selector.select(dirty_dataset.strings[0], threshold=0.99)
+        query = SimilarityEngine().from_strings(dirty_dataset.strings).predicate("jaccard")
+        results = query.select(dirty_dataset.strings[0], threshold=0.99)
         assert any(result.tid == 0 for result in results)
 
     def test_declarative_and_direct_agree_on_generated_data(self, dirty_dataset):
         from repro.declarative import make_declarative_predicate
 
         strings = dirty_dataset.strings[:120]
-        direct = ApproximateSelector(strings, predicate="bm25")
+        direct = SimilarityEngine().from_strings(strings).predicate("bm25")
         declarative = make_declarative_predicate("bm25").preprocess(strings)
         query = strings[10]
         direct_top = [r.tid for r in direct.top_k(query, k=5)]

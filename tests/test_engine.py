@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import (
-    ApproximateSelector,
-    Match,
-    SelectionResult,
-    SimilarityEngine,
-)
+from repro import Match, SimilarityEngine
 from repro.core import ApproximateJoiner, Deduplicator
-from repro.core.predicates import Jaccard, ScoredTuple
+from repro.core.predicates import Jaccard
 from repro.declarative import DeclarativeJaccard
 from repro.engine import SimilarityPredicateProtocol
 from repro.engine import registry as engine_registry
@@ -22,25 +17,31 @@ def engine():
     return SimilarityEngine()
 
 
-class TestMatchUnification:
-    def test_aliases_are_the_same_class(self):
-        assert SelectionResult is Match
-        assert ScoredTuple is Match
+class TestMatch:
+    def test_retired_aliases_are_gone(self):
+        import repro
+        import repro.core
+        import repro.core.predicates
 
-    def test_scored_tuple_contract(self):
+        for module in (repro, repro.core, repro.core.predicates):
+            for name in ("ApproximateSelector", "SelectionResult", "ScoredTuple"):
+                assert not hasattr(module, name)
+        assert not hasattr(Match(3, 0.5, "AT&T Inc."), "text")
+
+    def test_unpacks_to_tid_and_score(self):
         match = Match(3, 0.5)
         tid, score = match
         assert (tid, score) == (3, 0.5)
         assert match.string is None
 
-    def test_selection_result_contract(self):
+    def test_with_string(self):
         match = Match(3, 0.5, "AT&T Inc.")
-        assert match.text == match.string == "AT&T Inc."
+        assert match.string == "AT&T Inc."
         assert match.with_string("IBM").string == "IBM"
 
-    def test_old_positional_order_raises(self):
-        # The retired SelectionResult(tid, text, score) order must fail
-        # loudly instead of silently swapping text and score.
+    def test_text_in_the_score_slot_raises(self):
+        # Match(tid, text, score) must fail loudly instead of carrying the
+        # text as a score.
         with pytest.raises(TypeError):
             Match(0, "AT&T Inc.", 0.9)
 
@@ -64,11 +65,11 @@ class TestFluentQuery:
         assert base._resolved_realization() == "direct"
         assert declarative._resolved_realization() == "declarative"
 
-    def test_select_and_rank_match_the_selector(self, engine, company_strings):
+    def test_select_and_rank_match_a_fresh_engine(self, engine, company_strings):
         query = engine.from_strings(company_strings).predicate("jaccard")
-        selector = ApproximateSelector(company_strings, predicate="jaccard")
-        assert query.select("Beijing Hotel", 0.5) == selector.select("Beijing Hotel", 0.5)
-        assert query.rank("Beijing Hotel") == selector.rank("Beijing Hotel")
+        fresh = SimilarityEngine().from_strings(company_strings).predicate("jaccard")
+        assert query.select("Beijing Hotel", 0.5) == fresh.select("Beijing Hotel", 0.5)
+        assert query.rank("Beijing Hotel") == fresh.rank("Beijing Hotel")
 
     def test_predicate_instance_pins_realization(self, engine, company_strings):
         query = engine.from_strings(company_strings).predicate(DeclarativeJaccard())
@@ -440,10 +441,10 @@ class TestMergedRegistry:
         )
 
 
-class TestDeprecatedSelectorShim:
-    def test_selector_delegates_to_engine(self, company_strings):
-        selector = ApproximateSelector(company_strings, predicate="bm25")
-        assert selector.predicate.is_fitted  # fit-at-construction preserved
-        results = selector.top_k("Morgn Stanley Inc", k=1)
+class TestOneLinePort:
+    def test_engine_query_answers_what_the_selector_did(self, company_strings):
+        query = SimilarityEngine().from_strings(company_strings).predicate("bm25")
+        assert query.fitted_predicate().is_fitted
+        results = query.top_k("Morgn Stanley Inc", k=1)
         assert results[0].tid == 0
-        assert results[0].text == company_strings[0]
+        assert results[0].string == company_strings[0]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.dedup import ClusteringQuality, Deduplicator, UnionFind
 from repro.core.join import ApproximateJoiner, JoinMatch, SelfJoinStats
 from repro.core.predicates import Jaccard
-from repro.core.predicates.base import Predicate, ScoredTuple
+from repro.core.predicates.base import Match, Predicate
 
 
 class _UnsortedPredicate(Predicate):
@@ -28,7 +28,7 @@ class _UnsortedPredicate(Predicate):
 
     def select(self, query, threshold):
         # Deliberately worst-score-first to exercise the join's top_k sort.
-        return [ScoredTuple(0, 0.1), ScoredTuple(2, 0.5), ScoredTuple(1, 0.9)]
+        return [Match(0, 0.1), Match(2, 0.5), Match(1, 0.9)]
 
 
 class TestUnionFind:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ApproximateSelector, SelectionResult, available_predicates, make_predicate
+from repro.core import Match, available_predicates, make_predicate
 from repro.core.predicates import (
     BM25,
     GES,
@@ -21,6 +21,7 @@ from repro.core.predicates import (
     WeightedJaccard,
     WeightedMatch,
 )
+from repro.engine import SimilarityEngine
 
 
 class TestRegistry:
@@ -109,46 +110,46 @@ class TestMergedRegistryCoincidence:
             assert make_declarative_predicate(name) is not None
 
 
-class TestApproximateSelector:
-    def test_selector_with_name(self, company_strings):
-        selector = ApproximateSelector(company_strings, predicate="bm25")
-        results = selector.top_k("Morgn Stanley Inc", k=1)
-        assert results[0].tid == 0
-        assert isinstance(results[0], SelectionResult)
-        assert results[0].text == company_strings[0]
+def _query(strings, predicate, **kwargs):
+    return SimilarityEngine().from_strings(strings).predicate(predicate, **kwargs)
 
-    def test_selector_with_instance(self, company_strings):
-        selector = ApproximateSelector(company_strings, predicate=Jaccard())
-        assert selector.predicate.name == "Jaccard"
+
+class TestEngineSelection:
+    def test_query_with_name(self, company_strings):
+        results = _query(company_strings, "bm25").top_k("Morgn Stanley Inc", k=1)
+        assert results[0].tid == 0
+        assert isinstance(results[0], Match)
+        assert results[0].string == company_strings[0]
+
+    def test_query_with_instance(self, company_strings):
+        query = _query(company_strings, Jaccard())
+        assert query.fitted_predicate().name == "Jaccard"
 
     def test_kwargs_only_with_name(self, company_strings):
         with pytest.raises(ValueError):
-            ApproximateSelector(company_strings, predicate=Jaccard(), q=3)
+            _query(company_strings, Jaccard(), q=3)
 
     def test_select_threshold(self, company_strings):
-        selector = ApproximateSelector(company_strings, predicate="jaccard")
-        results = selector.select("Beijing Hotel", threshold=0.5)
+        results = _query(company_strings, "jaccard").select("Beijing Hotel", threshold=0.5)
         assert {r.tid for r in results} >= {5}
         assert all(r.score >= 0.5 for r in results)
 
     def test_rank_returns_texts(self, company_strings):
-        selector = ApproximateSelector(company_strings, predicate="cosine")
-        for result in selector.rank("AT&T Inc."):
-            assert result.text == company_strings[result.tid]
+        for result in _query(company_strings, "cosine").rank("AT&T Inc."):
+            assert result.string == company_strings[result.tid]
 
     def test_top_k_negative(self, company_strings):
-        selector = ApproximateSelector(company_strings, predicate="jaccard")
         with pytest.raises(ValueError):
-            selector.top_k("x", k=-1)
+            _query(company_strings, "jaccard").top_k("x", k=-1)
 
     def test_score(self, company_strings):
-        selector = ApproximateSelector(company_strings, predicate="jaccard")
-        assert selector.score(company_strings[2], 2) == pytest.approx(1.0)
+        query = _query(company_strings, "jaccard")
+        assert query.score(company_strings[2], 2) == pytest.approx(1.0)
 
     def test_len_and_strings(self, company_strings):
-        selector = ApproximateSelector(company_strings, predicate="intersect")
-        assert len(selector) == len(company_strings)
-        assert selector.strings == list(company_strings)
+        query = _query(company_strings, "intersect")
+        assert len(query) == len(company_strings)
+        assert query.strings == list(company_strings)
 
     def test_unfitted_predicate_rejected_at_query(self):
         predicate = Jaccard()
@@ -158,6 +159,5 @@ class TestApproximateSelector:
     def test_every_registered_predicate_finds_exact_duplicate(self, company_strings):
         """End-to-end sanity: each predicate ranks an exact copy first."""
         for name in available_predicates():
-            selector = ApproximateSelector(company_strings, predicate=name)
-            top = selector.top_k(company_strings[0], k=1)
+            top = _query(company_strings, name).top_k(company_strings[0], k=1)
             assert top and top[0].tid == 0, name

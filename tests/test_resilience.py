@@ -372,7 +372,8 @@ class TestResilienceStats:
     def test_merge_and_events(self):
         stats = ResilienceStats(executor="thread", tasks=4)
         assert stats.events == 0
-        stats.merge(ResilienceStats(tasks=2, task_retries=1, pool_rebuilds=1))
+        stats += ResilienceStats(tasks=2, task_retries=1, pool_rebuilds=1)
+        assert stats.executor == "thread"
         assert stats.tasks == 6
         assert stats.task_retries == 1
         assert stats.events == 2
