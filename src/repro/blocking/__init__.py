@@ -18,11 +18,16 @@ package provides pluggable blockers behind the common
 * :func:`~repro.blocking.factory.make_blocker` -- builds any of the above
   from a spec string such as ``"length+prefix"`` (used by the CLI).
 
-Integration points: ``InvertedIndex.candidates(..., blocker=...)``,
-``Predicate.set_blocker``, ``ApproximateJoiner(blocker=...)`` /
-``Deduplicator(blocker=...)`` and the CLI's ``--blocker`` / ``--lsh-bands``
-flags.  ``benchmarks/bench_blocking.py`` measures speedup and recall against
-the unblocked baseline.
+Integration points: ``Predicate.set_blocker`` (the blocker is fitted from
+the predicate's :class:`~repro.core.corpus.CorpusCore`, once per relation),
+``ApproximateJoiner(blocker=...)`` / ``Deduplicator(blocker=...)`` and the
+CLI's ``--blocker`` / ``--lsh-bands`` flags.  Candidates come from
+``InvertedIndex.candidate_mask(..., blocker)`` -- the probe and the prune as
+array operations -- when a numpy overlap scan runs under an exact blocker,
+and from the set path ``InvertedIndex.candidates(..., blocker=...)``
+everywhere else: the scalar backend and healed calls, LSH, the edit family
+and the sharded pre-partition prune.  ``benchmarks/bench_blocking.py``
+measures speedup and recall against the unblocked baseline.
 """
 
 from repro.blocking.base import Blocker, BlockingStats

@@ -20,10 +20,19 @@ Every blocker answers three questions:
    inverted index at all (prefix filtering shrinks this set);
 2. :meth:`Blocker.prune` -- which of the candidates produced by the index can
    still reach the threshold (length filtering and LSH shrink this set);
+   :meth:`Blocker.prune_array` is its twin over an ``int64`` tid array, for
+   the blockers whose pruning is array arithmetic (:attr:`prunes_arrays`:
+   the exact filters and pipelines made only of them);
 3. :meth:`Blocker.partners` -- for similarity *self-joins*, which tuples of
    the indexed relation may pair with a given tuple (used by
    :meth:`repro.core.join.ApproximateJoiner.self_join` to probe only within
    blocks and to skip singleton blocks entirely).
+
+A blocker is fitted from a :class:`~repro.core.corpus.CorpusCore`
+(:meth:`Blocker.fit_core`): a predicate hands it the core it is itself
+fitted over, so token sets, document frequencies and sizes are read, not
+recounted, and the core it was fitted from (:attr:`Blocker.fitted_core`)
+tells a host whether re-attaching it needs a fit at all.
 
 :class:`BlockingStats` counts candidates before and after pruning so
 pipelines and benchmarks can report the achieved reduction; the engine
@@ -34,8 +43,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set
+from typing import Optional, Sequence, Set
 
+from repro.core.corpus import CorpusCore
 from repro.obs.metrics import CounterRecord, counter_field
 from repro.text.tokenize import QgramTokenizer, Tokenizer
 
@@ -96,7 +106,8 @@ class Blocker(ABC):
     Subclasses implement :meth:`_fit` (and usually override one or more of
     :meth:`probe_tokens`, :meth:`_prune`, :meth:`partners`, :meth:`blocks`).
     The default implementations are conservative no-ops, so a blocker only
-    has to override the hooks it can actually accelerate.
+    has to override the hooks it can actually accelerate.  A blocker that
+    also answers :meth:`_prune_array` sets :attr:`prunes_arrays`.
     """
 
     #: Registry name of the blocker (used by CLI flags and reports).
@@ -110,36 +121,59 @@ class Blocker(ABC):
     #: blocker to a predicate with different score semantics turns it into a
     #: heuristic and triggers a warning.
     semantics: str = "any"
+    #: ``True`` when :meth:`prune_array` prunes exactly as :meth:`prune` does,
+    #: so the numpy scans may narrow their result with it instead of building
+    #: the candidate set (see :meth:`repro.core.index.InvertedIndex.candidate_mask`).
+    prunes_arrays: bool = False
 
     def __init__(self, tokenizer: Optional[Tokenizer] = None):
         self.tokenizer = tokenizer or QgramTokenizer(q=2)
         self.stats = BlockingStats()
         self._num_tuples = 0
         self._fitted = False
+        self._core: Optional[CorpusCore] = None
 
     # -- preprocessing --------------------------------------------------------
 
     def fit(self, token_lists: Sequence[Sequence[str]]) -> "Blocker":
-        """Index the base relation's token lists for pruning.
-
-        Predicates hosting a blocker call this with *their own* token lists so
-        that blocker and predicate agree on tokenization (required for the
-        exact filters to be exact).
-        """
-        token_sets = [frozenset(tokens) for tokens in token_lists]
-        self._num_tuples = len(token_sets)
-        self.stats.reset()
-        self._fit(token_sets)
-        self._fitted = True
-        return self
+        """Index the base relation's token lists for pruning (a private
+        :class:`~repro.core.corpus.CorpusCore` over them, see :meth:`fit_core`)."""
+        return self.fit_core(CorpusCore.of_token_lists(token_lists, self.tokenizer))
 
     def fit_strings(self, strings: Sequence[str]) -> "Blocker":
         """Convenience: tokenize ``strings`` with :attr:`tokenizer` and fit."""
         return self.fit(self.tokenizer.tokenize_many(list(strings)))
 
+    def fit_core(self, core: CorpusCore) -> "Blocker":
+        """Index the relation of ``core`` for pruning.
+
+        Predicates hosting a blocker hand it the core they are fitted over
+        (or one under the blocker's tokenizer), so that blocker and predicate
+        agree on tokenization -- required for the exact filters to be exact.
+        The core's parts are read (built on first use, as for any fit), never
+        changed, and the core is kept as :attr:`fitted_core`.
+        What a fit builds depends on the core alone, so a blocker already
+        fitted from this very core is left as it is, statistics included:
+        re-attaching it (another threshold's plan, a blocked query after an
+        unblocked one) costs no fit.
+        """
+        if core is self._core:
+            return self
+        self._num_tuples = len(core)
+        self.stats.reset()
+        self._fit(core)
+        self._core = core
+        self._fitted = True
+        return self
+
     @abstractmethod
-    def _fit(self, token_sets: List[frozenset]) -> None:
-        """Build the blocker's internal structures from the token sets."""
+    def _fit(self, core: CorpusCore) -> None:
+        """Build the blocker's internal structures from ``core``."""
+
+    @property
+    def fitted_core(self) -> Optional[CorpusCore]:
+        """The core the last fit read (``None`` before any)."""
+        return self._core
 
     # -- query-time hooks -----------------------------------------------------
 
@@ -164,6 +198,23 @@ class Blocker(ABC):
 
     def _prune(self, query_tokens: Set[str], candidates: Set[int]) -> Set[int]:
         return candidates
+
+    def prune_array(self, query_tokens: Set[str], tids, index):
+        """:meth:`prune` over arrays: the survivors among ``tids``.
+
+        ``tids`` is an ascending ``int64`` array of distinct candidate tids;
+        the result is the (ascending) survivors, exactly the set :meth:`prune`
+        keeps, and the same :class:`BlockingStats` are recorded.  ``index`` is
+        the host's :class:`~repro.core.index.InvertedIndex`, its posting
+        arrays built.  Only meaningful when :attr:`prunes_arrays` is set.
+        """
+        self._require_fitted()
+        survivors = self._prune_array(query_tokens, tids, index)
+        self.stats.record(int(tids.size), int(survivors.size))
+        return survivors
+
+    def _prune_array(self, query_tokens: Set[str], tids, index):
+        return tids
 
     def partners(self, tid: int) -> Optional[Set[int]]:
         """Tuples that may pair with ``tid`` in a self-join (incl. ``tid``).

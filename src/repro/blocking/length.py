@@ -10,7 +10,8 @@ reach ``sim >= t`` when the candidate's distinct-token count lies within
 The filter is *exact* for Jaccard: it never drops a candidate whose score can
 reach the threshold, so thresholded selections and self-joins return exactly
 the same matches as the unblocked baseline -- just without scoring tuples of
-hopelessly different size.
+hopelessly different size.  On the numpy scans the bound is one comparison
+over the index's per-tuple sizes (:meth:`LengthFilter._prune_array`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.blocking.base import Blocker
+from repro.core.corpus import CorpusCore
 from repro.text.tokenize import Tokenizer
 
 __all__ = ["LengthFilter"]
@@ -42,6 +44,7 @@ class LengthFilter(Blocker):
     name = "length"
     exact = True
     semantics = "jaccard"
+    prunes_arrays = True
 
     def __init__(self, threshold: float, tokenizer: Optional[Tokenizer] = None):
         super().__init__(tokenizer)
@@ -52,11 +55,11 @@ class LengthFilter(Blocker):
         self._sorted_sizes: List[int] = []
         self._tids_by_size: List[int] = []
 
-    def _fit(self, token_sets: List[frozenset]) -> None:
-        self._sizes = [len(tokens) for tokens in token_sets]
-        order = sorted(range(len(self._sizes)), key=lambda tid: (self._sizes[tid], tid))
-        self._tids_by_size = order
-        self._sorted_sizes = [self._sizes[tid] for tid in order]
+    def _fit(self, core: CorpusCore) -> None:
+        sizes = self._sizes = list(map(len, core.token_sets))
+        # A stable sort on the size alone orders ties by tid.
+        order = self._tids_by_size = sorted(range(len(sizes)), key=sizes.__getitem__)
+        self._sorted_sizes = [sizes[tid] for tid in order]
 
     # -- bounds ---------------------------------------------------------------
 
@@ -76,6 +79,13 @@ class LengthFilter(Blocker):
         low, high = self.bounds(len(query_tokens))
         sizes = self._sizes
         return {tid for tid in candidates if low <= sizes[tid] <= high}
+
+    def _prune_array(self, query_tokens: Set[str], tids, index):
+        if self.threshold <= 0.0:
+            return tids
+        low, high = self.bounds(len(query_tokens))
+        sizes = index.set_sizes[tids]
+        return tids[(sizes >= low) & (sizes <= high)]
 
     def supports_threshold(self, threshold: float) -> bool:
         return threshold >= self.threshold - _EPS

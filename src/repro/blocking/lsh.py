@@ -18,9 +18,10 @@ callers can pick parameters for a target recall.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.blocking.base import Blocker
+from repro.core.corpus import CorpusCore
 from repro.text.minhash import MinHasher, MinHashSignature, stable_token_hash
 from repro.text.tokenize import Tokenizer
 
@@ -95,10 +96,10 @@ class MinHashLSH(Blocker):
 
     # -- fitting --------------------------------------------------------------
 
-    def _fit(self, token_sets: List[FrozenSet[str]]) -> None:
+    def _fit(self, core: CorpusCore) -> None:
         self._buckets = [{} for _ in range(self.num_bands)]
         self._band_keys = []
-        for tid, tokens in enumerate(token_sets):
+        for tid, tokens in enumerate(core.token_sets):
             keys = self._keys(self._signature(tokens))
             self._band_keys.append(keys)
             for band, key in enumerate(keys):

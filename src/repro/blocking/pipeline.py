@@ -10,9 +10,10 @@ pipeline can report where the reduction came from.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.blocking.base import Blocker, BlockingStats
+from repro.core.corpus import CorpusCore
 
 __all__ = ["BlockingPipeline"]
 
@@ -33,6 +34,7 @@ class BlockingPipeline(Blocker):
             raise ValueError("a BlockingPipeline needs at least one stage")
         self.stages: List[Blocker] = list(stages)
         self.exact = all(stage.exact for stage in self.stages)
+        self.prunes_arrays = all(stage.prunes_arrays for stage in self.stages)
         self.semantics = (
             "jaccard"
             if any(stage.semantics == "jaccard" for stage in self.stages)
@@ -40,9 +42,9 @@ class BlockingPipeline(Blocker):
         )
         self.name = "+".join(stage.name for stage in self.stages)
 
-    def _fit(self, token_sets: List[FrozenSet[str]]) -> None:
+    def _fit(self, core: CorpusCore) -> None:
         for stage in self.stages:
-            stage.fit(token_sets)
+            stage.fit_core(core)
 
     # -- hooks ----------------------------------------------------------------
 
@@ -66,6 +68,14 @@ class BlockingPipeline(Blocker):
             if not survivors:
                 break
             survivors = stage.prune(query_tokens, survivors)
+        return survivors
+
+    def _prune_array(self, query_tokens: Set[str], tids, index):
+        survivors = tids
+        for stage in self.stages:
+            if not survivors.size:
+                break
+            survivors = stage.prune_array(query_tokens, survivors, index)
         return survivors
 
     def supports_threshold(self, threshold: float) -> bool:

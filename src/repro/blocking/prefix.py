@@ -22,14 +22,22 @@ tokens of each set under that order (its *prefix*):
 Exactness holds for Jaccard (and any similarity with
 ``sim >= t  =>  overlap >= t * max(|Q|, |D|)``); for other predicates the
 filter is a heuristic.
+
+The global order is fitted once as a rank per token of the host's core
+(document frequencies read off its inverted index); the filter prunes
+nothing itself, so on the numpy scans its whole effect is the probe mask
+:meth:`repro.core.index.InvertedIndex.candidate_mask` marks from the prefix
+tokens' tid arrays.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.blocking.base import Blocker
+from repro.core.corpus import CorpusCore
 from repro.text.tokenize import Tokenizer
 
 __all__ = ["PrefixFilter"]
@@ -50,13 +58,16 @@ class PrefixFilter(Blocker):
     name = "prefix"
     exact = True
     semantics = "jaccard"
+    prunes_arrays = True
 
     def __init__(self, threshold: float, tokenizer: Optional[Tokenizer] = None):
         super().__init__(tokenizer)
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be within [0, 1]")
         self.threshold = threshold
-        self._document_frequency: Dict[str, int] = {}
+        #: token -> position in the global order (ascending document
+        #: frequency, ties by token) over the fitted vocabulary.
+        self._rank: Dict[str, int] = {}
         self._prefixes: List[FrozenSet[str]] = []
         self._prefix_postings: Dict[str, List[int]] = {}
 
@@ -69,28 +80,35 @@ class PrefixFilter(Blocker):
         needed = math.ceil(self.threshold * size - _EPS)
         return max(1, size - needed + 1)
 
-    def _order_key(self, token: str):
-        """Global token order: ascending document frequency, ties by token."""
-        return (self._document_frequency.get(token, 0), token)
-
     def prefix_of(self, tokens: Set[str]) -> List[str]:
-        """The rarest-first prefix of a token set at the configured threshold."""
-        ordered = sorted(tokens, key=self._order_key)
+        """The rarest-first prefix of a token set at the configured threshold.
+
+        A token the fitted relation never saw has document frequency 0, so it
+        orders before every fitted one (unseen tokens by token among
+        themselves).
+        """
+        rank = self._rank
+        seen = [token for token in tokens if token in rank]
+        ordered = sorted(token for token in tokens if token not in rank)
+        ordered += sorted(seen, key=rank.__getitem__)
         return ordered[: self.prefix_length(len(ordered))]
 
-    def _fit(self, token_sets: List[FrozenSet[str]]) -> None:
-        frequency: Dict[str, int] = {}
-        for tokens in token_sets:
-            for token in tokens:
-                frequency[token] = frequency.get(token, 0) + 1
-        self._document_frequency = frequency
-        self._prefixes = []
-        self._prefix_postings = {}
-        for tid, tokens in enumerate(token_sets):
-            prefix = self.prefix_of(set(tokens))
-            self._prefixes.append(frozenset(prefix))
+    def _fit(self, core: CorpusCore) -> None:
+        vocabulary = sorted(
+            (count, token) for token, count in core.document_frequencies.items()
+        )
+        self._rank = {token: position for position, (_, token) in enumerate(vocabulary)}
+        by_rank = self._rank.__getitem__
+        prefix_length = self.prefix_length
+        prefixes: List[FrozenSet[str]] = []
+        postings: Dict[str, List[int]] = defaultdict(list)
+        for tid, tokens in enumerate(core.token_sets):
+            prefix = sorted(tokens, key=by_rank)[: prefix_length(len(tokens))]
+            prefixes.append(frozenset(prefix))
             for token in prefix:
-                self._prefix_postings.setdefault(token, []).append(tid)
+                postings[token].append(tid)
+        self._prefixes = prefixes
+        self._prefix_postings = dict(postings)
 
     # -- hooks ----------------------------------------------------------------
 

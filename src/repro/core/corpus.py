@@ -18,12 +18,15 @@ relation and the tokenizer, never on a predicate:
   ``(tid, contribution)`` lists are not part of a numpy fit: a weighted index
   derives them from this index's posting lists on its first scalar read),
 * the per-tuple token sets,
+* the document frequency of each token (what the prefix blocker orders by),
+  read off the index when a fit has built one, else counted over the token
+  sets,
 * the :class:`~repro.text.weights.CollectionStatistics` -- its ``df`` / ``cf``
   read off the index token-major when a fit has already built one, counted
   over the ``Counter`` objects otherwise (same integers, same vocabulary
   order).
 
-The last four are built on first use and then kept, so a corpus that only
+The last five are built on first use and then kept, so a corpus that only
 ever serves word-level combination predicates never pays for a posting
 index, and one that only serves Jaccard never counts collection frequencies.
 
@@ -43,6 +46,7 @@ core to concurrent fits only under a lock (the engine holds its own).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Set, TypeVar
 
 from repro.core.index import InvertedIndex
@@ -88,6 +92,33 @@ class CorpusCore:
             lists = [list(tokens) for tokens in token_lists]
         self._bind(tokenizer, lists, perf_clock() - started)
 
+    @classmethod
+    def of_token_lists(
+        cls, token_lists: Sequence[Sequence[str]], tokenizer: Tokenizer
+    ) -> "CorpusCore":
+        """A core over lists already tokenized with ``tokenizer``, when no
+        strings are at hand (a blocker fitted on bare token lists); trusted
+        and copied, as ``token_lists=`` is."""
+        core = cls.__new__(cls)
+        core._bind(tokenizer, [list(tokens) for tokens in token_lists])
+        return core
+
+    @classmethod
+    def under(
+        cls,
+        cached: Optional["CorpusCore"],
+        strings: Sequence[str],
+        tokenizer: Tokenizer,
+    ) -> "CorpusCore":
+        """``cached`` when it was built with ``tokenizer``, else a new core of
+        ``strings`` under it: how a host that fits blockers under their own
+        tokenizer keeps one core per relation (it drops ``cached`` when it
+        is refitted), so re-attaching a blocker finds the core it was fitted
+        from."""
+        if cached is not None and cached.tokenizer == tokenizer:
+            return cached
+        return cls(strings, tokenizer)
+
     def _bind(
         self,
         tokenizer: Tokenizer,
@@ -103,6 +134,7 @@ class CorpusCore:
         self._term_frequencies: Optional[List[Counter]] = None
         self._index: Optional[InvertedIndex] = None
         self._token_sets: Optional[List[Set[str]]] = None
+        self._document_frequencies: Optional[Dict[str, int]] = None
         self._stats: Optional[CollectionStatistics] = None
         self._num_postings: Optional[int] = None
         self._vocabulary_size: Optional[int] = None
@@ -164,6 +196,24 @@ class CorpusCore:
                 lambda: [set(tokens) for tokens in self.token_lists]
             )
         return self._token_sets
+
+    @property
+    def document_frequencies(self) -> Dict[str, int]:
+        """Tuples containing each token: read off the index when a fit has
+        built one, counted over the token sets otherwise (a blocker's private
+        core is not made to build an index for it)."""
+        if self._document_frequencies is None:
+            index = self._index
+            if index is not None:
+                self._document_frequencies = self._timed(
+                    lambda: {t: index.document_frequency(t) for t in index.tokens()}
+                )
+            else:
+                token_sets = self.token_sets
+                self._document_frequencies = self._timed(
+                    lambda: dict(Counter(chain.from_iterable(token_sets)))
+                )
+        return self._document_frequencies
 
     @property
     def stats(self) -> CollectionStatistics:

@@ -166,6 +166,11 @@ class InvertedIndex:
         tokens are looked up (prefix filtering touches just the rare postings)
         and the resulting set is pruned of candidates that cannot reach the
         blocker's threshold.
+
+        This is the set path, kept where no arrays answer: the scalar
+        backend, a healed numpy call, blockers without an array hook (LSH),
+        the edit family and the sharded pre-partition prune.  A numpy
+        overlap scan under an exact blocker asks :meth:`candidate_mask`.
         """
         query_tokens = set(tokens)
         probe = query_tokens if blocker is None else blocker.probe_tokens(query_tokens)
@@ -176,6 +181,30 @@ class InvertedIndex:
         if blocker is not None:
             result = blocker.prune(query_tokens, result)
         return result
+
+    def candidate_mask(self, tokens: Iterable[str], blocker: "Blocker"):
+        """:meth:`candidates` on the posting arrays, as a boolean mask over
+        the relation (``True`` = an allowed candidate).
+
+        For a blocker with :attr:`~repro.blocking.base.Blocker.prunes_arrays`:
+        the probe tokens' tid arrays mark the probed candidates (checked in
+        step with the posting lists, as the count scan checks them), and
+        :meth:`~repro.blocking.base.Blocker.prune_array` narrows them --
+        the same candidates and the same blocker statistics as
+        :meth:`candidates`, without a Python set.  Needs :meth:`build_arrays`.
+        """
+        np = kernels.np
+        query_tokens = set(tokens)
+        member = np.zeros(self.num_tuples, dtype=bool)
+        probed = kernels.posting_tids(self, blocker.probe_tokens(query_tokens))
+        if probed is not None:
+            member[probed] = True
+        candidates = np.flatnonzero(member)
+        survivors = blocker.prune_array(query_tokens, candidates, self)
+        if survivors.size < candidates.size:
+            member[:] = False
+            member[survivors] = True
+        return member
 
     def candidate_overlap(self, tokens: Iterable[str]) -> Dict[int, int]:
         """Number of *distinct* shared tokens per candidate tuple."""

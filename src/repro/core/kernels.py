@@ -17,10 +17,12 @@ for both:
 In pure Python both loops are interpreter-bound and hold the GIL, so
 ``executor="thread"`` buys nothing.  The selection kernels
 (:func:`top_items` / :func:`sorted_items` / :func:`select_items`) order a
-scan's result, and :func:`allowed_mask` narrows it to a blocker's or a
-restriction's allowed set.  That is the whole module -- two scans, one
-mask, selection, and the language models' deferred ``exp`` finalizer
-(:func:`exp_scores`, :func:`finalize_exp`).  ``rank``, ``select``,
+scan's result, and :func:`allowed_mask` narrows it to a restriction's (or
+a set-path blocker's) allowed set; :func:`posting_tids` is the count scan's
+checked read of the tid arrays, which an exact blocker's probe mask shares.
+That is the whole module -- two scans, one mask, selection, and the
+language models' deferred ``exp`` finalizer (:func:`exp_scores`,
+:func:`finalize_exp`).  ``rank``, ``select``,
 ``score`` *and* ``top_k`` (which is ``rank(limit=k)``) are answered by them
 on both backends.
 
@@ -85,6 +87,7 @@ __all__ = [
     "ops_snapshot",
     "accumulate",
     "count_overlap",
+    "posting_tids",
     "allowed_mask",
     "DenseScores",
     "dense_pair",
@@ -564,21 +567,35 @@ def _accumulate_numpy(
     return DenseScores(candidates, accumulator[candidates])
 
 
-def _count_overlap_numpy(index, tokens: Iterable[str], size: int) -> Dict[int, int]:
+def posting_tids(index, tokens: Iterable[str]):
+    """The ``int64`` tid arrays of ``tokens``' postings in ``index`` (an
+    :class:`~repro.core.index.InvertedIndex`), concatenated in token order;
+    ``None`` when none of them has a posting.
+
+    A short or missing tid array would not fail, it would drop tuples: the
+    length check against the posting lists turns that into a failure the
+    caller's ladder heals (the count scan here, a blocker's probe mask in
+    :meth:`~repro.core.index.InvertedIndex.candidate_mask`).
+    """
     parts: List["np.ndarray"] = []
     expected = 0
-    for token in set(tokens):
+    for token in tokens:
         pair = index.arrays(token)
         if pair is not None:
             parts.append(pair[0])
         expected += index.document_frequency(token)
     if not expected:
-        return {}
+        return None
     all_tids = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    # A short or missing tid array would not fail, it would undercount: the
-    # length check turns that into a failure the ladder heals.
     if all_tids.size != expected:
         raise ValueError("tid arrays are out of step with the posting lists")
+    return all_tids
+
+
+def _count_overlap_numpy(index, tokens: Iterable[str], size: int) -> Dict[int, int]:
+    all_tids = posting_tids(index, set(tokens))
+    if all_tids is None:
+        return {}
     counts = np.bincount(all_tids, minlength=size)
     if counts.size != size:
         raise ValueError("a tid array names a tuple beyond the relation")

@@ -118,6 +118,10 @@ class Predicate(ABC):
         #: Seconds the last :meth:`fit` spent inside :meth:`weight_phase`.
         self.weight_seconds = 0.0
         self._blocker: Optional["Blocker"] = None
+        #: The core of the relation under an attached blocker's tokenizer,
+        #: for predicates that do not share their own (see
+        #: :meth:`_blocker_core`); dropped by every fit.
+        self._blocker_tokens: Optional[CorpusCore] = None
         self._restriction: Optional[Set[int]] = None
         #: Number of candidates scored by the most recent :meth:`rank` /
         #: :meth:`select` call (after blocking); joins aggregate this into
@@ -182,6 +186,7 @@ class Predicate(ABC):
             core.check_covers(strings, self.tokenizer)
         self._strings = strings
         self._core = core
+        self._blocker_tokens = None
 
     def _bound_core(self) -> CorpusCore:
         """The core of the bound relation, built privately if none was given."""
@@ -221,9 +226,10 @@ class Predicate(ABC):
     def set_blocker(self, blocker: Optional["Blocker"]) -> "Predicate":
         """Attach a :class:`repro.blocking.Blocker` for candidate pruning.
 
-        The blocker is (re)fitted on this predicate's base relation -- with
-        the predicate's own token lists where available -- so that blocker
-        and predicate agree on tokenization.  Pass ``None`` to detach.
+        The blocker is fitted on this predicate's base relation -- from the
+        predicate's own corpus core where it shares one -- so that blocker
+        and predicate agree on tokenization; a blocker already fitted from
+        that core is attached as it is.  Pass ``None`` to detach.
 
         Attaching a Jaccard-derived exact filter (length/prefix) to a
         predicate with different score semantics (e.g. BM25) demotes it to a
@@ -257,15 +263,19 @@ class Predicate(ABC):
         return self
 
     def _fit_blocker(self, blocker: "Blocker") -> None:
-        blocker.fit(self._blocker_corpus(blocker))
+        blocker.fit_core(self._blocker_core(blocker))
 
-    def _blocker_corpus(self, blocker: "Blocker") -> List[List[str]]:
-        """Token lists the blocker is fitted on.
+    def _blocker_core(self, blocker: "Blocker") -> CorpusCore:
+        """The corpus core the blocker is fitted from.
 
-        Token-based predicates override this to share their own token lists;
-        the default tokenizes the base strings with the blocker's tokenizer.
+        Token-based predicates override this to share their own core (same
+        tokenizer, same token lists); the default is a core of the base
+        strings under the blocker's tokenizer, built once per fit.
         """
-        return blocker.tokenizer.tokenize_many(self._strings)
+        self._blocker_tokens = CorpusCore.under(
+            self._blocker_tokens, self._strings, blocker.tokenizer
+        )
+        return self._blocker_tokens
 
     def _blocker_query_tokens(self, query: str, blocker: "Blocker") -> Set[str]:
         """Query-side tokens handed to the blocker (same source as the corpus)."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional
 
+from repro.core.corpus import CorpusCore
 from repro.core.predicates.base import Match, Predicate
 from repro.text.strings import edit_similarity, levenshtein_within
 from repro.text.tokenize import QgramTokenizer, normalize_string
@@ -48,9 +49,9 @@ class EditDistance(Predicate):
     def weight_phase(self) -> None:
         """Edit distance needs no weights."""
 
-    def _blocker_corpus(self, blocker) -> List[List[str]]:
-        """Blockers reuse the predicate's q-gram token lists."""
-        return self._token_lists
+    def _blocker_core(self, blocker) -> CorpusCore:
+        """Blockers reuse the predicate's q-gram core."""
+        return self._bound_core()
 
     def _blocker_query_tokens(self, query: str, blocker):
         return set(self.tokenizer.tokenize(query))

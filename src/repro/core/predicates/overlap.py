@@ -22,17 +22,24 @@ iterating query tokens in sorted order everywhere, so accumulation is
 deterministic.
 
 :meth:`_OverlapBase._scores` is the one place the two kernel backends part.
-On numpy the scan's ``(tids, values)`` arrays are narrowed to the blocker's /
-restriction's allowed set by one boolean mask (absent on a plain call),
-finalized as arrays and returned as
+On numpy the predicate always runs its one full scan, and a blocker or a
+restriction narrows the scan's ``(tids, values)`` with one boolean mask
+(absent on a plain call): an exact blocker (``length``, ``prefix`` and
+pipelines of them) marks it on the arrays -- the probe tokens' tid arrays,
+then the length bound as one comparison on the index's per-tuple sizes
+(:meth:`~repro.core.index.InvertedIndex.candidate_mask`) -- and a restriction
+by :func:`~repro.core.kernels.allowed_mask`; only LSH still hands over a
+candidate set.  The survivors are finalized as arrays and returned as
 :class:`~repro.core.kernels.DenseScores`, so selection never builds a dict.
-On the scalar backend -- and when the ladder healed a numpy failure -- the
-per-predicate dict loops answer: :meth:`_finalize` over the scan's dict on a
-plain call, :meth:`_allowed_scores` (one set intersection per allowed tuple,
-no scan) on a blocked or restricted one.  The two agree bit for bit: counts
-are exact integers, ``int / int`` is the same correctly rounded quotient in
-CPython and numpy, and the weighted finalizers apply the same float64
-operations in the same order to the chains the scan already reproduces.
+On the scalar backend -- and when the ladder healed a numpy failure, in the
+scan or in a probe -- the per-predicate dict loops answer: :meth:`_finalize`
+over the scan's dict on a plain call, :meth:`_allowed_scores` (one set
+intersection per allowed tuple of the set path's candidates, no scan) on a
+blocked or restricted one.  Both paths record the same blocker statistics,
+and they agree bit for bit: counts are exact integers, ``int / int`` is the
+same correctly rounded quotient in CPython and numpy, and the weighted
+finalizers apply the same float64 operations in the same order to the
+chains the scan already reproduces.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from abc import abstractmethod
 from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.core import kernels
+from repro.core.corpus import CorpusCore
 from repro.core.index import WeightedPostingIndex
 from repro.core.predicates.base import Predicate
 from repro.text.tokenize import QgramTokenizer, Tokenizer
@@ -75,36 +83,27 @@ class _OverlapBase(Predicate):
 
     # -- blocking -------------------------------------------------------------
 
-    def _blocker_corpus(self, blocker: "Blocker") -> list[list[str]]:
-        """Blockers share the predicate's own token lists (same tokenizer)."""
-        return self._token_lists
+    def _blocker_core(self, blocker: "Blocker") -> CorpusCore:
+        """Blockers share the predicate's own core (same tokenizer)."""
+        return self._bound_core()
 
     def _blocker_query_tokens(self, query: str, blocker: "Blocker") -> Set[str]:
         return self._query_tokens(query)
 
-    def _candidate_ids(self, query_tokens: Set[str]) -> Optional[Set[int]]:
-        """Allowed candidates from the blocker hook and/or an active restriction.
-
-        ``None`` means unrestricted (take the index's full candidate set).
-        This runs *before* any scoring, which is where blocking pays off.
-        Restriction tids outside the relation are ignored, as the families
-        that intersect a restriction with their scored candidates ignore
-        them.
+    def _candidate_ids(self, query_tokens: Set[str]) -> Set[int]:
+        """The set path's allowed candidates (a blocker or a restriction is
+        active): the blocker's from :meth:`InvertedIndex.candidates`, then
+        the restriction's.  Restriction tids outside the relation are
+        ignored, as the families that intersect a restriction with their
+        scored candidates ignore them.
         """
         blocker, restriction = self._blocker, self._restriction
-        if blocker is None and restriction is None:
-            return None
-        allowed: Optional[Set[int]] = None
-        if blocker is not None:
-            assert self._index is not None
-            allowed = self._index.candidates(query_tokens, blocker=blocker)
-        if restriction is not None:
-            if allowed is None:
-                size = len(self._token_sets)
-                allowed = {tid for tid in restriction if 0 <= tid < size}
-            else:
-                allowed = allowed & restriction
-        return allowed
+        if blocker is None:
+            size = len(self._token_sets)
+            return {tid for tid in restriction if 0 <= tid < size}
+        assert self._index is not None
+        allowed = self._index.candidates(query_tokens, blocker=blocker)
+        return allowed if restriction is None else allowed & restriction
 
     def _in_range(self, tid: int) -> bool:
         return 0 <= tid < len(self._token_sets)
@@ -113,21 +112,63 @@ class _OverlapBase(Predicate):
 
     def _scores(self, query: str) -> Dict[int, float]:
         query_tokens = self._query_tokens(query)
-        allowed = self._candidate_ids(query_tokens)
-        if allowed is None or kernels.active_backend() == "numpy":
-            scanned = self._scan(query_tokens)
-            pair = kernels.dense_pair(scanned)
-            if pair is not None:
-                tids, values = pair
-                if allowed is not None:
-                    keep = kernels.allowed_mask(tids, allowed, len(self._token_sets))
-                    tids, values = tids[keep], values[keep]
-                return kernels.DenseScores(
-                    tids, self._finalize_arrays(query_tokens, tids, values)
-                )
-            if allowed is None:
-                return self._finalize(query_tokens, scanned)
-        return self._allowed_scores(query_tokens, allowed)
+        if kernels.active_backend() != "numpy":
+            return self._scalar_scores(query_tokens)
+        scanned = self._scan(query_tokens)
+        pair = kernels.dense_pair(scanned)
+        if pair is None and scanned:
+            # The ladder healed the scan onto the scalar loop.
+            return self._scalar_scores(query_tokens, scanned)
+        tids = kernels.np.empty(0, dtype=kernels.np.int64) if pair is None else pair[0]
+        try:
+            keep = self._allowed_keep(query_tokens, tids)
+        except Exception:
+            # A probe tid array out of step with its posting list: the set
+            # path reads the posting lists themselves.
+            kernels.count_op("python_fallback")
+            return self._scalar_scores(query_tokens)
+        if pair is None:
+            return {}
+        values = pair[1]
+        if keep is not None:
+            tids, values = tids[keep], values[keep]
+        scores = self._finalize_arrays(query_tokens, tids, values)
+        return kernels.DenseScores(tids, scores)
+
+    def _allowed_keep(self, query_tokens: Set[str], tids):
+        """Boolean mask over the numpy scan's ``tids``: which the blocker and
+        the restriction allow (``None`` on a plain call).
+
+        An exact blocker answers on the arrays
+        (:meth:`~repro.core.index.InvertedIndex.candidate_mask`), computed
+        even when the scan found nothing, so its statistics count every
+        query; any other blocker hands over its candidate set.
+        """
+        blocker, restriction = self._blocker, self._restriction
+        size = len(self._token_sets)
+        keep = None
+        if blocker is not None:
+            assert self._index is not None
+            if blocker.prunes_arrays:
+                keep = self._index.candidate_mask(query_tokens, blocker)[tids]
+            else:
+                allowed = self._index.candidates(query_tokens, blocker=blocker)
+                keep = kernels.allowed_mask(tids, allowed, size)
+        if restriction is not None:
+            restricted = kernels.allowed_mask(tids, restriction, size)
+            keep = restricted if keep is None else keep & restricted
+        return keep
+
+    def _scalar_scores(
+        self, query_tokens: Set[str], scanned: Optional[Dict[int, float]] = None
+    ) -> Dict[int, float]:
+        """The dict loops: :meth:`_finalize` over the scan on a plain call,
+        :meth:`_allowed_scores` over the set path's candidates otherwise."""
+        if self._blocker is None and self._restriction is None:
+            return self._finalize(
+                query_tokens, self._scan(query_tokens) if scanned is None else scanned
+            )
+        return self._allowed_scores(query_tokens, self._candidate_ids(query_tokens))
 
     @abstractmethod
     def _scan(self, query_tokens: Set[str]) -> Dict[int, float]:

@@ -18,6 +18,7 @@ from typing import (
 
 from repro.backends.base import SQLBackend
 from repro.backends.memory import MemoryBackend
+from repro.core.corpus import CorpusCore
 from repro.core.predicates.base import Match
 from repro.declarative import shared as shared_tables
 from repro.declarative import tokens as token_tables
@@ -106,6 +107,9 @@ class DeclarativePredicate(ABC):
         self._strings: List[str] = []
         self._preprocessed = False
         self._blocker: Optional["Blocker"] = None
+        #: The relation's core under an attached blocker's tokenizer;
+        #: dropped by every preprocess.
+        self._blocker_tokens: Optional[CorpusCore] = None
         self._restriction: Optional[Set[int]] = None
         #: Number of candidates scored by the most recent :meth:`rank` /
         #: :meth:`select` call (after blocking), as for direct predicates.
@@ -131,6 +135,7 @@ class DeclarativePredicate(ABC):
     def preprocess(self, strings: Sequence[str]) -> "DeclarativePredicate":
         """Materialize all base-relation tables this predicate needs."""
         self._strings = list(strings)
+        self._blocker_tokens = None
         self._score_cache = None
         self._core = None
         self._core_features = {}
@@ -241,12 +246,13 @@ class DeclarativePredicate(ABC):
         return self
 
     def _fit_blocker(self, blocker: "Blocker") -> None:
-        blocker.fit(self._blocker_corpus(blocker))
-
-    def _blocker_corpus(self, blocker: "Blocker") -> List[List[str]]:
-        """Token lists the blocker is fitted on (the blocker's own tokenizer,
-        exactly as for direct predicates without shared token lists)."""
-        return blocker.tokenizer.tokenize_many(self._strings)
+        """Fit the blocker on a core of the relation under its own tokenizer
+        (exactly as for direct predicates without a shared core), kept until
+        the next preprocess so a re-attached blocker is not refitted."""
+        self._blocker_tokens = CorpusCore.under(
+            self._blocker_tokens, self._strings, blocker.tokenizer
+        )
+        blocker.fit_core(self._blocker_tokens)
 
     def _blocker_query_tokens(self, query: str, blocker: "Blocker") -> Set[str]:
         return set(blocker.tokenizer.tokenize(query))

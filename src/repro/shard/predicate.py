@@ -236,6 +236,9 @@ class ShardedPredicate:
         self._layout: Optional[ShardStats] = None
         self._fitted = False
         self._blocker = None
+        #: The relation's core under a blocker's own tokenizer (prototypes
+        #: that share no core with blockers); dropped by every fit.
+        self._blocker_tokens: Optional[CorpusCore] = None
         self._restriction: Optional[Set[int]] = None
         #: Mirrors the direct-predicate protocol: candidates scored by the
         #: most recent single query (summed across shards), shard-level
@@ -331,6 +334,7 @@ class ShardedPredicate:
             core.check_covers(strings, tokenizer)
         self._strings = strings
         self._core = core
+        self._blocker_tokens = None
         count = len(strings)
         num_shards = max(1, min(self.requested_shards, count or 1))
         self._offsets = shard_offsets(count, num_shards)
@@ -408,16 +412,19 @@ class ShardedPredicate:
         return self
 
     def _fit_blocker(self, blocker) -> None:
-        blocker.fit(self._blocker_corpus(blocker))
+        blocker.fit_core(self._blocker_core(blocker))
 
-    def _blocker_corpus(self, blocker) -> List[List[str]]:
-        """Global token lists the blocker indexes, mirroring the unsharded
-        predicate: families that share their own token lists with blockers
-        (overlap, edit) yield the predicate-tokenizer lists of the global
-        pass; the rest tokenize with the blocker's tokenizer."""
-        if type(self._prototype)._blocker_corpus is Predicate._blocker_corpus:
-            return blocker.tokenizer.tokenize_many(self._strings)
-        return self._core.token_lists
+    def _blocker_core(self, blocker) -> CorpusCore:
+        """The global core the blocker is fitted from, mirroring the
+        unsharded predicate: families that share their own core with
+        blockers (overlap, edit) hand over the whole relation's; the rest
+        get one under the blocker's tokenizer."""
+        if type(self._prototype)._blocker_core is Predicate._blocker_core:
+            self._blocker_tokens = CorpusCore.under(
+                self._blocker_tokens, self._strings, blocker.tokenizer
+            )
+            return self._blocker_tokens
+        return self._core
 
     def _blocker_query_tokens(self, query: str, blocker) -> Set[str]:
         if (
