@@ -42,7 +42,7 @@ for _path in (str(_SRC), str(_HERE)):
 
 from repro.core.join import ApproximateJoiner  # noqa: E402
 from repro.core.predicates.base import Match  # noqa: E402
-from repro.core.predicates.registry import make_predicate  # noqa: E402
+from repro.core.predicates import make_predicate  # noqa: E402
 from repro.datagen import make_dataset  # noqa: E402
 from repro.obs import MetricsRegistry, NOOP_TRACER, bench_envelope, perf_clock  # noqa: E402
 from repro.text.weights import bm25_document_weights, tfidf_weights  # noqa: E402

@@ -43,7 +43,7 @@ for _path in (str(_SRC), str(_HERE)):
         sys.path.insert(0, _path)
 
 from repro.core import kernels  # noqa: E402
-from repro.core.predicates.registry import make_predicate  # noqa: E402
+from repro.core.predicates import make_predicate  # noqa: E402
 from repro.datagen import make_dataset  # noqa: E402
 from repro.engine import SimilarityEngine  # noqa: E402
 from repro.obs import bench_envelope, perf_clock  # noqa: E402

@@ -103,22 +103,6 @@ class CorpusCore:
         core._bind(tokenizer, [list(tokens) for tokens in token_lists])
         return core
 
-    @classmethod
-    def under(
-        cls,
-        cached: Optional["CorpusCore"],
-        strings: Sequence[str],
-        tokenizer: Tokenizer,
-    ) -> "CorpusCore":
-        """``cached`` when it was built with ``tokenizer``, else a new core of
-        ``strings`` under it: how a host that fits blockers under their own
-        tokenizer keeps one core per relation (it drops ``cached`` when it
-        is refitted), so re-attaching a blocker finds the core it was fitted
-        from."""
-        if cached is not None and cached.tokenizer == tokenizer:
-            return cached
-        return cls(strings, tokenizer)
-
     def _bind(
         self,
         tokenizer: Tokenizer,

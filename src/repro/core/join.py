@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Set, Union
 
 from repro.core.predicates.base import Predicate
-from repro.core.predicates.registry import make_predicate
+from repro.core.predicates import make_predicate
 from repro.obs.metrics import CounterRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -122,8 +122,8 @@ class ApproximateJoiner:
         # the engine's fitted-state cache) are reused without re-preprocessing.
         already_fitted = (
             getattr(predicate, "is_fitted", False)
-            or getattr(predicate, "is_preprocessed", False)
-        ) and getattr(predicate, "base_strings", None) == self._base
+            and getattr(predicate, "base_strings", None) == self._base
+        )
         if not already_fitted:
             self.predicate.fit(self._base)
 

@@ -13,8 +13,12 @@ The predicates are grouped into the paper's five classes:
   ``GES``, ``GESJaccard``, ``GESApx``, ``SoftTFIDF``.
 
 Use :func:`make_predicate` to construct a predicate by name with the paper's
-default parameters, or instantiate the classes directly.
+default parameters, or instantiate the classes directly.  Names resolve in
+the one registry, :mod:`repro.engine.registry`; ``PREDICATE_CLASSES`` is its
+direct column.
 """
+
+from typing import List
 
 from repro.core.predicates.base import Match, Predicate
 from repro.core.predicates.overlap import (
@@ -28,11 +32,6 @@ from repro.core.predicates.language_model import LanguageModeling
 from repro.core.predicates.hmm import HMM
 from repro.core.predicates.edit import EditDistance
 from repro.core.predicates.combination import GES, GESApx, GESJaccard, SoftTFIDF
-from repro.core.predicates.registry import (
-    PREDICATE_CLASSES,
-    available_predicates,
-    make_predicate,
-)
 
 __all__ = [
     "Predicate",
@@ -54,3 +53,30 @@ __all__ = [
     "available_predicates",
     "PREDICATE_CLASSES",
 ]
+
+
+def make_predicate(name: str, **kwargs) -> Predicate:
+    """Construct a direct predicate by (case-insensitive) name or alias.
+
+    Keyword arguments are forwarded to the predicate constructor, e.g.
+    ``make_predicate("bm25")`` or ``make_predicate("ges_jaccard", threshold=0.7)``.
+    """
+    from repro.engine.registry import make
+
+    return make(name, realization="direct", **kwargs)
+
+
+def available_predicates() -> List[str]:
+    """Canonical names of every registered predicate."""
+    from repro.engine.registry import available_predicates
+
+    return available_predicates("direct")
+
+
+def __getattr__(name: str):
+    # Read from the registry on access: the engine imports this package.
+    if name == "PREDICATE_CLASSES":
+        from repro.engine.registry import classes
+
+        return classes("direct")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

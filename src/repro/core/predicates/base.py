@@ -20,17 +20,14 @@ framework imposes:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
+from repro.blocking.host import BlockingHost
 from repro.core import kernels
 from repro.core.corpus import CorpusCore
 from repro.core.index import InvertedIndex, WeightedPostingIndex
 from repro.obs.clock import perf_clock
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.blocking.base import Blocker
 
 __all__ = ["Match", "Predicate"]
 
@@ -71,8 +68,14 @@ class Match:
         return Match(self.tid, self.score, string)
 
 
-class Predicate(ABC):
-    """Abstract base class of all similarity predicates."""
+class Predicate(BlockingHost, ABC):
+    """Abstract base class of all similarity predicates.
+
+    The blocking contract (``set_blocker``, ``restrict_candidates``, the
+    post-scoring allowance) is :class:`~repro.blocking.host.BlockingHost`'s;
+    the overlap and edit families override its hooks to share their own
+    core with blockers and prune before scoring.
+    """
 
     #: Human-readable predicate name used in reports and benchmarks.
     name: str = "predicate"
@@ -98,6 +101,7 @@ class Predicate(ABC):
     pruning_stats = None
 
     def __init__(self) -> None:
+        super().__init__()
         self._strings: List[str] = []
         self._fitted = False
         #: The corpus core this predicate is fitted over -- the one fit seam.
@@ -117,12 +121,6 @@ class Predicate(ABC):
         self._weighted_index: Optional[WeightedPostingIndex] = None
         #: Seconds the last :meth:`fit` spent inside :meth:`weight_phase`.
         self.weight_seconds = 0.0
-        self._blocker: Optional["Blocker"] = None
-        #: The core of the relation under an attached blocker's tokenizer,
-        #: for predicates that do not share their own (see
-        #: :meth:`_blocker_core`); dropped by every fit.
-        self._blocker_tokens: Optional[CorpusCore] = None
-        self._restriction: Optional[Set[int]] = None
         #: Number of candidates scored by the most recent :meth:`rank` /
         #: :meth:`select` call (after blocking); joins aggregate this into
         #: their candidate-pair statistics.
@@ -162,8 +160,7 @@ class Predicate(ABC):
         self.weight_phase()
         self.weight_seconds = perf_clock() - started
         self._fitted = True
-        if self._blocker is not None:
-            self._fit_blocker(self._blocker)
+        self._fit_blocker()
         return self
 
     def _bind(
@@ -216,93 +213,6 @@ class Predicate(ABC):
         """Phase 2 of preprocessing: derive this predicate's own weights
         (collection statistics come from ``self._core.stats``)."""
 
-    # -- blocking -------------------------------------------------------------
-
-    @property
-    def blocker(self) -> Optional["Blocker"]:
-        """The candidate blocker attached to this predicate (``None`` = off)."""
-        return self._blocker
-
-    def set_blocker(self, blocker: Optional["Blocker"]) -> "Predicate":
-        """Attach a :class:`repro.blocking.Blocker` for candidate pruning.
-
-        The blocker is fitted on this predicate's base relation -- from the
-        predicate's own corpus core where it shares one -- so that blocker
-        and predicate agree on tokenization; a blocker already fitted from
-        that core is attached as it is.  Pass ``None`` to detach.
-
-        Attaching a Jaccard-derived exact filter (length/prefix) to a
-        predicate with different score semantics (e.g. BM25) demotes it to a
-        heuristic: candidates whose *score* clears the threshold may still be
-        pruned.  A :class:`UserWarning` is emitted in that case.
-
-        A blocker narrows *every* subsequent query: :meth:`select` stays
-        exact at (or above) the blocker's threshold and refuses lower ones,
-        while :meth:`rank` / :meth:`score` only see candidates that survive
-        blocking -- ranked retrieval under a threshold-derived blocker is
-        deliberately restricted to threshold-reachable candidates.  Detach
-        the blocker for full unpruned rankings.
-        """
-        if (
-            blocker is not None
-            and getattr(blocker, "semantics", "any") == "jaccard"
-            and self.similarity_kind != "jaccard"
-        ):
-            import warnings
-
-            warnings.warn(
-                f"{type(blocker).__name__} derives its bounds from Jaccard "
-                f"semantics; with the {self.name} predicate it is a heuristic "
-                "and may drop candidates whose score reaches the threshold",
-                UserWarning,
-                stacklevel=2,
-            )
-        self._blocker = blocker
-        if blocker is not None and self._fitted:
-            self._fit_blocker(blocker)
-        return self
-
-    def _fit_blocker(self, blocker: "Blocker") -> None:
-        blocker.fit_core(self._blocker_core(blocker))
-
-    def _blocker_core(self, blocker: "Blocker") -> CorpusCore:
-        """The corpus core the blocker is fitted from.
-
-        Token-based predicates override this to share their own core (same
-        tokenizer, same token lists); the default is a core of the base
-        strings under the blocker's tokenizer, built once per fit.
-        """
-        self._blocker_tokens = CorpusCore.under(
-            self._blocker_tokens, self._strings, blocker.tokenizer
-        )
-        return self._blocker_tokens
-
-    def _blocker_query_tokens(self, query: str, blocker: "Blocker") -> Set[str]:
-        """Query-side tokens handed to the blocker (same source as the corpus)."""
-        return set(blocker.tokenizer.tokenize(query))
-
-    @contextmanager
-    def restrict_candidates(self, allowed: Optional[Set[int]]) -> Iterator[None]:
-        """Scope queries to the given tuple ids (used by blocked self-joins)."""
-        previous = self._restriction
-        self._restriction = allowed
-        try:
-            yield
-        finally:
-            self._restriction = previous
-
-    def _generic_allowed(self, query: str, scores: Dict[int, float]) -> Optional[Set[int]]:
-        """Post-scoring candidate allowance for predicates without index pruning."""
-        blocker, restriction = self._blocker, self._restriction
-        if blocker is None and restriction is None:
-            return None
-        allowed = set(scores)
-        if restriction is not None:
-            allowed &= restriction
-        if blocker is not None:
-            allowed = blocker.prune(self._blocker_query_tokens(query, blocker), allowed)
-        return allowed
-
     # -- query time -----------------------------------------------------------
 
     @abstractmethod
@@ -313,7 +223,7 @@ class Predicate(ABC):
         """Post-blocking candidate scores; records ``last_num_candidates``."""
         scores = self._scores(query)
         if not self._prunes_before_scoring:
-            allowed = self._generic_allowed(query, scores)
+            allowed = self._allowed_after_scoring(query, scores)
             if allowed is not None:
                 scores = {tid: score for tid, score in scores.items() if tid in allowed}
         self.last_num_candidates = len(scores)
@@ -382,33 +292,20 @@ class Predicate(ABC):
             for tid, score in kernels.select_items(scores, threshold)
         ]
 
-    def _check_blocker_threshold(self, threshold: float) -> None:
-        """Refuse selections below the threshold an exact blocker was built for.
-
-        An exact blocker prunes everything that cannot reach *its* configured
-        threshold; selecting at a lower one would silently lose true matches.
-        """
-        if self._blocker is not None and not self._blocker.supports_threshold(threshold):
-            raise ValueError(
-                f"selection threshold {threshold} is below the threshold the "
-                f"attached {self._blocker.name!r} blocker was built for; "
-                "rebuild the blocker with the lower threshold"
-            )
-
     def score(self, query: str, tid: int) -> float:
         """Similarity between ``query`` and tuple ``tid`` (0.0 if not a candidate).
 
-        Predicates implementing :meth:`_score_one` answer from the single
-        tuple's stored state instead of scoring the whole candidate set; the
-        fallback (and any blocked/restricted call, whose candidate semantics
-        the full path defines) scores every candidate.
+        Sees the candidates :meth:`rank` sees: under a blocker or a
+        restriction it is ``dict(rank(query)).get(tid, 0.0)``.  Predicates
+        implementing :meth:`_score_one` answer a plain call from the single
+        tuple's stored state instead of scoring the whole candidate set.
         """
         self._require_fitted()
         if self._blocker is None and self._restriction is None:
             single = self._score_one(query, tid)
             if single is not None:
                 return single
-        return self._scores(query).get(tid, 0.0)
+        return self._candidate_scores(query).get(tid, 0.0)
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
         """Single-tuple score fast path; ``None`` = fall back to :meth:`_scores`.

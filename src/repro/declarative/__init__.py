@@ -9,7 +9,11 @@ the base relation, executed on a pluggable :class:`repro.backends.SQLBackend`
 The declarative classes share the interface of the direct predicates
 (:meth:`preprocess` ~ ``fit``, :meth:`rank`, :meth:`select`), and the
 integration tests verify that both realizations produce the same rankings.
+Names resolve in the one registry, :mod:`repro.engine.registry`;
+``DECLARATIVE_CLASSES`` is its declarative column.
 """
+
+from typing import List
 
 from repro.declarative.base import DeclarativePredicate, SQLStats
 from repro.declarative.shared import SharedTables, clear_shared_state
@@ -28,11 +32,6 @@ from repro.declarative.combination import (
     DeclarativeGESApx,
     DeclarativeGESJaccard,
     DeclarativeSoftTFIDF,
-)
-from repro.declarative.registry import (
-    DECLARATIVE_CLASSES,
-    available_declarative_predicates,
-    make_declarative_predicate,
 )
 
 __all__ = [
@@ -57,3 +56,32 @@ __all__ = [
     "make_declarative_predicate",
     "available_declarative_predicates",
 ]
+
+
+def make_declarative_predicate(name: str, **kwargs) -> DeclarativePredicate:
+    """Construct a declarative predicate by name or alias.
+
+    The names and aliases match :func:`repro.core.predicates.make_predicate`
+    exactly (plain ``ges`` runs its exact scoring through a registered UDF,
+    as in the original study); keyword arguments are forwarded to the
+    constructor, e.g. ``make_declarative_predicate("bm25", backend="sqlite")``.
+    """
+    from repro.engine.registry import make
+
+    return make(name, realization="declarative", **kwargs)
+
+
+def available_declarative_predicates() -> List[str]:
+    """Canonical names of every declarative predicate realization."""
+    from repro.engine.registry import available_predicates
+
+    return available_predicates("declarative")
+
+
+def __getattr__(name: str):
+    # Read from the registry on access: the engine imports this package.
+    if name == "DECLARATIVE_CLASSES":
+        from repro.engine.registry import classes
+
+        return classes("declarative")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,31 +2,18 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from abc import ABC
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.base import SQLBackend
 from repro.backends.memory import MemoryBackend
-from repro.core.corpus import CorpusCore
+from repro.blocking.host import BlockingHost
 from repro.core.predicates.base import Match
 from repro.declarative import shared as shared_tables
 from repro.declarative import tokens as token_tables
 from repro.obs.metrics import CounterRecord, counter_field
 from repro.text.tokenize import QgramTokenizer, Tokenizer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.blocking.base import Blocker
 
 __all__ = ["DeclarativePredicate", "SQLStats"]
 
@@ -46,7 +33,7 @@ class SQLStats(CounterRecord):
     plan: Tuple[str, ...] = counter_field("sql_plan.{}", default=())
 
 
-class DeclarativePredicate(ABC):
+class DeclarativePredicate(BlockingHost, ABC):
     """A similarity predicate realized as SQL over a :class:`SQLBackend`.
 
     Life cycle (mirroring chapter 4 of the paper):
@@ -81,7 +68,8 @@ class DeclarativePredicate(ABC):
     The class satisfies the same
     :class:`repro.engine.protocol.SimilarityPredicateProtocol` as the direct
     predicates (``fit`` is an alias of :meth:`preprocess`; blocking and
-    candidate restriction are applied to the SQL result rows), so declarative
+    candidate restriction are :class:`~repro.blocking.host.BlockingHost`'s,
+    applied to the SQL result rows), so declarative
     predicates are drop-in replacements in the engine, the approximate join
     and deduplication.
     """
@@ -102,15 +90,11 @@ class DeclarativePredicate(ABC):
         backend: Optional[SQLBackend] = None,
         tokenizer: Optional[Tokenizer] = None,
     ):
+        super().__init__()
         self.backend = backend if backend is not None else MemoryBackend()
         self.tokenizer = tokenizer or QgramTokenizer(q=2)
         self._strings: List[str] = []
         self._preprocessed = False
-        self._blocker: Optional["Blocker"] = None
-        #: The relation's core under an attached blocker's tokenizer;
-        #: dropped by every preprocess.
-        self._blocker_tokens: Optional[CorpusCore] = None
-        self._restriction: Optional[Set[int]] = None
         #: Number of candidates scored by the most recent :meth:`rank` /
         #: :meth:`select` call (after blocking), as for direct predicates.
         #: Reset to ``None`` by :meth:`run_many` -- no single query's count
@@ -142,8 +126,7 @@ class DeclarativePredicate(ABC):
         self.tokenize_phase()
         self.weight_phase()
         self._preprocessed = True
-        if self._blocker is not None:
-            self._fit_blocker(self._blocker)
+        self._fit_blocker()
         return self
 
     # Alias so declarative and direct predicates can be used interchangeably.
@@ -211,91 +194,17 @@ class DeclarativePredicate(ABC):
 
     # -- blocking ----------------------------------------------------------------
 
-    @property
-    def blocker(self) -> Optional["Blocker"]:
-        """The candidate blocker attached to this predicate (``None`` = off)."""
-        return self._blocker
-
-    def set_blocker(self, blocker: Optional["Blocker"]) -> "DeclarativePredicate":
-        """Attach a :class:`repro.blocking.Blocker` for candidate pruning.
-
-        Declarative predicates compute scores in SQL, so the blocker prunes
-        the returned candidate rows rather than the SQL itself; the semantics
-        (exactness at the blocker's threshold, Jaccard-derived filters
-        demoting to heuristics on other score kinds) match
-        :meth:`repro.core.predicates.base.Predicate.set_blocker`.
-        """
-        if (
-            blocker is not None
-            and getattr(blocker, "semantics", "any") == "jaccard"
-            and self.similarity_kind != "jaccard"
-        ):
-            import warnings
-
-            warnings.warn(
-                f"{type(blocker).__name__} derives its bounds from Jaccard "
-                f"semantics; with the {self.name} predicate it is a heuristic "
-                "and may drop candidates whose score reaches the threshold",
-                UserWarning,
-                stacklevel=2,
-            )
-        self._blocker = blocker
+    def _query_state_changed(self) -> None:
         self._score_cache = None
-        if blocker is not None and self._preprocessed:
-            self._fit_blocker(blocker)
-        return self
-
-    def _fit_blocker(self, blocker: "Blocker") -> None:
-        """Fit the blocker on a core of the relation under its own tokenizer
-        (exactly as for direct predicates without a shared core), kept until
-        the next preprocess so a re-attached blocker is not refitted."""
-        self._blocker_tokens = CorpusCore.under(
-            self._blocker_tokens, self._strings, blocker.tokenizer
-        )
-        blocker.fit_core(self._blocker_tokens)
-
-    def _blocker_query_tokens(self, query: str, blocker: "Blocker") -> Set[str]:
-        return set(blocker.tokenizer.tokenize(query))
-
-    @contextmanager
-    def restrict_candidates(self, allowed: Optional[Set[int]]) -> Iterator[None]:
-        """Scope queries to the given tuple ids (used by blocked self-joins)."""
-        previous = self._restriction
-        self._restriction = allowed
-        self._score_cache = None
-        try:
-            yield
-        finally:
-            self._restriction = previous
-            self._score_cache = None
 
     def _apply_candidate_filter(self, query: str, rows: List[Match]) -> List[Match]:
-        """Apply the active restriction and blocker to scored SQL rows.
-
-        Also records :attr:`last_num_candidates` (the number of candidates
-        that survive, i.e. the per-query work a blocker saves).
-        """
-        blocker, restriction = self._blocker, self._restriction
-        if blocker is not None or restriction is not None:
-            allowed = {scored.tid for scored in rows}
-            if restriction is not None:
-                allowed &= set(restriction)
-            if blocker is not None:
-                allowed = blocker.prune(
-                    self._blocker_query_tokens(query, blocker), allowed
-                )
+        """Apply the post-scoring allowance (restriction, blocker) to scored
+        SQL rows; records :attr:`last_num_candidates` (the survivors)."""
+        allowed = self._allowed_after_scoring(query, (scored.tid for scored in rows))
+        if allowed is not None:
             rows = [scored for scored in rows if scored.tid in allowed]
         self.last_num_candidates = len(rows)
         return rows
-
-    def _check_blocker_threshold(self, threshold: float) -> None:
-        """Refuse selections below the threshold an exact blocker was built for."""
-        if self._blocker is not None and not self._blocker.supports_threshold(threshold):
-            raise ValueError(
-                f"selection threshold {threshold} is below the threshold the "
-                f"attached {self._blocker.name!r} blocker was built for; "
-                "rebuild the blocker with the lower threshold"
-            )
 
     # -- query-time SQL protocol -------------------------------------------------
 
@@ -567,6 +476,8 @@ class DeclarativePredicate(ABC):
     @property
     def is_preprocessed(self) -> bool:
         return self._preprocessed
+
+    is_fitted = is_preprocessed
 
     @property
     def base_strings(self) -> List[str]:

@@ -28,7 +28,11 @@ class SimilarityPredicateProtocol(Protocol):
     alias of ``preprocess``); ``rank`` returns every candidate ordered by
     decreasing score; ``select`` applies a similarity threshold.  The blocking
     hooks let the engine and the self-join prune candidates through
-    :mod:`repro.blocking` regardless of realization.
+    :mod:`repro.blocking` regardless of realization; every realization
+    inherits them from :class:`repro.blocking.host.BlockingHost`.
+
+    ``score`` sees the candidates ``rank`` sees: under a blocker or a
+    candidate restriction, ``score(q, t) == dict(rank(q)).get(t, 0.0)``.
     """
 
     #: Human-readable predicate name used in reports and plans.
@@ -51,7 +55,8 @@ class SimilarityPredicateProtocol(Protocol):
         ...
 
     def score(self, query: str, tid: int) -> float:
-        """Similarity between ``query`` and one tuple."""
+        """Similarity between ``query`` and one tuple (0.0 if ``rank`` would
+        leave it out)."""
         ...
 
     def set_blocker(self, blocker: Optional["Blocker"]) -> "SimilarityPredicateProtocol":

@@ -801,9 +801,7 @@ class Query:
                     inner_backend, obs=self._engine.obs, faults=self._engine.faults
                 )
                 predicate.backend = recorder
-        fitted = getattr(predicate, "is_fitted", False) or getattr(
-            predicate, "is_preprocessed", False
-        )
+        fitted = getattr(predicate, "is_fitted", False)
         # Refit instance predicates that were fitted on a *different* relation;
         # reusing their state here would silently answer over the wrong corpus.
         base = getattr(predicate, "base_strings", None)

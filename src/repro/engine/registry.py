@@ -1,12 +1,12 @@
-"""Merged, alias-aware predicate registry: the single source of truth.
+"""The predicate registry: one table naming every predicate once.
 
-Historically the direct predicates (:mod:`repro.core.predicates.registry`)
-and their declarative realizations (:mod:`repro.declarative.registry`) kept
-separate name registries that drifted apart (different alias sets, different
-canonical spellings).  This module merges them: every paper predicate has one
-canonical name, one alias set, and up to two realizations ("direct" and
-"declarative").  The legacy ``make_predicate`` / ``make_declarative_predicate``
-factories now delegate here, so all entry points resolve names identically.
+Every paper predicate has one row in :data:`SPECS` -- a canonical name, its
+aliases and its two realizations ("direct" and "declarative").  Every entry
+point resolves names here: :func:`make`, the engine, and the
+per-realization factories ``repro.core.predicates.make_predicate`` /
+``repro.declarative.make_declarative_predicate``, whose class tables
+(``PREDICATE_CLASSES`` / ``DECLARATIVE_CLASSES``) are :func:`classes` of
+this one.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type, Union
 
+from repro import declarative as sql
 from repro.backends.base import SQLBackend
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SQLiteBackend
-from repro.core.predicates.base import Predicate
-from repro.core.predicates.registry import PREDICATE_CLASSES
-from repro.declarative.base import DeclarativePredicate
-from repro.declarative.registry import DECLARATIVE_CLASSES
+from repro.core import predicates as direct
+from repro.core.predicates import Predicate
+from repro.declarative import DeclarativePredicate
 
 __all__ = [
     "REALIZATIONS",
@@ -30,6 +30,7 @@ __all__ = [
     "SPECS",
     "canonical_name",
     "spec_for",
+    "classes",
     "available_predicates",
     "available_realizations",
     "aliases_for",
@@ -96,24 +97,31 @@ class PredicateSpec:
         return tuple(names)
 
 
-def _build_specs() -> Dict[str, PredicateSpec]:
-    names = sorted(set(PREDICATE_CLASSES) | set(DECLARATIVE_CLASSES))
-    alias_map: Dict[str, List[str]] = {}
-    for alias, target in ALIASES.items():
-        alias_map.setdefault(target, []).append(alias)
-    return {
-        name: PredicateSpec(
-            name=name,
-            direct=PREDICATE_CLASSES.get(name),
-            declarative=DECLARATIVE_CLASSES.get(name),
-            aliases=tuple(sorted(alias_map.get(name, ()))),
-        )
-        for name in names
-    }
-
-
-#: Canonical name -> spec for every registered predicate.
-SPECS: Dict[str, PredicateSpec] = _build_specs()
+#: Canonical name -> spec for every registered predicate: one row per paper
+#: predicate, its aliases gathered from :data:`ALIASES`.
+SPECS: Dict[str, PredicateSpec] = {
+    name: PredicateSpec(
+        name,
+        direct_cls,
+        declarative_cls,
+        tuple(sorted(alias for alias, target in ALIASES.items() if target == name)),
+    )
+    for name, direct_cls, declarative_cls in (
+        ("intersect", direct.IntersectSize, sql.DeclarativeIntersectSize),
+        ("jaccard", direct.Jaccard, sql.DeclarativeJaccard),
+        ("weighted_match", direct.WeightedMatch, sql.DeclarativeWeightedMatch),
+        ("weighted_jaccard", direct.WeightedJaccard, sql.DeclarativeWeightedJaccard),
+        ("cosine", direct.CosineTfIdf, sql.DeclarativeCosine),
+        ("bm25", direct.BM25, sql.DeclarativeBM25),
+        ("lm", direct.LanguageModeling, sql.DeclarativeLanguageModeling),
+        ("hmm", direct.HMM, sql.DeclarativeHMM),
+        ("edit_distance", direct.EditDistance, sql.DeclarativeEditDistance),
+        ("ges", direct.GES, sql.DeclarativeGES),
+        ("ges_jaccard", direct.GESJaccard, sql.DeclarativeGESJaccard),
+        ("ges_apx", direct.GESApx, sql.DeclarativeGESApx),
+        ("soft_tfidf", direct.SoftTFIDF, sql.DeclarativeSoftTFIDF),
+    )
+}
 
 
 def canonical_name(name: str) -> str:
@@ -143,6 +151,16 @@ def available_predicates(realization: Optional[str] = None) -> List[str]:
     return sorted(
         name for name, spec in SPECS.items() if realization in spec.realizations
     )
+
+
+def classes(realization: str) -> Dict[str, type]:
+    """Canonical name -> class of every predicate offering ``realization``."""
+    _check_realization(realization)
+    return {
+        name: getattr(spec, realization)
+        for name, spec in SPECS.items()
+        if realization in spec.realizations
+    }
 
 
 def available_realizations(name: str) -> Tuple[str, ...]:

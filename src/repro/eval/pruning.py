@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.core.predicates.base import Predicate
-from repro.core.predicates.registry import make_predicate
+from repro.core.predicates import make_predicate
 from repro.text.tokenize import QgramTokenizer, Tokenizer
 
 __all__ = ["prune_rate_threshold", "PrunedTokenizer", "IdfPruner"]

@@ -179,9 +179,7 @@ def time_queries(
         executor=executor,
         **predicate_kwargs,
     )
-    fitted = getattr(predicate, "is_fitted", False) or getattr(
-        predicate, "is_preprocessed", False
-    )
+    fitted = getattr(predicate, "is_fitted", False)
     base = getattr(predicate, "base_strings", None)
     if not fitted or (base is not None and base != list(strings)):
         predicate.fit(strings)

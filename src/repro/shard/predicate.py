@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.blocking.host import BlockingHost
 from repro.core.corpus import CorpusCore
 from repro.core.predicates.base import Match, Predicate
 from repro.obs.clock import perf_clock
@@ -172,8 +173,12 @@ def _dispatch_shard_op(shard: Predicate, op: str, payload: dict) -> dict:
     }
 
 
-class ShardedPredicate:
+class ShardedPredicate(BlockingHost):
     """Data-partitioned execution of a direct predicate, exact by merge.
+
+    The blocking contract is :class:`~repro.blocking.host.BlockingHost`'s,
+    with the blocker fitted from the whole relation: the prototype, bound to
+    that relation by :meth:`fit`, answers the core and query-token hooks.
 
     Parameters
     ----------
@@ -206,6 +211,7 @@ class ShardedPredicate:
     ):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
+        super().__init__()
         self.obs = obs if obs is not None else Observability()
         self._factory = factory
         self.requested_shards = int(num_shards)
@@ -235,11 +241,6 @@ class ShardedPredicate:
         #: fixed by the fit; each round stamps a copy with what it ran.
         self._layout: Optional[ShardStats] = None
         self._fitted = False
-        self._blocker = None
-        #: The relation's core under a blocker's own tokenizer (prototypes
-        #: that share no core with blockers); dropped by every fit.
-        self._blocker_tokens: Optional[CorpusCore] = None
-        self._restriction: Optional[Set[int]] = None
         #: Mirrors the direct-predicate protocol: candidates scored by the
         #: most recent single query (summed across shards), shard-level
         #: counters, and per-query candidate counts of the most recent
@@ -327,14 +328,10 @@ class ShardedPredicate:
         Under a live tracer each fit is a ``shard[i].fit`` span.
         """
         strings = list(strings)
-        tokenizer = self._prototype.tokenizer
-        if core is None:
-            core = CorpusCore(strings, tokenizer)
-        else:
-            core.check_covers(strings, tokenizer)
+        self._prototype._bind(strings, core)
+        core = self._prototype._bound_core()
         self._strings = strings
         self._core = core
-        self._blocker_tokens = None
         count = len(strings)
         num_shards = max(1, min(self.requested_shards, count or 1))
         self._offsets = shard_offsets(count, num_shards)
@@ -354,8 +351,7 @@ class ShardedPredicate:
         )
         self._fitted = True
         self._executor.bind(self._shards, owner=self)
-        if self._blocker is not None:
-            self._fit_blocker(self._blocker)
+        self._fit_blocker()
         return self
 
     def weights_summary(self) -> Dict[str, object]:
@@ -386,73 +382,14 @@ class ShardedPredicate:
 
     # -- blocking (pre-partition: fitted on the full relation) ------------------
 
-    @property
-    def blocker(self):
-        return self._blocker
-
-    def set_blocker(self, blocker) -> "ShardedPredicate":
-        """Attach a blocker, fitted on the *full* relation (pre-partition)."""
-        if (
-            blocker is not None
-            and getattr(blocker, "semantics", "any") == "jaccard"
-            and self.similarity_kind != "jaccard"
-        ):
-            import warnings
-
-            warnings.warn(
-                f"{type(blocker).__name__} derives its bounds from Jaccard "
-                f"semantics; with the {self.name} predicate it is a heuristic "
-                "and may drop candidates whose score reaches the threshold",
-                UserWarning,
-                stacklevel=2,
-            )
-        self._blocker = blocker
-        if blocker is not None and self._fitted:
-            self._fit_blocker(blocker)
-        return self
-
-    def _fit_blocker(self, blocker) -> None:
-        blocker.fit_core(self._blocker_core(blocker))
-
     def _blocker_core(self, blocker) -> CorpusCore:
-        """The global core the blocker is fitted from, mirroring the
-        unsharded predicate: families that share their own core with
-        blockers (overlap, edit) hand over the whole relation's; the rest
-        get one under the blocker's tokenizer."""
-        if type(self._prototype)._blocker_core is Predicate._blocker_core:
-            self._blocker_tokens = CorpusCore.under(
-                self._blocker_tokens, self._strings, blocker.tokenizer
-            )
-            return self._blocker_tokens
-        return self._core
+        """The prototype's answer over the whole relation it is bound to:
+        its own core for families that share theirs with blockers (overlap,
+        edit), one under the blocker's tokenizer for the rest."""
+        return self._prototype._blocker_core(blocker)
 
     def _blocker_query_tokens(self, query: str, blocker) -> Set[str]:
-        if (
-            type(self._prototype)._blocker_query_tokens
-            is Predicate._blocker_query_tokens
-        ):
-            return set(blocker.tokenizer.tokenize(query))
-        return set(self._prototype.tokenizer.tokenize(query))
-
-    def _check_blocker_threshold(self, threshold: float) -> None:
-        if self._blocker is not None and not self._blocker.supports_threshold(
-            threshold
-        ):
-            raise ValueError(
-                f"selection threshold {threshold} is below the threshold the "
-                f"attached {self._blocker.name!r} blocker was built for; "
-                "rebuild the blocker with the lower threshold"
-            )
-
-    @contextmanager
-    def restrict_candidates(self, allowed: Optional[Set[int]]):
-        """Scope queries to the given *global* tuple ids (self-join probes)."""
-        previous = self._restriction
-        self._restriction = allowed
-        try:
-            yield
-        finally:
-            self._restriction = previous
+        return self._prototype._blocker_query_tokens(query, blocker)
 
     # -- execution helpers ------------------------------------------------------
 
@@ -611,9 +548,8 @@ class ShardedPredicate:
             self._restriction,
         )
         if blocker is not None:
-            query_tokens = self._blocker_query_tokens(query, blocker)
-            pruned = blocker.prune(query_tokens, {m.tid for m in merged})
-            merged = [m for m in merged if m.tid in pruned]
+            allowed = self._allowed_after_scoring(query, (m.tid for m in merged))
+            merged = [m for m in merged if m.tid in allowed]
             self.last_num_candidates = len(merged)
         return merged
 
@@ -633,36 +569,16 @@ class ShardedPredicate:
         return self._answer("select", {"query": query, "threshold": threshold}, allowed)
 
     def score(self, query: str, tid: int) -> float:
-        """Similarity of one tuple, routed to its owning shard.
-
-        Blocker/restriction semantics mirror the unsharded
-        :meth:`Predicate.score` exactly: pre-scoring families (overlap,
-        edit) see only candidates their blocked ``_scores`` would produce,
-        while post-scoring families score through their raw ``_scores``
-        dict -- which ignores blockers and restrictions -- so sharded and
-        unsharded answers stay bit-identical either way.
-        """
+        """Similarity of one tuple: on a plain call, routed to its owning
+        shard; under a blocker or a restriction, its score in :meth:`rank`
+        (0.0 when ``rank`` leaves it out)."""
         self._require_fitted()
         if not 0 <= tid < len(self._strings):
             return 0.0
-        shard_id, local_tid = self._shard_of(tid)
-        if not self._prunes_before_scoring:
+        if self._blocker is None and self._restriction is None:
+            shard_id, local_tid = self._shard_of(tid)
             return self._shards[shard_id].score(query, local_tid)
-        if self._restriction is not None and tid not in self._restriction:
-            return 0.0
-        blocker = self._blocker
-        if blocker is not None:
-            query_tokens = self._blocker_query_tokens(query, blocker)
-            probe = blocker.probe_tokens(query_tokens)
-            shard = self._shards[shard_id]
-            index = getattr(shard, "_index", None)
-            if index is not None:
-                term_frequencies = index.term_frequencies(local_tid)
-                if not any(token in term_frequencies for token in probe):
-                    return 0.0
-            if tid not in blocker.prune(query_tokens, {tid}):
-                return 0.0
-        return self._shards[shard_id].score(query, local_tid)
+        return dict(self._filtered_rank(query, None)).get(tid, 0.0)
 
     def top_k(self, query: str, k: int) -> List[Match]:
         """The global top ``k``: exact merge of the per-shard top-k results."""

@@ -37,7 +37,7 @@ from repro.blocking import (
 from repro.core import ApproximateJoiner, Deduplicator, kernels
 from repro.core.corpus import CorpusCore
 from repro.core.index import InvertedIndex
-from repro.core.predicates.registry import make_predicate
+from repro.core.predicates import make_predicate
 from repro.datagen import make_dataset
 from repro.engine import SimilarityEngine
 from repro.text.tokenize import QgramTokenizer, WordTokenizer

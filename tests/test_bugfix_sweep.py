@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.backends.sqlite import SQLiteBackend
 from repro.core import kernels
-from repro.core.predicates.registry import make_predicate
+from repro.core.predicates import make_predicate
 from repro.engine import SimilarityEngine
 from repro.shard import ShardedPredicate
 

@@ -181,7 +181,7 @@ class TestStateCaching:
         assert len(engine._blockers) == 2
 
     def test_blocker_does_not_leak_into_blockerless_query(self, engine, company_strings):
-        from repro.core.predicates.registry import make_predicate
+        from repro.core.predicates import make_predicate
 
         predicate = make_predicate("jaccard")
         query = engine.from_strings(company_strings).predicate(predicate)
@@ -194,7 +194,7 @@ class TestStateCaching:
 
     def test_user_attached_blocker_is_preserved(self, engine, company_strings):
         from repro.blocking import MinHashLSH
-        from repro.core.predicates.registry import make_predicate
+        from repro.core.predicates import make_predicate
 
         blocker = MinHashLSH(num_bands=4, rows_per_band=4)
         predicate = make_predicate("jaccard").set_blocker(blocker)
@@ -207,7 +207,7 @@ class TestStateCaching:
         # corpus's cached state wraps the same object, so a cache hit must
         # detect that the instance was meanwhile refitted on the other
         # relation and refit it -- not silently answer over the wrong corpus.
-        from repro.core.predicates.registry import make_predicate
+        from repro.core.predicates import make_predicate
 
         predicate = make_predicate("jaccard")
         first = engine.from_strings(company_strings).predicate(predicate)
@@ -282,7 +282,7 @@ class TestStateCaching:
         # Once clear_cache() forgets the engine-attached blocker ids, a
         # blocker left on a caller instance would pass for caller-attached
         # and silently prune blocker-less queries.
-        from repro.core.predicates.registry import make_predicate
+        from repro.core.predicates import make_predicate
 
         predicate = make_predicate("jaccard")
         query = engine.from_strings(company_strings).predicate(predicate)

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core import kernels
 from repro.core.corpus import CorpusCore
 from repro.core.index import InvertedIndex
-from repro.core.predicates.registry import make_predicate
+from repro.core.predicates import make_predicate
 from repro.engine import SimilarityEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Observability

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.blocking import make_blocker
 from repro.core import kernels
-from repro.core.predicates.registry import make_predicate
+from repro.core.predicates import make_predicate
 from repro.engine import SimilarityEngine
 from repro.shard import (
     ProcessShardExecutor,
@@ -167,9 +167,8 @@ class TestShardedExactness:
 
     @pytest.mark.parametrize("name", ["bm25", "weighted_match", "jaccard"])
     def test_score_parity_under_blocker_and_restriction(self, name):
-        # Unsharded score() ignores blockers/restrictions for post-scoring
-        # families (it reads the raw _scores dict) but honors them for
-        # pre-scoring ones; sharded score() must mirror both behaviours.
+        # score() sees the candidates rank() sees on both hosts: under a
+        # blocker or a restriction it is the tuple's rank score, or 0.0.
         base = make_predicate(name).fit(CORPUS)
         sharded = _sharded(name, CORPUS, 3)
         with warnings.catch_warnings():

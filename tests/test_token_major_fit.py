@@ -25,7 +25,7 @@ import math
 import pytest
 
 from repro.core import kernels
-from repro.core.predicates.registry import make_predicate
+from repro.core.predicates import make_predicate
 from repro.text.tokenize import QgramTokenizer, WordTokenizer
 from repro.text.weights import (
     CollectionStatistics,

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.blocking import make_blocker
 from repro.core import kernels
-from repro.core.predicates.registry import make_predicate
+from repro.core.predicates import make_predicate
 from repro.engine import SimilarityEngine
 
 MONOTONE = ["weighted_match", "cosine", "bm25"]
@@ -170,12 +170,13 @@ class TestSingleTupleScore:
         predicate = make_predicate("bm25").fit(CORPUS)
         unrestricted = predicate.score("Morgan Stanley", 6)
         assert unrestricted > 0.0
-        with predicate.restrict_candidates({0}):
-            # Restriction semantics are defined by the full path; the
-            # single-tuple fast path must not bypass them.
-            assert predicate.score("Morgan Stanley", 6) == pytest.approx(
-                predicate._scores("Morgan Stanley").get(6, 0.0)
-            )
+        with predicate.restrict_candidates({0, 6}):
+            # score() sees the candidates rank() sees: the single-tuple fast
+            # path must not bypass the restriction.
+            ranked = dict(predicate.rank("Morgan Stanley"))
+            assert predicate.score("Morgan Stanley", 6) == ranked[6] == unrestricted
+            assert predicate.score("Morgan Stanley", 1) == 0.0
+            assert set(ranked) <= {0, 6}
 
 
 class TestZeroK:

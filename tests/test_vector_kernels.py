@@ -27,7 +27,7 @@ from repro.blocking import make_blocker
 from repro.core import kernels
 from repro.core.corpus import CorpusCore
 from repro.core.index import InvertedIndex, WeightedPostingIndex
-from repro.core.predicates.registry import make_predicate
+from repro.core.predicates import make_predicate
 from repro.engine import SimilarityEngine
 from repro.obs.export import bench_envelope
 from repro.shard import ShardedPredicate
