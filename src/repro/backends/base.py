@@ -64,8 +64,9 @@ class SQLBackend(ABC):
     # -- optional primitives -----------------------------------------------------
 
     #: Whether the backend can evaluate window functions (``ROW_NUMBER() OVER
-    #: (PARTITION BY ...)``); the batched top-k path uses them to cut each
-    #: query's ranking to ``k`` rows inside the statement.
+    #: (PARTITION BY ...)``).  The declarative ``run_many`` reads it as "cut
+    #: top-k in SQL": such a backend runs one ``ORDER BY ... LIMIT``
+    #: statement per query, the others one batch statement cut in Python.
     supports_window_functions: bool = False
 
     def create_index(self, name: str, table: str, columns: Sequence[str]) -> None:

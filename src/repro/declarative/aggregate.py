@@ -3,8 +3,12 @@
 Both predicates read their document-side weights from shared-core feature
 tables (normalized tf-idf for Cosine; for BM25 the shared RS/``midf`` table
 combined with the parameter-dependent modified tf, namespaced by the
-``(k1, b)`` signature); query-time scoring is the single-join statement of
-Figure 4.3 with the query-side weights computed on the fly as a subquery.
+``(k1, b)`` signature), each indexed covering ``(token, tid, weight)`` so
+the scoring join reads the index alone.  Query-time scoring is the
+single-join statement of Figure 4.3: BM25 derives the query-side ``mtf``
+in a subquery, Cosine joins a ``QUERY_WEIGHTS(token, weight)`` table that
+:meth:`DeclarativeCosine.prepare_query` materializes once per query (the
+query length is then computed once, not per scoring statement).
 
 The batched variants group the same joins by ``qid``; Cosine materializes
 the per-query normalized weights (``QUERY_WEIGHTS(qid, token, weight)``)
@@ -20,8 +24,6 @@ from repro.text.weights import BM25Parameters
 
 __all__ = ["DeclarativeCosine", "DeclarativeBM25"]
 
-_DQT = "(SELECT DISTINCT token FROM QUERY_TOKENS)"
-
 
 class _DeclarativeAggregateBase(DeclarativePredicate):
     family = "aggregate-weighted"
@@ -35,31 +37,32 @@ class DeclarativeCosine(_DeclarativeAggregateBase):
     def weight_phase(self) -> None:
         self.require("cosweights")
 
-    #: Query-side weights: normalized tf-idf computed on the fly; query
-    #: tokens absent from BASE_IDF are dropped by the inner join.
-    def _query_weights_subquery(self) -> str:
+    def prepare_query(self, query: str) -> None:
+        """``QUERY_TOKENS`` plus the query's normalized tf-idf weights.
+
+        ``QUERY_WEIGHTS(token, weight)`` is materialized once per query, so
+        the scoring statement is a two-table join and the query length is
+        computed once.  The query tf counts tokens with multiplicity (a
+        repeated q-gram weighs more); query tokens absent from ``BASE_IDF``
+        are dropped by the inner join.
+        """
+        super().prepare_query(query)
         idf = self.tbl("BASE_IDF")
-        return (
-            "(SELECT QTF.token, QIDF.idf * QTF.tf / QLEN.length AS weight "
-            " FROM (SELECT R.token, R.idf "
-            f"       FROM {_DQT} S, {idf} R "
-            "       WHERE S.token = R.token) QIDF, "
-            "      (SELECT T.token, COUNT(*) AS tf "
-            "       FROM QUERY_TOKENS T GROUP BY T.token) QTF, "
-            "      (SELECT SQRT(SUM(QI.idf * QI.idf * QT.tf * QT.tf)) AS length "
-            "       FROM (SELECT R.token, R.idf "
-            f"             FROM {_DQT} S, {idf} R "
-            "             WHERE S.token = R.token) QI, "
-            "            (SELECT T.token, COUNT(*) AS tf "
-            "             FROM QUERY_TOKENS T GROUP BY T.token) QT "
-            "       WHERE QI.token = QT.token) QLEN "
-            " WHERE QIDF.token = QTF.token)"
+        qtf = "(SELECT T.token, COUNT(*) AS tf FROM QUERY_TOKENS T GROUP BY T.token)"
+        self.backend.recreate_table("QUERY_WEIGHTS", ["token TEXT", "weight REAL"])
+        self.backend.execute(
+            "INSERT INTO QUERY_WEIGHTS (token, weight) "
+            "SELECT QTF.token, R.idf * QTF.tf / QLEN.length "
+            f"FROM {qtf} QTF, {idf} R, "
+            "     (SELECT SQRT(SUM(QI.idf * QI.idf * QT.tf * QT.tf)) AS length "
+            f"      FROM {qtf} QT, {idf} QI WHERE QT.token = QI.token) QLEN "
+            "WHERE QTF.token = R.token"
         )
 
     def scores_sql(self) -> Optional[Tuple[str, Tuple]]:
         return (
             "SELECT R1W.tid, SUM(R1W.weight * R2W.weight) AS score "
-            f"FROM {self.tbl('BASE_COSW')} R1W, {self._query_weights_subquery()} R2W "
+            f"FROM {self.tbl('BASE_COSW')} R1W, QUERY_WEIGHTS R2W "
             "WHERE R1W.token = R2W.token "
             "GROUP BY R1W.tid",
             (),
@@ -141,7 +144,7 @@ class DeclarativeBM25(_DeclarativeAggregateBase):
                 f"{core.name('BASE_TF')} T, {core.name('BASE_RSW')} I "
                 "WHERE L.tid = T.tid AND T.token = I.token"
             )
-            core.index(backend, table, "token")
+            core.index(backend, table, "token", "tid", "weight")
 
         self.require(feature, sig=(k1, b), builder=_build)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.backends.base import SQLBackend
 from repro.backends.memory import MemoryBackend
@@ -53,8 +53,9 @@ class DeclarativePredicate(BlockingHost, ABC):
     * :meth:`prepare_query` + :meth:`scores_sql` -- a single parameterized
       SELECT producing ``(tid, score)`` rows, which unlocks the ORDER
       BY/LIMIT top-k pushdown, or
-    * an override of :meth:`query_scores` for predicates whose scoring cannot
-      be one statement (the GES filter-verify predicates).
+    * an override of :meth:`query_scores` (with :attr:`single_statement`
+      ``False``) for predicates whose scoring cannot be one statement (the
+      GES filter-verify predicates).
 
     Batched execution mirrors this with :meth:`prepare_batch` +
     :meth:`batch_scores_sql` (one statement per batch, grouped by ``qid``)
@@ -197,9 +198,11 @@ class DeclarativePredicate(BlockingHost, ABC):
     def _query_state_changed(self) -> None:
         self._score_cache = None
 
-    def _apply_candidate_filter(self, query: str, rows: List[Match]) -> List[Match]:
-        """Apply the post-scoring allowance (restriction, blocker) to scored
-        SQL rows; records :attr:`last_num_candidates` (the survivors)."""
+    def _apply_candidate_filter(self, query: str, raw: Iterable[tuple]) -> List[Match]:
+        """The SQL's ``(tid, score)`` rows as matches (NULL scores dropped)
+        after the post-scoring allowance (restriction, blocker); records
+        :attr:`last_num_candidates` (the survivors)."""
+        rows = [Match(int(tid), float(score)) for tid, score in raw if score is not None]
         allowed = self._allowed_after_scoring(query, (scored.tid for scored in rows))
         if allowed is not None:
             rows = [scored for scored in rows if scored.tid in allowed]
@@ -221,16 +224,20 @@ class DeclarativePredicate(BlockingHost, ABC):
         """
         return None
 
-    def query_scores(self, query: str) -> List[tuple]:
-        """Run the query-time SQL; returns ``(tid, score)`` rows (unordered)."""
+    def _scoring_statement(self, query: str) -> Tuple[str, Tuple]:
+        """Load the per-query tables and return :meth:`scores_sql`."""
         self.prepare_query(query)
         pair = self.scores_sql()
         if pair is None:  # pragma: no cover - subclass contract violation
             raise NotImplementedError(
                 f"{type(self).__name__} must implement scores_sql() or "
-                "override query_scores()"
+                "override query_scores() and set single_statement = False"
             )
-        sql, params = pair
+        return pair
+
+    def query_scores(self, query: str) -> List[tuple]:
+        """Run the query-time SQL; returns ``(tid, score)`` rows (unordered)."""
+        sql, params = self._scoring_statement(query)
         return self.backend.query(sql, params or None)
 
     def prepare_batch(self, queries: Sequence[str]) -> None:
@@ -265,46 +272,16 @@ class DeclarativePredicate(BlockingHost, ABC):
         self._last_batch_sql = True
         return buckets
 
-    def _batch_topk_rows(
-        self, queries: Sequence[str], k: int
-    ) -> Optional[List[List[tuple]]]:
-        """Batched top-k with the per-query cut inside the SQL.
-
-        Wraps the family's batch statement in ``ROW_NUMBER() OVER (PARTITION
-        BY qid ORDER BY score DESC, tid)`` so only ``k`` rows per query cross
-        the SQL boundary -- exactly the rows the Python-side sort-and-trim
-        would keep, in the same order.  Requires window-function support
-        (SQLite; the in-memory engine falls back to the plain batch path).
-        """
-        if (
-            not self.single_statement
-            or self._blocker is not None
-            or self._restriction is not None
-            or not getattr(self.backend, "supports_window_functions", False)
-        ):
-            return None
-        self.prepare_batch(queries)
-        pair = self.batch_scores_sql()
-        if pair is None:
-            return None
-        sql, params = pair
-        wrapped = (
-            "SELECT Y.qid, Y.tid, Y.score FROM "
-            "(SELECT X.qid, X.tid, X.score, "
-            "ROW_NUMBER() OVER (PARTITION BY X.qid "
-            "                   ORDER BY X.score DESC, X.tid) AS rn "
-            f"FROM ({sql}) X WHERE X.score IS NOT NULL) Y "
-            f"WHERE Y.rn <= {int(k)} "
-            "ORDER BY Y.qid, Y.rn"
-        )
-        rows = self.backend.query(wrapped, params or None)
-        buckets: List[List[tuple]] = [[] for _ in queries]
-        for qid, tid, score in rows:
-            buckets[int(qid)].append((tid, score))
-        self._last_batch_sql = True
-        return buckets
-
     # -- query time --------------------------------------------------------------
+
+    def _pushes_limit(self) -> bool:
+        """Whether a limit can be cut inside the scoring SQL: scoring is one
+        SELECT and no blocker or restriction prunes its rows afterwards."""
+        return (
+            self.single_statement
+            and self._blocker is None
+            and self._restriction is None
+        )
 
     def rank(self, query: str, limit: Optional[int] = None) -> List[Match]:
         """Tuples ranked by decreasing score, ties broken by tuple id.
@@ -313,19 +290,18 @@ class DeclarativePredicate(BlockingHost, ABC):
         and the cut run *inside* the SQL statement -- ``ORDER BY score DESC,
         tid LIMIT k`` -- so only ``k`` rows ever cross the SQL boundary.  The
         pushed path returns exactly the rows of the unpushed one: both order
-        by ``(-score, tid)`` over the same SQL-computed scores.
+        by ``(-score, tid)`` over the same SQL-computed scores.  A limit of
+        zero or less returns ``[]`` without running any SQL.
         """
         self._require_preprocessed()
-        if limit is not None and self._blocker is None and self._restriction is None:
-            pushed = self._rank_pushdown(query, limit)
-            if pushed is not None:
-                return pushed
-        rows = [
-            Match(int(tid), float(score))
-            for tid, score in self.query_scores(query)
-            if score is not None
-        ]
-        rows = self._apply_candidate_filter(query, rows)
+        if limit is not None and limit <= 0:
+            # Nothing can be returned, so nothing is scored and no SQL runs.
+            self.last_num_candidates = 0
+            self.last_sql_stats = None
+            return []
+        if limit is not None and self._pushes_limit():
+            return self._rank_pushdown(query, limit)
+        rows = self._apply_candidate_filter(query, self.query_scores(query))
         self.last_sql_stats = SQLStats(
             rows_scored=len(rows), base_size=len(self._strings)
         )
@@ -334,17 +310,9 @@ class DeclarativePredicate(BlockingHost, ABC):
             rows = rows[:limit]
         return rows
 
-    def _rank_pushdown(self, query: str, limit: int) -> Optional[List[Match]]:
+    def _rank_pushdown(self, query: str, limit: int) -> List[Match]:
         """ORDER BY/LIMIT pushed into the scoring SQL (single-SELECT families)."""
-        if limit <= 0:
-            return []
-        if not self.single_statement:
-            return None
-        self.prepare_query(query)
-        pair = self.scores_sql()
-        if pair is None:
-            return None
-        sql, params = pair
+        sql, params = self._scoring_statement(query)
         wrapped = (
             f"SELECT X.tid, X.score FROM ({sql}) X "
             f"WHERE X.score IS NOT NULL "
@@ -365,8 +333,6 @@ class DeclarativePredicate(BlockingHost, ABC):
         """The ``k`` most similar tuples (the declarative top-k fast path)."""
         if k < 0:
             raise ValueError("k must be non-negative")
-        if k == 0:
-            return []
         return self.rank(query, limit=k)
 
     def select(self, query: str, threshold: float) -> List[Match]:
@@ -388,6 +354,13 @@ class DeclarativePredicate(BlockingHost, ABC):
         ``k``) or ``"select"`` (with ``threshold``); semantics match calling
         the corresponding single-query method per query, but scoring runs as
         one SQL statement for the whole batch where the family supports it.
+
+        A limited batch on a backend that cuts in SQL
+        (``supports_window_functions``: SQLite) runs one ``ORDER BY ...
+        LIMIT`` statement per query instead -- there that is cheaper than
+        sorting every batch row, in a window function or in Python.  The
+        in-memory engine parses and plans each statement in Python, so it
+        keeps the one batch statement and cuts in Python.
         """
         queries = list(queries)
         if op == "top_k":
@@ -398,53 +371,49 @@ class DeclarativePredicate(BlockingHost, ABC):
             if threshold is None:
                 raise ValueError("op='select' requires a threshold")
             self._check_blocker_threshold(threshold)
+            limit = None  # a selection is cut by its threshold alone
         elif op != "rank":
             raise ValueError(
                 f"unknown batch op {op!r}; expected 'rank', 'top_k' or 'select'"
             )
         self._require_preprocessed()
-        per_query_rows = None
-        in_sql_cut = False
-        if limit is not None and queries:
-            self._last_batch_sql = False
-            per_query_rows = self._batch_topk_rows(queries, limit)
-            in_sql_cut = per_query_rows is not None
-        if per_query_rows is None:
-            per_query_rows = self.query_scores_batch(queries)
-        batched = getattr(self, "_last_batch_sql", False)
-        results: List[List[Match]] = []
-        per_query_candidates: List[int] = []
-        total_rows = 0
-        for query, raw in zip(queries, per_query_rows):
-            rows = [
-                Match(int(tid), float(score))
-                for tid, score in raw
-                if score is not None
-            ]
-            rows = self._apply_candidate_filter(query, rows)
-            per_query_candidates.append(len(rows))
-            total_rows += len(rows)
-            rows.sort(key=lambda st: (-st.score, st.tid))
-            if op == "select":
-                rows = [match for match in rows if match.score >= threshold]
-            elif limit is not None:
-                rows = rows[:limit]
-            results.append(rows)
+        plan: Tuple[str, ...] = ()
+        if limit is not None and limit <= 0:
+            # Nothing can be returned, so nothing is scored.
+            results: List[List[Match]] = [[] for _ in queries]
+            per_query_candidates = [0] * len(queries)
+        elif (
+            limit is not None
+            and queries
+            and self._pushes_limit()
+            and getattr(self.backend, "supports_window_functions", False)
+        ):
+            results = [self._rank_pushdown(query, limit) for query in queries]
+            per_query_candidates = [len(rows) for rows in results]
+            plan = ("order-by-limit",)
+        else:
+            results, per_query_candidates = [], []
+            for query, raw in zip(queries, self.query_scores_batch(queries)):
+                rows = self._apply_candidate_filter(query, raw)
+                per_query_candidates.append(len(rows))
+                rows.sort(key=lambda st: (-st.score, st.tid))
+                if op == "select":
+                    rows = [match for match in rows if match.score >= threshold]
+                elif limit is not None:
+                    rows = rows[:limit]
+                results.append(rows)
+            if getattr(self, "_last_batch_sql", False):
+                plan = ("batch",)
         # One scalar cannot describe a batch: expose the per-qid counts and
         # reset the single-query counter so a later reader does not mistake
         # the batch's last (or a previous sequential call's) value for a
         # meaningful per-query statistic.
         self.last_batch_candidates = per_query_candidates
         self.last_num_candidates = None
-        markers = []
-        if batched:
-            markers.append("batch")
-        if in_sql_cut:
-            markers.append("order-by-limit")
         self.last_sql_stats = SQLStats(
-            rows_scored=total_rows,
+            rows_scored=sum(per_query_candidates),
             base_size=len(self._strings) * max(len(queries), 1),
-            plan=tuple(markers),
+            plan=plan,
         )
         return results
 
@@ -459,12 +428,7 @@ class DeclarativePredicate(BlockingHost, ABC):
         self._require_preprocessed()
         cache = self._score_cache
         if cache is None or cache[0] != query:
-            rows = [
-                Match(int(t), float(s))
-                for t, s in self.query_scores(query)
-                if s is not None
-            ]
-            rows = self._apply_candidate_filter(query, rows)
+            rows = self._apply_candidate_filter(query, self.query_scores(query))
             self._score_cache = cache = (query, {m.tid: m.score for m in rows})
         return cache[1].get(tid, 0.0)
 

@@ -98,15 +98,10 @@ class DeclarativeEditDistance(DeclarativePredicate):
         # yields the q-gram count filter and the length filter pushed into the
         # candidate-generation statement below.
         rows = self._select_rows(normalized, threshold, q, query_length, num_query_tokens)
-        scored = [
-            Match(int(tid), float(score))
-            for tid, score in rows
-            if score is not None
-        ]
         # Blocking/restriction applies to the scored candidates *before* the
         # threshold cut, so last_num_candidates counts candidates scored (as
         # in every other predicate), not final results.
-        scored = self._apply_candidate_filter(query, scored)
+        scored = self._apply_candidate_filter(query, rows)
         self.last_sql_stats = SQLStats(
             rows_scored=len(scored), base_size=len(self._strings)
         )

@@ -60,7 +60,7 @@ class DeclarativeHMM(DeclarativePredicate):
             f"FROM {t('BASE_PTGE')} P, {t('BASE_PML')} M "
             "WHERE P.token = M.token"
         )
-        core.index(backend, table, "token")
+        core.index(backend, table, "token", "tid", "weight")
 
     def scores_sql(self) -> Optional[Tuple[str, Tuple]]:
         return (

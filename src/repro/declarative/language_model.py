@@ -82,7 +82,7 @@ class DeclarativeLanguageModeling(DeclarativePredicate):
             "WHERE T.tid = R.tid AND T.token = R.token AND T.tid = M.tid "
             "AND T.token = M.token AND T.token = A.token AND T.token = C.token"
         )
-        core.index(backend, "BASE_PM", "token")
+        core.index(backend, "BASE_PM", "token", "tid", "pm", "cfcs")
         core.table(backend, "BASE_SUMCOMPM", ["tid INTEGER", "sumcompm REAL"])
         backend.execute(
             f"INSERT INTO {t('BASE_SUMCOMPM')} (tid, sumcompm) "

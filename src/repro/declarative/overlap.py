@@ -186,12 +186,7 @@ class DeclarativeJaccard(_DeclarativeOverlapBase):
             "               WHERE P.token = QP.token) "
             "GROUP BY S1.tid, S1.len, S2.len"
         )
-        rows = [
-            Match(int(tid), float(score))
-            for tid, score in self.backend.query(sql)
-            if score is not None
-        ]
-        rows = self._apply_candidate_filter(query, rows)
+        rows = self._apply_candidate_filter(query, self.backend.query(sql))
         self.last_sql_stats = SQLStats(
             rows_scored=len(rows),
             base_size=len(self._strings),

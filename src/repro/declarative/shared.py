@@ -45,6 +45,15 @@ pml        ``BASE_PML(tid, token, pml)``
 Predicate-specific features (LM chain, HMM weights, BM25 weights, word
 q-grams, min-hash signatures, prefix-filter tables) are registered through
 the same mechanism with custom builders and signatures.
+
+Index rule (SQLite; the in-memory engine hash-joins and ignores indexes): a
+weight table that a scoring statement probes by token carries one
+*covering* index ``(token, tid, <the columns the scorer reads>)`` --
+``BASE_COSW``, ``BASE_TOKENSDDL``, ``BASE_RSWEIGHTS``, ``BASE_RSTOKENSDDL``
+here, ``BASE_BM25W``, ``BASE_PM`` and the HMM weights in their families.
+The scoring join then reads the index b-tree alone instead of fetching
+every joined row from the table, and the covering index replaces the
+token-only one: it serves every lookup that one did.
 """
 
 from __future__ import annotations
@@ -273,7 +282,7 @@ def _build_rsweights(backend: SQLBackend, core: SharedTables) -> None:
         f"SELECT D.tid, D.token, W.weight "
         f"FROM {t('BASE_TOKENS_DIST')} D, {t('BASE_RSW')} W WHERE D.token = W.token"
     )
-    core.index(backend, "BASE_RSWEIGHTS", "token")
+    core.index(backend, "BASE_RSWEIGHTS", "token", "tid", "weight")
 
 
 def _build_rsddl(backend: SQLBackend, core: SharedTables) -> None:
@@ -299,7 +308,7 @@ def _build_rstokensddl(backend: SQLBackend, core: SharedTables) -> None:
         f"SELECT W.tid, W.token, W.weight, D.ddl "
         f"FROM {t('BASE_RSWEIGHTS')} W, {t('BASE_RSDDL')} D WHERE W.tid = D.tid"
     )
-    core.index(backend, "BASE_RSTOKENSDDL", "token")
+    core.index(backend, "BASE_RSTOKENSDDL", "token", "tid", "weight", "ddl")
 
 
 def _build_tokensddl(backend: SQLBackend, core: SharedTables) -> None:
@@ -310,7 +319,7 @@ def _build_tokensddl(backend: SQLBackend, core: SharedTables) -> None:
         f"SELECT T.tid, T.token, D.len "
         f"FROM {t('BASE_TOKENS_DIST')} T, {t('BASE_TIDLEN')} D WHERE T.tid = D.tid"
     )
-    core.index(backend, "BASE_TOKENSDDL", "token")
+    core.index(backend, "BASE_TOKENSDDL", "token", "tid", "len")
 
 
 def _build_cosweights(backend: SQLBackend, core: SharedTables) -> None:
@@ -331,7 +340,7 @@ def _build_cosweights(backend: SQLBackend, core: SharedTables) -> None:
         f"FROM {t('BASE_IDF')} I, {t('BASE_TF')} T, {t('BASE_COSLENGTH')} L "
         f"WHERE I.token = T.token AND T.tid = L.tid"
     )
-    core.index(backend, "BASE_COSW", "token")
+    core.index(backend, "BASE_COSW", "token", "tid", "weight")
 
 
 def _build_pml(backend: SQLBackend, core: SharedTables) -> None:

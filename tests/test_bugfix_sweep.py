@@ -19,6 +19,13 @@ Each class pins one fixed bug:
   the overlap family (``-1`` scored the *last* tuple and reported it as tid
   -1) or a bare ``IndexError`` (``n``); such tids are now ignored, as the
   aggregate family always ignored them.
+* A negative ``limit`` used to be Python slicing on the declarative paths
+  that cut in Python (memory ``run_many``, a blocked ``rank``): ``limit=-1``
+  returned all but the last row.  Every path now returns ``[]`` for
+  ``limit <= 0``, as the direct realization does.
+* Declarative ``rank(q, limit=0)`` used to keep the previous call's
+  ``last_num_candidates`` and ``last_sql_stats``; it now records 0
+  candidates and no SQL stats.
 """
 
 import sqlite3
@@ -333,3 +340,52 @@ class TestRestrictionIgnoresTidsOutsideTheRelation:
             for stray in ({-1}, {4}, {-5, -1, 4, 99}):
                 assert self._answers(predicate, {0, 3} | stray) == want
             assert self._answers(predicate, {-1, 4})[0] == []
+
+
+class TestNonPositiveLimits:
+    @pytest.fixture(scope="class")
+    def rows(self):
+        from repro.datagen import make_dataset
+
+        return make_dataset("CU1", size=60, num_clean=10, seed=7).strings
+
+    @staticmethod
+    def _query(rows, config):
+        base = SimilarityEngine().from_strings(rows).predicate("bm25")
+        if config == "sharded":
+            return base.shards(2, executor="thread")
+        if config == "direct":
+            return base
+        return base.realization("declarative").backend(config)
+
+    @pytest.mark.parametrize("config", ["direct", "sharded", "memory", "sqlite"])
+    @pytest.mark.parametrize("limit", [0, -1, -2])
+    def test_run_many_returns_nothing(self, rows, config, limit):
+        query = self._query(rows, config)
+        texts = [rows[1], rows[30]]
+        assert query.run_many(texts, op="rank", limit=limit) == [[], []]
+        assert query.last_run_many_stats.candidates_per_query == (0, 0)
+
+    @pytest.mark.parametrize("config", ["direct", "memory", "sqlite"])
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_blocked_rank_returns_nothing(self, rows, config, limit):
+        query = self._query(rows, config).blocker("lsh")
+        assert query.rank(rows[1])
+        assert query.rank(rows[1], limit=limit) == []
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_rank_limit_zero_resets_the_stats(self, rows, backend):
+        from repro.declarative import make_declarative_predicate
+
+        predicate = make_declarative_predicate("bm25", backend=backend)
+        predicate.preprocess(rows)
+        assert len(predicate.rank(rows[1], limit=5)) == 5
+        assert predicate.last_sql_stats.plan == ("order-by-limit",)
+        for call in (
+            lambda: predicate.rank(rows[30], limit=0),
+            lambda: predicate.top_k(rows[30], 0),
+        ):
+            predicate.rank(rows[1], limit=5)
+            assert call() == []
+            assert predicate.last_num_candidates == 0
+            assert predicate.last_sql_stats is None

@@ -22,7 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import MemoryBackend, SQLiteBackend
-from repro.declarative import clear_shared_state, make_declarative_predicate
+from repro.declarative import (
+    DECLARATIVE_CLASSES,
+    available_declarative_predicates,
+    clear_shared_state,
+    make_declarative_predicate,
+)
 from repro.engine import SimilarityEngine
 from repro.engine.plan import RecordingBackend, sql_statements
 from repro.obs import Observability, Tracer
@@ -98,6 +103,89 @@ class TestPushdownExactness:
                         assert got.score == pytest.approx(
                             want.score, rel=1e-9, abs=1e-12
                         )
+
+
+#: Families whose scoring is one SELECT (everything but the GES
+#: filter-verify pair): their batches and single queries share statements.
+SINGLE_STATEMENT = sorted(
+    name
+    for name in available_declarative_predicates()
+    if DECLARATIVE_CLASSES[name].single_statement
+)
+
+
+def _assert_same_cut(got, want, full, context):
+    """``got`` equals ``want`` under the engine-parity tie rule: scores equal
+    to 1e-9, tids equal except inside a score tie, where any member of the
+    full ranking's tie group may take a place (the cut can split a tie)."""
+    assert len(got) == len(want), context
+    full_scores = {match.tid: match.score for match in full}
+    assert len({match.tid for match in got}) == len(got), context
+    for mine, theirs in zip(got, want):
+        assert mine.score == pytest.approx(theirs.score, rel=1e-9, abs=1e-12), context
+        if mine.tid != theirs.tid:
+            assert abs(full_scores[mine.tid] - theirs.score) <= 1e-8, context
+
+
+class TestBatchEqualsPerQuery:
+    """``run_many`` with a cut equals the single-query ``top_k`` per query,
+    for every single-statement family on both backends, with the stats
+    contract of the path that ran: SQLite cuts each query in its own
+    ``ORDER BY ... LIMIT`` statement, the in-memory engine scores the batch
+    in one statement and cuts in Python."""
+
+    QUERIES = [3, 3, "", 11, "zzzz qqqq"]
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        from repro.datagen import make_dataset
+
+        return make_dataset("CU1", size=40, num_clean=8, seed=5).strings
+
+    @pytest.mark.parametrize("backend_cls", BACKENDS)
+    @pytest.mark.parametrize("name", SINGLE_STATEMENT)
+    def test_cut_batches_equal_top_k(self, name, backend_cls, corpus):
+        predicate = _fitted(name, backend_cls, corpus)
+        queries = [corpus[q] if isinstance(q, int) else q for q in self.QUERIES]
+        full = [predicate.rank(query) for query in queries]
+        for k in (0, 4, len(corpus) + 5):
+            expected = [predicate.top_k(query, k) for query in queries]
+            single_counts = []
+            for query in queries:
+                predicate.top_k(query, k)
+                single_counts.append(predicate.last_num_candidates)
+            for op, kwargs in (("top_k", {"k": k}), ("rank", {"limit": k})):
+                context = (name, backend_cls.__name__, op, k)
+                batched = predicate.run_many(queries, op=op, **kwargs)
+                assert len(batched) == len(queries), context
+                for got, want, ranked in zip(batched, expected, full):
+                    if backend_cls is SQLiteBackend:
+                        assert got == want, context
+                    else:
+                        _assert_same_cut(got, want, ranked, context)
+                assert predicate.last_num_candidates is None, context
+                stats = predicate.last_sql_stats
+                if k == 0:
+                    assert predicate.last_batch_candidates == [0] * len(queries)
+                    assert stats.plan == (), context
+                elif backend_cls is SQLiteBackend:
+                    assert predicate.last_batch_candidates == single_counts, context
+                    assert stats.plan == ("order-by-limit",), context
+                else:
+                    assert predicate.last_batch_candidates == [
+                        len(ranked) for ranked in full
+                    ], context
+                    assert stats.plan == ("batch",), context
+                assert stats.rows_scored == sum(predicate.last_batch_candidates)
+
+    @pytest.mark.parametrize("backend_cls", BACKENDS)
+    def test_empty_batch(self, backend_cls, corpus):
+        predicate = _fitted("bm25", backend_cls, corpus)
+        for op, kwargs in (("top_k", {"k": 3}), ("rank", {"limit": 3})):
+            assert predicate.run_many([], op=op, **kwargs) == []
+            assert predicate.last_batch_candidates == []
+            assert predicate.last_num_candidates is None
+            assert predicate.last_sql_stats.plan == ()
 
 
 class TestSharedCores:
