@@ -183,7 +183,7 @@ def test_top_k_and_select_agree_across_realizations(engine, uis_dataset):
 
 
 def test_exact_blocker_match_sets_identical_through_engine(engine, uis_dataset):
-    """Miniature of benchmarks/bench_blocking.py run through the engine: the
+    """Miniature of the ``blocking`` case of benchmarks/paper.py: the
     exact filters must leave the self-join match set byte-identical."""
     base = engine.from_strings(uis_dataset.strings)
     baseline_query = base.predicate("jaccard")
