@@ -23,10 +23,20 @@ Accuracy goes through :class:`repro.eval.ExperimentRunner` and is memoised on
 ``(dataset, predicate, variant, seed)``, so a MAP that several cases report
 (e.g. q=2 in ``qgram_size`` and the dirty column of ``figure_5_1``) is
 computed once per run.
+
+The small-scale MAP and mean max-F1 of every accuracy predicate on the eight
+datasets of ``figure_5_1``, ``table_5_5`` and ``table_5_6`` are pinned in
+``tests/golden/accuracy.json`` (12 significant digits); each of the three
+cases checks its cells against it, and ``tests/test_accuracy_golden.py``
+checks the kernelised families' cells in the tier-1 suite.  Re-record the
+golden only when a change means to move an accuracy number::
+
+    PYTHONPATH=src python tests/test_accuracy_golden.py --record
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -62,6 +72,7 @@ from repro.text.tokenize import QgramTokenizer
 from repro.text.weights import CollectionStatistics
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+ACCURACY_GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden" / "accuracy.json"
 
 FULL_SCALE = os.environ.get("REPRO_BENCH_SCALE", "small").lower() == "full"
 
@@ -148,23 +159,59 @@ def query_strings(dataset: GeneratedDataset, count: int, seed: int) -> List[str]
     return [dataset.strings[tid] for tid in dataset.sample_query_tids(count, seed=seed)]
 
 
-_MAP: Dict[tuple, float] = {}
+_ACCURACY: Dict[tuple, tuple] = {}
 
 
-def mean_ap(dataset: str, predicate: str, variant: str = "", build=None, seed: int = 0) -> float:
-    """MAP of ``predicate`` on an accuracy dataset, memoised in the process.
+def accuracy(
+    dataset: str, predicate: str, variant: str = "", build=None, seed: int = 0
+) -> tuple:
+    """``(MAP, mean max-F1)`` of ``predicate`` on an accuracy dataset,
+    memoised in the process.
 
     ``variant`` names a non-default configuration and ``build`` makes it (a
     predicate instance, fitted or not); the registry default is evaluated
     otherwise.  Equal keys must mean equal predicates.
     """
     key = (dataset, predicate, variant, seed)
-    if key not in _MAP:
+    if key not in _ACCURACY:
         runner = ExperimentRunner(accuracy_dataset(dataset), dataset)
         target = build() if build is not None else predicate
         result = runner.evaluate(target, num_queries=ACCURACY_QUERIES, seed=seed)
-        _MAP[key] = result.mean_average_precision
-    return _MAP[key]
+        _ACCURACY[key] = (result.mean_average_precision, result.mean_max_f1)
+    return _ACCURACY[key]
+
+
+def mean_ap(dataset: str, predicate: str, variant: str = "", build=None, seed: int = 0) -> float:
+    """MAP of ``predicate`` on an accuracy dataset (see :func:`accuracy`)."""
+    return accuracy(dataset, predicate, variant, build, seed)[0]
+
+
+def golden_cell(dataset: str, predicate: str) -> Dict[str, float]:
+    """One cell of ``tests/golden/accuracy.json``: the registry default's MAP
+    and mean max-F1 at 12 significant digits."""
+    mean_average_precision, mean_max_f1 = accuracy(dataset, predicate)
+    return {
+        "map": float(f"{mean_average_precision:.12g}"),
+        "max_f1": float(f"{mean_max_f1:.12g}"),
+    }
+
+
+def golden_checks(datasets: Sequence[str], predicates: Sequence[str]) -> Dict[str, bool]:
+    """``cells == tests/golden/accuracy.json`` for a case's accuracy cells (at
+    the small scale the golden was recorded at; no check at full scale)."""
+    if FULL_SCALE:
+        return {}
+    cells = json.loads(ACCURACY_GOLDEN.read_text(encoding="utf-8"))["cells"]
+    drifted = [
+        f"{d}/{p}"
+        for d in datasets
+        for p in predicates
+        if golden_cell(d, p) != cells.get(f"{d}/{p}")
+    ]
+    return {
+        "cells == tests/golden/accuracy.json"
+        + (f" (drifted: {', '.join(drifted)})" if drifted else ""): not drifted
+    }
 
 
 def ges_variant(name: str, threshold: float, num_hashes: int = 5) -> tuple:
@@ -284,6 +331,7 @@ def table_5_5() -> Report:
             "F1: bm25 >= edit_distance": result[("F1", "bm25")] >= result[("F1", "edit_distance")],
             "F2: bm25 >= edit_distance": result[("F2", "bm25")] >= result[("F2", "edit_distance")],
             "F2: bm25 >= ges": result[("F2", "bm25")] >= result[("F2", "ges")],
+            **golden_checks(list(labels), ACCURACY_PREDICATES),
         },
     )
 
@@ -318,6 +366,7 @@ def table_5_6() -> Report:
     checks["F5: bm25 >= intersect - 0.02"] = (
         result[("F5", "bm25")] >= result[("F5", "intersect")] - 0.02
     )
+    checks.update(golden_checks(datasets, predicates))
     return Report(
         "Table 5.6 -- accuracy (MAP) with only edit errors of increasing extent",
         ["predicate", "F3 (10%)", "F4 (20%)", "F5 (30%)"],
@@ -395,6 +444,7 @@ def figure_5_1() -> Report:
             checks[f"{c}: best of bm25/hmm/lm >= {rival} - 0.02"] = best >= result[(c, rival)] - 0.02
     for p in ACCURACY_PREDICATES:
         checks[f"{p}: dirty <= low + 0.05"] = result[("dirty", p)] <= result[("low", p)] + 0.05
+    checks.update(golden_checks(["CU8", "CU5", "CU1"], ACCURACY_PREDICATES))
     return Report(
         "Figure 5.1 -- MAP per predicate on the low / medium / dirty dataset classes",
         ["predicate", "low", "medium", "dirty"],

@@ -35,8 +35,9 @@ probe and the prune as array operations -- when a numpy overlap scan runs
 under an exact blocker,
 and from the set path ``InvertedIndex.candidates(..., blocker=...)``
 everywhere else: the scalar backend and healed calls, LSH, the edit family
-and the sharded pre-partition prune.  ``benchmarks/bench_blocking.py``
-measures speedup and recall against the unblocked baseline.
+and the sharded pre-partition prune.  The ``blocking`` case of
+``benchmarks/paper.py`` measures speedup and recall against the unblocked
+baseline.
 """
 
 from repro.blocking.base import Blocker, BlockingStats

@@ -30,6 +30,23 @@ from repro.text.tokenize import QgramTokenizer, normalize_string
 __all__ = ["EditDistance"]
 
 
+def _max_distance(threshold: float, longest: int) -> int:
+    """The largest edit distance ``d`` whose similarity ``1 - d / longest``
+    still reaches ``threshold``, under the same float expression the
+    verification scores with.
+
+    ``int((1 - threshold) * longest)`` alone rounds down on float noise --
+    ``(1 - 0.9) * 10`` is ``0.9999999999999998`` -- and would drop a tuple
+    scoring exactly the threshold; the estimate is corrected both ways.
+    """
+    distance = int((1.0 - threshold) * longest)
+    while distance < longest and 1.0 - (distance + 1) / longest >= threshold:
+        distance += 1
+    while distance >= 0 and 1.0 - distance / longest < threshold:
+        distance -= 1
+    return distance
+
+
 class EditDistance(Predicate):
     """Normalized Levenshtein edit similarity with q-gram filtering."""
 
@@ -130,7 +147,7 @@ class EditDistance(Predicate):
             if longest == 0:
                 results.append(Match(tid, 1.0))
                 continue
-            max_distance = int((1.0 - threshold) * longest)
+            max_distance = _max_distance(threshold, longest)
             if abs(len(normalized_query) - len(candidate)) > max_distance:
                 continue
             required = max(len(query_tokens), len(self._token_lists[tid])) - max_distance * self.q

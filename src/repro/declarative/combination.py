@@ -21,6 +21,7 @@ four combination predicates pay word preprocessing once.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.backends.base import SQLBackend
@@ -99,11 +100,13 @@ class _DeclarativeCombinationBase(DeclarativePredicate):
     # -- query-side tables -------------------------------------------------------
 
     def _load_query_word_tables(self, query: str) -> List[str]:
-        """QUERY_TOKENS (distinct words) and QUERY_QGRAMS(token, qgram)."""
+        """QUERY_TOKENS(token, tf) -- the distinct words and how often each
+        occurs in the query -- and QUERY_QGRAMS(token, qgram)."""
         backend = self.backend
-        words = list(dict.fromkeys(self.tokenizer.tokenize(query)))
-        backend.recreate_table("QUERY_TOKENS", ["token TEXT"])
-        backend.insert_rows("QUERY_TOKENS", [(word,) for word in words])
+        counts = Counter(self.tokenizer.tokenize(query))
+        words = list(counts)
+        backend.recreate_table("QUERY_TOKENS", ["token TEXT", "tf INTEGER"])
+        backend.insert_rows("QUERY_TOKENS", [(word, counts[word]) for word in words])
         backend.recreate_table("QUERY_QGRAMS", ["token TEXT", "qgram TEXT"])
         rows = []
         for word in words:
@@ -113,15 +116,19 @@ class _DeclarativeCombinationBase(DeclarativePredicate):
         return words
 
     def _load_batch_word_tables(self, queries: Sequence[str]) -> List[List[str]]:
-        """The batched schema: distinct words and word q-grams per ``qid``."""
+        """The batched schema: distinct words (with their query frequency) and
+        word q-grams per ``qid``."""
         backend = self.backend
-        words_by_qid = [
-            list(dict.fromkeys(self.tokenizer.tokenize(query))) for query in queries
-        ]
-        backend.recreate_table("QUERY_TOKENS", ["qid INTEGER", "token TEXT"])
+        counts_by_qid = [Counter(self.tokenizer.tokenize(query)) for query in queries]
+        words_by_qid = [list(counts) for counts in counts_by_qid]
+        backend.recreate_table("QUERY_TOKENS", ["qid INTEGER", "token TEXT", "tf INTEGER"])
         backend.insert_rows(
             "QUERY_TOKENS",
-            [(qid, word) for qid, words in enumerate(words_by_qid) for word in words],
+            [
+                (qid, word, counts[word])
+                for qid, counts in enumerate(counts_by_qid)
+                for word in counts
+            ],
         )
         backend.recreate_table(
             "QUERY_QGRAMS", ["qid INTEGER", "token TEXT", "qgram TEXT"]
@@ -136,31 +143,39 @@ class _DeclarativeCombinationBase(DeclarativePredicate):
 
     def _load_query_idf(self) -> None:
         """QUERY_IDF with the average-idf fallback for unseen tokens
-        (Appendix B.4), plus SUM_IDF."""
+        (Appendix B.4), plus SUM_IDF.
+
+        A word's ``idf`` here is its idf times its frequency in the query:
+        the query is a bag of words, so a repeated word weighs in the GES
+        filter's sums and in SoftTFIDF's tf-idf vector once per occurrence,
+        as it does in the direct realization.
+        """
         backend = self.backend
         idf, avg = self.tbl("BASE_IDF"), self.tbl("BASE_IDFAVG")
         backend.recreate_table("QUERY_IDF", ["token TEXT", "idf REAL"])
         backend.execute(
             "INSERT INTO QUERY_IDF (token, idf) "
-            f"SELECT S.token, R.idf FROM QUERY_TOKENS S, {idf} R WHERE S.token = R.token "
+            f"SELECT S.token, S.tf * R.idf FROM QUERY_TOKENS S, {idf} R "
+            "WHERE S.token = R.token "
             "UNION "
-            f"SELECT S.token, A.idfavg FROM QUERY_TOKENS S, {avg} A "
+            f"SELECT S.token, S.tf * A.idfavg FROM QUERY_TOKENS S, {avg} A "
             f"WHERE S.token NOT IN (SELECT I.token FROM {idf} I)"
         )
         backend.recreate_table("SUM_IDF", ["sumidf REAL"])
         backend.execute("INSERT INTO SUM_IDF (sumidf) SELECT SUM(idf) FROM QUERY_IDF")
 
     def _load_batch_idf(self) -> None:
-        """Per-``qid`` QUERY_IDF / SUM_IDF over the batched word tables."""
+        """Per-``qid`` QUERY_IDF / SUM_IDF over the batched word tables (idf
+        times query frequency, as in :meth:`_load_query_idf`)."""
         backend = self.backend
         idf, avg = self.tbl("BASE_IDF"), self.tbl("BASE_IDFAVG")
         backend.recreate_table("QUERY_IDF", ["qid INTEGER", "token TEXT", "idf REAL"])
         backend.execute(
             "INSERT INTO QUERY_IDF (qid, token, idf) "
-            f"SELECT S.qid, S.token, R.idf FROM QUERY_TOKENS S, {idf} R "
+            f"SELECT S.qid, S.token, S.tf * R.idf FROM QUERY_TOKENS S, {idf} R "
             "WHERE S.token = R.token "
             "UNION "
-            f"SELECT S.qid, S.token, A.idfavg FROM QUERY_TOKENS S, {avg} A "
+            f"SELECT S.qid, S.token, S.tf * A.idfavg FROM QUERY_TOKENS S, {avg} A "
             f"WHERE S.token NOT IN (SELECT I.token FROM {idf} I)"
         )
         backend.recreate_table("SUM_IDF", ["qid INTEGER", "sumidf REAL"])
@@ -168,6 +183,11 @@ class _DeclarativeCombinationBase(DeclarativePredicate):
             "INSERT INTO SUM_IDF (qid, sumidf) "
             "SELECT qid, SUM(idf) FROM QUERY_IDF GROUP BY qid"
         )
+
+
+#: SoftTFIDF ranks the tuples with a positive score only, as the direct
+#: realization does: matching only words of idf 0 scores 0.0.
+_SOFT_SCORE_POSITIVE = "SUM(WQ.weight * WB.weight * TM.maxsim) > 0"
 
 
 class DeclarativeSoftTFIDF(_DeclarativeCombinationBase):
@@ -242,7 +262,8 @@ class DeclarativeSoftTFIDF(_DeclarativeCombinationBase):
             "SELECT TM.tid, SUM(WQ.weight * WB.weight * TM.maxsim) AS score "
             f"FROM MAXTOKEN TM, QUERY_WEIGHTS WQ, {self.tbl('BASE_COSW')} WB "
             "WHERE TM.token2 = WQ.token AND TM.tid = WB.tid AND TM.token1 = WB.token "
-            "GROUP BY TM.tid",
+            "GROUP BY TM.tid "
+            f"HAVING {_SOFT_SCORE_POSITIVE}",
             (),
         )
 
@@ -268,7 +289,8 @@ class DeclarativeSoftTFIDF(_DeclarativeCombinationBase):
             "SELECT WQ.qid, TM.tid, SUM(WQ.weight * WB.weight * TM.maxsim) AS score "
             f"FROM MAXTOKEN TM, QUERY_WEIGHTS WQ, {self.tbl('BASE_COSW')} WB "
             "WHERE TM.token2 = WQ.token AND TM.tid = WB.tid AND TM.token1 = WB.token "
-            "GROUP BY WQ.qid, TM.tid",
+            "GROUP BY WQ.qid, TM.tid "
+            f"HAVING {_SOFT_SCORE_POSITIVE}",
             (),
         )
 

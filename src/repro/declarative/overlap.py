@@ -224,6 +224,22 @@ class DeclarativeWeightedMatch(_DeclarativeOverlapBase):
         )
 
 
+#: WeightedJaccard's two weights per (query, tuple): of the shared tokens
+#: (``common``) and of the union (``tuple + query - common``).
+_WJ_PARTS = (
+    "SUM(S1.weight) AS common, S1.ddl + {query}.ddl - SUM(S1.weight) AS union_weight"
+)
+
+#: The score: common over union weight, 0.0 where the union weight is not
+#: positive (RS weights go negative for tokens in more than half the tuples).
+_WJ_SCORE = "CASE WHEN X.union_weight > 0 THEN X.common / X.union_weight ELSE 0.0 END"
+
+#: A tuple is a candidate when it shares a token of non-zero weight (RS weight
+#: 0 at ``df = N/2``), as in the direct realization, whose weighted postings
+#: keep no zero.
+_WJ_SHARES_WEIGHT = "MAX(ABS(S1.weight)) > 0"
+
+
 class DeclarativeWeightedJaccard(_DeclarativeOverlapBase):
     """WeightedJaccard: RS weight of the intersection over the union."""
 
@@ -234,25 +250,28 @@ class DeclarativeWeightedJaccard(_DeclarativeOverlapBase):
 
     def scores_sql(self) -> Optional[Tuple[str, Tuple]]:
         return (
-            "SELECT S1.tid, SUM(S1.weight) / (S1.ddl + S2.ddl - SUM(S1.weight)) AS score "
+            f"SELECT X.tid, {_WJ_SCORE} AS score FROM ("
+            f"SELECT S1.tid AS tid, {_WJ_PARTS.format(query='S2')} "
             f"FROM {self.tbl('BASE_RSTOKENSDDL')} S1, {_DQT} R2, "
             "(SELECT SUM(W.weight) AS ddl "
             f" FROM {self.tbl('BASE_RSW')} W, {_DQT} QT"
             " WHERE W.token = QT.token) S2 "
             "WHERE S1.token = R2.token "
-            "GROUP BY S1.tid, S1.ddl, S2.ddl",
+            "GROUP BY S1.tid, S1.ddl, S2.ddl "
+            f"HAVING {_WJ_SHARES_WEIGHT}) X",
             (),
         )
 
     def batch_scores_sql(self) -> Optional[Tuple[str, Tuple]]:
         return (
-            "SELECT R2.qid, S1.tid, "
-            "SUM(S1.weight) / (S1.ddl + QS.ddl - SUM(S1.weight)) AS score "
+            f"SELECT X.qid, X.tid, {_WJ_SCORE} AS score FROM ("
+            f"SELECT R2.qid AS qid, S1.tid AS tid, {_WJ_PARTS.format(query='QS')} "
             f"FROM {self.tbl('BASE_RSTOKENSDDL')} S1, {_BDQT} R2, "
             "(SELECT QT.qid AS qid, SUM(W.weight) AS ddl "
             f" FROM {self.tbl('BASE_RSW')} W, {_BDQT} QT "
             " WHERE W.token = QT.token GROUP BY QT.qid) QS "
             "WHERE S1.token = R2.token AND QS.qid = R2.qid "
-            "GROUP BY R2.qid, S1.tid, S1.ddl, QS.ddl",
+            "GROUP BY R2.qid, S1.tid, S1.ddl, QS.ddl "
+            f"HAVING {_WJ_SHARES_WEIGHT}) X",
             (),
         )

@@ -8,8 +8,9 @@ schema string so downstream tooling can dispatch on shape:
 * ``metrics`` -- a registry snapshot (:func:`metrics_to_json`), from
   ``--metrics-out``;
 * ``bench`` -- a benchmark/timing report (:func:`bench_envelope`), the
-  common envelope of ``eval/timing.py`` and every ``benchmarks/bench_*.py``
-  BENCH_*.json file: ``{schema, benchmark, relation, config, results}``.
+  common envelope of ``eval/timing.py``, the two ``benchmarks/bench_*.py``
+  scripts' BENCH_*.json files and the timing cases of
+  ``benchmarks/paper.py``: ``{schema, benchmark, relation, config, results}``.
 """
 
 from __future__ import annotations

@@ -197,3 +197,23 @@ class TestDeduplicator:
         strict = dedup.quality(truth, threshold=0.8)
         assert loose.recall >= strict.recall - 1e-9
         assert strict.precision >= loose.precision - 0.05
+
+
+def test_exact_blocker_match_sets_identical_through_engine():
+    """Miniature of the ``blocking`` case of benchmarks/paper.py: the exact
+    filters leave the self-join match set byte-identical and examine no
+    more pairs."""
+    from repro.datagen import make_dataset
+    from repro.engine import SimilarityEngine
+
+    rows = make_dataset("CU1", size=40, num_clean=10, seed=7).strings
+    base = SimilarityEngine().from_strings(rows)
+    baseline_query = base.predicate("jaccard")
+    baseline = baseline_query.self_join(0.6)
+    baseline_examined = baseline_query.last_self_join_stats.pairs_examined
+    for spec in ("length", "prefix", "length+prefix"):
+        blocked_query = base.predicate("jaccard").blocker(spec)
+        assert blocked_query.self_join(0.6) == baseline, spec
+        assert (
+            blocked_query.last_self_join_stats.pairs_examined <= baseline_examined
+        ), spec

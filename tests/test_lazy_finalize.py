@@ -4,11 +4,11 @@ On the numpy backend ``lm`` and ``hmm`` return their candidates' *log*
 scores (:func:`repro.core.kernels.exp_scores`), and ``top_k`` / ``rank(limit=k)``
 / ``select(t)`` run ``math.exp`` on a superset of the winners only, guarded
 by a proof that no other candidate could have entered the answer.  The
-answers must be ``==`` those of the scalar backend and of finalizing every
-candidate -- including where the guard must give up: scores that underflow
-``exp`` to ``0.0`` or overflow it to ``inf`` (ties the log domain would break
-the other way), thresholds ``<= 0``, and ``k`` at or beyond the candidate
-count.  ``hmm`` on a long query overflows ``exp`` on both backends, and
+answers must be ``==`` the reference scorer's (``tests/reference.py``) --
+including where the guard must give up: scores that underflow ``exp`` to
+``0.0`` or overflow it to ``inf`` (ties the log domain would break the other
+way), thresholds ``<= 0``, and ``k`` at or beyond the candidate count -- and
+the guard's own counters say which way each selection went.  ``hmm`` on a long query overflows ``exp`` on both backends, and
 reads ``inf`` like ``lm`` instead of raising.
 """
 
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import Reference
 from repro.core import kernels
 from repro.core.predicates.hmm import HMM
 from repro.core.predicates.language_model import LanguageModeling
@@ -71,51 +72,32 @@ def _pairs(matches):
     return [(match.tid, match.score) for match in matches]
 
 
-short_text = st.text(alphabet="ab cde", max_size=12)
-
-
-@st.composite
-def corpora(draw):
-    rows = draw(st.lists(short_text, min_size=1, max_size=25))
-    rows += draw(st.lists(st.sampled_from(rows), max_size=5))  # duplicates
-    rows += [""] * draw(st.integers(0, 2))
-    if draw(st.booleans()):
-        rows += EXTREME_ROWS
-    return draw(st.permutations(rows))
+@pytest.mark.parametrize("cls", PREDICATES)
+@pytest.mark.parametrize("backend", ["python", pytest.param("numpy", marks=needs_numpy)])
+def test_scores_beyond_exp_select_like_the_reference(cls, backend):
+    """Log scores that overflow ``exp`` to ``inf`` and underflow it to
+    ``0.0`` tie after finalization: every selection is the reference
+    scorer's, at every ``k`` and at thresholds down to ``0`` and the
+    smallest subnormal.  (Ordinary corpora, on both legs, are
+    ``tests/test_reference.py``'s.)"""
+    rows = EXTREME_ROWS + ["", "ab cd", "ab", "ab"]
+    name = "lm" if cls is LanguageModeling else "hmm"
+    reference = Reference(name, rows)
+    predicate = cls().fit(rows)
+    for query in (EXTREME_QUERY, "ab", ""):
+        ranking = reference.rank(query)
+        with kernels.use_backend(backend):
+            for k in (1, 2, 3, 5, 6, 8, 1000):
+                assert _pairs(predicate.rank(query, limit=k)) == ranking[:k]
+                assert _pairs(predicate.top_k(query, k)) == ranking[:k]
+            for threshold in (0, 0.0, 5e-324, 1e-300, 1e-3, 1.0, math.inf):
+                assert _pairs(predicate.select(query, threshold)) == [
+                    item for item in ranking if item[1] >= threshold
+                ]
 
 
 @needs_numpy
 class TestDeferredSelectionIsExact:
-    @given(
-        rows=corpora(),
-        data=st.data(),
-        k=st.sampled_from([1, 2, 3, 5, 6, 8, 1000]),
-        threshold=st.sampled_from([0, 0.0, 5e-324, 1e-300, 1e-3, 1.0, math.inf]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_numpy_equals_scalar_and_full_finalization(self, rows, data, k, threshold):
-        query = data.draw(
-            st.one_of(st.sampled_from(rows), short_text, st.just(EXTREME_QUERY))
-        )
-        for cls in PREDICATES:
-            predicate = cls().fit(rows)
-            with kernels.use_backend("numpy"):
-                answers = (
-                    predicate.rank(query, limit=k),
-                    predicate.top_k(query, k),
-                    predicate.select(query, threshold),
-                )
-                scores = predicate._scores(query)
-            with kernels.use_backend("python"):
-                scalar = (
-                    predicate.rank(query, limit=k),
-                    predicate.top_k(query, k),
-                    predicate.select(query, threshold),
-                )
-            assert answers == scalar
-            assert _pairs(answers[0]) == _reference_top(scores, k)
-            assert _pairs(answers[2]) == _reference_select(scores, threshold)
-
     @given(
         logs=st.lists(
             st.sampled_from(

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import Reference
 from repro.engine import Query, SimilarityEngine
 from repro.obs.clock import perf_clock
 from repro.obs.metrics import MetricsRegistry
@@ -45,6 +46,7 @@ from repro.serve import (
 )
 from repro.serve.protocol import match_to_dict
 from repro.serve.server import MAX_BODY_BYTES
+from test_reference import assert_tie_equal
 
 
 ROWS = [
@@ -1187,18 +1189,12 @@ class TestGracefulShutdown:
 
 _WORDS = sorted({word for row in ROWS for word in row.replace(",", " ").split()})
 
-#: One shared engine for the sequential (expected) side, so fitted state is
-#: cached across hypothesis examples.
-_EXPECTED_ENGINE = SimilarityEngine()
-
-
-def _expected_top_k(text: str, realization: str, num_shards: int):
-    query = _EXPECTED_ENGINE.from_strings(ROWS).predicate("bm25").realization(
-        realization
-    )
-    if num_shards > 1:
-        query = query.shards(num_shards)
-    return query.top_k(text, 5)
+#: The bm25 reference scorer over ROWS.  The declarative BM25 admits tuples
+#: sharing only zero-weight tokens (see ``tests/test_reference.py``).
+_REFERENCE = {
+    "direct": Reference("bm25", ROWS),
+    "declarative": Reference("bm25", ROWS, zero_weight_candidates=True, avgdl_skips_empty=True),
+}
 
 
 class TestServedEquivalence:
@@ -1215,9 +1211,9 @@ class TestServedEquivalence:
     def test_concurrent_serving_is_bit_identical(
         self, queries, num_shards, realization
     ):
-        expected = [
-            _expected_top_k(text, realization, num_shards) for text in queries
-        ]
+        """Concurrent requests answer the reference scorer's top 5: ``==``
+        on the direct realization, to the tie rule on the declarative one."""
+        expected = [_REFERENCE[realization].rank(text) for text in queries]
 
         async def run():
             service = make_service(max_concurrency=4, max_queue=64)
@@ -1240,8 +1236,14 @@ class TestServedEquivalence:
             return envelopes
 
         envelopes = asyncio.run(run())
-        for text, envelope, matches in zip(queries, envelopes, expected):
+        for text, envelope, ranking in zip(queries, envelopes, expected):
+            context = (text, realization, num_shards)
             assert envelope["status"] == 200, envelope
-            assert envelope["matches"] == [
-                match_to_dict(match) for match in matches
-            ], (text, realization, num_shards)
+            got = [(row["tid"], row["score"]) for row in envelope["matches"]]
+            assert [row["string"] for row in envelope["matches"]] == [
+                ROWS[tid] for tid, _ in got
+            ], context
+            if realization == "direct":
+                assert got == ranking[:5], context
+            else:
+                assert_tie_equal(got, ranking[:5], ranking, False, context)

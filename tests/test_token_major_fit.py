@@ -1,12 +1,11 @@
-"""The token-major fit against a naive tuple-major reference.
+"""The token-major fit against the reference scorer's tuple-major weights.
 
 Every kernelised predicate derives its weighted postings token by token from
 the corpus core's posting arrays (one element-wise expression per token with
 numpy, the same expression per posting without).  This module checks that
-derivation against something that is *not* itself: per-tuple weight dicts
-built from the public ``bm25_document_weights`` / ``tfidf_weights`` helpers
-and from the paper's language-model formulas written out below, regrouped
-into posting lists the slow way.  Everything is compared with ``==`` -- no
+derivation against something that is *not* itself: the per-tuple weight
+tables of the reference scorer (``tests/reference.py``), written from the
+paper's formulas, regrouped into posting lists the slow way.  Everything is compared with ``==`` -- no
 tolerance -- on three legs: the numpy backend, the scalar backend forced over
 a numpy fit, and ``kernels.np`` patched away (what ``REPRO_KERNEL=python``
 runs).
@@ -24,14 +23,10 @@ import math
 
 import pytest
 
+from reference import Reference
 from repro.core import kernels
 from repro.core.predicates import make_predicate
 from repro.text.tokenize import QgramTokenizer, WordTokenizer
-from repro.text.weights import (
-    CollectionStatistics,
-    bm25_document_weights,
-    tfidf_weights,
-)
 
 KERNELISED = ["bm25", "cosine", "weighted_match", "weighted_jaccard", "lm", "hmm"]
 
@@ -78,86 +73,24 @@ def leg(request, monkeypatch):
         yield
 
 
-# -- the reference: tuple-major, from the definitions --------------------------
-
-
-def _lm_weights(stats, num_tuples):
-    """Equation 4.4 per (tuple, token), and ``Σ log(1 - p̂)`` per tuple."""
-    collection_size = stats.collection_size
-    pavg = {}
-    for token in stats.vocabulary:
-        total = 0.0
-        for tid in range(num_tuples):
-            tf = stats.term_frequency(tid, token)
-            if tf:
-                total += tf / stats.length(tid)
-        pavg[token] = total / stats.document_frequency(token)
-    weights, complements = [], []
-    for tid in range(num_tuples):
-        length = stats.length(tid)
-        tuple_weights, complement = {}, 0.0
-        for token in sorted(stats.term_frequencies(tid)):
-            tf = stats.term_frequency(tid, token)
-            pml = tf / length
-            mean_tf = pavg[token] * length
-            risk = (1.0 / (1.0 + mean_tf)) * (mean_tf / (1.0 + mean_tf)) ** tf
-            pm = min(pml ** (1.0 - risk) * pavg[token] ** risk, 1.0 - 1e-12)
-            complement += math.log(1.0 - pm)
-            tuple_weights[token] = (
-                math.log(pm)
-                - math.log(1.0 - pm)
-                - math.log(stats.collection_frequency(token) / collection_size)
-            )
-        weights.append(tuple_weights)
-        complements.append(complement)
-    return weights, complements
-
-
-def _hmm_weights(stats, num_tuples, a0=0.2):
-    a1 = 1.0 - a0
-    return [
-        {
-            token: math.log(
-                1.0
-                + (a1 * (tf / stats.length(tid)))
-                / (a0 * (stats.collection_frequency(token) / stats.collection_size))
-            )
-            for token, tf in stats.term_frequencies(tid).items()
-        }
-        for tid in range(num_tuples)
-    ]
-
-
-def _reference(name, token_lists):
-    """``(token -> [(tid, contribution)], lm complement sums or None)``."""
-    stats = CollectionStatistics(token_lists)
-    tids = range(len(token_lists))
-    complements = None
-    if name == "bm25":
-        per_tuple = [bm25_document_weights(stats, tid) for tid in tids]
-    elif name == "cosine":
-        idf = stats.idf_table()
-        per_tuple = [tfidf_weights(stats.term_frequencies(tid), idf) for tid in tids]
-    elif name in ("weighted_match", "weighted_jaccard"):
-        per_tuple = [
-            {token: stats.rs_weight(token) for token in stats.term_frequencies(tid)}
-            for tid in tids
-        ]
-    elif name == "lm":
-        per_tuple, complements = _lm_weights(stats, len(token_lists))
-    else:
-        per_tuple = _hmm_weights(stats, len(token_lists))
+def _reference(name, corpus, tokenizer):
+    """``(token -> [(tid, weight)], lm complement sums or None)``: the
+    reference scorer's per-tuple weight tables regrouped token-major, zero
+    weights dropped as the weighted index drops them (the language models
+    keep theirs)."""
+    reference = Reference(name, corpus, tokenizer=tokenizer)
     keep_zeros = name in ("lm", "hmm")
     postings = {}
-    for tid, weights in enumerate(per_tuple):
+    for tid, weights in enumerate(reference.tuple_weights):
         for token, weight in weights.items():
             if keep_zeros or weight != 0.0:
                 postings.setdefault(token, []).append((tid, weight))
-    return postings, complements
+    return postings, reference.complements if name == "lm" else None
 
 
-def _assert_fit_equals_reference(predicate, name, token_lists):
-    expected, complements = _reference(name, token_lists)
+def _assert_fit_equals_reference(predicate, name, corpus, tokenizer):
+    expected, complements = _reference(name, corpus, tokenizer)
+    token_lists = tokenizer.tokenize_many(corpus)
     weighted = predicate._weighted_index
     assert len(weighted) == len(expected)
     for token in {token for tokens in token_lists for token in tokens}:
@@ -189,8 +122,7 @@ def _assert_fit_equals_reference(predicate, name, token_lists):
 def test_fit_equals_the_tuple_major_reference(name, tokenizer, leg):
     for corpus in CORPORA.values():
         predicate = make_predicate(name, tokenizer=TOKENIZERS[tokenizer]).fit(corpus)
-        token_lists = TOKENIZERS[tokenizer].tokenize_many(corpus)
-        _assert_fit_equals_reference(predicate, name, token_lists)
+        _assert_fit_equals_reference(predicate, name, corpus, TOKENIZERS[tokenizer])
 
 
 def test_the_corpora_reach_the_edges():
