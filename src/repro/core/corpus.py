@@ -9,21 +9,29 @@ shared per-(backend, relation, tokenizer) "cores" of
 relation and the tokenizer, never on a predicate:
 
 * the token lists (built eagerly -- every predicate needs them),
-* the per-tuple term-frequency ``Counter`` objects,
-* the :class:`~repro.core.index.InvertedIndex` and, once a kernelised
+* the per-tuple term-frequency ``Counter`` objects -- the source every
+  other part is derived from,
+* the :class:`~repro.core.index.InvertedIndex` (its document frequencies,
+  one counting pass over the ``Counter`` objects) and, once a kernelised
   predicate is fitted, its posting arrays -- per token the tids and term
-  frequencies as ``int64`` arrays, the relation's postings held as arrays
-  once: the count scan reads them and every weighted predicate derives its
-  own ``(tids, contributions)`` from them token by token (the Python
-  ``(tid, contribution)`` lists are not part of a numpy fit: a weighted index
-  derives them from this index's posting lists on its first scalar read),
+  frequencies as ``int64`` arrays filled from the ``Counter`` objects, the
+  relation's postings held as arrays once: the count scan reads them and
+  every weighted predicate derives its own ``(tids, contributions)`` from
+  them token by token.  The index's Python ``(tid, tf)`` lists are not part
+  of a numpy fit: they are derived from the ``Counter`` objects by the first
+  scalar read (a forced scalar scope, a heal) or by a fit whose scans read
+  them (no numpy, the edit family) -- :meth:`describe` says which, and a
+  weighted index's ``(tid, contribution)`` lists are derived from them in
+  turn.  The heal paths and the numpy scans' in-step ``df`` check read the
+  ``Counter`` objects' counts, never the arrays,
 * the per-tuple token sets,
 * the document frequency of each token (what the prefix blocker orders by),
-  read off the index when a fit has built one, else counted over the token
+  the index's count when a fit has built one, else counted over the token
   sets,
-* the :class:`~repro.text.weights.CollectionStatistics` -- its ``df`` / ``cf``
-  read off the index token-major when a fit has already built one, counted
-  over the ``Counter`` objects otherwise (same integers, same vocabulary
+* the :class:`~repro.text.weights.CollectionStatistics` -- its ``df`` is the
+  index's and its ``cf`` / ``p̂_avg`` sums are read off the posting arrays
+  token-major when a fit has already built them, counted over the
+  ``Counter`` objects otherwise (same integers and floats, same vocabulary
   order).
 
 The last five are built on first use and then kept, so a corpus that only
@@ -173,6 +181,12 @@ class CorpusCore:
         timed like every other part."""
         self._timed(self.index.build_arrays)
 
+    def build_posting_lists(self) -> None:
+        """Have the index derive its ``(tid, tf)`` lists inside a fit whose
+        scans read them (:meth:`InvertedIndex.build_posting_lists`: once per
+        index, then a no-op), timed like every other part."""
+        self._timed(lambda: self.index.build_posting_lists(cause="fit"))
+
     @property
     def token_sets(self) -> List[Set[str]]:
         if self._token_sets is None:
@@ -183,15 +197,13 @@ class CorpusCore:
 
     @property
     def document_frequencies(self) -> Dict[str, int]:
-        """Tuples containing each token: read off the index when a fit has
-        built one, counted over the token sets otherwise (a blocker's private
-        core is not made to build an index for it)."""
+        """Tuples containing each token: the index's count when a fit has
+        built one (shared, read-only), counted over the token sets otherwise
+        (a blocker's private core is not made to build an index for it)."""
         if self._document_frequencies is None:
             index = self._index
             if index is not None:
-                self._document_frequencies = self._timed(
-                    lambda: {t: index.document_frequency(t) for t in index.tokens()}
-                )
+                self._document_frequencies = index.document_frequencies
             else:
                 token_sets = self.token_sets
                 self._document_frequencies = self._timed(
@@ -279,16 +291,23 @@ class CorpusCore:
         }
 
     def describe(self) -> str:
-        """:meth:`summary` as one line (``explain()`` prints it)."""
+        """:meth:`summary` as one line (``explain()`` prints it), with
+        whether the index's posting lists are built (in the shape of
+        :meth:`~repro.core.index.WeightedPostingIndex.describe_scalar_view`)."""
         summary = self.summary()
         size = summary["array_bytes"]
         summary["arrays"] = (
             "no posting arrays" if size is None
             else f"posting arrays {size / 1e6:.1f} MB"
         )
+        summary["lists"] = (
+            "no index" if self._index is None
+            else self._index.describe_posting_lists()
+        )
         return (
             "{tokenizer}: {rows} rows, {vocabulary} tokens, {postings} "
-            "postings, built in {seconds:.2f} s, {arrays}".format(**summary)
+            "postings, built in {seconds:.2f} s, posting lists: {lists}, "
+            "{arrays}".format(**summary)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -8,24 +8,29 @@ doubles as the per-tuple term-frequency store; the
 :class:`WeightedPostingIndex` is its per-predicate counterpart whose postings
 carry precomputed score contributions.
 
-Both keep, when numpy is importable, a contiguous array backing beside their
-posting lists for the scans of :mod:`repro.core.kernels`.  The inverted index
-holds the relation's postings as arrays **once**
-(:meth:`InvertedIndex.build_arrays`, run by the first kernelised fit over a
-:class:`~repro.core.corpus.CorpusCore` and shared by every later one): per
+The inverted index is built over the relation's per-tuple ``Counter``
+objects, which stay its source of truth: one pass over them counts every
+token's document frequency (what ``len`` of a posting, the vocabulary order
+and the numpy scans' in-step checks read).  When numpy is importable, the
+first kernelised fit over a :class:`~repro.core.corpus.CorpusCore` has it
+hold the postings as arrays **once** (:meth:`InvertedIndex.build_arrays`,
+filled from the ``Counter`` objects and shared by every later fit): per
 token an ``int64`` tid array and an ``int64`` term-frequency array, each a
 view into one buffer, plus one ``int64`` distinct-token count per tuple.
 A weighted index is *derived* from them token by token: its
 ``(int64 tids, float64 contributions)`` pairs, plus one stored posting count
 per token, are all a numpy fit computes (one element-wise expression per
-token).  Its Python ``(tid, contribution)`` lists -- what the scalar scans
-read and the numpy scans heal on -- are a *scalar view*: the one thing built
-outside a fit, once, under a lock, by the first scalar read, from the
-predicate's own scalar derivation over the inverted index's posting lists
-(never from the arrays).  Without numpy the lists are what the fit computes
-and there is nothing to derive later.  A token that drops no posting shares
-the inverted index's tid array by reference.  Like the posting lists they
-mirror, all arrays are read-only after they are built.
+token, or one call of the predicate's formula per distinct integer
+``(tf, |D|)`` of a token, gathered).  Both indexes' Python lists --
+``(tid, tf)`` and ``(tid, contribution)``, what the scalar scans read and
+the numpy scans heal on -- are then *scalar views*: built outside a fit
+once, under a lock, by the first scalar read; the inverted index's from the
+``Counter`` objects, a weighted index's from the predicate's own scalar
+derivation over those lists -- never from the arrays.  A fit whose scans
+read the lists (no numpy, the edit family) builds them inside the fit.  A
+token that drops no posting shares the inverted index's tid array by
+reference.  Like the ``Counter`` objects they mirror, all lists and arrays
+are read-only after they are built.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from repro.obs.clock import perf_clock
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (blocking uses text only)
     from repro.blocking.base import Blocker
 
-__all__ = ["InvertedIndex", "WeightedPostingIndex"]
+__all__ = ["InvertedIndex", "WeightedPostingIndex", "distinct_pairs"]
 
 _tid_of = itemgetter(0)
 
@@ -65,11 +70,30 @@ class InvertedIndex:
     :class:`~repro.core.corpus.CorpusCore` counts a relation once and shares
     the list by reference); it is counted here otherwise.
 
-    :meth:`build_arrays` adds the array form of the postings -- what the
-    count scan (:func:`repro.core.kernels.count_overlap`) reads and what every
-    :class:`WeightedPostingIndex` is derived from.  Without it -- no numpy, or
-    no kernelised fit asked -- :meth:`arrays` and :attr:`set_sizes` answer
-    ``None``.
+    The ``Counter`` objects are the index's source of truth.  Construction
+    makes one pass over them, ``Counter(chain.from_iterable(counters))``,
+    which yields the document frequency of every token in vocabulary order
+    (first seen, tuples in tid order): :meth:`tokens`,
+    :meth:`document_frequency` and the numpy scans' in-step length checks
+    read it.  Two forms of the postings are derived from the ``Counter``
+    objects, each only when something reads it:
+
+    * the **posting arrays** (:meth:`build_arrays`, run by a kernelised
+      fit): per token an ``int64`` tid array and an ``int64`` term-frequency
+      array -- what the count scan reads and every
+      :class:`WeightedPostingIndex` is derived from;
+    * the **posting lists**, per token ``(tid, tf)`` tuples in tid order --
+      what the scalar loops read.  They are a view like a weighted index's
+      scalar view: built once, under a lock, assigned whole, by the first
+      :meth:`postings` / :meth:`candidates` / :meth:`candidate_overlap` call
+      (a forced ``use_backend("python")`` scope, a numpy scan healing on
+      them, a blocker without an array hook) or by a fit whose scans read
+      them (:meth:`build_posting_lists`: the scalar legs, the edit family).
+      They are derived from the ``Counter`` objects, never from the arrays,
+      so a heal does not read what it is healing from.
+
+    Without the arrays -- no numpy, or no kernelised fit asked --
+    :meth:`arrays` and :attr:`set_sizes` answer ``None``.
     """
 
     def __init__(
@@ -80,55 +104,81 @@ class InvertedIndex:
         if term_frequencies is None:
             term_frequencies = [Counter(tokens) for tokens in token_lists]
         self._term_frequencies: List[Counter] = term_frequencies
-        postings: Dict[str, List[Tuple[int, int]]] = defaultdict(list)
-        for tid, counts in enumerate(term_frequencies):
-            for token, tf in counts.items():
-                postings[token].append((tid, tf))
-        self._postings: Dict[str, List[Tuple[int, int]]] = dict(postings)
+        #: token -> number of tuples containing it, in vocabulary order.
+        self._document_frequencies: Dict[str, int] = dict(
+            Counter(chain.from_iterable(term_frequencies))
+        )
         #: token -> (int64 tids, int64 tfs) / int64 distinct-token count per
         #: tuple; ``None`` until :meth:`build_arrays` ran.
         self._arrays = None
         self._set_sizes = None
+        #: The one tid and one tf buffer the per-token arrays are views of
+        #: (token-major, vocabulary order) and each token's start offset in
+        #: them, plus the total; ``None`` until :meth:`build_arrays` ran.
+        self._buffers = None
         #: Bytes the posting arrays hold (``None`` while they are not built).
         self.array_bytes: Optional[int] = None
+        #: Seconds deriving the posting lists took and what asked for them
+        #: (``"fit"`` / ``"forced backend"`` / ``"heal"``); ``None`` while
+        #: they are unbuilt.
+        self.lists_seconds: Optional[float] = None
+        self.lists_cause: Optional[str] = None
+        self._lists_lock = threading.Lock()
+        #: token -> [(tid, tf)]; ``None`` while the list view is unbuilt.
+        #: Assigned whole, never filled in place.
+        self._postings: Optional[Dict[str, List[Tuple[int, int]]]] = None  # guarded-by: _lists_lock
 
     def build_arrays(self) -> None:
         """Materialize the postings as integer arrays (idempotent).
 
-        Per token one ``int64`` tid array and one ``int64`` term-frequency
-        array -- contiguous views into one buffer each, filled in a single
-        pass over the posting lists -- and the per-tuple number of distinct
-        tokens.  Called from inside a fit -- never lazily by a query, so
-        concurrent first queries find them built -- and a no-op when they
-        exist or numpy is unavailable.  They are built even while
-        ``use_backend("python")`` is forced: forcing is dispatch-only, so a
-        fit performed under one backend serves queries under the other.
+        Filled from the ``Counter`` objects: one ``np.fromiter`` of every
+        tuple's token ids and one of its term frequencies, tuples in tid
+        order, then one stable sort by token id -- so each token's postings
+        come out in tid order, as contiguous views into one tid and one tf
+        buffer -- and the per-tuple number of distinct tokens.  Called from
+        inside a fit -- never lazily by a query, so concurrent first queries
+        find them built -- and a no-op when they exist or numpy is
+        unavailable.  They are built even while ``use_backend("python")`` is
+        forced: forcing is dispatch-only, so a fit performed under one
+        backend serves queries under the other.
         """
         np = kernels.np
         if np is None or self._arrays is not None:
             return
-        self._set_sizes = np.fromiter(
-            map(len, self._term_frequencies),
-            dtype=np.int64,
-            count=len(self._term_frequencies),
-        )
+        counters = self._term_frequencies
+        vocabulary = self._document_frequencies
+        set_sizes = np.fromiter(map(len, counters), dtype=np.int64, count=len(counters))
         # Every tuple posts each of its distinct tokens once.
-        total = int(self._set_sizes.sum())
-        pairs = np.fromiter(
-            chain.from_iterable(chain.from_iterable(self._postings.values())),
+        total = int(set_sizes.sum())
+        token_id = {token: position for position, token in enumerate(vocabulary)}
+        # The narrowest unsigned type that holds every id: up to 65,536
+        # tokens numpy's stable sort is then a radix sort.
+        token_ids = np.fromiter(
+            map(token_id.__getitem__, chain.from_iterable(counters)),
+            dtype=np.min_scalar_type(len(vocabulary)),
+            count=total,
+        )
+        tf_values = np.fromiter(
+            chain.from_iterable(map(Counter.values, counters)),
             dtype=np.int64,
-            count=2 * total,
-        ).reshape(total, 2)
-        tids = np.ascontiguousarray(pairs[:, 0])
-        tfs = np.ascontiguousarray(pairs[:, 1])
-        arrays = {}
-        start = 0
-        for token, plist in self._postings.items():
-            stop = start + len(plist)
-            arrays[token] = (tids[start:stop], tfs[start:stop])
-            start = stop
-        self._arrays = arrays
-        self.array_bytes = tids.nbytes + tfs.nbytes + self._set_sizes.nbytes
+            count=total,
+        )
+        order = np.argsort(token_ids, kind="stable")
+        tids = np.repeat(np.arange(len(counters), dtype=np.int64), set_sizes)[order]
+        tfs = tf_values[order]
+        bounds = np.zeros(len(vocabulary) + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(vocabulary.values(), dtype=np.int64, count=len(vocabulary)),
+            out=bounds[1:],
+        )
+        edges = bounds.tolist()
+        self._arrays = {
+            token: (tids[start:stop], tfs[start:stop])
+            for token, start, stop in zip(vocabulary, edges, edges[1:])
+        }
+        self._buffers = (tids, tfs, bounds)
+        self._set_sizes = set_sizes
+        self.array_bytes = tids.nbytes + tfs.nbytes + set_sizes.nbytes
 
     def arrays(self, token: str):
         """``postings(token)`` as ``(int64 tids, int64 tfs)`` arrays, or
@@ -147,12 +197,104 @@ class InvertedIndex:
     def num_tuples(self) -> int:
         return len(self._term_frequencies)
 
+    # -- collection statistics read token-major --------------------------------
+
+    @property
+    def document_frequencies(self) -> Dict[str, int]:
+        """token -> number of tuples containing it, in vocabulary order
+        (shared, read-only)."""
+        return self._document_frequencies
+
+    def collection_frequencies(self) -> Dict[str, int]:
+        """token -> total occurrences (``cf``), in vocabulary order: per
+        token the ``int64`` sum of its tf array when the arrays are built
+        (exact integers, so the summation order is immaterial), else summed
+        over the ``Counter`` objects."""
+        vocabulary = self._document_frequencies
+        if self._buffers is None:
+            sums = dict.fromkeys(vocabulary, 0)
+            for counts in self._term_frequencies:
+                for token, tf in counts.items():
+                    sums[token] += tf
+            return sums
+        tfs, bounds = self._buffers[1], self._buffers[2]
+        return dict(zip(vocabulary, kernels.np.add.reduceat(tfs, bounds[:-1]).tolist()))
+
+    def tf_ratio_sums(self, divisors: Sequence[int]) -> Optional[Dict[str, float]]:
+        """token -> ``Σ tf / divisors[tid]`` over its postings, added one
+        posting at a time in tid order (``np.add.accumulate``: sequential,
+        never numpy's pairwise summation), in vocabulary order -- the float
+        sums a tuple-major loop over the ``Counter`` objects produces, bit
+        for bit (``int64 / int64`` is the correctly rounded quotient, as
+        Python's ``int / int`` is).  ``None`` while the arrays are unbuilt.
+        """
+        if self._buffers is None:
+            return None
+        np = kernels.np
+        tids, tfs, bounds = self._buffers
+        ratios = tfs / np.asarray(divisors, dtype=np.int64)[tids]
+        edges = bounds.tolist()
+        accumulate = np.add.accumulate
+        return {
+            token: float(accumulate(ratios[start:stop])[-1])
+            for token, start, stop in zip(self._document_frequencies, edges, edges[1:])
+        }
+
+    # -- the posting lists (scalar view) -----------------------------------------
+
+    def build_posting_lists(
+        self, cause: Optional[str] = None
+    ) -> Dict[str, List[Tuple[int, int]]]:
+        """Derive the ``(tid, tf)`` lists from the ``Counter`` objects: once,
+        under the lock, assigned whole.  A fit whose scans read them passes
+        ``cause="fit"``; a first scalar read is a forced scalar scope or --
+        the numpy backend being active -- a heal."""
+        with self._lists_lock:
+            if self._postings is None:
+                if cause is None:
+                    cause = "forced backend" if kernels.active_backend() == "python" else "heal"
+                started = perf_clock()
+                postings: Dict[str, List[Tuple[int, int]]] = {
+                    token: [] for token in self._document_frequencies
+                }
+                for tid, counts in enumerate(self._term_frequencies):
+                    for token, tf in counts.items():
+                        postings[token].append((tid, tf))
+                self.lists_seconds, self.lists_cause = perf_clock() - started, cause
+                self._postings = postings
+            return self._postings
+
+    def _posting_lists(self) -> Dict[str, List[Tuple[int, int]]]:
+        postings = self._postings  # repro-analysis: disable=RPL004 reason=GIL-atomic read of an attribute that is assigned whole, once; None falls through to the locked build
+        if postings is None:
+            postings = self.build_posting_lists()
+        return postings
+
+    @property
+    def posting_lists_built(self) -> bool:
+        """Whether the ``(tid, tf)`` lists exist."""
+        return self._postings is not None  # repro-analysis: disable=RPL004 reason=GIL-atomic read of an attribute that is assigned whole, once
+
+    def describe_posting_lists(self) -> str:
+        """``not built`` / ``built in X ms (N postings, cause: ...)``."""
+        if not self.posting_lists_built:
+            return "not built"
+        return (
+            f"built in {self.lists_seconds * 1e3:.1f} ms "
+            f"({sum(map(len, self._term_frequencies))} postings, "
+            f"cause: {self.lists_cause})"
+        )
+
     def postings(self, token: str) -> List[Tuple[int, int]]:
-        """``(tid, tf)`` pairs for every tuple containing ``token``."""
-        return self._postings.get(token, [])
+        """``(tid, tf)`` pairs for every tuple containing ``token`` (the
+        posting lists: the first call derives them)."""
+        return self._posting_lists().get(token, [])
 
     def document_frequency(self, token: str) -> int:
-        return len(self._postings.get(token, ()))
+        """Tuples containing ``token``, from the ``Counter`` pass -- what the
+        numpy scans check their scanned lengths against, without touching
+        either posting form."""
+        return self._document_frequencies.get(token, 0)
 
     def term_frequencies(self, tid: int) -> Counter:
         return self._term_frequencies[tid]
@@ -168,15 +310,16 @@ class InvertedIndex:
         blocker's threshold.
 
         This is the set path, kept where no arrays answer: the scalar
-        backend, a healed numpy call, blockers without an array hook (LSH),
-        the edit family and the sharded pre-partition prune.  A numpy
-        overlap scan under an exact blocker asks :meth:`candidate_mask`.
+        backend, a healed numpy call, blockers without an array hook (LSH)
+        and the edit family.  A numpy overlap scan under an exact blocker
+        asks :meth:`candidate_mask`.
         """
         query_tokens = set(tokens)
         probe = query_tokens if blocker is None else blocker.probe_tokens(query_tokens)
+        postings = self._posting_lists()
         result: Set[int] = set()
         for token in probe:
-            for tid, _ in self._postings.get(token, ()):
+            for tid, _ in postings.get(token, ()):
                 result.add(tid)
         if blocker is not None:
             result = blocker.prune(query_tokens, result)
@@ -188,8 +331,8 @@ class InvertedIndex:
 
         For a blocker with :attr:`~repro.blocking.base.Blocker.prunes_arrays`:
         the probe tokens' tid arrays mark the probed candidates (checked in
-        step with the posting lists, as the count scan checks them), and
-        :meth:`~repro.blocking.base.Blocker.prune_array` narrows them --
+        step with the document frequencies, as the count scan checks them),
+        and :meth:`~repro.blocking.base.Blocker.prune_array` narrows them --
         the same candidates and the same blocker statistics as
         :meth:`candidates`, without a Python set.  Needs :meth:`build_arrays`.
         """
@@ -208,17 +351,48 @@ class InvertedIndex:
 
     def candidate_overlap(self, tokens: Iterable[str]) -> Dict[int, int]:
         """Number of *distinct* shared tokens per candidate tuple."""
+        postings = self._posting_lists()
         overlap: Dict[int, int] = defaultdict(int)
         for token in set(tokens):
-            for tid, _ in self._postings.get(token, ()):
+            for tid, _ in postings.get(token, ()):
                 overlap[tid] += 1
         return dict(overlap)
 
     def vocabulary_size(self) -> int:
-        return len(self._postings)
+        return len(self._document_frequencies)
 
     def tokens(self) -> Iterable[str]:
-        return self._postings.keys()
+        """Every token, in vocabulary order (first seen, tuples in tid order)."""
+        return self._document_frequencies.keys()
+
+    def __getstate__(self):
+        # A lock does not pickle (fitted shards travel to and from worker
+        # processes); the copy gets its own.
+        state = self.__dict__.copy()
+        del state["_lists_lock"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._lists_lock = threading.Lock()
+
+
+def distinct_pairs(tids, tfs, lengths):
+    """A token's postings grouped by their integer ``(tf, lengths[tid])``.
+
+    ``tids`` / ``tfs`` are one token's posting arrays and ``lengths`` an
+    ``int64`` array of tuple lengths, each at least every ``tf`` of its
+    tuple.  Returns ``(pairs, inverse)``: the distinct pairs as Python
+    ``(tf, length)`` ints, ascending, and for each posting the position of
+    its pair -- so a per-posting function of ``(tf, |D|)`` is called once per
+    pair and gathered with ``inverse``, ``==`` to calling it per posting.
+    """
+    np = kernels.np
+    token_lengths = lengths[tids]
+    # tf <= |D| < radix: one integer key per pair, decoded by divmod.
+    radix = int(token_lengths.max()) + 1
+    keys, inverse = np.unique(tfs * radix + token_lengths, return_inverse=True)
+    return [divmod(key, radix) for key in keys.tolist()], inverse
 
 
 _EMPTY_POSTINGS: List[Tuple[int, float]] = []

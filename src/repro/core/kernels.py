@@ -573,9 +573,12 @@ def posting_tids(index, tokens: Iterable[str]):
     ``None`` when none of them has a posting.
 
     A short or missing tid array would not fail, it would drop tuples: the
-    length check against the posting lists turns that into a failure the
+    length check against the document frequencies (the index's count over
+    its ``Counter`` objects, never the arrays, and never the posting lists,
+    which a numpy call does not build) turns that into a failure the
     caller's ladder heals (the count scan here, a blocker's probe mask in
-    :meth:`~repro.core.index.InvertedIndex.candidate_mask`).
+    :meth:`~repro.core.index.InvertedIndex.candidate_mask`, the sharded
+    pre-partition candidates).
     """
     parts: List["np.ndarray"] = []
     expected = 0
@@ -588,7 +591,7 @@ def posting_tids(index, tokens: Iterable[str]):
         return None
     all_tids = parts[0] if len(parts) == 1 else np.concatenate(parts)
     if all_tids.size != expected:
-        raise ValueError("tid arrays are out of step with the posting lists")
+        raise ValueError("tid arrays are out of step with the document frequencies")
     return all_tids
 
 

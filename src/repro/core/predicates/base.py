@@ -197,7 +197,11 @@ class Predicate(BlockingHost, ABC):
         Binds the token lists and the inverted index from the corpus core;
         a kernelised predicate also has the index hold its postings as
         arrays (once per core), which the count scan reads and every
-        weighted fit derives its contributions from.  A predicate that was
+        weighted fit derives its contributions from.  A predicate whose
+        scans read the index's ``(tid, tf)`` lists -- every predicate without
+        numpy, and the non-kernelised (edit) family -- has the index derive
+        them here, inside the fit; on numpy a kernelised fit leaves them
+        unbuilt until a scalar read asks.  A predicate that was
         handed no core builds its private one here, so standalone fits pay
         tokenization in this phase; over a shared core whose parts already
         exist the phase is a few attribute reads.
@@ -207,6 +211,8 @@ class Predicate(BlockingHost, ABC):
         self._index = core.index
         if self.uses_kernels:
             core.build_index_arrays()
+        if not self.uses_kernels or kernels.np is None:
+            core.build_posting_lists()
 
     @abstractmethod
     def weight_phase(self) -> None:

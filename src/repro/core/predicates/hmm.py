@@ -13,13 +13,18 @@ The log of the per-(tuple, token) factor is precomputed during preprocessing,
 exactly like the ``BASE_WEIGHTS`` table of the declarative realization:
 :meth:`HMM._contribution` states it once, the fit maps it over the corpus
 core's postings token by token into a
-:class:`~repro.core.index.WeightedPostingIndex` (a scalar pass on both kernel
-backends -- ``math.log`` is libm's, numpy's ``log`` is not guaranteed to round
-the same way; the index's scalar view re-runs it on the first scalar read
-after a numpy fit), and ``score()`` calls the same function on the tuple's
-own term frequency.  Query evaluation is one kernel scan over the query tokens'
-postings, then :func:`repro.core.kernels.finalize_exp` of the log score -- on
-the numpy backend only for the candidates a selection keeps.
+:class:`~repro.core.index.WeightedPostingIndex`, and ``score()`` calls the
+same function on the tuple's own term frequency.  The formula stays scalar on
+both kernel backends -- ``math.log`` is libm's, numpy's ``log`` is not
+guaranteed to round the same way.  A numpy fit (:meth:`HMM._posting_arrays`)
+calls it once per distinct ``(tf, |D|)`` of a token, found on the index's
+posting arrays with ``np.unique``, and gathers the results per posting -- no
+Python ``(tid, tf)`` list is read; the scalar pass
+(:meth:`HMM._posting_values`) calls it per posting of the posting lists --
+the fit without numpy, and what the index's scalar view re-runs on the first
+scalar read after a numpy fit.  Query evaluation is one kernel scan over the
+query tokens' postings, then :func:`repro.core.kernels.finalize_exp` of the
+log score -- on the numpy backend only for the candidates a selection keeps.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from collections import Counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core import kernels
-from repro.core.index import WeightedPostingIndex
+from repro.core.index import WeightedPostingIndex, distinct_pairs
 from repro.core.predicates.base import Predicate
 from repro.text.tokenize import QgramTokenizer, Tokenizer
 
@@ -70,11 +75,27 @@ class HMM(Predicate):
         # Every posting keeps its log factor -- a tuple sharing a token is a
         # candidate even where 1 + x rounds to 1 -- so zeros are not dropped.
         assert self._index is not None
+        values = self._posting_values() if kernels.np is None else self._posting_arrays()
         self._weighted_index = WeightedPostingIndex(
-            self._index, self._posting_values(), self._posting_values, keep_zeros=True
+            self._index, values, self._posting_values, keep_zeros=True
         )
 
+    def _posting_arrays(self) -> Iterator[Tuple[str, "np.ndarray"]]:
+        """Per token, :meth:`_contribution` once per distinct ``(tf, |D|)``
+        pair of its posting arrays, gathered per posting (a numpy fit)."""
+        np = kernels.np
+        index, contribution = self._index, self._contribution
+        lengths = np.array(self._lengths, dtype=np.int64)
+        for token in index.tokens():
+            p_general = self._general_english[token]
+            tids, tfs = index.arrays(token)
+            pairs, inverse = distinct_pairs(tids, tfs, lengths)
+            values = [contribution(p_general, tf, length) for tf, length in pairs]
+            yield token, np.array(values, dtype=np.float64)[inverse]
+
     def _posting_values(self) -> Iterator[Tuple[str, List[float]]]:
+        """Per token, :meth:`_contribution` of each of its postings, read off
+        the posting lists (the fit without numpy, and the scalar view)."""
         index, lengths, contribution = self._index, self._lengths, self._contribution
         for token in index.tokens():
             p_general = self._general_english[token]

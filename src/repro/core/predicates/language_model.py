@@ -19,12 +19,23 @@ logs and the two ``**`` are taken for that pair and shared by every posting
 of the token that has it; ``log(1 - p̂)`` feeds both the contribution and the
 tuple's complement sum -- and nothing is kept per (tuple, token) besides the
 weighted postings; ``score()`` recomputes a posting from the same function
-and the tuple's own term frequency.  The pass is scalar on both kernel
+and the tuple's own term frequency.  The formula is scalar on both kernel
 backends: ``**`` and ``math.log`` are libm's, numpy's ``power`` / ``log`` are
-not guaranteed to round the same way.  It is also what the weighted index's
-scalar view re-runs on the first scalar read after a numpy fit, so it must
-stay free of side effects on the fitted state: the complement sums are added
-into the list the caller passes, and only the fit passes one.
+not guaranteed to round the same way.  What differs is how the postings are
+walked.  A numpy fit (:meth:`LanguageModeling._posting_arrays`) reads the
+index's posting arrays: per token (sorted) it finds the distinct integer
+``(tf, |D|)`` pairs with ``np.unique``, calls the formula once per pair,
+gathers the results per posting, and adds the complements into a
+``float64`` array with ``sums[tids] += complement`` -- a tid occurs at most
+once per token, so each tuple's sum takes one IEEE addition per token, in
+sorted token order, exactly as the scalar loop adds them; no Python
+``(tid, tf)`` list is read.  The scalar pass
+(:meth:`LanguageModeling._posting_values`) walks the index's posting lists
+with a per-token memo of the same pairs; it is the fit without numpy and
+what the weighted index's scalar view re-runs on the first scalar read
+after a numpy fit, so it must stay free of side effects on the fitted state:
+the complement sums are added into the list the caller passes, and only the
+fit passes one.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core import kernels
-from repro.core.index import WeightedPostingIndex
+from repro.core.index import WeightedPostingIndex, distinct_pairs
 from repro.core.predicates.base import Predicate
 from repro.text.tokenize import QgramTokenizer, Tokenizer
 from repro.text.weights import CollectionStatistics
@@ -87,24 +98,48 @@ class LanguageModeling(Predicate):
             for token in stats.vocabulary
         }
         self._lengths = [length or 1 for length in stats.lengths()]
-        self._sum_complement = [0.0] * len(self._lengths)
         # The whole per-posting contribution of equation 4.4 is precomputed,
         # so query-time accumulation does no log() calls at all.  Zero
         # contributions are kept: a tuple sharing only such tokens is still a
-        # candidate (it scores exp(sum_complement)).
+        # candidate (it scores exp(sum_complement)).  With numpy the fit
+        # reads the posting arrays and the sums land in a float64 array --
+        # the vectorized finalize gather's mirror (built regardless of
+        # backend forcing, like the posting arrays) -- else in a list.
         assert self._index is not None
-        self._weighted_index = WeightedPostingIndex(
-            self._index,
-            self._posting_values(self._sum_complement),
-            self._posting_values,
-            keep_zeros=True,
-        )
-        # Array mirror for the vectorized finalize gather (built regardless
-        # of backend forcing, like the posting arrays).
         np = kernels.np
-        self._sum_complement_array = (
-            None if np is None else np.array(self._sum_complement, dtype=np.float64)
+        if np is None:
+            sums = [0.0] * len(self._lengths)
+            values = self._posting_values(sums)
+        else:
+            sums = np.zeros(len(self._lengths), dtype=np.float64)
+            values = self._posting_arrays(sums)
+        self._weighted_index = WeightedPostingIndex(
+            self._index, values, self._posting_values, keep_zeros=True
         )
+        self._sum_complement_array = None if np is None else sums
+        self._sum_complement = sums if np is None else sums.tolist()
+
+    def _posting_arrays(self, sums) -> Iterator[Tuple[str, "np.ndarray"]]:
+        """:meth:`_posting_values` over the posting arrays (a numpy fit):
+        per token (sorted), :meth:`_posting_terms` once per distinct
+        ``(tf, |D|)`` pair, gathered per posting; each posting's
+        ``log(1 - p̂)`` is added to its tuple's entry of the ``float64``
+        array ``sums``.  The same calls with the same Python ints, and per
+        tuple the same additions in the same order, as the scalar pass."""
+        np = kernels.np
+        index, posting_terms = self._index, self._posting_terms
+        lengths = np.array(self._lengths, dtype=np.int64)
+        for token in sorted(index.tokens()):
+            pavg, log_cfcs = self._pavg[token], self._log_cfcs[token]
+            tids, tfs = index.arrays(token)
+            pairs, inverse = distinct_pairs(tids, tfs, lengths)
+            contributions, complements = np.array(
+                [posting_terms(pavg, log_cfcs, tf, length) for tf, length in pairs],
+                dtype=np.float64,
+            ).T
+            # A tid occurs once per token: one addition per tuple.
+            sums[tids] += complements[inverse]
+            yield token, contributions[inverse]
 
     def _posting_values(
         self, sum_complement: Optional[List[float]] = None

@@ -44,6 +44,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.blocking.host import BlockingHost
+from repro.core import kernels
 from repro.core.corpus import CorpusCore
 from repro.core.predicates.base import Match, Predicate
 from repro.obs.clock import perf_clock
@@ -490,13 +491,30 @@ class ShardedPredicate(BlockingHost):
 
     def _global_candidates(self, probe_tokens: Set[str]) -> Set[int]:
         """Union of the shard indexes' candidates for the probe tokens
-        (global ids) -- identical to the unsharded index's candidate set."""
+        (global ids) -- identical to the unsharded index's candidate set.
+
+        On numpy a shard whose posting arrays are built answers from its
+        tid arrays (:func:`~repro.core.kernels.posting_tids`, checked in step
+        with the document frequencies), so a blocked call derives no posting
+        list; otherwise -- or when that check fails, counted as one
+        ``python_fallback`` -- from the shard's posting lists.
+        """
         candidates: Set[int] = set()
+        on_arrays = kernels.active_backend() == "numpy"
         for shard_id, shard in enumerate(self._shards):
             index = getattr(shard, "_index", None)
             if index is None:  # pragma: no cover - defensive
                 continue
             offset = self._offsets[shard_id]
+            if on_arrays and index.set_sizes is not None:
+                try:
+                    tids = kernels.posting_tids(index, probe_tokens)
+                except Exception:
+                    kernels.count_op("python_fallback")
+                else:
+                    if tids is not None:
+                        candidates.update((tids + offset).tolist())
+                    continue
             for token in probe_tokens:
                 for tid, _ in index.postings(token):
                     candidates.add(tid + offset)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 __all__ = [
@@ -37,9 +37,6 @@ __all__ = [
     "bm25_query_weights",
     "BM25Parameters",
 ]
-
-
-_tf_of = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -76,13 +73,13 @@ class CollectionStatistics:
         lists are copied and counted here.
     index:
         The :class:`~repro.core.index.InvertedIndex` of the same relation
-        when the caller has already built one (duck-typed: ``tokens()``,
-        ``document_frequency(token)`` and ``postings(token)``).  ``df`` and
-        ``cf`` are then read off it token by token -- the length and the sum
-        of ``tf`` of a posting list, exact integers -- instead of counted
-        over every tuple's ``Counter``; the
-        vocabulary order is the same either way (first seen, tuples in tid
-        order).
+        when the caller has already built one (duck-typed:
+        ``document_frequencies``, ``collection_frequencies()`` and
+        ``tf_ratio_sums(divisors)``).  ``df`` is then the index's own count
+        and ``cf`` is read off it token-major -- exact integers -- instead
+        of counted over every tuple's ``Counter``, and :meth:`pavg_table`
+        sums from its posting arrays when they are built; the vocabulary
+        order is the same either way (first seen, tuples in tid order).
 
     The object is immutable after construction; the raw statistics are
     computed eagerly because every weighting scheme needs most of them, and
@@ -106,21 +103,19 @@ class CollectionStatistics:
         self._document_frequency: Dict[str, int]
         self._collection_frequency: Dict[str, int]
         if index is None:
-            document_frequency: Counter = Counter()
-            collection_frequency: Counter = Counter()
-            for tf in self._term_frequencies:
-                document_frequency.update(tf.keys())
-                collection_frequency.update(tf)
-            self._document_frequency = dict(document_frequency)
-            self._collection_frequency = dict(collection_frequency)
+            # A token's first occurrence in the token lists is its first
+            # appearance as a Counter key: both counts keep one vocabulary
+            # order (first seen, tuples in tid order).
+            self._document_frequency = dict(
+                Counter(chain.from_iterable(self._term_frequencies))
+            )
+            self._collection_frequency = dict(
+                Counter(chain.from_iterable(self._token_lists))
+            )
         else:
-            self._document_frequency = {
-                token: index.document_frequency(token) for token in index.tokens()
-            }
-            self._collection_frequency = {
-                token: sum(map(_tf_of, index.postings(token)))
-                for token in index.tokens()
-            }
+            self._document_frequency = index.document_frequencies
+            self._collection_frequency = index.collection_frequencies()
+        self._index = index
         self._collection_size = sum(self._lengths)
         self._average_length = (
             self._collection_size / self._num_tuples if self._num_tuples else 0.0
@@ -235,11 +230,17 @@ class CollectionStatistics:
         shard-local view answers from the whole relation.
         """
         if self._pavg_table is None:
-            pml_sums: Dict[str, float] = {}
-            for tid in range(self._num_tuples):
-                length = self._lengths[tid] or 1
-                for token, tf in self._term_frequencies[tid].items():
-                    pml_sums[token] = pml_sums.get(token, 0.0) + tf / length
+            divisors = [length or 1 for length in self._lengths]
+            # Token-major from the index's posting arrays when they are
+            # built: each token's sum adds its postings in tid order, as the
+            # tuple-major loop below does.
+            pml_sums = None if self._index is None else self._index.tf_ratio_sums(divisors)
+            if pml_sums is None:
+                pml_sums = {}
+                for tid in range(self._num_tuples):
+                    length = divisors[tid]
+                    for token, tf in self._term_frequencies[tid].items():
+                        pml_sums[token] = pml_sums.get(token, 0.0) + tf / length
             self._pavg_table = {
                 token: total / self._document_frequency[token]
                 for token, total in pml_sums.items()

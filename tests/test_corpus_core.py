@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.blocking import make_blocker
 from repro.core import kernels
 from repro.core.corpus import CorpusCore
 from repro.core.index import InvertedIndex
@@ -365,6 +366,154 @@ class TestCoreParts:
         assert stats.tokens(0) == ["A", "B", "A"] and stats.length(0) == 3
 
 
+#: The kernelised predicates: on numpy none of their fits or plain queries
+#: reads the inverted index's (tid, tf) lists.
+KERNELISED = [
+    "bm25",
+    "cosine",
+    "weighted_match",
+    "weighted_jaccard",
+    "lm",
+    "hmm",
+    "jaccard",
+    "intersect",
+]
+
+EDGE_ROWS = CORPUS + ["", "aa aa aa", "x"]
+
+
+def _lists_from_counters(counters):
+    """The (tid, tf) lists rebuilt tuple-major from the Counters."""
+    postings = {}
+    for tid, counts in enumerate(counters):
+        for token, tf in counts.items():
+            postings.setdefault(token, []).append((tid, tf))
+    return postings
+
+
+def _counter_statistics(token_lists, counters):
+    """df, cf and p̂_avg counted tuple-major over the Counters."""
+    df, cf, pml = {}, {}, {}
+    for tid, counts in enumerate(counters):
+        length = len(token_lists[tid]) or 1
+        for token, tf in counts.items():
+            df[token] = df.get(token, 0) + 1
+            cf[token] = cf.get(token, 0) + tf
+            pml[token] = pml.get(token, 0.0) + tf / length
+    return df, cf, {token: total / df[token] for token, total in pml.items()}
+
+
+class TestPostingListView:
+    """The inverted index's (tid, tf) lists are a view derived from the
+    Counters on the first scalar read; the arrays and the statistics are
+    filled from the Counters without them."""
+
+    @pytest.mark.skipif(not kernels.numpy_available(), reason="numpy unavailable")
+    @pytest.mark.parametrize("name", KERNELISED)
+    def test_numpy_fits_and_queries_leave_it_unbuilt(self, name):
+        predicate = registry.make(name).fit(EDGE_ROWS)
+        index = predicate._index
+        for query in QUERIES + [""]:
+            predicate.top_k(query, 3)
+            predicate.select(query, 0.3)
+            predicate.rank(query)
+            predicate.rank(query, limit=2)
+        assert not index.posting_lists_built
+        assert index.describe_posting_lists() == "not built"
+        assert "posting lists: not built, posting arrays" in predicate._core.describe()
+
+    @pytest.mark.skipif(not kernels.numpy_available(), reason="numpy unavailable")
+    @pytest.mark.parametrize("name", KERNELISED)
+    def test_a_forced_scalar_query_builds_it_from_the_counters(self, name):
+        predicate = registry.make(name).fit(EDGE_ROWS)
+        index = predicate._index
+        answer = _pairs(predicate.top_k(QUERIES[0], 3))
+        with kernels.use_backend("python"):
+            assert _pairs(predicate.top_k(QUERIES[0], 3)) == answer
+        assert index.posting_lists_built and index.lists_cause == "forced backend"
+        assert index.describe_posting_lists().startswith("built in ")
+        assert index.describe_posting_lists().endswith(
+            f"({predicate._core.num_postings} postings, cause: forced backend)"
+        )
+        expected = _lists_from_counters(predicate._core.term_frequencies)
+        assert list(index.tokens()) == list(expected)
+        assert {token: index.postings(token) for token in index.tokens()} == expected
+        for token, plist in expected.items():
+            tids, tfs = index.arrays(token)
+            assert tids.tolist() == [tid for tid, _ in plist]
+            assert tfs.tolist() == [tf for _, tf in plist]
+            assert index.document_frequency(token) == len(plist)
+
+    @pytest.mark.parametrize("name", ["edit_distance", "jaccard", "lm"])
+    def test_fits_whose_scans_read_the_lists_build_them(self, name, monkeypatch):
+        """The edit family on every leg, and every fit without numpy."""
+        if name != "edit_distance":
+            monkeypatch.setattr(kernels, "np", None)
+        predicate = registry.make(name).fit(EDGE_ROWS)
+        index = predicate._index
+        assert index.posting_lists_built and index.lists_cause == "fit"
+        expected = _lists_from_counters(predicate._core.term_frequencies)
+        assert {token: index.postings(token) for token in index.tokens()} == expected
+
+    @pytest.mark.parametrize("tokenizer", TOKENIZERS, ids=repr)
+    def test_statistics_equal_the_counter_pass_in_order(self, tokenizer):
+        core = CorpusCore(EDGE_ROWS, tokenizer)
+        core.build_index_arrays()
+        df, cf, pavg = _counter_statistics(core.token_lists, core.term_frequencies)
+        for stats in (core.stats, CollectionStatistics(core.token_lists)):
+            assert list(stats._document_frequency.items()) == list(df.items())
+            assert list(stats._collection_frequency.items()) == list(cf.items())
+            assert all(type(count) is int for count in stats._collection_frequency.values())
+            assert list(stats.pavg_table().items()) == list(pavg.items())
+        assert list(core.document_frequencies.items()) == list(df.items())
+
+    def test_lm_complement_sums_equal_the_counter_pass(self):
+        lm = registry.make("lm").fit(EDGE_ROWS)
+        counters = lm._core.term_frequencies
+        expected = [0.0] * len(counters)
+        for tid, counts in enumerate(counters):
+            for token in sorted(counts):
+                expected[tid] += lm._posting_terms(
+                    lm._pavg[token], lm._log_cfcs[token], counts[token], lm._lengths[tid]
+                )[1]
+        assert lm._sum_complement == expected
+        assert all(type(value) is float for value in lm._sum_complement)
+        if kernels.numpy_available():
+            assert lm._sum_complement_array.tolist() == expected
+            assert not lm._index.posting_lists_built
+
+    def test_a_fitted_shard_pickles_without_its_locks(self):
+        sharded = ShardedPredicate(BM25, num_shards=2).fit(EDGE_ROWS)
+        shard = sharded._shards[1]
+        assert "_lists_lock" not in shard._index.__getstate__()
+        assert "_view_lock" not in shard._weighted_index.__getstate__()
+        copy = pickle.loads(pickle.dumps(shard))
+        assert copy._index._lists_lock is not shard._index._lists_lock
+        for query in QUERIES:
+            assert _pairs(copy.rank(query)) == _pairs(shard.rank(query))
+            with kernels.use_backend("python"):
+                assert _pairs(copy.rank(query)) == _pairs(shard.rank(query))
+        assert copy._index.posting_lists_built
+        assert {t: copy._index.postings(t) for t in copy._index.tokens()} == (
+            _lists_from_counters(copy._core.term_frequencies)
+        )
+
+    def test_a_blocked_sharded_call_reads_the_tid_arrays(self):
+        rows = EDGE_ROWS * 3
+        alone = Jaccard().fit(rows)
+        alone.set_blocker(make_blocker("length+prefix", threshold=0.5))
+        sharded = ShardedPredicate(Jaccard, num_shards=3).fit(rows)
+        sharded.set_blocker(make_blocker("length+prefix", threshold=0.5))
+        for query in QUERIES:
+            assert _pairs(sharded.select(query, 0.5)) == _pairs(alone.select(query, 0.5))
+        built = [shard._index.posting_lists_built for shard in sharded._shards]
+        assert built == [not kernels.numpy_available()] * 3
+        with kernels.use_backend("python"):
+            for query in QUERIES:
+                assert _pairs(sharded.select(query, 0.5)) == _pairs(alone.select(query, 0.5))
+        assert all(shard._index.posting_lists_built for shard in sharded._shards)
+
+
 class TestMismatchedSeamIsRefused:
     ROWS = ["ab cd", "ef gh", "ij"]
 
@@ -505,6 +654,9 @@ class TestCoreObservability:
             else "no posting arrays"
         )
         assert f", {arrays}, shared by" in report.core
+        # No query so far read the index's (tid, tf) lists.
+        lists = "not built" if kernels.numpy_available() else "built in "
+        assert f", posting lists: {lists}" in report.core
         weighted = base.predicate("bm25").fitted_predicate()._weighted_index
         assert report.weights.startswith(
             f"{weighted.num_postings} postings "
