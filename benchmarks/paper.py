@@ -597,8 +597,8 @@ class _FilteredEditDistance(EditDistance):
     """Edit distance timed through its filtered selection at threshold 0.7,
     as in the paper's performance experiments (section 5.5.2)."""
 
-    def rank(self, query, limit=None):
-        results = self.select(query, 0.7)
+    def rank_pairs(self, query, limit=None):
+        results = self.select_pairs(query, 0.7)
         return results[:limit] if limit is not None else results
 
 

@@ -15,13 +15,21 @@ framework imposes:
    the unpruned ranking the accuracy metrics are computed over);
    :meth:`Predicate.select` applies a similarity threshold, which is the
    approximate selection operation proper.
+
+Every predicate host -- a direct :class:`Predicate`, a
+:class:`~repro.shard.predicate.ShardedPredicate` and a
+:class:`~repro.declarative.base.DeclarativePredicate` -- implements each
+operation once, as ordered ``(tid, score)`` pairs (:class:`PairHost`'s
+``*_pairs`` methods).  The engine reads the pairs and builds each result
+:class:`Match` once, with its string; the public ``rank`` / ``top_k`` /
+``select`` / ``run_many`` are one shared wrapper each, for direct callers.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.blocking.host import BlockingHost
 from repro.core import kernels
@@ -29,7 +37,15 @@ from repro.core.corpus import CorpusCore
 from repro.core.index import InvertedIndex, WeightedPostingIndex
 from repro.obs.clock import perf_clock
 
-__all__ = ["Match", "Predicate"]
+__all__ = [
+    "Match",
+    "Pair",
+    "PairHost",
+    "Predicate",
+    "check_batch_op",
+    "rank_key",
+    "run_op",
+]
 
 
 @dataclass(frozen=True)
@@ -39,10 +55,11 @@ class Match:
     The single result type shared by every realization: ``tid`` is the
     position of the matched tuple in the base relation, ``score`` its
     similarity to the query and ``string`` the matched text itself.
-    Predicates score tuples without materializing their text, so results
-    produced below the engine layer carry ``string=None``; the engine fills
-    it in before handing results to callers.  ``tid, score = match``
-    unpacks the pair.
+    Below the engine no ``Match`` is built: every predicate host hands up
+    ordered ``(tid, score)`` pairs, and the engine builds each returned row
+    once, with its string attached.  A host's public ``rank`` / ``top_k`` /
+    ``select`` / ``run_many`` wrap the same pairs as ``Match(tid, score)``
+    with ``string=None``.  ``tid, score = match`` unpacks the pair.
     """
 
     tid: int
@@ -68,7 +85,134 @@ class Match:
         return Match(self.tid, self.score, string)
 
 
-class Predicate(BlockingHost, ABC):
+#: One result row below the engine: ``(tid, score)``.
+Pair = Tuple[int, float]
+
+
+def rank_key(pair: Pair) -> Tuple[float, int]:
+    """Sort key of the canonical result order: score desc, tid asc."""
+    return -pair[1], pair[0]
+
+
+def run_op(host: "PairHost", op: str, query: str, params: dict) -> List[Pair]:
+    """One query of one operation as ``host``'s ordered pairs.
+
+    The one ``(op, params)`` vocabulary of every batch (``run_many``) and of
+    shard task payloads: ``params`` carries ``limit`` for ``"rank"``, ``k``
+    for ``"top_k"`` and ``threshold`` for ``"select"``.
+    """
+    if op == "rank":
+        return host.rank_pairs(query, params.get("limit"))
+    if op == "top_k":
+        return host.top_k_pairs(query, params["k"])
+    if op == "select":
+        return host.select_pairs(query, params["threshold"])
+    raise ValueError(f"unknown batch op {op!r}; expected 'rank', 'top_k' or 'select'")
+
+
+def check_batch_op(op: str, k: Optional[int], threshold: Optional[float]) -> None:
+    """Refuse a ``run_many`` operation without the parameter it needs."""
+    if op == "top_k":
+        if k is None or k < 0:
+            raise ValueError("op='top_k' requires a non-negative k")
+    elif op == "select":
+        if threshold is None:
+            raise ValueError("op='select' requires a threshold")
+    elif op != "rank":
+        raise ValueError(
+            f"unknown batch op {op!r}; expected 'rank', 'top_k' or 'select'"
+        )
+
+
+def _matches(pairs: Sequence[Pair]) -> List[Match]:
+    return [Match(tid, score) for tid, score in pairs]
+
+
+class PairHost:
+    """Answers as ordered ``(tid, score)`` pairs, and the public wrappers.
+
+    A host implements :meth:`rank_pairs` and :meth:`select_pairs` (and
+    overrides :meth:`top_k_pairs` / :meth:`run_many_pairs` where it answers
+    those in its own way).  Pairs come ordered by score desc, tid asc, the
+    order of :mod:`repro.core.kernels`.  The engine reads the pairs; the
+    public methods below wrap them as ``Match(tid, score)`` (``string=None``)
+    for direct callers.  A subclass changes an operation by overriding its
+    ``*_pairs`` method; one that overrides a public method instead is read
+    through that method by the engine
+    (:func:`repro.engine.protocol.pair_host`).
+    """
+
+    #: Number of candidates scored by the most recent single query.
+    last_num_candidates: Optional[int] = None
+    #: Per-query candidate counts of the most recent :meth:`run_many_pairs`.
+    last_batch_candidates: Optional[List[Optional[int]]] = None
+
+    def rank_pairs(self, query: str, limit: Optional[int] = None) -> List[Pair]:
+        """Candidates by decreasing score (the first ``limit`` of them)."""
+        raise NotImplementedError
+
+    def select_pairs(self, query: str, threshold: float) -> List[Pair]:
+        """Candidates with ``score >= threshold``, by decreasing score."""
+        raise NotImplementedError
+
+    def top_k_pairs(self, query: str, k: int) -> List[Pair]:
+        """The ``k`` most similar tuples: ``rank_pairs(query, k)``."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        return self.rank_pairs(query, k)
+
+    def run_many_pairs(
+        self,
+        queries: Sequence[str],
+        op: str = "rank",
+        k: Optional[int] = None,
+        threshold: Optional[float] = None,
+        limit: Optional[int] = None,
+    ) -> List[List[Pair]]:
+        """One :func:`run_op` per query.  Per-query candidate counts land in
+        :attr:`last_batch_candidates`; :attr:`last_num_candidates` is reset
+        to ``None`` (no single query's count describes a batch)."""
+        check_batch_op(op, k, threshold)
+        params = {"k": k, "threshold": threshold, "limit": limit}
+        answers: List[List[Pair]] = []
+        counts: List[Optional[int]] = []
+        for query in queries:
+            answers.append(run_op(self, op, query, params))
+            counts.append(self.last_num_candidates)
+        self.last_batch_candidates = counts
+        self.last_num_candidates = None
+        return answers
+
+    def rank(self, query: str, limit: Optional[int] = None) -> List[Match]:
+        """Tuples ranked by decreasing similarity (see :meth:`rank_pairs`)."""
+        return _matches(self.rank_pairs(query, limit))
+
+    def top_k(self, query: str, k: int) -> List[Match]:
+        """The ``k`` most similar tuples (see :meth:`top_k_pairs`)."""
+        return _matches(self.top_k_pairs(query, k))
+
+    def select(self, query: str, threshold: float) -> List[Match]:
+        """Tuples with ``sim(query, t) >= threshold`` (see :meth:`select_pairs`)."""
+        return _matches(self.select_pairs(query, threshold))
+
+    def run_many(
+        self,
+        queries: Sequence[str],
+        op: str = "rank",
+        k: Optional[int] = None,
+        threshold: Optional[float] = None,
+        limit: Optional[int] = None,
+    ) -> List[List[Match]]:
+        """A query workload (see :meth:`run_many_pairs`)."""
+        return [
+            _matches(pairs)
+            for pairs in self.run_many_pairs(
+                queries, op=op, k=k, threshold=threshold, limit=limit
+            )
+        ]
+
+
+class Predicate(PairHost, BlockingHost, ABC):
     """Abstract base class of all similarity predicates.
 
     The blocking contract (``set_blocker``, ``restrict_candidates``, the
@@ -235,7 +379,7 @@ class Predicate(BlockingHost, ABC):
         self.last_num_candidates = len(scores)
         return scores
 
-    def rank(self, query: str, limit: Optional[int] = None) -> List[Match]:
+    def rank_pairs(self, query: str, limit: Optional[int] = None) -> List[Pair]:
         """Tuples ranked by decreasing similarity to ``query``.
 
         Only candidate tuples (those with a non-trivial score) are returned;
@@ -253,10 +397,8 @@ class Predicate(BlockingHost, ABC):
             return []
         scores = self._candidate_scores(query)
         if limit is not None:
-            top = kernels.top_items(scores, limit)
-        else:
-            top = kernels.sorted_items(scores)
-        return [Match(tid, score) for tid, score in top]
+            return kernels.top_items(scores, limit)
+        return kernels.sorted_items(scores)
 
     @classmethod
     def top_k_algorithm(cls) -> str:
@@ -277,13 +419,7 @@ class Predicate(BlockingHost, ABC):
             return "dense-scan, finalize k" if cls.finalizes_selected else "dense-scan"
         return "heap"
 
-    def top_k(self, query: str, k: int) -> List[Match]:
-        """The ``k`` most similar tuples: ``rank(query, limit=k)``."""
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        return self.rank(query, limit=k)
-
-    def select(self, query: str, threshold: float) -> List[Match]:
+    def select_pairs(self, query: str, threshold: float) -> List[Pair]:
         """The approximate selection: tuples with ``sim(query, t) >= threshold``.
 
         Candidates are filtered *before* sorting, so the sort pays for the
@@ -292,11 +428,7 @@ class Predicate(BlockingHost, ABC):
         """
         self._require_fitted()
         self._check_blocker_threshold(threshold)
-        scores = self._candidate_scores(query)
-        return [
-            Match(tid, score)
-            for tid, score in kernels.select_items(scores, threshold)
-        ]
+        return kernels.select_items(self._candidate_scores(query), threshold)
 
     def score(self, query: str, tid: int) -> float:
         """Similarity between ``query`` and tuple ``tid`` (0.0 if not a candidate).

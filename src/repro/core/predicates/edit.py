@@ -23,7 +23,7 @@ from collections import Counter
 from typing import Dict, List, Optional
 
 from repro.core.corpus import CorpusCore
-from repro.core.predicates.base import Match, Predicate
+from repro.core.predicates.base import Pair, Predicate, rank_key
 from repro.text.strings import edit_similarity, levenshtein_within
 from repro.text.tokenize import QgramTokenizer, normalize_string
 
@@ -100,7 +100,7 @@ class EditDistance(Predicate):
             return 0.0
         return edit_similarity(normalize_string(query), self._normalized[tid])
 
-    def select(self, query: str, threshold: float) -> List[Match]:
+    def select_pairs(self, query: str, threshold: float) -> List[Pair]:
         """Thresholded selection with q-gram count and length filtering.
 
         For ``sim_edit >= threshold`` the edit distance can be at most
@@ -123,8 +123,8 @@ class EditDistance(Predicate):
             for tid, base_tf in self._index.postings(token):
                 shared[tid] = shared.get(tid, 0) + min(query_tf, base_tf)
 
-        # Honor an active blocker / self-join restriction (this select()
-        # bypasses rank(), so the generic filtering there does not apply).
+        # Honor an active blocker / self-join restriction (this selection
+        # bypasses rank_pairs(), so the generic filtering there does not apply).
         # Candidate generation must consult the blocker's probe tokens --
         # exactly like ``_scores`` and the sharded merge layer -- so blocked
         # selections agree bit for bit whether sharded or not: a tuple
@@ -140,12 +140,12 @@ class EditDistance(Predicate):
             shared = {tid: common for tid, common in shared.items() if tid in allowed}
         self.last_num_candidates = len(shared)
 
-        results: List[Match] = []
+        results: List[Pair] = []
         for tid, common in shared.items():
             candidate = self._normalized[tid]
             longest = max(len(normalized_query), len(candidate))
             if longest == 0:
-                results.append(Match(tid, 1.0))
+                results.append((tid, 1.0))
                 continue
             max_distance = _max_distance(threshold, longest)
             if abs(len(normalized_query) - len(candidate)) > max_distance:
@@ -158,6 +158,6 @@ class EditDistance(Predicate):
                 continue
             similarity = 1.0 - distance / longest
             if similarity >= threshold:
-                results.append(Match(tid, similarity))
-        results.sort(key=lambda st: (-st.score, st.tid))
+                results.append((tid, similarity))
+        results.sort(key=rank_key)
         return results

@@ -9,7 +9,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.backends.base import SQLBackend
 from repro.backends.memory import MemoryBackend
 from repro.blocking.host import BlockingHost
-from repro.core.predicates.base import Match
+from repro.core.predicates.base import Pair, PairHost, check_batch_op, rank_key
 from repro.declarative import shared as shared_tables
 from repro.declarative import tokens as token_tables
 from repro.obs.metrics import CounterRecord, counter_field
@@ -33,7 +33,7 @@ class SQLStats(CounterRecord):
     plan: Tuple[str, ...] = counter_field("sql_plan.{}", default=())
 
 
-class DeclarativePredicate(BlockingHost, ABC):
+class DeclarativePredicate(PairHost, BlockingHost, ABC):
     """A similarity predicate realized as SQL over a :class:`SQLBackend`.
 
     Life cycle (mirroring chapter 4 of the paper):
@@ -43,9 +43,12 @@ class DeclarativePredicate(BlockingHost, ABC):
        statistics tables, materialized once per (backend, relation, tokenizer)
        and reused across predicates -- see :mod:`repro.declarative.shared`),
        then run the predicate's :meth:`weight_phase`.
-    2. :meth:`rank` / :meth:`select` / :meth:`run_many` -- load the query (or
-       query batch) tables, run the predicate's query-time SQL and return
-       scored tuples.
+    2. :meth:`rank_pairs` / :meth:`select_pairs` / :meth:`run_many_pairs` --
+       load the query (or query batch) tables, run the predicate's
+       query-time SQL and return its rows as ordered ``(int(tid),
+       float(score))`` pairs (the public ``rank`` / ``select`` / ``top_k`` /
+       ``run_many`` wrap them, see
+       :class:`~repro.core.predicates.base.PairHost`).
 
     Subclasses implement :meth:`weight_phase` (the preprocessing SQL beyond
     the shared tables) and the query-time SQL as either
@@ -198,14 +201,14 @@ class DeclarativePredicate(BlockingHost, ABC):
     def _query_state_changed(self) -> None:
         self._score_cache = None
 
-    def _apply_candidate_filter(self, query: str, raw: Iterable[tuple]) -> List[Match]:
-        """The SQL's ``(tid, score)`` rows as matches (NULL scores dropped)
-        after the post-scoring allowance (restriction, blocker); records
-        :attr:`last_num_candidates` (the survivors)."""
-        rows = [Match(int(tid), float(score)) for tid, score in raw if score is not None]
-        allowed = self._allowed_after_scoring(query, (scored.tid for scored in rows))
+    def _apply_candidate_filter(self, query: str, raw: Iterable[tuple]) -> List[Pair]:
+        """The SQL's rows as ``(int(tid), float(score))`` pairs (NULL scores
+        dropped) after the post-scoring allowance (restriction, blocker);
+        records :attr:`last_num_candidates` (the survivors)."""
+        rows = [(int(tid), float(score)) for tid, score in raw if score is not None]
+        allowed = self._allowed_after_scoring(query, (tid for tid, _ in rows))
         if allowed is not None:
-            rows = [scored for scored in rows if scored.tid in allowed]
+            rows = [pair for pair in rows if pair[0] in allowed]
         self.last_num_candidates = len(rows)
         return rows
 
@@ -283,7 +286,7 @@ class DeclarativePredicate(BlockingHost, ABC):
             and self._restriction is None
         )
 
-    def rank(self, query: str, limit: Optional[int] = None) -> List[Match]:
+    def rank_pairs(self, query: str, limit: Optional[int] = None) -> List[Pair]:
         """Tuples ranked by decreasing score, ties broken by tuple id.
 
         With a ``limit`` (and no blocker/restriction in play) the ordering
@@ -305,12 +308,12 @@ class DeclarativePredicate(BlockingHost, ABC):
         self.last_sql_stats = SQLStats(
             rows_scored=len(rows), base_size=len(self._strings)
         )
-        rows.sort(key=lambda st: (-st.score, st.tid))
+        rows.sort(key=rank_key)
         if limit is not None:
             rows = rows[:limit]
         return rows
 
-    def _rank_pushdown(self, query: str, limit: int) -> List[Match]:
+    def _rank_pushdown(self, query: str, limit: int) -> List[Pair]:
         """ORDER BY/LIMIT pushed into the scoring SQL (single-SELECT families)."""
         sql, params = self._scoring_statement(query)
         wrapped = (
@@ -327,27 +330,21 @@ class DeclarativePredicate(BlockingHost, ABC):
             base_size=len(self._strings),
             plan=("order-by-limit",),
         )
-        return [Match(int(tid), float(score)) for tid, score in rows]
+        return [(int(tid), float(score)) for tid, score in rows]
 
-    def top_k(self, query: str, k: int) -> List[Match]:
-        """The ``k`` most similar tuples (the declarative top-k fast path)."""
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        return self.rank(query, limit=k)
-
-    def select(self, query: str, threshold: float) -> List[Match]:
+    def select_pairs(self, query: str, threshold: float) -> List[Pair]:
         """Approximate selection with a similarity threshold."""
         self._check_blocker_threshold(threshold)
-        return [scored for scored in self.rank(query) if scored.score >= threshold]
+        return [pair for pair in self.rank_pairs(query) if pair[1] >= threshold]
 
-    def run_many(
+    def run_many_pairs(
         self,
         queries: Sequence[str],
         op: str = "rank",
         k: Optional[int] = None,
         threshold: Optional[float] = None,
         limit: Optional[int] = None,
-    ) -> List[List[Match]]:
+    ) -> List[List[Pair]]:
         """Execute a query workload through the batched SQL path.
 
         ``op`` is ``"rank"`` (optionally with ``limit``), ``"top_k"`` (with
@@ -363,24 +360,17 @@ class DeclarativePredicate(BlockingHost, ABC):
         keeps the one batch statement and cuts in Python.
         """
         queries = list(queries)
+        check_batch_op(op, k, threshold)
         if op == "top_k":
-            if k is None or k < 0:
-                raise ValueError("op='top_k' requires a non-negative k")
             limit = k
         elif op == "select":
-            if threshold is None:
-                raise ValueError("op='select' requires a threshold")
             self._check_blocker_threshold(threshold)
             limit = None  # a selection is cut by its threshold alone
-        elif op != "rank":
-            raise ValueError(
-                f"unknown batch op {op!r}; expected 'rank', 'top_k' or 'select'"
-            )
         self._require_preprocessed()
         plan: Tuple[str, ...] = ()
         if limit is not None and limit <= 0:
             # Nothing can be returned, so nothing is scored.
-            results: List[List[Match]] = [[] for _ in queries]
+            results: List[List[Pair]] = [[] for _ in queries]
             per_query_candidates = [0] * len(queries)
         elif (
             limit is not None
@@ -396,9 +386,9 @@ class DeclarativePredicate(BlockingHost, ABC):
             for query, raw in zip(queries, self.query_scores_batch(queries)):
                 rows = self._apply_candidate_filter(query, raw)
                 per_query_candidates.append(len(rows))
-                rows.sort(key=lambda st: (-st.score, st.tid))
+                rows.sort(key=rank_key)
                 if op == "select":
-                    rows = [match for match in rows if match.score >= threshold]
+                    rows = [pair for pair in rows if pair[1] >= threshold]
                 elif limit is not None:
                     rows = rows[:limit]
                 results.append(rows)
@@ -429,7 +419,7 @@ class DeclarativePredicate(BlockingHost, ABC):
         cache = self._score_cache
         if cache is None or cache[0] != query:
             rows = self._apply_candidate_filter(query, self.query_scores(query))
-            self._score_cache = cache = (query, {m.tid: m.score for m in rows})
+            self._score_cache = cache = (query, dict(rows))
         return cache[1].get(tid, 0.0)
 
     # -- helpers ----------------------------------------------------------------

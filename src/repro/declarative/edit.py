@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.predicates.base import Match
+from repro.core.predicates.base import Pair, rank_key
 from repro.declarative.base import DeclarativePredicate, SQLStats
 from repro.text.tokenize import normalize_string
 
@@ -83,7 +83,7 @@ class DeclarativeEditDistance(DeclarativePredicate):
             (),
         )
 
-    def select(self, query: str, threshold: float) -> List[Match]:
+    def select_pairs(self, query: str, threshold: float) -> List[Pair]:
         """Thresholded selection with the q-gram count filter pushed into SQL."""
         self._require_preprocessed()
         if not 0.0 <= threshold <= 1.0:
@@ -105,8 +105,8 @@ class DeclarativeEditDistance(DeclarativePredicate):
         self.last_sql_stats = SQLStats(
             rows_scored=len(scored), base_size=len(self._strings)
         )
-        results = [st for st in scored if st.score >= threshold]
-        results.sort(key=lambda st: (-st.score, st.tid))
+        results = [pair for pair in scored if pair[1] >= threshold]
+        results.sort(key=rank_key)
         return results
 
     def _select_rows(

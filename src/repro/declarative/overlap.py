@@ -20,7 +20,7 @@ import math
 from typing import List, Optional, Tuple
 
 from repro.blocking.prefix import PrefixFilter
-from repro.core.predicates.base import Match
+from repro.core.predicates.base import Pair, rank_key
 from repro.declarative.base import DeclarativePredicate, SQLStats
 
 __all__ = [
@@ -156,7 +156,7 @@ class DeclarativeJaccard(_DeclarativeOverlapBase):
             self._core_features["prefix"] = core.sigs.get("prefix")
         return built
 
-    def select(self, query: str, threshold: float) -> List[Match]:
+    def select_pairs(self, query: str, threshold: float) -> List[Pair]:
         """Thresholded selection with length/prefix bounds pushed into SQL.
 
         Exact for Jaccard (the same argument as the blocking filters): a
@@ -165,7 +165,7 @@ class DeclarativeJaccard(_DeclarativeOverlapBase):
         generic scored-then-filtered path when the threshold does not prune.
         """
         if not 0.0 < threshold <= 1.0:
-            return super().select(query, threshold)
+            return super().select_pairs(query, threshold)
         self._check_blocker_threshold(threshold)
         self._require_preprocessed()
         prefix_filter = self._prefix_filter_for(threshold)
@@ -192,8 +192,8 @@ class DeclarativeJaccard(_DeclarativeOverlapBase):
             base_size=len(self._strings),
             plan=("length-filter", "prefix-filter"),
         )
-        results = [match for match in rows if match.score >= threshold]
-        results.sort(key=lambda st: (-st.score, st.tid))
+        results = [pair for pair in rows if pair[1] >= threshold]
+        results.sort(key=rank_key)
         return results
 
 

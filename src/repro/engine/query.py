@@ -42,7 +42,7 @@ from repro.core import kernels
 from repro.core.corpus import CorpusCore
 from repro.core.dedup import Deduplicator, DuplicateCluster
 from repro.core.join import ApproximateJoiner, JoinMatch, SelfJoinStats
-from repro.core.predicates.base import Match, Predicate
+from repro.core.predicates.base import Match, Pair, Predicate, check_batch_op
 from repro.declarative.base import DeclarativePredicate
 from repro.declarative.shared import clear_shared_state
 from repro.engine import registry
@@ -54,6 +54,7 @@ from repro.engine.plan import (
     TraceResult,
     sql_statements,
 )
+from repro.engine.protocol import pair_host
 from repro.obs.clock import perf_clock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Observability, Tracer
@@ -821,9 +822,11 @@ class Query:
 
     # -- terminal operations ----------------------------------------------------
 
-    def _to_matches(self, scored: Iterable[Match]) -> List[Match]:
+    def _to_matches(self, rows: Iterable[Pair]) -> List[Match]:
+        """The one place a result :class:`Match` is built: once per
+        returned row, from the host's ordered pairs, string attached."""
         strings = self._corpus.strings
-        return [item.with_string(strings[item.tid]) for item in scored]
+        return [Match(tid, score, strings[tid]) for tid, score in rows]
 
     @staticmethod
     def _execution_kind(predicate: object) -> str:
@@ -917,9 +920,8 @@ class Query:
         """All candidate tuples ordered by decreasing similarity to ``query``."""
         with self._query_span("rank"):
             state = self._state(None)
-            results = self._execute(
-                state, lambda: state.predicate.rank(query, limit=limit)
-            )[0]
+            host = pair_host(state.predicate)
+            results = self._execute(state, lambda: host.rank_pairs(query, limit))[0]
         return self._to_matches(results)
 
     def top_k(self, query: str, k: int) -> List[Match]:
@@ -935,21 +937,17 @@ class Query:
             raise ValueError("k must be non-negative")
         with self._query_span("top_k", k=k):
             state = self._state(None)
-            fast = getattr(state.predicate, "top_k", None)
-            if fast is None:  # declarative realization: SQL ranks, Python trims
-                results = self._execute(
-                    state, lambda: state.predicate.rank(query, limit=k)
-                )[0]
-            else:
-                results = self._execute(state, lambda: fast(query, k))[0]
+            host = pair_host(state.predicate)
+            results = self._execute(state, lambda: host.top_k_pairs(query, k))[0]
         return self._to_matches(results)
 
     def select(self, query: str, threshold: float) -> List[Match]:
         """The approximate selection ``{t | sim(query, t) >= threshold}``."""
         with self._query_span("select", threshold=threshold):
             state = self._state(threshold)
+            host = pair_host(state.predicate)
             results = self._execute(
-                state, lambda: state.predicate.select(query, threshold)
+                state, lambda: host.select_pairs(query, threshold)
             )[0]
         return self._to_matches(results)
 
@@ -974,68 +972,54 @@ class Query:
         is the amortization that makes query workloads cheap.
 
         On the declarative realization the batch additionally executes through
-        the predicate's batched SQL (:meth:`DeclarativePredicate.run_many`):
+        the predicate's batched SQL (:meth:`DeclarativePredicate.run_many_pairs`):
         one statement scores the whole workload instead of one per query.
         """
-        if op == "top_k" and (k is None or k < 0):
-            raise ValueError("op='top_k' requires a non-negative k")
-        if op == "select" and threshold is None:
-            raise ValueError("op='select' requires a threshold")
-        if op not in ("rank", "top_k", "select"):
-            raise ValueError(
-                f"unknown batch op {op!r}; expected 'rank', 'top_k' or 'select'"
-            )
+        return [
+            self._to_matches(rows)
+            for rows in self._run_many_pairs(queries, op, k, threshold, limit)
+        ]
+
+    def _run_many_pairs(
+        self,
+        queries: Sequence[str],
+        op: str = "rank",
+        k: Optional[int] = None,
+        threshold: Optional[float] = None,
+        limit: Optional[int] = None,
+    ) -> List[List[Pair]]:
+        """:meth:`run_many`'s execution: every query's ordered ``(tid,
+        score)`` pairs, as the host answered them (no :class:`Match` built).
+
+        The host's own ``run_many_pairs`` runs the batch: a declarative
+        predicate scores it in one SQL statement, a sharded one sends each
+        shard the whole workload as one task, a direct one answers query by
+        query.  Each records per-query candidate counts and resets
+        ``last_num_candidates`` itself.  The accuracy runner reads rankings
+        here, where no result object is needed.
+        """
+        check_batch_op(op, k, threshold)
         obs = self._engine.obs
         # Count logical queries, not batches; the root span carries the size.
         obs.metrics.inc("queries_total", max(0, len(queries) - 1))
         with self._query_span("run_many", batch_op=op, num_queries=len(queries)):
             state = self._state(threshold if op == "select" else None)
-            predicate = state.predicate
-            if isinstance(predicate, (DeclarativePredicate, ShardedPredicate)):
-                # Both batch natively: declarative predicates score the whole
-                # workload in one SQL statement, sharded predicates send each
-                # shard the whole workload as one task.  Both record per-qid
-                # candidate counts and reset last_num_candidates themselves.
-                batches = self._execute(
-                    state,
-                    lambda: predicate.run_many(
-                        queries, op=op, k=k, threshold=threshold, limit=limit
-                    ),
-                    annotate_candidates=False,
-                )[0]
-                counts = predicate.last_batch_candidates or []
-                results = [self._to_matches(batch) for batch in batches]
-            else:
-                if op == "rank":
-                    runner = lambda text: predicate.rank(text, limit=limit)  # noqa: E731
-                elif op == "top_k":
-                    fast = getattr(predicate, "top_k", None)
-                    if fast is None:
-                        runner = lambda text: predicate.rank(text, limit=k)  # noqa: E731
-                    else:
-                        runner = lambda text: fast(text, k)  # noqa: E731
-                else:
-                    runner = lambda text: predicate.select(text, threshold)  # noqa: E731
-                results = []
-                counts = []
-
-                def run_batch() -> None:
-                    for text in queries:
-                        results.append(self._to_matches(runner(text)))
-                        counts.append(getattr(predicate, "last_num_candidates", None))
-
-                self._execute(state, run_batch, annotate_candidates=False)
-                # A batch leaves no meaningful single-query count behind (it
-                # would be the last query's, mistakable for the batch's).
-                if hasattr(predicate, "last_num_candidates"):
-                    predicate.last_num_candidates = None
+            host = pair_host(state.predicate)
+            batches = self._execute(
+                state,
+                lambda: host.run_many_pairs(
+                    queries, op=op, k=k, threshold=threshold, limit=limit
+                ),
+                annotate_candidates=False,
+            )[0]
+            counts = host.last_batch_candidates or []
             self.last_run_many_stats = RunManyStats(
                 num_queries=len(queries),
                 total_candidates=sum(count or 0 for count in counts),
                 candidates_per_query=tuple(counts),
             )
             self.last_run_many_stats.publish(obs.metrics)
-            return results
+        return batches
 
     # -- join / dedup -----------------------------------------------------------
 
@@ -1305,17 +1289,16 @@ class Query:
                 explain=True,
             ) as root:
                 state = self._state(threshold)
+                host = pair_host(state.predicate)
                 if op == "select":
-                    runner = lambda: state.predicate.select(query, threshold)  # noqa: E731
-                elif op == "top_k":
-                    fast = getattr(state.predicate, "top_k", None)
-                    if fast is not None and k is not None:
-                        runner = lambda: fast(query, k)  # noqa: E731
-                        ran_top_k = True
-                    else:
-                        runner = lambda: state.predicate.rank(query, limit=k)  # noqa: E731
+                    runner = lambda: host.select_pairs(query, threshold)  # noqa: E731
+                elif op == "rank":
+                    runner = lambda: host.rank_pairs(query)  # noqa: E731
+                elif k is not None and hasattr(state.predicate, "top_k"):
+                    runner = lambda: host.top_k_pairs(query, k)  # noqa: E731
+                    ran_top_k = True
                 else:
-                    runner = lambda: state.predicate.rank(query)  # noqa: E731
+                    runner = lambda: host.rank_pairs(query, k)  # noqa: E731
                 results, execute_span, records = self._execute(state, runner)
         report.trace = root
         report.seconds = execute_span.duration

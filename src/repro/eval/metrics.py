@@ -11,6 +11,12 @@ ids that are *relevant* (the query's ground-truth cluster), we compute:
 * :func:`precision_at` / :func:`recall_at` / :func:`precision_recall_curve`
   -- the building blocks.
 
+Both metrics depend only on the ranks at which relevant records appear
+(:func:`hit_ranks`) and the number of relevant records:
+:func:`average_precision_at_hits` and :func:`max_f1_at_hits` compute them
+from those with the same arithmetic, so a caller holding a ranking as
+``(tid, score)`` pairs needs no list of tids.
+
 ``mean_average_precision`` / ``mean_max_f1`` aggregate over a query workload.
 """
 
@@ -21,8 +27,11 @@ from typing import Iterable, List, Sequence, Set, Tuple
 __all__ = [
     "precision_at",
     "recall_at",
+    "hit_ranks",
     "average_precision",
+    "average_precision_at_hits",
     "max_f1",
+    "max_f1_at_hits",
     "precision_recall_curve",
     "mean_average_precision",
     "mean_max_f1",
@@ -58,6 +67,11 @@ def recall_at(ranking: Sequence[int], relevant: Iterable[int], rank: int) -> flo
     return hits / len(relevant_set)
 
 
+def hit_ranks(ranking: Iterable[int], relevant: Set[int]) -> List[int]:
+    """The 1-based ranks at which ``ranking`` holds a relevant tid."""
+    return [rank for rank, tid in enumerate(ranking, start=1) if tid in relevant]
+
+
 def average_precision(ranking: Sequence[int], relevant: Iterable[int]) -> float:
     """Average precision of a ranking (equation 5.1).
 
@@ -65,15 +79,17 @@ def average_precision(ranking: Sequence[int], relevant: Iterable[int]) -> float:
     records that are never retrieved count against the score.
     """
     relevant_set = _as_set(relevant)
-    if not relevant_set:
+    return average_precision_at_hits(hit_ranks(ranking, relevant_set), len(relevant_set))
+
+
+def average_precision_at_hits(ranks: Sequence[int], num_relevant: int) -> float:
+    """:func:`average_precision` from the hit ranks (:func:`hit_ranks`)."""
+    if not num_relevant:
         return 0.0
-    hits = 0
     precision_sum = 0.0
-    for rank, tid in enumerate(ranking, start=1):
-        if tid in relevant_set:
-            hits += 1
-            precision_sum += hits / rank
-    return precision_sum / len(relevant_set)
+    for hits, rank in enumerate(ranks, start=1):
+        precision_sum += hits / rank
+    return precision_sum / num_relevant
 
 
 def precision_recall_curve(
@@ -94,10 +110,23 @@ def precision_recall_curve(
 
 def max_f1(ranking: Sequence[int], relevant: Iterable[int]) -> float:
     """Maximum F1 over all prefixes of the ranking (equation 5.2)."""
+    relevant_set = _as_set(relevant)
+    return max_f1_at_hits(hit_ranks(ranking, relevant_set), len(relevant_set))
+
+
+def max_f1_at_hits(ranks: Sequence[int], num_relevant: int) -> float:
+    """:func:`max_f1` from the hit ranks (:func:`hit_ranks`).
+
+    Only prefixes ending at a hit are evaluated: past a hit, recall stays
+    and precision falls until the next one, so F1 only falls.  Each is the
+    ``2pr / (p + r)`` of :func:`precision_recall_curve`'s point there.
+    """
+    if not num_relevant:
+        return 0.0
     best = 0.0
-    for precision, recall in precision_recall_curve(ranking, relevant):
-        if precision + recall == 0.0:
-            continue
+    for hits, rank in enumerate(ranks, start=1):
+        precision = hits / rank
+        recall = hits / num_relevant
         f1 = 2.0 * precision * recall / (precision + recall)
         if f1 > best:
             best = f1

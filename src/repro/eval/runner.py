@@ -9,7 +9,10 @@ Experiments execute through :class:`repro.engine.SimilarityEngine`, so any
 predicate can be evaluated in either realization (``realization="direct"`` /
 ``"declarative"``) on either SQL backend, and the whole query workload runs
 as one :meth:`~repro.engine.query.Query.run_many` batch that pays
-preprocessing once.  On the declarative realization the batch additionally
+preprocessing once.  The runner reads that batch's rankings as the host's
+ordered ``(tid, score)`` pairs -- no result object is built -- and scores
+each from the ranks of its hits (:func:`~repro.eval.metrics.hit_ranks`).
+On the declarative realization the batch additionally
 executes through the per-family batched SQL (one grouped statement per
 workload instead of one per query) over the engine's shared token/weight
 cores, so evaluating several declarative predicates back to back re-uses
@@ -25,7 +28,7 @@ from repro.core.predicates.base import Predicate
 from repro.datagen.generator import GeneratedDataset
 from repro.declarative.base import DeclarativePredicate
 from repro.engine import Query, SimilarityEngine
-from repro.eval.metrics import average_precision, max_f1
+from repro.eval.metrics import average_precision_at_hits, hit_ranks, max_f1_at_hits
 
 __all__ = ["QueryOutcome", "AccuracyResult", "ExperimentRunner"]
 
@@ -121,16 +124,16 @@ class ExperimentRunner:
         query = self._query_for(predicate, realization, backend, **predicate_kwargs)
         query_tids = self.query_workload(num_queries, seed=seed)
         texts = [self.dataset.records[tid].text for tid in query_tids]
-        rankings = query.run_many(texts, op="rank")
+        rankings = query._run_many_pairs(texts, op="rank")
 
         outcomes: List[QueryOutcome] = []
         ap_total = 0.0
         f1_total = 0.0
         for query_tid, text, ranking in zip(query_tids, texts, rankings):
             relevant = set(self.dataset.relevant_for(query_tid))
-            ranked_tids = [match.tid for match in ranking]
-            ap = average_precision(ranked_tids, relevant)
-            f1 = max_f1(ranked_tids, relevant)
+            hits = hit_ranks([tid for tid, _ in ranking], relevant)
+            ap = average_precision_at_hits(hits, len(relevant))
+            f1 = max_f1_at_hits(hits, len(relevant))
             ap_total += ap
             f1_total += f1
             if keep_outcomes:
@@ -141,7 +144,7 @@ class ExperimentRunner:
                         average_precision=ap,
                         max_f1=f1,
                         num_relevant=len(relevant),
-                        num_retrieved=len(ranked_tids),
+                        num_retrieved=len(ranking),
                     )
                 )
         count = len(query_tids) or 1

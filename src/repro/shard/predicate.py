@@ -46,7 +46,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from repro.blocking.host import BlockingHost
 from repro.core import kernels
 from repro.core.corpus import CorpusCore
-from repro.core.predicates.base import Match, Predicate
+from repro.core.predicates.base import (
+    Pair,
+    PairHost,
+    Predicate,
+    check_batch_op,
+    rank_key,
+    run_op,
+)
 from repro.obs.clock import perf_clock
 from repro.obs.metrics import CounterRecord, counter_field
 from repro.obs.trace import Observability, Span
@@ -95,8 +102,10 @@ def execute_shard_op(shard: Predicate, op: str, payload: dict) -> dict:
     """Run one operation against one fitted shard predicate.
 
     This is the function shard executors invoke -- in-process, on a worker
-    thread, or inside a worker process.  Results are plain tuples/ints so
-    process executors pickle as little as possible, and per-shard work
+    thread, or inside a worker process.  Results are the shard's ordered
+    ``(tid, score)`` pairs as its predicate returned them (shard-local tids)
+    and plain ints, so process executors pickle as little as possible and
+    nothing is copied on the way up; per-shard work
     counters travel back explicitly (a worker process mutating its own copy
     of the shard would otherwise be invisible to the parent).
 
@@ -138,28 +147,15 @@ def _shard_span_record(
     }
 
 
-def _run_op(predicate, op: str, query: str, params: dict) -> List[Match]:
-    """One query of one operation: the ``(op, params)`` vocabulary of the
-    task payloads (and of ``run_many``) as a call on a predicate."""
-    if op == "rank":
-        return predicate.rank(query, limit=params.get("limit"))
-    if op == "select":
-        return predicate.select(query, params["threshold"])
-    if op == "top_k":
-        return predicate.top_k(query, params["k"])
-    raise ValueError(f"unknown shard operation {op!r}")
-
-
 def _dispatch_shard_op(shard: Predicate, op: str, payload: dict) -> dict:
     if op == "run_many":
-        rows_per_query: List[List[Tuple[int, float]]] = []
+        rows_per_query: List[List[Pair]] = []
         candidates_per_query: List[Optional[int]] = []
         for query in payload["queries"]:
             # Per-query boundary: a timed-out batch stops between queries
             # instead of computing the whole remainder into the void.
             check_deadline()
-            rows = _run_op(shard, payload["op"], query, payload)
-            rows_per_query.append([(m.tid, m.score) for m in rows])
+            rows_per_query.append(run_op(shard, payload["op"], query, payload))
             candidates_per_query.append(shard.last_num_candidates)
         return {
             "rows_per_query": rows_per_query,
@@ -167,14 +163,14 @@ def _dispatch_shard_op(shard: Predicate, op: str, payload: dict) -> dict:
         }
     allowed = payload.get("allowed")
     with nullcontext() if allowed is None else shard.restrict_candidates(allowed):
-        rows = _run_op(shard, op, payload["query"], payload)
+        rows = run_op(shard, op, payload["query"], payload)
     return {
-        "rows": [(m.tid, m.score) for m in rows],
+        "rows": rows,
         "candidates": shard.last_num_candidates,
     }
 
 
-class ShardedPredicate(BlockingHost):
+class ShardedPredicate(PairHost, BlockingHost):
     """Data-partitioned execution of a direct predicate, exact by merge.
 
     The blocking contract is :class:`~repro.blocking.host.BlockingHost`'s,
@@ -409,15 +405,14 @@ class ShardedPredicate(BlockingHost):
         low, high = self._offsets[shard_id], self._offsets[shard_id + 1]
         return {tid - low for tid in allowed if low <= tid < high}
 
-    def _merge_rows(
-        self, per_shard: Iterable[Sequence[Tuple[int, float]]]
-    ) -> List[Match]:
+    def _merge_rows(self, per_shard: Iterable[Sequence[Pair]]) -> List[Pair]:
+        """The shards' pairs on global tids, in the canonical order."""
         merged = [
-            Match(tid + offset, score)
+            (tid + offset, score)
             for offset, rows in zip(self._offsets, per_shard)
             for tid, score in rows
         ]
-        merged.sort(key=lambda m: (-m.score, m.tid))
+        merged.sort(key=rank_key)
         return merged
 
     def _finish(self, results: List[dict]) -> None:
@@ -434,7 +429,7 @@ class ShardedPredicate(BlockingHost):
 
     def _round(
         self, op: str, payload: dict, allowed: Optional[Iterable[int]] = None
-    ) -> List[Tuple[List[Match], Optional[int]]]:
+    ) -> List[Tuple[List[Pair], Optional[int]]]:
         """The one dispatch round every operation is.
 
         Every shard runs ``(op, payload)`` -- under its own slice of the
@@ -482,7 +477,7 @@ class ShardedPredicate(BlockingHost):
 
     def _answer(
         self, op: str, payload: dict, allowed: Optional[Iterable[int]] = None
-    ) -> List[Match]:
+    ) -> List[Pair]:
         """:meth:`_round` for one query: its merged rows, with its candidate
         count left in :attr:`last_num_candidates`."""
         [(merged, candidates)] = self._round(op, payload, allowed)
@@ -539,13 +534,13 @@ class ShardedPredicate(BlockingHost):
 
     # -- query time -------------------------------------------------------------
 
-    def rank(self, query: str, limit: Optional[int] = None) -> List[Match]:
+    def rank_pairs(self, query: str, limit: Optional[int] = None) -> List[Pair]:
         """Merged ranking, bit-identical to the unsharded predicate's."""
         self._require_fitted()
         merged = self._filtered_rank(query, limit)
         return merged if limit is None else merged[:limit]
 
-    def _filtered_rank(self, query: str, limit: Optional[int]) -> List[Match]:
+    def _filtered_rank(self, query: str, limit: Optional[int]) -> List[Pair]:
         """Merged, blocker/restriction-honoring ranking (before any limit cut)."""
         blocker = self._blocker
         if blocker is not None and self._prunes_before_scoring:
@@ -566,12 +561,12 @@ class ShardedPredicate(BlockingHost):
             self._restriction,
         )
         if blocker is not None:
-            allowed = self._allowed_after_scoring(query, (m.tid for m in merged))
-            merged = [m for m in merged if m.tid in allowed]
+            allowed = self._allowed_after_scoring(query, (tid for tid, _ in merged))
+            merged = [pair for pair in merged if pair[0] in allowed]
             self.last_num_candidates = len(merged)
         return merged
 
-    def select(self, query: str, threshold: float) -> List[Match]:
+    def select_pairs(self, query: str, threshold: float) -> List[Pair]:
         """Merged approximate selection (thresholded per shard where possible)."""
         self._require_fitted()
         self._check_blocker_threshold(threshold)
@@ -580,7 +575,7 @@ class ShardedPredicate(BlockingHost):
             # Post-scoring families: prune the merged *unthresholded* scores
             # first (as the unsharded path does), then threshold.
             merged = self._filtered_rank(query, limit=None)
-            return [m for m in merged if m.score >= threshold]
+            return [pair for pair in merged if pair[1] >= threshold]
         allowed = (
             self._blocked_allowed(query) if blocker is not None else self._restriction
         )
@@ -598,7 +593,7 @@ class ShardedPredicate(BlockingHost):
             return self._shards[shard_id].score(query, local_tid)
         return dict(self._filtered_rank(query, None)).get(tid, 0.0)
 
-    def top_k(self, query: str, k: int) -> List[Match]:
+    def top_k_pairs(self, query: str, k: int) -> List[Pair]:
         """The global top ``k``: exact merge of the per-shard top-k results."""
         self._require_fitted()
         if k < 0:
@@ -614,14 +609,14 @@ class ShardedPredicate(BlockingHost):
             return self._filtered_rank(query, limit=k)[:k]
         return self._answer("top_k", {"query": query, "k": k})[:k]
 
-    def run_many(
+    def run_many_pairs(
         self,
         queries: Sequence[str],
         op: str = "rank",
         k: Optional[int] = None,
         threshold: Optional[float] = None,
         limit: Optional[int] = None,
-    ) -> List[List[Match]]:
+    ) -> List[List[Pair]]:
         """Execute a query workload: one task per shard for the whole batch.
 
         Semantics match calling the corresponding single-query method per
@@ -633,26 +628,18 @@ class ShardedPredicate(BlockingHost):
         count would describe the batch).
         """
         queries = list(queries)
-        if op == "top_k":
-            if k is None or k < 0:
-                raise ValueError("op='top_k' requires a non-negative k")
-        elif op == "select":
-            if threshold is None:
-                raise ValueError("op='select' requires a threshold")
+        check_batch_op(op, k, threshold)
+        if op == "select":
             self._check_blocker_threshold(threshold)
-        elif op != "rank":
-            raise ValueError(
-                f"unknown batch op {op!r}; expected 'rank', 'top_k' or 'select'"
-            )
         self._require_fitted()
         params = {"op": op, "k": k, "threshold": threshold, "limit": limit}
-        answers: List[Tuple[List[Match], Optional[int]]] = []
+        answers: List[Tuple[List[Pair], Optional[int]]] = []
         if self._blocker is not None or self._restriction is not None:
             # Blocked batches take the per-query merge paths (the global
             # blocking decision is per query); candidate counts are still
             # recorded per query.
             for query in queries:
-                merged = _run_op(self, op, query, params)
+                merged = run_op(self, op, query, params)
                 answers.append((merged, self.last_num_candidates))
         elif queries:
             cut = {"top_k": k, "rank": limit, "select": None}[op]
