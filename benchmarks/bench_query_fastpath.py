@@ -6,10 +6,8 @@ against the seed behaviour, on a generated UIS-style company-names relation
 
 * ``top_k`` -- seed path scores every candidate sharing a q-gram and fully
   sorts the dict; fast path is ``rank(limit=k)`` over precomputed weighted
-  postings -- scalar accumulation + a bounded heap on the scalar kernel
-  backend, one dense scan + partition on the numpy backend (timed on
-  whichever is active).  Results must be identical, tuple for tuple and bit
-  for bit.
+  postings -- one dense scan + partition.  Results must be identical, tuple
+  for tuple and bit for bit.
 * ``select`` -- seed path sorts the full candidate set and then filters;
   fast path filters first and sorts survivors only.
 * ``join (top_k)`` -- seed path runs a thresholded selection per probe and

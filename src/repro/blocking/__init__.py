@@ -31,11 +31,10 @@ answers, ``score`` included, sees the candidates the contract allows.
 ``ApproximateJoiner(blocker=...)`` / ``Deduplicator(blocker=...)`` and the
 CLI's ``--blocker`` / ``--lsh-bands`` flags attach blockers through it.
 Candidates come from ``InvertedIndex.candidate_mask(..., blocker)`` -- the
-probe and the prune as array operations -- when a numpy overlap scan runs
-under an exact blocker,
-and from the set path ``InvertedIndex.candidates(..., blocker=...)``
-everywhere else: the scalar backend and healed calls, LSH, the edit family
-and the sharded pre-partition prune.  The ``blocking`` case of
+probe and the prune as array operations -- when an overlap scan runs under
+an exact blocker, and from the set path ``InvertedIndex.candidates(...,
+blocker=...)`` everywhere else: LSH, the edit family and the sharded
+pre-partition prune.  The ``blocking`` case of
 ``benchmarks/paper.py`` measures speedup and recall against the unblocked
 baseline.
 """

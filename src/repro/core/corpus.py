@@ -18,13 +18,13 @@ relation and the tokenizer, never on a predicate:
   relation's postings held as arrays once: the count scan reads them and
   every weighted predicate derives its own ``(tids, contributions)`` from
   them token by token.  The index's Python ``(tid, tf)`` lists are not part
-  of a numpy fit: they are derived from the ``Counter`` objects by the first
-  scalar read (a forced scalar scope, a heal) or by a fit whose scans read
-  them (no numpy, the edit family) -- :meth:`describe` says which, and a
-  weighted index's ``(tid, contribution)`` lists are derived from them in
-  turn.  The heal paths and the numpy scans' in-step ``df`` check read the
-  ``Counter`` objects' counts, never the arrays,
-* the per-tuple token sets,
+  of a kernelised fit: they are derived from the ``Counter`` objects by a
+  fit whose scans read them (the edit and combination families) or by the
+  first read (an LSH blocker's candidate set) -- :meth:`describe` says
+  which.  The scans' in-step ``df`` check reads the ``Counter`` objects'
+  counts, never the arrays,
+* the per-tuple token sets (the blockers read them; no predicate fit
+  builds them),
 * the document frequency of each token (what the prefix blocker orders by),
   the index's count when a fit has built one, else counted over the token
   sets,
@@ -292,8 +292,8 @@ class CorpusCore:
 
     def describe(self) -> str:
         """:meth:`summary` as one line (``explain()`` prints it), with
-        whether the index's posting lists are built (in the shape of
-        :meth:`~repro.core.index.WeightedPostingIndex.describe_scalar_view`)."""
+        whether the index's posting lists are built
+        (:meth:`~repro.core.index.InvertedIndex.describe_posting_lists`)."""
         summary = self.summary()
         size = summary["array_bytes"]
         summary["arrays"] = (

@@ -11,45 +11,35 @@ carry precomputed score contributions.
 The inverted index is built over the relation's per-tuple ``Counter``
 objects, which stay its source of truth: one pass over them counts every
 token's document frequency (what ``len`` of a posting, the vocabulary order
-and the numpy scans' in-step checks read).  When numpy is importable, the
-first kernelised fit over a :class:`~repro.core.corpus.CorpusCore` has it
-hold the postings as arrays **once** (:meth:`InvertedIndex.build_arrays`,
-filled from the ``Counter`` objects and shared by every later fit): per
-token an ``int64`` tid array and an ``int64`` term-frequency array, each a
-view into one buffer, plus one ``int64`` distinct-token count per tuple.
-A weighted index is *derived* from them token by token: its
-``(int64 tids, float64 contributions)`` pairs, plus one stored posting count
-per token, are all a numpy fit computes (one element-wise expression per
-token, or one call of the predicate's formula per distinct integer
-``(tf, |D|)`` of a token, gathered).  Both indexes' Python lists --
-``(tid, tf)`` and ``(tid, contribution)``, what the scalar scans read and
-the numpy scans heal on -- are then *scalar views*: built outside a fit
-once, under a lock, by the first scalar read; the inverted index's from the
-``Counter`` objects, a weighted index's from the predicate's own scalar
-derivation over those lists -- never from the arrays.  A fit whose scans
-read the lists (no numpy, the edit family) builds them inside the fit.  A
-token that drops no posting shares the inverted index's tid array by
-reference.  Like the ``Counter`` objects they mirror, all lists and arrays
-are read-only after they are built.
+and the scans' in-step checks read).  The first kernelised fit over a
+:class:`~repro.core.corpus.CorpusCore` has it hold the postings as arrays
+**once** (:meth:`InvertedIndex.build_arrays`, filled from the ``Counter``
+objects and shared by every later fit): per token an ``int64`` tid array
+and an ``int64`` term-frequency array, each a view into one buffer, plus
+one ``int64`` distinct-token count per tuple.  A weighted index is
+*derived* from them token by token: its ``(int64 tids, float64
+contributions)`` pairs, plus one stored posting count per token, are all a
+fit computes (one element-wise expression per token, or one call of the
+predicate's formula per distinct integer ``(tf, |D|)`` of a token,
+gathered).  A token that drops no posting shares the inverted index's tid
+array by reference.
+
+The inverted index's Python ``(tid, tf)`` lists are read by the readers
+without arrays -- the edit family, LSH's candidate set, shards of the edit
+family -- and are derived from the ``Counter`` objects once, under a lock:
+inside the fit of a predicate whose scans read them, else on the first
+read.  Like the ``Counter`` objects they mirror, all lists and arrays are
+read-only after they are built.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter, defaultdict
-from itertools import chain, compress
-from operator import itemgetter
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from collections import Counter
+from itertools import chain
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core import kernels
 from repro.obs.clock import perf_clock
@@ -58,9 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (blocking uses text o
     from repro.blocking.base import Blocker
 
 __all__ = ["InvertedIndex", "WeightedPostingIndex", "distinct_pairs"]
-
-_tid_of = itemgetter(0)
-
 
 class InvertedIndex:
     """Maps tokens to the tuples containing them (postings with tf).
@@ -74,7 +61,7 @@ class InvertedIndex:
     makes one pass over them, ``Counter(chain.from_iterable(counters))``,
     which yields the document frequency of every token in vocabulary order
     (first seen, tuples in tid order): :meth:`tokens`,
-    :meth:`document_frequency` and the numpy scans' in-step length checks
+    :meth:`document_frequency` and the scans' in-step length checks
     read it.  Two forms of the postings are derived from the ``Counter``
     objects, each only when something reads it:
 
@@ -83,17 +70,14 @@ class InvertedIndex:
       array -- what the count scan reads and every
       :class:`WeightedPostingIndex` is derived from;
     * the **posting lists**, per token ``(tid, tf)`` tuples in tid order --
-      what the scalar loops read.  They are a view like a weighted index's
-      scalar view: built once, under a lock, assigned whole, by the first
-      :meth:`postings` / :meth:`candidates` / :meth:`candidate_overlap` call
-      (a forced ``use_backend("python")`` scope, a numpy scan healing on
-      them, a blocker without an array hook) or by a fit whose scans read
-      them (:meth:`build_posting_lists`: the scalar legs, the edit family).
-      They are derived from the ``Counter`` objects, never from the arrays,
-      so a heal does not read what it is healing from.
+      what the readers without arrays read (the edit family, a blocker
+      without an array hook, shards of the edit family).  Built once,
+      under a lock, assigned whole, by a fit whose scans read them
+      (:meth:`build_posting_lists`) or by the first :meth:`postings` /
+      :meth:`candidates` call.
 
-    Without the arrays -- no numpy, or no kernelised fit asked --
-    :meth:`arrays` and :attr:`set_sizes` answer ``None``.
+    Until a kernelised fit asked for the arrays, :meth:`arrays` and
+    :attr:`set_sizes` answer ``None``.
     """
 
     def __init__(
@@ -119,8 +103,7 @@ class InvertedIndex:
         #: Bytes the posting arrays hold (``None`` while they are not built).
         self.array_bytes: Optional[int] = None
         #: Seconds deriving the posting lists took and what asked for them
-        #: (``"fit"`` / ``"forced backend"`` / ``"heal"``); ``None`` while
-        #: they are unbuilt.
+        #: (``"fit"`` / ``"first read"``); ``None`` while they are unbuilt.
         self.lists_seconds: Optional[float] = None
         self.lists_cause: Optional[str] = None
         self._lists_lock = threading.Lock()
@@ -137,13 +120,9 @@ class InvertedIndex:
         come out in tid order, as contiguous views into one tid and one tf
         buffer -- and the per-tuple number of distinct tokens.  Called from
         inside a fit -- never lazily by a query, so concurrent first queries
-        find them built -- and a no-op when they exist or numpy is
-        unavailable.  They are built even while ``use_backend("python")`` is
-        forced: forcing is dispatch-only, so a fit performed under one
-        backend serves queries under the other.
+        find them built -- and a no-op when they exist.
         """
-        np = kernels.np
-        if np is None or self._arrays is not None:
+        if self._arrays is not None:
             return
         counters = self._term_frequencies
         vocabulary = self._document_frequencies
@@ -218,7 +197,7 @@ class InvertedIndex:
                     sums[token] += tf
             return sums
         tfs, bounds = self._buffers[1], self._buffers[2]
-        return dict(zip(vocabulary, kernels.np.add.reduceat(tfs, bounds[:-1]).tolist()))
+        return dict(zip(vocabulary, np.add.reduceat(tfs, bounds[:-1]).tolist()))
 
     def tf_ratio_sums(self, divisors: Sequence[int]) -> Optional[Dict[str, float]]:
         """token -> ``Σ tf / divisors[tid]`` over its postings, added one
@@ -230,7 +209,6 @@ class InvertedIndex:
         """
         if self._buffers is None:
             return None
-        np = kernels.np
         tids, tfs, bounds = self._buffers
         ratios = tfs / np.asarray(divisors, dtype=np.int64)[tids]
         edges = bounds.tolist()
@@ -240,19 +218,16 @@ class InvertedIndex:
             for token, start, stop in zip(self._document_frequencies, edges, edges[1:])
         }
 
-    # -- the posting lists (scalar view) -----------------------------------------
+    # -- the posting lists ---------------------------------------------------------
 
     def build_posting_lists(
-        self, cause: Optional[str] = None
+        self, cause: str = "first read"
     ) -> Dict[str, List[Tuple[int, int]]]:
         """Derive the ``(tid, tf)`` lists from the ``Counter`` objects: once,
         under the lock, assigned whole.  A fit whose scans read them passes
-        ``cause="fit"``; a first scalar read is a forced scalar scope or --
-        the numpy backend being active -- a heal."""
+        ``cause="fit"``."""
         with self._lists_lock:
             if self._postings is None:
-                if cause is None:
-                    cause = "forced backend" if kernels.active_backend() == "python" else "heal"
                 started = perf_clock()
                 postings: Dict[str, List[Tuple[int, int]]] = {
                     token: [] for token in self._document_frequencies
@@ -292,7 +267,7 @@ class InvertedIndex:
 
     def document_frequency(self, token: str) -> int:
         """Tuples containing ``token``, from the ``Counter`` pass -- what the
-        numpy scans check their scanned lengths against, without touching
+        scans check their scanned lengths against, without touching
         either posting form."""
         return self._document_frequencies.get(token, 0)
 
@@ -309,10 +284,9 @@ class InvertedIndex:
         and the resulting set is pruned of candidates that cannot reach the
         blocker's threshold.
 
-        This is the set path, kept where no arrays answer: the scalar
-        backend, a healed numpy call, blockers without an array hook (LSH)
-        and the edit family.  A numpy overlap scan under an exact blocker
-        asks :meth:`candidate_mask`.
+        This is the set path, kept where no arrays answer: blockers without
+        an array hook (LSH) and the edit family.  An overlap scan under an
+        exact blocker asks :meth:`candidate_mask`.
         """
         query_tokens = set(tokens)
         probe = query_tokens if blocker is None else blocker.probe_tokens(query_tokens)
@@ -336,7 +310,6 @@ class InvertedIndex:
         the same candidates and the same blocker statistics as
         :meth:`candidates`, without a Python set.  Needs :meth:`build_arrays`.
         """
-        np = kernels.np
         query_tokens = set(tokens)
         member = np.zeros(self.num_tuples, dtype=bool)
         probed = kernels.posting_tids(self, blocker.probe_tokens(query_tokens))
@@ -348,15 +321,6 @@ class InvertedIndex:
             member[:] = False
             member[survivors] = True
         return member
-
-    def candidate_overlap(self, tokens: Iterable[str]) -> Dict[int, int]:
-        """Number of *distinct* shared tokens per candidate tuple."""
-        postings = self._posting_lists()
-        overlap: Dict[int, int] = defaultdict(int)
-        for token in set(tokens):
-            for tid, _ in postings.get(token, ()):
-                overlap[tid] += 1
-        return dict(overlap)
 
     def vocabulary_size(self) -> int:
         return len(self._document_frequencies)
@@ -387,15 +351,12 @@ def distinct_pairs(tids, tfs, lengths):
     its pair -- so a per-posting function of ``(tf, |D|)`` is called once per
     pair and gathered with ``inverse``, ``==`` to calling it per posting.
     """
-    np = kernels.np
     token_lengths = lengths[tids]
     # tf <= |D| < radix: one integer key per pair, decoded by divmod.
     radix = int(token_lengths.max()) + 1
     keys, inverse = np.unique(tfs * radix + token_lengths, return_inverse=True)
     return [divmod(key, radix) for key in keys.tolist()], inverse
 
-
-_EMPTY_POSTINGS: List[Tuple[int, float]] = []
 
 _TokenValues = Iterable[Tuple[str, Sequence[float]]]
 
@@ -408,7 +369,8 @@ class WeightedPostingIndex:
     partial, RS weight, ...) depends only on the base relation.  Recomputing
     it per candidate per query is the direct realization's hot-path tax; this
     index stores it *in the posting itself* at fit time, so query-time
-    accumulation is one flat loop over precomputed floats.
+    accumulation is one scatter-add over precomputed floats
+    (:func:`repro.core.kernels.accumulate`).
 
     Parameters
     ----------
@@ -419,157 +381,55 @@ class WeightedPostingIndex:
     token_values:
         ``(token, values)`` pairs, at most one per token of ``index``, in
         whatever token order the deriving predicate needs: ``values`` holds
-        one contribution per posting of ``index.postings(token)``, aligned
+        one contribution per posting of ``index.arrays(token)``, aligned
         with it -- a ``float64`` array (the product of an element-wise
-        expression over ``index.arrays(token)``) or a sequence of floats.
+        expression over the token's arrays) or a sequence of floats.
         Consumed once, inside the fit.
-    scalar_values:
-        The predicate's own scalar derivation as a bound method: called with
-        no argument it yields the same ``(token, values)`` pairs with
-        ``values`` a sequence of Python floats, and has no side effect.  It
-        is what :meth:`postings` is derived from after a numpy fit (see
-        below) and is never called without numpy, where ``token_values``
-        already are those pairs.
     keep_zeros:
-        Postings contributing exactly ``0.0`` are dropped -- the accumulation
-        loops would skip them -- unless candidate membership must include
-        them (the language models: such a tuple still scores
-        ``exp(sum_complement)``).  A token left without postings is absent.
+        Postings contributing exactly ``0.0`` are dropped -- they would add
+        nothing -- unless candidate membership must include them (the
+        language models: such a tuple still scores ``exp(sum_complement)``).
+        A token left without postings is absent.
 
-    A fit builds only what its scans read.  With numpy (the ``fast`` extra)
-    that is one ``(int64 tids, float64 contributions)`` pair per token, which
-    the vectorized kernels (:mod:`repro.core.kernels`) accumulate at C speed,
+    A fit builds one ``(int64 tids, float64 contributions)`` pair per token
     plus one ``int`` posting count per token (:meth:`posting_count`: what
-    ``in`` / ``len`` and the numpy scan's in-step check read).  The
-    ``(tid, contribution)`` lists the scalar loops read are then a **scalar
-    view**: derived once, under a lock, by the first :meth:`postings` call --
-    a forced ``use_backend("python")`` scope or the numpy -> scalar ladder
-    healing a failed scan -- by re-running ``scalar_values`` over the
-    inverted index's posting lists, never by copying the arrays, so a heal
-    does not read what it is healing from.  Without numpy :meth:`arrays`
-    returns ``None`` and the lists are what the fit itself computes.
+    ``in`` / ``len`` and the scan's in-step check read).
     """
 
     def __init__(
         self,
         index: InvertedIndex,
         token_values: _TokenValues,
-        scalar_values: Callable[[], _TokenValues],
         keep_zeros: bool = False,
     ):
-        np = kernels.np
         index.build_arrays()  # a no-op after a kernelised tokenize phase
-        self._index = index
-        self._scalar_values = scalar_values
-        self._keep_zeros = keep_zeros
-        self._arrays = None if np is None else {}
+        self._arrays: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         #: token -> number of postings stored (tokens left without are absent).
         self._counts: Dict[str, int] = {}
-        #: Seconds deriving the scalar view took and what asked for it
-        #: (``"forced backend"`` / ``"heal"``); ``None`` while it is unbuilt
-        #: and after a fit without numpy, whose lists are the fit's product.
-        self.view_seconds: Optional[float] = None
-        self.view_cause: Optional[str] = None
         #: Postings stored / postings left out for contributing exactly 0.0.
         self.num_postings = 0
         self.zero_dropped = 0
-        postings: Optional[Dict[str, List[Tuple[int, float]]]] = (
-            {} if np is None else None
-        )
         for token, values in token_values:
-            if postings is not None:
-                plist = self._posting_list(token, values)
-                count = len(plist)
-                if count:
-                    postings[token] = plist
-            else:
-                tid_array = index.arrays(token)[0]
-                contributions = np.asarray(values, dtype=np.float64)
-                if not keep_zeros:
-                    keep = contributions != 0.0
-                    if not keep.all():
-                        tid_array, contributions = tid_array[keep], contributions[keep]
-                count = int(contributions.size)
-                if count:
-                    self._arrays[token] = (tid_array, contributions)
+            tid_array = index.arrays(token)[0]
+            contributions = np.asarray(values, dtype=np.float64)
+            if not keep_zeros:
+                keep = contributions != 0.0
+                if not keep.all():
+                    tid_array, contributions = tid_array[keep], contributions[keep]
+            count = int(contributions.size)
             self.zero_dropped += index.document_frequency(token) - count
             if count:
+                self._arrays[token] = (tid_array, contributions)
                 self._counts[token] = count
                 self.num_postings += count
-        self._view_lock = threading.Lock()
-        #: token -> [(tid, contribution)]; ``None`` while the scalar view is
-        #: unbuilt.  Assigned whole, never filled in place.
-        self._view = postings  # guarded-by: _view_lock
-
-    def _posting_list(
-        self, token: str, values: Sequence[float]
-    ) -> List[Tuple[int, float]]:
-        """``token``'s ``(tid, contribution)`` list from its scalar values,
-        zipping the inverted index's own tid objects."""
-        tids = map(_tid_of, self._index.postings(token))
-        if not self._keep_zeros:
-            keep = [value != 0.0 for value in values]
-            if not all(keep):
-                tids, values = compress(tids, keep), compress(values, keep)
-        return list(zip(tids, values))
-
-    def _build_scalar_view(self) -> Dict[str, List[Tuple[int, float]]]:
-        """Derive the posting lists from the predicate's scalar derivation:
-        once, under the lock, assigned whole."""
-        with self._view_lock:
-            if self._view is None:
-                # Who is asking: a forced scalar scope, or -- the numpy
-                # backend being active -- the ladder healing a failed scan.
-                cause = "forced backend" if kernels.active_backend() == "python" else "heal"
-                started = perf_clock()
-                view = {}
-                for token, values in self._scalar_values():
-                    plist = self._posting_list(token, values)
-                    if plist:
-                        view[token] = plist
-                self.view_seconds, self.view_cause = perf_clock() - started, cause
-                self._view = view
-                kernels.count_op("scalar_view_build")
-            return self._view
-
-    @property
-    def scalar_view_built(self) -> bool:
-        """Whether the ``(tid, contribution)`` lists exist (always, without
-        numpy; after the first :meth:`postings` call otherwise)."""
-        return self._view is not None  # repro-analysis: disable=RPL004 reason=GIL-atomic read of an attribute that is assigned whole, once
-
-    def describe_scalar_view(self) -> str:
-        """``not built`` / ``built in X ms (N postings, cause: ...)``."""
-        if not self.scalar_view_built:
-            return "not built"
-        if self.view_seconds is None:
-            return "the fit's own postings (no numpy)"
-        return (
-            f"built in {self.view_seconds * 1e3:.1f} ms "
-            f"({self.num_postings} postings, cause: {self.view_cause})"
-        )
-
-    def postings(self, token: str) -> List[Tuple[int, float]]:
-        """``(tid, contribution)`` pairs for every tuple ``token`` scores on
-        (the scalar view: the first call after a numpy fit derives it)."""
-        view = self._view  # repro-analysis: disable=RPL004 reason=GIL-atomic read of an attribute that is assigned whole, once; None falls through to the locked build
-        if view is None:
-            view = self._build_scalar_view()
-        return view.get(token, _EMPTY_POSTINGS)
 
     def posting_count(self, token: str) -> int:
-        """``len(postings(token))`` from the count the fit stored -- without
-        touching the scalar view."""
+        """Postings stored for ``token``, from the count the fit stored."""
         return self._counts.get(token, 0)
 
     def arrays(self, token: str):
-        """``(int64 tids, float64 contributions)`` arrays, or ``None``.
-
-        ``None`` either because numpy is unavailable or because the token has
-        no postings.
-        """
-        if self._arrays is None:
-            return None
+        """``(int64 tids, float64 contributions)`` arrays, or ``None`` (the
+        token has no postings)."""
         return self._arrays.get(token)
 
     def __contains__(self, token: str) -> bool:
@@ -577,14 +437,3 @@ class WeightedPostingIndex:
 
     def __len__(self) -> int:
         return len(self._counts)
-
-    def __getstate__(self):
-        # A lock does not pickle (fitted shards travel to and from worker
-        # processes); the copy gets its own.
-        state = self.__dict__.copy()
-        del state["_view_lock"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._view_lock = threading.Lock()

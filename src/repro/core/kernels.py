@@ -1,8 +1,7 @@
-"""Vectorized scoring kernels with a pure-Python fallback.
+"""The vectorized scoring kernels: two scans, one mask, selection.
 
 Eight of the 13 predicates spend their query time in one of two inner loops
-over precomputed posting lists, and this module is the C-speed replacement
-for both:
+over precomputed postings, and this module runs both on numpy:
 
 * the **weighted scan** (:func:`accumulate`) of the monotone-sum predicates
   (WeightedMatch, WeightedJaccard, Cosine, BM25, LM, HMM):
@@ -14,75 +13,61 @@ for both:
   per-token ``int64`` tid arrays of the
   :class:`~repro.core.index.InvertedIndex` -- one ``np.bincount``.
 
-In pure Python both loops are interpreter-bound and hold the GIL, so
-``executor="thread"`` buys nothing.  The selection kernels
-(:func:`top_items` / :func:`sorted_items` / :func:`select_items`) order a
-scan's result, and :func:`allowed_mask` narrows it to a restriction's (or
-a set-path blocker's) allowed set; :func:`posting_tids` is the count scan's
-checked read of the tid arrays, which an exact blocker's probe mask shares.
-That is the whole module -- two scans, one mask, selection, and the
-language models' deferred ``exp`` finalizer (:func:`exp_scores`,
-:func:`finalize_exp`).  ``rank``, ``select``,
-``score`` *and* ``top_k`` (which is ``rank(limit=k)``) are answered by them
-on both backends.
+Both return their candidates as the arrays of a :class:`DenseScores`.  The
+selection kernels (:func:`top_items` / :func:`sorted_items` /
+:func:`select_items`) order a scan's result, and :func:`allowed_mask`
+narrows it to a restriction's (or a set-path blocker's) allowed set;
+:func:`posting_tids` is the count scan's checked read of the tid arrays,
+which an exact blocker's probe mask shares.  That is the whole module --
+two scans, one mask, selection, and the language models' deferred ``exp``
+finalizer (:func:`exp_scores`, :func:`finalize_exp`).  ``rank``,
+``select``, ``score`` *and* ``top_k`` (which is ``rank(limit=k)``) are
+answered by them.
 
-Bit-identity guarantee
-----------------------
+Exactness
+---------
 
-The scalar weighted path accumulates ``scores.get(tid, 0.0) + qw *
-contribution`` visiting tokens in a canonical order (sorted query tokens, or
-query first-occurrence order for HMM) and each posting list in increasing
-tid order.  The vectorized scan applies, per tuple, the same float64
-additions in the same order, so results are **bit-identical** -- the
-exactness guarantee the whole test suite pins.  (``qw * c`` is skipped when
-``qw == 1.0``; IEEE-754 guarantees ``1.0 * c == c`` bitwise.)  It
-concatenates the per-token ``qw * contribution`` arrays in the canonical
-order and applies them with one ``np.add.at``, numpy's *unbuffered*
-scatter-add, documented to perform the additions element by element: a
-tuple hit by several tokens gets its chain in token order.
+The weighted scan visits tokens in a canonical order (sorted query tokens,
+or query first-occurrence order for HMM) and each posting array in
+increasing tid order.  It concatenates the per-token ``qw * contribution``
+arrays in that order and applies them with one ``np.add.at``, numpy's
+*unbuffered* scatter-add, documented to perform the additions element by
+element: a tuple hit by several tokens gets its float64 chain in token
+order -- the chain the paper's formula, summed token by token, produces
+(``tests/reference.py`` pins it).  (``qw * c`` is skipped when ``qw ==
+1.0``; IEEE-754 guarantees ``1.0 * c == c`` bitwise.)
 
 The count scan is exact by construction rather than by ordering: the
 overlap predicates count *distinct* shared tokens, a tid occurs at most once
-per posting list, so the overlap is an integer count and integer addition is
-order-free.  Every operand a finalizer then divides is an integer far below
-2**53, exactly representable in float64, and CPython's ``int / int`` and
-numpy's ``int64 / int64`` are both the correctly rounded IEEE-754 quotient
-of the same two exact values.
+per posting array, so the overlap is an integer count and integer addition
+is order-free.  Every operand a finalizer then divides is an integer far
+below 2**53, exactly representable in float64, and numpy's ``int64 /
+int64`` is the correctly rounded IEEE-754 quotient of the two exact values,
+as CPython's ``int / int`` is.
 
-Backend dispatch
-----------------
+In-step checks
+--------------
 
-numpy is an optional dependency (the ``fast`` extra).  When it is missing --
-or disabled via ``REPRO_KERNEL=python`` in the environment -- every entry
-point falls back to the scalar loops, which *are* the pre-kernel code paths
-verbatim.  Both scan entry points share one fallback ladder: any exception
-inside a numpy scan (corrupt arrays, allocation pressure) re-runs the scalar
-loop, which computes the same answer, and counts one ``python_fallback``.
-The weighted scalar loop reads ``index.postings(token)`` -- after a numpy fit
-a scalar view the index derives on that first read, from the predicate's own
-formula rather than from the arrays that just failed; the numpy scan checks
-its scanned length against ``index.posting_count(token)``, the counts the fit
-stored, so it never touches that view.
-:func:`use_backend` forces a backend for a scope (used by the equivalence
-tests and benchmarks to compare both paths in one process), and
-:func:`ops_snapshot` exposes per-backend invocation counters so the engine
-can attribute kernel work in its metrics registry.
+An array that is short *in step* (or missing) would not fail a scan, it
+would leave postings out.  So every scan checks the length it read against
+the counts the fit stored -- :func:`accumulate` against
+``index.posting_count``, :func:`posting_tids` against the inverted index's
+document frequencies -- and raises :class:`ValueError` on a mismatch: a
+corrupt index answers with an error, never with a partial answer.
+:func:`ops_snapshot` exposes the kernel invocation counters the engine
+publishes in its metrics registry.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 import threading
-from contextlib import contextmanager
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
-    "np",
-    "numpy_available",
-    "active_backend",
-    "use_backend",
     "count_op",
     "ops_snapshot",
     "accumulate",
@@ -90,7 +75,6 @@ __all__ = [
     "posting_tids",
     "allowed_mask",
     "DenseScores",
-    "dense_pair",
     "exp_scores",
     "finalize_exp",
     "top_items",
@@ -98,91 +82,30 @@ __all__ = [
     "select_items",
 ]
 
-#: Environment switch: ``REPRO_KERNEL=python`` (or ``off``) disables numpy
-#: entirely -- imports, fit-time array building, and dispatch -- which is how
-#: CI proves the pure-Python fallback on machines that do have numpy.
-_ENV_DISABLED = os.environ.get("REPRO_KERNEL", "").strip().lower() in (
-    "python",
-    "off",
-    "scalar",
-)
-
-if _ENV_DISABLED:  # pragma: no cover - exercised via subprocess in CI
-    np = None
-else:
-    try:
-        import numpy as np  # type: ignore[no-redef]
-    except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-        np = None
-
-#: Backend forced by :func:`use_backend`; ``None`` means auto (numpy when
-#: importable).  Process-global on purpose: shard worker threads must see the
-#: same forcing as the thread that entered the context.
-_forced: Optional[str] = None
-
 _ops_lock = threading.Lock()
-#: ``python_fallback`` counts numpy kernel *failures* healed by re-running
-#: the scalar path (the engine publishes it as ``kernel_ops.python_fallback``);
-#: ``scalar_view_build`` counts weighted posting indexes deriving their scalar
-#: view (published as ``core.scalar_view.builds_total``);
+#: ``numpy`` counts scans (the engine publishes it as ``kernel_ops.numpy``);
 #: ``finalize_deferred`` / ``finalize_fallback`` count log-domain selections
 #: that finalized only their superset, and those whose guard gave up and
 #: finalized every candidate (see :func:`exp_scores`).
 _ops: Dict[str, int] = {  # guarded-by: _ops_lock
     "numpy": 0,
-    "python": 0,
-    "python_fallback": 0,
-    "scalar_view_build": 0,
     "finalize_deferred": 0,
     "finalize_fallback": 0,
 }
 
 
-def numpy_available() -> bool:
-    """Whether the numpy backend can be selected at all."""
-    return np is not None
-
-
-def active_backend() -> str:
-    """The backend the next kernel call will use: ``"numpy"`` or ``"python"``."""
-    if _forced is not None:
-        return _forced
-    return "numpy" if np is not None else "python"
-
-
-@contextmanager
-def use_backend(name: str):
-    """Force kernel dispatch to ``name`` for the duration of the context.
-
-    The forcing is process-global (nested contexts restore the previous
-    value), so worker threads spawned inside the context -- the shard
-    layer's thread executor -- dispatch consistently with their parent.
-    """
-    global _forced
-    if name not in ("numpy", "python"):
-        raise ValueError("backend must be 'numpy' or 'python'")
-    if name == "numpy" and np is None:
-        raise RuntimeError("numpy backend requested but numpy is unavailable")
-    previous = _forced
-    _forced = name
-    try:
-        yield
-    finally:
-        _forced = previous
-
-
-def count_op(backend: str) -> None:
-    """Record one scoring-kernel event (an invocation on ``backend``)."""
+def count_op(name: str) -> None:
+    """Record one scoring-kernel event."""
     with _ops_lock:
-        _ops[backend] += 1
+        _ops[name] += 1
 
 
 def ops_snapshot() -> Dict[str, int]:
-    """Per-backend kernel invocation counts since process start.
+    """Kernel event counts since process start.
 
     The engine snapshots this around each execution and publishes the delta
-    as ``kernel_ops.<backend>`` counters, so traces and metrics attribute
-    which backend actually did the scoring work.
+    as ``kernel_ops.<name>`` counters, so traces and metrics attribute the
+    scoring work.
     """
     with _ops_lock:
         return dict(_ops)
@@ -191,75 +114,79 @@ def ops_snapshot() -> Dict[str, int]:
 # -- the two scans (rank / select / score / top_k paths) ----------------------
 
 
-def _ladder(numpy_scan, scalar_scan):
-    """The numpy -> scalar ladder both scan entry points run on.
-
-    The scalar loops compute the same answer bit for bit, so healing a numpy
-    failure (corrupt arrays, allocation pressure) here is invisible to the
-    caller; it is counted as one ``python_fallback``.
-    """
-    backend = active_backend()
-    count_op(backend)
-    if backend == "numpy":
-        try:
-            return numpy_scan()
-        except Exception:
-            count_op("python_fallback")
-    return scalar_scan()
-
-
 def accumulate(
     index,
     items: Sequence[Tuple[str, float]],
     size: int,
-) -> Dict[int, float]:
+) -> "DenseScores":
     """``{tid: Σ qw * contribution}`` over the given ``(token, qw)`` items.
 
     ``items`` must already be in the predicate's canonical token order and
     free of zero query weights; ``index`` is a
-    :class:`~repro.core.index.WeightedPostingIndex` (duck-typed:
-    ``postings``, ``arrays`` and ``posting_count`` accessors).  ``size`` is the relation size, bounding tids.
+    :class:`~repro.core.index.WeightedPostingIndex` (duck-typed: ``arrays``
+    and ``posting_count`` accessors).  ``size`` is the relation size,
+    bounding tids.
 
-    Candidate membership matches the scalar loops exactly: every tid touched
-    by an opened posting appears in the result, *including* tids whose
-    contributions cancel to exactly ``0.0`` (possible under negative RS
-    weights) and tids with stored zero contributions (the language model
+    Every tid touched by an opened posting is a candidate, *including* tids
+    whose contributions cancel to exactly ``0.0`` (possible under negative
+    RS weights) and tids with stored zero contributions (the language model
     keeps them on purpose).
     """
-    return _ladder(
-        lambda: _accumulate_numpy(index, items, size),
-        lambda: _accumulate_python(index, items),
-    )
-
-
-def _accumulate_python(index, items: Sequence[Tuple[str, float]]) -> Dict[int, float]:
-    scores: Dict[int, float] = {}
+    count_op("numpy")
+    tid_parts: List[np.ndarray] = []
+    value_parts: List[np.ndarray] = []
+    expected = 0
     for token, query_weight in items:
-        if query_weight == 1.0:
-            for tid, contribution in index.postings(token):
-                scores[tid] = scores.get(tid, 0.0) + contribution
-        else:
-            for tid, contribution in index.postings(token):
-                scores[tid] = scores.get(tid, 0.0) + query_weight * contribution
-    return scores
+        pair = index.arrays(token)
+        if pair is not None:
+            tids, contributions = pair
+            tid_parts.append(tids)
+            value_parts.append(
+                contributions if query_weight == 1.0 else query_weight * contributions
+            )
+        expected += index.posting_count(token)
+    if not expected:
+        return _empty_scores()
+    if sum(tids.size for tids in tid_parts) != expected:
+        raise ValueError("posting arrays are out of step with the posting counts")
+    all_tids = tid_parts[0] if len(tid_parts) == 1 else np.concatenate(tid_parts)
+    all_values = (
+        value_parts[0] if len(value_parts) == 1 else np.concatenate(value_parts)
+    )
+    accumulator = np.zeros(size, dtype=np.float64)
+    # Unbuffered scatter-add: additions apply in element order, so each
+    # tuple's chain runs in token order.
+    np.add.at(accumulator, all_tids, all_values)
+    touched = np.zeros(size, dtype=bool)
+    touched[all_tids] = True
+    candidates = np.flatnonzero(touched)
+    # Lazily-materialized dict: .tolist() round-trips to exact Python
+    # ints/floats on first dict access, tid-ascending.
+    return DenseScores(candidates, accumulator[candidates])
 
 
-def count_overlap(index, tokens: Iterable[str], size: int) -> Dict[int, int]:
+def count_overlap(index, tokens: Iterable[str], size: int) -> "DenseScores":
     """``{tid: number of distinct tokens shared with the query}``.
 
     ``index`` is an :class:`~repro.core.index.InvertedIndex`; ``size`` is the
-    relation size, bounding tids.  On the scalar backend this *is*
-    ``index.candidate_overlap(tokens)``, dict and all.  On numpy the
-    candidate tids and their counts come back as the int64 arrays of a
-    :class:`DenseScores` (read them with :func:`dense_pair`): one
-    ``np.bincount`` over the concatenated tid arrays of the query's distinct
-    tokens.  Counts are exact integers, so the two backends agree by
-    construction.
+    relation size, bounding tids.  The candidate tids and their counts come
+    back as the int64 ``tids`` / ``vals`` arrays of a :class:`DenseScores`:
+    one ``np.bincount`` over the concatenated tid arrays of the query's
+    distinct tokens.
     """
-    return _ladder(
-        lambda: _count_overlap_numpy(index, tokens, size),
-        lambda: index.candidate_overlap(tokens),
-    )
+    count_op("numpy")
+    all_tids = posting_tids(index, set(tokens))
+    if all_tids is None:
+        return _empty_scores(np.int64)
+    counts = np.bincount(all_tids, minlength=size)
+    if counts.size != size:
+        raise ValueError("a tid array names a tuple beyond the relation")
+    candidates = np.flatnonzero(counts)
+    return DenseScores(candidates, counts[candidates])
+
+
+def _empty_scores(dtype=np.float64) -> "DenseScores":
+    return DenseScores(np.empty(0, dtype=np.int64), np.empty(0, dtype=dtype))
 
 
 class DenseScores(dict):
@@ -272,8 +199,8 @@ class DenseScores(dict):
     (``rank``/``select``/``top_k`` selection) only ever need the arrays.  So
     the dict starts empty and fills itself from the arrays on the first
     dict-API access -- every Python-level read (``len``, iteration, ``get``,
-    ``items``, ``==`` ...) behaves exactly like the plain dict the scalar
-    path returns, with identical keys and bit-identical float values.
+    ``items``, ``==`` ...) behaves exactly like a plain dict with the same
+    keys and float values.
 
     ``tids`` is tid-ascending; ``vals[i]`` is the score of ``tids[i]``.
     Built by :func:`exp_scores`, the instance holds the *log* scores instead
@@ -352,9 +279,13 @@ class DenseScores(dict):
         return super(DenseScores, self.materialize()).items()
 
     def __eq__(self, other):
+        if isinstance(other, DenseScores):
+            other.materialize()
         return super(DenseScores, self.materialize()).__eq__(other)
 
     def __ne__(self, other):
+        if isinstance(other, DenseScores):
+            other.materialize()
         return super(DenseScores, self.materialize()).__ne__(other)
 
     __hash__ = None  # dicts are unhashable
@@ -401,17 +332,6 @@ class DenseScores(dict):
     def __ior__(self, other):
         self._touch().update(other)
         return self
-
-
-def dense_pair(scores) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
-    """``(tids, values)`` of an unmutated :class:`DenseScores`, else ``None``.
-
-    The backend gate makes forced-python scopes take the scalar paths even
-    when handed a numpy-produced dict.
-    """
-    if active_backend() != "numpy" or not isinstance(scores, DenseScores):
-        return None
-    return scores._arrays()
 
 
 def finalize_exp(log_score: float) -> float:
@@ -470,10 +390,9 @@ def _margin(log_value: float) -> float:
 
 def _log_pair(scores) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
     """``(tids, logs)`` of an unmutated, not yet finalized :func:`exp_scores`
-    result on the numpy backend, else ``None``."""
+    result, else ``None``."""
     if (
-        active_backend() != "numpy"
-        or not isinstance(scores, DenseScores)
+        not isinstance(scores, DenseScores)
         or scores.logs is None
         or scores._vals is not None
         or scores._stale
@@ -525,48 +444,6 @@ def _select_deferred(tids, logs, threshold: float) -> Optional[List[Tuple[int, f
     return None
 
 
-def _accumulate_numpy(
-    index, items: Sequence[Tuple[str, float]], size: int
-) -> Dict[int, float]:
-    tid_parts: List["np.ndarray"] = []
-    value_parts: List["np.ndarray"] = []
-    expected = 0
-    for token, query_weight in items:
-        pair = index.arrays(token)
-        if pair is not None:
-            tids, contributions = pair
-            tid_parts.append(tids)
-            value_parts.append(
-                contributions if query_weight == 1.0 else query_weight * contributions
-            )
-        # The count the fit stored: reading the posting lists here would
-        # derive the scalar view on the first numpy query.
-        expected += index.posting_count(token)
-    if not expected:
-        return {}
-    all_tids = tid_parts[0] if len(tid_parts) == 1 else np.concatenate(tid_parts)
-    all_values = (
-        value_parts[0] if len(value_parts) == 1 else np.concatenate(value_parts)
-    )
-    # Arrays that are short *in step* (or missing) would not fail, they would
-    # leave contributions out: the same length check as the count scan turns
-    # that into a failure the ladder heals on the posting lists.
-    if all_tids.size != expected:
-        raise ValueError("posting arrays are out of step with the posting counts")
-    accumulator = np.zeros(size, dtype=np.float64)
-    # Unbuffered scatter-add: additions apply in element order, reproducing
-    # the scalar per-tid accumulation chains bit for bit.
-    np.add.at(accumulator, all_tids, all_values)
-    touched = np.zeros(size, dtype=bool)
-    touched[all_tids] = True
-    candidates = np.flatnonzero(touched)
-    # Lazily-materialized dict: .tolist() round-trips to exact Python
-    # ints/floats on first dict access; dict order is tid-ascending (the
-    # scalar dict is first-touch order) -- no consumer depends on dict
-    # order, only on content.
-    return DenseScores(candidates, accumulator[candidates])
-
-
 def posting_tids(index, tokens: Iterable[str]):
     """The ``int64`` tid arrays of ``tokens``' postings in ``index`` (an
     :class:`~repro.core.index.InvertedIndex`), concatenated in token order;
@@ -574,11 +451,10 @@ def posting_tids(index, tokens: Iterable[str]):
 
     A short or missing tid array would not fail, it would drop tuples: the
     length check against the document frequencies (the index's count over
-    its ``Counter`` objects, never the arrays, and never the posting lists,
-    which a numpy call does not build) turns that into a failure the
-    caller's ladder heals (the count scan here, a blocker's probe mask in
-    :meth:`~repro.core.index.InvertedIndex.candidate_mask`, the sharded
-    pre-partition candidates).
+    its ``Counter`` objects, never the arrays) turns that into a
+    :class:`ValueError` for every reader -- the count scan, a blocker's
+    probe mask (:meth:`~repro.core.index.InvertedIndex.candidate_mask`), the
+    sharded pre-partition candidates.
     """
     parts: List["np.ndarray"] = []
     expected = 0
@@ -589,21 +465,9 @@ def posting_tids(index, tokens: Iterable[str]):
         expected += index.document_frequency(token)
     if not expected:
         return None
-    all_tids = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    if all_tids.size != expected:
+    if sum(tids.size for tids in parts) != expected:
         raise ValueError("tid arrays are out of step with the document frequencies")
-    return all_tids
-
-
-def _count_overlap_numpy(index, tokens: Iterable[str], size: int) -> Dict[int, int]:
-    all_tids = posting_tids(index, set(tokens))
-    if all_tids is None:
-        return {}
-    counts = np.bincount(all_tids, minlength=size)
-    if counts.size != size:
-        raise ValueError("a tid array names a tuple beyond the relation")
-    candidates = np.flatnonzero(counts)
-    return DenseScores(candidates, counts[candidates])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def allowed_mask(tids, allowed: Collection[int], size: int):
@@ -622,11 +486,11 @@ def allowed_mask(tids, allowed: Collection[int], size: int):
 # -- selection (ordering of scored candidates for rank / select) --------------
 #
 # Selection involves no float arithmetic -- only comparisons on the exact
-# score values -- so the vectorized variants are bit-identical to the scalar
-# ones by construction.  The ordering key is always (score desc, tid asc),
+# score values -- so the array variants are bit-identical to the dict ones
+# by construction.  The ordering key is always (score desc, tid asc),
 # which is unique per item, so any correct implementation yields one answer.
 
-#: Below this many candidates the scalar paths win (array conversion and
+#: Below this many candidates the dict paths win (array conversion and
 #: numpy call overhead dominate); the cutover only affects speed, never
 #: results.
 _SELECTION_MIN = 64
@@ -636,14 +500,15 @@ def _selection_arrays(scores: Dict[int, float]):
     """``(tids, values)`` arrays for a score dict, or ``None`` to fall back.
 
     Reuses the arrays a :class:`DenseScores` carries while it is unmutated;
-    other dicts -- the scalar paths' results, blocker-filtered dicts -- are
-    converted via ``np.fromiter``.
+    other dicts -- the edit and combination families' results,
+    blocker-filtered dicts -- are converted via ``np.fromiter``.
     """
-    if active_backend() != "numpy" or len(scores) < _SELECTION_MIN:
+    if len(scores) < _SELECTION_MIN:
         return None
-    pair = dense_pair(scores)
-    if pair is not None:
-        return pair
+    if isinstance(scores, DenseScores):
+        pair = scores._arrays()
+        if pair is not None:
+            return pair
     count = len(scores)
     tids = np.fromiter(scores.keys(), dtype=np.int64, count=count)
     values = np.fromiter(scores.values(), dtype=np.float64, count=count)
@@ -709,6 +574,8 @@ def select_items(
     An :func:`exp_scores` result finalizes only the candidates whose log
     can reach ``log(threshold)``.
     """
+    if not scores:
+        return []
     logs = _log_pair(scores)
     if logs is not None:
         survivors = _select_deferred(*logs, threshold)

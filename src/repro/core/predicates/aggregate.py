@@ -11,15 +11,14 @@ Both predicates score ``sim(Q, D) = Σ_{t ∈ Q∩D} wq(t, Q) * wd(t, D)``:
 Each states its document-side weight **once**, as an element-wise function of
 (the token's weight, ``tf``, a per-tuple factor) -- :meth:`BM25._contribution`,
 :meth:`CosineTfIdf._contribution`.  The fit maps it over the corpus core's
-postings token by token -- with numpy one ufunc per IEEE operation over the
-token's ``(tids, tfs)`` arrays, without it (and for the index's scalar view,
-derived on the first scalar read) the same expression per posting -- into a
+postings token by token -- one ufunc per IEEE operation over the token's
+``(tids, tfs)`` arrays -- into a
 :class:`~repro.core.index.WeightedPostingIndex`; ``score()``
 (:meth:`_AggregateBase._rescore_items`) calls the same function on the
 tuple's own term frequency.
 Nothing is kept per (tuple, token) besides those postings.
 
-Query execution is postings-driven: accumulation is one flat loop over
+Query execution is postings-driven: accumulation is one scatter-add over
 precomputed floats.  All accumulation iterates query tokens in sorted order
 so summation is deterministic and every path agrees bit for bit.
 """
@@ -27,7 +26,9 @@ so summation is deterministic and every path agrees bit for bit.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.core import kernels
 from repro.core.index import WeightedPostingIndex
@@ -76,33 +77,17 @@ class _AggregateBase(Predicate):
         """Map :meth:`_contribution` over the core's postings, token-major."""
         self._token_weights, self._tuple_factors = token_weights, tuple_factors
         assert self._index is not None
-        self._weighted_index = WeightedPostingIndex(
-            self._index,
-            self._posting_values(vectorized=kernels.np is not None),
-            self._posting_values,
-        )
+        self._weighted_index = WeightedPostingIndex(self._index, self._posting_values())
 
-    def _posting_values(
-        self, vectorized: bool = False
-    ) -> Iterator[Tuple[str, Sequence[float]]]:
+    def _posting_values(self) -> Iterator[Tuple[str, np.ndarray]]:
         """Per token, :meth:`_contribution` of each of its postings: one
-        array expression over the token's ``(tids, tfs)`` when ``vectorized``
-        (a numpy fit), else one Python float per posting (a fit without
-        numpy, and the weighted index's scalar view)."""
+        array expression over the token's ``(tids, tfs)``."""
         index, contribution = self._index, self._contribution
-        token_weights, tuple_factors = self._token_weights, self._tuple_factors
-        if vectorized:
-            factor_array = kernels.np.array(tuple_factors, dtype=kernels.np.float64)
-            for token in index.tokens():
-                tids, tfs = index.arrays(token)
-                yield token, contribution(token_weights[token], tfs, factor_array[tids])
-        else:
-            for token in index.tokens():
-                weight = token_weights[token]
-                yield token, [
-                    contribution(weight, tf, tuple_factors[tid])
-                    for tid, tf in index.postings(token)
-                ]
+        token_weights = self._token_weights
+        factor_array = np.array(self._tuple_factors, dtype=np.float64)
+        for token in index.tokens():
+            tids, tfs = index.arrays(token)
+            yield token, contribution(token_weights[token], tfs, factor_array[tids])
 
     def _query_weights(self, query: str) -> Dict[str, float]:
         """Query-side weights ``wq(t, Q)`` (subclass-specific)."""
@@ -113,7 +98,7 @@ class _AggregateBase(Predicate):
 
         One kernel call over the precomputed weighted postings; tokens are
         visited in sorted order so per-tuple summation order is canonical
-        (the kernels reproduce that order bit for bit on both backends).
+        (the kernel keeps that order per tuple).
         """
         assert self._weighted_index is not None
         return kernels.accumulate(

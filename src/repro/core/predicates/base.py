@@ -234,10 +234,10 @@ class Predicate(PairHost, BlockingHost, ABC):
     #: bounded by the Jaccard overlap fraction (length/prefix filters stay
     #: exact), ``"score"`` otherwise (those filters become heuristics).
     similarity_kind: str = "score"
-    #: Predicates that score through :mod:`repro.core.kernels` (and so follow
-    #: the numpy -> scalar backend selection) set this to ``True``.
+    #: Predicates that score through :mod:`repro.core.kernels` (and so fit
+    #: the index's posting arrays) set this to ``True``.
     uses_kernels: bool = False
-    #: Kernelised predicates whose numpy scan returns log scores with a
+    #: Kernelised predicates whose scan returns log scores with a
     #: deferred finalizer (:func:`repro.core.kernels.exp_scores`) set this.
     finalizes_selected: bool = False
     #: Vestige, never set: ``benchmarks/ledger/layers.py`` reads it after each
@@ -260,8 +260,7 @@ class Predicate(PairHost, BlockingHost, ABC):
         self._index: Optional[InvertedIndex] = None
         #: The weighted postings a kernelised weighted predicate's
         #: :meth:`weight_phase` derives -- per token ``(tids, contributions)``
-        #: arrays with numpy, ``(tid, contribution)`` lists without (``None``
-        #: for every other predicate).
+        #: arrays (``None`` for every other predicate).
         self._weighted_index: Optional[WeightedPostingIndex] = None
         #: Seconds the last :meth:`fit` spent inside :meth:`weight_phase`.
         self.weight_seconds = 0.0
@@ -342,10 +341,9 @@ class Predicate(PairHost, BlockingHost, ABC):
         a kernelised predicate also has the index hold its postings as
         arrays (once per core), which the count scan reads and every
         weighted fit derives its contributions from.  A predicate whose
-        scans read the index's ``(tid, tf)`` lists -- every predicate without
-        numpy, and the non-kernelised (edit) family -- has the index derive
-        them here, inside the fit; on numpy a kernelised fit leaves them
-        unbuilt until a scalar read asks.  A predicate that was
+        scans read the index's ``(tid, tf)`` lists -- the non-kernelised
+        families -- has the index derive them here, inside the fit; a
+        kernelised fit leaves them unbuilt.  A predicate that was
         handed no core builds its private one here, so standalone fits pay
         tokenization in this phase; over a shared core whose parts already
         exist the phase is a few attribute reads.
@@ -355,7 +353,7 @@ class Predicate(PairHost, BlockingHost, ABC):
         self._index = core.index
         if self.uses_kernels:
             core.build_index_arrays()
-        if not self.uses_kernels or kernels.np is None:
+        else:
             core.build_posting_lists()
 
     @abstractmethod
@@ -386,9 +384,9 @@ class Predicate(PairHost, BlockingHost, ABC):
         ties are broken by tuple id so rankings are deterministic.  With a
         blocker attached (see :meth:`set_blocker`), only candidates that
         survive blocking are ranked.  With ``limit``, a top-``limit``
-        selection replaces the full sort (``O(n log k)`` instead of
-        ``O(n log n)`` scalar; a vectorized partition under the numpy
-        kernel backend) -- both orderings are exact.
+        selection replaces the full sort (a partition over the scan's
+        arrays, a bounded heap over a small or plain dict) -- both orderings
+        are exact.
         """
         self._require_fitted()
         if limit is not None and limit <= 0:
@@ -404,18 +402,18 @@ class Predicate(PairHost, BlockingHost, ABC):
     def top_k_algorithm(cls) -> str:
         """Which algorithm answers :meth:`top_k` right now.
 
-        The one place that maps the active kernel backend to an algorithm;
-        ``plan()`` / ``explain()`` only word the answer.
+        The one place that maps a predicate to an algorithm; ``plan()`` /
+        ``explain()`` only word the answer.
 
-        * ``"dense-scan"`` -- ``rank(limit=k)`` through the numpy kernels:
-          dense accumulation plus a partition selection;
-          ``"dense-scan, finalize k"`` for a predicate whose scan ends in log
-          scores (:attr:`finalizes_selected`), selected before ``exp`` runs
-          on the winners only.
-        * ``"heap"`` -- ``rank(limit=k)`` through the scalar accumulation
-          plus a bounded heap.
+        * ``"dense-scan"`` -- ``rank(limit=k)`` through the kernels: dense
+          accumulation plus a partition selection; ``"dense-scan, finalize
+          k"`` for a predicate whose scan ends in log scores
+          (:attr:`finalizes_selected`), selected before ``exp`` runs on the
+          winners only.
+        * ``"heap"`` -- ``rank(limit=k)`` over the predicate's own score
+          dict (the edit and combination families) plus a bounded heap.
         """
-        if cls.uses_kernels and kernels.active_backend() == "numpy":
+        if cls.uses_kernels:
             return "dense-scan, finalize k" if cls.finalizes_selected else "dense-scan"
         return "heap"
 
@@ -462,10 +460,9 @@ class Predicate(PairHost, BlockingHost, ABC):
         return self._fitted
 
     def weights_summary(self) -> Dict[str, object]:
-        """What the last fit derived into the weighted postings, what it
-        cost, and whether the scalar view of them has been derived since
-        (the engine's ``fit`` span and ``explain()`` report it); empty for a
-        predicate that builds no weighted posting index."""
+        """What the last fit derived into the weighted postings and what it
+        cost (the engine's ``fit`` span and ``explain()`` report it); empty
+        for a predicate that builds no weighted posting index."""
         weighted = self._weighted_index
         if weighted is None:
             return {}
@@ -473,7 +470,6 @@ class Predicate(PairHost, BlockingHost, ABC):
             "weighted_postings": weighted.num_postings,
             "zero_dropped": weighted.zero_dropped,
             "weights_s": self.weight_seconds,
-            "scalar_view": weighted.describe_scalar_view(),
         }
 
     @property

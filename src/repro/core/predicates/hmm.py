@@ -14,17 +14,14 @@ exactly like the ``BASE_WEIGHTS`` table of the declarative realization:
 :meth:`HMM._contribution` states it once, the fit maps it over the corpus
 core's postings token by token into a
 :class:`~repro.core.index.WeightedPostingIndex`, and ``score()`` calls the
-same function on the tuple's own term frequency.  The formula stays scalar on
-both kernel backends -- ``math.log`` is libm's, numpy's ``log`` is not
-guaranteed to round the same way.  A numpy fit (:meth:`HMM._posting_arrays`)
-calls it once per distinct ``(tf, |D|)`` of a token, found on the index's
-posting arrays with ``np.unique``, and gathers the results per posting -- no
-Python ``(tid, tf)`` list is read; the scalar pass
-(:meth:`HMM._posting_values`) calls it per posting of the posting lists --
-the fit without numpy, and what the index's scalar view re-runs on the first
-scalar read after a numpy fit.  Query evaluation is one kernel scan over the
-query tokens' postings, then :func:`repro.core.kernels.finalize_exp` of the
-log score -- on the numpy backend only for the candidates a selection keeps.
+same function on the tuple's own term frequency.  The formula stays scalar
+-- ``math.log`` is libm's, numpy's ``log`` is not guaranteed to round the
+same way: the fit (:meth:`HMM._posting_arrays`) calls it once per distinct
+``(tf, |D|)`` of a token, found on the index's posting arrays with
+``np.unique``, and gathers the results per posting.  Query evaluation is one
+kernel scan over the query tokens' postings, then
+:func:`repro.core.kernels.finalize_exp` of the log score -- only for the
+candidates a selection keeps.
 """
 
 from __future__ import annotations
@@ -32,6 +29,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core import kernels
 from repro.core.index import WeightedPostingIndex, distinct_pairs
@@ -48,7 +47,7 @@ class HMM(Predicate):
     family = "language-modeling"
     #: Monotone-sum log-space accumulation routes through repro.core.kernels
     #: (final exponentiation is kernels.finalize_exp, like the LM predicate:
-    #: overflow reads as inf, and numpy defers it to the selected few).
+    #: overflow reads as inf, deferred to the selected few).
     uses_kernels = True
     finalizes_selected = True
 
@@ -75,15 +74,13 @@ class HMM(Predicate):
         # Every posting keeps its log factor -- a tuple sharing a token is a
         # candidate even where 1 + x rounds to 1 -- so zeros are not dropped.
         assert self._index is not None
-        values = self._posting_values() if kernels.np is None else self._posting_arrays()
         self._weighted_index = WeightedPostingIndex(
-            self._index, values, self._posting_values, keep_zeros=True
+            self._index, self._posting_arrays(), keep_zeros=True
         )
 
-    def _posting_arrays(self) -> Iterator[Tuple[str, "np.ndarray"]]:
+    def _posting_arrays(self) -> Iterator[Tuple[str, np.ndarray]]:
         """Per token, :meth:`_contribution` once per distinct ``(tf, |D|)``
-        pair of its posting arrays, gathered per posting (a numpy fit)."""
-        np = kernels.np
+        pair of its posting arrays, gathered per posting."""
         index, contribution = self._index, self._contribution
         lengths = np.array(self._lengths, dtype=np.int64)
         for token in index.tokens():
@@ -92,17 +89,6 @@ class HMM(Predicate):
             pairs, inverse = distinct_pairs(tids, tfs, lengths)
             values = [contribution(p_general, tf, length) for tf, length in pairs]
             yield token, np.array(values, dtype=np.float64)[inverse]
-
-    def _posting_values(self) -> Iterator[Tuple[str, List[float]]]:
-        """Per token, :meth:`_contribution` of each of its postings, read off
-        the posting lists (the fit without numpy, and the scalar view)."""
-        index, lengths, contribution = self._index, self._lengths, self._contribution
-        for token in index.tokens():
-            p_general = self._general_english[token]
-            yield token, [
-                contribution(p_general, tf, lengths[tid])
-                for tid, tf in index.postings(token)
-            ]
 
     def _contribution(self, p_general: float, tf: int, length: int) -> float:
         """``log(1 + a1 P(q|D) / (a0 P(q|GE)))`` of one posting, with
@@ -119,10 +105,7 @@ class HMM(Predicate):
             [(token, float(count)) for token, count in query_counts.items()],
             len(self._token_lists),
         )
-        pair = kernels.dense_pair(log_scores)
-        if pair is not None:
-            return kernels.exp_scores(*pair)
-        return {tid: kernels.finalize_exp(value) for tid, value in log_scores.items()}
+        return kernels.exp_scores(log_scores.tids, log_scores.vals)
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
         if not 0 <= tid < len(self._token_lists):

@@ -9,39 +9,31 @@ realization (equation 4.4): terms that are constant for a given query are
 dropped and only tokens in ``Q ∩ D`` plus a per-tuple precomputed term
 ``Σ_{t ∈ D} log(1 - p̂(t|M_D))`` are needed at query time.  Scores are
 computed in log space and exponentiated at the end, exactly like the SQL in
-Figure 4.4; on the numpy backend only the candidates a selection keeps are
-exponentiated (:func:`repro.core.kernels.exp_scores`).
+Figure 4.4; only the candidates a selection keeps are exponentiated
+(:func:`repro.core.kernels.exp_scores`).
 
-The fit is one token-major pass over the corpus core's postings:
-:meth:`LanguageModeling._posting_terms` states a posting's contribution
-once, and is *called* once per distinct ``(tf, |D|)`` of a token -- the two
-logs and the two ``**`` are taken for that pair and shared by every posting
-of the token that has it; ``log(1 - p̂)`` feeds both the contribution and the
-tuple's complement sum -- and nothing is kept per (tuple, token) besides the
+The fit is one token-major pass over the corpus core's posting arrays
+(:meth:`LanguageModeling._posting_arrays`): :meth:`LanguageModeling._posting_terms`
+states a posting's contribution once, and is *called* once per distinct
+``(tf, |D|)`` of a token, found with ``np.unique`` -- the two logs and the
+two ``**`` are taken for that pair and gathered to every posting of the
+token that has it; ``log(1 - p̂)`` feeds both the contribution and the
+tuple's complement sum.  The formula is scalar: ``**`` and ``math.log`` are
+libm's, numpy's ``power`` / ``log`` are not guaranteed to round the same
+way.  The complements are added into a ``float64`` array with ``sums[tids]
++= complement`` -- a tid occurs at most once per token, so each tuple's sum
+takes one IEEE addition per token, in sorted token order, the order the
+paper's sum is taken in.  Nothing is kept per (tuple, token) besides the
 weighted postings; ``score()`` recomputes a posting from the same function
-and the tuple's own term frequency.  The formula is scalar on both kernel
-backends: ``**`` and ``math.log`` are libm's, numpy's ``power`` / ``log`` are
-not guaranteed to round the same way.  What differs is how the postings are
-walked.  A numpy fit (:meth:`LanguageModeling._posting_arrays`) reads the
-index's posting arrays: per token (sorted) it finds the distinct integer
-``(tf, |D|)`` pairs with ``np.unique``, calls the formula once per pair,
-gathers the results per posting, and adds the complements into a
-``float64`` array with ``sums[tids] += complement`` -- a tid occurs at most
-once per token, so each tuple's sum takes one IEEE addition per token, in
-sorted token order, exactly as the scalar loop adds them; no Python
-``(tid, tf)`` list is read.  The scalar pass
-(:meth:`LanguageModeling._posting_values`) walks the index's posting lists
-with a per-token memo of the same pairs; it is the fit without numpy and
-what the weighted index's scalar view re-runs on the first scalar read
-after a numpy fit, so it must stay free of side effects on the fitted state:
-the complement sums are added into the list the caller passes, and only the
-fit passes one.
+and the tuple's own term frequency.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core import kernels
 from repro.core.index import WeightedPostingIndex, distinct_pairs
@@ -76,10 +68,8 @@ class LanguageModeling(Predicate):
         self._pavg: Dict[str, float] = {}
         #: per-tuple ``|D|`` (1 for an empty tuple, which has no posting)
         self._lengths: List[int] = []
-        #: per-tuple Σ_{t ∈ D} log(1 - p̂(t|M_D))
-        self._sum_complement: List[float] = []
-        #: the same values as a float64 array (None without numpy)
-        self._sum_complement_array = None
+        #: per-tuple Σ_{t ∈ D} log(1 - p̂(t|M_D)), a float64 array
+        self._sum_complement = None
         #: token -> log(cf_t / cs)
         self._log_cfcs: Dict[str, float] = {}
 
@@ -101,32 +91,21 @@ class LanguageModeling(Predicate):
         # The whole per-posting contribution of equation 4.4 is precomputed,
         # so query-time accumulation does no log() calls at all.  Zero
         # contributions are kept: a tuple sharing only such tokens is still a
-        # candidate (it scores exp(sum_complement)).  With numpy the fit
-        # reads the posting arrays and the sums land in a float64 array --
-        # the vectorized finalize gather's mirror (built regardless of
-        # backend forcing, like the posting arrays) -- else in a list.
+        # candidate (it scores exp(sum_complement)).
         assert self._index is not None
-        np = kernels.np
-        if np is None:
-            sums = [0.0] * len(self._lengths)
-            values = self._posting_values(sums)
-        else:
-            sums = np.zeros(len(self._lengths), dtype=np.float64)
-            values = self._posting_arrays(sums)
+        sums = np.zeros(len(self._lengths), dtype=np.float64)
         self._weighted_index = WeightedPostingIndex(
-            self._index, values, self._posting_values, keep_zeros=True
+            self._index, self._posting_arrays(sums), keep_zeros=True
         )
-        self._sum_complement_array = None if np is None else sums
-        self._sum_complement = sums if np is None else sums.tolist()
+        self._sum_complement = sums
 
-    def _posting_arrays(self, sums) -> Iterator[Tuple[str, "np.ndarray"]]:
-        """:meth:`_posting_values` over the posting arrays (a numpy fit):
-        per token (sorted), :meth:`_posting_terms` once per distinct
-        ``(tf, |D|)`` pair, gathered per posting; each posting's
-        ``log(1 - p̂)`` is added to its tuple's entry of the ``float64``
-        array ``sums``.  The same calls with the same Python ints, and per
-        tuple the same additions in the same order, as the scalar pass."""
-        np = kernels.np
+    def _posting_arrays(self, sums) -> Iterator[Tuple[str, np.ndarray]]:
+        """Per token (sorted), :meth:`_posting_terms` once per distinct
+        ``(tf, |D|)`` pair of its posting arrays, gathered per posting; each
+        posting's ``log(1 - p̂)`` is added to its tuple's entry of the
+        ``float64`` array ``sums``.  Tokens are visited in sorted order, so
+        every tuple's sum adds its tokens in sorted order however the index
+        was built (RPL001)."""
         index, posting_terms = self._index, self._posting_terms
         lengths = np.array(self._lengths, dtype=np.int64)
         for token in sorted(index.tokens()):
@@ -140,41 +119,6 @@ class LanguageModeling(Predicate):
             # A tid occurs once per token: one addition per tuple.
             sums[tids] += complements[inverse]
             yield token, contributions[inverse]
-
-    def _posting_values(
-        self, sum_complement: Optional[List[float]] = None
-    ) -> Iterator[Tuple[str, List[float]]]:
-        """Per token, the contribution of each of its postings.
-
-        The fit passes ``sum_complement`` and each posting's ``log(1 - p̂)``
-        is added to its tuple's entry on the way; the weighted index's scalar
-        view re-runs the pass without it and the sums go to a scratch list,
-        so a re-run leaves the fitted state alone.  Tokens are visited in
-        sorted order, so every tuple's sum adds its tokens in sorted order
-        however the index was built (RPL001).
-
-        Within one token a posting's terms depend on ``(tf, |D|)`` only, so
-        :meth:`_posting_terms` is called once per distinct pair -- about a
-        tenth of the postings on short strings -- and every other posting
-        reads that call's result: the same function of the same arguments,
-        ``==`` to calling it per posting.
-        """
-        index, lengths = self._index, self._lengths
-        posting_terms = self._posting_terms
-        if sum_complement is None:
-            sum_complement = [0.0] * len(lengths)
-        for token in sorted(index.tokens()):
-            pavg, log_cfcs = self._pavg[token], self._log_cfcs[token]
-            terms: Dict[Tuple[int, int], Tuple[float, float]] = {}
-            values = []
-            for tid, tf in index.postings(token):
-                length = lengths[tid]
-                pair = terms.get((tf, length))
-                if pair is None:
-                    pair = terms[tf, length] = posting_terms(pavg, log_cfcs, tf, length)
-                values.append(pair[0])
-                sum_complement[tid] += pair[1]
-            yield token, values
 
     @staticmethod
     def _posting_terms(
@@ -204,22 +148,13 @@ class LanguageModeling(Predicate):
             [(token, 1.0) for token in sorted(query_tokens)],
             len(self._token_lists),
         )
-        pair = kernels.dense_pair(accumulators)
-        if pair is not None and self._sum_complement_array is not None:
-            tids, accumulated = pair
-            # One float64 add per candidate -- the identical IEEE operation
-            # the scalar comprehension performs; exp is deferred to the
-            # candidates selection keeps.
-            return kernels.exp_scores(
-                tids, accumulated + self._sum_complement_array[tids]
-            )
-        return {
-            tid: kernels.finalize_exp(accumulated + self._sum_complement[tid])
-            for tid, accumulated in accumulators.items()
-        }
+        tids = accumulators.tids
+        # One float64 add per candidate; exp is deferred to the candidates
+        # selection keeps.
+        return kernels.exp_scores(tids, accumulators.vals + self._sum_complement[tids])
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
-        if not 0 <= tid < len(self._sum_complement):
+        if not 0 <= tid < len(self._lengths):
             return 0.0
         counts, length = self._index.term_frequencies(tid), self._lengths[tid]
         accumulated = 0.0
@@ -234,4 +169,4 @@ class LanguageModeling(Predicate):
                 matched = True
         if not matched:
             return 0.0
-        return kernels.finalize_exp(accumulated + self._sum_complement[tid])
+        return kernels.finalize_exp(accumulated + float(self._sum_complement[tid]))

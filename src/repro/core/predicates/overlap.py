@@ -21,31 +21,26 @@ own tid arrays) and runs the weighted scan
 iterating query tokens in sorted order everywhere, so accumulation is
 deterministic.
 
-:meth:`_OverlapBase._scores` is the one place the two kernel backends part.
-On numpy the predicate always runs its one full scan, and a blocker or a
-restriction narrows the scan's ``(tids, values)`` with one boolean mask
-(absent on a plain call): an exact blocker (``length``, ``prefix`` and
-pipelines of them) marks it on the arrays -- the probe tokens' tid arrays,
-then the length bound as one comparison on the index's per-tuple sizes
-(:meth:`~repro.core.index.InvertedIndex.candidate_mask`) -- and a restriction
-by :func:`~repro.core.kernels.allowed_mask`; only LSH still hands over a
-candidate set.  The survivors are finalized as arrays and returned as
-:class:`~repro.core.kernels.DenseScores`, so selection never builds a dict.
-On the scalar backend -- and when the ladder healed a numpy failure, in the
-scan or in a probe -- the per-predicate dict loops answer: :meth:`_finalize`
-over the scan's dict on a plain call, :meth:`_allowed_scores` (one set
-intersection per allowed tuple of the set path's candidates, no scan) on a
-blocked or restricted one.  Both paths record the same blocker statistics,
-and they agree bit for bit: counts are exact integers, ``int / int`` is the
-same correctly rounded quotient in CPython and numpy, and the weighted
-finalizers apply the same float64 operations in the same order to the
-chains the scan already reproduces.
+:meth:`_OverlapBase._scores` runs the predicate's one full scan, and a
+blocker or a restriction narrows the scan's ``(tids, values)`` with one
+boolean mask (absent on a plain call): an exact blocker (``length``,
+``prefix`` and pipelines of them) marks it on the arrays -- the probe
+tokens' tid arrays, then the length bound as one comparison on the index's
+per-tuple sizes (:meth:`~repro.core.index.InvertedIndex.candidate_mask`) --
+and a restriction by :func:`~repro.core.kernels.allowed_mask`; only LSH
+still hands over a candidate set.  The survivors are finalized as arrays
+and returned as :class:`~repro.core.kernels.DenseScores`, so selection never
+builds a dict.  A fit builds no per-tuple token set: sizes come from the
+index's arrays, and :meth:`score` reads the tuple's own ``Counter`` (the
+index's term-frequency store), whose keys are its token set.
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, KeysView, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core import kernels
 from repro.core.corpus import CorpusCore
@@ -72,14 +67,16 @@ class _OverlapBase(Predicate):
     def __init__(self, tokenizer: Tokenizer | None = None):
         super().__init__()
         self.tokenizer = tokenizer or QgramTokenizer(q=2)
-        self._token_sets: list[set[str]] = []
-
-    def tokenize_phase(self) -> None:
-        super().tokenize_phase()
-        self._token_sets = self._core.token_sets
 
     def _query_tokens(self, query: str) -> set[str]:
         return set(self.tokenizer.tokenize(query))
+
+    def _tuple_tokens(self, tid: int) -> Optional[KeysView[str]]:
+        """The token set of tuple ``tid`` (its ``Counter``'s keys), ``None``
+        outside the relation."""
+        if not 0 <= tid < len(self._token_lists):
+            return None
+        return self._index.term_frequencies(tid).keys()
 
     # -- blocking -------------------------------------------------------------
 
@@ -90,62 +87,29 @@ class _OverlapBase(Predicate):
     def _blocker_query_tokens(self, query: str, blocker: "Blocker") -> Set[str]:
         return self._query_tokens(query)
 
-    def _candidate_ids(self, query_tokens: Set[str]) -> Set[int]:
-        """The set path's allowed candidates (a blocker or a restriction is
-        active): the blocker's from :meth:`InvertedIndex.candidates`, then
-        the restriction's.  Restriction tids outside the relation are
-        ignored, as the families that intersect a restriction with their
-        scored candidates ignore them.
-        """
-        blocker, restriction = self._blocker, self._restriction
-        if blocker is None:
-            size = len(self._token_sets)
-            return {tid for tid in restriction if 0 <= tid < size}
-        assert self._index is not None
-        allowed = self._index.candidates(query_tokens, blocker=blocker)
-        return allowed if restriction is None else allowed & restriction
-
-    def _in_range(self, tid: int) -> bool:
-        return 0 <= tid < len(self._token_sets)
-
     # -- scoring --------------------------------------------------------------
 
     def _scores(self, query: str) -> Dict[int, float]:
         query_tokens = self._query_tokens(query)
-        if kernels.active_backend() != "numpy":
-            return self._scalar_scores(query_tokens)
         scanned = self._scan(query_tokens)
-        pair = kernels.dense_pair(scanned)
-        if pair is None and scanned:
-            # The ladder healed the scan onto the scalar loop.
-            return self._scalar_scores(query_tokens, scanned)
-        tids = kernels.np.empty(0, dtype=kernels.np.int64) if pair is None else pair[0]
-        try:
-            keep = self._allowed_keep(query_tokens, tids)
-        except Exception:
-            # A probe tid array out of step with its posting list: the set
-            # path reads the posting lists themselves.
-            kernels.count_op("python_fallback")
-            return self._scalar_scores(query_tokens)
-        if pair is None:
-            return {}
-        values = pair[1]
+        tids, values = scanned.tids, scanned.vals
+        keep = self._allowed_keep(query_tokens, tids)
         if keep is not None:
             tids, values = tids[keep], values[keep]
-        scores = self._finalize_arrays(query_tokens, tids, values)
-        return kernels.DenseScores(tids, scores)
+        return kernels.DenseScores(tids, self._finalize_arrays(query_tokens, tids, values))
 
     def _allowed_keep(self, query_tokens: Set[str], tids):
-        """Boolean mask over the numpy scan's ``tids``: which the blocker and
-        the restriction allow (``None`` on a plain call).
+        """Boolean mask over the scan's ``tids``: which the blocker and the
+        restriction allow (``None`` on a plain call).
 
         An exact blocker answers on the arrays
         (:meth:`~repro.core.index.InvertedIndex.candidate_mask`), computed
         even when the scan found nothing, so its statistics count every
-        query; any other blocker hands over its candidate set.
+        query; any other blocker hands over its candidate set.  Restriction
+        tids outside the relation are ignored.
         """
         blocker, restriction = self._blocker, self._restriction
-        size = len(self._token_sets)
+        size = len(self._token_lists)
         keep = None
         if blocker is not None:
             assert self._index is not None
@@ -159,39 +123,15 @@ class _OverlapBase(Predicate):
             keep = restricted if keep is None else keep & restricted
         return keep
 
-    def _scalar_scores(
-        self, query_tokens: Set[str], scanned: Optional[Dict[int, float]] = None
-    ) -> Dict[int, float]:
-        """The dict loops: :meth:`_finalize` over the scan on a plain call,
-        :meth:`_allowed_scores` over the set path's candidates otherwise."""
-        if self._blocker is None and self._restriction is None:
-            return self._finalize(
-                query_tokens, self._scan(query_tokens) if scanned is None else scanned
-            )
-        return self._allowed_scores(query_tokens, self._candidate_ids(query_tokens))
-
     @abstractmethod
-    def _scan(self, query_tokens: Set[str]) -> Dict[int, float]:
+    def _scan(self, query_tokens: Set[str]) -> kernels.DenseScores:
         """The kernel scan: per candidate, the (count or weight of the)
         tokens shared with the query."""
 
     @abstractmethod
-    def _finalize(
-        self, query_tokens: Set[str], scanned: Dict[int, float]
-    ) -> Dict[int, float]:
-        """Scores from a scan's dict (scalar backend, plain call)."""
-
-    @abstractmethod
     def _finalize_arrays(self, query_tokens: Set[str], tids, values):
-        """:meth:`_finalize` over a numpy scan's arrays: the float64 scores
-        of ``tids``, bit-identical to the dict loop's."""
-
-    @abstractmethod
-    def _allowed_scores(
-        self, query_tokens: Set[str], allowed: Set[int]
-    ) -> Dict[int, float]:
-        """Scores of the allowed tuples sharing a (kept) token with the
-        query, one tuple at a time (scalar backend, blocked or restricted)."""
+        """The float64 scores of the scan's candidates ``tids`` from their
+        scanned ``values``."""
 
 
 class _CountOverlapBase(_OverlapBase):
@@ -200,11 +140,9 @@ class _CountOverlapBase(_OverlapBase):
     def weight_phase(self) -> None:
         """Unweighted predicates need no second phase."""
 
-    def _scan(self, query_tokens: Set[str]) -> Dict[int, int]:
+    def _scan(self, query_tokens: Set[str]) -> kernels.DenseScores:
         assert self._index is not None
-        return kernels.count_overlap(
-            self._index, query_tokens, len(self._token_sets)
-        )
+        return kernels.count_overlap(self._index, query_tokens, len(self._token_lists))
 
 
 class IntersectSize(_CountOverlapBase):
@@ -212,28 +150,14 @@ class IntersectSize(_CountOverlapBase):
 
     name = "IntersectSize"
 
-    def _finalize(
-        self, query_tokens: Set[str], scanned: Dict[int, int]
-    ) -> Dict[int, float]:
-        return {tid: float(count) for tid, count in scanned.items()}
-
     def _finalize_arrays(self, query_tokens: Set[str], tids, values):
-        return values.astype(kernels.np.float64)
-
-    def _allowed_scores(
-        self, query_tokens: Set[str], allowed: Set[int]
-    ) -> Dict[int, float]:
-        scores: Dict[int, float] = {}
-        for tid in allowed:
-            common = len(query_tokens & self._token_sets[tid])
-            if common:
-                scores[tid] = float(common)
-        return scores
+        return values.astype(np.float64)
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
-        if not self._in_range(tid):
+        tokens = self._tuple_tokens(tid)
+        if tokens is None:
             return 0.0
-        return float(len(self._query_tokens(query) & self._token_sets[tid]))
+        return float(len(self._query_tokens(query) & tokens))
 
 
 class Jaccard(_CountOverlapBase):
@@ -244,46 +168,21 @@ class Jaccard(_CountOverlapBase):
     #: this score: an overlap fraction bounded by min/max set size.
     similarity_kind = "jaccard"
 
-    def _finalize(
-        self, query_tokens: Set[str], scanned: Dict[int, int]
-    ) -> Dict[int, float]:
-        query_size = len(query_tokens)
-        scores: Dict[int, float] = {}
-        for tid, common in scanned.items():
-            union = query_size + len(self._token_sets[tid]) - common
-            scores[tid] = common / union if union else 0.0
-        return scores
-
     def _finalize_arrays(self, query_tokens: Set[str], tids, values):
         assert self._index is not None
         # A candidate shares a token, so union >= common >= 1: no zero guard.
         union = len(query_tokens) + self._index.set_sizes[tids] - values
         return values / union
 
-    def _allowed_scores(
-        self, query_tokens: Set[str], allowed: Set[int]
-    ) -> Dict[int, float]:
-        query_size = len(query_tokens)
-        scores: Dict[int, float] = {}
-        for tid in allowed:
-            token_set = self._token_sets[tid]
-            common = len(query_tokens & token_set)
-            if not common:
-                continue
-            union = query_size + len(token_set) - common
-            scores[tid] = common / union if union else 0.0
-        return scores
-
     def _score_one(self, query: str, tid: int) -> Optional[float]:
-        if not self._in_range(tid):
+        tokens = self._tuple_tokens(tid)
+        if tokens is None:
             return 0.0
         query_tokens = self._query_tokens(query)
-        token_set = self._token_sets[tid]
-        common = len(query_tokens & token_set)
+        common = len(query_tokens & tokens)
         if not common:
             return 0.0
-        union = len(query_tokens) + len(token_set) - common
-        return common / union if union else 0.0
+        return common / (len(query_tokens) + len(tokens) - common)
 
 
 class _WeightedOverlapBase(_OverlapBase):
@@ -304,14 +203,11 @@ class _WeightedOverlapBase(_OverlapBase):
         else:
             self._weights = self._stats.idf_table()
         assert self._index is not None
-        self._weighted_index = WeightedPostingIndex(
-            self._index, self._posting_values(), self._posting_values
-        )
+        self._weighted_index = WeightedPostingIndex(self._index, self._posting_values())
 
     def _posting_values(self) -> Iterator[Tuple[str, Sequence[float]]]:
         """Every posting of a token contributes the token's weight, so a
-        zero-weight token is dropped whole, as the accumulation loops would
-        skip it."""
+        zero-weight token is dropped whole, as it would add nothing."""
         index, weights = self._index, self._weights
         for token in index.tokens():
             yield token, [weights[token]] * index.document_frequency(token)
@@ -319,34 +215,33 @@ class _WeightedOverlapBase(_OverlapBase):
     def _weight(self, token: str) -> float:
         return self._weights.get(token, 0.0)
 
-    def _scan(self, query_tokens: Set[str]) -> Dict[int, float]:
+    def _scan(self, query_tokens: Set[str]) -> kernels.DenseScores:
         """Weight of the common tokens per candidate, postings-driven.
 
         Tokens are visited in sorted order so per-tuple summation order is
-        canonical (and matches :meth:`_tuple_common_weight`); the kernel
-        reproduces that order bit for bit on both backends.
+        canonical (and matches :meth:`_tuple_common_weight`).
         """
         assert self._weighted_index is not None
         return kernels.accumulate(
             self._weighted_index,
             [(token, 1.0) for token in sorted(query_tokens)],
-            len(self._token_sets),
+            len(self._token_lists),
         )
 
     def _tuple_common_weight(
-        self, sorted_tokens: Sequence[str], tid: int
+        self, sorted_tokens: Sequence[str], tokens: KeysView[str]
     ) -> Tuple[float, bool]:
-        """``(common weight, matched)`` of one tuple in the canonical order.
+        """``(common weight, matched)`` of one tuple's ``tokens`` in the
+        canonical order.
 
         ``sorted_tokens`` must be the query tokens in sorted order (the
         caller sorts once per query), so summation matches the
         postings-driven path bit for bit.
         """
-        token_set = self._token_sets[tid]
         total = 0.0
         matched = False
         for token in sorted_tokens:
-            if token not in token_set:
+            if token not in tokens:
                 continue
             weight = self._weight(token)
             if weight == 0.0:
@@ -355,48 +250,20 @@ class _WeightedOverlapBase(_OverlapBase):
             matched = True
         return total, matched
 
-    def _restricted_common_weight(
-        self, query_tokens: Set[str], allowed: Set[int]
-    ) -> Dict[int, float]:
-        """Weight of the common tokens per allowed candidate.
-
-        Candidates sharing only zero-weight tokens are omitted, matching the
-        postings-driven accumulation of :meth:`_scan` (whose posting index
-        drops zero-weight tokens).
-        """
-        sorted_tokens = sorted(query_tokens)
-        common_weight: Dict[int, float] = {}
-        for tid in allowed:
-            total, matched = self._tuple_common_weight(sorted_tokens, tid)
-            if matched:
-                common_weight[tid] = total
-        return common_weight
-
-    def _allowed_scores(
-        self, query_tokens: Set[str], allowed: Set[int]
-    ) -> Dict[int, float]:
-        return self._finalize(
-            query_tokens, self._restricted_common_weight(query_tokens, allowed)
-        )
-
 
 class WeightedMatch(_WeightedOverlapBase):
     """Sum of weights of the common tokens (RS weights by default)."""
 
     name = "WeightedMatch"
 
-    def _finalize(
-        self, query_tokens: Set[str], scanned: Dict[int, float]
-    ) -> Dict[int, float]:
-        return scanned
-
     def _finalize_arrays(self, query_tokens: Set[str], tids, values):
         return values
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
-        if not self._in_range(tid):
+        tokens = self._tuple_tokens(tid)
+        if tokens is None:
             return 0.0
-        return self._tuple_common_weight(sorted(self._query_tokens(query)), tid)[0]
+        return self._tuple_common_weight(sorted(self._query_tokens(query)), tokens)[0]
 
 
 class WeightedJaccard(_WeightedOverlapBase):
@@ -406,51 +273,42 @@ class WeightedJaccard(_WeightedOverlapBase):
 
     def __init__(self, tokenizer: Tokenizer | None = None, weighting: str = "rs"):
         super().__init__(tokenizer, weighting)
-        self._tuple_weight_sums: list[float] = []
-        #: The same sums as one float64 array (``None`` without numpy).
-        self._tuple_weight_sum_array = None
+        #: Per tuple, the weight of its token set, as one float64 array.
+        self._tuple_weight_sums = None
 
     def weight_phase(self) -> None:
         super().weight_phase()
-        self._tuple_weight_sums = [
-            sum(self._weight(token) for token in sorted(token_set))
-            for token_set in self._token_sets
-        ]
-        np = kernels.np
-        self._tuple_weight_sum_array = (
-            None if np is None else np.array(self._tuple_weight_sums, dtype=np.float64)
+        weight = self._weight
+        self._tuple_weight_sums = np.array(
+            [
+                sum(weight(token) for token in sorted(counts))
+                for counts in self._core.term_frequencies
+            ],
+            dtype=np.float64,
         )
 
     def _query_weight_sum(self, query_tokens: Set[str]) -> float:
         return sum(self._weight(token) for token in sorted(query_tokens))
 
-    def _finalize(
-        self, query_tokens: Set[str], scanned: Dict[int, float]
-    ) -> Dict[int, float]:
-        query_weight_sum = self._query_weight_sum(query_tokens)
-        scores: Dict[int, float] = {}
-        for tid, common in scanned.items():
-            union = query_weight_sum + self._tuple_weight_sums[tid] - common
-            scores[tid] = common / union if union > 0 else 0.0
-        return scores
-
     def _finalize_arrays(self, query_tokens: Set[str], tids, values):
-        np = kernels.np
         union = (
-            self._query_weight_sum(query_tokens) + self._tuple_weight_sum_array[tids]
+            self._query_weight_sum(query_tokens) + self._tuple_weight_sums[tids]
         ) - values
         scores = np.zeros(values.size, dtype=np.float64)
         np.divide(values, union, out=scores, where=union > 0)
         return scores
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
-        if not self._in_range(tid):
+        tokens = self._tuple_tokens(tid)
+        if tokens is None:
             return 0.0
         query_tokens = self._query_tokens(query)
-        common, matched = self._tuple_common_weight(sorted(query_tokens), tid)
+        common, matched = self._tuple_common_weight(sorted(query_tokens), tokens)
         if not matched:
             return 0.0
         union = (
-            self._query_weight_sum(query_tokens) + self._tuple_weight_sums[tid] - common
+            self._query_weight_sum(query_tokens)
+            + float(self._tuple_weight_sums[tid])
+            - common
         )
         return common / union if union > 0 else 0.0

@@ -84,10 +84,6 @@ class _FittedState:
     recorder: Optional[RecordingBackend] = None
 
 
-#: Entries of :func:`repro.core.kernels.ops_snapshot` that are not published
-#: as ``kernel_ops.<name>``.
-_KERNEL_COUNTERS = {"scalar_view_build": "core.scalar_view.builds_total"}
-
 #: The attributes where each kind of predicate leaves the counter records
 #: (:class:`~repro.obs.metrics.CounterRecord`) of the call it just ran.
 _CALL_RECORDS = {
@@ -907,13 +903,10 @@ class Query:
         obs.metrics.observe("latency.execute." + kind, perf_clock() - started)
         # Attribute the scoring-kernel invocations of this execution (process
         # workers keep their counts worker-side; serial/thread land here).
-        for backend_name, total in kernels.ops_snapshot().items():
-            delta = total - kernel_before.get(backend_name, 0)
+        for name, total in kernels.ops_snapshot().items():
+            delta = total - kernel_before.get(name, 0)
             if delta:
-                obs.metrics.inc(
-                    _KERNEL_COUNTERS.get(backend_name, "kernel_ops." + backend_name),
-                    delta,
-                )
+                obs.metrics.inc("kernel_ops." + name, delta)
         return results, span, records
 
     def rank(self, query: str, limit: Optional[int] = None) -> List[Match]:
@@ -928,8 +921,8 @@ class Query:
         """The ``k`` most similar tuples.
 
         On the direct realization this is the predicate's ``top_k``, i.e.
-        ``rank(query, limit=k)``: dense scan + partition selection under the
-        numpy kernel backend, scalar accumulation + a bounded heap otherwise.
+        ``rank(query, limit=k)``: dense scan + partition selection for a
+        kernelised predicate, a bounded heap over the score dict otherwise.
         Results are identical to a full ranking cut to ``k`` either way;
         :meth:`explain` names the path that ran.
         """
@@ -1139,22 +1132,10 @@ class Query:
         else:
             notes.append("direct realization executes in-process (no SQL)")
             if self._uses_kernels():
-                backend = kernels.active_backend()
-                if backend == "numpy":
-                    notes.append(
-                        "scoring kernels: 'numpy' backend (vectorized "
-                        "accumulation over array-backed postings)"
-                    )
-                    notes.append(
-                        "kernel fallback ladder: a numpy kernel failure "
-                        "falls back to the bit-identical 'python' backend "
-                        "(counted as kernel_ops.python_fallback)"
-                    )
-                else:
-                    notes.append(
-                        "scoring kernels: 'python' backend (pure-Python "
-                        "fallback; install the 'fast' extra for numpy)"
-                    )
+                notes.append(
+                    "scoring kernels: numpy (vectorized accumulation over "
+                    "array-backed postings)"
+                )
             if self._backend is not None:
                 notes.append("backend setting ignored by the direct realization")
             if self._sharding_active():
@@ -1328,7 +1309,7 @@ class Query:
         if weights:
             report.weights = (
                 "{weighted_postings} postings ({zero_dropped} dropped as zero), "
-                "derived in {weights_s:.2f} s, scalar view: {scalar_view}".format(
+                "derived in {weights_s:.2f} s".format(
                     **weights
                 )
             )

@@ -18,6 +18,7 @@ from typing import Sequence, Union
 
 from repro.core.predicates.base import Predicate
 from repro.declarative.base import DeclarativePredicate
+from repro.engine.protocol import pair_host
 from repro.obs.clock import perf_clock
 
 __all__ = [
@@ -165,6 +166,9 @@ def time_queries(
 ) -> QueryTiming:
     """Measure average query (ranking) time over a workload.
 
+    Each query is one full ranking read as the ordered ``(tid, score)``
+    pairs the engine reads (:func:`~repro.engine.protocol.pair_host`), so
+    the figure is the cost of scoring, not of building result objects.
     The predicate is fit first (not included in the measurement) unless it is
     already fitted on the given relation.  With ``num_shards > 1`` (direct
     realization, predicate given by name) the workload is timed over sharded
@@ -184,9 +188,10 @@ def time_queries(
     if not fitted or (base is not None and base != list(strings)):
         predicate.fit(strings)
 
+    host = pair_host(predicate)
     started = perf_clock()
     for query in queries:
-        predicate.rank(query)
+        host.rank_pairs(query)
     elapsed = perf_clock() - started
     return QueryTiming(
         predicate_name=getattr(predicate, "name", type(predicate).__name__),

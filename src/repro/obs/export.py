@@ -56,9 +56,9 @@ def bench_envelope(
 
     ``results`` is a list of flat dicts -- one per measured configuration --
     whose keys the individual benchmark defines; the envelope is what makes
-    the files machine-comparable across benchmarks.  Every envelope records
-    the scoring-kernel backend that was active when it was produced
-    (``numpy``/``python``), so BENCH_*.json numbers are attributable.
+    the files machine-comparable across benchmarks.  ``kernel`` names the
+    scoring kernels (always ``numpy``), kept so BENCH_*.json files written
+    when there were two stay comparable.
     """
     report = {
         "schema": SCHEMA,
@@ -66,20 +66,11 @@ def bench_envelope(
         "benchmark": benchmark,
         "relation": dict(relation) if relation else {},
         "config": dict(config),
-        "kernel": _kernel_backend(),
+        "kernel": "numpy",
         "results": [dict(row) for row in results],
     }
     report.update(extra)
     return report
-
-
-def _kernel_backend() -> str:
-    # Imported lazily: repro.obs must stay importable without repro.core.
-    try:
-        from repro.core.kernels import active_backend
-    except ImportError:  # pragma: no cover - defensive
-        return "unknown"
-    return active_backend()
 
 
 def write_json(path: str, payload: dict) -> None:

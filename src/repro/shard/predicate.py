@@ -358,12 +358,9 @@ class ShardedPredicate(PairHost, BlockingHost):
         summaries = [shard.weights_summary() for shard in self._shards]
         if not summaries or not all(summaries):
             return {}
-        built = sum(shard._weighted_index.scalar_view_built for shard in self._shards)
         return {
-            "weighted_postings": sum(part["weighted_postings"] for part in summaries),
-            "zero_dropped": sum(part["zero_dropped"] for part in summaries),
-            "weights_s": sum(part["weights_s"] for part in summaries),
-            "scalar_view": f"built in {built}/{len(summaries)} shards",
+            key: sum(part[key] for part in summaries)
+            for key in ("weighted_postings", "zero_dropped", "weights_s")
         }
 
     def close(self) -> None:
@@ -488,28 +485,23 @@ class ShardedPredicate(PairHost, BlockingHost):
         """Union of the shard indexes' candidates for the probe tokens
         (global ids) -- identical to the unsharded index's candidate set.
 
-        On numpy a shard whose posting arrays are built answers from its
-        tid arrays (:func:`~repro.core.kernels.posting_tids`, checked in step
-        with the document frequencies), so a blocked call derives no posting
-        list; otherwise -- or when that check fails, counted as one
-        ``python_fallback`` -- from the shard's posting lists.
+        A shard whose posting arrays are built answers from its tid arrays
+        (:func:`~repro.core.kernels.posting_tids`, checked in step with the
+        document frequencies: a short array raises), so a blocked call
+        derives no posting list; a shard without arrays (the edit family)
+        from its posting lists.
         """
         candidates: Set[int] = set()
-        on_arrays = kernels.active_backend() == "numpy"
         for shard_id, shard in enumerate(self._shards):
             index = getattr(shard, "_index", None)
             if index is None:  # pragma: no cover - defensive
                 continue
             offset = self._offsets[shard_id]
-            if on_arrays and index.set_sizes is not None:
-                try:
-                    tids = kernels.posting_tids(index, probe_tokens)
-                except Exception:
-                    kernels.count_op("python_fallback")
-                else:
-                    if tids is not None:
-                        candidates.update((tids + offset).tolist())
-                    continue
+            if index.set_sizes is not None:
+                tids = kernels.posting_tids(index, probe_tokens)
+                if tids is not None:
+                    candidates.update((tids + offset).tolist())
+                continue
             for token in probe_tokens:
                 for tid, _ in index.postings(token):
                     candidates.add(tid + offset)

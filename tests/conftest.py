@@ -94,16 +94,3 @@ def counting_tokenizer() -> CountingTokenizer:
     from repro.text.tokenize import QgramTokenizer
 
     return CountingTokenizer(QgramTokenizer(q=2))
-
-
-@pytest.fixture()
-def scalar_kernel():
-    """Force the scalar kernel backend, where ``top_k`` is the heap selection.
-
-    Tests that pin the scalar backend's plan/explain wording take this
-    fixture so they run on every CI leg, not only where numpy is absent.
-    """
-    from repro.core import kernels
-
-    with kernels.use_backend("python"):
-        yield

@@ -427,7 +427,7 @@ class TestSurfacedFixes:
         backward = LanguageModeling(tokenizer=WordTokenizer()).fit(
             corpus, token_lists=reversed_lists
         )
-        assert forward._sum_complement == backward._sum_complement
+        assert forward._sum_complement.tolist() == backward._sum_complement.tolist()
         query = "alpha delta"
         assert [(m.tid, m.score) for m in forward.rank(query)] == [
             (m.tid, m.score) for m in backward.rank(query)

@@ -1,28 +1,31 @@
 """Exact blockers on the posting arrays.
 
-On the numpy backend an overlap predicate under an exact blocker
-(``length``, ``prefix`` and pipelines made only of them) keeps its one full
-scan and narrows the scan's ``(tids, values)`` with boolean masks: the probe
-tokens' tid arrays mark the probed candidates and
-:meth:`~repro.blocking.base.Blocker.prune_array` applies the length bound
+An overlap predicate under an exact blocker (``length``, ``prefix`` and
+pipelines made only of them) keeps its one full scan and narrows the scan's
+``(tids, values)`` with boolean masks: the probe tokens' tid arrays mark the
+probed candidates and :meth:`~repro.blocking.base.Blocker.prune_array`
+applies the length bound
 (:meth:`~repro.core.index.InvertedIndex.candidate_mask`).  No Python
 candidate set is built.  The contract pinned here is that this changes
 nothing observable: answers, ``last_num_candidates`` and every
 :class:`~repro.blocking.base.BlockingStats` counter (the pipeline's and
-each stage's) are ``==`` to the set path's (``use_backend("python")``), and
-a blocked Jaccard selection is ``==`` to the unblocked one at or above the
-blocker's threshold.  LSH keeps the set path.
+each stage's) are ``==`` to the set path's -- the blocker's candidate set
+from :meth:`~repro.core.index.InvertedIndex.candidates`, applied as a
+restriction to an unblocked predicate -- and a blocked Jaccard selection is
+``==`` to the unblocked one at or above the blocker's threshold.  LSH keeps
+the set path.
 
-Also here: the array path's fallback ladder (a prefix token whose tid array
-is out of step with its posting list heals or raises, never answers from
-fewer candidates), a blocker re-attached to the relation it was fitted from
-is not refitted, and the ``length+prefix`` fit from the corpus core builds
-the structures the token-list fit built.
+Also here: the probe's in-step check (a prefix token whose tid array is out
+of step with its document frequency raises, never answers from fewer
+candidates), a blocker re-attached to the relation it was fitted from is
+not refitted, and the ``length+prefix`` fit from the corpus core builds the
+structures the token-list fit built.
 """
 
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,17 +37,13 @@ from repro.blocking import (
     PrefixFilter,
     make_blocker,
 )
-from repro.core import ApproximateJoiner, Deduplicator, kernels
+from repro.core import ApproximateJoiner, Deduplicator
 from repro.core.corpus import CorpusCore
 from repro.core.index import InvertedIndex
 from repro.core.predicates import make_predicate
 from repro.datagen import make_dataset
 from repro.engine import SimilarityEngine
 from repro.text.tokenize import QgramTokenizer, WordTokenizer
-
-needs_numpy = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy unavailable"
-)
 
 #: The overlap predicates: both count-scan ones and a weighted one (whose
 #: scan drops zero-weight tokens, so its candidates are not the probe's).
@@ -107,110 +106,138 @@ def _blocked(case):
     return predicate
 
 
-def _run(case, backend):
-    """Every operation over every query under ``backend``: answers (exact
-    floats), candidate counts, and the blocker's counters afterwards."""
+def _operations(predicate, query, case):
+    return (
+        lambda: predicate.select(query, case["threshold"]),
+        lambda: predicate.rank(query),
+        lambda: predicate.top_k(query, case["k"]),
+    )
+
+
+def _answer(operation, predicate):
+    return [(m.tid, m.score.hex()) for m in operation()], predicate.last_num_candidates
+
+
+def _run(case):
+    """Every operation over every query on the blocked predicate: answers
+    (exact floats), candidate counts, and the blocker's counters afterwards."""
     predicate = _blocked(case)
     answers = []
-    with kernels.use_backend(backend), predicate.restrict_candidates(
-        case["restriction"]
-    ):
+    with predicate.restrict_candidates(case["restriction"]):
         for query in case["queries"]:
-            for operation in (
-                lambda: predicate.select(query, case["threshold"]),
-                lambda: predicate.rank(query),
-                lambda: predicate.top_k(query, case["k"]),
-            ):
-                answer = [(m.tid, m.score.hex()) for m in operation()]
-                answers.append((answer, predicate.last_num_candidates))
+            for operation in _operations(predicate, query, case):
+                answers.append(_answer(operation, predicate))
     return answers, _stats(predicate.blocker)
 
 
-@needs_numpy
+def _run_set_path(case):
+    """:func:`_run` on the set path: per operation, the blocker's candidate
+    set (``InvertedIndex.candidates``), narrowed by the restriction, scopes
+    an unblocked predicate."""
+    blocked = _blocked(case)
+    blocker, index = blocked.blocker, blocked._index
+    plain = make_predicate(case["name"], tokenizer=case["tokenizer"]).fit(case["corpus"])
+    restriction = case["restriction"]
+    answers = []
+    for query in case["queries"]:
+        for operation in _operations(plain, query, case):
+            allowed = index.candidates(blocked._query_tokens(query), blocker=blocker)
+            if restriction is not None:
+                allowed &= restriction
+            with plain.restrict_candidates(allowed):
+                answers.append(_answer(operation, plain))
+    return answers, _stats(blocker)
+
+
 @given(case=blocked_cases())
 @settings(max_examples=250, deadline=None)
 def test_array_path_matches_the_set_path(case):
-    assert _run(case, "numpy") == _run(case, "python")
+    assert _run(case) == _run_set_path(case)
 
 
-@needs_numpy
 @given(case=blocked_cases())
 @settings(max_examples=150, deadline=None)
 def test_exact_blocked_jaccard_select_is_the_unblocked_select(case):
     case = dict(case, name="jaccard", spec=sorted(EXACT)[len(case["queries"]) % 3])
     blocked = _blocked(case)
     plain = make_predicate("jaccard", tokenizer=case["tokenizer"]).fit(case["corpus"])
-    with kernels.use_backend("numpy"), blocked.restrict_candidates(
+    with blocked.restrict_candidates(case["restriction"]), plain.restrict_candidates(
         case["restriction"]
-    ), plain.restrict_candidates(case["restriction"]):
+    ):
         for query in case["queries"]:
             assert blocked.select(query, case["threshold"]) == plain.select(
                 query, case["threshold"]
             )
 
 
-@needs_numpy
-@pytest.mark.parametrize("spec", SPECS)
-def test_blocked_self_join_and_dedup_match_the_set_path(spec):
-    """Blocked self-joins probe under ``restrict_candidates``: the same pairs,
-    the same work counters and the same blocker counters on both paths."""
+@pytest.mark.parametrize("spec", sorted(EXACT))
+def test_exact_blocked_self_join_and_dedup_match_the_unblocked_ones(spec):
+    """Blocked self-joins probe under ``restrict_candidates``: an exact
+    blocker at the join threshold finds every pair the unblocked join finds."""
     rows = make_dataset("CU1", size=120, num_clean=12, seed=5).strings
-    outcomes = []
-    for backend in ("python", "numpy"):
-        blocker = make_blocker(spec, threshold=0.5)
-        with kernels.use_backend(backend):
-            joiner = ApproximateJoiner(rows, "jaccard", threshold=0.5, blocker=blocker)
-            pairs = joiner.self_join()
-            stats = (joiner.last_self_join_stats, _stats(blocker))
-            clusters = Deduplicator(
-                rows, predicate="jaccard", threshold=0.5, blocker=blocker
-            ).clusters()
-        outcomes.append((pairs, stats, clusters))
-    assert outcomes[0] == outcomes[1]
-    if spec in EXACT:
-        plain = ApproximateJoiner(rows, "jaccard", threshold=0.5).self_join()
-        assert [(p.left_id, p.right_id, p.score) for p in outcomes[1][0]] == [
-            (p.left_id, p.right_id, p.score) for p in plain
-        ]
+    blocker = make_blocker(spec, threshold=0.5)
+    pairs = ApproximateJoiner(rows, "jaccard", threshold=0.5, blocker=blocker).self_join()
+    plain = ApproximateJoiner(rows, "jaccard", threshold=0.5).self_join()
+    assert [(p.left_id, p.right_id, p.score) for p in pairs] == [
+        (p.left_id, p.right_id, p.score) for p in plain
+    ]
+    clusters = Deduplicator(
+        rows, predicate="jaccard", threshold=0.5, blocker=make_blocker(spec, threshold=0.5)
+    ).clusters()
+    assert clusters == Deduplicator(rows, predicate="jaccard", threshold=0.5).clusters()
+
+
+def test_lsh_blocked_self_join_finds_a_subset_of_the_unblocked_pairs():
+    """LSH may miss a pair, but it cannot invent one or change its score."""
+    rows = make_dataset("CU1", size=120, num_clean=12, seed=5).strings
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        blocker = make_blocker("length+lsh", threshold=0.5)
+        pairs = ApproximateJoiner(rows, "jaccard", threshold=0.5, blocker=blocker).self_join()
+    plain = ApproximateJoiner(rows, "jaccard", threshold=0.5).self_join()
+    found = {(p.left_id, p.right_id, p.score) for p in pairs}
+    assert found and found <= {(p.left_id, p.right_id, p.score) for p in plain}
 
 
 ROWS = make_dataset("CU1", size=300, num_clean=30, seed=3).strings
 
 
-@needs_numpy
+def _rows_case(name, spec="length+prefix"):
+    return {
+        "corpus": ROWS,
+        "name": name,
+        "spec": spec,
+        "tokenizer": QgramTokenizer(q=2),
+        "blocker_threshold": 0.5,
+        "threshold": 0.5,
+        "k": 5,
+        "restriction": None,
+        "queries": ROWS[:20],
+    }
+
+
 @pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("spec", sorted(EXACT))
 @pytest.mark.parametrize("restricted", [False, True])
-def test_exact_blocked_numpy_calls_build_no_candidate_set(
-    name, spec, restricted, monkeypatch
-):
-    predicate = _blocked(
-        {
-            "corpus": ROWS,
-            "name": name,
-            "spec": spec,
-            "tokenizer": QgramTokenizer(q=2),
-            "blocker_threshold": 0.5,
-        }
-    )
-    with kernels.use_backend("python"):
-        want = [predicate.select(text, 0.5) for text in ROWS[:20]]
+def test_exact_blocked_calls_build_no_candidate_set(name, spec, restricted, monkeypatch):
+    case = _rows_case(name, spec)
+    predicate = _blocked(case)
+    want = _run_set_path(case)[0][::3]  # the selections
 
     def no_set_path(*args, **kwargs):
-        raise AssertionError("the numpy path must not build a candidate set")
+        raise AssertionError("the array path must not build a candidate set")
 
     monkeypatch.setattr(InvertedIndex, "candidates", no_set_path)
     monkeypatch.setattr(Blocker, "prune", no_set_path)
     allowed = set(range(0, len(ROWS), 2)) if restricted else None
-    with kernels.use_backend("numpy"), predicate.restrict_candidates(allowed):
-        got = [predicate.select(text, 0.5) for text in ROWS[:20]]
+    with predicate.restrict_candidates(allowed):
+        got = [_answer(lambda q=q: predicate.select(q, 0.5), predicate) for q in ROWS[:20]]
         predicate.top_k(ROWS[0], 5)
         predicate.rank(ROWS[1])
     if not restricted:
         assert got == want
 
 
-@needs_numpy
 def test_lsh_keeps_the_set_path(monkeypatch):
     predicate = make_predicate("jaccard").fit(ROWS)
     predicate.set_blocker(make_blocker("length+lsh", threshold=0.5))
@@ -222,12 +249,11 @@ def test_lsh_keeps_the_set_path(monkeypatch):
         return candidates(self, tokens, blocker)
 
     monkeypatch.setattr(InvertedIndex, "candidates", spy)
-    with kernels.use_backend("numpy"):
-        predicate.select(ROWS[0], 0.5)
+    predicate.select(ROWS[0], 0.5)
     assert seen == [predicate.blocker]
 
 
-# -- the ladder -----------------------------------------------------------------
+# -- the in-step check ----------------------------------------------------------
 
 
 def _prefix_token(predicate, query):
@@ -237,39 +263,18 @@ def _prefix_token(predicate, query):
     return max(prefix, key=index.document_frequency)
 
 
-@needs_numpy
 @pytest.mark.parametrize("damage", ["truncate", "drop", "retype", "overrun", "swap"])
 @pytest.mark.parametrize("name", NAMES)
-def test_prefix_tid_array_out_of_step_heals(name, damage):
-    """A prefix token whose tid array is out of step with its posting list
-    ends as the scalar answer, one ``python_fallback`` later -- never as an
-    answer drawn from fewer candidates.  ``swap`` shortens the prefix
+def test_prefix_tid_array_out_of_step_raises(name, damage):
+    """A prefix token whose tid array is out of step with its document
+    frequency fails the call -- never an answer drawn from fewer
+    candidates.  A short or missing array (``truncate``, ``drop``) is the
+    in-step check's :class:`ValueError`; ``swap`` shortens the prefix
     token's array and lengthens a non-prefix query token's by as much, so
     the count scan's total still matches and only the probe's check sees
     it."""
-    np = kernels.np
     query = max(ROWS[:50], key=len)
-    fresh = _blocked(
-        {
-            "corpus": ROWS,
-            "name": name,
-            "spec": "length+prefix",
-            "tokenizer": QgramTokenizer(q=2),
-            "blocker_threshold": 0.5,
-        }
-    )
-    with kernels.use_backend("python"):
-        want = (fresh.select(query, 0.5), fresh.last_num_candidates)
-        want_stats = _stats(fresh.blocker)
-    predicate = _blocked(
-        {
-            "corpus": ROWS,
-            "name": name,
-            "spec": "length+prefix",
-            "tokenizer": QgramTokenizer(q=2),
-            "blocker_threshold": 0.5,
-        }
-    )
+    predicate = _blocked(_rows_case(name))
     index = predicate._index
     arrays = dict(index._arrays)
     token = _prefix_token(predicate, query)
@@ -297,15 +302,16 @@ def test_prefix_tid_array_out_of_step_heals(name, damage):
             "overrun": (tids + len(ROWS), tfs),
         }[damage]
     index._arrays = arrays
-    before = kernels.ops_snapshot()["python_fallback"]
-    with kernels.use_backend("numpy"):
-        got = (predicate.select(query, 0.5), predicate.last_num_candidates)
-    assert kernels.ops_snapshot()["python_fallback"] > before
-    assert got == want
-    assert _stats(predicate.blocker) == want_stats
+    predicate.last_num_candidates = None
+    if damage in ("truncate", "drop", "swap"):
+        with pytest.raises(ValueError, match="out of step"):
+            predicate.select(query, 0.5)
+    else:  # a wrong dtype or a tid beyond the relation fails in numpy itself
+        with pytest.raises((ValueError, TypeError, IndexError)):
+            predicate.select(query, 0.5)
+    assert predicate.last_num_candidates is None
 
 
-@needs_numpy
 def test_candidate_mask_raises_on_an_out_of_step_probe():
     predicate = make_predicate("jaccard").fit(ROWS)
     blocker = PrefixFilter(0.5).fit_core(predicate._core)

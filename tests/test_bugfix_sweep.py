@@ -191,10 +191,8 @@ class TestGesApxFilterDeterminism:
         )
 
 
-@pytest.mark.usefixtures("scalar_kernel")
 class TestExplainExecutionAccuracy:
-    """Pinned on the scalar backend, where ``top_k`` is the heap selection;
-    the numpy wording is pinned below."""
+    """explain() names the top_k path that ran, and no fallback that did not."""
 
     def test_explain_without_k_reports_the_full_ranking(self):
         engine = SimilarityEngine()
@@ -208,12 +206,16 @@ class TestExplainExecutionAccuracy:
 
     @pytest.mark.parametrize("name", ["bm25", "jaccard", "edit_distance"])
     @pytest.mark.parametrize("blocked", [False, True])
-    def test_direct_topk_reports_the_heap_and_no_fallback(self, name, blocked):
+    def test_direct_topk_reports_its_path_and_no_fallback(self, name, blocked):
         query = SimilarityEngine().from_strings(CORPUS).predicate(name)
         if blocked:
             query = query.blocker("lsh")
         report = query.explain("Morgan Stanley", k=3)
-        assert report.execution == "top_k via heap accumulation"
+        path = (
+            "heap accumulation" if name == "edit_distance"
+            else "dense scan + partition (numpy kernel)"
+        )
+        assert report.execution == "top_k via " + path
         assert report.fallback_reason is None
         assert "executed:" in report.describe()
         assert "fallback:" not in report.describe()
@@ -229,10 +231,10 @@ class TestExplainExecutionAccuracy:
         )
         for query in (blocked, blocked.blocker(None)):
             notes = query.plan("top_k").notes
-            assert "top_k: heap accumulation" in notes
+            assert "top_k: dense scan + partition (numpy kernel)" in notes
             assert not any("skipped" in note for note in notes)
             report = query.explain("Morgan Stanley", k=3)
-            assert report.execution == "top_k via heap accumulation"
+            assert report.execution == "top_k via dense scan + partition (numpy kernel)"
             assert report.fallback_reason is None
             assert report.shards.describe() == "2/2 shards run via 'serial' executor"
 
@@ -245,16 +247,14 @@ class TestExplainExecutionAccuracy:
         assert report.fallback_reason is None
 
 
-@pytest.mark.skipif(not kernels.numpy_available(), reason="numpy unavailable")
 class TestExplainNamesTheNumpyPath:
     """explain()/plan() used to call every top_k "heap accumulation", even
     when the numpy kernel ran a scan + argpartition."""
 
     def test_monotone_predicate_reports_dense_scan(self):
         query = SimilarityEngine().from_strings(CORPUS * 10).predicate("bm25")
-        with kernels.use_backend("numpy"):
-            notes = " | ".join(query.plan("top_k").notes)
-            report = query.explain("Morgan Stanley Inc", k=3)
+        notes = " | ".join(query.plan("top_k").notes)
+        report = query.explain("Morgan Stanley Inc", k=3)
         assert "top_k: dense scan + partition (numpy kernel)" in notes
         assert "heap" not in notes
         assert report.execution == "top_k via dense scan + partition (numpy kernel)"
@@ -263,46 +263,35 @@ class TestExplainNamesTheNumpyPath:
 
     def test_unkernelized_predicate_still_reports_the_heap(self):
         query = SimilarityEngine().from_strings(CORPUS).predicate("edit_distance")
-        with kernels.use_backend("numpy"):
-            notes = " | ".join(query.plan("top_k").notes)
-            report = query.explain("IBM", k=2)
+        notes = " | ".join(query.plan("top_k").notes)
+        report = query.explain("IBM", k=2)
         assert "scoring kernels" not in notes
         assert report.execution == "top_k via heap accumulation"
         assert report.fallback_reason is None
 
     @pytest.mark.parametrize("name", ["jaccard", "intersect"])
-    def test_count_scan_predicates_name_the_backend_that_ran(self, name):
+    def test_count_scan_predicates_name_the_kernel_that_ran(self, name):
         """The unweighted overlap pair scores through the count-scan kernel:
-        a numpy scan is not "heap accumulation", and the scalar backend says
-        it is the scalar backend."""
+        a numpy scan is not "heap accumulation"."""
         engine = SimilarityEngine()
         query = engine.from_strings(CORPUS * 10).predicate(name)
-        with kernels.use_backend("numpy"):
-            notes = " | ".join(query.plan("top_k").notes)
-            before = kernels.ops_snapshot()["numpy"]
-            report = query.explain("Morgan Stanley Inc", k=3)
-            assert kernels.ops_snapshot()["numpy"] > before
-        assert "scoring kernels: 'numpy' backend" in notes
-        assert "kernel fallback ladder" in notes
+        notes = " | ".join(query.plan("top_k").notes)
+        before = kernels.ops_snapshot()["numpy"]
+        report = query.explain("Morgan Stanley Inc", k=3)
+        assert kernels.ops_snapshot()["numpy"] > before
+        assert "scoring kernels: numpy" in notes
+        assert "fallback" not in notes
         assert "dense scan + partition (numpy kernel)" in notes
         assert "heap" not in notes
         assert report.execution == "top_k via dense scan + partition (numpy kernel)"
         assert report.fallback_reason is None
         assert engine.obs.metrics.to_dict()["counters"].get("kernel_ops.numpy", 0) > 0
-        with kernels.use_backend("python"):
-            notes = " | ".join(query.plan("top_k").notes)
-            report = query.explain("Morgan Stanley Inc", k=3)
-        assert "scoring kernels: 'python' backend" in notes
-        assert "heap accumulation" in notes and "dense scan" not in notes
-        assert report.execution == "top_k via heap accumulation"
-        assert report.fallback_reason is None
 
     def test_sharded_plan_names_the_shards_path(self):
         query = (
             SimilarityEngine().from_strings(CORPUS * 3).predicate("bm25").shards(2)
         )
-        with kernels.use_backend("numpy"):
-            notes = query.plan("top_k").notes
+        notes = query.plan("top_k").notes
         assert "top_k: dense scan + partition (numpy kernel)" in notes
         assert not any("bound" in note for note in notes)
 
@@ -322,24 +311,22 @@ class TestRestrictionIgnoresTidsOutsideTheRelation:
                 [predicate.score("alpha beta", tid) for tid in range(-1, 5)],
             )
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("name", OVERLAP + ["bm25"])
-    @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_out_of_range_tids_are_ignored(self, name, backend, num_shards):
-        if backend == "numpy" and not kernels.numpy_available():
-            pytest.skip("numpy unavailable")
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_out_of_range_tids_are_ignored(self, name, num_shards):
+        """Also with one tuple per shard: a stray tid lands past every
+        shard's range, not only past the relation's."""
         if num_shards == 1:
             predicate = make_predicate(name).fit(self.ROWS)
         else:
             predicate = ShardedPredicate(
                 lambda: make_predicate(name), num_shards=num_shards
             ).fit(self.ROWS)
-        with kernels.use_backend(backend):
-            want = self._answers(predicate, {0, 3})
-            assert [tid for tid, _ in want[0]] in ([0, 3], [3, 0])
-            for stray in ({-1}, {4}, {-5, -1, 4, 99}):
-                assert self._answers(predicate, {0, 3} | stray) == want
-            assert self._answers(predicate, {-1, 4})[0] == []
+        want = self._answers(predicate, {0, 3})
+        assert [tid for tid, _ in want[0]] in ([0, 3], [3, 0])
+        for stray in ({-1}, {4}, {-5, -1, 4, 99}):
+            assert self._answers(predicate, {0, 3} | stray) == want
+        assert self._answers(predicate, {-1, 4})[0] == []
 
 
 class TestNonPositiveLimits:

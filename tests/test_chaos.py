@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
 import pytest
 
-from repro.core import make_predicate
-from repro.core import kernels
+from repro.core import kernels, make_predicate
 from repro.engine import SimilarityEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Observability
@@ -270,118 +270,198 @@ class TestFailureModes:
         assert "resilience:" in text
         notes = " ".join(report.plan.notes)
         assert "executor fallback ladder" in notes
-        assert "kernel fallback ladder" in notes or not kernels.numpy_available()
+        assert "kernel fallback ladder" not in notes
 
 
 # ---------------------------------------------------------------------------
-# kernel fallback ladder
+# the scans' in-step checks
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not kernels.numpy_available(), reason="numpy unavailable")
-class TestKernelFallback:
-    def test_numpy_accumulate_failure_heals_bit_identically(self, monkeypatch):
+#: The kernelised predicates, by the scan that reads their posting arrays.
+COUNT_SCAN = ["intersect", "jaccard"]
+WEIGHTED_SCAN = ["bm25", "cosine", "hmm", "lm", "weighted_jaccard", "weighted_match"]
+
+
+def _truncate(arrays, token):
+    """Drop the last posting of ``token``'s arrays: short *in step*, so no
+    shape mismatch gives them away -- only the stored counts do."""
+    first, second = arrays[token]
+    arrays[token] = (first[:-1], second[:-1])
+
+
+def _widest(arrays, tokens):
+    """The token of ``tokens`` with the most postings."""
+    return max(set(tokens) & set(arrays), key=lambda token: arrays[token][0].size)
+
+
+class TestInStepChecks:
+    """A posting array out of step with the counts the fit stored fails the
+    call with the check's ``ValueError`` -- wherever it is read, never a
+    partial answer -- and a served query over it answers the structured 500
+    envelope while the server keeps serving."""
+
+    def test_weighted_index_top_k(self):
         predicate = make_predicate("bm25").fit(ROWS)
-        with kernels.use_backend("python"):
-            want = dict(predicate._scores(QUERIES[0]))
+        arrays = predicate._weighted_index._arrays
+        query_tokens = set(predicate.tokenizer.tokenize(QUERIES[0]))
+        _truncate(arrays, _widest(arrays, query_tokens))
+        predicate.last_num_candidates = None
+        with pytest.raises(ValueError, match="out of step with the posting counts"):
+            predicate.top_k(QUERIES[0], 5)
+        assert predicate.last_num_candidates is None
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("corrupted arrays")
+    def test_inverted_index_count_scan(self):
+        predicate = make_predicate("jaccard").fit(ROWS)
+        arrays = predicate._index._arrays
+        _truncate(arrays, _widest(arrays, predicate._query_tokens(QUERIES[0])))
+        with pytest.raises(ValueError, match="out of step with the document frequencies"):
+            predicate.rank(QUERIES[0])
+        assert predicate.last_num_candidates is None
 
-        monkeypatch.setattr(kernels, "_accumulate_numpy", boom)
-        before = kernels.ops_snapshot()["python_fallback"]
-        with kernels.use_backend("numpy"):
-            got = dict(predicate._scores(QUERIES[0]))
-        assert got == want
-        assert kernels.ops_snapshot()["python_fallback"] > before
+    @staticmethod
+    def _prefix_damaged(predicate, query):
+        """Shorten the query's widest prefix token's tid array and lengthen
+        another query token's by as much, so a count scan over all of the
+        query's tokens still reads the right total: only a probe of the
+        prefix sees it."""
+        blocker = predicate.blocker
+        prefix_filter = blocker.stages[-1] if hasattr(blocker, "stages") else blocker
+        index = predicate._index
+        arrays = index._arrays
+        query_tokens = predicate._query_tokens(query)
+        prefix = set(prefix_filter.prefix_of(query_tokens))
+        token = _widest(arrays, prefix)
+        other = next(t for t in sorted(query_tokens - prefix) if t in arrays)
+        _truncate(arrays, token)
+        tids, tfs = arrays[other]
+        arrays[other] = (tids[[*range(tids.size), 0]], tfs[[*range(tfs.size), 0]])
 
-    def test_engine_publishes_kernel_fallback_counter(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise RuntimeError("corrupted arrays")
+    def test_blocker_candidate_mask(self):
+        from repro.blocking import make_blocker
 
-        monkeypatch.setattr(kernels, "_accumulate_numpy", boom)
-        engine = make_engine()
-        try:
-            with kernels.use_backend("numpy"):
-                got = engine.from_strings(ROWS).predicate("bm25").rank(QUERIES[0])
-        finally:
-            engine.clear_cache()
-        assert got  # healed: real results despite the broken kernel
-        assert engine.obs.metrics.value("kernel_ops.python_fallback") > 0
+        rows = ROWS * 3
+        predicate = make_predicate("jaccard").fit(rows)
+        predicate.set_blocker(make_blocker("length+prefix", threshold=0.5))
+        query = max(rows, key=len)
+        self._prefix_damaged(predicate, query)
+        tokens = predicate._query_tokens(query)
+        kernels.count_overlap(predicate._index, tokens, len(rows))  # still in step
+        with pytest.raises(ValueError, match="out of step with the document frequencies"):
+            predicate._index.candidate_mask(tokens, predicate.blocker)
+        with pytest.raises(ValueError, match="out of step with the document frequencies"):
+            predicate.select(query, 0.5)
+        assert predicate.last_num_candidates is None
 
+    def test_sharded_global_candidates(self, monkeypatch):
+        from repro.blocking import make_blocker
+        from repro.shard import ShardedPredicate
 
-    @pytest.mark.parametrize("cold", [False, True])
+        rows = ROWS * 3
+        sharded = ShardedPredicate(lambda: make_predicate("jaccard"), num_shards=2)
+        sharded.fit(rows)
+        sharded.set_blocker(make_blocker("length+prefix", threshold=0.5))
+        query = max(rows, key=len)
+        shard = sharded.shards[0]
+        arrays = shard._index._arrays
+        probe = sharded.blocker.probe_tokens(shard._query_tokens(query))
+        _truncate(arrays, _widest(arrays, probe))
+        calls = []
+        global_candidates = ShardedPredicate._global_candidates
+
+        def spy(self, probe_tokens):
+            try:
+                return global_candidates(self, probe_tokens)
+            except ValueError as exc:
+                calls.append(exc)
+                raise
+
+        monkeypatch.setattr(ShardedPredicate, "_global_candidates", spy)
+        with pytest.raises(ValueError, match="out of step with the document frequencies"):
+            sharded.select(query, 0.5)
+        assert len(calls) == 1  # raised by the pre-partition candidates
+
     @pytest.mark.parametrize("damage", ["truncate", "retype", "drop", "overrun"])
     @pytest.mark.parametrize("num_shards", [1, 2])
-    @pytest.mark.parametrize("predicate", ["jaccard", "bm25", "lm"])
-    def test_damaged_posting_arrays_heal_the_scan(
-        self, predicate, damage, num_shards, cold
+    @pytest.mark.parametrize("predicate", COUNT_SCAN + WEIGHTED_SCAN)
+    def test_damaged_posting_arrays_fail_every_call_that_reads_them(
+        self, predicate, num_shards, damage
     ):
-        """Both scans sit on one ladder: a token whose arrays are short --
-        *in step*, so no shape mismatch gives them away -- of the wrong
-        dtype, missing or pointing past the relation makes the call return
-        the scalar answer: one ``python_fallback`` per healed call, nothing
-        escapes.  ``jaccard`` damages the count scan's ``(tids, tfs)``,
-        ``bm25`` and ``lm`` the weighted scan's ``(tids, contributions)``.
-
-        ``cold`` damages the arrays before anything has read the weighted
-        index's scalar view, so the heal itself derives it -- from the
-        predicate's formula, not from the arrays it is healing from: the
-        answers are those of a fresh scalar fit on another engine."""
-        np = kernels.np
+        """Whichever scan reads them -- the count scan's ``(tids, tfs)`` for
+        ``jaccard`` / ``intersect``, the weighted scan's ``(tids,
+        contributions)`` for the rest -- a token whose arrays are short in
+        step, missing, of the wrong dtype or pointing past the relation fails
+        every call whose query holds it, on one shard or on one of two; every
+        other query answers as a fresh fit on another engine does."""
         engine, reference = make_engine(), make_engine()
         try:
             query = engine.from_strings(ROWS).predicate(predicate).shards(num_shards)
             fresh = reference.from_strings(ROWS).predicate(predicate).shards(num_shards)
-            with kernels.use_backend("python"):
-                want = run_workload(fresh if cold else query)
             fitted = query.fitted_predicate()
             shard = fitted if num_shards == 1 else fitted.shards[0]
-            weighted = shard._weighted_index
-            index = shard._index if predicate == "jaccard" else weighted
-            if weighted is not None:
-                assert weighted.scalar_view_built is not cold
-            token = max(index._arrays, key=lambda token: index._arrays[token][0].size)
-            tids, values = index._arrays[token]
+            index = shard._index if predicate in COUNT_SCAN else shard._weighted_index
+            arrays = index._arrays
+            token = max(arrays, key=lambda token: arrays[token][0].size)
+            tids, values = arrays[token]
             assert tids.size > 1
             if damage == "drop":
-                del index._arrays[token]
+                del arrays[token]
             else:
-                index._arrays[token] = {
+                arrays[token] = {
                     "truncate": (tids[:-1], values[:-1]),
                     "retype": (tids.astype(np.float64), values),
                     "overrun": (tids + len(ROWS), values),
                 }[damage]
-            probe = next(text for text in ROWS if token in fitted.tokenizer.tokenize(text))
-            before = kernels.ops_snapshot()["python_fallback"]
-            with kernels.use_backend("numpy"):
-                healed = [query.top_k(probe, 5), query.select(probe, 0.1)]
-                got = run_workload(query)
-            if cold and weighted is not None:
-                # The heal derived the view -- once, whatever number of calls
-                # it then healed -- and only on the shard that needed it.
-                assert weighted.scalar_view_built and weighted.view_cause == "heal"
-                assert engine.obs.metrics.value("core.scalar_view.builds_total") == 1
-                reference_shard = fresh.fitted_predicate()
-                if num_shards > 1:
-                    reference_shard = reference_shard.shards[0]
-                assert [
-                    (tid, value.hex()) for tid, value in weighted.postings(token)
-                ] == [
-                    (tid, value.hex())
-                    for tid, value in reference_shard._weighted_index.postings(token)
+            texts = ROWS + QUERIES
+            reads = [text for text in texts if token in fitted.tokenizer.tokenize(text)]
+            clean = [text for text in texts if text not in reads]
+            assert reads and clean
+            if damage in ("truncate", "drop"):
+                errors, match = ValueError, "out of step"
+            else:  # a wrong dtype or a tid beyond the relation fails in numpy
+                errors, match = (ValueError, TypeError, IndexError), None
+            for text in reads:
+                for operation, args in (("top_k", (5,)), ("select", (0.1,)), ("rank", ())):
+                    with pytest.raises(errors, match=match):
+                        getattr(query, operation)(text, *args)
+            for text in clean:
+                assert [query.top_k(text, 5), query.select(text, 0.1)] == [
+                    fresh.top_k(text, 5),
+                    fresh.select(text, 0.1),
                 ]
-            with kernels.use_backend("python"):
-                assert healed == [fresh.top_k(probe, 5), fresh.select(probe, 0.1)]
-            assert got == want
-            touching = sum(
-                token in fitted.tokenizer.tokenize(text) for text in QUERIES
-            )
-            assert (
-                kernels.ops_snapshot()["python_fallback"] - before
-                == 2 + 2 * touching
-            )
-            assert engine.obs.metrics.value("kernel_ops.python_fallback") == 2 + 2 * touching
         finally:
             engine.clear_cache()
             reference.clear_cache()
+
+    @pytest.mark.parametrize("name", ["bm25", "jaccard", "lm"])
+    def test_served_query_answers_500_and_the_server_keeps_serving(self, name):
+        import asyncio
+
+        from repro.serve import SimilarityService
+
+        service = SimilarityService(batch_window=0.0, obs=Observability(metrics=MetricsRegistry()))
+        try:
+            corpus_id, _, _ = service.register_corpus(ROWS)
+            healthy_id, _, _ = service.register_corpus(ROWS[:6])
+            ask = {"corpus_id": corpus_id, "op": "top_k", "k": 3, "predicate": name}
+            assert asyncio.run(service.handle({**ask, "text": QUERIES[0]}))["status"] == 200
+            [query] = service.corpus(corpus_id).queries.values()
+            predicate = query.fitted_predicate()
+            index = predicate._index if name in COUNT_SCAN else predicate._weighted_index
+            arrays = index._arrays
+            damaged = _widest(arrays, predicate.tokenizer.tokenize(QUERIES[0]))
+            _truncate(arrays, damaged)
+            envelope = asyncio.run(service.handle({**ask, "text": QUERIES[0]}))
+            assert (envelope["status"], envelope["error"]) == (500, "internal")
+            assert "ValueError" in envelope["message"] and "out of step" in envelope["message"]
+            assert "matches" not in envelope
+            # The same corpus answers queries that do not read the damaged
+            # token; another corpus is untouched.
+            clean = next(
+                text for text in ROWS if damaged not in predicate.tokenizer.tokenize(text)
+            )
+            assert asyncio.run(service.handle({**ask, "text": clean}))["status"] == 200
+            healthy = {**ask, "corpus_id": healthy_id, "text": QUERIES[0]}
+            assert asyncio.run(service.handle(healthy))["status"] == 200
+        finally:
+            service.close()

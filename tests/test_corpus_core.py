@@ -4,7 +4,7 @@ One engine fits every direct predicate on one ``(corpus, tokenizer)`` over a
 single :class:`~repro.core.corpus.CorpusCore`.  These tests pin both halves
 of that sentence: predicates fitted through one engine answer ``==`` (bit for
 bit) predicates fitted alone, across all 13 predicates x shard counts x
-tokenizers x kernel backends; and the relation is tokenized exactly once,
+tokenizers; and the relation is tokenized exactly once,
 the core is built once, it is read-only, it goes away with ``clear_cache()``
 and the engine's own output (spans, counters, gauges, ``explain()``) says so.
 The seam's refusals (mismatched length / tokenizer) and the
@@ -18,13 +18,13 @@ import copy
 import gc
 import pickle
 import weakref
+from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import make_blocker
-from repro.core import kernels
 from repro.core.corpus import CorpusCore
 from repro.core.index import InvertedIndex
 from repro.core.predicates import BM25, GES, Jaccard
@@ -92,15 +92,6 @@ def _kwargs(name: str, tokenizer) -> dict:
     return {} if q is None else {"q": q}
 
 
-@pytest.fixture(params=["default-kernel", "scalar-kernel"])
-def kernel(request):
-    """Both kernel backends: whatever this interpreter dispatches to by
-    default (numpy where installed), then the forced scalar backend."""
-    if request.param == "scalar-kernel":
-        request.getfixturevalue("scalar_kernel")
-    return request.param
-
-
 def _assert_same_answers(shared, alone, queries, num_tuples):
     for query in queries:
         assert _pairs(shared.rank(query)) == _pairs(alone.rank(query))
@@ -117,37 +108,55 @@ def _assert_same_answers(shared, alone, queries, num_tuples):
         ]
 
 
+#: When the shared fits answer: after all of them are fitted (every one reads
+#: a core the others have read and partly built), or each right after its
+#: own fit (the core's lazy parts are built by the fits still to come).
+ORDERS = ["fit-all-first", "query-as-fitted"]
+
+
 class TestSharedEqualsAlone:
     """Property: fitted through one engine == fitted alone, bit for bit."""
 
+    @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("tokenizer", TOKENIZERS, ids=lambda t: t.name)
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
-    def test_all_predicates_on_one_engine(self, kernel, num_shards, tokenizer):
+    def test_all_predicates_on_one_engine(self, num_shards, tokenizer, order):
         engine = SimilarityEngine(metrics=MetricsRegistry())
         base = engine.from_strings(CORPUS).shards(num_shards)
-        # Fit all 13 first, so every predicate answers from a core that
-        # twelve other fits have read (and partly built) as well.
-        fitted = {
-            name: base.predicate(name, **_kwargs(name, tokenizer)).fitted_predicate()
-            for name in ALL_DIRECT
-        }
+
+        def check(name, shared):
+            alone = registry.make(name, **_kwargs(name, tokenizer)).fit(CORPUS)
+            _assert_same_answers(shared, alone, QUERIES, len(CORPUS))
+
+        fitted = {}
+        for name in ALL_DIRECT:
+            fitted[name] = base.predicate(name, **_kwargs(name, tokenizer)).fitted_predicate()
+            if order == "query-as-fitted":
+                check(name, fitted[name])
         assert len(ALL_DIRECT) == 13
         assert isinstance(fitted["bm25"], ShardedPredicate) == (num_shards > 1)
         # 13 fits, far fewer tokenization passes: one per distinct tokenizer.
         builds = engine.metrics.value("core_builds_total")
         assert builds + engine.metrics.value("core_reuses_total") == 13
         assert builds <= 3
-        for name, shared in fitted.items():
-            alone = registry.make(name, **_kwargs(name, tokenizer)).fit(CORPUS)
-            _assert_same_answers(shared, alone, QUERIES, len(CORPUS))
+        if order == "fit-all-first":
+            for name, shared in fitted.items():
+                check(name, shared)
         engine.clear_cache()
 
+    @pytest.mark.parametrize("order", ["core-first", "blocked-first"])
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
-    def test_blocked_jaccard_on_a_shared_core(self, kernel, num_shards):
+    def test_blocked_jaccard_on_a_shared_core(self, num_shards, order):
+        """The blocked fit reads a core another fit built, or builds it
+        before another fit reads it."""
         engine = SimilarityEngine(metrics=MetricsRegistry())
         base = engine.from_strings(CORPUS).shards(num_shards)
-        base.predicate("bm25").fitted_predicate()  # the core exists already
+        if order == "core-first":
+            base.predicate("bm25").fitted_predicate()  # the core exists already
         blocked = base.predicate("jaccard").blocker("length+prefix")
+        if order == "blocked-first":
+            blocked.select(QUERIES[0], 0.3)  # fits jaccard and its blocker
+            base.predicate("bm25").fitted_predicate()
         alone = Jaccard().fit(CORPUS)
         for query in QUERIES:
             for threshold in (0.3, 0.6):
@@ -157,27 +166,33 @@ class TestSharedEqualsAlone:
         assert engine.metrics.value("core_builds_total") == 1
         engine.clear_cache()
 
+    @pytest.mark.parametrize("order", ORDERS)
     @given(
         corpus=_corpora,
         query=_strings,
         num_shards=st.sampled_from([1, 2, 7]),
     )
-    @settings(
-        max_examples=15,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_random_corpora(self, kernel, corpus, query, num_shards):
+    @settings(max_examples=15, deadline=None)
+    def test_random_corpora(self, corpus, query, num_shards, order):
         engine = SimilarityEngine(metrics=MetricsRegistry())
         base = engine.from_strings(corpus).shards(num_shards)
-        fitted = {name: base.predicate(name).fitted_predicate() for name in ALL_DIRECT}
-        for name, shared in fitted.items():
+
+        def check(name, shared):
             alone = registry.make(name).fit(corpus)
             assert _pairs(shared.rank(query)) == _pairs(alone.rank(query))
             assert _pairs(shared.top_k(query, 2)) == _pairs(alone.top_k(query, 2))
             assert _pairs(shared.select(query, 0.4)) == _pairs(
                 alone.select(query, 0.4)
             )
+
+        fitted = {}
+        for name in ALL_DIRECT:
+            fitted[name] = base.predicate(name).fitted_predicate()
+            if order == "query-as-fitted":
+                check(name, fitted[name])
+        if order == "fit-all-first":
+            for name, shared in fitted.items():
+                check(name, shared)
         engine.clear_cache()
 
 
@@ -405,10 +420,9 @@ def _counter_statistics(token_lists, counters):
 
 class TestPostingListView:
     """The inverted index's (tid, tf) lists are a view derived from the
-    Counters on the first scalar read; the arrays and the statistics are
-    filled from the Counters without them."""
+    Counters on the first read; the arrays and the statistics are filled
+    from the Counters without them."""
 
-    @pytest.mark.skipif(not kernels.numpy_available(), reason="numpy unavailable")
     @pytest.mark.parametrize("name", KERNELISED)
     def test_numpy_fits_and_queries_leave_it_unbuilt(self, name):
         predicate = registry.make(name).fit(EDGE_ROWS)
@@ -422,18 +436,31 @@ class TestPostingListView:
         assert index.describe_posting_lists() == "not built"
         assert "posting lists: not built, posting arrays" in predicate._core.describe()
 
-    @pytest.mark.skipif(not kernels.numpy_available(), reason="numpy unavailable")
     @pytest.mark.parametrize("name", KERNELISED)
-    def test_a_forced_scalar_query_builds_it_from_the_counters(self, name):
+    def test_sharded_fits_and_queries_leave_it_unbuilt(self, name):
+        """A shard's slice of the core is read through its arrays too: no
+        shard's fit, scan or merge reads the lists."""
+        sharded = ShardedPredicate(lambda: registry.make(name), num_shards=2).fit(EDGE_ROWS)
+        for query in QUERIES + [""]:
+            sharded.top_k(query, 3)
+            sharded.select(query, 0.3)
+            sharded.rank(query)
+            sharded.run_many([query], "top_k", k=2)
+        assert [shard._index.posting_lists_built for shard in sharded.shards] == [False] * 2
+        assert "posting lists: not built" in sharded.shards[0]._core.describe()
+        sharded.close()
+
+    @pytest.mark.parametrize("name", KERNELISED)
+    def test_the_first_read_builds_it_from_the_counters(self, name):
         predicate = registry.make(name).fit(EDGE_ROWS)
         index = predicate._index
         answer = _pairs(predicate.top_k(QUERIES[0], 3))
-        with kernels.use_backend("python"):
-            assert _pairs(predicate.top_k(QUERIES[0], 3)) == answer
-        assert index.posting_lists_built and index.lists_cause == "forced backend"
+        assert index.postings(next(iter(index.tokens())))
+        assert _pairs(predicate.top_k(QUERIES[0], 3)) == answer
+        assert index.posting_lists_built and index.lists_cause == "first read"
         assert index.describe_posting_lists().startswith("built in ")
         assert index.describe_posting_lists().endswith(
-            f"({predicate._core.num_postings} postings, cause: forced backend)"
+            f"({predicate._core.num_postings} postings, cause: first read)"
         )
         expected = _lists_from_counters(predicate._core.term_frequencies)
         assert list(index.tokens()) == list(expected)
@@ -444,12 +471,9 @@ class TestPostingListView:
             assert tfs.tolist() == [tf for _, tf in plist]
             assert index.document_frequency(token) == len(plist)
 
-    @pytest.mark.parametrize("name", ["edit_distance", "jaccard", "lm"])
-    def test_fits_whose_scans_read_the_lists_build_them(self, name, monkeypatch):
-        """The edit family on every leg, and every fit without numpy."""
-        if name != "edit_distance":
-            monkeypatch.setattr(kernels, "np", None)
-        predicate = registry.make(name).fit(EDGE_ROWS)
+    def test_fits_whose_scans_read_the_lists_build_them(self):
+        """The edit family reads the lists: its fit builds them."""
+        predicate = registry.make("edit_distance").fit(EDGE_ROWS)
         index = predicate._index
         assert index.posting_lists_built and index.lists_cause == "fit"
         expected = _lists_from_counters(predicate._core.term_frequencies)
@@ -476,24 +500,18 @@ class TestPostingListView:
                 expected[tid] += lm._posting_terms(
                     lm._pavg[token], lm._log_cfcs[token], counts[token], lm._lengths[tid]
                 )[1]
-        assert lm._sum_complement == expected
-        assert all(type(value) is float for value in lm._sum_complement)
-        if kernels.numpy_available():
-            assert lm._sum_complement_array.tolist() == expected
-            assert not lm._index.posting_lists_built
+        assert lm._sum_complement.tolist() == expected
+        assert not lm._index.posting_lists_built
 
-    def test_a_fitted_shard_pickles_without_its_locks(self):
+    def test_a_fitted_shard_pickles_without_its_lock(self):
         sharded = ShardedPredicate(BM25, num_shards=2).fit(EDGE_ROWS)
         shard = sharded._shards[1]
         assert "_lists_lock" not in shard._index.__getstate__()
-        assert "_view_lock" not in shard._weighted_index.__getstate__()
         copy = pickle.loads(pickle.dumps(shard))
         assert copy._index._lists_lock is not shard._index._lists_lock
         for query in QUERIES:
             assert _pairs(copy.rank(query)) == _pairs(shard.rank(query))
-            with kernels.use_backend("python"):
-                assert _pairs(copy.rank(query)) == _pairs(shard.rank(query))
-        assert copy._index.posting_lists_built
+        assert not copy._index.posting_lists_built
         assert {t: copy._index.postings(t) for t in copy._index.tokens()} == (
             _lists_from_counters(copy._core.term_frequencies)
         )
@@ -506,12 +524,7 @@ class TestPostingListView:
         sharded.set_blocker(make_blocker("length+prefix", threshold=0.5))
         for query in QUERIES:
             assert _pairs(sharded.select(query, 0.5)) == _pairs(alone.select(query, 0.5))
-        built = [shard._index.posting_lists_built for shard in sharded._shards]
-        assert built == [not kernels.numpy_available()] * 3
-        with kernels.use_backend("python"):
-            for query in QUERIES:
-                assert _pairs(sharded.select(query, 0.5)) == _pairs(alone.select(query, 0.5))
-        assert all(shard._index.posting_lists_built for shard in sharded._shards)
+        assert not any(shard._index.posting_lists_built for shard in sharded._shards)
 
 
 class TestMismatchedSeamIsRefused:
@@ -648,15 +661,10 @@ class TestCoreObservability:
         )
         assert report.core.endswith("shared by 3 fitted predicates")
         assert f"core:        {report.core}" in report.describe()
-        arrays = (
-            f"posting arrays {core.index.array_bytes / 1e6:.1f} MB"
-            if kernels.numpy_available()
-            else "no posting arrays"
-        )
+        arrays = f"posting arrays {core.index.array_bytes / 1e6:.1f} MB"
         assert f", {arrays}, shared by" in report.core
         # No query so far read the index's (tid, tf) lists.
-        lists = "not built" if kernels.numpy_available() else "built in "
-        assert f", posting lists: {lists}" in report.core
+        assert ", posting lists: not built" in report.core
         weighted = base.predicate("bm25").fitted_predicate()._weighted_index
         assert report.weights.startswith(
             f"{weighted.num_postings} postings "
@@ -668,3 +676,88 @@ class TestCoreObservability:
         assert declarative.explain("Beijing Hotel", k=3).core is None
         assert declarative.explain("Beijing Hotel", k=3).weights is None
         engine.clear_cache()
+
+
+# -- statistics and sizes read off the index ----------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from("abcdefg"), max_size=6), min_size=0, max_size=8
+    )
+)
+def test_statistics_read_off_the_index_equal_the_counter_pass(token_lists):
+    """``df`` / ``cf`` token-major: the same integers in the same vocabulary
+    order (derived tables iterate it, so order is part of bit-identity)."""
+    counts = [Counter(tokens) for tokens in token_lists]
+    index = InvertedIndex(token_lists, term_frequencies=counts)
+    counted = CollectionStatistics(token_lists, term_frequencies=counts)
+    indexed = CollectionStatistics(token_lists, term_frequencies=counts, index=index)
+    for table in ("_document_frequency", "_collection_frequency"):
+        assert list(getattr(indexed, table).items()) == list(
+            getattr(counted, table).items()
+        )
+    assert list(indexed.rs_table().items()) == list(counted.rs_table().items())
+    assert list(indexed.pavg_table().items()) == list(counted.pavg_table().items())
+    assert indexed.collection_size == counted.collection_size
+
+
+def test_core_statistics_use_the_index_only_when_a_fit_built_one(monkeypatch):
+    built = []
+    init = CollectionStatistics.__init__
+
+    def spy(self, token_lists, term_frequencies=None, index=None):
+        built.append(index)
+        init(self, token_lists, term_frequencies=term_frequencies, index=index)
+
+    monkeypatch.setattr(CollectionStatistics, "__init__", spy)
+    bm25 = BM25().fit(CORPUS)
+    assert built == [bm25._core._index] and built[0] is not None
+    core = CorpusCore(CORPUS, WordTokenizer())
+    core.stats
+    assert built[-1] is None and core._index is None  # no index built for it
+
+
+class _Walked(list):
+    """A Counter list that counts how often it is walked."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_core_sizes_are_computed_once():
+    for tokenizer, build_index in ((QgramTokenizer(q=2), True), (WordTokenizer(), False)):
+        core = CorpusCore(CORPUS, tokenizer)
+        if build_index:
+            core.build_index_arrays()
+        want = (
+            len({token for tokens in core.token_lists for token in tokens}),
+            sum(len(set(tokens)) for tokens in core.token_lists),
+        )
+        core._term_frequencies = counters = _Walked(core.term_frequencies)
+        for _ in range(3):
+            summary = core.summary()
+            assert (summary["vocabulary"], summary["postings"]) == want
+        # With posting arrays nothing is walked at all; without an index the
+        # Counters are walked once per size, then never again.
+        assert counters.walks <= (0 if build_index else 2)
+
+
+@pytest.mark.parametrize("name", ["jaccard", "intersect", "weighted_match"])
+def test_overlap_fits_and_queries_build_no_token_sets(name):
+    """The overlap fit sizes by the relation and scores off the arrays;
+    ``score`` reads the tuple's ``Counter``, so the core's per-tuple token
+    sets stay unbuilt -- and ``score`` still sees what ``rank`` sees."""
+    predicate = registry.make(name).fit(EDGE_ROWS)
+    core = predicate._core
+    for query in QUERIES + [""]:
+        predicate.top_k(query, 3)
+        predicate.select(query, 0.3)
+        ranked = dict(_pairs(predicate.rank(query)))
+        for tid in range(-1, len(EDGE_ROWS) + 1):
+            assert predicate.score(query, tid) == ranked.get(tid, 0.0)
+    assert core._token_sets is None

@@ -276,9 +276,9 @@ def test_concurrent_sharded_calls_each_publish_their_own_records():
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "counters.json"
 
-#: Counters that follow the kernel backend (numpy or the scalar leg), not the
-#: script: they differ between the two CI legs by design.
-_KERNEL_PREFIXES = ("kernel_ops.", "core.scalar_view.")
+#: Kernel invocation counts follow the kernels' own bookkeeping (scans,
+#: deferred finalizations), not what the script asks: left out of the golden.
+_KERNEL_PREFIXES = ("kernel_ops.",)
 
 
 def counter_script() -> Dict[str, float]:

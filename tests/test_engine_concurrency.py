@@ -13,13 +13,13 @@ non-``fork`` process executor ships with each task).
 
 from __future__ import annotations
 
+import functools
 import pickle
 import sys
 import threading
 
 import pytest
 
-from repro.core import kernels
 from repro.core.predicates.base import Predicate
 from repro.engine import SimilarityEngine
 from repro.engine import registry
@@ -274,27 +274,29 @@ class TestFitTokenSeam:
         finally:
             sharded.close()
 
-    @pytest.mark.parametrize("view_built", [False, True])
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("shipped_as", ["predicate", "shard"])
+    @pytest.mark.parametrize("lists_built", [False, True])
     @pytest.mark.parametrize(
         "predicate_name", ["bm25", "lm", "weighted_match", "jaccard"]
     )
     def test_fitted_predicates_survive_a_pickle_round_trip(
-        self, predicate_name, backend, view_built, company_strings
+        self, predicate_name, lists_built, shipped_as, company_strings
     ):
         """Without ``fork`` the process executor pickles the fitted shard
-        with every task: the copy must answer ``==`` on both kernel backends,
-        whether or not the scalar view was built before it travelled."""
-        if backend == "numpy" and not kernels.numpy_available():
-            pytest.skip("numpy backend unavailable")
-        fitted = registry.make(predicate_name, realization="direct").fit(
-            company_strings
-        )
-        if view_built:
-            with kernels.use_backend("python"):
-                fitted.rank("Morgn Stanley")
+        with every task: the copy -- of a whole fitted predicate, or of one
+        shard of a sharded fit -- must answer ``==``, whether or not the
+        index's posting lists were built before it travelled."""
+        make = functools.partial(registry.make, predicate_name, realization="direct")
+        if shipped_as == "predicate":
+            fitted = make().fit(company_strings)
+        else:
+            sharded = ShardedPredicate(make, num_shards=2).fit(company_strings)
+            fitted = sharded.shards[1]
+            sharded.close()
+        if lists_built:
+            fitted._index.postings(next(iter(fitted._index.tokens())))
         shipped = pickle.loads(pickle.dumps(fitted))
-        with kernels.use_backend(backend):
-            for text in ("Morgn Stanley", "AT&T Incorporated", "Beijing Hotel"):
-                assert shipped.top_k(text, 5) == fitted.top_k(text, 5)
-                assert shipped.rank(text) == fitted.rank(text)
+        assert shipped._index.posting_lists_built == lists_built
+        for text in ("Morgn Stanley", "AT&T Incorporated", "Beijing Hotel"):
+            assert shipped.top_k(text, 5) == fitted.top_k(text, 5)
+            assert shipped.rank(text) == fitted.rank(text)

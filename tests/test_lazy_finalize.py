@@ -1,6 +1,6 @@
 """Exactness of selection under the language models' deferred finalizer.
 
-On the numpy backend ``lm`` and ``hmm`` return their candidates' *log*
+``lm`` and ``hmm`` return their candidates' *log*
 scores (:func:`repro.core.kernels.exp_scores`), and ``top_k`` / ``rank(limit=k)``
 / ``select(t)`` run ``math.exp`` on a superset of the winners only, guarded
 by a proof that no other candidate could have entered the answer.  The
@@ -8,14 +8,16 @@ answers must be ``==`` the reference scorer's (``tests/reference.py``) --
 including where the guard must give up: scores that underflow ``exp`` to
 ``0.0`` or overflow it to ``inf`` (ties the log domain would break the other
 way), thresholds ``<= 0``, and ``k`` at or beyond the candidate count -- and
-the guard's own counters say which way each selection went.  ``hmm`` on a long query overflows ``exp`` on both backends, and
-reads ``inf`` like ``lm`` instead of raising.
+the guard's own counters say which way each selection went.  ``hmm`` on a
+long query overflows ``exp``, and reads ``inf`` like ``lm`` instead of
+raising.
 """
 
 import heapq
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,10 +27,7 @@ from repro.core import kernels
 from repro.core.predicates.hmm import HMM
 from repro.core.predicates.language_model import LanguageModeling
 from repro.engine import SimilarityEngine
-
-needs_numpy = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy unavailable"
-)
+from repro.shard import ShardedPredicate
 
 PREDICATES = [LanguageModeling, HMM]
 
@@ -55,7 +54,7 @@ EXTREME_QUERY, EXTREME_ROWS = _extreme_rows()
 
 
 def _full(scores):
-    """Every candidate finalized: the plain dict the scalar path answers."""
+    """Every candidate finalized, as a plain dict."""
     return dict(scores.items())
 
 
@@ -72,31 +71,33 @@ def _pairs(matches):
     return [(match.tid, match.score) for match in matches]
 
 
+@pytest.mark.parametrize("num_shards", [1, 2])
 @pytest.mark.parametrize("cls", PREDICATES)
-@pytest.mark.parametrize("backend", ["python", pytest.param("numpy", marks=needs_numpy)])
-def test_scores_beyond_exp_select_like_the_reference(cls, backend):
+def test_scores_beyond_exp_select_like_the_reference(cls, num_shards):
     """Log scores that overflow ``exp`` to ``inf`` and underflow it to
     ``0.0`` tie after finalization: every selection is the reference
     scorer's, at every ``k`` and at thresholds down to ``0`` and the
-    smallest subnormal.  (Ordinary corpora, on both legs, are
+    smallest subnormal -- unsharded, and merged from two shards that each
+    finalize their own winners.  (Ordinary corpora are
     ``tests/test_reference.py``'s.)"""
     rows = EXTREME_ROWS + ["", "ab cd", "ab", "ab"]
     name = "lm" if cls is LanguageModeling else "hmm"
     reference = Reference(name, rows)
-    predicate = cls().fit(rows)
+    if num_shards == 1:
+        predicate = cls().fit(rows)
+    else:
+        predicate = ShardedPredicate(cls, num_shards=num_shards).fit(rows)
     for query in (EXTREME_QUERY, "ab", ""):
         ranking = reference.rank(query)
-        with kernels.use_backend(backend):
-            for k in (1, 2, 3, 5, 6, 8, 1000):
-                assert _pairs(predicate.rank(query, limit=k)) == ranking[:k]
-                assert _pairs(predicate.top_k(query, k)) == ranking[:k]
-            for threshold in (0, 0.0, 5e-324, 1e-300, 1e-3, 1.0, math.inf):
-                assert _pairs(predicate.select(query, threshold)) == [
-                    item for item in ranking if item[1] >= threshold
-                ]
+        for k in (1, 2, 3, 5, 6, 8, 1000):
+            assert _pairs(predicate.rank(query, limit=k)) == ranking[:k]
+            assert _pairs(predicate.top_k(query, k)) == ranking[:k]
+        for threshold in (0, 0.0, 5e-324, 1e-300, 1e-3, 1.0, math.inf):
+            assert _pairs(predicate.select(query, threshold)) == [
+                item for item in ranking if item[1] >= threshold
+            ]
 
 
-@needs_numpy
 class TestDeferredSelectionIsExact:
     @given(
         logs=st.lists(
@@ -115,26 +116,22 @@ class TestDeferredSelectionIsExact:
         """Logs a few ULPs apart finalize to ties, and so do distinct logs
         that underflow to ``0.0`` or overflow to ``inf``: the margin must
         keep the first in the superset, the guard must give up on the rest."""
-        np = kernels.np
         values = np.array(logs, dtype=np.float64)
         for i, steps in enumerate(wobble[: values.size]):
             for _ in range(abs(steps)):
                 values[i] = np.nextafter(values[i], math.copysign(math.inf, steps))
         tids = np.arange(values.size, dtype=np.int64) * 3
-        with kernels.use_backend("numpy"):
-            top = kernels.top_items(kernels.exp_scores(tids, values), k)
-            selected = kernels.select_items(kernels.exp_scores(tids, values), threshold)
+        top = kernels.top_items(kernels.exp_scores(tids, values), k)
+        selected = kernels.select_items(kernels.exp_scores(tids, values), threshold)
         reference = kernels.exp_scores(tids, values)
         assert top == _reference_top(reference, k)
         assert selected == _reference_select(reference, threshold)
 
 
-@needs_numpy
 class TestGuard:
     def _counted(self, call):
         before = kernels.ops_snapshot()
-        with kernels.use_backend("numpy"):
-            result = call()
+        result = call()
         after = kernels.ops_snapshot()
         deferred = after["finalize_deferred"] - before["finalize_deferred"]
         fallback = after["finalize_fallback"] - before["finalize_fallback"]
@@ -156,9 +153,8 @@ class TestGuard:
         lm = LanguageModeling().fit(rows)
         top, deferred, fallback = self._counted(lambda: lm.top_k("morgan stanley", 3))
         assert (deferred, fallback) == (1, 0)
-        with kernels.use_backend("numpy"):
-            scores = lm._scores("morgan stanley")
-            assert kernels.top_items(scores, 3) == _pairs(top)
+        scores = lm._scores("morgan stanley")
+        assert kernels.top_items(scores, 3) == _pairs(top)
         assert scores._vals is None  # selection finalized no full array
         assert _pairs(top) == _reference_top(scores, 3)
 
@@ -170,10 +166,9 @@ class TestGuard:
     def test_engine_publishes_the_counters_and_names_the_path(self):
         engine = SimilarityEngine()
         query = engine.from_strings(["ab cd", "ab ef"] * 40).predicate("lm")
-        with kernels.use_backend("numpy"):
-            notes = query.plan("top_k").notes
-            report = query.explain("ab cd", k=3)
-            query.top_k("ab cd", 3)
+        notes = query.plan("top_k").notes
+        report = query.explain("ab cd", k=3)
+        query.top_k("ab cd", 3)
         path = "dense scan + partition (numpy kernel), finalize k"
         assert f"top_k: {path}" in notes
         assert report.execution == f"top_k via {path}"
@@ -182,11 +177,8 @@ class TestGuard:
 
 
 def test_top_k_algorithm_names_the_deferred_finalize():
-    expected = "dense-scan, finalize k" if kernels.numpy_available() else "heap"
     for cls in PREDICATES:
-        assert cls.top_k_algorithm() == expected
-    with kernels.use_backend("python"):
-        assert HMM.top_k_algorithm() == "heap"
+        assert cls.top_k_algorithm() == "dense-scan, finalize k"
 
 
 class TestHmmOverflowReadsInf:
@@ -201,26 +193,24 @@ class TestHmmOverflowReadsInf:
         long_row = "".join(rng.choice(alphabet[:-1]) for _ in range(400))
         return HMM().fit(rows + [long_row]), long_row
 
-    @pytest.mark.parametrize(
-        "backend",
-        ["python", pytest.param("numpy", marks=needs_numpy)],
-    )
-    def test_top_k_select_and_score(self, case, backend):
+    def test_top_k_select_and_score(self, case):
         hmm, query = case
-        with kernels.use_backend(backend):
-            top = hmm.top_k(query, 3)
-            selected = hmm.select(query, 1e300)
-            score = hmm.score(query, 2000)
+        top = hmm.top_k(query, 3)
+        selected = hmm.select(query, 1e300)
+        score = hmm.score(query, 2000)
         assert top[0].tid == 2000 and top[0].score == math.inf
         assert math.isfinite(top[1].score)
         assert [match.tid for match in selected][0] == 2000
         assert score == math.inf
 
-    @needs_numpy
-    def test_backends_agree(self, case):
+    def test_two_shards_read_inf_like_one(self, case):
+        """Each shard finalizes its own winners; the merge keeps the ``inf``
+        of the shard holding the long row and ranks it first."""
         hmm, query = case
-        answers = {}
-        for backend in ("numpy", "python"):
-            with kernels.use_backend(backend):
-                answers[backend] = (hmm.top_k(query, 10), hmm.select(query, 1e100))
-        assert answers["numpy"] == answers["python"]
+        sharded = ShardedPredicate(HMM, num_shards=2).fit(list(hmm._strings))
+        try:
+            assert sharded.top_k(query, 10) == hmm.top_k(query, 10)
+            assert sharded.select(query, 1e100) == hmm.select(query, 1e100)
+            assert sharded.score(query, 2000) == math.inf
+        finally:
+            sharded.close()

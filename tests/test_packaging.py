@@ -44,10 +44,13 @@ def test_installed_metadata_matches_package():
     assert installed == repro.__version__
 
 
-def test_fast_extra_declares_numpy():
+def test_numpy_is_a_runtime_dependency():
+    """The scoring kernels run on numpy: it is a dependency, not an extra."""
     text = _PYPROJECT.read_text(encoding="utf-8")
     if tomllib is not None:
-        extras = tomllib.loads(text)["project"]["optional-dependencies"]
-        assert extras["fast"] == ["numpy"]
+        project = tomllib.loads(text)["project"]
+        assert project["dependencies"] == ["numpy"]
+        assert "fast" not in project.get("optional-dependencies", {})
     else:
-        assert re.search(r'^fast = \["numpy"\]$', text, flags=re.MULTILINE)
+        assert re.search(r'^dependencies = \["numpy"\]$', text, flags=re.MULTILINE)
+        assert not re.search(r"^fast = ", text, flags=re.MULTILINE)

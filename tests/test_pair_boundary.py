@@ -27,9 +27,11 @@ from hypothesis import strategies as st
 from repro import SimilarityEngine
 from repro.core.predicates.base import Match
 from repro.core.predicates.edit import EditDistance
+from repro.engine import registry
 from repro.engine.protocol import pair_host
 from repro.eval.metrics import average_precision, max_f1, precision_recall_curve
 from repro.eval.runner import ExperimentRunner
+from repro.eval.timing import time_queries
 
 ROWS = [
     "Morgan Stanley Group Inc.",
@@ -334,3 +336,16 @@ def test_accuracy_runner_builds_no_match(small_dataset, monkeypatch, realization
         assert outcome.average_precision == _list_average_precision(ranking, relevant)
         assert outcome.max_f1 == _list_max_f1(ranking, relevant)
         assert outcome.num_retrieved == len(ranking)
+
+
+@pytest.mark.parametrize("realization", ["direct", "declarative"])
+def test_query_timing_builds_no_match(monkeypatch, realization):
+    """Figures 5.3-5.5 time what the engine reads -- the ordered pairs --
+    so the figures report scoring, not result objects."""
+    fitted = registry.make("bm25", realization=realization).fit(ROWS)
+    with match_builds(monkeypatch) as built:
+        timing = time_queries(fitted, ROWS, QUERIES, realization=realization)
+        by_name = time_queries("jaccard", ROWS, QUERIES, realization=realization)
+    assert built[0] == 0
+    assert timing.num_queries == by_name.num_queries == len(QUERIES)
+    assert timing.total_seconds > 0.0

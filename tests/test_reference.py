@@ -2,13 +2,13 @@
 
 One hypothesis strategy draws a corpus (duplicate rows, empty strings and the
 empty corpus included), a query, an operation with its ``k`` or threshold, a
-blocker or a restriction, a realization, a kernel leg, a sharding, a
+blocker or a restriction, a realization, a sharding, a
 tokenizer, whether other fits built the relation's cores first and whether
 the call is served, and checks the answer against the reference scorer
 fitted on the same rows:
 
 * **direct paths** (unsharded, or 2 or 7 shards on the serial or thread
-  executor; either kernel leg; in-process or served) answer ``==`` the
+  executor; in-process or served) answer ``==`` the
   reference: the same tids in ``(-score, tid)`` order with equal floats;
 * **declarative paths** (SQLite and the in-memory engine) answer the same
   tids with scores equal to 1e-9, where two tids may swap only inside a tie
@@ -76,9 +76,6 @@ ZERO_WEIGHT_CANDIDATES = {"bm25", "cosine", "weighted_match"}
 #: (an empty string under the word tokenizer).
 AVGDL_SKIPS_EMPTY = {"bm25"}
 
-#: The kernel legs this interpreter has.
-LEGS = ["numpy", "python"] if kernels.numpy_available() else ["python"]
-
 #: The families over one token level, whose tokenizer is a parameter.
 TOKEN_FAMILIES = set(PREDICATES[:8])
 
@@ -141,7 +138,6 @@ def cases(draw):
         "allowed": draw(st.sets(st.integers(-2, len(rows) + 1))),
         "shards": shards,
         "num_shards": num_shards,
-        "leg": draw(st.sampled_from(LEGS)),
         "served": served,
         "tokenizer": "qgram" if served else draw(st.sampled_from(["qgram", "qgram3", "word"])),
         "shared_core": realization == "direct" and draw(st.booleans()),
@@ -343,7 +339,6 @@ def check(name, case):
     context = (name, case)
     with ExitStack() as stack:
         stack.callback(plan.engine.clear_cache)
-        stack.enter_context(kernels.use_backend(case["leg"]))
         target = plan
         if blocker == "restriction":
             target = plan.fitted_predicate()
@@ -481,28 +476,30 @@ def large():
     return make_dataset("CU1", size=150, num_clean=15, seed=7).strings
 
 
+@pytest.mark.parametrize("num_shards", [1, 2])
 @pytest.mark.parametrize("name", sorted(TOKEN_FAMILIES))
-@pytest.mark.parametrize("leg", LEGS)
-def test_large_candidate_sets_select_like_the_reference(name, leg, large):
-    """Partition, tie fill and lexsort on the numpy leg, heap and sort on the
-    scalar one; plain and under a restriction (the scalar set path)."""
+def test_large_candidate_sets_select_like_the_reference(name, num_shards, large):
+    """Partition, tie fill and lexsort; plain and under a restriction (the
+    restriction mask, or the filtered dict of the families scoring first);
+    unsharded, and merged from two shards."""
     reference = Reference(name, large)
-    predicate = SimilarityEngine().from_strings(large).predicate(name).fitted_predicate()
+    query_builder = SimilarityEngine().from_strings(large).predicate(name)
+    predicate = query_builder.shards(num_shards).fitted_predicate()
+    assert len(getattr(predicate, "shards", [predicate])) == num_shards
     allowed = set(range(0, len(large), 3))
-    with kernels.use_backend(leg):
-        for query in large[:2]:
-            full = reference.rank(query)
-            assert len(full) > kernels._SELECTION_MIN
-            for restriction in (None, allowed):
-                ranking = [item for item in full if restriction is None or item[0] in restriction]
-                with predicate.restrict_candidates(restriction):
-                    assert _pairs(predicate.rank(query)) == ranking, (query, restriction)
-                    for k in (1, 7, 64, 100):
-                        assert _pairs(predicate.top_k(query, k)) == ranking[:k], (query, k)
-                    threshold = ranking[len(ranking) // 2][1]
-                    assert _pairs(predicate.select(query, threshold)) == [
-                        item for item in ranking if item[1] >= threshold
-                    ]
+    for query in large[:2]:
+        full = reference.rank(query)
+        assert len(full) > kernels._SELECTION_MIN
+        for restriction in (None, allowed):
+            ranking = [item for item in full if restriction is None or item[0] in restriction]
+            with predicate.restrict_candidates(restriction):
+                assert _pairs(predicate.rank(query)) == ranking, (query, restriction)
+                for k in (1, 7, 64, 100):
+                    assert _pairs(predicate.top_k(query, k)) == ranking[:k], (query, k)
+                threshold = ranking[len(ranking) // 2][1]
+                assert _pairs(predicate.select(query, threshold)) == [
+                    item for item in ranking if item[1] >= threshold
+                ]
 
 
 ROWS = [

@@ -1,14 +1,12 @@
 """The token-major fit against the reference scorer's tuple-major weights.
 
 Every kernelised predicate derives its weighted postings token by token from
-the corpus core's posting arrays (one element-wise expression per token with
-numpy, the same expression per posting without).  This module checks that
-derivation against something that is *not* itself: the per-tuple weight
-tables of the reference scorer (``tests/reference.py``), written from the
-paper's formulas, regrouped into posting lists the slow way.  Everything is compared with ``==`` -- no
-tolerance -- on three legs: the numpy backend, the scalar backend forced over
-a numpy fit, and ``kernels.np`` patched away (what ``REPRO_KERNEL=python``
-runs).
+the corpus core's posting arrays (one element-wise expression per token, or
+the formula once per distinct ``(tf, |D|)`` of a token, gathered).  This
+module checks that derivation against something that is *not* itself: the
+per-tuple weight tables of the reference scorer (``tests/reference.py``),
+written from the paper's formulas, regrouped into posting lists the slow
+way.  Everything is compared with ``==`` -- no tolerance.
 
 The corpora are chosen for what the ledger corpus never does: a token in
 every tuple (idf 0, a whole posting list dropped), ``df = N/2`` on an even
@@ -20,11 +18,13 @@ and a relation of one tuple (every idf 0, so every cosine norm is 0).
 from __future__ import annotations
 
 import math
+import pickle
 
+import numpy as np
 import pytest
 
 from reference import Reference
-from repro.core import kernels
+from repro.core.corpus import CorpusCore
 from repro.core.predicates import make_predicate
 from repro.text.tokenize import QgramTokenizer, WordTokenizer
 
@@ -57,20 +57,30 @@ CORPORA = {
 
 QUERIES = ["the cat", "aa", "ab cd", "single here", "Morgn Stanley Inc", "Beijing", "", "zzz"]
 
+#: How a fitted predicate comes to be: fitted alone; fitted on a corpus core
+#: the other kernelised fits have read (and partly built) first; or fitted
+#: alone and sent through a pickle round trip, as the process executor
+#: ships a shard.
+ROUTES = ["alone", "shared-core", "pickled"]
 
-@pytest.fixture(params=["numpy", "forced-scalar", "no-numpy"])
-def leg(request, monkeypatch):
-    """Run the test body on one kernel leg."""
-    if request.param == "numpy":
-        if not kernels.numpy_available():
-            pytest.skip("numpy unavailable")
-        yield
-    elif request.param == "forced-scalar":
-        with kernels.use_backend("python"):
-            yield
-    else:
-        monkeypatch.setattr(kernels, "np", None)
-        yield
+
+def _fit(name, corpus, route, tokenizer=None):
+    """``name`` fitted on ``corpus`` by ``route``."""
+    kwargs = {} if tokenizer is None else {"tokenizer": tokenizer}
+
+    def make(other):
+        return make_predicate(other, **kwargs)
+
+    if route == "shared-core":
+        core = CorpusCore(corpus, make(name).tokenizer)
+        for other in KERNELISED:
+            if other != name:
+                make(other).fit(corpus, core=core)
+        predicate = make(name).fit(corpus, core=core)
+        assert predicate._core is core
+        return predicate
+    predicate = make(name).fit(corpus)
+    return pickle.loads(pickle.dumps(predicate)) if route == "pickled" else predicate
 
 
 def _reference(name, corpus, tokenizer):
@@ -88,6 +98,12 @@ def _reference(name, corpus, tokenizer):
     return postings, reference.complements if name == "lm" else None
 
 
+def _postings(weighted, token):
+    """``token``'s ``(tid, contribution)`` pairs, read off its arrays."""
+    pair = weighted.arrays(token)
+    return [] if pair is None else list(zip(*(array.tolist() for array in pair)))
+
+
 def _assert_fit_equals_reference(predicate, name, corpus, tokenizer):
     expected, complements = _reference(name, corpus, tokenizer)
     token_lists = tokenizer.tokenize_many(corpus)
@@ -95,33 +111,31 @@ def _assert_fit_equals_reference(predicate, name, corpus, tokenizer):
     assert len(weighted) == len(expected)
     for token in {token for tokens in token_lists for token in tokens}:
         plist = expected.get(token, [])
-        values = [value for _, value in plist]
-        assert weighted.postings(token) == plist
-        assert all(type(value) is float for _, value in weighted.postings(token))
+        assert _postings(weighted, token) == plist
+        assert weighted.posting_count(token) == len(plist)
         pair = weighted.arrays(token)
-        if not plist or not kernels.numpy_available():
+        if not plist:
             assert pair is None
             continue
         tid_array, value_array = pair
-        assert tid_array.tolist() == [tid for tid, _ in plist]
-        assert value_array.tolist() == values
         assert str(tid_array.dtype) == "int64" and str(value_array.dtype) == "float64"
         assert tid_array.flags["C_CONTIGUOUS"] and value_array.flags["C_CONTIGUOUS"]
     total = sum(len(plist) for plist in expected.values())
     assert weighted.num_postings == total
     assert weighted.zero_dropped == sum(len(set(tokens)) for tokens in token_lists) - total
     if complements is not None:
-        assert predicate._sum_complement == complements
+        assert predicate._sum_complement.tolist() == complements
 
 
 # -- tests ---------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("tokenizer", sorted(TOKENIZERS))
 @pytest.mark.parametrize("name", KERNELISED)
-def test_fit_equals_the_tuple_major_reference(name, tokenizer, leg):
+def test_fit_equals_the_tuple_major_reference(name, tokenizer, route):
     for corpus in CORPORA.values():
-        predicate = make_predicate(name, tokenizer=TOKENIZERS[tokenizer]).fit(corpus)
+        predicate = _fit(name, corpus, route, TOKENIZERS[tokenizer])
         _assert_fit_equals_reference(predicate, name, corpus, TOKENIZERS[tokenizer])
 
 
@@ -134,7 +148,7 @@ def test_the_corpora_reach_the_edges():
     match = make_predicate("weighted_match", tokenizer=word).fit(every)._weighted_index
     assert "CAT" not in match and match.zero_dropped == 2  # RS weight 0: df = N/2
     bm25 = make_predicate("bm25", tokenizer=word).fit(every)._weighted_index
-    assert "CAT" not in bm25 and min(v for _, v in bm25.postings("THE")) < 0.0
+    assert "CAT" not in bm25 and bm25.arrays("THE")[1].min() < 0.0
     lm = make_predicate("lm", tokenizer=word).fit(CORPORA["degenerate"])
     assert lm._sum_complement[0] == 0.0  # the empty string has no posting
     assert lm._sum_complement[4] == math.log(1.0 - (1.0 - 1e-12))  # clamped
@@ -143,13 +157,14 @@ def test_the_corpora_reach_the_edges():
     assert len(one) == 0 and one.zero_dropped == 3  # N = 1: every norm is 0
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("name", KERNELISED)
-def test_score_equals_the_tuples_entry_in_rank(name, leg):
+def test_score_equals_the_tuples_entry_in_rank(name, route):
     """``score`` recomputes one tuple from the contribution function the fit
     used and the tuple's own term frequency: bit for bit the scan's answer."""
     for tokenizer in TOKENIZERS.values():
         for corpus in CORPORA.values():
-            predicate = make_predicate(name, tokenizer=tokenizer).fit(corpus)
+            predicate = _fit(name, corpus, route, tokenizer)
             for query in QUERIES:
                 ranked = predicate.rank(query)
                 scores = dict(ranked)
@@ -163,12 +178,8 @@ def _snapshot(predicate, corpus):
     weighted = predicate._weighted_index
     tokens = sorted(predicate._index.tokens())
     return (
-        [weighted.postings(token) for token in tokens],
-        [
-            None if pair is None else [array.tolist() for array in pair]
-            for pair in map(weighted.arrays, tokens)
-        ],
-        getattr(predicate, "_sum_complement", None),
+        [_postings(weighted, token) for token in tokens],
+        getattr(predicate, "_sum_complement", np.empty(0)).tolist(),
         [[tuple(match) for match in predicate.rank(query)] for query in QUERIES],
         [[tuple(match) for match in predicate.top_k(query, 2)] for query in QUERIES],
         [predicate.score(query, tid) for query in QUERIES for tid in range(len(corpus))],
@@ -176,11 +187,13 @@ def _snapshot(predicate, corpus):
     )
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("name", KERNELISED)
-def test_refit_rederives_everything(name, leg):
-    """Nothing a fit derived survives a refit on another relation."""
+def test_refit_rederives_everything(name, route):
+    """Nothing a fit derived survives a refit on another relation, however
+    the first fit came to be."""
     first, second = CORPORA["names"], CORPORA["every"] + CORPORA["degenerate"]
-    predicate = make_predicate(name).fit(first)
+    predicate = _fit(name, first, route)
     assert _snapshot(predicate, first) == _snapshot(make_predicate(name).fit(first), first)
     predicate.fit(second)
     assert _snapshot(predicate, second) == _snapshot(

@@ -3,11 +3,12 @@
 Three families of guarantees:
 
 * **Exactness** -- property-based equivalence: for the monotone-sum
-  predicates (WeightedMatch, Cosine, BM25), ``top_k`` returns *exactly* the
-  same ``(tid, score)`` lists as ``rank(limit=k)`` and as the full ranking
-  cut to ``k``, across random corpora, k values, with/without blockers and
-  candidate restrictions, on every kernel backend -- the scalar one (heap
-  selection) and numpy (dense scan + partition).
+  predicates (WeightedMatch, Cosine, BM25), the count scan's Jaccard and the
+  language models' deferred finalizer (LM, HMM), ``top_k`` returns
+  *exactly* the same ``(tid, score)`` lists as ``rank(limit=k)`` and as the
+  full ranking cut to ``k``, across random corpora, k values, with/without
+  blockers and candidate restrictions: the partition selection over the
+  scan's arrays (or the heap over a small dict) against the full sort.
 * **Satellite fixes** -- ``select`` filters before sorting but returns the
   same results; ``score(query, tid)`` single-tuple paths agree with the
   whole-corpus ``_scores`` for every direct predicate.
@@ -21,13 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import make_blocker
-from repro.core import kernels
 from repro.core.predicates import make_predicate
 from repro.engine import SimilarityEngine
 
 MONOTONE = ["weighted_match", "cosine", "bm25"]
-
-BACKENDS = ["python"] + (["numpy"] if kernels.numpy_available() else [])
+#: Every selection ``top_k`` can run: the monotone sums', the count scan's
+#: finalized quotients and the language models' deferred ``exp``.
+SELECTIONS = MONOTONE + ["jaccard", "lm", "hmm"]
 
 ALL_DIRECT = [
     "intersect",
@@ -77,50 +78,44 @@ def _assert_topk_is_the_ranking_cut(predicate, query, k):
     assert top == _pairs(predicate.rank(query))[:k]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestTopKEqualsRank:
     """Property: top_k == rank(limit=k) == the full ranking cut to k, bit
-    for bit, whichever selection the backend runs."""
+    for bit, whichever selection runs."""
 
-    @pytest.mark.parametrize("name", MONOTONE)
+    @pytest.mark.parametrize("name", SELECTIONS)
     @given(corpus=_corpora, query=_strings, k=st.integers(0, 30))
     @settings(max_examples=40, deadline=None)
-    def test_topk_equals_rank(self, backend, name, corpus, query, k):
+    def test_topk_equals_rank(self, name, corpus, query, k):
         predicate = make_predicate(name).fit(corpus)
-        with kernels.use_backend(backend):
-            _assert_topk_is_the_ranking_cut(predicate, query, k)
+        _assert_topk_is_the_ranking_cut(predicate, query, k)
 
-    @pytest.mark.parametrize("name", MONOTONE)
+    @pytest.mark.parametrize("name", SELECTIONS)
     @given(corpus=_corpora, query=_strings, k=st.integers(1, 10), data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_topk_equals_rank_under_restriction(
-        self, backend, name, corpus, query, k, data
-    ):
+    def test_topk_equals_rank_under_restriction(self, name, corpus, query, k, data):
         predicate = make_predicate(name).fit(corpus)
         allowed = data.draw(
             st.sets(st.integers(0, len(corpus) - 1), max_size=len(corpus))
         )
-        with kernels.use_backend(backend), predicate.restrict_candidates(allowed):
+        with predicate.restrict_candidates(allowed):
             _assert_topk_is_the_ranking_cut(predicate, query, k)
 
-    @pytest.mark.parametrize("name", MONOTONE)
+    @pytest.mark.parametrize("name", SELECTIONS)
     @given(corpus=_corpora, query=_strings, k=st.integers(1, 10))
     @settings(max_examples=25, deadline=None)
-    def test_topk_equals_rank_under_blocker(self, backend, name, corpus, query, k):
+    def test_topk_equals_rank_under_blocker(self, name, corpus, query, k):
         predicate = make_predicate(name).fit(corpus)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             predicate.set_blocker(make_blocker("lsh", lsh_bands=4, lsh_rows=2))
-        with kernels.use_backend(backend):
-            _assert_topk_is_the_ranking_cut(predicate, query, k)
+        _assert_topk_is_the_ranking_cut(predicate, query, k)
 
-    @pytest.mark.parametrize("name", MONOTONE)
-    def test_topk_exact_on_company_corpus(self, backend, name):
+    @pytest.mark.parametrize("name", SELECTIONS)
+    def test_topk_exact_on_company_corpus(self, name):
         predicate = make_predicate(name).fit(CORPUS * 20)
-        with kernels.use_backend(backend):
-            for query in ("Morgn Stanley", "IBM Corp", "Goldman", "zzz"):
-                for k in (1, 3, 10, 100, 1000):
-                    _assert_topk_is_the_ranking_cut(predicate, query, k)
+        for query in ("Morgn Stanley", "IBM Corp", "Goldman", "zzz"):
+            for k in (1, 3, 10, 100, 1000):
+                _assert_topk_is_the_ranking_cut(predicate, query, k)
 
 
 class TestSelectFilterFirst:
@@ -207,16 +202,16 @@ class TestEngineIntegration:
             (m.tid, m.score) for m in query.top_k("Morgn Stanley", 5)
         ] == [(m.tid, m.score) for m in query.rank("Morgn Stanley", limit=5)]
 
-    def test_scalar_backend_plans_and_runs_the_heap(self, scalar_kernel):
+    def test_unkernelised_predicate_plans_and_runs_the_heap(self):
         engine = SimilarityEngine()
-        query = engine.from_strings(CORPUS).predicate("bm25")
+        query = engine.from_strings(CORPUS).predicate("edit_distance")
         assert "top_k: heap accumulation" in query.plan(op="top_k").notes
         report = query.explain("Morgan Stanley Inc", k=5)
         assert report.execution == "top_k via heap accumulation"
         assert report.fallback_reason is None
         assert "pruning:" not in report.describe()
 
-    def test_plan_names_one_path_blocked_or_not(self, scalar_kernel):
+    def test_plan_names_one_path_blocked_or_not(self):
         engine = SimilarityEngine()
         for name in ("jaccard", "bm25", "weighted_match"):
             plain = engine.from_strings(CORPUS).predicate(name)
@@ -224,7 +219,7 @@ class TestEngineIntegration:
                 top_k_notes = [
                     note for note in query.plan(op="top_k").notes if "top_k" in note
                 ]
-                assert top_k_notes == ["top_k: heap accumulation"]
+                assert top_k_notes == ["top_k: dense scan + partition (numpy kernel)"]
 
     def test_plan_reports_select_fast_path(self):
         engine = SimilarityEngine()

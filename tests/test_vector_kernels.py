@@ -1,28 +1,27 @@
-"""Equivalence suite for the vectorized scoring kernels.
+"""The vectorized scoring kernels, pinned to definitions rather than to a
+second implementation.
 
-The contract of :mod:`repro.core.kernels` is *bit-identity*: for every
-kernelized predicate (the monotone-sum family -- WeightedMatch,
-WeightedJaccard, Cosine, BM25, LM, HMM -- on the weighted scan, and
-IntersectSize / Jaccard on the integer count scan), the numpy backend must
-return exactly the floats the pure-Python backend returns, across corpora,
-queries, k values, blockers, candidate restrictions, shard counts, and
-executors.
-The tests force each backend in turn via :func:`kernels.use_backend` and
-compare with ``==`` -- no tolerances anywhere.
-
-Mirrors the structure of ``tests/test_topk_fastpath.py`` (which pins
-``top_k`` against the ranking cut to ``k``; this file pins the backend
-equivalence).  ``top_k`` is ``rank(limit=k)`` on both backends, but the two
-select differently -- a bounded heap over the scalar scan's dict, a
-partition over the numpy scan's arrays -- so it stays a two-backend check.
+:mod:`repro.core.kernels` runs every kernelised predicate's inner loop (the
+monotone-sum family -- WeightedMatch, WeightedJaccard, Cosine, BM25, LM,
+HMM -- on the weighted scan, IntersectSize / Jaccard on the integer count
+scan).  ``tests/test_reference.py`` checks every path against the paper's
+formulas; this module adds the kernels' own properties: every kernelised
+predicate against the reference scorer (``tests/reference.py``) on larger
+random corpora, k values and thresholds, the overlap family against a naive
+one-tuple-at-a-time definition (plain, restricted, blocked, sharded), the
+array selection against the full sort where ties are densest, the index's
+arrays, and what the engine reports.  Everything compares with ``==`` -- no
+tolerances anywhere.
 """
 
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import Reference
 from repro.blocking import make_blocker
 from repro.core import kernels
 from repro.core.corpus import CorpusCore
@@ -73,81 +72,46 @@ _words = st.sampled_from(
 _strings = st.lists(_words, min_size=1, max_size=4).map(" ".join)
 _corpora = st.lists(_strings, min_size=2, max_size=24)
 
-needs_numpy = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy unavailable"
-)
 
 
 def _pairs(scored):
     return [(match.tid, match.score) for match in scored]
 
 
-def _both_backends(operation):
-    """Run ``operation()`` under each backend and return both results."""
-    with kernels.use_backend("python"):
-        python_result = operation()
-    with kernels.use_backend("numpy"):
-        numpy_result = operation()
-    return python_result, numpy_result
-
-
-@needs_numpy
-class TestScoresBitIdentical:
-    """_scores / rank / select / score agree across backends, bit for bit."""
+class TestKernelsEqualTheReference:
+    """``_scores`` / ``rank`` / ``select`` / ``top_k``, plain, restricted,
+    LSH-blocked and sharded, ``==`` the reference scorer's answer on random
+    corpora of up to 24 rows."""
 
     @pytest.mark.parametrize("name", KERNELIZED)
     @given(corpus=_corpora, query=_strings)
     @settings(max_examples=30, deadline=None)
     def test_scores_dict(self, name, corpus, query):
         predicate = make_predicate(name).fit(corpus)
-        python_scores, numpy_scores = _both_backends(
-            lambda: predicate._scores(query)
-        )
-        assert python_scores == numpy_scores
+        assert predicate._scores(query) == Reference(name, corpus).scores(query)
 
     @pytest.mark.parametrize("name", KERNELIZED)
     @given(corpus=_corpora, query=_strings, limit=st.integers(0, 30))
     @settings(max_examples=25, deadline=None)
     def test_rank(self, name, corpus, query, limit):
         predicate = make_predicate(name).fit(corpus)
-        python_rank, numpy_rank = _both_backends(
-            lambda: _pairs(predicate.rank(query, limit=limit))
-        )
-        assert python_rank == numpy_rank
+        want = Reference(name, corpus).rank(query, limit)
+        assert _pairs(predicate.rank(query, limit=limit)) == want
 
     @pytest.mark.parametrize("name", KERNELIZED)
     @given(corpus=_corpora, query=_strings, threshold=st.floats(-5.0, 5.0))
     @settings(max_examples=25, deadline=None)
     def test_select(self, name, corpus, query, threshold):
         predicate = make_predicate(name).fit(corpus)
-        python_sel, numpy_sel = _both_backends(
-            lambda: _pairs(predicate.select(query, threshold))
-        )
-        assert python_sel == numpy_sel
-
-    @pytest.mark.parametrize("name", KERNELIZED)
-    def test_score_matches_scores_on_company_corpus(self, name):
-        predicate = make_predicate(name).fit(CORPUS)
-        for query in ("Morgn Stanley", "IBM Corp", "Goldman", "zzz"):
-            with kernels.use_backend("numpy"):
-                scores = predicate._scores(query)
-                for tid in range(len(CORPUS)):
-                    assert predicate.score(query, tid) == scores.get(tid, 0.0)
-
-
-@needs_numpy
-class TestTopKBitIdentical:
-    """The scalar heap ``top_k`` and the numpy dense scan agree."""
+        want = Reference(name, corpus).select(query, threshold)
+        assert _pairs(predicate.select(query, threshold)) == want
 
     @pytest.mark.parametrize("name", MONOTONE)
     @given(corpus=_corpora, query=_strings, k=st.integers(0, 30))
     @settings(max_examples=30, deadline=None)
     def test_topk(self, name, corpus, query, k):
         predicate = make_predicate(name).fit(corpus)
-        python_top, numpy_top = _both_backends(
-            lambda: _pairs(predicate.top_k(query, k))
-        )
-        assert python_top == numpy_top
+        assert _pairs(predicate.top_k(query, k)) == Reference(name, corpus).rank(query, k)
 
     @pytest.mark.parametrize("name", MONOTONE)
     @given(corpus=_corpora, query=_strings, k=st.integers(1, 10), data=st.data())
@@ -157,39 +121,77 @@ class TestTopKBitIdentical:
         allowed = data.draw(
             st.sets(st.integers(0, len(corpus) - 1), max_size=len(corpus))
         )
+        want = [
+            item for item in Reference(name, corpus).rank(query) if item[0] in allowed
+        ]
         with predicate.restrict_candidates(allowed):
-            python_top, numpy_top = _both_backends(
-                lambda: _pairs(predicate.top_k(query, k))
-            )
-        assert python_top == numpy_top
+            assert _pairs(predicate.top_k(query, k)) == want[:k]
 
     @pytest.mark.parametrize("name", MONOTONE)
     @given(corpus=_corpora, query=_strings, k=st.integers(1, 10))
     @settings(max_examples=15, deadline=None)
     def test_topk_under_blocker(self, name, corpus, query, k):
+        """An LSH-blocked answer is the reference ranking of the tuples the
+        blocker lets through."""
         predicate = make_predicate(name).fit(corpus)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             predicate.set_blocker(make_blocker("lsh", lsh_bands=4, lsh_rows=2))
-        python_top, numpy_top = _both_backends(
-            lambda: _pairs(predicate.top_k(query, k))
-        )
-        assert python_top == numpy_top
+        kept = {tid for tid, _ in _pairs(predicate.rank(query))}
+        want = [item for item in Reference(name, corpus).rank(query) if item[0] in kept]
+        assert _pairs(predicate.top_k(query, k)) == want[:k]
 
-
-def _assert_topk_agrees(predicate, query, k):
-    """numpy == python == ``rank(limit=k)``."""
-    python_top, numpy_top = _both_backends(
-        lambda: _pairs(predicate.top_k(query, k))
+    @pytest.mark.parametrize(
+        "name", ["bm25", "weighted_match", "lm", "jaccard", "intersect"]
     )
-    assert numpy_top == python_top
-    assert numpy_top == _pairs(predicate.rank(query, limit=k))
+    @pytest.mark.parametrize("num_shards", [1, 2, 7])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_sharded_topk_and_rank(self, name, num_shards, executor):
+        rows = CORPUS * 3
+        query = (
+            SimilarityEngine()
+            .from_strings(rows)
+            .predicate(name)
+            .shards(num_shards, executor=executor)
+        )
+        reference = Reference(name, rows)
+        assert _pairs(query.top_k("Morgn Stanley", k=5)) == reference.rank("Morgn Stanley", 5)
+        assert _pairs(query.rank("IBM Corp", limit=8)) == reference.rank("IBM Corp", 8)
+        query.engine.clear_cache()
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_sharded_run_many(self, executor):
+        rows = CORPUS * 3
+        query = SimilarityEngine().from_strings(rows).predicate("cosine").shards(
+            2, executor=executor
+        )
+        queries = ["Morgn Stanley", "IBM Corp", "Goldman", "zzz"]
+        reference = Reference("cosine", rows)
+        assert [
+            _pairs(ranking) for ranking in query.run_many(queries, op="top_k", k=4)
+        ] == [reference.rank(text, 4) for text in queries]
+        query.engine.clear_cache()
 
 
-@needs_numpy
+class TestScoreSeesScores:
+    @pytest.mark.parametrize("name", KERNELIZED)
+    def test_score_matches_scores_on_company_corpus(self, name):
+        predicate = make_predicate(name).fit(CORPUS)
+        for query in ("Morgn Stanley", "IBM Corp", "Goldman", "zzz"):
+            scores = predicate._scores(query)
+            for tid in range(len(CORPUS)):
+                assert predicate.score(query, tid) == scores.get(tid, 0.0)
+
+
+def _assert_topk_is_the_sorted_cut(predicate, query, k):
+    """The partition selection ``==`` the full sort cut to ``k``."""
+    top = _pairs(predicate.top_k(query, k))
+    assert top == _pairs(predicate.rank(query))[:k]
+
+
 class TestTopKAgreesUnderTiesAndRestrictions:
-    """Scalar heap, numpy dense scan and ``rank(limit=k)`` agree where
-    ordering is most fragile."""
+    """The partition selection and the full sort agree where ordering is
+    most fragile."""
 
     @given(corpus=_corpora, query=_strings, data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -199,7 +201,9 @@ class TestTopKAgreesUnderTiesAndRestrictions:
         doubled = corpus + corpus
         k = data.draw(st.sampled_from([1, len(corpus), len(doubled) + 3])
                       | st.integers(1, len(doubled)))
-        _assert_topk_agrees(make_predicate("weighted_match").fit(doubled), query, k)
+        _assert_topk_is_the_sorted_cut(
+            make_predicate("weighted_match").fit(doubled), query, k
+        )
 
     @pytest.mark.parametrize("name", MONOTONE)
     @given(corpus=_corpora, query=_strings, k=st.integers(1, 12), data=st.data())
@@ -210,57 +214,11 @@ class TestTopKAgreesUnderTiesAndRestrictions:
             st.sets(st.integers(0, len(corpus) - 1), max_size=len(corpus))
         )
         with predicate.restrict_candidates(allowed):
-            _assert_topk_agrees(predicate, query, k)
+            _assert_topk_is_the_sorted_cut(predicate, query, k)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             predicate.set_blocker(make_blocker("lsh", lsh_bands=4, lsh_rows=2))
-        _assert_topk_agrees(predicate, query, k)
-
-
-@needs_numpy
-class TestShardedBitIdentical:
-    """Sharded execution agrees across backends for every executor."""
-
-    @pytest.mark.parametrize(
-        "name", ["bm25", "weighted_match", "lm", "jaccard", "intersect"]
-    )
-    @pytest.mark.parametrize("num_shards", [1, 2, 7])
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_sharded_topk_and_rank(self, name, num_shards, executor):
-        engine = SimilarityEngine()
-        query = (
-            engine.from_strings(CORPUS * 3)
-            .predicate(name)
-            .shards(num_shards, executor=executor)
-        )
-
-        def run():
-            return (
-                _pairs(query.top_k("Morgn Stanley", k=5)),
-                _pairs(query.rank("IBM Corp", limit=8)),
-            )
-
-        python_result, numpy_result = _both_backends(run)
-        assert python_result == numpy_result
-
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_sharded_run_many(self, executor):
-        engine = SimilarityEngine()
-        query = (
-            engine.from_strings(CORPUS * 3)
-            .predicate("cosine")
-            .shards(2, executor=executor)
-        )
-        queries = ["Morgn Stanley", "IBM Corp", "Goldman", "zzz"]
-
-        def run():
-            return [
-                _pairs(ranking)
-                for ranking in query.run_many(queries, op="top_k", k=4)
-            ]
-
-        python_result, numpy_result = _both_backends(run)
-        assert python_result == numpy_result
+        _assert_topk_is_the_sorted_cut(predicate, query, k)
 
 
 # -- the overlap family on the kernels ------------------------------------------
@@ -317,14 +275,13 @@ def _ordered(scores):
 
 
 class TestOverlapExactness:
-    """numpy ``==`` scalar ``==`` the naive reference, argued then exercised."""
+    """The array scans ``==`` the naive reference, argued then exercised."""
 
-    @needs_numpy
     def test_integer_division_is_the_same_quotient_exhaustively(self):
         """Why the count scan needs no sampling to be trusted.
 
         The overlap count is an exact integer (a tid occurs at most once per
-        posting list; integer addition is order-free).  Every operand of the
+        posting array; integer addition is order-free).  Every operand of the
         Jaccard finalizer -- ``common`` and ``union = |Q| + |D| - common`` --
         is an integer far below 2**53, hence exactly representable in
         float64.  CPython's ``int / int`` and numpy's ``int64 / int64`` both
@@ -333,13 +290,11 @@ class TestOverlapExactness:
         bit for bit.  Checked here for *every* pair a token set of up to 512
         tokens can produce, not for a sample of them.
         """
-        np = kernels.np
         for union in range(1, 513):
             common = np.arange(1, union + 1, dtype=np.int64)
             quotients = (common / np.int64(union)).tolist()
             assert quotients == [value / union for value in range(1, union + 1)]
 
-    @needs_numpy
     @pytest.mark.parametrize("name", COUNTED)
     @given(
         corpus=_overlap_corpora,
@@ -354,20 +309,14 @@ class TestOverlapExactness:
     ):
         predicate = make_predicate(name, tokenizer=tokenizer).fit(corpus)
         want = _naive_scores(predicate, name, corpus, query)
-
-        def run():
-            return (
-                _pairs(predicate.rank(query)),
-                _pairs(predicate.rank(query, limit=k)),
-                _pairs(predicate.top_k(query, k)),
-                _pairs(predicate.select(query, threshold)),
-                [predicate.score(query, tid) for tid in range(-1, len(corpus) + 1)],
-            )
-
-        python_result, numpy_result = _both_backends(run)
-        assert numpy_result == python_result
         ranked = _ordered(want)
-        assert numpy_result == (
+        assert (
+            _pairs(predicate.rank(query)),
+            _pairs(predicate.rank(query, limit=k)),
+            _pairs(predicate.top_k(query, k)),
+            _pairs(predicate.select(query, threshold)),
+            [predicate.score(query, tid) for tid in range(-1, len(corpus) + 1)],
+        ) == (
             ranked,
             ranked[:k],
             ranked[:k],
@@ -375,7 +324,6 @@ class TestOverlapExactness:
             [want.get(tid, 0.0) for tid in range(-1, len(corpus) + 1)],
         )
 
-    @needs_numpy
     @pytest.mark.parametrize("name", COUNTED)
     @given(
         corpus=_overlap_corpora,
@@ -388,9 +336,8 @@ class TestOverlapExactness:
     def test_restricted_calls_match_the_naive_reference(
         self, name, corpus, query, tokenizer, k, data
     ):
-        """The numpy mask and the scalar set loop keep the same candidates:
-        allowed ∩ {tuples sharing a kept token} -- with restriction tids
-        outside the relation ignored by both."""
+        """The restriction mask keeps allowed ∩ {tuples sharing a kept
+        token} -- with restriction tids outside the relation ignored."""
         predicate = make_predicate(name, tokenizer=tokenizer).fit(corpus)
         allowed = data.draw(st.sets(st.integers(-2, len(corpus) + 1)))
         want = {
@@ -398,21 +345,16 @@ class TestOverlapExactness:
             for tid, score in _naive_scores(predicate, name, corpus, query).items()
             if tid in allowed
         }
-
-        def run():
-            with predicate.restrict_candidates(allowed):
-                return (
-                    _pairs(predicate.rank(query)),
-                    _pairs(predicate.top_k(query, k)),
-                    _pairs(predicate.select(query, 0.0)),
-                    predicate.last_num_candidates,
-                    [predicate.score(query, tid) for tid in range(len(corpus))],
-                )
-
-        python_result, numpy_result = _both_backends(run)
-        assert numpy_result == python_result
+        with predicate.restrict_candidates(allowed):
+            got = (
+                _pairs(predicate.rank(query)),
+                _pairs(predicate.top_k(query, k)),
+                _pairs(predicate.select(query, 0.0)),
+                predicate.last_num_candidates,
+                [predicate.score(query, tid) for tid in range(len(corpus))],
+            )
         ranked = _ordered(want)
-        assert numpy_result == (
+        assert got == (
             ranked,
             ranked[:k],
             [item for item in ranked if item[1] >= 0.0],
@@ -420,7 +362,6 @@ class TestOverlapExactness:
             [want.get(tid, 0.0) for tid in range(len(corpus))],
         )
 
-    @needs_numpy
     @given(
         corpus=_overlap_corpora,
         query=_overlap_queries,
@@ -432,30 +373,18 @@ class TestOverlapExactness:
         self, corpus, query, tokenizer, threshold
     ):
         """``length+prefix`` is exact for Jaccard at its threshold, so the
-        blocked selection is the naive one -- on both backends, with the
-        same candidate count."""
+        blocked selection is the naive one."""
         predicate = make_predicate("jaccard", tokenizer=tokenizer).fit(corpus)
         predicate.set_blocker(
             make_blocker("length+prefix", threshold=threshold, tokenizer=tokenizer)
         )
         want = _naive_scores(predicate, "jaccard", corpus, query)
-
-        def run():
-            return (
-                _pairs(predicate.select(query, threshold)),
-                predicate.last_num_candidates,
-                _pairs(predicate.rank(query)),
-            )
-
-        python_result, numpy_result = _both_backends(run)
-        assert numpy_result == python_result
-        assert numpy_result[0] == [
+        assert _pairs(predicate.select(query, threshold)) == [
             item for item in _ordered(want) if item[1] >= threshold
         ]
         # A blocked ranking is the naive ranking of the surviving candidates.
-        assert all(want[tid] == score for tid, score in numpy_result[2])
+        assert all(want[tid] == score for tid, score in _pairs(predicate.rank(query)))
 
-    @needs_numpy
     @pytest.mark.parametrize("name", COUNTED)
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
     @given(corpus=_overlap_corpora, query=_overlap_queries, k=st.integers(1, 25))
@@ -470,20 +399,14 @@ class TestOverlapExactness:
             _naive_scores(make_predicate(name).fit(corpus), name, corpus, query)
         )
         allowed = set(range(-1, len(corpus) + 2, 2))
-
-        def run():
-            with sharded.restrict_candidates(allowed):
-                restricted = _pairs(sharded.rank(query))
-            return (
-                _pairs(sharded.rank(query)),
-                _pairs(sharded.top_k(query, k)),
-                _pairs(sharded.select(query, 0.0)),
-                restricted,
-            )
-
-        python_result, numpy_result = _both_backends(run)
-        assert numpy_result == python_result
-        assert numpy_result == (
+        with sharded.restrict_candidates(allowed):
+            restricted = _pairs(sharded.rank(query))
+        assert (
+            _pairs(sharded.rank(query)),
+            _pairs(sharded.top_k(query, k)),
+            _pairs(sharded.select(query, 0.0)),
+            restricted,
+        ) == (
             ranked,
             ranked[:k],
             [item for item in ranked if item[1] >= 0.0],
@@ -492,26 +415,18 @@ class TestOverlapExactness:
 
 
 class TestOverlapStaysInArrays:
-    """On numpy the overlap family goes from postings to selection without a
-    dict or a per-candidate Python loop; on the scalar backend it runs the
-    code it always ran."""
+    """The overlap family goes from postings to selection without a dict or
+    a per-candidate Python loop."""
 
     #: Enough candidates (> ``kernels._SELECTION_MIN``) for array selection.
     ROWS = [f"{left} {right} corp" for left in CORPUS for right in CORPUS]
 
-    @needs_numpy
     @pytest.mark.parametrize("name", COUNTED)
     @pytest.mark.parametrize("restricted", [False, True])
-    def test_numpy_never_builds_the_dict(self, name, restricted, monkeypatch):
+    def test_the_scan_never_builds_the_dict(self, name, restricted, monkeypatch):
         predicate = make_predicate(name).fit(self.ROWS)
-        with kernels.use_backend("python"):
-            want = predicate._scores("Morgan Stanley Corp")
+        want = _naive_scores(predicate, name, self.ROWS, "Morgan Stanley Corp")
         assert len(want) > kernels._SELECTION_MIN
-
-        def no_scalar_scan(self, tokens):
-            raise AssertionError("the numpy path must not run candidate_overlap")
-
-        monkeypatch.setattr(InvertedIndex, "candidate_overlap", no_scalar_scan)
         produced = []
         scores_of = predicate._scores
 
@@ -521,7 +436,7 @@ class TestOverlapStaysInArrays:
 
         monkeypatch.setattr(predicate, "_scores", spy)
         allowed = set(range(len(self.ROWS))) if restricted else None
-        with kernels.use_backend("numpy"), predicate.restrict_candidates(allowed):
+        with predicate.restrict_candidates(allowed):
             assert len(predicate.rank("Morgan Stanley Corp", limit=10)) == 10
             assert predicate.select("Morgan Stanley Corp", 0.0)
             assert len(predicate.top_k("Morgan Stanley Corp", 10)) == 10
@@ -531,49 +446,20 @@ class TestOverlapStaysInArrays:
             assert not scores._filled
             assert scores == want  # materializes: same keys, same floats
 
-    @pytest.mark.parametrize("name", ["intersect", "jaccard"])
-    def test_scalar_backend_runs_candidate_overlap(self, name, monkeypatch):
-        predicate = make_predicate(name).fit(self.ROWS)
-        index = predicate._index
-        seen = []
-        candidate_overlap = InvertedIndex.candidate_overlap
-
-        def spy(self, tokens):
-            seen.append(candidate_overlap(self, tokens))
-            return seen[-1]
-
-        monkeypatch.setattr(InvertedIndex, "candidate_overlap", spy)
-        with kernels.use_backend("python"):
-            before = kernels.ops_snapshot()
-            overlap = kernels.count_overlap(index, {"MO", "OR", "zz"}, len(self.ROWS))
-            after = kernels.ops_snapshot()
-            assert overlap is seen[-1] and type(overlap) is dict
-            assert after["python"] == before["python"] + 1
-            assert after["python_fallback"] == before["python_fallback"]
-            scores = predicate._scores("Morgan Stanley Corp")
-        assert type(scores) is dict and len(seen) == 2
-        if kernels.numpy_available():
-            with kernels.use_backend("numpy"):
-                dense = kernels.count_overlap(index, {"MO", "OR", "zz"}, len(self.ROWS))
-            assert isinstance(dense, kernels.DenseScores) and dense == overlap
-            assert len(seen) == 2
-
 
 class TestIndexArrays:
     """The relation's posting arrays: built once per index, inside a fit, shared."""
 
-    @needs_numpy
     def test_one_build_per_core_shared_by_reference(self):
         strings = CORPUS * 3
         core = CorpusCore(strings, QgramTokenizer(q=2))
         assert core.index.arrays("OR") is None and core.index.set_sizes is None
         assert core.summary()["array_bytes"] is None
         names = ["jaccard", "intersect", "weighted_jaccard", "bm25", "lm"]
-        with kernels.use_backend("python"):  # forcing is dispatch-only
-            first = make_predicate(names[0]).fit(strings, core=core)
+        first = make_predicate(names[0]).fit(strings, core=core)
         pairs = {token: core.index.arrays(token) for token in core.index.tokens()}
         sizes = core.index.set_sizes
-        assert sizes.dtype == kernels.np.int64
+        assert sizes.dtype == np.int64
         predicates = [first] + [
             make_predicate(name).fit(strings, core=core) for name in names[1:]
         ]
@@ -583,7 +469,7 @@ class TestIndexArrays:
         for token, (tids, tfs) in pairs.items():
             assert core.index.arrays(token)[0] is tids  # built once
             for array in (tids, tfs):
-                assert array.dtype == kernels.np.int64 and array.flags["C_CONTIGUOUS"]
+                assert array.dtype == np.int64 and array.flags["C_CONTIGUOUS"]
             assert list(zip(tids.tolist(), tfs.tolist())) == core.index.postings(token)
             # lm keeps every posting, so it scans the core's own tid arrays.
             assert predicates[-1]._weighted_index.arrays(token)[0] is tids
@@ -591,7 +477,6 @@ class TestIndexArrays:
         assert core.summary()["array_bytes"] == 16 * core.num_postings + 8 * len(core)
         assert "posting arrays" in core.describe()
 
-    @needs_numpy
     def test_engine_fits_share_the_arrays(self):
         engine = SimilarityEngine()
         base = engine.from_strings(CORPUS * 3)
@@ -603,7 +488,6 @@ class TestIndexArrays:
         assert fitted[0]._index.arrays("OR") is not None
         assert fitted[0]._index.arrays("OR") is fitted[1]._index.arrays("OR")
 
-    @needs_numpy
     def test_core_slice_index_answers_like_a_fresh_one(self):
         """A shard's index is built from the slice's own lists: its arrays
         and its count scan equal those of an index over just those rows."""
@@ -622,91 +506,95 @@ class TestIndexArrays:
                     a.tolist() for a in fresh.arrays(token)
                 ]
             tokens = set(core.token_lists[7])
-            with kernels.use_backend("numpy"):
-                got = kernels.count_overlap(sliced, tokens, stop - start)
-            assert got == fresh.candidate_overlap(tokens)
-
-    def test_no_arrays_without_numpy(self, monkeypatch):
-        """``REPRO_KERNEL=python`` leaves ``kernels.np`` unset: nothing is built."""
-        monkeypatch.setattr(kernels, "np", None)
-        predicate = make_predicate("jaccard").fit(CORPUS)
-        assert predicate._index.arrays("OR") is None
-        assert predicate._index.set_sizes is None
-        assert predicate._core.summary()["array_bytes"] is None
-        assert make_predicate("weighted_jaccard").fit(CORPUS)._tuple_weight_sum_array is None
-        assert make_predicate("bm25").fit(CORPUS)._weighted_index.arrays("OR") is None
-        assert _pairs(predicate.rank("IBM Corp"))  # and the scalar path answers
+            overlap = {
+                tid: len(tokens & set(row))
+                for tid, row in enumerate(core.token_lists[start:stop])
+                if tokens & set(row)
+            }
+            assert kernels.count_overlap(sliced, tokens, stop - start) == overlap
+            assert kernels.count_overlap(fresh, tokens, stop - start) == overlap
 
 
-class TestKernelDispatch:
-    """Backend selection, forcing, and op counters."""
-
-    def test_active_backend_matches_availability(self):
-        expected = "numpy" if kernels.numpy_available() else "python"
-        assert kernels.active_backend() == expected
-
-    def test_use_backend_python_always_allowed(self):
-        with kernels.use_backend("python"):
-            assert kernels.active_backend() == "python"
-        # restored afterwards
-        expected = "numpy" if kernels.numpy_available() else "python"
-        assert kernels.active_backend() == expected
-
-    def test_use_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            with kernels.use_backend("fortran"):
-                pass
-
-    @pytest.mark.skipif(kernels.numpy_available(), reason="numpy present")
-    def test_use_backend_numpy_requires_numpy(self):
-        with pytest.raises(RuntimeError):
-            with kernels.use_backend("numpy"):
-                pass
+class TestKernelCounters:
+    """Op counters and the bench envelope."""
 
     def test_ops_counter_increments(self):
         predicate = make_predicate("bm25").fit(CORPUS)
-        backend = kernels.active_backend()
-        before = kernels.ops_snapshot()[backend]
+        before = kernels.ops_snapshot()["numpy"]
         predicate.rank("IBM Corp", limit=3)
-        assert kernels.ops_snapshot()[backend] > before
+        assert kernels.ops_snapshot()["numpy"] > before
 
     def test_accumulate_keeps_cancelled_candidates(self):
         """Sums cancelling to exactly 0.0 must stay in the candidate set
-        (negative RS weights make this reachable), on both backends."""
-        values = [("a", [1.5, 2.0]), ("b", [-1.5])]
+        (negative RS weights make this reachable)."""
         index = WeightedPostingIndex(
-            InvertedIndex([["a", "b"], ["a"]]), values, lambda: values
+            InvertedIndex([["a", "b"], ["a"]]), [("a", [1.5, 2.0]), ("b", [-1.5])]
         )
         items = [("a", 1.0), ("b", 1.0)]
-        with kernels.use_backend("python"):
-            python_scores = kernels.accumulate(index, items, 2)
-        assert python_scores == {0: 0.0, 1: 2.0}
-        if kernels.numpy_available():
-            with kernels.use_backend("numpy"):
-                assert kernels.accumulate(index, items, 2) == python_scores
+        assert kernels.accumulate(index, items, 2) == {0: 0.0, 1: 2.0}
 
     def test_bench_envelope_records_kernel(self):
-        report = bench_envelope("unit", None, {}, [])
-        assert report["kernel"] == kernels.active_backend()
-        with kernels.use_backend("python"):
-            assert bench_envelope("unit", None, {}, [])["kernel"] == "python"
+        assert bench_envelope("unit", None, {}, [])["kernel"] == "numpy"
+
+
+class TestInStepChecks:
+    """Each scan checks the length it read against the counts the fit
+    stored: a short or missing array raises, never a partial answer; a
+    read that does not touch the damaged token is answered."""
+
+    @staticmethod
+    def _scan(scan, index, tokens):
+        if scan == "accumulate":
+            items = [(token, 1.0) for token in sorted(tokens)]
+            return kernels.accumulate(index, items, len(CORPUS))
+        if scan == "count_overlap":
+            return kernels.count_overlap(index, tokens, len(CORPUS))
+        return kernels.posting_tids(index, tokens)
+
+    @pytest.mark.parametrize("tokens", ["one", "several"])
+    @pytest.mark.parametrize("damage", ["truncate", "drop"])
+    @pytest.mark.parametrize("scan", ["accumulate", "count_overlap", "posting_tids"])
+    def test_a_short_or_missing_array_raises(self, scan, damage, tokens):
+        if scan == "accumulate":
+            index = make_predicate("bm25").fit(CORPUS)._weighted_index
+        else:
+            index = make_predicate("jaccard").fit(CORPUS)._index
+        arrays = index._arrays
+        widest = sorted(arrays, key=lambda token: (-arrays[token][0].size, token))
+        damaged, untouched = widest[0], widest[1:3]
+        read = [damaged] if tokens == "one" else [damaged, *untouched]
+        want = self._scan(scan, index, untouched)
+        self._scan(scan, index, read)  # in step
+        if damage == "drop":
+            del arrays[damaged]
+        else:
+            tids, values = arrays[damaged]
+            arrays[damaged] = (tids[:-1], values[:-1])
+        with pytest.raises(ValueError, match="out of step"):
+            self._scan(scan, index, read)
+        got = self._scan(scan, index, untouched)
+        if scan == "posting_tids":
+            assert got.tolist() == want.tolist()
+        else:
+            assert got == want and len(want) > 0
+
+    def test_count_overlap_refuses_a_tid_beyond_the_relation(self):
+        index = make_predicate("jaccard").fit(CORPUS)._index
+        token = next(iter(index._arrays))
+        tids, tfs = index._arrays[token]
+        index._arrays[token] = (tids + len(CORPUS), tfs)
+        with pytest.raises(ValueError, match="beyond the relation"):
+            kernels.count_overlap(index, [token], len(CORPUS))
 
 
 class TestEngineSurface:
-    """plan() notes and obs counters surface the chosen kernel."""
+    """plan() notes and obs counters surface the kernels."""
 
-    def test_plan_note_names_backend(self):
+    def test_plan_note_names_the_kernels(self):
         engine = SimilarityEngine()
         plan = engine.from_strings(CORPUS).predicate("bm25").plan("top_k")
-        backend = kernels.active_backend()
-        assert any(f"scoring kernels: {backend!r}" in note for note in plan.notes)
-
-    def test_plan_note_follows_forced_backend(self):
-        engine = SimilarityEngine()
-        query = engine.from_strings(CORPUS).predicate("cosine")
-        with kernels.use_backend("python"):
-            plan = query.plan("rank")
-        assert any("'python' backend" in note for note in plan.notes)
+        assert any("scoring kernels: numpy" in note for note in plan.notes)
+        assert not any("python" in note for note in plan.notes)
 
     def test_plan_note_absent_for_unkernelized_predicates(self):
         engine = SimilarityEngine()
@@ -714,19 +602,14 @@ class TestEngineSurface:
         assert not any("scoring kernels" in note for note in plan.notes)
 
     @pytest.mark.parametrize("name", ["jaccard", "intersect"])
-    def test_plan_note_names_backend_for_count_scan_predicates(self, name):
+    def test_plan_note_names_the_kernels_for_count_scan_predicates(self, name):
         engine = SimilarityEngine()
-        query = engine.from_strings(CORPUS).predicate(name)
-        backends = ["python"] + (["numpy"] if kernels.numpy_available() else [])
-        for backend in backends:
-            with kernels.use_backend(backend):
-                notes = query.plan("rank").notes
-            assert any(f"scoring kernels: {backend!r} backend" in note for note in notes)
+        notes = engine.from_strings(CORPUS).predicate(name).plan("rank").notes
+        assert any("scoring kernels: numpy" in note for note in notes)
 
     def test_kernel_ops_counter_published(self):
         engine = SimilarityEngine()
         query = engine.from_strings(CORPUS).predicate("bm25")
         query.top_k("IBM Corp", k=3)
-        backend = kernels.active_backend()
         counters = engine.obs.metrics.to_dict()["counters"]
-        assert counters.get("kernel_ops." + backend, 0) > 0
+        assert counters.get("kernel_ops.numpy", 0) > 0
