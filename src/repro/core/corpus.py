@@ -8,21 +8,24 @@ shared per-(backend, relation, tokenizer) "cores" of
 :mod:`repro.declarative.shared`.  Everything it holds depends only on the
 relation and the tokenizer, never on a predicate:
 
-* the token lists (built eagerly -- every predicate needs them),
-* the per-tuple term-frequency ``Counter`` objects -- the source every
-  other part is derived from,
-* the :class:`~repro.core.index.InvertedIndex` (its document frequencies,
-  one counting pass over the ``Counter`` objects) and, once a kernelised
-  predicate is fitted, its posting arrays -- per token the tids and term
-  frequencies as ``int64`` arrays filled from the ``Counter`` objects, the
+* the token lists (built eagerly -- every predicate needs them) -- the
+  source every other part is derived from,
+* the :class:`~repro.core.index.InvertedIndex`, built from the token lists
+  in one interned pass: its document frequencies (a dict counted at build
+  time), the tuple-major arrays (each tuple's distinct token ids and term
+  frequencies, what the cosine norm reduces over) and the posting arrays --
+  per token the tids and term frequencies as ``int64`` arrays, the
   relation's postings held as arrays once: the count scan reads them and
   every weighted predicate derives its own ``(tids, contributions)`` from
   them token by token.  The index's Python ``(tid, tf)`` lists are not part
-  of a kernelised fit: they are derived from the ``Counter`` objects by a
-  fit whose scans read them (the edit and combination families) or by the
-  first read (an LSH blocker's candidate set) -- :meth:`describe` says
-  which.  The scans' in-step ``df`` check reads the ``Counter`` objects'
-  counts, never the arrays,
+  of a kernelised fit: they are derived from the posting arrays by a fit
+  whose scans read them (the edit family) or by the first read (an LSH
+  blocker's candidate set) -- :meth:`describe` says which.  The scans'
+  in-step ``df`` check reads the build-time dict, never the arrays,
+* the per-tuple term-frequency ``Counter`` objects -- not a source of
+  anything any more, built only for the statistics of a core without an
+  index (the word-level combination family); :meth:`describe` says whether
+  they are,
 * the per-tuple token sets (the blockers read them; no predicate fit
   builds them),
 * the document frequency of each token (what the prefix blocker orders by),
@@ -30,13 +33,14 @@ relation and the tokenizer, never on a predicate:
   sets,
 * the :class:`~repro.text.weights.CollectionStatistics` -- its ``df`` is the
   index's and its ``cf`` / ``p̂_avg`` sums are read off the posting arrays
-  token-major when a fit has already built them, counted over the
+  token-major when a fit has already built the index, counted over the
   ``Counter`` objects otherwise (same integers and floats, same vocabulary
   order).
 
-The last five are built on first use and then kept, so a corpus that only
-ever serves word-level combination predicates never pays for a posting
-index, and one that only serves Jaccard never counts collection frequencies.
+All but the token lists are built on first use and then kept, so a corpus
+that only ever serves word-level combination predicates never pays for a
+posting index, and one that only serves Jaccard never counts collection
+frequencies.
 
 A core is **read-only after it is built**: predicates fitted over one core
 (all predicates an engine fits on one ``(corpus, tokenizer)``, or all shards
@@ -45,9 +49,9 @@ hands the core's tid arrays to the scans as they are -- and nothing in
 ``core/``, ``blocking/`` or ``shard/`` mutates a token list, ``Counter``,
 posting list or posting array in place (so the sizes ``summary()`` reports
 are computed once and kept).  Because every part is built by the same code
-from the same lists in the same order -- vocabulary and ``Counter`` insertion
-order included -- a predicate fitted over a shared core scores bit-identically
-to one fitted alone.  Building is not synchronized: hand one
+from the same lists in the same order -- vocabulary and first-occurrence
+order included -- a predicate fitted over a shared core scores
+bit-identically to one fitted alone.  Building is not synchronized: hand one
 core to concurrent fits only under a lock (the engine holds its own).
 """
 
@@ -124,6 +128,10 @@ class CorpusCore:
         #: included) -- the shared share of preprocessing time.
         self.build_seconds = build_seconds
         self._term_frequencies: Optional[List[Counter]] = None
+        #: Seconds counting the ``Counter`` objects took and what asked for
+        #: them; ``None`` while they are unbuilt.
+        self._counts_seconds: Optional[float] = None
+        self._counts_cause: Optional[str] = None
         self._index: Optional[InvertedIndex] = None
         self._token_sets: Optional[List[Set[str]]] = None
         self._document_frequencies: Optional[Dict[str, int]] = None
@@ -157,29 +165,29 @@ class CorpusCore:
 
     # -- parts built on first use ---------------------------------------------
 
+    def count_terms(self, cause: str = "first read") -> List[Counter]:
+        """``tf(t, D)`` per tuple as ``Counter`` objects, counted once from
+        the token lists when a reader first asks (``cause`` names it:
+        ``"fit"`` for a weight phase that reads them); no index, array or
+        kernelised fit needs them."""
+        if self._term_frequencies is None:
+            started = perf_clock()
+            self._term_frequencies = [Counter(tokens) for tokens in self.token_lists]
+            self._counts_seconds = perf_clock() - started
+            self._counts_cause = cause
+            self.build_seconds += self._counts_seconds
+        return self._term_frequencies
+
     @property
     def term_frequencies(self) -> List[Counter]:
-        """``tf(t, D)`` per tuple; shared by the index and the statistics."""
-        if self._term_frequencies is None:
-            self._term_frequencies = self._timed(
-                lambda: [Counter(tokens) for tokens in self.token_lists]
-            )
-        return self._term_frequencies
+        """:meth:`count_terms` read outside a fit."""
+        return self.count_terms()
 
     @property
     def index(self) -> InvertedIndex:
         if self._index is None:
-            counts = self.term_frequencies
-            self._index = self._timed(
-                lambda: InvertedIndex(self.token_lists, term_frequencies=counts)
-            )
+            self._index = self._timed(lambda: InvertedIndex(self.token_lists))
         return self._index
-
-    def build_index_arrays(self) -> None:
-        """Have the index materialize its posting arrays
-        (:meth:`InvertedIndex.build_arrays`: once per index, then a no-op),
-        timed like every other part."""
-        self._timed(self.index.build_arrays)
 
     def build_posting_lists(self) -> None:
         """Have the index derive its ``(tid, tf)`` lists inside a fit whose
@@ -214,12 +222,14 @@ class CorpusCore:
     @property
     def stats(self) -> CollectionStatistics:
         if self._stats is None:
-            counts = self.term_frequencies
             # An index some fit already built answers df / cf token-major; a
-            # core without one (word-level predicates) is not made to build it.
+            # core without one (word-level predicates) is not made to build
+            # it: its Counter objects are counted instead.
+            index = self._index
+            counts = None if index is not None else self.count_terms(cause="fit")
             self._stats = self._timed(
                 lambda: CollectionStatistics(
-                    self.token_lists, term_frequencies=counts, index=self._index
+                    self.token_lists, term_frequencies=counts, index=index
                 )
             )
         return self._stats
@@ -229,8 +239,8 @@ class CorpusCore:
     def slice(self, start: int, stop: int) -> "CorpusCore":
         """The shard-local core over tuples ``start <= tid < stop``.
 
-        Tuple ids are rebased to 0.  Token lists and ``Counter`` objects are
-        shared with this core; ``stats`` is the
+        Tuple ids are rebased to 0.  Token lists are shared with this core;
+        ``stats`` is the
         :class:`~repro.shard.stats.ShardStatisticsView` answering every
         collection-level question from *this* core's statistics, so a
         predicate fitted over the slice weighs each tuple exactly as one
@@ -244,10 +254,7 @@ class CorpusCore:
 
         part = CorpusCore.__new__(CorpusCore)
         part._bind(self.tokenizer, self.token_lists[start:stop])
-        part._term_frequencies = self.term_frequencies[start:stop]
-        part._stats = ShardStatisticsView(
-            part.token_lists, self.stats, term_frequencies=part._term_frequencies
-        )
+        part._stats = ShardStatisticsView(part.token_lists, self.stats)
         return part
 
     # -- introspection ----------------------------------------------------------
@@ -255,12 +262,12 @@ class CorpusCore:
     @property
     def num_postings(self) -> int:
         """Number of ``(token, tuple)`` postings (distinct tokens per tuple):
-        one array sum when the posting arrays exist, else one walk over the
-        ``Counter`` objects -- kept, the core being read-only."""
+        one array sum when the index exists, else one walk over the
+        ``Counter`` objects (which the statistics of a core without an index
+        count anyway) -- kept, the core being read-only."""
         if self._num_postings is None:
-            sizes = None if self._index is None else self._index.set_sizes
-            if sizes is not None:
-                self._num_postings = int(sizes.sum())
+            if self._index is not None:
+                self._num_postings = int(self._index.set_sizes.sum())
             else:
                 self._num_postings = sum(map(len, self.term_frequencies))
         return self._num_postings
@@ -290,11 +297,21 @@ class CorpusCore:
             "seconds": self.build_seconds,
         }
 
+    def describe_term_counts(self) -> str:
+        """``not built`` / ``built in X ms (cause: ...)``: whether a reader
+        had the per-tuple ``Counter`` objects counted."""
+        if self._term_frequencies is None:
+            return "not built"
+        return f"built in {self._counts_seconds * 1e3:.1f} ms (cause: {self._counts_cause})"
+
     def describe(self) -> str:
         """:meth:`summary` as one line (``explain()`` prints it), with
-        whether the index's posting lists are built
-        (:meth:`~repro.core.index.InvertedIndex.describe_posting_lists`)."""
+        whether the per-tuple ``Counter`` objects
+        (:meth:`describe_term_counts`) and the index's posting lists
+        (:meth:`~repro.core.index.InvertedIndex.describe_posting_lists`) are
+        built."""
         summary = self.summary()
+        summary["counts"] = self.describe_term_counts()
         size = summary["array_bytes"]
         summary["arrays"] = (
             "no posting arrays" if size is None
@@ -306,8 +323,8 @@ class CorpusCore:
         )
         return (
             "{tokenizer}: {rows} rows, {vocabulary} tokens, {postings} "
-            "postings, built in {seconds:.2f} s, posting lists: {lists}, "
-            "{arrays}".format(**summary)
+            "postings, built in {seconds:.2f} s, term counts: {counts}, "
+            "posting lists: {lists}, {arrays}".format(**summary)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

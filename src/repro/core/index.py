@@ -3,38 +3,48 @@
 Every token-based predicate restricts score computation to tuples that share
 at least one token with the query (this is exactly what the SQL join between
 ``BASE_TOKENS`` and ``QUERY_TOKENS`` does in the declarative realization).
-The :class:`InvertedIndex` provides that candidate generation step and also
-doubles as the per-tuple term-frequency store; the
+The :class:`InvertedIndex` provides that candidate generation step; the
 :class:`WeightedPostingIndex` is its per-predicate counterpart whose postings
 carry precomputed score contributions.
 
-The inverted index is built over the relation's per-tuple ``Counter``
-objects, which stay its source of truth: one pass over them counts every
-token's document frequency (what ``len`` of a posting, the vocabulary order
-and the scans' in-step checks read).  The first kernelised fit over a
-:class:`~repro.core.corpus.CorpusCore` has it hold the postings as arrays
-**once** (:meth:`InvertedIndex.build_arrays`, filled from the ``Counter``
-objects and shared by every later fit): per token an ``int64`` tid array
-and an ``int64`` term-frequency array, each a view into one buffer, plus
-one ``int64`` distinct-token count per tuple.  A weighted index is
-*derived* from them token by token: its ``(int64 tids, float64
-contributions)`` pairs, plus one stored posting count per token, are all a
-fit computes (one element-wise expression per token, or one call of the
-predicate's formula per distinct integer ``(tf, |D|)`` of a token,
-gathered).  A token that drops no posting shares the inverted index's tid
-array by reference.
+The inverted index is built straight from the relation's token lists, which
+are its source of truth, in one interned pass at construction: every token
+occurrence gets an integer id (tokens numbered in vocabulary order, first
+seen, tuples in tid order), one ``np.unique`` over ``tid * V + id`` finds
+each tuple's distinct tokens and their term frequencies, and one
+``np.bincount`` their document frequencies.  From those it holds
 
-The inverted index's Python ``(tid, tf)`` lists are read by the readers
-without arrays -- the edit family, LSH's candidate set, shards of the edit
-family -- and are derived from the ``Counter`` objects once, under a lock:
-inside the fit of a predicate whose scans read them, else on the first
-read.  Like the ``Counter`` objects they mirror, all lists and arrays are
-read-only after they are built.
+* the **tuple-major** arrays: per tuple its distinct token ids and term
+  frequencies in first-occurrence order -- the key order of
+  ``Counter(tokens)`` -- which the cosine norm is reduced over;
+* the **posting arrays**: per token an ``int64`` tid array and an ``int64``
+  term-frequency array, each a view into one buffer (one stable radix sort
+  of the tuple-major arrays by token id), plus one ``int64`` distinct-token
+  count per tuple;
+* the **document frequencies**, a dict counted at build time, apart from
+  both: what ``len`` of a posting, the vocabulary order and the scans'
+  in-step checks read.
+
+A weighted index is *derived* from the posting arrays token by token: its
+``(int64 tids, float64 contributions)`` pairs, plus one stored posting count
+per token, are all a fit computes (one element-wise expression per token,
+or one call of the predicate's formula per distinct integer ``(token, tf,
+|D|)``, gathered: :meth:`InvertedIndex.distinct_postings`).  A token that
+drops no posting shares the inverted index's tid array by reference.
+
+No per-tuple ``Counter`` is built: :meth:`InvertedIndex.term_frequencies`
+counts one tuple's list when a single-tuple ``score()`` asks.  The Python
+``(tid, tf)`` lists are read by the readers without arrays -- the edit
+family, LSH's candidate set -- and are derived from the posting arrays
+once, under a lock: inside the fit of a predicate whose scans read them,
+else on the first read.  All lists and arrays are read-only after they are
+built.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from collections import Counter
 from itertools import chain
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -47,61 +57,92 @@ from repro.obs.clock import perf_clock
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (blocking uses text only)
     from repro.blocking.base import Blocker
 
-__all__ = ["InvertedIndex", "WeightedPostingIndex", "distinct_pairs"]
+__all__ = ["InvertedIndex", "WeightedPostingIndex"]
+
+#: Postings :meth:`InvertedIndex.distinct_postings` groups per ``np.unique``.
+_GROUP_POSTINGS = 1 << 15
 
 class InvertedIndex:
     """Maps tokens to the tuples containing them (postings with tf).
 
-    ``term_frequencies`` is the per-tuple ``Counter`` list of ``token_lists``
-    when the caller already holds it (a
-    :class:`~repro.core.corpus.CorpusCore` counts a relation once and shares
-    the list by reference); it is counted here otherwise.
-
-    The ``Counter`` objects are the index's source of truth.  Construction
-    makes one pass over them, ``Counter(chain.from_iterable(counters))``,
-    which yields the document frequency of every token in vocabulary order
-    (first seen, tuples in tid order): :meth:`tokens`,
-    :meth:`document_frequency` and the scans' in-step length checks
-    read it.  Two forms of the postings are derived from the ``Counter``
-    objects, each only when something reads it:
-
-    * the **posting arrays** (:meth:`build_arrays`, run by a kernelised
-      fit): per token an ``int64`` tid array and an ``int64`` term-frequency
-      array -- what the count scan reads and every
-      :class:`WeightedPostingIndex` is derived from;
-    * the **posting lists**, per token ``(tid, tf)`` tuples in tid order --
-      what the readers without arrays read (the edit family, a blocker
-      without an array hook, shards of the edit family).  Built once,
-      under a lock, assigned whole, by a fit whose scans read them
-      (:meth:`build_posting_lists`) or by the first :meth:`postings` /
-      :meth:`candidates` call.
-
-    Until a kernelised fit asked for the arrays, :meth:`arrays` and
-    :attr:`set_sizes` answer ``None``.
+    ``token_lists`` -- one token list per tuple, in tid order -- is held by
+    reference (a :class:`~repro.core.corpus.CorpusCore` shares its own) and
+    never mutated.  Construction is one interned pass over it (see the
+    module docstring) that builds the vocabulary, the document frequencies,
+    the tuple-major arrays and the posting arrays; nothing is built from a
+    ``Counter``.  The posting **lists**, per token ``(tid, tf)`` tuples in
+    tid order, are what the readers without arrays read (the edit family, a
+    blocker without an array hook): derived from the posting arrays once,
+    under a lock, assigned whole, by a fit whose scans read them
+    (:meth:`build_posting_lists`) or by the first :meth:`postings` /
+    :meth:`candidates` call.
     """
 
-    def __init__(
-        self,
-        token_lists: Sequence[Sequence[str]],
-        term_frequencies: Optional[List[Counter]] = None,
-    ):
-        if term_frequencies is None:
-            term_frequencies = [Counter(tokens) for tokens in token_lists]
-        self._term_frequencies: List[Counter] = term_frequencies
-        #: token -> number of tuples containing it, in vocabulary order.
-        self._document_frequencies: Dict[str, int] = dict(
-            Counter(chain.from_iterable(term_frequencies))
+    def __init__(self, token_lists: Sequence[Sequence[str]]):
+        self._token_lists = token_lists
+        num_tuples = len(token_lists)
+        #: token -> id, in vocabulary order (first seen, tuples in tid order).
+        vocabulary = dict.fromkeys(chain.from_iterable(token_lists))
+        size = len(vocabulary)
+        token_id = dict(zip(vocabulary, range(size)))
+        lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=num_tuples)
+        # One key per occurrence, tid * V + id, built in place: the narrowest
+        # unsigned type holds every id.
+        keys = np.repeat(np.arange(num_tuples, dtype=np.int64) * size, lengths)
+        keys += np.fromiter(
+            map(token_id.__getitem__, chain.from_iterable(token_lists)),
+            dtype=np.min_scalar_type(size),
+            count=keys.size,
         )
-        #: token -> (int64 tids, int64 tfs) / int64 distinct-token count per
-        #: tuple; ``None`` until :meth:`build_arrays` ran.
-        self._arrays = None
-        self._set_sizes = None
+        # np.unique's first index of each key is the token's first occurrence
+        # in its tuple, so marking the firsts keeps each tuple's distinct
+        # tokens in Counter key order.
+        firsts, counts = np.unique(keys, return_index=True, return_counts=True)[1:]
+        first = np.zeros(keys.size, dtype=bool)
+        first[firsts] = True
+        tf_at = np.zeros(keys.size, dtype=np.int64)
+        tf_at[firsts] = counts
+        tuple_tfs = tf_at[first]
+        tuple_tids, tuple_ids = np.divmod(keys[first], max(size, 1))
+        del keys, tf_at
+        # Kept in the narrowest unsigned types (the cosine fit is their one
+        # reader); up to 65,536 tokens numpy's stable sort by id is then a
+        # radix sort.
+        tuple_ids = tuple_ids.astype(np.min_scalar_type(size))
+        set_sizes = np.bincount(tuple_tids, minlength=num_tuples)
+        #: token -> number of tuples containing it, in vocabulary order:
+        #: counted here, apart from the arrays the scans check against it.
+        self._document_frequencies: Dict[str, int] = dict(
+            zip(vocabulary, np.bincount(tuple_ids, minlength=size).tolist())
+        )
+        order = np.argsort(tuple_ids, kind="stable")
+        tids, tfs = tuple_tids[order], tuple_tfs[order]
+        bounds = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(self._document_frequencies.values(), dtype=np.int64, count=size),
+            out=bounds[1:],
+        )
+        edges = bounds.tolist()
+        #: token -> (int64 tids, int64 tfs), views into the buffers below.
+        self._arrays = {
+            token: (tids[start:stop], tfs[start:stop])
+            for token, start, stop in zip(vocabulary, edges, edges[1:])
+        }
         #: The one tid and one tf buffer the per-token arrays are views of
         #: (token-major, vocabulary order) and each token's start offset in
-        #: them, plus the total; ``None`` until :meth:`build_arrays` ran.
-        self._buffers = None
-        #: Bytes the posting arrays hold (``None`` while they are not built).
-        self.array_bytes: Optional[int] = None
+        #: them, plus the total.
+        self._buffers = (tids, tfs, bounds)
+        #: Per tuple its distinct token ids and tfs in first-occurrence order,
+        #: tuple after tuple (``set_sizes`` long each).
+        self._tuple_major = (
+            tuple_ids,
+            tuple_tfs.astype(np.min_scalar_type(int(tuple_tfs.max(initial=0)))),
+        )
+        self._set_sizes = set_sizes
+        #: Bytes the arrays hold.
+        self.array_bytes: int = sum(
+            array.nbytes for array in (tids, tfs, set_sizes, *self._tuple_major)
+        )
         #: Seconds deriving the posting lists took and what asked for them
         #: (``"fit"`` / ``"first read"``); ``None`` while they are unbuilt.
         self.lists_seconds: Optional[float] = None
@@ -111,70 +152,30 @@ class InvertedIndex:
         #: Assigned whole, never filled in place.
         self._postings: Optional[Dict[str, List[Tuple[int, int]]]] = None  # guarded-by: _lists_lock
 
-    def build_arrays(self) -> None:
-        """Materialize the postings as integer arrays (idempotent).
-
-        Filled from the ``Counter`` objects: one ``np.fromiter`` of every
-        tuple's token ids and one of its term frequencies, tuples in tid
-        order, then one stable sort by token id -- so each token's postings
-        come out in tid order, as contiguous views into one tid and one tf
-        buffer -- and the per-tuple number of distinct tokens.  Called from
-        inside a fit -- never lazily by a query, so concurrent first queries
-        find them built -- and a no-op when they exist.
-        """
-        if self._arrays is not None:
-            return
-        counters = self._term_frequencies
-        vocabulary = self._document_frequencies
-        set_sizes = np.fromiter(map(len, counters), dtype=np.int64, count=len(counters))
-        # Every tuple posts each of its distinct tokens once.
-        total = int(set_sizes.sum())
-        token_id = {token: position for position, token in enumerate(vocabulary)}
-        # The narrowest unsigned type that holds every id: up to 65,536
-        # tokens numpy's stable sort is then a radix sort.
-        token_ids = np.fromiter(
-            map(token_id.__getitem__, chain.from_iterable(counters)),
-            dtype=np.min_scalar_type(len(vocabulary)),
-            count=total,
-        )
-        tf_values = np.fromiter(
-            chain.from_iterable(map(Counter.values, counters)),
-            dtype=np.int64,
-            count=total,
-        )
-        order = np.argsort(token_ids, kind="stable")
-        tids = np.repeat(np.arange(len(counters), dtype=np.int64), set_sizes)[order]
-        tfs = tf_values[order]
-        bounds = np.zeros(len(vocabulary) + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter(vocabulary.values(), dtype=np.int64, count=len(vocabulary)),
-            out=bounds[1:],
-        )
-        edges = bounds.tolist()
-        self._arrays = {
-            token: (tids[start:stop], tfs[start:stop])
-            for token, start, stop in zip(vocabulary, edges, edges[1:])
-        }
-        self._buffers = (tids, tfs, bounds)
-        self._set_sizes = set_sizes
-        self.array_bytes = tids.nbytes + tfs.nbytes + set_sizes.nbytes
-
     def arrays(self, token: str):
         """``postings(token)`` as ``(int64 tids, int64 tfs)`` arrays, or
-        ``None`` (token without postings, or arrays not built)."""
-        if self._arrays is None:
-            return None
+        ``None`` (a token without postings)."""
         return self._arrays.get(token)
 
     @property
     def set_sizes(self):
         """``int64`` array of distinct tokens per tuple (``len`` of the
-        tuple's token set), or ``None`` when the arrays are not built."""
+        tuple's token set)."""
         return self._set_sizes
+
+    def tuple_major(self):
+        """``(ids, tfs, bounds)``: per tuple its distinct token ids
+        (positions in :meth:`tokens`) and their term frequencies, in
+        first-occurrence order -- ``Counter(tokens)``'s key order -- tuple
+        ``t``'s at ``bounds[t]:bounds[t + 1]``.  ``ids`` and ``tfs`` are of
+        the narrowest unsigned types that hold them, ``bounds`` ``int64``."""
+        bounds = np.zeros(self._set_sizes.size + 1, dtype=np.int64)
+        np.cumsum(self._set_sizes, out=bounds[1:])
+        return (*self._tuple_major, bounds)
 
     @property
     def num_tuples(self) -> int:
-        return len(self._term_frequencies)
+        return len(self._token_lists)
 
     # -- collection statistics read token-major --------------------------------
 
@@ -186,29 +187,21 @@ class InvertedIndex:
 
     def collection_frequencies(self) -> Dict[str, int]:
         """token -> total occurrences (``cf``), in vocabulary order: per
-        token the ``int64`` sum of its tf array when the arrays are built
-        (exact integers, so the summation order is immaterial), else summed
-        over the ``Counter`` objects."""
-        vocabulary = self._document_frequencies
-        if self._buffers is None:
-            sums = dict.fromkeys(vocabulary, 0)
-            for counts in self._term_frequencies:
-                for token, tf in counts.items():
-                    sums[token] += tf
-            return sums
+        token the ``int64`` sum of its tf array (exact integers, so the
+        summation order is immaterial)."""
         tfs, bounds = self._buffers[1], self._buffers[2]
-        return dict(zip(vocabulary, np.add.reduceat(tfs, bounds[:-1]).tolist()))
+        return dict(
+            zip(self._document_frequencies, np.add.reduceat(tfs, bounds[:-1]).tolist())
+        )
 
-    def tf_ratio_sums(self, divisors: Sequence[int]) -> Optional[Dict[str, float]]:
+    def tf_ratio_sums(self, divisors: Sequence[int]) -> Dict[str, float]:
         """token -> ``Σ tf / divisors[tid]`` over its postings, added one
         posting at a time in tid order (``np.add.accumulate``: sequential,
         never numpy's pairwise summation), in vocabulary order -- the float
-        sums a tuple-major loop over the ``Counter`` objects produces, bit
-        for bit (``int64 / int64`` is the correctly rounded quotient, as
-        Python's ``int / int`` is).  ``None`` while the arrays are unbuilt.
+        sums a tuple-major loop over the tuples' term frequencies produces,
+        bit for bit (``int64 / int64`` is the correctly rounded quotient, as
+        Python's ``int / int`` is).
         """
-        if self._buffers is None:
-            return None
         tids, tfs, bounds = self._buffers
         ratios = tfs / np.asarray(divisors, dtype=np.int64)[tids]
         edges = bounds.tolist()
@@ -218,23 +211,82 @@ class InvertedIndex:
             for token, start, stop in zip(self._document_frequencies, edges, edges[1:])
         }
 
+    def distinct_postings(self, lengths):
+        """The postings grouped by their integer ``(token, tf, lengths[tid])``.
+
+        ``lengths`` is an ``int64`` array of tuple lengths, each at least
+        every ``tf`` of its tuple.  Returns ``(triples, inverse)``: an
+        iterator over the distinct triples as Python ``(token id, tf,
+        length)`` ints, ascending, and for each posting of the token-major
+        buffers (token ``i``'s at ``bounds[i]:bounds[i + 1]`` of
+        :meth:`posting_buffers`) the position of its triple -- so a
+        per-posting function of ``(token, tf, |D|)`` is called once per
+        triple and gathered with ``inverse``, ``==`` to calling it per
+        posting.
+
+        Runs of consecutive tokens holding about ``_GROUP_POSTINGS``
+        postings are grouped at a time (two ``np.unique`` each: the ``(tf,
+        |D|)`` pairs numbered densely, then ``(token, pair)``), so the
+        sort's scratch arrays stay a few hundred kilobytes whatever the
+        relation's size, and no key can overflow.
+        """
+        tids, tfs, bounds = self._buffers
+        # tf <= |D| < radix: one integer key per (tf, |D|) pair.
+        radix = int(lengths.max(initial=0)) + 1
+        inverse = np.empty(tids.size, dtype=np.intp)
+        token_parts, pair_parts = [], []
+        found = first = 0
+        edges = bounds.tolist()
+        while first < len(edges) - 1:
+            # Tokens first..last-1: at most _GROUP_POSTINGS postings, or one token.
+            last = max(first + 1, bisect_right(edges, edges[first] + _GROUP_POSTINGS) - 1)
+            start, stop = edges[first], edges[last]
+            pair_keys = tfs[start:stop] * radix
+            pair_keys += lengths[tids[start:stop]]
+            pair_values, keys = np.unique(pair_keys, return_inverse=True)
+            keys += np.repeat(
+                np.arange(last - first, dtype=np.int64) * pair_values.size,
+                np.diff(bounds[first : last + 1]),
+            )
+            keys, inverse[start:stop] = np.unique(keys, return_inverse=True)
+            inverse[start:stop] += found
+            found += keys.size
+            token_ids, pair_ids = np.divmod(keys, pair_values.size)
+            token_parts.append((token_ids + first).tolist())
+            pair_parts.append(pair_values[pair_ids])
+            first = last
+        tf_values, length_values = np.divmod(np.concatenate([tids[:0], *pair_parts]), radix)
+        return (
+            zip(chain.from_iterable(token_parts), tf_values.tolist(), length_values.tolist()),
+            inverse,
+        )
+
+    def posting_buffers(self):
+        """``(tids, tfs, bounds)``: the token-major ``int64`` buffers every
+        :meth:`arrays` pair is a view of, token ``i`` (the ``i``-th of
+        :meth:`tokens`) at ``bounds[i]:bounds[i + 1]``."""
+        return self._buffers
+
     # -- the posting lists ---------------------------------------------------------
 
     def build_posting_lists(
         self, cause: str = "first read"
     ) -> Dict[str, List[Tuple[int, int]]]:
-        """Derive the ``(tid, tf)`` lists from the ``Counter`` objects: once,
+        """Derive the ``(tid, tf)`` lists from the posting buffers: once,
         under the lock, assigned whole.  A fit whose scans read them passes
         ``cause="fit"``."""
         with self._lists_lock:
             if self._postings is None:
                 started = perf_clock()
-                postings: Dict[str, List[Tuple[int, int]]] = {
-                    token: [] for token in self._document_frequencies
+                tids, tfs, bounds = self._buffers
+                pairs = list(zip(tids.tolist(), tfs.tolist()))
+                edges = bounds.tolist()
+                postings = {
+                    token: pairs[start:stop]
+                    for token, start, stop in zip(
+                        self._document_frequencies, edges, edges[1:]
+                    )
                 }
-                for tid, counts in enumerate(self._term_frequencies):
-                    for token, tf in counts.items():
-                        postings[token].append((tid, tf))
                 self.lists_seconds, self.lists_cause = perf_clock() - started, cause
                 self._postings = postings
             return self._postings
@@ -256,7 +308,7 @@ class InvertedIndex:
             return "not built"
         return (
             f"built in {self.lists_seconds * 1e3:.1f} ms "
-            f"({sum(map(len, self._term_frequencies))} postings, "
+            f"({self._buffers[2][-1]} postings, "
             f"cause: {self.lists_cause})"
         )
 
@@ -266,13 +318,15 @@ class InvertedIndex:
         return self._posting_lists().get(token, [])
 
     def document_frequency(self, token: str) -> int:
-        """Tuples containing ``token``, from the ``Counter`` pass -- what the
+        """Tuples containing ``token``, counted at build time -- what the
         scans check their scanned lengths against, without touching
         either posting form."""
         return self._document_frequencies.get(token, 0)
 
     def term_frequencies(self, tid: int) -> Counter:
-        return self._term_frequencies[tid]
+        """``tf(t, D)`` of tuple ``tid``: its token list counted per call
+        (keys in first-occurrence order), for the single-tuple paths."""
+        return Counter(self._token_lists[tid])
 
     def candidates(
         self, tokens: Iterable[str], blocker: Optional["Blocker"] = None
@@ -308,7 +362,7 @@ class InvertedIndex:
         step with the document frequencies, as the count scan checks them),
         and :meth:`~repro.blocking.base.Blocker.prune_array` narrows them --
         the same candidates and the same blocker statistics as
-        :meth:`candidates`, without a Python set.  Needs :meth:`build_arrays`.
+        :meth:`candidates`, without a Python set.
         """
         query_tokens = set(tokens)
         member = np.zeros(self.num_tuples, dtype=bool)
@@ -341,23 +395,6 @@ class InvertedIndex:
         self._lists_lock = threading.Lock()
 
 
-def distinct_pairs(tids, tfs, lengths):
-    """A token's postings grouped by their integer ``(tf, lengths[tid])``.
-
-    ``tids`` / ``tfs`` are one token's posting arrays and ``lengths`` an
-    ``int64`` array of tuple lengths, each at least every ``tf`` of its
-    tuple.  Returns ``(pairs, inverse)``: the distinct pairs as Python
-    ``(tf, length)`` ints, ascending, and for each posting the position of
-    its pair -- so a per-posting function of ``(tf, |D|)`` is called once per
-    pair and gathered with ``inverse``, ``==`` to calling it per posting.
-    """
-    token_lengths = lengths[tids]
-    # tf <= |D| < radix: one integer key per pair, decoded by divmod.
-    radix = int(token_lengths.max()) + 1
-    keys, inverse = np.unique(tfs * radix + token_lengths, return_inverse=True)
-    return [divmod(key, radix) for key in keys.tolist()], inverse
-
-
 _TokenValues = Iterable[Tuple[str, Sequence[float]]]
 
 
@@ -376,8 +413,8 @@ class WeightedPostingIndex:
     ----------
     index:
         The relation's :class:`InvertedIndex`.  Its posting order is this
-        index's posting order, and its arrays (built here if no fit has yet)
-        are what ``token_values`` are computed over.
+        index's posting order, and its arrays are what ``token_values`` are
+        computed over.
     token_values:
         ``(token, values)`` pairs, at most one per token of ``index``, in
         whatever token order the deriving predicate needs: ``values`` holds
@@ -402,7 +439,6 @@ class WeightedPostingIndex:
         token_values: _TokenValues,
         keep_zeros: bool = False,
     ):
-        index.build_arrays()  # a no-op after a kernelised tokenize phase
         self._arrays: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         #: token -> number of postings stored (tokens left without are absent).
         self._counts: Dict[str, int] = {}

@@ -450,8 +450,8 @@ def posting_tids(index, tokens: Iterable[str]):
     ``None`` when none of them has a posting.
 
     A short or missing tid array would not fail, it would drop tuples: the
-    length check against the document frequencies (the index's count over
-    its ``Counter`` objects, never the arrays) turns that into a
+    length check against the document frequencies (the dict the index
+    counted at build time, never the arrays) turns that into a
     :class:`ValueError` for every reader -- the count scan, a blocker's
     probe mask (:meth:`~repro.core.index.InvertedIndex.candidate_mask`), the
     sharded pre-partition candidates.

@@ -38,7 +38,7 @@ from repro.text.weights import (
     BM25Parameters,
     CollectionStatistics,
     bm25_query_weights,
-    tfidf_norm,
+    l2_norm,
     tfidf_weights,
 )
 
@@ -150,14 +150,22 @@ class CosineTfIdf(_AggregateBase):
     def weight_phase(self) -> None:
         self._stats = stats = self._core.stats
         idf = stats.idf_table()
-        # The L2 norm is a reduction: one scalar statement per tuple, shared
-        # with tfidf_weights, never a vectorised sum.  A tuple whose raw
-        # weights are all zero has every weight 0.0; dividing by inf says so
-        # without a branch in the element-wise expression.
+        # Each tuple's raw weights tf * idf in its first-occurrence token
+        # order, as one element-wise product over the index's tuple-major
+        # arrays; the L2 norm is a reduction: one l2_norm per tuple over its
+        # squares as Python floats, never a vectorised sum.  A tuple whose
+        # raw weights are all zero has every weight 0.0; dividing by inf
+        # says so without a branch in the element-wise expression.
+        index = self._index
+        ids, tfs, bounds = index.tuple_major()
+        idf_by_id = np.array([idf[token] for token in index.tokens()], dtype=np.float64)
+        squares = idf_by_id[ids]
+        squares *= tfs  # tf * idf
+        squares *= squares
+        edges = bounds.tolist()
         norms = [
-            tfidf_norm([tf * idf[token] for token, tf in counts.items()])
-            or float("inf")
-            for counts in self._core.term_frequencies
+            l2_norm(squares[start:stop].tolist()) or float("inf")
+            for start, stop in zip(edges, edges[1:])
         ]
         self._derive_weighted_index(idf, norms)
 

@@ -338,22 +338,20 @@ class Predicate(PairHost, BlockingHost, ABC):
         """Phase 1 of preprocessing: the tokenized, indexed base relation.
 
         Binds the token lists and the inverted index from the corpus core;
-        a kernelised predicate also has the index hold its postings as
-        arrays (once per core), which the count scan reads and every
-        weighted fit derives its contributions from.  A predicate whose
-        scans read the index's ``(tid, tf)`` lists -- the non-kernelised
-        families -- has the index derive them here, inside the fit; a
-        kernelised fit leaves them unbuilt.  A predicate that was
-        handed no core builds its private one here, so standalone fits pay
-        tokenization in this phase; over a shared core whose parts already
-        exist the phase is a few attribute reads.
+        the index holds its postings as arrays from construction (once per
+        core), which the count scan reads and every weighted fit derives
+        its contributions from.  A predicate whose scans read the index's
+        ``(tid, tf)`` lists -- the non-kernelised families -- has the index
+        derive them here, inside the fit; a kernelised fit leaves them
+        unbuilt.  A predicate that was handed no core builds its private
+        one here, so standalone fits pay tokenization in this phase; over a
+        shared core whose parts already exist the phase is a few attribute
+        reads.
         """
         core = self._bound_core()
         self._token_lists = core.token_lists
         self._index = core.index
-        if self.uses_kernels:
-            core.build_index_arrays()
-        else:
+        if not self.uses_kernels:
             core.build_posting_lists()
 
     @abstractmethod

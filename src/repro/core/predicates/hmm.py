@@ -17,8 +17,9 @@ core's postings token by token into a
 same function on the tuple's own term frequency.  The formula stays scalar
 -- ``math.log`` is libm's, numpy's ``log`` is not guaranteed to round the
 same way: the fit (:meth:`HMM._posting_arrays`) calls it once per distinct
-``(tf, |D|)`` of a token, found on the index's posting arrays with
-``np.unique``, and gathers the results per posting.  Query evaluation is one
+``(token, tf, |D|)``, found on the index's posting buffers
+(:meth:`~repro.core.index.InvertedIndex.distinct_postings`), and gathers the
+results per posting.  Query evaluation is one
 kernel scan over the query tokens' postings, then
 :func:`repro.core.kernels.finalize_exp` of the log score -- only for the
 candidates a selection keeps.
@@ -33,7 +34,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core import kernels
-from repro.core.index import WeightedPostingIndex, distinct_pairs
+from repro.core.index import WeightedPostingIndex
 from repro.core.predicates.base import Predicate
 from repro.text.tokenize import QgramTokenizer, Tokenizer
 
@@ -79,16 +80,20 @@ class HMM(Predicate):
         )
 
     def _posting_arrays(self) -> Iterator[Tuple[str, np.ndarray]]:
-        """Per token, :meth:`_contribution` once per distinct ``(tf, |D|)``
-        pair of its posting arrays, gathered per posting."""
+        """Per token, its postings' log factors: :meth:`_contribution` once
+        per distinct ``(token, tf, |D|)`` of the index's posting buffers,
+        gathered per posting."""
         index, contribution = self._index, self._contribution
-        lengths = np.array(self._lengths, dtype=np.int64)
-        for token in index.tokens():
-            p_general = self._general_english[token]
-            tids, tfs = index.arrays(token)
-            pairs, inverse = distinct_pairs(tids, tfs, lengths)
-            values = [contribution(p_general, tf, length) for tf, length in pairs]
-            yield token, np.array(values, dtype=np.float64)[inverse]
+        tokens = list(index.tokens())
+        p_general = [self._general_english[token] for token in tokens]
+        triples, inverse = index.distinct_postings(np.array(self._lengths, dtype=np.int64))
+        values = np.array(
+            [contribution(p_general[token], tf, length) for token, tf, length in triples],
+            dtype=np.float64,
+        )[inverse]
+        edges = index.posting_buffers()[2].tolist()
+        for token, start, stop in zip(tokens, edges, edges[1:]):
+            yield token, values[start:stop]
 
     def _contribution(self, p_general: float, tf: int, length: int) -> float:
         """``log(1 + a1 P(q|D) / (a0 P(q|GE)))`` of one posting, with

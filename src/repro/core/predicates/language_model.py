@@ -15,17 +15,19 @@ Figure 4.4; only the candidates a selection keeps are exponentiated
 The fit is one token-major pass over the corpus core's posting arrays
 (:meth:`LanguageModeling._posting_arrays`): :meth:`LanguageModeling._posting_terms`
 states a posting's contribution once, and is *called* once per distinct
-``(tf, |D|)`` of a token, found with ``np.unique`` -- the two logs and the
-two ``**`` are taken for that pair and gathered to every posting of the
-token that has it; ``log(1 - p̂)`` feeds both the contribution and the
-tuple's complement sum.  The formula is scalar: ``**`` and ``math.log`` are
-libm's, numpy's ``power`` / ``log`` are not guaranteed to round the same
+``(token, tf, |D|)`` of the index's posting buffers, found with
+``np.unique`` over runs of tokens, not per token
+(:meth:`~repro.core.index.InvertedIndex.distinct_postings`) --
+the two logs and the two ``**`` are taken for that triple and gathered to
+every posting that has it; ``log(1 - p̂)`` feeds both the contribution and
+the tuple's complement sum.  The formula is scalar: ``**`` and ``math.log``
+are libm's, numpy's ``power`` / ``log`` are not guaranteed to round the same
 way.  The complements are added into a ``float64`` array with ``sums[tids]
-+= complement`` -- a tid occurs at most once per token, so each tuple's sum
-takes one IEEE addition per token, in sorted token order, the order the
-paper's sum is taken in.  Nothing is kept per (tuple, token) besides the
-weighted postings; ``score()`` recomputes a posting from the same function
-and the tuple's own term frequency.
++= complement``, token by token -- a tid occurs at most once per token, so
+each tuple's sum takes one IEEE addition per token, in sorted token order,
+the order the paper's sum is taken in.  Nothing is kept per (tuple, token)
+besides the weighted postings; ``score()`` recomputes a posting from the
+same function and the tuple's own term frequency.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core import kernels
-from repro.core.index import WeightedPostingIndex, distinct_pairs
+from repro.core.index import WeightedPostingIndex
 from repro.core.predicates.base import Predicate
 from repro.text.tokenize import QgramTokenizer, Tokenizer
 from repro.text.weights import CollectionStatistics
@@ -100,25 +102,34 @@ class LanguageModeling(Predicate):
         self._sum_complement = sums
 
     def _posting_arrays(self, sums) -> Iterator[Tuple[str, np.ndarray]]:
-        """Per token (sorted), :meth:`_posting_terms` once per distinct
-        ``(tf, |D|)`` pair of its posting arrays, gathered per posting; each
-        posting's ``log(1 - p̂)`` is added to its tuple's entry of the
-        ``float64`` array ``sums``.  Tokens are visited in sorted order, so
-        every tuple's sum adds its tokens in sorted order however the index
-        was built (RPL001)."""
+        """Per token (sorted), its postings' contributions: :meth:`_posting_terms`
+        once per distinct ``(token, tf, |D|)`` of the index's posting
+        buffers, gathered per posting; each posting's ``log(1 - p̂)`` is
+        added to its tuple's entry of the ``float64`` array ``sums``.
+        Tokens are visited in sorted order, so every tuple's sum adds its
+        tokens in sorted order however the index was built (RPL001)."""
         index, posting_terms = self._index, self._posting_terms
-        lengths = np.array(self._lengths, dtype=np.int64)
-        for token in sorted(index.tokens()):
-            pavg, log_cfcs = self._pavg[token], self._log_cfcs[token]
-            tids, tfs = index.arrays(token)
-            pairs, inverse = distinct_pairs(tids, tfs, lengths)
-            contributions, complements = np.array(
-                [posting_terms(pavg, log_cfcs, tf, length) for tf, length in pairs],
-                dtype=np.float64,
-            ).T
+        tokens = list(index.tokens())
+        pavg = [self._pavg[token] for token in tokens]
+        log_cfcs = [self._log_cfcs[token] for token in tokens]
+        triples, inverse = index.distinct_postings(np.array(self._lengths, dtype=np.int64))
+        terms = np.array(
+            [
+                posting_terms(pavg[token], log_cfcs[token], tf, length)
+                for token, tf, length in triples
+            ],
+            dtype=np.float64,
+        ).reshape(-1, 2)
+        contributions, complements = terms[:, 0][inverse], terms[:, 1][inverse]
+        del inverse  # the generator holds its locals until it is exhausted
+        tids, _, bounds = index.posting_buffers()
+        edges = bounds.tolist()
+        spans = {token: (edges[i], edges[i + 1]) for i, token in enumerate(tokens)}
+        for token in sorted(tokens):
+            start, stop = spans[token]
             # A tid occurs once per token: one addition per tuple.
-            sums[tids] += complements[inverse]
-            yield token, contributions[inverse]
+            sums[tids[start:stop]] += complements[start:stop]
+            yield token, contributions[start:stop]
 
     @staticmethod
     def _posting_terms(

@@ -31,14 +31,14 @@ and a restriction by :func:`~repro.core.kernels.allowed_mask`; only LSH
 still hands over a candidate set.  The survivors are finalized as arrays
 and returned as :class:`~repro.core.kernels.DenseScores`, so selection never
 builds a dict.  A fit builds no per-tuple token set: sizes come from the
-index's arrays, and :meth:`score` reads the tuple's own ``Counter`` (the
-index's term-frequency store), whose keys are its token set.
+index's arrays, and :meth:`score` takes the set of the tuple's token list
+for that one call.
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import TYPE_CHECKING, Dict, Iterator, KeysView, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -71,12 +71,11 @@ class _OverlapBase(Predicate):
     def _query_tokens(self, query: str) -> set[str]:
         return set(self.tokenizer.tokenize(query))
 
-    def _tuple_tokens(self, tid: int) -> Optional[KeysView[str]]:
-        """The token set of tuple ``tid`` (its ``Counter``'s keys), ``None``
-        outside the relation."""
+    def _tuple_tokens(self, tid: int) -> Optional[Set[str]]:
+        """The token set of tuple ``tid``, ``None`` outside the relation."""
         if not 0 <= tid < len(self._token_lists):
             return None
-        return self._index.term_frequencies(tid).keys()
+        return set(self._token_lists[tid])
 
     # -- blocking -------------------------------------------------------------
 
@@ -229,7 +228,7 @@ class _WeightedOverlapBase(_OverlapBase):
         )
 
     def _tuple_common_weight(
-        self, sorted_tokens: Sequence[str], tokens: KeysView[str]
+        self, sorted_tokens: Sequence[str], tokens: Set[str]
     ) -> Tuple[float, bool]:
         """``(common weight, matched)`` of one tuple's ``tokens`` in the
         canonical order.
@@ -281,8 +280,8 @@ class WeightedJaccard(_WeightedOverlapBase):
         weight = self._weight
         self._tuple_weight_sums = np.array(
             [
-                sum(weight(token) for token in sorted(counts))
-                for counts in self._core.term_frequencies
+                sum(weight(token) for token in sorted(set(tokens)))
+                for tokens in self._token_lists
             ],
             dtype=np.float64,
         )

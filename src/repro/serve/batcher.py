@@ -4,8 +4,12 @@ Concurrent clients asking the same plan (same corpus, predicate, backend,
 operation and parameters -- see
 :meth:`~repro.serve.protocol.QueryRequest.batch_key`) do not need one engine
 execution each: :meth:`Query.run_many` answers the whole set against one
-shared fitted state, and on the declarative realization scores the entire
-workload in one SQL statement.  A batch exists to share that one execution,
+shared fitted state.  On the declarative realization an uncut batch
+(``rank`` / ``select``) scores the entire workload in one SQL statement; a
+cut one (``top_k``, or ``rank`` with a limit) of a family whose scoring is
+one ``SELECT`` runs one ``ORDER BY ... LIMIT`` statement per query on SQLite
+and keeps the one batch statement on the in-memory backend.  A batch exists
+to share that one execution,
 so waiting for company only buys anything while the engine is *busy*: the
 :class:`MicroBatcher` counts the batches in flight per **lane** (the
 service's lane is the corpus, whose executions its lock serialises anyway)
@@ -24,10 +28,14 @@ An idle server therefore adds no wait, and batch size follows load by
 itself.  Each submitter awaits a future resolved with its own slice of the
 batch result.
 
-Coalescing changes *when* work runs, never *what* it computes: ``run_many``
-executes the same per-query code paths as the single-query terminals, so a
-batched answer is bit-identical to the answer the request would have gotten
-alone (the serving test-suite asserts this).
+Coalescing changes *when* work runs, not *what* it computes.  On the direct
+realization ``run_many`` executes the same per-query code paths as the
+single-query terminals, so a batched answer is bit-identical to the answer
+the request would have gotten alone (the serving test-suite asserts this).
+An uncut declarative batch on SQLite is not held to that: its one statement
+may sum a near-tie's contributions in another float order than the
+per-query statement, so two tuples whose scores differ in the last bits can
+swap places.
 
 Futures may be abandoned (the submitter's deadline expired and
 ``asyncio.wait_for`` cancelled the await); the flush checks ``fut.done()``

@@ -485,26 +485,19 @@ class ShardedPredicate(PairHost, BlockingHost):
         """Union of the shard indexes' candidates for the probe tokens
         (global ids) -- identical to the unsharded index's candidate set.
 
-        A shard whose posting arrays are built answers from its tid arrays
+        Each shard answers from its tid arrays
         (:func:`~repro.core.kernels.posting_tids`, checked in step with the
         document frequencies: a short array raises), so a blocked call
-        derives no posting list; a shard without arrays (the edit family)
-        from its posting lists.
+        derives no posting list.
         """
         candidates: Set[int] = set()
         for shard_id, shard in enumerate(self._shards):
             index = getattr(shard, "_index", None)
             if index is None:  # pragma: no cover - defensive
                 continue
-            offset = self._offsets[shard_id]
-            if index.set_sizes is not None:
-                tids = kernels.posting_tids(index, probe_tokens)
-                if tids is not None:
-                    candidates.update((tids + offset).tolist())
-                continue
-            for token in probe_tokens:
-                for tid, _ in index.postings(token):
-                    candidates.add(tid + offset)
+            tids = kernels.posting_tids(index, probe_tokens)
+            if tids is not None:
+                candidates.update((tids + self._offsets[shard_id]).tolist())
         return candidates
 
     def _blocked_allowed(self, query: str) -> Optional[Set[int]]:

@@ -14,7 +14,6 @@ each tuple exactly the weights an unsharded fit would, bit for bit.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List, Sequence
 
 from repro.text.weights import CollectionStatistics
@@ -29,22 +28,21 @@ class ShardStatisticsView(CollectionStatistics):
     object (same dict instances), so derived tables (idf, RS weights,
     ``p̂_avg``) iterate the same vocabulary in the same order as the
     unsharded computation -- summations stay float-identical, not just
-    mathematically equal.  ``token_lists`` and ``term_frequencies`` are the
-    shard's slices of the whole relation's lists and ``Counter`` objects,
-    shared by reference (a core counts a relation once).
+    mathematically equal.  ``token_lists`` is the shard's slice of the whole
+    relation's lists, shared by reference; :meth:`term_frequencies` counts
+    one tuple per call.
     """
 
     def __init__(
         self,
         token_lists: Sequence[Sequence[str]],
         global_stats: CollectionStatistics,
-        term_frequencies: List[Counter],
     ):
         # Deliberately no ``super().__init__()``: the base constructor would
         # aggregate shard-local df/cf/averages only for them to be replaced
         # by the global answers below.  Only the per-tuple fields are local.
         self._token_lists = token_lists
-        self._term_frequencies = term_frequencies
+        self._term_frequencies = None
         self._lengths: List[int] = [len(tokens) for tokens in token_lists]
         self._global = global_stats
         # Collection-level answers come from the global pass (shared dict

@@ -31,6 +31,7 @@ __all__ = [
     "CollectionStatistics",
     "idf_weights",
     "rs_weights",
+    "l2_norm",
     "tfidf_norm",
     "tfidf_weights",
     "bm25_document_weights",
@@ -67,19 +68,22 @@ class CollectionStatistics:
         One token list per tuple of the base relation, in tuple-id order.
     term_frequencies:
         The per-tuple ``Counter`` list of ``token_lists`` when the caller
-        already holds it -- a :class:`~repro.core.corpus.CorpusCore` counts
-        a relation once.  Both lists are then shared by reference (the
-        caller guarantees they are never mutated); without it the token
-        lists are copied and counted here.
+        already holds it -- a :class:`~repro.core.corpus.CorpusCore` without
+        an index counts a relation once.  Both lists are then shared by
+        reference (the caller guarantees they are never mutated).
     index:
         The :class:`~repro.core.index.InvertedIndex` of the same relation
         when the caller has already built one (duck-typed:
         ``document_frequencies``, ``collection_frequencies()`` and
-        ``tf_ratio_sums(divisors)``).  ``df`` is then the index's own count
-        and ``cf`` is read off it token-major -- exact integers -- instead
-        of counted over every tuple's ``Counter``, and :meth:`pavg_table`
-        sums from its posting arrays when they are built; the vocabulary
-        order is the same either way (first seen, tuples in tid order).
+        ``tf_ratio_sums(divisors)``).  ``df`` is then the index's own count,
+        ``cf`` is read off it token-major -- exact integers -- and
+        :meth:`pavg_table` sums from its posting arrays; the token lists are
+        shared by reference and no ``Counter`` list is needed
+        (:meth:`term_frequencies` counts one tuple per call).  The
+        vocabulary order is the same either way (first seen, tuples in tid
+        order).
+
+    Given neither, the token lists are copied and counted here.
 
     The object is immutable after construction; the raw statistics are
     computed eagerly because every weighting scheme needs most of them, and
@@ -92,12 +96,12 @@ class CollectionStatistics:
         term_frequencies: Optional[List[Counter]] = None,
         index=None,
     ):
-        if term_frequencies is None:
+        if term_frequencies is None and index is None:
             token_lists = [list(tokens) for tokens in token_lists]
             term_frequencies = [Counter(tokens) for tokens in token_lists]
         self._token_lists: Sequence[Sequence[str]] = token_lists
         self._num_tuples = len(self._token_lists)
-        self._term_frequencies: List[Counter] = term_frequencies
+        self._term_frequencies: Optional[List[Counter]] = term_frequencies
         self._lengths: List[int] = [len(tokens) for tokens in self._token_lists]
 
         self._document_frequency: Dict[str, int]
@@ -107,7 +111,7 @@ class CollectionStatistics:
             # appearance as a Counter key: both counts keep one vocabulary
             # order (first seen, tuples in tid order).
             self._document_frequency = dict(
-                Counter(chain.from_iterable(self._term_frequencies))
+                Counter(chain.from_iterable(term_frequencies))
             )
             self._collection_frequency = dict(
                 Counter(chain.from_iterable(self._token_lists))
@@ -155,10 +159,13 @@ class CollectionStatistics:
 
     def term_frequency(self, tid: int, token: str) -> int:
         """``tf(t, D)`` for tuple ``tid``."""
-        return self._term_frequencies[tid].get(token, 0)
+        return self.term_frequencies(tid).get(token, 0)
 
     def term_frequencies(self, tid: int) -> Counter:
-        """The full term-frequency Counter of tuple ``tid``."""
+        """The full term-frequency Counter of tuple ``tid`` (the held one,
+        else its token list counted for this call)."""
+        if self._term_frequencies is None:
+            return Counter(self._token_lists[tid])
         return self._term_frequencies[tid]
 
     def document_frequency(self, token: str) -> int:
@@ -231,11 +238,12 @@ class CollectionStatistics:
         """
         if self._pavg_table is None:
             divisors = [length or 1 for length in self._lengths]
-            # Token-major from the index's posting arrays when they are
-            # built: each token's sum adds its postings in tid order, as the
-            # tuple-major loop below does.
-            pml_sums = None if self._index is None else self._index.tf_ratio_sums(divisors)
-            if pml_sums is None:
+            if self._index is not None:
+                # Token-major from the index's posting arrays: each token's
+                # sum adds its postings in tid order, as the tuple-major
+                # loop below does.
+                pml_sums = self._index.tf_ratio_sums(divisors)
+            else:
                 pml_sums = {}
                 for tid in range(self._num_tuples):
                     length = divisors[tid]
@@ -262,16 +270,22 @@ def rs_weights(stats: CollectionStatistics, tokens: Iterable[str]) -> Dict[str, 
     return {token: stats.rs_weight(token) for token in set(tokens)}
 
 
-def tfidf_norm(raw_weights: Iterable[float]) -> float:
-    """L2 norm of one string's raw ``tf * idf`` weights, summed in the order
-    given.
+def l2_norm(squares: Sequence[float]) -> float:
+    """``sqrt`` of a ``sum()`` of squares, summed in the order given.
 
-    The one statement of this reduction: :func:`tfidf_weights` and the cosine
-    predicate's fit both call it, so every path rounds the sum the same way
-    on every interpreter (``sum`` over floats is compensated from Python
-    3.12 on, a hand-written ``+=`` loop is not).
+    The one statement of this reduction: :func:`tfidf_norm` and the cosine
+    predicate's fit (over its tuple-major arrays) both call it, so every
+    path rounds the sum the same way on every interpreter (``sum`` over
+    floats is compensated from Python 3.12 on, a hand-written ``+=`` loop
+    is not).
     """
-    return math.sqrt(sum(value * value for value in raw_weights))
+    return math.sqrt(sum(squares))
+
+
+def tfidf_norm(raw_weights: Iterable[float]) -> float:
+    """L2 norm of one string's raw ``tf * idf`` weights, in the order given:
+    :func:`l2_norm` of their squares."""
+    return l2_norm([value * value for value in raw_weights])
 
 
 def tfidf_weights(

@@ -438,7 +438,7 @@ def _assert_fit_matches_reference(token_lists, threshold, queries):
     for indexed in (False, True):
         core = CorpusCore.of_token_lists(token_lists, QgramTokenizer(q=2))
         if indexed:
-            core.build_index_arrays()
+            core.index
         pipeline = make_blocker("length+prefix", threshold=threshold).fit_core(core)
         length, prefix = pipeline.stages
         assert prefix._prefixes == prefixes

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import copy
 import gc
+import math
 import pickle
 import weakref
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -34,8 +36,8 @@ from repro.eval.pruning import PrunedTokenizer
 from repro.eval.timing import time_preprocessing
 from repro.obs.metrics import MetricsRegistry
 from repro.shard import ShardedPredicate, ShardStatisticsView
-from repro.text.tokenize import QgramTokenizer, WordTokenizer
-from repro.text.weights import CollectionStatistics
+from repro.text.tokenize import QgramTokenizer, TwoLevelTokenizer, WordTokenizer
+from repro.text.weights import CollectionStatistics, tfidf_norm
 
 ALL_DIRECT = registry.available_predicates("direct")
 
@@ -339,9 +341,16 @@ class TestCoreParts:
         assert core._term_frequencies is None and core._index is None
         assert core._token_sets is None and core._stats is None
         assert core.index is core.index and core.stats is core.stats
+        # The index and the statistics are built from the token lists: no
+        # Counter list is counted for them.
+        assert core._term_frequencies is None
         assert core.token_sets is core.token_sets
-        # Counted once: the index and the statistics share the Counters.
-        assert core.index.term_frequencies(0) is core.stats.term_frequencies(0)
+        # A tuple's counts are its token list counted, in one key order.
+        for tid in (0, len(company_strings) - 1):
+            counts = core.index.term_frequencies(tid)
+            assert counts == core.stats.term_frequencies(tid)
+            assert list(counts.items()) == list(core.stats.term_frequencies(tid).items())
+        assert core._term_frequencies is None
         assert core.vocabulary_size == len(core.stats.vocabulary)
         assert core.num_postings == sum(
             len(core.index.postings(token)) for token in core.index.tokens()
@@ -420,8 +429,9 @@ def _counter_statistics(token_lists, counters):
 
 class TestPostingListView:
     """The inverted index's (tid, tf) lists are a view derived from the
-    Counters on the first read; the arrays and the statistics are filled
-    from the Counters without them."""
+    posting arrays on the first read; the arrays and the statistics are
+    built from the token lists without them -- all ``==`` a tuple-major
+    recount over the Counters."""
 
     @pytest.mark.parametrize("name", KERNELISED)
     def test_numpy_fits_and_queries_leave_it_unbuilt(self, name):
@@ -482,7 +492,7 @@ class TestPostingListView:
     @pytest.mark.parametrize("tokenizer", TOKENIZERS, ids=repr)
     def test_statistics_equal_the_counter_pass_in_order(self, tokenizer):
         core = CorpusCore(EDGE_ROWS, tokenizer)
-        core.build_index_arrays()
+        core.index
         df, cf, pavg = _counter_statistics(core.token_lists, core.term_frequencies)
         for stats in (core.stats, CollectionStatistics(core.token_lists)):
             assert list(stats._document_frequency.items()) == list(df.items())
@@ -663,8 +673,19 @@ class TestCoreObservability:
         assert f"core:        {report.core}" in report.describe()
         arrays = f"posting arrays {core.index.array_bytes / 1e6:.1f} MB"
         assert f", {arrays}, shared by" in report.core
-        # No query so far read the index's (tid, tf) lists.
+        # No query so far read the index's (tid, tf) lists, and no fit
+        # counted the per-tuple Counters.
         assert ", posting lists: not built" in report.core
+        assert ", term counts: not built, posting lists: " in report.core
+        assert core.describe_term_counts() == "not built"
+        # The word-level statistics read them: a combination fit counts its
+        # own core's.
+        base.predicate("soft_tfidf").fitted_predicate()
+        words = base.predicate("soft_tfidf").fitted_predicate()._core
+        assert words.describe_term_counts().startswith("built in ")
+        assert words.describe_term_counts().endswith(" ms (cause: fit)")
+        assert ", term counts: built in " in words.describe()
+        assert core.describe_term_counts() == "not built"
         weighted = base.predicate("bm25").fitted_predicate()._weighted_index
         assert report.weights.startswith(
             f"{weighted.num_postings} postings "
@@ -691,9 +712,9 @@ def test_statistics_read_off_the_index_equal_the_counter_pass(token_lists):
     """``df`` / ``cf`` token-major: the same integers in the same vocabulary
     order (derived tables iterate it, so order is part of bit-identity)."""
     counts = [Counter(tokens) for tokens in token_lists]
-    index = InvertedIndex(token_lists, term_frequencies=counts)
+    index = InvertedIndex(token_lists)
     counted = CollectionStatistics(token_lists, term_frequencies=counts)
-    indexed = CollectionStatistics(token_lists, term_frequencies=counts, index=index)
+    indexed = CollectionStatistics(token_lists, index=index)
     for table in ("_document_frequency", "_collection_frequency"):
         assert list(getattr(indexed, table).items()) == list(
             getattr(counted, table).items()
@@ -733,7 +754,7 @@ def test_core_sizes_are_computed_once():
     for tokenizer, build_index in ((QgramTokenizer(q=2), True), (WordTokenizer(), False)):
         core = CorpusCore(CORPUS, tokenizer)
         if build_index:
-            core.build_index_arrays()
+            core.index
         want = (
             len({token for tokens in core.token_lists for token in tokens}),
             sum(len(set(tokens)) for tokens in core.token_lists),
@@ -742,16 +763,17 @@ def test_core_sizes_are_computed_once():
         for _ in range(3):
             summary = core.summary()
             assert (summary["vocabulary"], summary["postings"]) == want
-        # With posting arrays nothing is walked at all; without an index the
-        # Counters are walked once per size, then never again.
+        # With an index nothing is walked at all; without one the Counters
+        # are walked once per size, then never again.
         assert counters.walks <= (0 if build_index else 2)
 
 
 @pytest.mark.parametrize("name", ["jaccard", "intersect", "weighted_match"])
 def test_overlap_fits_and_queries_build_no_token_sets(name):
     """The overlap fit sizes by the relation and scores off the arrays;
-    ``score`` reads the tuple's ``Counter``, so the core's per-tuple token
-    sets stay unbuilt -- and ``score`` still sees what ``rank`` sees."""
+    ``score`` takes the set of its one tuple's tokens, so the core's
+    per-tuple token sets stay unbuilt -- and ``score`` still sees what
+    ``rank`` sees."""
     predicate = registry.make(name).fit(EDGE_ROWS)
     core = predicate._core
     for query in QUERIES + [""]:
@@ -761,3 +783,144 @@ def test_overlap_fits_and_queries_build_no_token_sets(name):
         for tid in range(-1, len(EDGE_ROWS) + 1):
             assert predicate.score(query, tid) == ranked.get(tid, 0.0)
     assert core._token_sets is None
+
+
+# -- the token lists are the source -------------------------------------------
+
+
+def _counter_route(token_lists):
+    """The index's arrays as the former Counter-based build made them, kept
+    here as the oracle: a Counter per tuple, one ``df`` pass over the
+    Counters, token ids from a ``token_id`` map, one stable sort by id."""
+    counters = [Counter(tokens) for tokens in token_lists]
+    df = dict(Counter(chain.from_iterable(counters)))
+    token_id = {token: position for position, token in enumerate(df)}
+    ids = [token_id[token] for counts in counters for token in counts]
+    tfs = [tf for counts in counters for tf in counts.values()]
+    tids = [tid for tid, counts in enumerate(counters) for _ in counts]
+    order = sorted(range(len(ids)), key=ids.__getitem__)  # stable
+    return {
+        "tokens": list(df),
+        "df": list(df.items()),
+        "tuple_ids": ids,
+        "tuple_tfs": tfs,
+        "tuple_bounds": [0, *_running_sums(map(len, counters))],
+        "set_sizes": [len(counts) for counts in counters],
+        "posting_tids": [tids[i] for i in order],
+        "posting_tfs": [tfs[i] for i in order],
+        "posting_bounds": [0, *_running_sums(df.values())],
+    }
+
+
+def _running_sums(values):
+    total, sums = 0, []
+    for value in values:
+        total += value
+        sums.append(total)
+    return sums
+
+
+def _interned(index):
+    ids, tfs, bounds = index.tuple_major()
+    posting_tids, posting_tfs, posting_bounds = index.posting_buffers()
+    return {
+        "tokens": list(index.tokens()),
+        "df": list(index.document_frequencies.items()),
+        "tuple_ids": ids.tolist(),
+        "tuple_tfs": tfs.tolist(),
+        "tuple_bounds": bounds.tolist(),
+        "set_sizes": index.set_sizes.tolist(),
+        "posting_tids": posting_tids.tolist(),
+        "posting_tfs": posting_tfs.tolist(),
+        "posting_bounds": posting_bounds.tolist(),
+    }
+
+
+#: The token lists the interned build is checked on: three tokenizers over
+#: rows with an empty string, an all-empty relation and an empty relation.
+SOURCES = {
+    **{
+        repr(tokenizer): [tokenizer.tokenize(text) for text in EDGE_ROWS]
+        for tokenizer in TOKENIZERS + [TwoLevelTokenizer(q=2)]
+    },
+    "all-empty": [[], [], []],
+    "empty": [],
+}
+
+
+class TestTokenListsAreTheSource:
+    """The index is built from the token lists in one interned pass: no
+    Counter list, and every array ``==`` the Counter route's."""
+
+    @pytest.mark.parametrize("source", list(SOURCES))
+    def test_term_frequencies_count_the_token_list(self, source):
+        token_lists = SOURCES[source]
+        index = InvertedIndex(token_lists)
+        for candidate in (index, pickle.loads(pickle.dumps(index))):
+            for tid, tokens in enumerate(token_lists):
+                counts = candidate.term_frequencies(tid)
+                assert counts == Counter(tokens)
+                assert list(counts.items()) == list(Counter(tokens).items())
+
+    @pytest.mark.parametrize("source", list(SOURCES))
+    def test_interned_arrays_equal_the_counter_route(self, source):
+        token_lists = SOURCES[source]
+        assert _interned(InvertedIndex(token_lists)) == _counter_route(token_lists)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(["a", "b", "c", "d", "e", "ab", "é"]), max_size=8),
+            max_size=10,
+        )
+    )
+    def test_random_token_lists_equal_the_counter_route(self, token_lists):
+        assert _interned(InvertedIndex(token_lists)) == _counter_route(token_lists)
+
+    def test_cosine_norms_are_tfidf_norm_per_tuple(self):
+        """Hex-equal to ``tfidf_norm`` of the tuple's Counter, including an
+        empty tuple and one whose every token is in every tuple (norm 0,
+        stored as inf)."""
+        rows = ["aaa", "aa", "aa aa aa", "", "xaay", *CORPUS]
+        cosine = registry.make("cosine", tokenizer=WordTokenizer()).fit(rows)
+        every = registry.make("cosine", tokenizer=QgramTokenizer(q=2)).fit(["aa", "aaa", "aaaa"])
+        for predicate in (cosine, every):
+            idf = predicate._core.stats.idf_table()
+            for tid, tokens in enumerate(predicate._token_lists):
+                raw = [tf * idf[token] for token, tf in Counter(tokens).items()]
+                want = tfidf_norm(raw) or math.inf
+                assert predicate._tuple_factors[tid].hex() == want.hex()
+        # q=2 over runs of "a": every tuple holds every q-gram, idf 0.
+        assert every._tuple_factors == [math.inf] * 3
+        assert cosine._tuple_factors[rows.index("")] == math.inf
+
+    def test_kernelised_fits_and_queries_count_no_term_frequencies(self):
+        core = CorpusCore(EDGE_ROWS, QgramTokenizer(q=2))
+        names = ["bm25", "cosine", "weighted_match", "lm", "hmm", "jaccard", "intersect"]
+        fitted = [registry.make(name).fit(EDGE_ROWS, core=core) for name in names]
+        for predicate in fitted:
+            for query in QUERIES + [""]:
+                predicate.top_k(query, 3)
+                predicate.select(query, 0.3)
+                predicate.rank(query)
+                for tid in (0, 3, len(EDGE_ROWS) - 1):
+                    predicate.score(query, tid)
+        assert core._term_frequencies is None
+        assert core.describe_term_counts() == "not built"
+
+    def test_only_the_word_level_statistics_count_term_frequencies(self):
+        words = CorpusCore(EDGE_ROWS, TwoLevelTokenizer(q=2))
+        registry.make("soft_tfidf").fit(EDGE_ROWS, core=words)
+        assert words._term_frequencies is not None and words._index is None
+        assert words.describe_term_counts().endswith("(cause: fit)")
+        # weighted_jaccard sums each tuple's token set; the edit family
+        # reads the (tid, tf) lists, derived from the arrays.
+        qgrams = CorpusCore(EDGE_ROWS, QgramTokenizer(q=2))
+        weighted = registry.make("weighted_jaccard").fit(EDGE_ROWS, core=qgrams)
+        registry.make("edit_distance").fit(EDGE_ROWS, core=qgrams)
+        assert qgrams._index.posting_lists_built and qgrams._term_frequencies is None
+        for query in QUERIES:
+            ranked = dict(_pairs(weighted.rank(query)))
+            for tid in range(len(EDGE_ROWS)):
+                assert weighted.score(query, tid) == ranked.get(tid, 0.0)
+        assert qgrams._term_frequencies is None

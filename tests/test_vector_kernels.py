@@ -453,8 +453,7 @@ class TestIndexArrays:
     def test_one_build_per_core_shared_by_reference(self):
         strings = CORPUS * 3
         core = CorpusCore(strings, QgramTokenizer(q=2))
-        assert core.index.arrays("OR") is None and core.index.set_sizes is None
-        assert core.summary()["array_bytes"] is None
+        assert core._index is None and core.summary()["array_bytes"] is None
         names = ["jaccard", "intersect", "weighted_jaccard", "bm25", "lm"]
         first = make_predicate(names[0]).fit(strings, core=core)
         pairs = {token: core.index.arrays(token) for token in core.index.tokens()}
@@ -474,7 +473,16 @@ class TestIndexArrays:
             # lm keeps every posting, so it scans the core's own tid arrays.
             assert predicates[-1]._weighted_index.arrays(token)[0] is tids
         assert sizes.tolist() == [len(set(tokens)) for tokens in core.token_lists]
-        assert core.summary()["array_bytes"] == 16 * core.num_postings + 8 * len(core)
+        # Per posting an int64 tid and tf token-major and, tuple-major, a
+        # token id and a tf of the narrowest unsigned types; per tuple its
+        # int64 size.
+        ids, tfs, bounds = core.index.tuple_major()
+        assert ids.dtype == np.min_scalar_type(core.vocabulary_size)
+        assert tfs.dtype == np.min_scalar_type(int(tfs.max()))
+        assert bounds.tolist() == [0, *np.cumsum(sizes).tolist()]
+        assert core.summary()["array_bytes"] == (
+            (16 + ids.itemsize + tfs.itemsize) * core.num_postings + 8 * len(core)
+        )
         assert "posting arrays" in core.describe()
 
     def test_engine_fits_share_the_arrays(self):
@@ -492,13 +500,12 @@ class TestIndexArrays:
         """A shard's index is built from the slice's own lists: its arrays
         and its count scan equal those of an index over just those rows."""
         core = CorpusCore(CORPUS * 2, QgramTokenizer(q=2))
-        core.build_index_arrays()
+        core.index
         for start, stop in [(0, len(core)), (3, 17), (5, 6), (4, 4)]:
-            sliced = core.slice(start, stop).index
-            assert sliced.arrays("OR") is None  # no arrays, none carried
-            sliced.build_arrays()
+            part = core.slice(start, stop)
+            assert part._index is None  # no index carried
+            sliced = part.index
             fresh = InvertedIndex(core.token_lists[start:stop])
-            fresh.build_arrays()
             assert sliced.set_sizes.tolist() == fresh.set_sizes.tolist()
             assert set(sliced.tokens()) == set(fresh.tokens())
             for token in fresh.tokens():
