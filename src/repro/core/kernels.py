@@ -13,16 +13,19 @@ over precomputed postings, and this module runs both on numpy:
   per-token ``int64`` tid arrays of the
   :class:`~repro.core.index.InvertedIndex` -- one ``np.bincount``.
 
-Both return their candidates as the arrays of a :class:`DenseScores`.  The
-selection kernels (:func:`top_items` / :func:`sorted_items` /
-:func:`select_items`) order a scan's result, and :func:`allowed_mask`
-narrows it to a restriction's (or a set-path blocker's) allowed set;
-:func:`posting_tids` is the count scan's checked read of the tid arrays,
-which an exact blocker's probe mask shares.  That is the whole module --
-two scans, one mask, selection, and the language models' deferred ``exp``
-finalizer (:func:`exp_scores`, :func:`finalize_exp`).  ``rank``,
-``select``, ``score`` *and* ``top_k`` (which is ``rank(limit=k)``) are
-answered by them.
+Both return their candidates as :class:`Scores`: the ``(tid, score)``
+relation of one query as two tid-ascending arrays, the one form every
+predicate's ``_scores`` answers in (the edit and combination families build
+theirs once from the scores they compute tuple by tuple,
+:meth:`Scores.from_dict`).  The selection kernels (:func:`top_items` /
+:func:`sorted_items` / :func:`select_items`) order the arrays, and
+:func:`allowed_mask` narrows them to a restriction's (or a blocker's)
+allowed set; :func:`posting_tids` is the count scan's checked read of the
+tid arrays, which an exact blocker's probe mask shares.  That is the whole
+module -- two scans, one mask, selection, and the language models' deferred
+``exp`` finalizer (:class:`Scores` ``logs``, :func:`finalize_exp`).
+``rank``, ``select``, ``score`` *and* ``top_k`` (which is ``rank(limit=k)``)
+are answered by them, and selection reads the arrays only.
 
 Exactness
 ---------
@@ -60,10 +63,10 @@ publishes in its metrics registry.
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,8 +77,7 @@ __all__ = [
     "count_overlap",
     "posting_tids",
     "allowed_mask",
-    "DenseScores",
-    "exp_scores",
+    "Scores",
     "finalize_exp",
     "top_items",
     "sorted_items",
@@ -86,7 +88,7 @@ _ops_lock = threading.Lock()
 #: ``numpy`` counts scans (the engine publishes it as ``kernel_ops.numpy``);
 #: ``finalize_deferred`` / ``finalize_fallback`` count log-domain selections
 #: that finalized only their superset, and those whose guard gave up and
-#: finalized every candidate (see :func:`exp_scores`).
+#: finalized every candidate (see :class:`Scores`).
 _ops: Dict[str, int] = {  # guarded-by: _ops_lock
     "numpy": 0,
     "finalize_deferred": 0,
@@ -118,8 +120,8 @@ def accumulate(
     index,
     items: Sequence[Tuple[str, float]],
     size: int,
-) -> "DenseScores":
-    """``{tid: Σ qw * contribution}`` over the given ``(token, qw)`` items.
+) -> "Scores":
+    """``Σ qw * contribution`` per tid over the given ``(token, qw)`` items.
 
     ``items`` must already be in the predicate's canonical token order and
     free of zero query weights; ``index`` is a
@@ -160,17 +162,15 @@ def accumulate(
     touched = np.zeros(size, dtype=bool)
     touched[all_tids] = True
     candidates = np.flatnonzero(touched)
-    # Lazily-materialized dict: .tolist() round-trips to exact Python
-    # ints/floats on first dict access, tid-ascending.
-    return DenseScores(candidates, accumulator[candidates])
+    return Scores(candidates, accumulator[candidates])
 
 
-def count_overlap(index, tokens: Iterable[str], size: int) -> "DenseScores":
-    """``{tid: number of distinct tokens shared with the query}``.
+def count_overlap(index, tokens: Iterable[str], size: int) -> "Scores":
+    """The number of distinct tokens each tid shares with the query.
 
     ``index`` is an :class:`~repro.core.index.InvertedIndex`; ``size`` is the
     relation size, bounding tids.  The candidate tids and their counts come
-    back as the int64 ``tids`` / ``vals`` arrays of a :class:`DenseScores`:
+    back as the int64 ``tids`` / ``values`` arrays of a :class:`Scores`:
     one ``np.bincount`` over the concatenated tid arrays of the query's
     distinct tokens.
     """
@@ -182,156 +182,84 @@ def count_overlap(index, tokens: Iterable[str], size: int) -> "DenseScores":
     if counts.size != size:
         raise ValueError("a tid array names a tuple beyond the relation")
     candidates = np.flatnonzero(counts)
-    return DenseScores(candidates, counts[candidates])
+    return Scores(candidates, counts[candidates])
 
 
-def _empty_scores(dtype=np.float64) -> "DenseScores":
-    return DenseScores(np.empty(0, dtype=np.int64), np.empty(0, dtype=dtype))
+def _empty_scores(dtype=np.float64) -> "Scores":
+    return Scores(np.empty(0, dtype=np.int64), np.empty(0, dtype=dtype))
 
 
-class DenseScores(dict):
-    """Score dict backed by ``(tids, values)`` arrays, materialized lazily.
+@dataclass(frozen=True, eq=False)
+class Scores:
+    """One query's candidates and their scores, as two arrays.
 
-    A numpy scan produces its candidate set as an int64 tid array plus the
-    matching float64 scores (int64 counts for the count scan, until a
-    finalizer turns them into scores); building a 10k-entry Python dict out
-    of them costs more than the accumulation itself, and the hot paths
-    (``rank``/``select``/``top_k`` selection) only ever need the arrays.  So
-    the dict starts empty and fills itself from the arrays on the first
-    dict-API access -- every Python-level read (``len``, iteration, ``get``,
-    ``items``, ``==`` ...) behaves exactly like a plain dict with the same
-    keys and float values.
+    ``tids`` is int64 and tid-ascending; ``values[i]`` is the score of
+    ``tids[i]`` (float64 -- or the count scan's int64 counts, until a
+    finalizer turns them into scores).
 
-    ``tids`` is tid-ascending; ``vals[i]`` is the score of ``tids[i]``.
-    Built by :func:`exp_scores`, the instance holds the *log* scores instead
-    (``logs``) and ``vals`` is ``exp`` of them, taken with
-    :func:`finalize_exp` per candidate on the first read -- which
-    :func:`top_items` / :func:`select_items` avoid (see :func:`exp_scores`).
-    Mutation is supported (materializes first) and marks the arrays stale so
-    the selection kernels fall back to the dict.  Caveat: C-level fast paths
-    that read dict storage directly without calling the overridden methods
-    (``dict(d)``, ``{**d}``, ``other.update(d)``) see the unmaterialized
-    dict -- call ``.materialize()`` first if you need those.
+    A language model's scan ends with the exact float64 log score of each
+    candidate, and exponentiating all of them costs one scalar ``math.exp``
+    per candidate where a top-``k`` answer needs ``k``.  So it passes
+    ``logs`` instead of ``values``: the score of ``tids[i]`` is
+    ``finalize_exp(logs[i])``, taken where it is read -- every candidate for
+    :func:`sorted_items`, one for :meth:`score` -- while :func:`top_items`
+    and :func:`select_items` select in the log domain and finalize a
+    superset of the winners:
+
+    1. the superset is every candidate whose log is ``>=`` the ``k``-th
+       largest log (or ``log(threshold)``) less a margin ``δ(x) = 1e-9 *
+       max(1, |x|)`` -- far wider than a ULP, so it holds every candidate
+       whose finalized score could tie the boundary;
+    2. ``math.exp`` runs on the superset only, and the exact
+       ``(score desc, tid asc)`` selection runs on it;
+    3. a guard -- ``exp(m + δ(m))`` strictly below the ``k``-th finalized
+       score (or the threshold), ``m`` the largest log outside the superset
+       -- proves no outsider could have entered the answer; when it fails
+       (scores underflowed to ``0.0`` or overflowed to ``inf``, a threshold
+       ``<= 0``, a NaN) every candidate is finalized and selected as before.
+
+    Either way the answer is the full finalization's, bit for bit; the two
+    outcomes are counted as ``finalize_deferred`` / ``finalize_fallback``.
     """
 
-    __slots__ = ("tids", "logs", "_vals", "_filled", "_stale")
+    tids: np.ndarray
+    values: Optional[np.ndarray] = None
+    logs: Optional[np.ndarray] = None
 
-    def __init__(self, tids, values=None, logs=None):
-        super().__init__()
-        self.tids = tids
-        self.logs = logs
-        self._vals = values
-        self._filled = False
-        self._stale = False
+    @classmethod
+    def from_dict(cls, scores: Mapping[int, float]) -> "Scores":
+        """The arrays of a ``{tid: score}`` dict, sorted tid-ascending."""
+        tids = np.fromiter(scores, dtype=np.int64, count=len(scores))
+        values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
+        order = tids.argsort()
+        return cls(tids[order], values[order])
 
-    @property
-    def vals(self):
-        """The float64 scores of ``tids`` (finalized here, once, if deferred)."""
-        if self._vals is None:
-            self._vals = np.array(_exp_list(self.logs.tolist()), dtype=np.float64)
-        return self._vals
+    def __len__(self) -> int:
+        return int(self.tids.size)
 
-    def materialize(self) -> "DenseScores":
-        """Fill the underlying dict from the arrays (idempotent)."""
-        if not self._filled:
-            self._filled = True
-            super().update(zip(self.tids.tolist(), self.vals.tolist()))
-        return self
+    def finalized(self):
+        """The float64 scores of ``tids``, every log finalized."""
+        if self.logs is None:
+            return self.values
+        return np.array(_exp_list(self.logs.tolist()), dtype=np.float64)
 
-    def _arrays(self):
-        """``(tids, values)`` while they still reflect the content, else None."""
-        if self._stale:
-            return None
-        return self.tids, self.vals
+    def narrow(self, keep) -> "Scores":
+        """The candidates the boolean mask ``keep`` over ``tids`` marks."""
+        return Scores(
+            self.tids[keep],
+            None if self.values is None else self.values[keep],
+            None if self.logs is None else self.logs[keep],
+        )
 
-    def _touch(self) -> "DenseScores":
-        self.materialize()
-        self._stale = True
-        return self
-
-    # -- reads (materialize, then plain dict behavior) ------------------------
-
-    def __len__(self):
-        return super().__len__() if self._filled else int(self.tids.size)
-
-    def __iter__(self):
-        return super(DenseScores, self.materialize()).__iter__()
-
-    def __reversed__(self):
-        return super(DenseScores, self.materialize()).__reversed__()
-
-    def __contains__(self, key):
-        return super(DenseScores, self.materialize()).__contains__(key)
-
-    def __getitem__(self, key):
-        return super(DenseScores, self.materialize()).__getitem__(key)
-
-    def get(self, key, default=None):
-        return super(DenseScores, self.materialize()).get(key, default)
-
-    def keys(self):
-        return super(DenseScores, self.materialize()).keys()
-
-    def values(self):  # noqa: A003 - dict API
-        return super(DenseScores, self.materialize()).values()
-
-    def items(self):
-        return super(DenseScores, self.materialize()).items()
-
-    def __eq__(self, other):
-        if isinstance(other, DenseScores):
-            other.materialize()
-        return super(DenseScores, self.materialize()).__eq__(other)
-
-    def __ne__(self, other):
-        if isinstance(other, DenseScores):
-            other.materialize()
-        return super(DenseScores, self.materialize()).__ne__(other)
-
-    __hash__ = None  # dicts are unhashable
-
-    def __repr__(self):
-        return super(DenseScores, self.materialize()).__repr__()
-
-    def copy(self):
-        return dict(self.materialize())
-
-    def __or__(self, other):
-        return dict(self.materialize()) | other
-
-    def __ror__(self, other):
-        return other | dict(self.materialize())
-
-    def __reduce__(self):
-        # Pickles as the plain dict it represents.
-        return (dict, (dict(self.materialize()),))
-
-    # -- mutation (materialize, mark arrays stale) ----------------------------
-
-    def __setitem__(self, key, value):
-        super(DenseScores, self._touch()).__setitem__(key, value)
-
-    def __delitem__(self, key):
-        super(DenseScores, self._touch()).__delitem__(key)
-
-    def setdefault(self, key, default=None):
-        return super(DenseScores, self._touch()).setdefault(key, default)
-
-    def pop(self, *args):
-        return super(DenseScores, self._touch()).pop(*args)
-
-    def popitem(self):
-        return super(DenseScores, self._touch()).popitem()
-
-    def clear(self):
-        super(DenseScores, self._touch()).clear()
-
-    def update(self, *args, **kwargs):
-        super(DenseScores, self._touch()).update(*args, **kwargs)
-
-    def __ior__(self, other):
-        self._touch().update(other)
-        return self
+    def score(self, tid: int) -> float:
+        """The score of ``tid`` (``0.0`` if it is not a candidate): one
+        binary search on ``tids``, one finalized log."""
+        at = int(np.searchsorted(self.tids, tid))
+        if at == self.tids.size or self.tids[at] != tid:
+            return 0.0
+        if self.logs is not None:
+            return finalize_exp(float(self.logs[at]))
+        return float(self.values[at])
 
 
 def finalize_exp(log_score: float) -> float:
@@ -355,50 +283,8 @@ def _exp_list(log_scores: List[float]) -> List[float]:
         return [finalize_exp(value) for value in log_scores]
 
 
-def exp_scores(tids, log_values) -> "DenseScores":
-    """Scores ``finalize_exp(log_values[i])`` of ``tids``, finalized lazily.
-
-    A numpy scan of a language model ends with the exact float64 log score
-    of each candidate; exponentiating all of them costs one scalar
-    ``math.exp`` per candidate, where a top-``k`` answer needs ``k``.  So the
-    returned :class:`DenseScores` keeps the logs and finalizes them only when
-    read as a dict or as a whole (:func:`sorted_items`), while
-    :func:`top_items` and :func:`select_items` select in the log domain and
-    finalize a superset of the winners:
-
-    1. the superset is every candidate whose log is ``>=`` the ``k``-th
-       largest log (or ``log(threshold)``) less a margin ``δ(x) = 1e-9 *
-       max(1, |x|)`` -- far wider than a ULP, so it holds every candidate
-       whose finalized score could tie the boundary;
-    2. ``math.exp`` runs on the superset only, and the exact
-       ``(score desc, tid asc)`` selection runs on it;
-    3. a guard -- ``exp(m + δ(m))`` strictly below the ``k``-th finalized
-       score (or the threshold), ``m`` the largest log outside the superset
-       -- proves no outsider could have entered the answer; when it fails
-       (scores underflowed to ``0.0`` or overflowed to ``inf``, a threshold
-       ``<= 0``, a NaN) every candidate is finalized and selected as before.
-
-    Either way the answer is the full finalization's, bit for bit; the two
-    outcomes are counted as ``finalize_deferred`` / ``finalize_fallback``.
-    """
-    return DenseScores(tids, logs=log_values)
-
-
 def _margin(log_value: float) -> float:
     return 1e-9 * max(1.0, abs(log_value))
-
-
-def _log_pair(scores) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
-    """``(tids, logs)`` of an unmutated, not yet finalized :func:`exp_scores`
-    result, else ``None``."""
-    if (
-        not isinstance(scores, DenseScores)
-        or scores.logs is None
-        or scores._vals is not None
-        or scores._stale
-    ):
-        return None
-    return scores.tids, scores.logs
 
 
 def _outside_below(logs, inside, bound: float) -> bool:
@@ -413,9 +299,9 @@ def _outside_below(logs, inside, bound: float) -> bool:
 
 
 def _top_deferred(tids, logs, limit: int) -> Optional[List[Tuple[int, float]]]:
-    """:func:`top_items` of an :func:`exp_scores` result, finalizing the
-    superset of the winners only (``limit < len(tids)``); ``None`` when the
-    guard gives up."""
+    """:func:`top_items` of log scores, finalizing the superset of the
+    winners only (``limit < len(tids)``); ``None`` when the guard gives
+    up."""
     kth_log = float(np.partition(logs, logs.size - limit)[logs.size - limit])
     if math.isfinite(kth_log):
         inside = logs >= kth_log - _margin(kth_log)
@@ -429,9 +315,8 @@ def _top_deferred(tids, logs, limit: int) -> Optional[List[Tuple[int, float]]]:
 
 
 def _select_deferred(tids, logs, threshold: float) -> Optional[List[Tuple[int, float]]]:
-    """:func:`select_items` of an :func:`exp_scores` result, finalizing the
-    candidates that can reach ``threshold`` only; ``None`` when the guard
-    gives up."""
+    """:func:`select_items` of log scores, finalizing the candidates that
+    can reach ``threshold`` only; ``None`` when the guard gives up."""
     cut = math.log(threshold) if threshold > 0 else math.nan
     if math.isfinite(cut):
         inside = logs >= cut - _margin(cut)
@@ -486,33 +371,9 @@ def allowed_mask(tids, allowed: Collection[int], size: int):
 # -- selection (ordering of scored candidates for rank / select) --------------
 #
 # Selection involves no float arithmetic -- only comparisons on the exact
-# score values -- so the array variants are bit-identical to the dict ones
-# by construction.  The ordering key is always (score desc, tid asc),
-# which is unique per item, so any correct implementation yields one answer.
-
-#: Below this many candidates the dict paths win (array conversion and
-#: numpy call overhead dominate); the cutover only affects speed, never
-#: results.
-_SELECTION_MIN = 64
-
-
-def _selection_arrays(scores: Dict[int, float]):
-    """``(tids, values)`` arrays for a score dict, or ``None`` to fall back.
-
-    Reuses the arrays a :class:`DenseScores` carries while it is unmutated;
-    other dicts -- the edit and combination families' results,
-    blocker-filtered dicts -- are converted via ``np.fromiter``.
-    """
-    if len(scores) < _SELECTION_MIN:
-        return None
-    if isinstance(scores, DenseScores):
-        pair = scores._arrays()
-        if pair is not None:
-            return pair
-    count = len(scores)
-    tids = np.fromiter(scores.keys(), dtype=np.int64, count=count)
-    values = np.fromiter(scores.values(), dtype=np.float64, count=count)
-    return tids, values
+# score values -- so it returns the scores bit for bit.  The ordering key is
+# always (score desc, tid asc), which is unique per item, so any correct
+# implementation yields one answer.
 
 
 def _ordered_pairs(tids, values) -> List[Tuple[int, float]]:
@@ -521,32 +382,27 @@ def _ordered_pairs(tids, values) -> List[Tuple[int, float]]:
     return list(zip(tids[order].tolist(), values[order].tolist()))
 
 
-def top_items(scores: Dict[int, float], limit: int) -> List[Tuple[int, float]]:
+def top_items(scores: Scores, limit: int) -> List[Tuple[int, float]]:
     """The ``limit`` largest ``(tid, score)`` items, score desc / tid asc.
 
-    Equals ``heapq.nlargest(limit, scores.items(), key=(score, -tid))``
-    bit for bit: the vectorized path partitions on the exact values, keeps
-    everything strictly above the kth value, fills the remaining slots with
-    the smallest tids among the boundary ties, and orders the winners with
-    one lexsort.  An :func:`exp_scores` result is selected in the log domain
-    first and finalizes only the winners' superset.
+    Equals the full sort cut to ``limit``, bit for bit: the selection
+    partitions on the exact values, keeps everything strictly above the kth
+    value, fills the remaining slots with the smallest tids among the
+    boundary ties, and orders the winners with one lexsort.  Log scores are
+    selected in the log domain first and finalize only the winners'
+    superset.
     """
-    if limit <= 0 or not scores:
+    if limit <= 0 or not len(scores):
         return []
-    logs = _log_pair(scores)
-    if logs is not None and limit < logs[0].size:
-        top = _top_deferred(*logs, limit)
+    if scores.logs is not None and limit < len(scores):
+        top = _top_deferred(scores.tids, scores.logs, limit)
         if top is not None:
             return top
-    # Reading the arrays or the dict finalizes every candidate.
-    pair = _selection_arrays(scores)
-    if pair is None:
-        return heapq.nlargest(limit, scores.items(), key=lambda item: (item[1], -item[0]))
-    return _top_pairs(*pair, limit)
+    return _top_pairs(scores.tids, scores.finalized(), limit)
 
 
 def _top_pairs(tids, values, limit: int) -> List[Tuple[int, float]]:
-    """The vectorized half of :func:`top_items` (``limit >= 1``)."""
+    """:func:`top_items` over finalized arrays (``limit >= 1``)."""
     if limit >= values.size:
         return _ordered_pairs(tids, values)
     keep = np.argpartition(-values, limit - 1)[:limit]
@@ -558,34 +414,23 @@ def _top_pairs(tids, values, limit: int) -> List[Tuple[int, float]]:
     return _ordered_pairs(tids[chosen], values[chosen])
 
 
-def sorted_items(scores: Dict[int, float]) -> List[Tuple[int, float]]:
+def sorted_items(scores: Scores) -> List[Tuple[int, float]]:
     """All ``(tid, score)`` items sorted by score desc, tid asc."""
-    pair = _selection_arrays(scores)
-    if pair is None:
-        return sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return _ordered_pairs(*pair)
+    return _ordered_pairs(scores.tids, scores.finalized())
 
 
-def select_items(
-    scores: Dict[int, float], threshold: float
-) -> List[Tuple[int, float]]:
+def select_items(scores: Scores, threshold: float) -> List[Tuple[int, float]]:
     """``(tid, score)`` items with ``score >= threshold``, score desc / tid asc.
 
-    An :func:`exp_scores` result finalizes only the candidates whose log
-    can reach ``log(threshold)``.
+    Log scores finalize only the candidates whose log can reach
+    ``log(threshold)``.
     """
-    if not scores:
+    if not len(scores):
         return []
-    logs = _log_pair(scores)
-    if logs is not None:
-        survivors = _select_deferred(*logs, threshold)
+    if scores.logs is not None:
+        survivors = _select_deferred(scores.tids, scores.logs, threshold)
         if survivors is not None:
             return survivors
-    pair = _selection_arrays(scores)
-    if pair is None:
-        survivors = [item for item in scores.items() if item[1] >= threshold]
-        survivors.sort(key=lambda item: (-item[1], item[0]))
-        return survivors
-    tids, values = pair
+    values = scores.finalized()
     keep = values >= threshold
-    return _ordered_pairs(tids[keep], values[keep])
+    return _ordered_pairs(scores.tids[keep], values[keep])

@@ -14,7 +14,7 @@ Each states its document-side weight **once**, as an element-wise function of
 postings token by token -- one ufunc per IEEE operation over the token's
 ``(tids, tfs)`` arrays -- into a
 :class:`~repro.core.index.WeightedPostingIndex`; ``score()``
-(:meth:`_AggregateBase._rescore_items`) calls the same function on the
+(:meth:`_AggregateBase._score_one`) calls the same function on the
 tuple's own term frequency.
 Nothing is kept per (tuple, token) besides those postings.
 
@@ -26,7 +26,7 @@ so summation is deterministic and every path agrees bit for bit.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class _AggregateBase(Predicate):
         """Query-side weights ``wq(t, Q)`` (subclass-specific)."""
         raise NotImplementedError
 
-    def _scores(self, query: str) -> Dict[int, float]:
+    def _scores(self, query: str) -> kernels.Scores:
         """Dot product of query weights against every candidate's doc weights.
 
         One kernel call over the precomputed weighted postings; tokens are
@@ -115,31 +115,22 @@ class _AggregateBase(Predicate):
             if query_weights[token] != 0.0
         ]
 
-    def _rescore_items(
-        self, items: List[Tuple[str, float]], tids: Iterable[int]
-    ) -> Dict[int, float]:
-        """Exact per-tuple rescoring in the same order :meth:`_scores` uses."""
-        contribution, weights = self._contribution, self._token_weights
-        scores: Dict[int, float] = {}
-        for tid in tids:
-            counts = self._index.term_frequencies(tid)
-            factor = self._tuple_factors[tid]
-            total = 0.0
-            for token, query_weight in items:
-                tf = counts.get(token)
-                if tf:
-                    # What the token's posting for this tuple stores.
-                    weight = contribution(weights[token], tf, factor)
-                    if weight:
-                        total += query_weight * weight
-            scores[tid] = total
-        return scores
-
     def _score_one(self, query: str, tid: int) -> Optional[float]:
+        """Exact rescoring of one tuple, in the order :meth:`_scores` uses."""
         if not 0 <= tid < len(self._tuple_factors):
             return 0.0
-        items = self._sorted_items(self._query_weights(query))
-        return self._rescore_items(items, [tid])[tid]
+        contribution, weights = self._contribution, self._token_weights
+        counts = self._index.term_frequencies(tid)
+        factor = self._tuple_factors[tid]
+        total = 0.0
+        for token, query_weight in self._sorted_items(self._query_weights(query)):
+            tf = counts.get(token)
+            if tf:
+                # What the token's posting for this tuple stores.
+                weight = contribution(weights[token], tf, factor)
+                if weight:
+                    total += query_weight * weight
+        return total
 
 
 class CosineTfIdf(_AggregateBase):

@@ -238,7 +238,7 @@ class Predicate(PairHost, BlockingHost, ABC):
     #: the index's posting arrays) set this to ``True``.
     uses_kernels: bool = False
     #: Kernelised predicates whose scan returns log scores with a
-    #: deferred finalizer (:func:`repro.core.kernels.exp_scores`) set this.
+    #: deferred finalizer (:class:`repro.core.kernels.Scores` ``logs``) set this.
     finalizes_selected: bool = False
     #: Vestige, never set: ``benchmarks/ledger/layers.py`` reads it after each
     #: ``top_k`` call; retires with that row in the next ``[benchmark]`` PR.
@@ -362,16 +362,23 @@ class Predicate(PairHost, BlockingHost, ABC):
     # -- query time -----------------------------------------------------------
 
     @abstractmethod
-    def _scores(self, query: str) -> Dict[int, float]:
+    def _scores(self, query: str) -> kernels.Scores:
         """Similarity score for every candidate tuple (tuples sharing tokens)."""
 
-    def _candidate_scores(self, query: str) -> Dict[int, float]:
-        """Post-blocking candidate scores; records ``last_num_candidates``."""
+    def _candidate_scores(self, query: str) -> kernels.Scores:
+        """Post-blocking candidate scores; records ``last_num_candidates``.
+
+        A predicate that scores first keeps the candidates the post-scoring
+        allowance lets through: one mask over the scores' arrays.
+        """
         scores = self._scores(query)
-        if not self._prunes_before_scoring:
-            allowed = self._allowed_after_scoring(query, scores)
-            if allowed is not None:
-                scores = {tid: score for tid, score in scores.items() if tid in allowed}
+        if not self._prunes_before_scoring and (
+            self._blocker is not None or self._restriction is not None
+        ):
+            allowed = self._allowed_after_scoring(query, scores.tids.tolist())
+            scores = scores.narrow(
+                kernels.allowed_mask(scores.tids, allowed, len(self._strings))
+            )
         self.last_num_candidates = len(scores)
         return scores
 
@@ -382,9 +389,8 @@ class Predicate(PairHost, BlockingHost, ABC):
         ties are broken by tuple id so rankings are deterministic.  With a
         blocker attached (see :meth:`set_blocker`), only candidates that
         survive blocking are ranked.  With ``limit``, a top-``limit``
-        selection replaces the full sort (a partition over the scan's
-        arrays, a bounded heap over a small or plain dict) -- both orderings
-        are exact.
+        selection (a partition over the scores' arrays) replaces the full
+        sort -- both orderings are exact.
         """
         self._require_fitted()
         if limit is not None and limit <= 0:
@@ -408,12 +414,13 @@ class Predicate(PairHost, BlockingHost, ABC):
           k"`` for a predicate whose scan ends in log scores
           (:attr:`finalizes_selected`), selected before ``exp`` runs on the
           winners only.
-        * ``"heap"`` -- ``rank(limit=k)`` over the predicate's own score
-          dict (the edit and combination families) plus a bounded heap.
+        * ``"per-tuple"`` -- ``rank(limit=k)`` over the scores the
+          predicate computes tuple by tuple (the edit and combination
+          families), then the same partition selection.
         """
         if cls.uses_kernels:
             return "dense-scan, finalize k" if cls.finalizes_selected else "dense-scan"
-        return "heap"
+        return "per-tuple"
 
     def select_pairs(self, query: str, threshold: float) -> List[Pair]:
         """The approximate selection: tuples with ``sim(query, t) >= threshold``.
@@ -430,21 +437,22 @@ class Predicate(PairHost, BlockingHost, ABC):
         """Similarity between ``query`` and tuple ``tid`` (0.0 if not a candidate).
 
         Sees the candidates :meth:`rank` sees: under a blocker or a
-        restriction it is ``dict(rank(query)).get(tid, 0.0)``.  Predicates
-        implementing :meth:`_score_one` answer a plain call from the single
-        tuple's stored state instead of scoring the whole candidate set.
+        restriction it is ``dict(rank(query)).get(tid, 0.0)``, looked up in
+        the candidate scores' tid array.  Predicates implementing
+        :meth:`_score_one` answer a plain call from the single tuple's
+        stored state instead of scoring the whole candidate set.
         """
         self._require_fitted()
         if self._blocker is None and self._restriction is None:
             single = self._score_one(query, tid)
             if single is not None:
                 return single
-        return self._candidate_scores(query).get(tid, 0.0)
+        return self._candidate_scores(query).score(tid)
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
         """Single-tuple score fast path; ``None`` = fall back to :meth:`_scores`.
 
-        Implementations must reproduce ``_scores(query).get(tid, 0.0)``
+        Implementations must reproduce ``_scores(query).score(tid)``
         exactly, including candidate-membership semantics (a tuple sharing no
         token with the query scores 0.0 even if a direct string comparison
         would not).

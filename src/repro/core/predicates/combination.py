@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro.core import kernels
 from repro.core.predicates.base import Predicate
 from repro.text.minhash import MinHasher, MinHashSignature, minhash_similarity
 from repro.text.strings import edit_similarity, jaro_winkler
@@ -149,12 +150,12 @@ class GES(_CombinationBase):
             previous = current
         return previous[m]
 
-    def _scores(self, query: str) -> Dict[int, float]:
+    def _scores(self, query: str) -> kernels.Scores:
         query_words = self._query_words(query)
         scores: Dict[int, float] = {}
         for tid in self._candidates(query_words):
             scores[tid] = self.ges_score(query_words, self._word_lists[tid])
-        return scores
+        return kernels.Scores.from_dict(scores)
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
         if not 0 <= tid < len(self._word_lists):
@@ -209,7 +210,7 @@ class GESJaccard(GES):
             score += self._weight(word) * ((2.0 / self.q) * best + adjustment)
         return score / total_weight
 
-    def _scores(self, query: str) -> Dict[int, float]:
+    def _scores(self, query: str) -> kernels.Scores:
         query_words = self._query_words(query)
         scores: Dict[int, float] = {}
         for tid in self._candidates(query_words):
@@ -217,7 +218,7 @@ class GESJaccard(GES):
             if self.filter_score(query_words, tuple_words) < self.threshold:
                 continue
             scores[tid] = self.ges_score(query_words, tuple_words)
-        return scores
+        return kernels.Scores.from_dict(scores)
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
         if not 0 <= tid < len(self._word_lists):
@@ -315,10 +316,10 @@ class SoftTFIDF(_CombinationBase):
             )
         return score
 
-    def _scores(self, query: str) -> Dict[int, float]:
+    def _scores(self, query: str) -> kernels.Scores:
         query_words = self._query_words(query)
         if not query_words:
-            return {}
+            return kernels.Scores.from_dict({})
         query_weights = tfidf_weights(
             Counter(query_words), self._idf, default_idf=self._average_idf
         )
@@ -327,7 +328,7 @@ class SoftTFIDF(_CombinationBase):
             score = self._soft_score(query_weights, tid)
             if score > 0.0:
                 scores[tid] = score
-        return scores
+        return kernels.Scores.from_dict(scores)
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
         if not 0 <= tid < len(self._word_lists):

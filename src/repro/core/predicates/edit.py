@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional
 
+from repro.core import kernels
 from repro.core.corpus import CorpusCore
 from repro.core.predicates.base import Pair, Predicate, rank_key
 from repro.text.strings import edit_similarity, levenshtein_within
@@ -78,7 +79,7 @@ class EditDistance(Predicate):
     #: Candidates are pruned before the (expensive) edit-distance DP below.
     _prunes_before_scoring = True
 
-    def _scores(self, query: str) -> Dict[int, float]:
+    def _scores(self, query: str) -> kernels.Scores:
         assert self._index is not None
         normalized_query = normalize_string(query)
         query_tokens = self.tokenizer.tokenize(query)
@@ -88,7 +89,7 @@ class EditDistance(Predicate):
         scores: Dict[int, float] = {}
         for tid in candidates:
             scores[tid] = edit_similarity(normalized_query, self._normalized[tid])
-        return scores
+        return kernels.Scores.from_dict(scores)
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
         if not 0 <= tid < len(self._normalized):

@@ -100,7 +100,7 @@ class HMM(Predicate):
         ``P(q|D) = tf / |D|``: what the fit stores and ``score()`` recomputes."""
         return math.log(1.0 + (self.a1 * (tf / length)) / (self.a0 * p_general))
 
-    def _scores(self, query: str) -> Dict[int, float]:
+    def _scores(self, query: str) -> kernels.Scores:
         assert self._weighted_index is not None
         query_counts = Counter(self.tokenizer.tokenize(query))
         # Query first-occurrence token order (not sorted): the canonical
@@ -110,7 +110,7 @@ class HMM(Predicate):
             [(token, float(count)) for token, count in query_counts.items()],
             len(self._token_lists),
         )
-        return kernels.exp_scores(log_scores.tids, log_scores.vals)
+        return kernels.Scores(log_scores.tids, logs=log_scores.values)
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
         if not 0 <= tid < len(self._token_lists):

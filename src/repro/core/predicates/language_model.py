@@ -10,7 +10,7 @@ dropped and only tokens in ``Q ∩ D`` plus a per-tuple precomputed term
 ``Σ_{t ∈ D} log(1 - p̂(t|M_D))`` are needed at query time.  Scores are
 computed in log space and exponentiated at the end, exactly like the SQL in
 Figure 4.4; only the candidates a selection keeps are exponentiated
-(:func:`repro.core.kernels.exp_scores`).
+(the ``logs`` of :class:`repro.core.kernels.Scores`).
 
 The fit is one token-major pass over the corpus core's posting arrays
 (:meth:`LanguageModeling._posting_arrays`): :meth:`LanguageModeling._posting_terms`
@@ -151,7 +151,7 @@ class LanguageModeling(Predicate):
 
     # -- query time -----------------------------------------------------------
 
-    def _scores(self, query: str) -> Dict[int, float]:
+    def _scores(self, query: str) -> kernels.Scores:
         assert self._weighted_index is not None
         query_tokens = set(self.tokenizer.tokenize(query))
         accumulators = kernels.accumulate(
@@ -162,7 +162,7 @@ class LanguageModeling(Predicate):
         tids = accumulators.tids
         # One float64 add per candidate; exp is deferred to the candidates
         # selection keeps.
-        return kernels.exp_scores(tids, accumulators.vals + self._sum_complement[tids])
+        return kernels.Scores(tids, logs=accumulators.values + self._sum_complement[tids])
 
     def _score_one(self, query: str, tid: int) -> Optional[float]:
         if not 0 <= tid < len(self._lengths):

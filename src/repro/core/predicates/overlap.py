@@ -29,8 +29,8 @@ tokens' tid arrays, then the length bound as one comparison on the index's
 per-tuple sizes (:meth:`~repro.core.index.InvertedIndex.candidate_mask`) --
 and a restriction by :func:`~repro.core.kernels.allowed_mask`; only LSH
 still hands over a candidate set.  The survivors are finalized as arrays
-and returned as :class:`~repro.core.kernels.DenseScores`, so selection never
-builds a dict.  A fit builds no per-tuple token set: sizes come from the
+and returned as :class:`~repro.core.kernels.Scores`, the arrays selection
+reads.  A fit builds no per-tuple token set: sizes come from the
 index's arrays, and :meth:`score` takes the set of the tuple's token list
 for that one call.
 """
@@ -88,14 +88,14 @@ class _OverlapBase(Predicate):
 
     # -- scoring --------------------------------------------------------------
 
-    def _scores(self, query: str) -> Dict[int, float]:
+    def _scores(self, query: str) -> kernels.Scores:
         query_tokens = self._query_tokens(query)
         scanned = self._scan(query_tokens)
-        tids, values = scanned.tids, scanned.vals
-        keep = self._allowed_keep(query_tokens, tids)
+        keep = self._allowed_keep(query_tokens, scanned.tids)
         if keep is not None:
-            tids, values = tids[keep], values[keep]
-        return kernels.DenseScores(tids, self._finalize_arrays(query_tokens, tids, values))
+            scanned = scanned.narrow(keep)
+        tids = scanned.tids
+        return kernels.Scores(tids, self._finalize_arrays(query_tokens, tids, scanned.values))
 
     def _allowed_keep(self, query_tokens: Set[str], tids):
         """Boolean mask over the scan's ``tids``: which the blocker and the
@@ -123,7 +123,7 @@ class _OverlapBase(Predicate):
         return keep
 
     @abstractmethod
-    def _scan(self, query_tokens: Set[str]) -> kernels.DenseScores:
+    def _scan(self, query_tokens: Set[str]) -> kernels.Scores:
         """The kernel scan: per candidate, the (count or weight of the)
         tokens shared with the query."""
 
@@ -139,7 +139,7 @@ class _CountOverlapBase(_OverlapBase):
     def weight_phase(self) -> None:
         """Unweighted predicates need no second phase."""
 
-    def _scan(self, query_tokens: Set[str]) -> kernels.DenseScores:
+    def _scan(self, query_tokens: Set[str]) -> kernels.Scores:
         assert self._index is not None
         return kernels.count_overlap(self._index, query_tokens, len(self._token_lists))
 
@@ -214,7 +214,7 @@ class _WeightedOverlapBase(_OverlapBase):
     def _weight(self, token: str) -> float:
         return self._weights.get(token, 0.0)
 
-    def _scan(self, query_tokens: Set[str]) -> kernels.DenseScores:
+    def _scan(self, query_tokens: Set[str]) -> kernels.Scores:
         """Weight of the common tokens per candidate, postings-driven.
 
         Tokens are visited in sorted order so per-tuple summation order is

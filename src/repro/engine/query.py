@@ -922,7 +922,7 @@ class Query:
 
         On the direct realization this is the predicate's ``top_k``, i.e.
         ``rank(query, limit=k)``: dense scan + partition selection for a
-        kernelised predicate, a bounded heap over the score dict otherwise.
+        kernelised predicate, per-tuple scoring + the same partition otherwise.
         Results are identical to a full ranking cut to ``k`` either way;
         :meth:`explain` names the path that ran.
         """
@@ -1084,14 +1084,14 @@ class Query:
     def _top_k_path(self) -> str:
         """Wording for the ``rank(limit=k)`` path a direct ``top_k`` takes:
         the predicate's own answer (:meth:`Predicate.top_k_algorithm`, the
-        one place that decides); predicates that do not say take the heap."""
+        one place that decides); predicates that do not say score per tuple."""
         algorithm = getattr(self._direct_target(), "top_k_algorithm", None)
-        name = algorithm() if algorithm is not None else "heap"
+        name = algorithm() if algorithm is not None else "per-tuple"
         if name == "dense-scan":
             return "dense scan + partition (numpy kernel)"
         if name == "dense-scan, finalize k":
             return "dense scan + partition (numpy kernel), finalize k"
-        return "heap accumulation"
+        return "per-tuple scoring + partition"
 
     def _declarative_kind(self) -> Optional[str]:
         """``similarity_kind`` of the declarative realization, if any."""

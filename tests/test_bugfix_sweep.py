@@ -212,7 +212,7 @@ class TestExplainExecutionAccuracy:
             query = query.blocker("lsh")
         report = query.explain("Morgan Stanley", k=3)
         path = (
-            "heap accumulation" if name == "edit_distance"
+            "per-tuple scoring + partition" if name == "edit_distance"
             else "dense scan + partition (numpy kernel)"
         )
         assert report.execution == "top_k via " + path
@@ -249,7 +249,8 @@ class TestExplainExecutionAccuracy:
 
 class TestExplainNamesTheNumpyPath:
     """explain()/plan() used to call every top_k "heap accumulation", even
-    when the numpy kernel ran a scan + argpartition."""
+    when the numpy kernel ran a scan + argpartition; the edit and
+    combination families score per tuple and partition the same arrays."""
 
     def test_monotone_predicate_reports_dense_scan(self):
         query = SimilarityEngine().from_strings(CORPUS * 10).predicate("bm25")
@@ -261,12 +262,12 @@ class TestExplainNamesTheNumpyPath:
         assert report.fallback_reason is None
         assert report.num_candidates == len(query.rank("Morgan Stanley Inc"))
 
-    def test_unkernelized_predicate_still_reports_the_heap(self):
+    def test_unkernelized_predicate_reports_per_tuple_scoring(self):
         query = SimilarityEngine().from_strings(CORPUS).predicate("edit_distance")
         notes = " | ".join(query.plan("top_k").notes)
         report = query.explain("IBM", k=2)
         assert "scoring kernels" not in notes
-        assert report.execution == "top_k via heap accumulation"
+        assert report.execution == "top_k via per-tuple scoring + partition"
         assert report.fallback_reason is None
 
     @pytest.mark.parametrize("name", ["jaccard", "intersect"])

@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import make_blocker
+from repro.core import kernels
 from repro.core.corpus import CorpusCore
 from repro.core.index import InvertedIndex
 from repro.core.predicates import BM25, GES, Jaccard
@@ -278,7 +279,7 @@ class TestSharingIsVisibleInWork:
                 pass
 
             def _scores(self, query):
-                return {0: 0.5}
+                return kernels.Scores.from_dict({0: 0.5})
 
         engine = SimilarityEngine(metrics=MetricsRegistry())
         base = engine.from_strings(company_strings)

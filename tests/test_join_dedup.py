@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.dedup import ClusteringQuality, Deduplicator, UnionFind
 from repro.core.join import ApproximateJoiner, JoinMatch, SelfJoinStats
 from repro.core.predicates import Jaccard
@@ -24,7 +25,7 @@ class _UnsortedPredicate(Predicate):
         pass
 
     def _scores(self, query):
-        return {0: 0.1, 1: 0.9, 2: 0.5}
+        return kernels.Scores.from_dict({0: 0.1, 1: 0.9, 2: 0.5})
 
     def select(self, query, threshold):
         # Deliberately worst-score-first to exercise the join's top_k sort.

@@ -1,8 +1,9 @@
 """Exactness of selection under the language models' deferred finalizer.
 
 ``lm`` and ``hmm`` return their candidates' *log*
-scores (:func:`repro.core.kernels.exp_scores`), and ``top_k`` / ``rank(limit=k)``
-/ ``select(t)`` run ``math.exp`` on a superset of the winners only, guarded
+scores (the ``logs`` of :class:`repro.core.kernels.Scores`), and ``top_k`` /
+``rank(limit=k)`` / ``select(t)`` run ``math.exp`` on a superset of the
+winners only -- plain, blocked or restricted -- guarded
 by a proof that no other candidate could have entered the answer.  The
 answers must be ``==`` the reference scorer's (``tests/reference.py``) --
 including where the guard must give up: scores that underflow ``exp`` to
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import Reference
+from repro.blocking import make_blocker
 from repro.core import kernels
 from repro.core.predicates.hmm import HMM
 from repro.core.predicates.language_model import LanguageModeling
@@ -55,7 +57,7 @@ EXTREME_QUERY, EXTREME_ROWS = _extreme_rows()
 
 def _full(scores):
     """Every candidate finalized, as a plain dict."""
-    return dict(scores.items())
+    return dict(kernels.sorted_items(scores))
 
 
 def _reference_top(scores, k):
@@ -121,9 +123,9 @@ class TestDeferredSelectionIsExact:
             for _ in range(abs(steps)):
                 values[i] = np.nextafter(values[i], math.copysign(math.inf, steps))
         tids = np.arange(values.size, dtype=np.int64) * 3
-        top = kernels.top_items(kernels.exp_scores(tids, values), k)
-        selected = kernels.select_items(kernels.exp_scores(tids, values), threshold)
-        reference = kernels.exp_scores(tids, values)
+        top = kernels.top_items(kernels.Scores(tids, logs=values), k)
+        selected = kernels.select_items(kernels.Scores(tids, logs=values), threshold)
+        reference = kernels.Scores(tids, logs=values)
         assert top == _reference_top(reference, k)
         assert selected == _reference_select(reference, threshold)
 
@@ -148,15 +150,29 @@ class TestGuard:
         assert _pairs(top) == _reference_top(scores, 6)
         assert top[-1].tid == 5 and top[-1].score == 0.0
 
-    def test_plain_top_k_finalizes_a_superset_only(self):
+    @pytest.mark.parametrize("pruned", [None, "restricted", "lsh"])
+    @pytest.mark.parametrize("cls", PREDICATES)
+    def test_plain_top_k_finalizes_a_superset_only(self, cls, pruned):
+        """Plain, restricted (odd tids) and LSH-blocked calls alike select in
+        the log domain: the allowance narrows the logs, it finalizes none."""
         rows = ["morgan stanley", "morgan stanly", "stanley works"] * 30
-        lm = LanguageModeling().fit(rows)
-        top, deferred, fallback = self._counted(lambda: lm.top_k("morgan stanley", 3))
-        assert (deferred, fallback) == (1, 0)
-        scores = lm._scores("morgan stanley")
-        assert kernels.top_items(scores, 3) == _pairs(top)
-        assert scores._vals is None  # selection finalized no full array
-        assert _pairs(top) == _reference_top(scores, 3)
+        query = "morgan stanley"
+        predicate = cls().fit(rows)
+        allowed = set(range(1, len(rows), 2)) if pruned == "restricted" else None
+        if pruned == "lsh":
+            predicate.set_blocker(make_blocker("lsh", lsh_bands=4, lsh_rows=2))
+        with predicate.restrict_candidates(allowed):
+            top, deferred, fallback = self._counted(lambda: predicate.top_k(query, 3))
+            assert (deferred, fallback) == (1, 0)
+            scores = predicate._candidate_scores(query)
+            assert kernels.top_items(scores, 3) == _pairs(top)
+            assert scores.values is None  # selection finalized no full array
+            assert _pairs(top) == _reference_top(scores, 3)
+            ranking = Reference(predicate.name.lower(), rows).rank(query)
+            want = [item for item in ranking if item[0] in _full(scores)][:3]
+            assert _pairs(top) == want
+            if allowed is not None:
+                assert {tid for tid, _ in want} <= allowed
 
     def test_non_positive_threshold_falls_back(self):
         lm = LanguageModeling().fit(["ab", "abc", "bcd"])

@@ -69,8 +69,8 @@ class TestBM25:
 
     def test_score_additivity_over_matching_tokens(self, company_strings):
         predicate = BM25(tokenizer=WordTokenizer()).fit(company_strings)
-        single = predicate._scores("Beijing")[6]
-        both = predicate._scores("Beijing Labs")[6]
+        single = dict(predicate.rank("Beijing"))[6]
+        both = dict(predicate.rank("Beijing Labs"))[6]
         assert both > single
 
     def test_length_normalization_prefers_shorter_tuple(self):
@@ -98,8 +98,8 @@ class TestBM25:
 
     def test_query_term_frequency_saturation(self, company_strings):
         predicate = BM25(tokenizer=WordTokenizer()).fit(company_strings)
-        once = predicate._scores("Beijing")[5]
-        many = predicate._scores("Beijing Beijing Beijing Beijing")[5]
+        once = dict(predicate.rank("Beijing"))[5]
+        many = dict(predicate.rank("Beijing Beijing Beijing Beijing"))[5]
         assert many > once
         assert many < 9 * once  # saturation well below the tf multiplier
 

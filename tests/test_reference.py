@@ -44,7 +44,6 @@ from hypothesis import strategies as st
 
 import reference as reference_module
 from reference import PREDICATES, Reference
-from repro.core import kernels
 from repro.engine import SimilarityEngine
 from repro.serve import SimilarityService
 from repro.shard import ProcessShardExecutor
@@ -470,7 +469,7 @@ def test_exact_blocker_selects_like_the_unblocked_reference(tokenizer, generated
 
 @pytest.fixture(scope="module")
 def large():
-    """More candidates than ``kernels._SELECTION_MIN``: numpy selects on arrays."""
+    """More than 64 candidates per query: partitions with real tie groups."""
     from repro.datagen import make_dataset
 
     return make_dataset("CU1", size=150, num_clean=15, seed=7).strings
@@ -480,7 +479,7 @@ def large():
 @pytest.mark.parametrize("name", sorted(TOKEN_FAMILIES))
 def test_large_candidate_sets_select_like_the_reference(name, num_shards, large):
     """Partition, tie fill and lexsort; plain and under a restriction (the
-    restriction mask, or the filtered dict of the families scoring first);
+    restriction mask, on the scan or after scoring);
     unsharded, and merged from two shards."""
     reference = Reference(name, large)
     query_builder = SimilarityEngine().from_strings(large).predicate(name)
@@ -489,7 +488,7 @@ def test_large_candidate_sets_select_like_the_reference(name, num_shards, large)
     allowed = set(range(0, len(large), 3))
     for query in large[:2]:
         full = reference.rank(query)
-        assert len(full) > kernels._SELECTION_MIN
+        assert len(full) > 64
         for restriction in (None, allowed):
             ranking = [item for item in full if restriction is None or item[0] in restriction]
             with predicate.restrict_candidates(restriction):

@@ -8,7 +8,7 @@ Three families of guarantees:
   *exactly* the same ``(tid, score)`` lists as ``rank(limit=k)`` and as the
   full ranking cut to ``k``, across random corpora, k values, with/without
   blockers and candidate restrictions: the partition selection over the
-  scan's arrays (or the heap over a small dict) against the full sort.
+  scores' arrays against the full sort.
 * **Satellite fixes** -- ``select`` filters before sorting but returns the
   same results; ``score(query, tid)`` single-tuple paths agree with the
   whole-corpus ``_scores`` for every direct predicate.
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import make_blocker
+from repro.core import kernels
 from repro.core.predicates import make_predicate
 from repro.engine import SimilarityEngine
 
@@ -147,7 +148,7 @@ class TestSingleTupleScore:
     def test_score_matches_full_scores(self, name):
         predicate = make_predicate(name).fit(CORPUS)
         for query in ("Morgan Staney Inc", "IBM", "AT&T Corp", ""):
-            scores = predicate._scores(query)
+            scores = dict(kernels.sorted_items(predicate._scores(query)))
             for tid in range(len(CORPUS)):
                 assert predicate.score(query, tid) == scores.get(tid, 0.0), (
                     name,
@@ -155,11 +156,22 @@ class TestSingleTupleScore:
                     tid,
                 )
 
+    @pytest.mark.parametrize("restricted", [False, True])
     @pytest.mark.parametrize("name", ALL_DIRECT)
-    def test_score_out_of_range_is_zero(self, name):
+    def test_score_out_of_range_is_zero(self, name, restricted):
+        """Restricted to every tid, ``score`` looks the tid up in the
+        candidate scores' tid array: a tid off either end reads ``0.0`` and
+        every other tid its single-tuple score."""
         predicate = make_predicate(name).fit(CORPUS)
-        assert predicate.score("Morgan", -1) == 0.0
-        assert predicate.score("Morgan", len(CORPUS) + 5) == 0.0
+        plain = [predicate.score("Morgan", tid) for tid in range(len(CORPUS))]
+        allowed = set(range(len(CORPUS))) if restricted else None
+        with predicate.restrict_candidates(allowed):
+            assert predicate.score("Morgan", -1) == 0.0
+            assert predicate.score("Morgan", len(CORPUS)) == 0.0
+            assert predicate.score("Morgan", len(CORPUS) + 5) == 0.0
+            assert [
+                predicate.score("Morgan", tid) for tid in range(len(CORPUS))
+            ] == plain
 
     def test_score_respects_restriction_fallback(self):
         predicate = make_predicate("bm25").fit(CORPUS)
@@ -202,12 +214,12 @@ class TestEngineIntegration:
             (m.tid, m.score) for m in query.top_k("Morgn Stanley", 5)
         ] == [(m.tid, m.score) for m in query.rank("Morgn Stanley", limit=5)]
 
-    def test_unkernelised_predicate_plans_and_runs_the_heap(self):
+    def test_unkernelised_predicate_plans_and_runs_per_tuple_scoring(self):
         engine = SimilarityEngine()
         query = engine.from_strings(CORPUS).predicate("edit_distance")
-        assert "top_k: heap accumulation" in query.plan(op="top_k").notes
+        assert "top_k: per-tuple scoring + partition" in query.plan(op="top_k").notes
         report = query.explain("Morgan Stanley Inc", k=5)
-        assert report.execution == "top_k via heap accumulation"
+        assert report.execution == "top_k via per-tuple scoring + partition"
         assert report.fallback_reason is None
         assert "pruning:" not in report.describe()
 

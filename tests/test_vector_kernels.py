@@ -78,6 +78,11 @@ def _pairs(scored):
     return [(match.tid, match.score) for match in scored]
 
 
+def _pairs_of(scores):
+    """A :class:`~repro.core.kernels.Scores`' ``(tid, score)`` pairs, as a dict."""
+    return dict(kernels.sorted_items(scores))
+
+
 class TestKernelsEqualTheReference:
     """``_scores`` / ``rank`` / ``select`` / ``top_k``, plain, restricted,
     LSH-blocked and sharded, ``==`` the reference scorer's answer on random
@@ -88,7 +93,10 @@ class TestKernelsEqualTheReference:
     @settings(max_examples=30, deadline=None)
     def test_scores_dict(self, name, corpus, query):
         predicate = make_predicate(name).fit(corpus)
-        assert predicate._scores(query) == Reference(name, corpus).scores(query)
+        scores = predicate._scores(query)
+        want = Reference(name, corpus).scores(query)
+        assert _pairs_of(scores) == want
+        assert scores.tids.tolist() == sorted(want)  # tid-ascending
 
     @pytest.mark.parametrize("name", KERNELIZED)
     @given(corpus=_corpora, query=_strings, limit=st.integers(0, 30))
@@ -179,8 +187,10 @@ class TestScoreSeesScores:
         predicate = make_predicate(name).fit(CORPUS)
         for query in ("Morgn Stanley", "IBM Corp", "Goldman", "zzz"):
             scores = predicate._scores(query)
+            pairs = _pairs_of(scores)
             for tid in range(len(CORPUS)):
-                assert predicate.score(query, tid) == scores.get(tid, 0.0)
+                assert predicate.score(query, tid) == pairs.get(tid, 0.0)
+                assert scores.score(tid) == pairs.get(tid, 0.0)
 
 
 def _assert_topk_is_the_sorted_cut(predicate, query, k):
@@ -418,7 +428,7 @@ class TestOverlapStaysInArrays:
     """The overlap family goes from postings to selection without a dict or
     a per-candidate Python loop."""
 
-    #: Enough candidates (> ``kernels._SELECTION_MIN``) for array selection.
+    #: More than 64 candidates per query: partitions over real tie groups.
     ROWS = [f"{left} {right} corp" for left in CORPUS for right in CORPUS]
 
     @pytest.mark.parametrize("name", COUNTED)
@@ -426,7 +436,7 @@ class TestOverlapStaysInArrays:
     def test_the_scan_never_builds_the_dict(self, name, restricted, monkeypatch):
         predicate = make_predicate(name).fit(self.ROWS)
         want = _naive_scores(predicate, name, self.ROWS, "Morgan Stanley Corp")
-        assert len(want) > kernels._SELECTION_MIN
+        assert len(want) > 64
         produced = []
         scores_of = predicate._scores
 
@@ -442,9 +452,10 @@ class TestOverlapStaysInArrays:
             assert len(predicate.top_k("Morgan Stanley Corp", 10)) == 10
         assert len(produced) == 3
         for scores in produced:
-            assert isinstance(scores, kernels.DenseScores)
-            assert not scores._filled
-            assert scores == want  # materializes: same keys, same floats
+            assert isinstance(scores, kernels.Scores)
+            assert scores.logs is None
+            assert scores.tids.tolist() == sorted(want)
+            assert scores.values.tolist() == [want[tid] for tid in sorted(want)]
 
 
 class TestIndexArrays:
@@ -518,8 +529,8 @@ class TestIndexArrays:
                 for tid, row in enumerate(core.token_lists[start:stop])
                 if tokens & set(row)
             }
-            assert kernels.count_overlap(sliced, tokens, stop - start) == overlap
-            assert kernels.count_overlap(fresh, tokens, stop - start) == overlap
+            assert _pairs_of(kernels.count_overlap(sliced, tokens, stop - start)) == overlap
+            assert _pairs_of(kernels.count_overlap(fresh, tokens, stop - start)) == overlap
 
 
 class TestKernelCounters:
@@ -538,7 +549,7 @@ class TestKernelCounters:
             InvertedIndex([["a", "b"], ["a"]]), [("a", [1.5, 2.0]), ("b", [-1.5])]
         )
         items = [("a", 1.0), ("b", 1.0)]
-        assert kernels.accumulate(index, items, 2) == {0: 0.0, 1: 2.0}
+        assert _pairs_of(kernels.accumulate(index, items, 2)) == {0: 0.0, 1: 2.0}
 
     def test_bench_envelope_records_kernel(self):
         assert bench_envelope("unit", None, {}, [])["kernel"] == "numpy"
@@ -583,7 +594,7 @@ class TestInStepChecks:
         if scan == "posting_tids":
             assert got.tolist() == want.tolist()
         else:
-            assert got == want and len(want) > 0
+            assert _pairs_of(got) == _pairs_of(want) and len(want) > 0
 
     def test_count_overlap_refuses_a_tid_beyond_the_relation(self):
         index = make_predicate("jaccard").fit(CORPUS)._index
