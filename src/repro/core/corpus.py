@@ -35,7 +35,10 @@ relation and the tokenizer, never on a predicate:
   index's and its ``cf`` / ``p̂_avg`` sums are read off the posting arrays
   token-major when a fit has already built the index, counted over the
   ``Counter`` objects otherwise (same integers and floats, same vocabulary
-  order).
+  order),
+* the shard-local cores cut from it (:meth:`CorpusCore.slice`), one per
+  ``(start, stop)`` range, so every sharded fit over one range shares one
+  slice -- its token lists, index and statistics view.
 
 All but the token lists are built on first use and then kept, so a corpus
 that only ever serves word-level combination predicates never pays for a
@@ -51,15 +54,16 @@ posting list or posting array in place (so the sizes ``summary()`` reports
 are computed once and kept).  Because every part is built by the same code
 from the same lists in the same order -- vocabulary and first-occurrence
 order included -- a predicate fitted over a shared core scores
-bit-identically to one fitted alone.  Building is not synchronized: hand one
-core to concurrent fits only under a lock (the engine holds its own).
+bit-identically to one fitted alone.  Building is not synchronized -- slices
+included: hand one core to concurrent fits only under a lock (the engine
+fits under its own).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Sequence, Set, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.core.index import InvertedIndex
 from repro.obs.clock import perf_clock
@@ -138,6 +142,16 @@ class CorpusCore:
         self._stats: Optional[CollectionStatistics] = None
         self._num_postings: Optional[int] = None
         self._vocabulary_size: Optional[int] = None
+        #: The shard-local cores cut from this one, one per ``(start, stop)``
+        #: range (:meth:`slice`); never pickled.
+        self._slices: Dict[Tuple[int, int], CorpusCore] = {}
+
+    def __getstate__(self) -> dict:
+        """A pickled core carries no slices; a copy cuts its own on its
+        first sharded fit."""
+        state = self.__dict__.copy()
+        state["_slices"] = {}
+        return state
 
     def _timed(self, build: Callable[[], _Part]) -> _Part:
         started = perf_clock()
@@ -237,24 +251,31 @@ class CorpusCore:
     # -- sharding ---------------------------------------------------------------
 
     def slice(self, start: int, stop: int) -> "CorpusCore":
-        """The shard-local core over tuples ``start <= tid < stop``.
+        """The shard-local core over tuples ``start <= tid < stop``: built on
+        the first call for that range, the same object on every later one.
 
         Tuple ids are rebased to 0.  Token lists are shared with this core;
         ``stats`` is the
         :class:`~repro.shard.stats.ShardStatisticsView` answering every
         collection-level question from *this* core's statistics, so a
         predicate fitted over the slice weighs each tuple exactly as one
-        fitted over the whole relation.  The slice keeps no reference to
-        this core beyond that statistics object, and builds its own index
-        and token sets from its own lists when a fit asks for them.
+        fitted over the whole relation.  The slice builds its own index and
+        token sets from its own lists when a fit asks for them; a later fit
+        over the same range (another predicate, another executor) reads
+        those as they are, like any other core part.  The slice keeps no
+        reference to this core beyond that statistics object; this core
+        keeps its slices (:meth:`describe` counts them).
         """
-        # Local import: repro.shard imports the predicate base, which imports
-        # this module.
-        from repro.shard.stats import ShardStatisticsView
+        part = self._slices.get((start, stop))
+        if part is None:
+            # Local import: repro.shard imports the predicate base, which
+            # imports this module.
+            from repro.shard.stats import ShardStatisticsView
 
-        part = CorpusCore.__new__(CorpusCore)
-        part._bind(self.tokenizer, self.token_lists[start:stop])
-        part._stats = ShardStatisticsView(part.token_lists, self.stats)
+            part = CorpusCore.__new__(CorpusCore)
+            part._bind(self.tokenizer, self.token_lists[start:stop])
+            part._stats = ShardStatisticsView(part.token_lists, self.stats)
+            self._slices[start, stop] = part
         return part
 
     # -- introspection ----------------------------------------------------------
@@ -309,7 +330,7 @@ class CorpusCore:
         whether the per-tuple ``Counter`` objects
         (:meth:`describe_term_counts`) and the index's posting lists
         (:meth:`~repro.core.index.InvertedIndex.describe_posting_lists`) are
-        built."""
+        built, ending with the number of shard slices cut from it, if any."""
         summary = self.summary()
         summary["counts"] = self.describe_term_counts()
         size = summary["array_bytes"]
@@ -321,11 +342,14 @@ class CorpusCore:
             "no index" if self._index is None
             else self._index.describe_posting_lists()
         )
-        return (
+        line = (
             "{tokenizer}: {rows} rows, {vocabulary} tokens, {postings} "
             "postings, built in {seconds:.2f} s, term counts: {counts}, "
             "posting lists: {lists}, {arrays}".format(**summary)
         )
+        if self._slices:
+            line += f", shard slices: {len(self._slices)}"
+        return line
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CorpusCore({self.describe()})"

@@ -369,16 +369,19 @@ class Predicate(PairHost, BlockingHost, ABC):
         """Post-blocking candidate scores; records ``last_num_candidates``.
 
         A predicate that scores first keeps the candidates the post-scoring
-        allowance lets through: one mask over the scores' arrays.
+        allowance lets through: one mask over the scores' arrays.  With no
+        blocker attached the restriction itself is the mask; a blocker's
+        prune reads the scored tids as a set.
         """
         scores = self._scores(query)
-        if not self._prunes_before_scoring and (
-            self._blocker is not None or self._restriction is not None
-        ):
-            allowed = self._allowed_after_scoring(query, scores.tids.tolist())
-            scores = scores.narrow(
-                kernels.allowed_mask(scores.tids, allowed, len(self._strings))
-            )
+        if not self._prunes_before_scoring:
+            allowed = self._restriction
+            if self._blocker is not None:
+                allowed = self._allowed_after_scoring(query, scores.tids.tolist())
+            if allowed is not None:
+                scores = scores.narrow(
+                    kernels.allowed_mask(scores.tids, allowed, len(self._strings))
+                )
         self.last_num_candidates = len(scores)
         return scores
 

@@ -120,7 +120,7 @@ def time_preprocessing(
 
     The predicate is driven standalone, phase by phase.  A direct predicate
     is bound to the relation with no corpus core, so its tokenization phase
-    builds a private one (token lists, term counts, inverted index) and its
+    builds a private one (token lists, inverted index) and its
     weight phase pays the collection statistics plus its own weights -- the
     whole cost of fitting that predicate alone, which is what Figure 5.2
     reports.  (An engine fitting several predicates on one relation shares

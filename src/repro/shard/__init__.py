@@ -8,12 +8,15 @@ implements the standard IR/DBMS answer -- document partitioning with
 *broadcast global statistics*:
 
 1. the global pass is the relation's :class:`~repro.core.corpus.CorpusCore`:
-   the token lists, term counts and predicate-independent collection
-   statistics (``N``, ``df``, ``cf``, ``avgdl``, ``p̂_avg`` -- everything
+   the token lists and predicate-independent collection statistics (``N``,
+   ``df``, ``cf``, ``avgdl``, ``p̂_avg`` -- everything
    :class:`repro.text.weights.CollectionStatistics` derives), computed once
-   -- by the engine for every predicate on that relation, sharded or not;
+   -- by the engine for every predicate on that relation, sharded or not --
+   and read off the core's one index for a kernelised predicate (the
+   word-level combination family counts per-tuple ``Counter`` objects);
 2. each shard is fitted -- in the calling process, whatever the executor --
-   as a shard-local predicate on ``core.slice(a, b)``, whose
+   as a shard-local predicate on ``core.slice(a, b)``, a part of the core
+   built once per range and shared by every sharded fit over it, whose
    statistics (:class:`~repro.shard.stats.ShardStatisticsView`) keep
    answering collection-level questions from the whole relation, so every
    tuple receives bit-identical weights -- and therefore bit-identical

@@ -4,10 +4,12 @@
 shards and fits one shard-local predicate per shard on a slice of the whole
 relation's :class:`~repro.core.corpus.CorpusCore` -- the global pass -- whose
 statistics keep answering collection-level questions from the whole relation
-(:mod:`repro.shard.stats`).  Every shard then scores its
-tuples *bit-identically* to an unsharded fit, so merging per-shard results in
-the canonical ``(score desc, tid)`` order reproduces the unsharded answer
-exactly -- selections, rankings, top-k and batched workloads alike.
+(:mod:`repro.shard.stats`).  The slices are parts of the core, one per range,
+so sharded fits of several predicates over one relation share them.  Every
+shard then scores its tuples *bit-identically* to an unsharded fit, so
+merging per-shard results in the canonical ``(score desc, tid)`` order
+reproduces the unsharded answer exactly -- selections, rankings, top-k and
+batched workloads alike.
 
 Query execution runs through a pluggable :class:`~repro.shard.executors.
 ShardExecutor` (serial / thread pool / process pool).  Every operation --
@@ -314,10 +316,17 @@ class ShardedPredicate(PairHost, BlockingHost):
         :class:`~repro.core.corpus.CorpusCore` under the prototype's
         tokenizer (the engine passes its shared one; a private one is built
         otherwise): the global tokenization and the global statistics pass.
-        Each shard is fitted on ``core.slice(a, b)`` -- the same token lists
-        and counters, collection-level statistics answered from the whole
-        relation -- so shard fits pay no second tokenization and no second
-        count.  A core of another length or tokenizer raises
+        A kernelised prototype (:attr:`uses_kernels`) runs its tokenize phase
+        over the whole relation first, which builds the core's index, so the
+        whole relation's statistics are read off that one index (exact
+        ``df`` / ``cf`` integers, as an unsharded kernelised fit's), with no
+        per-tuple ``Counter`` objects.  Each
+        shard is fitted on ``core.slice(a, b)`` -- a part of the core, built
+        once per range: its token lists are the core's, its collection-level
+        statistics answered from the whole relation -- so shard fits pay no
+        second tokenization, and every later sharded fit over the same
+        ranges (another predicate, another executor) reads the slices'
+        index as it is.  A core of another length or tokenizer raises
         :class:`ValueError`, as in :meth:`Predicate.fit`.  The shard-local
         fits run here, in the calling process, whatever the executor: process
         workers inherit the fitted shards by ``fork``, and shipping them back
@@ -327,6 +336,10 @@ class ShardedPredicate(PairHost, BlockingHost):
         strings = list(strings)
         self._prototype._bind(strings, core)
         core = self._prototype._bound_core()
+        if self.uses_kernels:
+            # Phase one over the whole relation builds the core's index; the
+            # global statistics are then read off it.
+            self._prototype.tokenize_phase()
         self._strings = strings
         self._core = core
         count = len(strings)

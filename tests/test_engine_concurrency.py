@@ -59,10 +59,12 @@ class TestEngineThreadSafety:
         for result in results[1:]:
             assert result == results[0]
 
-    def test_racing_plans_share_one_core_build(self, company_strings):
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_racing_plans_share_one_core_build(self, company_strings, num_shards):
         """More threads than cores, a shortened switch interval, and four
         plans over one (corpus, tokenizer): a check-then-build race on the
-        core cache would show as a second build (or a second fit of a plan)."""
+        core cache would show as a second build (or a second fit of a plan),
+        and one on its slices as a third slice or a shard over another."""
         engine = SimilarityEngine(metrics=MetricsRegistry())
         names = ["bm25", "cosine", "jaccard", "lm"]
         num_threads = 8
@@ -75,7 +77,7 @@ class TestEngineThreadSafety:
                 barrier.wait(timeout=30)
                 query = engine.from_strings(company_strings).predicate(
                     names[index % len(names)]
-                )
+                ).shards(num_shards)
                 results[index] = query.top_k("Morgn Stanley", 5)
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(repr(exc))
@@ -97,6 +99,18 @@ class TestEngineThreadSafety:
         assert engine.metrics.value("fits_total") == len(names)
         assert engine.metrics.value("core_builds_total") == 1
         assert engine.metrics.value("core_reuses_total") == len(names) - 1
+        if num_shards > 1:
+            fitted = [
+                engine.from_strings(company_strings).predicate(name).shards(num_shards)
+                .fitted_predicate() for name in names
+            ]
+            core = fitted[0]._core
+            assert len(core._slices) == num_shards
+            for sharded in fitted:
+                bounds = zip(sharded.offsets, sharded.offsets[1:])
+                assert [shard._core for shard in sharded.shards] == [
+                    core.slice(start, stop) for start, stop in bounds
+                ]
         for index, result in enumerate(results):
             alone = registry.make(names[index % len(names)]).fit(company_strings)
             assert [(m.tid, m.score) for m in result] == [

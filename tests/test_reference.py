@@ -501,6 +501,49 @@ def test_large_candidate_sets_select_like_the_reference(name, num_shards, large)
                 ]
 
 
+@pytest.mark.parametrize("name", ["bm25", "cosine", "lm", "hmm", "soft_tfidf"])
+def test_a_restriction_without_a_blocker_is_the_mask(name, generated, monkeypatch):
+    """A restricted call with no blocker masks the scores with the
+    restriction itself (no set of the scored tids is built): every operation
+    answers the reference cut to the allowed tids, and
+    ``last_num_candidates`` counts the allowed candidates."""
+    from repro.blocking.host import BlockingHost
+
+    def no_set_route(*args, **kwargs):
+        raise AssertionError("a restriction alone must not build the allowed set")
+
+    monkeypatch.setattr(BlockingHost, "_allowed_after_scoring", no_set_route)
+    rows, queries = generated
+    n = len(rows)
+    reference = Reference(name, rows)
+    engine = SimilarityEngine()
+    base = engine.from_strings(rows).predicate(name)
+    restrictions = [set(range(1, n, 2)), {-1, 0, 2, 5}, {n, n + 5}, set()]
+    try:
+        for predicate in (base.fitted_predicate(), base.shards(2).fitted_predicate()):
+            for allowed in restrictions:
+                with predicate.restrict_candidates(allowed):
+                    for query in queries + [""]:
+                        ranking = [item for item in reference.rank(query) if item[0] in allowed]
+                        context = (type(predicate).__name__, sorted(allowed)[:3], query)
+                        assert _pairs(predicate.rank(query)) == ranking, context
+                        assert predicate.last_num_candidates == len(ranking), context
+                        assert _pairs(predicate.top_k(query, 3)) == ranking[:3], context
+                        assert predicate.last_num_candidates == len(ranking), context
+                        threshold = ranking[len(ranking) // 2][1] if ranking else 0.5
+                        assert _pairs(predicate.select(query, threshold)) == [
+                            item for item in ranking if item[1] >= threshold
+                        ], context
+                        assert predicate.last_num_candidates == len(ranking), context
+                        scores = dict(ranking)
+                        for tid in range(-1, n + 1):
+                            assert predicate.score(query, tid) == scores.get(tid, 0.0), (
+                                context, tid
+                            )
+    finally:
+        engine.clear_cache()
+
+
 ROWS = [
     "Morgan Stanley Group Inc.",
     "Goldman Sachs Group",

@@ -636,6 +636,110 @@ class TestEngineSharding:
             SimilarityEngine(num_shards=0)
 
 
+class TestSharedSlices:
+    """A slice is a part of the core it is cut from, built once per range:
+    every sharded fit over one relation and one shard count reads the same
+    shard-local cores, and the parent's statistics come off one index."""
+
+    QUERIES = ["Morgan Stanley Inc", "IBM Corp", "AT&T", "", "zzz"]
+
+    @staticmethod
+    def _assert_answers_equal(sharded, unsharded, queries):
+        for query in queries:
+            assert _pairs(sharded.top_k(query, 4)) == _pairs(unsharded.top_k(query, 4))
+            assert _pairs(sharded.rank(query)) == _pairs(unsharded.rank(query))
+            assert _pairs(sharded.rank(query, limit=3)) == _pairs(
+                unsharded.rank(query, limit=3)
+            )
+            assert _pairs(sharded.select(query, 0.5)) == _pairs(
+                unsharded.select(query, 0.5)
+            )
+        for op, kwargs in (("top_k", {"k": 3}), ("rank", {}), ("select", {"threshold": 0.5})):
+            assert [_pairs(batch) for batch in sharded.run_many(queries, op=op, **kwargs)] == [
+                _pairs(batch) for batch in unsharded.run_many(queries, op=op, **kwargs)
+            ]
+
+    def test_sharded_fits_share_one_slice_per_range(self, monkeypatch):
+        import pickle
+
+        from repro.core import index as index_module
+
+        builds = []
+        init = index_module.InvertedIndex.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(self)
+            init(self, *args, **kwargs)
+
+        corpus = CORPUS * 5
+        engine = SimilarityEngine()
+        base = engine.from_strings(corpus)
+        targets = [
+            (name, executor) for executor in ("thread", "process")
+            for name in ("bm25", "weighted_match")
+        ]
+        try:
+            monkeypatch.setattr(index_module.InvertedIndex, "__init__", counted)
+            fitted = {
+                target: base.predicate(target[0]).shards(2, executor=target[1]).fitted_predicate()
+                for target in targets
+            }
+            monkeypatch.undo()
+            # The parent's index (its statistics are read off it) and one
+            # index per slice -- not one per shard per fit.
+            assert len(builds) == 3
+            core = fitted[targets[0]]._core
+            assert builds[0] is core._index
+            assert all(sharded._core is core for sharded in fitted.values())
+            offsets = fitted[targets[0]].offsets
+            bounds = list(zip(offsets, offsets[1:]))
+            assert all(core.slice(a, b) is core.slice(a, b) for a, b in bounds)
+            slices = [core.slice(a, b) for a, b in bounds]
+            for sharded in fitted.values():
+                for shard, part in zip(sharded.shards, slices):
+                    assert shard._core is part and shard._index is part._index
+            assert core._term_frequencies is None
+            line = core.describe()
+            assert ", term counts: not built, " in line
+            assert line.endswith(", shard slices: 2")
+            report = base.predicate("bm25").shards(2, executor="thread").explain(
+                "IBM Corp", k=3
+            )
+            assert report.core.endswith("shard slices: 2, shared by 4 fitted predicates")
+            # A pickled parent carries no slices; the live one keeps them.
+            copy = pickle.loads(pickle.dumps(core))
+            assert copy._slices == {} and len(core._slices) == 2
+            assert "shard slices" not in copy.describe()
+            unsharded = {
+                name: base.predicate(name).shards(1).fitted_predicate()
+                for name in ("bm25", "weighted_match")
+            }
+            assert all(predicate._core is core for predicate in unsharded.values())
+            for (name, _), sharded in fitted.items():
+                self._assert_answers_equal(sharded, unsharded[name], self.QUERIES)
+            # Another shard count cuts its own ranges.
+            three = base.predicate("bm25").shards(3).fitted_predicate()
+            own = [three._core.slice(a, b) for a, b in zip(three.offsets, three.offsets[1:])]
+            assert all(shard._core is part for shard, part in zip(three.shards, own))
+            assert not any(part is other for part in own for other in slices)
+            assert core.describe().endswith(", shard slices: 5")
+            self._assert_answers_equal(three, unsharded["bm25"], self.QUERIES)
+            assert core._term_frequencies is None
+        finally:
+            engine.clear_cache()
+
+    def test_a_word_level_sharded_fit_counts_its_statistics(self):
+        """The combination family builds no index over the whole relation:
+        its parent's statistics keep the ``Counter`` route."""
+        sharded = _sharded("soft_tfidf", CORPUS * 2, 2)
+        assert sharded._core._index is None
+        assert sharded._core.describe_term_counts().endswith("(cause: fit)")
+        assert sharded._core.describe().endswith(", shard slices: 2")
+        unsharded = make_predicate("soft_tfidf").fit(CORPUS * 2)
+        for query in self.QUERIES:
+            assert _pairs(sharded.rank(query)) == _pairs(unsharded.rank(query))
+
+
 class TestTimingHarness:
     def test_time_queries_supports_sharding(self):
         from repro.eval.timing import time_queries
